@@ -14,12 +14,12 @@ between the two.  It produces one JSONL stream per observed run
   walk-downs, daemon-interval stretches and resets, relocation
   disable/re-enable, thrash events) as a per-cell time series with
   barrier phase markers, via a kind-filtered
-  :class:`~repro.sim.events.EventBus` subscription that leaves the
-  replay fast path untouched (:mod:`repro.obs.backoff`).
+  :class:`~repro.sim.events.EventBus` subscription that keeps the
+  run on the replay kernel (:mod:`repro.obs.backoff`).
 
 Enable with ``--obs`` on ``repro run``/``repro matrix`` (or
 ``REPRO_OBS=1``); inspect with ``repro obs summary|timeline|export``.
-The measured cost of an observed ``matrix_micro`` is gated at <=2%
+The measured cost of an observed ``matrix_micro`` is gated at <=10%
 (``benchmarks/test_perf_regression.py``).  See ``docs/observability.md``.
 """
 

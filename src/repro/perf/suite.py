@@ -11,12 +11,11 @@ structure (docs/performance.md):
   against;
 * ``vector:matrix_micro`` -- the same 10-cell slice replayed through
   the vectorized SoA loop (``repro.sim.soatrace``); ``meta`` records
-  the scalar fast-path wall time and the speedup factor, which the
-  regression gate holds at >=3x whenever the compiled kernel is
-  available;
+  the reference-loop (``vector_path=False``) wall time and the speedup
+  factor, which the regression gate holds at >=3x whenever the
+  compiled kernel is available;
 * ``matrix_e2e`` -- the full 90-cell parallel matrix through the
-  runtime executor, new dispatch (trace cache + warm workers + LPT)
-  versus the preserved legacy pool path;
+  runtime executor (trace cache + warm workers + LPT dispatch);
 * ``tracegen:<app>`` -- workload generation for each of the six apps
   (numpy-vectorised, so it regresses independently of the replay loop);
 * ``tracegen_cached:<app>`` -- the same workload served from the trace
@@ -135,13 +134,14 @@ def bench_matrix_micro(repeats: int = 3) -> BenchResult:
 def bench_vector_matrix_micro(repeats: int = 3) -> BenchResult:
     """The matrix micro slice through the vectorized SoA loop.
 
-    Identical cell set, scale and timing method to ``matrix_micro`` --
-    only the replay loop differs -- so the two benches' events/sec are
-    directly comparable and the recorded speedup is exactly the
-    fast->vector win.  ``meta["kernel_available"]`` records whether the
-    compiled kernel actually ran: without a C compiler the vector
-    engine degrades to the scalar fast path and the factor sits near
-    1.0, which the regression gate treats as a skip, not a failure.
+    Identical cell set, scale and timing method to ``matrix_micro``,
+    so the two benches' events/sec are directly comparable.
+    ``meta["scalar_wall_s"]`` is the same slice on the reference loop
+    (``vector_path=False``) and ``meta["speedup_x"]`` the kernel's win
+    over it.  ``meta["kernel_available"]`` records whether the compiled
+    kernel actually ran: without a C compiler the vector engine
+    degrades to the reference loop and the factor sits near 1.0, which
+    the regression gate treats as a skip, not a failure.
     """
     from ..sim.soatrace import vector_available
 
@@ -152,15 +152,15 @@ def bench_vector_matrix_micro(repeats: int = 3) -> BenchResult:
         for app, arch, pr in MATRIX_CELLS:
             _engine(wls[app], arch, pr, vector_path=vector).run()
 
-    fast = run_bench("_fast", lambda: once(False), events, repeats)
+    scalar = run_bench("_scalar", lambda: once(False), events, repeats)
     result = run_bench("vector:matrix_micro", lambda: once(True),
                        events, repeats,
                        meta={"cells": len(MATRIX_CELLS), "apps": MATRIX_APPS,
                              "pressure": MATRIX_PRESSURE,
                              "scale": MICRO_SCALE,
                              "kernel_available": vector_available()})
-    result.meta["fast_wall_s"] = round(fast.wall_s, 6)
-    result.meta["speedup_x"] = round(fast.wall_s / result.wall_s, 3)
+    result.meta["scalar_wall_s"] = round(scalar.wall_s, 6)
+    result.meta["speedup_x"] = round(scalar.wall_s / result.wall_s, 3)
     return result
 
 
@@ -206,21 +206,14 @@ def bench_trace_generation_cached(app: str = "em3d",
 
 
 def bench_matrix_e2e(repeats: int = 2, scale: float = E2E_SCALE) -> BenchResult:
-    """The full 90-cell parallel matrix: new dispatch vs legacy pool.
+    """The full 90-cell parallel matrix through the runtime executor.
 
     Each timed run models a fresh CLI invocation by dropping the
-    process-level workload caches first.  The legacy run then behaves
-    exactly like the pre-trace-cache executor (cold pool, submission
-    order, ``chunksize=1``, workloads regenerated in-process); the new
-    run resolves workloads from a pre-populated
-    :class:`~repro.runtime.tracecache.TraceStore` and dispatches
-    pre-warmed, costliest-first, in chunks.  Both paths bypass the
-    result store so every repeat simulates every cell.
-
-    ``meta`` records the legacy wall time, the speedup factor and the
-    host's CPU count: the dispatch-level win grows with worker count,
-    while on a single-CPU host both paths are replay-bound and the
-    factor sits near 1.0.
+    process-level workload caches first, then resolves workloads from
+    a pre-populated :class:`~repro.runtime.tracecache.TraceStore` and
+    dispatches pre-warmed, costliest-first, in chunks.  Every repeat
+    bypasses the result store, so it simulates every cell.
+    ``meta["cpu_count"]`` records the host's CPU count.
     """
     from ..harness.parallel import matrix_specs
     from ..runtime import execute, use_trace_store
@@ -236,29 +229,21 @@ def bench_matrix_e2e(repeats: int = 2, scale: float = E2E_SCALE) -> BenchResult:
         clear_trace_memo()
         get_workload.cache_clear()
 
-    def legacy_run() -> None:
-        cold_process_caches()
-        with use_trace_store(None):
-            execute(specs, store=None, parallel=True, legacy_pool=True)
-
     with tempfile.TemporaryDirectory() as tmp:
         trace_store = TraceStore(tmp)
         with use_trace_store(trace_store):
             for app in apps:
                 fetch_traces(app, scale)  # pre-populate the cache
 
-        def new_run() -> None:
+        def once() -> None:
             cold_process_caches()
             with use_trace_store(trace_store):
                 execute(specs, store=None, parallel=True)
 
-        legacy = run_bench("_legacy", legacy_run, events, repeats)
-        result = run_bench("matrix_e2e", new_run, events, repeats,
+        result = run_bench("matrix_e2e", once, events, repeats,
                            meta={"cells": len(specs), "scale": scale,
                                  "apps": apps})
     cold_process_caches()
-    result.meta["legacy_wall_s"] = round(legacy.wall_s, 6)
-    result.meta["speedup_x"] = round(legacy.wall_s / result.wall_s, 3)
     result.meta["cpu_count"] = os.cpu_count()
     return result
 
@@ -301,8 +286,9 @@ def bench_obs_overhead(repeats: int = 3) -> BenchResult:
     merged backoff rows and the per-cell summary record, all written to
     a real JSONL sink.  ``meta["overhead_x"]`` is the factor users pay
     for ``--obs``; ``benchmarks/test_perf_regression.py`` gates it at
-    <=2% (the budget that motivated kind-filtered subscriptions — a
-    full observer would cost 2-4x by disabling the replay fast path).
+    <=10% (the budget that motivated kind-filtered subscriptions — a
+    full observer would cost several times that by disabling the
+    kernel).
     """
     from ..obs import BackoffTelemetry, ObsSink, SpanRecorder
     from ..runtime import RunSpec
@@ -454,9 +440,9 @@ def bench_sampling(app: str = "em3d", arch: str = "SCOMA",
 def run_suite(repeats: int = 3, only: str | None = None) -> list[BenchResult]:
     """Run the whole curated suite; *only* filters by name substring.
 
-    ``matrix_e2e`` is capped at best-of-2: it simulates 90 cells twice
-    per repeat (new + legacy path), so letting it scale with *repeats*
-    would dominate the suite's runtime.
+    ``matrix_e2e`` is capped at best-of-2: it simulates 90 cells per
+    repeat, so letting it scale with *repeats* would dominate the
+    suite's runtime.
     """
     benches = [
         *(lambda a=arch: bench_single_cell(a, repeats=repeats)

@@ -17,9 +17,9 @@ tail latency are traded off in one place.
 The architecture weights are *calibrated from measurement*, not
 guessed: ``BENCH_pr3.json``'s ``single:fft/<arch>`` benchmarks give
 events/second per architecture on the reference machine; the weight is
-each architecture's per-event time relative to ASCOMA.  The scalar
-spread is small (~4%) because PR 3 flattened the replay fast path, but
-LPT only needs *ranks* to be right, and event counts dominate those.
+each architecture's per-event time relative to ASCOMA.  They were
+measured on a scalar loop that has since been removed, but LPT only
+needs *ranks* to be right, and event counts dominate those.
 
 The vector kernel reshuffles those ranks: in-kernel events cost near
 nothing, so a cell's time is dominated by how often it *exits* the
@@ -39,7 +39,7 @@ __all__ = ["ARCH_WEIGHTS", "DEFAULT_ARCH_WEIGHT", "VECTOR_ARCH_WEIGHTS",
            "DEFAULT_VECTOR_ARCH_WEIGHT", "workload_events",
            "spec_cost", "lpt_order", "submit_chunksize"]
 
-#: Relative per-event replay time on the *scalar* fast path,
+#: Relative per-event replay time on the *scalar* substrate,
 #: ASCOMA = 1.0.  Derived from BENCH_pr3.json ``single:fft/*``
 #: events/s (859544 / arch ev/s): CC-NUMA re-fetches remote lines
 #: forever under pressure, so it pays the most per event; the
@@ -116,7 +116,7 @@ def spec_cost(spec: RunSpec, events: int | None = None,
     *events* is the workload's total event count; ``None`` looks it up
     (generating or cache-hitting the trace as a side effect).
     *vector* selects the weight table — ``True`` for the vector kernel,
-    ``False`` for the scalar fast path, ``None`` (default) for
+    ``False`` for the reference loop, ``None`` (default) for
     whichever substrate this process would actually dispatch on.
     """
     if events is None:

@@ -16,12 +16,11 @@ Hash stability rules
 * the hash covers a ``version`` field (:data:`SPEC_VERSION`) — bump it
   whenever simulator semantics change so that stale store artifacts
   become unreachable rather than silently wrong;
-* replay-loop selection (``REPRO_SLOW_PATH`` / ``REPRO_VECTOR_PATH``,
-  or the engine's ``slow_path``/``vector_path`` arguments) is a
-  *runtime mode*, deliberately outside the hash: all three loops are
-  pinned bit-identical by ``tests/test_perf_parity.py``, so a store
-  entry produced by any loop validly services the same spec replayed
-  through any other.
+* replay-loop selection (``REPRO_VECTOR_PATH`` or the engine's
+  ``vector_path`` argument) is a *runtime mode*, deliberately outside
+  the hash: the kernel and the reference loop are pinned bit-identical
+  by ``tests/test_perf_parity.py``, so a store entry produced by
+  either validly services the same spec replayed through the other.
 
 A failed execution is described by :class:`RunFailure`, which names the
 spec that failed so batch sweeps can report and resume precisely.
@@ -194,7 +193,7 @@ class RunSpec:
 
         *telemetry* is an optional
         :class:`~repro.obs.BackoffTelemetry` to attach to the engine's
-        event bus (kind-filtered, so the replay fast path stays on).
+        event bus (kind-filtered, so the run stays on the kernel).
         Like *check* it is a runtime mode: the rows it collects live on
         the telemetry object, never in the :class:`RunResult`, so
         cached results stay byte-identical with and without ``--obs``.

@@ -20,16 +20,16 @@ caches results:
 * **Memo** — a per-process in-memory layer on top
   (:func:`fetch_traces`), so a warm worker touches each workload once
   per run no matter how many cells share it, and cells served from the
-  same process share one ``Trace`` object (and therefore one cached
-  list-form conversion) instead of one per cell.
+  same process share one ``WorkloadTraces`` object (and therefore one
+  cached SoA decode) instead of one per cell.
 
 A corrupt, stale or foreign file is a *miss*, never an error: the
 workload is regenerated and the entry rewritten.  The cache changes
 *when* traces are built, never *what* is built — ``tests/test_tracecache.py``
 pins cached-vs-regenerated bit-identity.
 
-Replay-loop selection (``REPRO_SLOW_PATH`` / ``REPRO_VECTOR_PATH``)
-never enters :func:`trace_key` for the same reason it stays out of
+Replay-loop selection (``REPRO_VECTOR_PATH``) never enters
+:func:`trace_key` for the same reason it stays out of
 ``RunSpec.spec_hash()``: the loops are bit-identical consumers of the
 same trace arrays, and the vectorized loop's SoA decode
 (:meth:`~repro.sim.trace.WorkloadTraces.soa`) is a per-process view

@@ -70,9 +70,9 @@ class EventBus:
 
     Kind-filtered subscriptions (``subscribe(obs, kinds=...)``) exist
     for telemetry that must not slow the replay hot path: a filtered
-    observer never appears in ``observers``, so the engine's inlined
-    fast path (which disables itself while ``observers`` is non-empty)
-    and the per-event publish guards stay on.  The trade-off is that a
+    observer never appears in ``observers``, so the replay kernel
+    (which refuses a run while ``observers`` is non-empty) and the
+    per-event publish guards stay on.  The trade-off is that a
     filtered observer only sees kinds whose publish sites guard on
     :meth:`watching` rather than on ``observers`` — today the rare
     run-structure kinds (``EV_DAEMON``, ``EV_BARRIER``, ``EV_END``),
@@ -92,7 +92,7 @@ class EventBus:
 
         With *kinds* (an iterable of event-kind strings) the observer
         is kind-filtered: it sees only those kinds, and it does not
-        disturb the ``observers``-guarded fast paths.
+        disturb the ``observers``-guarded hot paths.
         """
         if kinds is None:
             self.observers.append(observer)

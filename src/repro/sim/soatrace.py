@@ -1,23 +1,23 @@
-"""Structure-of-arrays replay substrate: the vectorized third loop.
+"""Structure-of-arrays replay substrate: the compiled replay kernel.
 
-The engine's third replay path (``vector_path=True`` /
-``REPRO_VECTOR_PATH=1``) re-expresses the PR4 fast loop over a dense
-structure-of-arrays decode of the machine state: every dict/set the
-scalar loops mutate per event (directory copyset/owner, page-table
-modes and S-COMA valid masks, refetch counters, TLB reference bits,
-L1 tags, RAC slots, ownership sets) becomes a flat numpy array, and
-the per-event scheduler + classification + protocol arithmetic runs
-as a small compiled kernel over those arrays.  The kernel is a direct
-transliteration of ``Engine._shared_ref`` and the fast loop's inlined
-cases; like the fast path it decides *before mutating anything*
-whether an event is one of the shapes it does not model -- a page
-fault or an imminent relocation hint -- and hands exactly those
-events back to the scalar ``Engine._shared_ref`` machinery, so the
-residual path sees identical state and produces identical arithmetic.
+The engine's default replay path (``Engine.vector_mode == "auto"``)
+runs the reference loop's arithmetic over a dense structure-of-arrays
+decode of the machine state: every dict/set the reference loop
+mutates per event (directory copyset/owner, page-table modes and
+S-COMA valid masks, refetch counters, TLB reference bits, L1 tags,
+RAC slots, ownership sets) becomes a flat numpy array, and the
+per-event scheduler + classification + protocol arithmetic runs as a
+small compiled kernel over those arrays.  The kernel is a direct
+transliteration of ``Engine._run_reference`` and ``Engine._shared_ref``;
+it decides *before mutating anything* whether an event is one of the
+shapes it does not model -- a page fault or an imminent relocation
+hint -- and hands exactly those events back to the scalar
+``Engine._shared_ref`` machinery, so the residual path sees identical
+state and produces identical arithmetic.
 
-Bit-identical output to both scalar loops is the contract: same
+Bit-identical output to the reference loop is the contract: same
 ``RunResult.to_dict()``, same goldens, same store hashes (see
-``tests/test_perf_parity.py``'s three-way differential matrix).
+``tests/test_perf_parity.py``'s two-way differential matrix).
 
 Implementation notes
 --------------------
@@ -28,15 +28,12 @@ Implementation notes
   build-time dependency.  When cffi or a compiler is missing, or a
   run shape is outside the kernel's model (associative L1, a
   time-series sampler, a directory message log, unfiltered event-bus
-  observers other than the engine's page-memo invalidator),
-  :func:`run_vector` returns ``None`` and the engine degrades
-  loss-free to ``_run_fast`` -- the same graceful-degradation contract
-  the fast path's inlined cases already follow (a single
+  observers), :func:`run_vector` returns ``None`` and the engine
+  degrades loss-free to ``_run_reference`` (a single
   ``RuntimeWarning`` flags environment problems such as a missing
   compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
-  node-count or chunks-per-page ceiling; the page memo is carried
-  (the kernel never mutates page modes/homes); kind-filtered EventBus
+  node-count or chunks-per-page ceiling; kind-filtered EventBus
   subscribers are served by a bounded in-kernel event ring whose
   entries are replayed post-slice with scalar-identical clocks and
   order; and residual events (page faults, relocation hints) exit in
@@ -49,7 +46,7 @@ Implementation notes
   exact observable dict/set semantics of what they replace and return
   Python ints/bools (never numpy scalars, which would poison the
   JSON-serialised ``RunResult``).
-* Path selection is a runtime mode, like ``REPRO_SLOW_PATH``: it must
+* Path selection (``REPRO_VECTOR_PATH``) is a runtime mode: it must
   never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
 
@@ -163,7 +160,7 @@ int64_t soa_run(SoaState *s);
 # machinery it replaces.  Source comments reference the Python it
 # mirrors; every formula (queue clamps, leg timestamps, counter sites,
 # mutation order) must match repro.sim.engine / repro.coherence /
-# repro.interconnect / repro.mem exactly -- the three-way parity matrix
+# repro.interconnect / repro.mem exactly -- the two-way parity matrix
 # is the enforcement.
 _C_SOURCE = "#include <stdint.h>\n" + _STRUCT + r"""
 #define EV_WRITE 1
@@ -196,7 +193,7 @@ enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING };
  * itself (chunk invalidations, owner demotions) are recorded here when
  * a kind-filtered EventBus subscriber watches them, and replayed by the
  * Python driver at the next kernel exit -- identical events, identical
- * clocks, identical order to what the scalar loops publish. */
+ * clocks, identical order to what the reference loop publishes. */
 static void ring_push(SoaState *s, int64_t kind, int64_t node,
                       int64_t chunk, int64_t clk) {
     int64_t *e = &s->ring[s->ctl[C_RING] * 4];
@@ -262,8 +259,7 @@ static void rac_fill(SoaState *s, int64_t node, int64_t key) {
 
 /* Machine._invalidate_chunk + Node.invalidate_chunk.  The publish is
  * deferred through the event ring when a kind-filtered subscriber
- * watches EV_INVALIDATE; unfiltered observers (beyond the engine's own
- * page-memo invalidator, which ignores this kind) disqualify the run
+ * watches EV_INVALIDATE; unfiltered observers disqualify the run
  * before the kernel starts. */
 static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
                                 int64_t now) {
@@ -617,7 +613,7 @@ static int is_residual(SoaState *s, int64_t nid, int64_t line) {
     return 0;
 }
 
-/* The fast loop's scheduler + slice runner.  Exits to Python only for
+/* The reference loop's scheduler + slice runner.  Exits to Python only for
  * runs of page faults / relocation hints (RC_RESIDUAL, run length in
  * ctl[C_RLEN]), a due pageout daemon (RC_DAEMON), a full barrier
  * (RC_BARRIER), a full event ring (RC_RING), deadlock, or completion;
@@ -809,13 +805,13 @@ def _fail(reason: str):
     ``.so`` that will not rebuild -- warns, because the user has the
     pieces for the vector kernel and is losing it to an environment
     problem.  Results are unaffected either way: the engine degrades
-    loss-free to the scalar fast path.
+    loss-free to the reference loop.
     """
     global _KERNEL
     _KERNEL = False
     warnings.warn(
-        f"vector kernel unavailable ({reason}); falling back to the scalar"
-        " fast path (results are identical, replay is slower)",
+        f"vector kernel unavailable ({reason}); falling back to the"
+        " reference loop (results are identical, replay is slower)",
         RuntimeWarning, stacklevel=4)
     return None
 
@@ -1410,20 +1406,16 @@ def _eligible(engine) -> bool:
     """Cheap pre-flight: is this run inside the kernel's model?
 
     Anything that truly needs to observe *every* intermediate state
-    transition (unfiltered event-bus observers beyond the engine's own
-    page-memo invalidator -- which is how the invariant checker
-    attaches -- a directory message log, a time-series sampler) or a
-    shape the dense arrays cannot carry (associative L1, out-of-range
-    reference args) falls back to ``_run_fast``.
+    transition (unfiltered event-bus observers -- which is how the
+    invariant checker attaches -- a directory message log, a
+    time-series sampler) or a shape the dense arrays cannot carry
+    (associative L1, out-of-range reference args) falls back to
+    ``_run_reference``.
 
     Shapes that used to disqualify a run but no longer do:
 
     * **>62 nodes / chunks-per-page** -- copyset and S-COMA valid
       bitmaps are multi-word ``uint64`` rows now;
-    * **the page memo** -- the kernel never mutates page modes or
-      homes (faults, evictions, relocations and migrations all exit to
-      Python pre-mutation), so the memo and its unfiltered invalidator
-      observer stay exact across kernel slices;
     * **kind-filtered observers** (``repro.obs`` backoff telemetry) --
       run-structure kinds publish at Python exits exactly as before,
       and in-kernel invalidations/demotions are replayed post-slice
@@ -1434,11 +1426,8 @@ def _eligible(engine) -> bool:
         return False
     if engine.sampler is not None:
         return False
-    if machine.directory.log is not None:
+    if machine.directory.log is not None or machine.events.observers:
         return False
-    for ob in machine.events.observers:
-        if ob != engine._invalidate_memo:
-            return False
     _, _, _, _, ref_lo, ref_hi = engine.workload.soa()
     if ref_hi >= 0:
         n_pages = engine.workload.total_shared_pages
@@ -1495,7 +1484,7 @@ def run_vector(engine) -> list[int] | None:
     Returns the per-node finish clocks (plain ints), or ``None`` when
     the kernel is unavailable or the run is ineligible -- in which
     case nothing has been mutated and the caller falls back to
-    ``_run_fast``.
+    ``_run_reference``.
     """
     kernel = _load_kernel()
     if kernel is None or not _eligible(engine):
@@ -1579,8 +1568,7 @@ def run_vector(engine) -> list[int] | None:
     # --- event ring + invalidation scratch ---------------------------
     # The ring records in-kernel invalidations/demotions only when a
     # kind-filtered subscriber actually watches that kind; an
-    # unfiltered observer other than the page-memo invalidator already
-    # failed eligibility, and the memo invalidator ignores both kinds.
+    # unfiltered observer already failed eligibility.
     events = machine.events
     ring_inv = EV_INVALIDATE in events.kind_observers
     ring_dem = EV_DEMOTE in events.kind_observers

@@ -79,30 +79,15 @@ def coalesce_events(kinds: np.ndarray,
 
 
 class Trace:
-    """Immutable event sequence for one node.
+    """Immutable event sequence for one node."""
 
-    The replay engine consumes the plain-list form (:meth:`as_lists`),
-    which is computed once and cached: scalar indexing of Python lists
-    is ~3x faster than numpy scalar indexing, and the evaluation matrix
-    replays the same (cached) workload under many architectures.
-    """
-
-    __slots__ = ("kinds", "args", "_kinds_list", "_args_list")
+    __slots__ = ("kinds", "args")
 
     def __init__(self, kinds: np.ndarray, args: np.ndarray) -> None:
         if kinds.shape != args.shape:
             raise ValueError("kinds/args length mismatch")
         self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
         self.args = np.ascontiguousarray(args, dtype=np.int64)
-        self._kinds_list: list[int] | None = None
-        self._args_list: list[int] | None = None
-
-    def as_lists(self) -> tuple[list[int], list[int]]:
-        """Cached ``(kinds, args)`` as plain Python lists (read-only)."""
-        if self._kinds_list is None:
-            self._kinds_list = self.kinds.tolist()
-            self._args_list = self.args.tolist()
-        return self._kinds_list, self._args_list
 
     def coalesced(self) -> "Trace":
         """This trace with adjacent COMPUTE/LOCAL runs merged.
@@ -302,9 +287,8 @@ class WorkloadTraces:
         the evaluation matrix replays one workload under many
         architectures and pressures, and the per-process trace memo
         shares the ``WorkloadTraces`` instance across those runs, so the
-        concatenation cost amortises the same way :meth:`Trace.as_lists`
-        does for the scalar loops.  All arrays are read-only for
-        callers.
+        concatenation cost is paid once per workload.  All arrays are
+        read-only for callers.
         """
         cached = getattr(self, "_soa_cache", None)
         if cached is None:

@@ -426,10 +426,10 @@ def sample_scale_factor(traces: WorkloadTraces) -> float:
 def trace_memory_bytes(traces: WorkloadTraces) -> int:
     """Heap bytes the workload's replay inputs currently occupy.
 
-    Counts the per-node event arrays, the SoA decode (if materialized)
-    and an estimate of the cached list-form conversion.  Memory-mapped
-    arrays (``.soa`` sidecars served from the page cache) are excluded:
-    they are shared, reclaimable file pages, not per-run heap.  This is
+    Counts the per-node event arrays and the SoA decode (if
+    materialized).  Memory-mapped arrays (``.soa`` sidecars served from
+    the page cache) are excluded: they are shared, reclaimable file
+    pages, not per-run heap.  This is
     the accounting behind the sampled-run memory claim pinned by
     ``tests/test_sampling.py``.
     """
@@ -442,10 +442,6 @@ def trace_memory_bytes(traces: WorkloadTraces) -> int:
     total = 0
     for trace in traces.traces:
         total += heap_bytes(trace.kinds) + heap_bytes(trace.args)
-        if trace._kinds_list is not None:
-            # A Python list of (mostly non-interned) ints: one pointer
-            # plus one 28-byte int object per element, per list.
-            total += 2 * len(trace._kinds_list) * 36
     cached = getattr(traces, "_soa_cache", None)
     if cached is not None:
         total += heap_bytes(cached[0]) + heap_bytes(cached[1])

@@ -56,6 +56,14 @@ class TestParser:
         args = build_parser().parse_args(["table", "1"])
         assert not hasattr(args, "obs")
 
+    def test_vector_mode_is_the_only_loop_flag(self):
+        args = build_parser().parse_args(
+            ["--vector-mode", "off", "run", "fft", "ascoma"])
+        assert args.vector_mode == "off"
+        for argv in (["--vector"], ["--no-vector"], ["--vector-mode", "on"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "run", "fft", "ascoma"])
+
     def test_obs_subcommand_defaults(self):
         args = build_parser().parse_args(["obs", "summary"])
         assert args.action == "summary"

@@ -22,24 +22,22 @@ ENTRIES = sorted(
     if os.path.isfile(os.path.join(CORPUS, name, "bundle.json")))
 
 
-# Replay every bundle under each replay-loop selection.  The checker
+# Replay every bundle under both replay-loop selections.  The checker
 # that replay() attaches subscribes an unfiltered observer, which makes
-# vector-path engines degrade to the scalar fast path -- so the vector
-# leg proves the degradation is loss-free under REPRO_VECTOR_PATH=1,
-# exactly like the REPRO_SLOW_PATH leg proves the reference loop
-# reproduces the recorded violations.
+# the default vector dispatch fall back to the reference loop -- so the
+# vector leg proves that fallback is loss-free, exactly like the
+# REPRO_VECTOR_PATH=0 leg proves the reference loop reproduces the
+# recorded violations.
 _PATH_ENVS = [
-    pytest.param({}, id="fast"),
-    pytest.param({"REPRO_SLOW_PATH": "1"}, id="reference"),
-    pytest.param({"REPRO_VECTOR_PATH": "1"}, id="vector"),
+    pytest.param({"REPRO_VECTOR_PATH": "0"}, id="reference"),
+    pytest.param({}, id="vector"),
 ]
 
 
 @pytest.mark.parametrize("path_env", _PATH_ENVS)
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_replay_reproduces_recorded_violations(entry, path_env, monkeypatch):
-    for var in ("REPRO_SLOW_PATH", "REPRO_VECTOR_PATH"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
     for var, value in path_env.items():
         monkeypatch.setenv(var, value)
     bundle = ReproBundle.load(os.path.join(CORPUS, entry))

@@ -15,7 +15,7 @@ import pytest
 import repro.sim.trace as trace_mod
 from repro.harness.experiment import get_workload
 from repro.harness.parallel import run_cells
-from repro.runtime import (RunSpec, TraceStore, clear_trace_memo, execute,
+from repro.runtime import (RunSpec, TraceStore, clear_trace_memo,
                            fetch_traces, lpt_order, spec_cost,
                            submit_chunksize, trace_key, use_trace_store)
 
@@ -255,7 +255,7 @@ class TestSoaSidecar:
                           **kwargs).run().to_dict()
 
         vector = run(warm, vector_path=True)
-        reference = run(get_workload(APP, SCALE), slow_path=True)
+        reference = run(get_workload(APP, SCALE), vector_path=False)
         assert vector == reference
 
 
@@ -331,16 +331,6 @@ class TestCrossProcessDeterminism:
             parallel = run_cells(self.CELLS, max_workers=2, store=None)
         for cell in self.CELLS:
             assert serial[cell].to_dict() == parallel[cell].to_dict(), cell
-
-    def test_legacy_pool_matches_new_dispatch(self, tmp_path):
-        specs = [RunSpec(app, arch, 0.5, SCALE)
-                 for app, arch, _, _ in self.CELLS[:2]]
-        with use_trace_store(_store(tmp_path)):
-            new = execute(specs, store=None, parallel=True, max_workers=2)
-            legacy = execute(specs, store=None, parallel=True, max_workers=2,
-                             legacy_pool=True)
-        for spec in specs:
-            assert new[spec].to_dict() == legacy[spec].to_dict()
 
 
 class TestConcurrentMutation:

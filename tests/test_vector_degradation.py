@@ -3,7 +3,7 @@
 The vector path's environment contract: whatever is wrong with the
 host -- cffi present but no C compiler, a corrupted cached ``.so``, an
 unwritable ``$REPRO_VECTOR_CACHE`` -- a run asked to use the kernel
-must degrade *loss-free* to the scalar fast path (bit-identical
+must degrade *loss-free* to the reference loop (bit-identical
 result), flag the problem with exactly one ``RuntimeWarning`` per
 process, and never raise.  A pre-built ``.so`` must keep loading with
 no compiler at all: that is the contract CI's kernel-cache step leans
@@ -54,7 +54,7 @@ class TestMissingCompiler:
         """cffi importable, no cc/gcc anywhere: scalar results, one
         warning for the first run, silence (and no crash) after."""
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
-        reference = _run(slow_path=True)
+        reference = _run(vector_path=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             first = _run(vector_path=True)
@@ -67,11 +67,12 @@ class TestMissingCompiler:
     def test_auto_mode_degrades_identically(self, kernel_sandbox,
                                             monkeypatch):
         """The default ``auto`` dispatch hits the same fallback."""
+        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             auto = _run()
-        assert auto == _run(slow_path=True)
+        assert auto == _run(vector_path=False)
         assert len(_vector_warnings(caught)) == 1
 
 
@@ -100,7 +101,7 @@ class TestCorruptCachedKernel:
             assert soatrace.vector_available() is True
             vector = _run(vector_path=True)
         assert not _vector_warnings(caught)
-        assert vector == _run(slow_path=True)
+        assert vector == _run(vector_path=False)
 
     def test_corrupt_so_without_compiler_warns_once(self, kernel_sandbox,
                                                     monkeypatch):
@@ -114,7 +115,7 @@ class TestCorruptCachedKernel:
             _run(vector_path=True)
         assert len(_vector_warnings(caught)) == 1
         assert "corrupt" in str(_vector_warnings(caught)[0].message)
-        assert vector == _run(slow_path=True)
+        assert vector == _run(vector_path=False)
         assert soatrace.vector_available() is False
 
 
@@ -135,7 +136,7 @@ class TestUnwritableCache:
                 warnings.simplefilter("always")
                 vector = _run(vector_path=True)
             assert len(_vector_warnings(caught)) == 1
-            assert vector == _run(slow_path=True)
+            assert vector == _run(vector_path=False)
             assert soatrace.vector_available() is False
         finally:
             soatrace._KERNEL = saved
@@ -153,4 +154,4 @@ class TestPrebuiltKernelCache:
             warnings.simplefilter("always")
             assert soatrace.vector_available() is True
         assert not _vector_warnings(caught)
-        assert _run(vector_path=True) == _run(slow_path=True)
+        assert _run(vector_path=True) == _run(vector_path=False)
