@@ -23,9 +23,10 @@ needs *ranks* to be right, and event counts dominate those.
 
 The vector kernel reshuffles those ranks: in-kernel events cost near
 nothing, so a cell's time is dominated by how often it *exits* the
-kernel for residual events — CC-NUMA re-fetches remote lines forever
-under pressure and pays ~1.4x ASCOMA per event, where its scalar
-weight was within 4%.  :data:`VECTOR_ARCH_WEIGHTS` carries the
+kernel for residual events.  Page faults and pure S-COMA's forced
+evictions run in the kernel, so the relocating hybrids (R-NUMA,
+VC-NUMA), whose relocation hints still exit to Python, are now the
+slow ones per event.  :data:`VECTOR_ARCH_WEIGHTS` carries the
 separately calibrated vector ranks, and the cost functions pick the
 table matching the substrate the workers will actually use (the
 compiled kernel's availability in *this* process, probed once).
@@ -56,15 +57,19 @@ ARCH_WEIGHTS = {
 DEFAULT_ARCH_WEIGHT = 1.02
 
 #: Relative per-event replay time through the vector kernel,
-#: ASCOMA = 1.0 (fft @ 0.25, pressure 0.7, best of 3).  Kernel exits
-#: dominate: CC-NUMA's endless remote re-fetches make it the outlier
-#: at ~1.4x, while the architectures whose hits stay in-kernel sit
-#: within ~10% of each other.
+#: ASCOMA = 1.0.  Method: every cell of the 90-cell matrix at scale
+#: 0.1 (``matrix_specs(scale=0.1)``) run through ``RunSpec.execute``
+#: in one process with warm traces, five repeats; an architecture's
+#: events/s is its 18 cells' total events over the sum of their median
+#: wall times, and its weight is ASCOMA's events/s over its own
+#: (2-vCPU x86-64 Linux VM, Python 3.11: CCNUMA 16.8M, SCOMA 10.9M,
+#: RNUMA 3.6M, VCNUMA 4.2M, ASCOMA 10.6M events/s).  Relocation hints
+#: still leave the kernel, so R-NUMA and VC-NUMA cost the most.
 VECTOR_ARCH_WEIGHTS = {
-    "CCNUMA": 1.43,
-    "SCOMA": 0.96,
-    "RNUMA": 1.02,
-    "VCNUMA": 1.11,
+    "CCNUMA": 0.63,
+    "SCOMA": 0.97,
+    "RNUMA": 2.95,
+    "VCNUMA": 2.52,
     "ASCOMA": 1.00,
 }
 

@@ -35,8 +35,10 @@ every architecture):
 
 * the **vector path** decodes the trace to structure-of-arrays form
   and replays it through the compiled SoA kernel in
-  :mod:`repro.sim.soatrace`, exiting to ``_shared_ref`` for residual
-  events;
+  :mod:`repro.sim.soatrace`, page faults and pure S-COMA's forced
+  evictions included, exiting to ``_shared_ref`` only for residual
+  events (a page's machine-wide first touch, a fault that would run
+  the pageout daemon, relocation hints);
 * the **reference path** is the straightforward one-call-per-event
   loop.  It is the parity oracle for the kernel and the loss-free
   fallback for every run the kernel cannot take: an attached checker,
@@ -222,13 +224,14 @@ class Engine:
         """Vectorized SoA replay loop (see repro.sim.soatrace).
 
         Bit-identical to the reference loop.  The decoded trace and the
-        machine's per-event mutable state move into dense numpy
-        arrays, and a small compiled kernel replays the scheduler and
-        the common reference cases over them, handing only the
-        residual events (page faults, relocation hints, daemon runs,
-        barrier releases) back to the scalar machinery -- which then
-        operates on the same arrays through dict/set views, so the two
-        substrates never diverge.
+        machine's mutable state (free pools and S-COMA clocks
+        included) move into dense numpy arrays, and a small compiled
+        kernel replays the scheduler, the reference cases and the page
+        faults of already-homed pages over them, handing only the
+        residual events (first touches, daemon-due faults, relocation
+        hints), daemon runs and barrier releases back to the scalar
+        machinery -- which then operates on the same arrays through
+        views, so the two substrates never diverge.
 
         Degrades silently to :meth:`_run_reference` when the kernel is
         unavailable (no C compiler / cffi) or the run shape is outside
@@ -492,7 +495,11 @@ class Engine:
         node.ever_fetched.add(chunk)
 
     def _page_fault(self, node, page: int, now: int) -> tuple[int, int]:
-        """First touch to *page* on *node*: returns (mode, kernel_cycles)."""
+        """First touch to *page* on *node*: returns (mode, kernel_cycles).
+
+        The replay kernel carries a transliteration (``page_fault`` in
+        :mod:`repro.sim.soatrace`); a change here must land there too,
+        or the parity suites fail."""
         stats = node.stats
         costs = node.costs
         kernel = costs.page_fault

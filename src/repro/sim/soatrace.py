@@ -5,13 +5,18 @@ runs the reference loop's arithmetic over a dense structure-of-arrays
 decode of the machine state: every dict/set the reference loop
 mutates per event (directory copyset/owner, page-table modes and
 S-COMA valid masks, refetch counters, TLB reference bits, L1 tags,
-RAC slots, ownership sets) becomes a flat numpy array, and the
-per-event scheduler + classification + protocol arithmetic runs as a
-small compiled kernel over those arrays.  The kernel is a direct
-transliteration of ``Engine._run_reference`` and ``Engine._shared_ref``;
-it decides *before mutating anything* whether an event is one of the
-shapes it does not model -- a page fault or an imminent relocation
-hint -- and hands exactly those events back to the scalar
+RAC slots, ownership sets, free-frame pools, the second-chance
+clocks) becomes a flat numpy array, and the per-event scheduler +
+classification + protocol arithmetic runs as a small compiled kernel
+over those arrays.  The kernel is a direct transliteration of
+``Engine._run_reference`` and ``Engine._shared_ref``, page faults and
+pure S-COMA's forced evictions included (``Engine._page_fault``,
+``Node.choose_victim``, ``Node.evict_scoma_page``).  It decides
+*before mutating anything* whether an event is one of the shapes it
+does not model -- the machine-wide first touch of a page (the home
+allocator stays in Python), a fault that would run the pageout daemon
+or a policy hook other than ``initial_mode``, or an imminent
+relocation hint -- and hands exactly those events back to the scalar
 ``Engine._shared_ref`` machinery, so the residual path sees identical
 state and produces identical arithmetic.
 
@@ -22,38 +27,48 @@ Bit-identical output to the reference loop is the contract: same
 Implementation notes
 --------------------
 * The kernel is plain C compiled on first use with the system C
-  compiler (``cc``/``gcc``) into a source-hash-keyed shared library
-  under ``$REPRO_VECTOR_CACHE`` (default ``~/.cache/repro/vector``)
-  and loaded through :mod:`cffi` in ABI mode -- no ``Python.h``, no
-  build-time dependency.  When cffi or a compiler is missing, or a
-  run shape is outside the kernel's model (associative L1, a
-  time-series sampler, a directory message log, unfiltered event-bus
-  observers), :func:`run_vector` returns ``None`` and the engine
-  degrades loss-free to ``_run_reference`` (a single
+  compiler (``cc``/``gcc``) into a shared library keyed by source,
+  flags and compiler (see :func:`_build_library`) under
+  ``$REPRO_VECTOR_CACHE`` (default ``~/.cache/repro/vector``) and
+  loaded through :mod:`cffi` in ABI mode -- no ``Python.h``, no
+  build-time dependency.  ``$REPRO_VECTOR_CFLAGS`` adds compiler flags
+  (CI builds a sanitized kernel this way).  When cffi or a compiler
+  is missing, or a run shape is outside the kernel's model
+  (associative L1, a time-series sampler, a directory message log,
+  unfiltered event-bus observers), :func:`run_vector` returns ``None``
+  and the engine degrades loss-free to ``_run_reference`` (a single
   ``RuntimeWarning`` flags environment problems such as a missing
   compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
   node-count or chunks-per-page ceiling; kind-filtered EventBus
   subscribers are served by a bounded in-kernel event ring whose
   entries are replayed post-slice with scalar-identical clocks and
-  order; and residual events (page faults, relocation hints) exit in
-  batched *runs* that Python drains before re-entering the kernel.
+  order; and residual events exit in batched *runs* that Python
+  drains before re-entering the kernel.
 * While the vectorized run is live, the machine's dict/set/list state
   is *replaced* by array-backed views (single source of truth): the
-  scalar residual path and all post-run consumers (invariant audits,
-  ``utilisation_report``) read and write the same arrays the kernel
-  does.  The views stay installed after the run; they implement the
-  exact observable dict/set semantics of what they replace and return
-  Python ints/bools (never numpy scalars, which would poison the
-  JSON-serialised ``RunResult``).
+  scalar residual path, the pageout daemon and all post-run consumers
+  (invariant audits, ``utilisation_report``) read and write the same
+  arrays the kernel does.  The views stay installed after the run;
+  they implement the exact observable semantics of what they replace
+  and return Python ints/bools (never numpy scalars, which would
+  poison the JSON-serialised ``RunResult``).  Commutative counters
+  that nothing reads mid-run (``NodeStats`` buckets, cache and
+  interconnect tallies) are the exception: the kernel accumulates
+  them as deltas merged once at the end.
+* Timing state (bank, bus and port queues) is copied into the arrays
+  once per run and around each residual drain, the only Python exit
+  that touches it.
 * Path selection (``REPRO_VECTOR_PATH``) is a runtime mode: it must
   never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -62,6 +77,8 @@ import warnings
 
 import numpy as np
 
+from ..core.policy import ArchitecturePolicy
+from ..kernel.freelist import FreePagePool
 from ..kernel.vm import PageMode
 from .events import EV_DEMOTE, EV_INVALIDATE
 from .trace import EV_WRITE
@@ -87,8 +104,15 @@ _IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
  _P_MEM_SERVICE, _P_MEM_OCC, _P_MEM_MAXQ, _P_BUS_OCC, _P_BUS_FIXED,
  _P_BUS_MAXQ, _P_NET_OCC, _P_NET_MAXQ, _P_LPC, _P_N_PAGES, _P_N_SETS,
  _P_N_BANKS, _P_RAC_ENTRIES, _P_PC_SHIFT, _P_N_CHUNKS, _P_CS_WORDS,
- _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP) = range(36)
-_N_PARAMS = 36
+ _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP, _P_PAGE_FAULT,
+ _P_PAGE_REMAP, _P_FLUSH_LINE, _P_DRY_SCOMA, _P_CLK_CAP) = range(41)
+_N_PARAMS = 41
+
+# Per-node page-cache row pc[] (keep in sync with the C enum): the free
+# pool's counters and the second-chance clock's ring-buffer cursor.
+(_PC_FREE, _PC_ALLOCS, _PC_RELEASES, _PC_FAILED, _PC_FREE_MIN, _PC_HEAD,
+ _PC_LEN) = range(7)
+_N_PC = 7
 
 #: Per-node stats delta row: (slot, NodeStats attribute).  Commutative
 #: counters only -- nothing reads them mid-run, so the kernel
@@ -97,13 +121,15 @@ _STAT_ATTRS = (
     "U_SH_MEM", "U_INSTR", "U_LC_MEM", "HOME", "SCOMA", "RAC", "COLD",
     "CONF_CAPC", "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT",
     "CONF_CAPC_LAT", "upgrades", "induced_cold", "essential_cold",
-    "l1_hits", "l1_misses")
+    "l1_hits", "l1_misses", "K_BASE", "K_OVERHD", "page_faults",
+    "evictions", "forced_evictions", "lines_flushed")
 _N_STATS = len(_STAT_ATTRS)
 
 # Per-node auxiliary delta row (see _merge_deltas).
 (_A_WB, _A_INVAL, _A_RAC_HITS, _A_RAC_MISSES, _A_RAC_FILLS, _A_MEM_ACC,
- _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q) = range(11)
-_N_AUX = 11
+ _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q, _A_PT_FAULTS,
+ _A_SHOOTDOWNS, _A_L1_FLUSHED) = range(14)
+_N_AUX = 14
 
 # Global delta row (see _merge_deltas).
 (_G_NET_MSGS, _G_NET_CONT, _G_NET_Q, _G_DIR_REFETCH, _G_DIR_FWD,
@@ -141,7 +167,9 @@ typedef struct {
     int64_t *net_port;
     int64_t *mem_busy;
     int64_t *bus_busy;
-    const uint8_t *below_min;
+    int64_t *pc;
+    int64_t *clk;
+    const int64_t *fault_mode;
     const int64_t *next_run;
     const int64_t *thr;
     int64_t *st;
@@ -173,14 +201,21 @@ enum { P_N, P_QUANTUM, P_NO_LIMIT, P_LINE_SHIFT, P_CHUNK_SHIFT, P_CPP_MASK,
        P_MEM_SERVICE, P_MEM_OCC, P_MEM_MAXQ, P_BUS_OCC, P_BUS_FIXED,
        P_BUS_MAXQ, P_NET_OCC, P_NET_MAXQ, P_LPC, P_N_PAGES, P_N_SETS,
        P_N_BANKS, P_RAC_ENTRIES, P_PC_SHIFT, P_N_CHUNKS, P_CS_WORDS,
-       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_CAP };
+       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_CAP, P_PAGE_FAULT,
+       P_PAGE_REMAP, P_FLUSH_LINE, P_DRY_SCOMA, P_CLK_CAP };
 
 enum { S_USH, S_UINSTR, S_ULC, S_HOME, S_SCOMA, S_RAC, S_COLD, S_CONF,
        S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT, S_COLD_LAT, S_CONF_LAT,
-       S_UPGRADES, S_INDUCED, S_ESSENTIAL, S_L1_HITS, S_L1_MISSES, N_STATS };
+       S_UPGRADES, S_INDUCED, S_ESSENTIAL, S_L1_HITS, S_L1_MISSES,
+       S_K_BASE, S_K_OVERHD, S_FAULTS, S_EVICTIONS, S_FORCED, S_FLUSHED,
+       N_STATS };
 
 enum { A_WB, A_INVAL, A_RAC_HITS, A_RAC_MISSES, A_RAC_FILLS, A_MEM_ACC,
-       A_MEM_CONT, A_MEM_Q, A_BUS_TX, A_BUS_CONT, A_BUS_Q, N_AUX };
+       A_MEM_CONT, A_MEM_Q, A_BUS_TX, A_BUS_CONT, A_BUS_Q, A_PT_FAULTS,
+       A_SHOOTDOWNS, A_L1_FLUSHED, N_AUX };
+
+enum { PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
+       PC_LEN, N_PC };
 
 enum { G_NET_MSGS, G_NET_CONT, G_NET_Q, G_DIR_REFETCH, G_DIR_FWD,
        G_DIR_INV, G_DIR_EXCL, G_REMOTE, G_THREE_HOP, G_STALLS, N_GLOB };
@@ -474,10 +509,214 @@ static void classify(SoaState *s, int64_t node, int64_t chunk,
     }
 }
 
+/* ---- Page management: page faults and forced S-COMA evictions ---- */
+
+/* PageTable.scoma_clock, a deque, as a per-node ring buffer of
+ * P_CLK_CAP slots; pc[PC_HEAD] is clock[0], pc[PC_LEN] its length. */
+static void clock_append(SoaState *s, int64_t nid, int64_t page) {
+    int64_t cap = s->P[P_CLK_CAP];
+    int64_t *pc = &s->pc[nid * N_PC];
+    s->clk[nid * cap + (pc[PC_HEAD] + pc[PC_LEN]) % cap] = page;
+    pc[PC_LEN]++;
+}
+
+/* deque.rotate(-1): clock[0] moves to the back. */
+static void clock_rotate(SoaState *s, int64_t nid) {
+    int64_t cap = s->P[P_CLK_CAP];
+    int64_t *pc = &s->pc[nid * N_PC];
+    int64_t *buf = &s->clk[nid * cap];
+    int64_t front = buf[pc[PC_HEAD]];
+    pc[PC_HEAD] = (pc[PC_HEAD] + 1) % cap;
+    buf[(pc[PC_HEAD] + pc[PC_LEN] - 1) % cap] = front;
+}
+
+/* Node.choose_victim: one second-chance revolution over the clock;
+ * the caller guarantees a non-empty clock. */
+static int64_t choose_victim(SoaState *s, int64_t nid) {
+    int64_t cap = s->P[P_CLK_CAP];
+    int64_t *pc = &s->pc[nid * N_PC];
+    int64_t *buf = &s->clk[nid * cap];
+    uint8_t *ref = &s->ref_bits[nid * s->P[P_N_PAGES]];
+    for (int64_t k = 0, len = pc[PC_LEN]; k < len; k++) {
+        int64_t page = buf[pc[PC_HEAD]];
+        if (!ref[page]) return page;
+        ref[page] = 0;
+        clock_rotate(s, nid);
+    }
+    return buf[pc[PC_HEAD]];
+}
+
+/* Node.flush_page: L1 lines, RAC entries, owned chunks and the node's
+ * directory copyset bits (and ownership) for every chunk of the page.
+ * Returns the L1 lines flushed. */
+static int64_t flush_page(SoaState *s, int64_t nid, int64_t page) {
+    /* DirectMappedCache.flush_page over the page's consecutive sets */
+    int64_t lpp = (int64_t)1 << s->P[P_LINE_SHIFT];
+    int64_t cpp = s->P[P_CPP_MASK] + 1;
+    int64_t first = page * lpp;
+    int64_t span = lpp < s->P[P_N_SETS] ? lpp : s->P[P_N_SETS];
+    int64_t *tags = &s->l1_tags[nid * s->P[P_N_SETS]];
+    uint8_t *dirty = &s->l1_dirty[nid * s->P[P_N_SETS]];
+    int64_t flushed = 0;
+    for (int64_t off = 0; off < span; off++) {
+        int64_t slot = (first + off) & s->P[P_SET_MASK];
+        int64_t tag = tags[slot];
+        if (tag != -1 && (tag >> s->P[P_LINE_SHIFT]) == page) {
+            tags[slot] = -1;
+            dirty[slot] = 0;
+            flushed++;
+        }
+    }
+    s->aux[nid * N_AUX + A_L1_FLUSHED] += flushed;
+    /* RemoteAccessCache.flush_page: entries are lines or chunks */
+    int64_t rac_span = s->P[P_RAC_VICTIM] ? lpp : cpp;
+    int64_t lo = page * rac_span, hi = lo + rac_span;
+    int64_t *rac = &s->rac[nid * s->P[P_RAC_ENTRIES]];
+    for (int64_t e = 0; e < s->P[P_RAC_ENTRIES]; e++)
+        if (rac[e] >= lo && rac[e] < hi) rac[e] = -1;
+    /* owned.discard + Directory.drop_node_from_page */
+    int64_t c0 = page * cpp;
+    uint8_t *owned = &s->owned[nid * s->P[P_N_CHUNKS]];
+    int64_t W = s->P[P_CS_WORDS], bw = nid >> 6;
+    uint64_t bit = (uint64_t)1 << (nid & 63);
+    for (int64_t chunk = c0; chunk < c0 + cpp; chunk++) {
+        owned[chunk] = 0;
+        uint64_t *cs = &s->copyset[chunk * W + bw];
+        if (*cs & bit) {
+            *cs &= ~bit;
+            if (s->owner[chunk] == nid) s->owner[chunk] = -1;
+        }
+    }
+    s->st[nid * N_STATS + S_FLUSHED] += flushed;
+    return flushed;
+}
+
+/* Node.evict_scoma_page(page, forced=True) for a policy that unmaps
+ * evicted pages (evict_to_ccnuma false) and whose on_page_evicted hook
+ * is the base no-op.  page is choose_victim()'s pick, clock[0], so the
+ * clock's deque.remove drops the front.  Returns K_OVERHD cycles. */
+static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
+    int64_t flushed = flush_page(s, nid, page);
+    int64_t pidx = nid * s->P[P_N_PAGES] + page;
+    int64_t *aux = &s->aux[nid * N_AUX];
+    int64_t *pc = &s->pc[nid * N_PC];
+    /* PageTable.unmap_scoma */
+    for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
+        s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
+    pc[PC_HEAD] = (pc[PC_HEAD] + 1) % s->P[P_CLK_CAP];
+    pc[PC_LEN]--;
+    s->modes[pidx] = 0;                             /* UNMAPPED */
+    s->ref_bits[pidx] = 0;                          /* TLB.shootdown */
+    aux[A_SHOOTDOWNS]++;
+    pc[PC_FREE]++;                                  /* pool.release */
+    pc[PC_RELEASES]++;
+    s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
+    s->pc_hits[pidx] = -1;                          /* pagecache_hits.pop */
+    int64_t *st = &s->st[nid * N_STATS];
+    st[S_EVICTIONS]++;
+    st[S_FORCED]++;
+    return s->P[P_PAGE_REMAP] + s->P[P_FLUSH_LINE] * flushed;
+}
+
+/* The mode a page fault of (nid, page) at `now` asks for -- HOME, or
+ * the policy's initial_mode for the pool's state -- or -1 when the
+ * fault must be serviced by Engine._page_fault in Python: the
+ * machine-wide first touch (home unassigned), a policy whose fault
+ * needs a Python hook, or a pageout daemon that acquire_frame would
+ * run.  Pure: reads state only. */
+static int64_t fault_mode(SoaState *s, int64_t nid, int64_t page,
+                          int64_t now) {
+    int64_t home = s->home[page];
+    if (home < 0) return -1;
+    if (home == nid) return 1;                      /* HOME */
+    const int64_t *pc = &s->pc[nid * N_PC];
+    int64_t free = pc[PC_FREE];
+    int64_t mode = s->fault_mode[nid * 2 + (free > 0 ? 0 : 1)];
+    if (mode == 2) {                                /* SCOMA */
+        if (free < pc[PC_FREE_MIN]
+            && now + s->P[P_PAGE_FAULT] >= s->next_run[nid])
+            return -1;                              /* daemon due */
+        if (free == 0 && (s->P[P_DRY_SCOMA] < 0
+                          || (s->P[P_DRY_SCOMA] && pc[PC_LEN] == 0)))
+            return -1;
+    }
+    return mode;
+}
+
+/* Engine._page_fault for a mode fault_mode() admitted.  Returns the
+ * kernel cycles (K_BASE, plus K_OVERHD of a forced eviction) and
+ * leaves the page mapped. */
+static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
+                          int64_t mode) {
+    int64_t *st = &s->st[nid * N_STATS];
+    int64_t kernel = s->P[P_PAGE_FAULT];
+    st[S_K_BASE] += kernel;
+    st[S_FAULTS]++;
+    s->aux[nid * N_AUX + A_PT_FAULTS]++;
+    int64_t pidx = nid * s->P[P_N_PAGES] + page;
+    if (mode == 2) {
+        int64_t *pc = &s->pc[nid * N_PC];
+        if (pc[PC_FREE] == 0) {
+            pc[PC_FAILED]++;                        /* acquire_frame */
+            if (s->P[P_DRY_SCOMA]) {
+                /* Mandatory page cache: force-evict a victim now. */
+                int64_t overhead = evict_scoma_page(
+                    s, nid, choose_victim(s, nid));
+                st[S_K_OVERHD] += overhead;
+                kernel += overhead;
+            } else {
+                mode = 3;                           /* hybrid: CC-NUMA */
+            }
+        }
+        if (mode == 2) {                            /* Node.map_scoma */
+            pc[PC_FREE]--;
+            pc[PC_ALLOCS]++;
+            for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
+                s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
+            clock_append(s, nid, page);
+            s->pc_hits[pidx] = 0;
+        }
+    }
+    s->modes[pidx] = mode;
+    return kernel;
+}
+
+/* Would a CC-NUMA-mode miss of this line carry a relocation hint? */
+static int hint_due(SoaState *s, int64_t nid, int64_t line, int64_t page) {
+    int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
+    int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
+    if (s->rac[nid * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] == key)
+        return 0;
+    int64_t thr = s->thr[nid];
+    return thr > 0
+        && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
+             >> (nid & 63)) & 1)
+        && s->refetch[page * s->P[P_N] + nid] + 1 >= thr;
+}
+
+/* The mapping mode an L1 miss of (nid, page) proceeds under, or -1
+ * for a Python exit (fault_mode's exits and relocation hints).  For
+ * an unmapped page *fault receives the mode page_fault() installs
+ * (0 when the page is mapped).  Pure: reads state only. */
+static int64_t miss_mode(SoaState *s, int64_t nid, int64_t line,
+                         int64_t page, int64_t now, int64_t *fault) {
+    int64_t mode = s->modes[nid * s->P[P_N_PAGES] + page];
+    *fault = 0;
+    if (mode == 0) {
+        mode = *fault = fault_mode(s, nid, page, now);
+        if (mode < 0) return -1;
+        if (mode == 2 && s->pc[nid * N_PC + PC_FREE] == 0
+            && !s->P[P_DRY_SCOMA])
+            mode = 3;                   /* a hybrid's dry pool: CC-NUMA */
+    }
+    if (mode == 3 && hint_due(s, nid, line, page)) return -1;
+    return mode;
+}
+
 /* Engine._shared_ref.  Returns elapsed cycles, or -1 when the event
- * needs the scalar path (page fault / relocation hint); -1 is
- * returned strictly before any mutation, so Python can redo the
- * whole event against identical state. */
+ * needs the scalar path (see miss_mode); -1 is returned strictly
+ * before any mutation, so Python can redo the whole event against
+ * identical state. */
 static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                           int64_t is_write, int64_t now) {
     int64_t *st = &s->st[nid * N_STATS];
@@ -506,22 +745,13 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     /* L1 miss: pure pre-checks before any mutation. */
     int64_t page = line >> s->P[P_LINE_SHIFT];
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t mode = s->modes[pidx];
-    if (mode == 0) return -1;                       /* page fault */
-    if (mode == 3) {                                /* CCNUMA */
-        int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        if (s->rac[nid * s->P[P_RAC_ENTRIES]
-                   + (key & s->P[P_RAC_MASK])] != key) {
-            int64_t thr = s->thr[nid];
-            if (thr > 0
-                && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
-                     >> (nid & 63)) & 1)
-                && s->refetch[page * s->P[P_N] + nid] + 1 >= thr)
-                return -1;                          /* relocation hint */
-        }
-    }
+    int64_t fault;
+    int64_t mode = miss_mode(s, nid, line, page, now, &fault);
+    if (mode < 0) return -1;
     st[S_L1_MISSES]++;
     s->ref_bits[pidx] = 1;
+    int64_t kernel = fault ? page_fault(s, nid, page, fault) : 0;
+    now += kernel;
     int64_t lat = bus_transact(s, nid, now);
     uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
     int64_t home = s->home[page];
@@ -581,41 +811,30 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     }
     l1_fill_tail(s, nid, line, is_write);
     st[S_USH] += lat;
-    return lat;
+    return kernel + lat;
 }
 
-/* Pre-mutation mirror of shared_ref's residual decision: would this
- * reference exit to the scalar path *against current state*?  Used to
- * batch runs of consecutive residual events (fault storms, relocation
- * bursts) into one kernel exit.  Predictions that turn false while
- * Python drains the run are harmless: Engine._shared_ref handles every
- * shared reference bit-identically, residual or not. */
-static int is_residual(SoaState *s, int64_t nid, int64_t line) {
+/* May a later reference of a residual run join the same exit?  True
+ * when, against current state, it is an L1 miss that exits for a
+ * reason the earlier events of the run leave standing: a machine-wide
+ * first touch or a relocation hint.  A due daemon is left out (the
+ * run's first fault runs it), and the caller admits one reference per
+ * page, since servicing a page's first exit maps the page or resets
+ * its hint evidence.  Only a predictor: a reference that turns out
+ * ordinary while Python drains the run is still handled
+ * bit-identically by Engine._shared_ref. */
+static int joins_residual_run(SoaState *s, int64_t nid, int64_t line) {
     if (s->l1_tags[nid * s->P[P_N_SETS] + (line & s->P[P_SET_MASK])] == line)
         return 0;                                   /* L1 hit */
     int64_t page = line >> s->P[P_LINE_SHIFT];
-    int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t mode = s->modes[pidx];
-    if (mode == 0) return 1;                        /* page fault */
-    if (mode == 3) {                                /* CCNUMA */
-        int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
-        int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        if (s->rac[nid * s->P[P_RAC_ENTRIES]
-                   + (key & s->P[P_RAC_MASK])] != key) {
-            int64_t thr = s->thr[nid];
-            if (thr > 0
-                && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
-                     >> (nid & 63)) & 1)
-                && s->refetch[page * s->P[P_N] + nid] + 1 >= thr)
-                return 1;                           /* relocation hint */
-        }
-    }
-    return 0;
+    int64_t mode = s->modes[nid * s->P[P_N_PAGES] + page];
+    if (mode == 0) return s->home[page] < 0;        /* first touch */
+    return mode == 3 && hint_due(s, nid, line, page);
 }
 
 /* The reference loop's scheduler + slice runner.  Exits to Python only for
- * runs of page faults / relocation hints (RC_RESIDUAL, run length in
- * ctl[C_RLEN]), a due pageout daemon (RC_DAEMON), a full barrier
+ * runs of residual references (RC_RESIDUAL, run length in ctl[C_RLEN];
+ * see miss_mode), a due pageout daemon (RC_DAEMON), a full barrier
  * (RC_BARRIER), a full event ring (RC_RING), deadlock, or completion;
  * ctl[] carries the resume point across RC_RESIDUAL / RC_DAEMON /
  * RC_RING. */
@@ -663,7 +882,8 @@ int64_t soa_run(SoaState *s) {
             now = s->clock[best];
         }
         /* run_daemon_if_due: checked once per fresh slice. */
-        if (s->below_min[best] && now >= s->next_run[best]) {
+        if (s->pc[best * N_PC + PC_FREE] < s->pc[best * N_PC + PC_FREE_MIN]
+            && now >= s->next_run[best]) {
             s->ctl[C_IN_SLICE] = 1;
             s->ctl[C_BEST] = best;
             s->ctl[C_LIMIT] = limit;
@@ -693,15 +913,23 @@ int64_t soa_run(SoaState *s) {
                     int64_t r = shared_ref(s, best, arg,
                                            ev == EV_WRITE, now);
                     if (r < 0) {
-                        /* Batch the exit: scan ahead for consecutive
-                         * shared refs that are also residual against
-                         * current state (bounded look-ahead).  Python
-                         * drains the whole run before re-entering. */
-                        int64_t scan = p + 1;
-                        while (scan < e && scan - p < 64
+                        /* Batch the exit: scan ahead (bounded) for
+                         * consecutive shared refs that join the run,
+                         * one per page.  Python drains the whole run
+                         * before re-entering. */
+                        int64_t pages[64];
+                        int64_t scan = p + 1, np = 0;
+                        pages[np++] = args[p] >> s->P[P_LINE_SHIFT];
+                        while (scan < e && np < 64
                                && kinds[scan] <= EV_WRITE
-                               && is_residual(s, best, args[scan]))
+                               && joins_residual_run(s, best, args[scan])) {
+                            int64_t pg = args[scan] >> s->P[P_LINE_SHIFT];
+                            int64_t k = 0;
+                            while (k < np && pages[k] != pg) k++;
+                            if (k < np) break;
+                            pages[np++] = pg;
                             scan++;
+                        }
                         s->pos[best] = p;
                         s->ctl[C_IN_SLICE] = 1;
                         s->ctl[C_BEST] = best;
@@ -756,23 +984,53 @@ def _cache_dir() -> str:
                             "vector"))
 
 
-def _build_library() -> str | None:
-    """Compile the kernel into a source-hash-keyed shared library.
+#: Flags of every kernel build.  ``$REPRO_VECTOR_CFLAGS`` appends to
+#: them (a sanitizer build, for instance); both are part of the
+#: library's cache key.
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
-    Returns the ``.so`` path, or ``None`` when no C compiler is
-    available or compilation fails.  The build is atomic (compile to a
-    temp name, ``os.replace`` into place) so concurrent processes --
-    the executor's worker pool warms up in parallel -- race benignly.
+
+def _cflags() -> list[str]:
+    return [*_CFLAGS, *shlex.split(os.environ.get("REPRO_VECTOR_CFLAGS", ""))]
+
+
+def _compiler_id(cc: str) -> str:
+    """The compiler binary's resolved path, size and mtime.  A different
+    or upgraded compiler gets its own library, and telling compilers
+    apart costs no compiler run when a process loads the kernel."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    return f"{real}:{st.st_size}:{st.st_mtime_ns}"
+
+
+def _build_library() -> str | None:
+    """Compile the kernel into a shared library keyed by what built it.
+
+    The library is ``soakernel-<source+flags>-<compiler>.so`` under
+    :func:`_cache_dir`: the first part hashes the C source and the
+    compiler flags, the second the compiler's identity.  With no
+    compiler on ``PATH``, any library built from the same source with
+    the same flags loads, so a prebuilt cache keeps working.
+
+    Returns the ``.so`` path, or ``None`` when no library exists and
+    none can be built.  The build is atomic (compile to a temp name,
+    ``os.replace`` into place) so concurrent processes -- the
+    executor's worker pool warms up in parallel -- race benignly.
     """
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    flags = _cflags()
+    key = hashlib.sha256("\0".join([_C_SOURCE, *flags]).encode()
+                         ).hexdigest()[:16]
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"soakernel-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        return None
+        built = sorted(glob.glob(os.path.join(glob.escape(cache),
+                                              f"soakernel-{key}-*.so")))
+        return built[0] if built else None
     try:
+        cc_key = hashlib.sha256(_compiler_id(cc).encode()).hexdigest()[:8]
+        so_path = os.path.join(cache, f"soakernel-{key}-{cc_key}.so")
+        if os.path.exists(so_path):
+            return so_path
         os.makedirs(cache, exist_ok=True)
         fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
         with os.fdopen(fd, "w") as f:
@@ -780,7 +1038,7 @@ def _build_library() -> str | None:
         tmp_so = c_path[:-2] + ".so"
         try:
             proc = subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+                [cc, *flags, "-o", tmp_so, c_path],
                 capture_output=True, timeout=120)
             if proc.returncode != 0:
                 return None
@@ -1398,6 +1656,116 @@ class _HomeDict:
         return list(self)
 
 
+class _PoolView(FreePagePool):
+    """Node.pool: the free-frame counters live in the node's ``pc`` row.
+
+    The kernel takes and returns frames at page faults and forced
+    evictions; the daemon, the relocation path and the audits go
+    through the inherited methods, which read and write the same row.
+    """
+
+    __slots__ = ("_a",)
+
+    def __init__(self, pool: FreePagePool, row) -> None:
+        self._a = row
+        self.capacity = pool.capacity
+        self.free_target = pool.free_target
+        row[:_PC_HEAD] = (pool.free, pool.allocations, pool.releases,
+                          pool.failed_allocations, pool.free_min)
+
+    def _get(slot):
+        return property(lambda self: int(self._a[slot]),
+                        lambda self, value: self._a.__setitem__(slot, value))
+
+    free = _get(_PC_FREE)
+    allocations = _get(_PC_ALLOCS)
+    releases = _get(_PC_RELEASES)
+    failed_allocations = _get(_PC_FAILED)
+    free_min = _get(_PC_FREE_MIN)
+    del _get
+
+
+class _ClockView:
+    """PageTable.scoma_clock: the deque as a ring buffer of ``cap``
+    slots in an int64 row, its cursor in the node's ``pc`` row.
+
+    ``cap`` leaves room for every page plus one, so a corrupted
+    duplicate entry (the invariant tests inject one) still fits.
+    """
+
+    __slots__ = ("_buf", "_pc")
+
+    def __init__(self, clock, buf, pc) -> None:
+        self._buf = buf
+        self._pc = pc
+        pages = list(clock)
+        buf[:len(pages)] = pages
+        pc[_PC_HEAD] = 0
+        pc[_PC_LEN] = len(pages)
+
+    def _slot(self, i: int) -> int:
+        return (int(self._pc[_PC_HEAD]) + i) % len(self._buf)
+
+    def _pages(self):
+        n = len(self)
+        return self._buf[(int(self._pc[_PC_HEAD]) + np.arange(n))
+                         % len(self._buf)]
+
+    def __len__(self) -> int:
+        return int(self._pc[_PC_LEN])
+
+    def __getitem__(self, i: int) -> int:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("clock index out of range")
+        return int(self._buf[self._slot(i)])
+
+    def __iter__(self):
+        return iter(self._pages().tolist())
+
+    def append(self, page: int) -> None:
+        n = len(self)
+        if n == len(self._buf):
+            raise RuntimeError("S-COMA clock overflow")
+        self._buf[self._slot(n)] = page
+        self._pc[_PC_LEN] = n + 1
+
+    def pop(self) -> int:
+        page = self[-1]
+        self._pc[_PC_LEN] -= 1
+        return page
+
+    def rotate(self, n: int = 1) -> None:
+        """deque.rotate; the kernel's clock_rotate is ``rotate(-1)``."""
+        if not len(self):
+            return
+        last = len(self) - 1
+        for _ in range(-n):         # clock[0] moves to the back
+            page = self[0]
+            self._pc[_PC_HEAD] = self._slot(1)
+            self._buf[self._slot(last)] = page
+        for _ in range(n):          # the back moves to clock[0]
+            page = self[last]
+            self._pc[_PC_HEAD] = self._slot(-1)
+            self._buf[self._slot(0)] = page
+
+    def remove(self, page: int) -> None:
+        n = len(self)
+        if n and self[0] == page:   # the daemon evicts clock[0]
+            self._pc[_PC_HEAD] = self._slot(1)
+            self._pc[_PC_LEN] = n - 1
+            return
+        pages = self._pages()
+        hits = np.flatnonzero(pages == page)
+        if not hits.size:
+            raise ValueError("deque.remove(x): x not in deque")
+        self._buf[:n - 1] = np.delete(pages, hits[0])
+        self._pc[_PC_HEAD] = 0
+        self._pc[_PC_LEN] = n - 1
+
+
 # ---------------------------------------------------------------------------
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
@@ -1451,6 +1819,9 @@ def _merge_deltas(engine, st, aux, glob) -> None:
         l1s = node.l1.stats
         l1s.writebacks += int(arow[_A_WB])
         l1s.invalidations += int(arow[_A_INVAL])
+        l1s.flushed_lines += int(arow[_A_L1_FLUSHED])
+        node.page_table.faults += int(arow[_A_PT_FAULTS])
+        node.tlb.shootdowns += int(arow[_A_SHOOTDOWNS])
         rac = node.rac
         rac.hits += int(arow[_A_RAC_HITS])
         rac.misses += int(arow[_A_RAC_MISSES])
@@ -1582,8 +1953,23 @@ def run_vector(engine) -> list[int] | None:
     bus_busy = np.zeros(n, dtype=np.int64)
     net_base = np.ascontiguousarray(np.array(network._base, dtype=np.int64))
 
+    # --- page cache: free pools, second-chance clocks, fault modes ---
+    clk_cap = max(n_pages, 1) + 1
+    pc = np.zeros((n, _N_PC), dtype=np.int64)
+    clk = np.zeros((n, clk_cap), dtype=np.int64)
+    fault_mode = np.zeros((n, 2), dtype=np.int64)
+    policy = engine.policy
+    hook = getattr(policy.on_page_evicted, "__func__", None)
+    if not engine._mandatory_scoma:
+        dry_scoma = 0       # a hybrid's dry pool maps CC-NUMA
+    elif (hook is ArchitecturePolicy.on_page_evicted
+          and not policy.evict_to_ccnuma
+          and not hasattr(nodes[0].policy_state, "cached_pages")):
+        dry_scoma = 1       # forced eviction in the kernel
+    else:
+        dry_scoma = -1      # the eviction needs Python
+
     # --- per-boundary scalars + counter deltas -----------------------
-    below_min = np.zeros(n, dtype=np.uint8)
     next_run = np.zeros(n, dtype=np.int64)
     thr = np.zeros(n, dtype=np.int64)
     st = np.zeros((n, _N_STATS), dtype=np.int64)
@@ -1627,6 +2013,12 @@ def run_vector(engine) -> list[int] | None:
     params[_P_RING_INV] = 1 if ring_inv else 0
     params[_P_RING_DEM] = 1 if ring_dem else 0
     params[_P_RING_CAP] = ring_cap
+    costs = nodes[0].costs
+    params[_P_PAGE_FAULT] = costs.page_fault
+    params[_P_PAGE_REMAP] = costs.page_remap
+    params[_P_FLUSH_LINE] = costs.flush_per_line
+    params[_P_DRY_SCOMA] = dry_scoma
+    params[_P_CLK_CAP] = clk_cap
 
     # --- install the views: arrays become the single source of truth -
     directory.copyset = _MaskDict(copyset)
@@ -1646,6 +2038,8 @@ def run_vector(engine) -> list[int] | None:
         node.l1.tags = _IntList(l1_tags[i])
         node.l1.dirty = _BoolList(l1_dirty[i])
         node.rac.chunks = _IntList(rac_arr[i])
+        node.pool = node.daemon.pool = _PoolView(node.pool, pc[i])
+        pt.scoma_clock = _ClockView(pt.scoma_clock, clk[i], pc[i])
 
     # --- wire the C struct -------------------------------------------
     state = ffi.new("SoaState *")
@@ -1684,7 +2078,9 @@ def run_vector(engine) -> list[int] | None:
     state.net_port = _ptr(net_port, "int64_t *")
     state.mem_busy = _ptr(mem_busy, "int64_t *")
     state.bus_busy = _ptr(bus_busy, "int64_t *")
-    state.below_min = _ptr(below_min, "uint8_t *")
+    state.pc = _ptr(pc, "int64_t *")
+    state.clk = _ptr(clk, "int64_t *")
+    state.fault_mode = _ptr(fault_mode, "int64_t *")
     state.next_run = _ptr(next_run, "int64_t *")
     state.thr = _ptr(thr, "int64_t *")
     state.st = _ptr(st, "int64_t *")
@@ -1696,21 +2092,38 @@ def run_vector(engine) -> list[int] | None:
     buses = machine.buses
 
     def _timing_in():
-        """Copy live timing state (lists/scalars) into the arrays."""
-        for i, node in enumerate(nodes):
-            mem_busy[i, :] = node.memory.busy_until
-            bus_busy[i] = buses[i].busy_until
-            below_min[i] = 1 if node.pool.below_min else 0
-            next_run[i] = node.daemon.next_run_at
-            thr[i] = node.policy_state.effective_threshold()
+        """Copy the live timing state into the arrays, one bulk
+        assignment per array."""
+        mem_busy[:] = [node.memory.busy_until for node in nodes]
+        bus_busy[:] = [bus.busy_until for bus in buses]
         net_port[:] = network.port_busy_until
 
     def _timing_out():
         """Copy the arrays back into the live objects (plain ints)."""
-        for i, node in enumerate(nodes):
-            node.memory.busy_until[:] = mem_busy[i].tolist()
-            buses[i].busy_until = int(bus_busy[i])
+        for node, row in zip(nodes, mem_busy.tolist()):
+            node.memory.busy_until[:] = row
+        for bus, busy in zip(buses, bus_busy.tolist()):
+            bus.busy_until = busy
         network.port_busy_until[:] = net_port.tolist()
+
+    def _mode_code(node, free_frames):
+        """policy.initial_mode as the kernel's fault mode: SCOMA (2),
+        CCNUMA (3), or -1 when the mapping needs a Python hook."""
+        mode = policy.initial_mode(node.policy_state, free_frames)
+        if mode == PageMode.CCNUMA or (
+                mode == PageMode.SCOMA
+                and not hasattr(node.policy_state, "cached_pages")):
+            return int(mode)
+        return -1
+
+    def _policy_in(i):
+        """Node i's policy-derived kernel inputs.  Only Python exits
+        change them (daemon runs, relocation hints, faults run in
+        Python), and only for the node that took the exit."""
+        node = nodes[i]
+        next_run[i] = node.daemon.next_run_at
+        thr[i] = node.policy_state.effective_threshold()
+        fault_mode[i] = (_mode_code(node, 1), _mode_code(node, 0))
 
     pc_shift = int(params[_P_PC_SHIFT])
 
@@ -1733,17 +2146,21 @@ def run_vector(engine) -> list[int] | None:
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
+    # Only a residual drain touches timing state, and only residual and
+    # daemon exits change policy inputs, so those are all that copy.
+    _timing_in()
+    for i in range(n):
+        _policy_in(i)
     while True:
-        _timing_in()
         rc = int(lib.soa_run(state))
-        _timing_out()
         _flush_ring()
         if rc == _RESIDUAL:
             # Drain the whole run of residual events the kernel
-            # batched up (page-fault storms, relocation bursts).  The
+            # batched up (first touches, relocation bursts).  The
             # first event was already admitted by the kernel's limit
             # check; each later one re-checks the slice limit, exactly
             # like the scalar loop's `while now < limit` would.
+            _timing_out()
             best = int(ctl[_BEST])
             now = int(ctl[_NOW])
             limit = int(ctl[_LIMIT])
@@ -1760,10 +2177,14 @@ def run_vector(engine) -> list[int] | None:
                 p += 1
             pos[best] = p
             ctl[_NOW] = now
+            _timing_in()
+            _policy_in(best)
         elif rc == _RINGFULL:
             pass  # flushed above; re-enter with a drained ring
         elif rc == _DAEMON:
-            nodes[int(ctl[_BEST])].run_daemon_if_due(int(ctl[_NOW]))
+            best = int(ctl[_BEST])
+            nodes[best].run_daemon_if_due(int(ctl[_NOW]))
+            _policy_in(best)
         elif rc == _BARRIER:
             clock_l = clock.tolist()
             arrival_l = arrival.tolist()
@@ -1777,10 +2198,11 @@ def run_vector(engine) -> list[int] | None:
             clock[:] = clock_l
             waiting[:] = [1 if w else 0 for w in waiting_l]
             finished[:] = [1 if f else 0 for f in finished_l]
-        elif rc == _DEADLOCK:
+        else:
+            _timing_out()
             _merge_deltas(engine, st, aux, glob)
-            raise RuntimeError("deadlock: all unfinished nodes are waiting"
-                               " at a barrier that never released")
-        else:  # _DONE
-            _merge_deltas(engine, st, aux, glob)
+            if rc == _DEADLOCK:
+                raise RuntimeError("deadlock: all unfinished nodes are"
+                                   " waiting at a barrier that never"
+                                   " released")
             return [int(c) for c in clock]

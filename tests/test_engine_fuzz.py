@@ -148,9 +148,11 @@ class TestEngineFuzz:
         assert a.aggregate().as_dict() == b.aggregate().as_dict()
 
     @given(workload_events, st.sampled_from([0.3, 0.9]),
-           st.sampled_from([60, 500, 2000]))
+           st.sampled_from([60, 500, 2000]),
+           st.sampled_from(["first-touch", "round-robin", "random"]))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_path_invariance(self, arch, per_node, pressure, quantum):
+    def test_path_invariance(self, arch, per_node, pressure, quantum,
+                             placement):
         """Path invariance: identical cycles/stats/events on both
         replay loops for random workloads.
 
@@ -159,12 +161,16 @@ class TestEngineFuzz:
         interleavings (60 forces many slices per trace, exercising the
         scheduler handoff and the vector kernel's resume protocol); the
         random read/write bursts hit the trace coalescing cases, which
-        the SoA decode must reproduce event for event.
+        the SoA decode must reproduce event for event.  The home
+        placements vary which nodes' in-kernel faults map a page HOME
+        and which map it remote; only a page's machine-wide first
+        touch leaves the kernel.
         """
         wl = build_workload(per_node)
 
         def run(**kwargs):
-            cfg = SystemConfig(n_nodes=N_NODES, memory_pressure=pressure)
+            cfg = SystemConfig(n_nodes=N_NODES, memory_pressure=pressure,
+                               home_placement=placement)
             policy = make_policy(arch, **ARCH_KWARGS[arch])
             return Engine(wl, policy, cfg, quantum=quantum,
                           **kwargs).run().to_dict()

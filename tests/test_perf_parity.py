@@ -373,3 +373,139 @@ class TestVectorModeSelection:
         assert vector_outcomes == [None]
         assert len(reference_calls) == 1
         assert result.invariant_violations == 0
+
+
+class TestKernelPageFaults:
+    """Page faults on pages whose home is assigned, and pure S-COMA's
+    forced evictions, run inside the kernel; the machine-wide first
+    touch and a daemon falling due at the fault still exit to
+    ``Engine._page_fault``.  Each shape gets the two-way bit-identity
+    check, plus a probe that the shape really occurred."""
+
+    @pytest.mark.parametrize("placement", ("round-robin", "random"))
+    @pytest.mark.parametrize("arch", ("SCOMA", "ASCOMA", "RNUMA"))
+    def test_home_placement_two_way(self, placement, arch):
+        """Locality-blind placement homes most pages away from their
+        first toucher, so most faults map S-COMA or CC-NUMA pages."""
+        cfg = {"home_placement": placement}
+        reference = run_cell("radix", arch, 0.9, config_kwargs=cfg,
+                             vector_path=False)
+        vector = run_cell("radix", arch, 0.9, config_kwargs=cfg,
+                          vector_path=True)
+        assert vector == reference
+        assert _content_hash(vector) == _content_hash(reference)
+
+    def _engine(self, app, arch, pressure, **config_kwargs):
+        wl = get_workload(app, SCALE)
+        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure,
+                           **config_kwargs)
+        return Engine(wl, scaled_policy(arch), config=cfg, vector_path=True)
+
+    def test_scoma_single_frame_forces_evictions(self):
+        """Pressure 1.0 leaves pure S-COMA one frame per node, so a
+        remote fault almost always evicts the resident page first."""
+        engine = self._engine("radix", "SCOMA", 1.0)
+        assert engine.machine.page_cache_frames() == 1
+        vector = engine.run()
+        agg = vector.aggregate()
+        assert agg.forced_evictions > agg.page_faults // 2
+        reference = run_cell("radix", "SCOMA", 1.0, vector_path=False)
+        assert vector.to_dict() == reference
+
+    @pytest.mark.parametrize("pressure", (0.9, 1.0))
+    def test_ascoma_dry_pool_faults(self, pressure):
+        """A dry pool makes AS-COMA map faulting pages CC-NUMA (at 1.0
+        the pool is empty from the start, at 0.9 it drains mid-run).
+        CC-NUMA pages at the end = dry-pool faults + evictions to
+        CC-NUMA - relocations, so the count below is the number of
+        faults the dry pool turned into CC-NUMA mappings."""
+        from repro.kernel.vm import PageMode
+
+        engine = self._engine("radix", "ASCOMA", pressure)
+        vector = engine.run().to_dict()
+        dry_faults = sum(
+            sum(m == PageMode.CCNUMA for m in nd.page_table.mode.values())
+            - nd.page_table.remaps_to_ccnuma + nd.page_table.remaps_to_scoma
+            for nd in engine.machine.nodes)
+        assert dry_faults > 0
+        assert vector == run_cell("radix", "ASCOMA", pressure,
+                                  vector_path=False)
+
+    def test_daemon_due_at_fault(self, monkeypatch):
+        """A fault at ``now`` whose frame request (at ``now +
+        page_fault``) finds the daemon due is handed to Python before
+        any mutation; radix/SCOMA@0.9 has a few such faults."""
+        due_at_fault = []
+        page_fault = Engine._page_fault
+
+        def probe(engine, node, page, now):
+            if (node.pool.below_min
+                    and now < node.daemon.next_run_at
+                    <= now + node.costs.page_fault):
+                due_at_fault.append(now)
+            return page_fault(engine, node, page, now)
+
+        monkeypatch.setattr(Engine, "_page_fault", probe)
+        vector = self._engine("radix", "SCOMA", 0.9).run().to_dict()
+        if vector_available():
+            assert due_at_fault
+        monkeypatch.setattr(Engine, "_page_fault", page_fault)
+        assert vector == run_cell("radix", "SCOMA", 0.9, vector_path=False)
+
+    def test_python_exits_bounded_by_first_touches_and_daemon(self):
+        """radix/SCOMA@0.9 thrashes its page cache.  Only first touches
+        and daemon-due faults may leave the kernel, so ``_shared_ref``
+        runs at most once per shared page plus once per daemon run."""
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        engine = self._engine("radix", "SCOMA", 0.9)
+        calls = []
+        shared_ref = engine._shared_ref
+
+        def counted(*args):
+            calls.append(args[1])
+            return shared_ref(*args)
+
+        engine._shared_ref = counted
+        result = engine.run()
+        daemon_runs = sum(s.daemon_runs for s in result.node_stats)
+        assert result.aggregate().forced_evictions > 1000
+        assert len(calls) <= engine.workload.total_shared_pages + daemon_runs
+
+    def test_clock_view_behaves_like_the_deque(self):
+        """The array-backed S-COMA clock answers every deque operation
+        the daemon, the fault path and the audits use exactly as the
+        deque it replaces, wrapped ring buffer included."""
+        import random
+        from collections import deque
+
+        import numpy as np
+
+        from repro.sim.soatrace import _PC_HEAD, _PC_LEN, _ClockView
+
+        rng = random.Random(7)
+        for _ in range(50):
+            real = deque()
+            pc = np.zeros(8, dtype=np.int64)
+            view = _ClockView(deque(), np.zeros(6, dtype=np.int64), pc)
+            for _ in range(60):
+                op = rng.randrange(5)
+                if op == 0 and len(real) < 6:
+                    page = rng.randrange(20)
+                    real.append(page)
+                    view.append(page)
+                elif op == 1:
+                    n = rng.choice((-1, 1, -2))
+                    real.rotate(n)
+                    view.rotate(n)
+                elif op == 2 and real:
+                    page = rng.choice(list(real))
+                    real.remove(page)
+                    view.remove(page)
+                elif op == 3 and real:
+                    assert view.pop() == real.pop()
+                assert list(view) == list(real)
+                assert len(view) == len(real) == int(pc[_PC_LEN])
+                if real:
+                    assert view[0] == real[0] and view[-1] == real[-1]
+                assert 0 <= int(pc[_PC_HEAD]) < 6

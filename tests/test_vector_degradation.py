@@ -7,12 +7,19 @@ must degrade *loss-free* to the reference loop (bit-identical
 result), flag the problem with exactly one ``RuntimeWarning`` per
 process, and never raise.  A pre-built ``.so`` must keep loading with
 no compiler at all: that is the contract CI's kernel-cache step leans
-on.
+on.  Processes racing to build the first kernel into an empty cache
+must all load it and leave one library behind.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -147,7 +154,7 @@ class TestPrebuiltKernelCache:
                                                 monkeypatch):
         """A cached ``.so`` must keep working when the compiler
         disappears -- the contract CI's cross-run kernel cache (keyed
-        by the embedded source hash) relies on."""
+        by the embedded source and flags) relies on."""
         assert soatrace._build_library() is not None  # populate sandbox
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
@@ -155,3 +162,71 @@ class TestPrebuiltKernelCache:
             assert soatrace.vector_available() is True
         assert not _vector_warnings(caught)
         assert _run(vector_path=True) == _run(vector_path=False)
+
+
+class TestCacheKey:
+    def test_flags_get_their_own_library(self, kernel_sandbox, monkeypatch):
+        """Extra ``$REPRO_VECTOR_CFLAGS`` name a different library than
+        the default flags, so neither build is reused for the other."""
+        default = soatrace._build_library()
+        monkeypatch.setenv("REPRO_VECTOR_CFLAGS", "-O1")
+        other = soatrace._build_library()
+        assert default and other and default != other
+        assert sorted(p.name for p in kernel_sandbox.iterdir()) == sorted(
+            os.path.basename(p) for p in (default, other))
+
+    def test_compiler_identity_in_name(self, kernel_sandbox, monkeypatch):
+        """Another compiler binary names another library."""
+        default = soatrace._build_library()
+        monkeypatch.setattr(soatrace, "_compiler_id",
+                            lambda cc: "some-other-compiler")
+        other = soatrace._build_library()
+        assert default != other
+        assert os.path.basename(default).rsplit("-", 1)[0] == \
+            os.path.basename(other).rsplit("-", 1)[0]
+
+
+_RACER = """
+import json, os, sys, time, warnings
+go = sys.argv[1]
+while not os.path.exists(go):
+    time.sleep(0.001)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro.sim.soatrace import vector_available
+    ok = vector_available()
+print(json.dumps({"ok": ok, "warnings": [str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning)]}))
+"""
+
+
+class TestConcurrentFirstCompile:
+    def test_four_processes_race_on_an_empty_cache(self, tmp_path):
+        """Four fresh interpreters released together on an empty
+        ``$REPRO_VECTOR_CACHE``: each compiles or finds the kernel and
+        loads it without a warning; one library and no temp files are
+        left."""
+        cache = tmp_path / "vcache"
+        go = tmp_path / "go"
+        src = Path(soatrace.__file__).resolve().parents[2]
+        env = dict(os.environ, REPRO_VECTOR_CACHE=str(cache),
+                   PYTHONPATH=str(src))
+        env.pop("REPRO_VECTOR_CFLAGS", None)
+        racers = [subprocess.Popen([sys.executable, "-c", _RACER, str(go)],
+                                   env=env, stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE, text=True)
+                  for _ in range(4)]
+        time.sleep(1.0)  # let every racer import and start polling
+        go.touch()
+        results = []
+        for proc in racers:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            results.append(json.loads(out.strip().splitlines()[-1]))
+        if not soatrace.vector_available():
+            pytest.skip("no C compiler: nothing to race on")
+        assert all(r["ok"] for r in results), results
+        assert all(not r["warnings"] for r in results), results
+        names = [p.name for p in cache.iterdir()]
+        assert len(names) == 1 and names[0].startswith("soakernel-") \
+            and names[0].endswith(".so"), names
