@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..kernel.vm import PageMode
 
 __all__ = [
@@ -76,20 +78,37 @@ class Violation:
 
 
 # ----------------------------------------------------------------------
+def _copysets(directory) -> np.ndarray:
+    """The directory's sharer bitmaps as a (chunks, words) array."""
+    return np.asarray(directory.copyset).reshape(-1, directory.words)
+
+
+def _cached_by(directory, chunks: np.ndarray, node: int) -> np.ndarray:
+    """Per-chunk copyset membership of *node* (a bool array)."""
+    words = _copysets(directory)[chunks, node >> 6]
+    return (words >> np.uint64(node & 63)) & np.uint64(1) != 0
+
+
 def check_directory_swmr(machine) -> list[Violation]:
     """A dirty-owned chunk is cached by exactly its owner."""
     directory = machine.directory
     amap = machine.amap
+    owners = np.asarray(directory.owner)
+    chunks = np.flatnonzero(owners != -1)
+    expected = np.zeros((len(chunks), directory.words), np.uint64)
+    expected[np.arange(len(chunks)), owners[chunks] >> 6] = (
+        np.uint64(1) << (owners[chunks] & 63).astype(np.uint64))
+    bad = (_copysets(directory)[chunks] != expected).any(axis=1)
     out = []
-    for chunk, owner in directory.owner.items():
-        cs = directory.copyset.get(chunk, 0)
-        if cs != 1 << owner:
-            out.append(Violation(
-                "directory-swmr",
-                f"chunk {chunk} owned by node {owner} but copyset is"
-                f" {cs:#x} (expected {1 << owner:#x})",
-                node=owner, page=amap.page_of_chunk(chunk),
-                detail={"chunk": chunk, "copyset": cs}))
+    for chunk in chunks[bad].tolist():
+        owner = directory.owner[chunk]
+        cs = directory.copyset_of(chunk)
+        out.append(Violation(
+            "directory-swmr",
+            f"chunk {chunk} owned by node {owner} but copyset is"
+            f" {cs:#x} (expected {1 << owner:#x})",
+            node=owner, page=amap.page_of_chunk(chunk),
+            detail={"chunk": chunk, "copyset": cs}))
     return out
 
 
@@ -97,48 +116,54 @@ def check_cache_reachability(machine) -> list[Violation]:
     """Every cached copy must be reachable by directory invalidations."""
     directory = machine.directory
     amap = machine.amap
+    owners = np.asarray(directory.owner)
     out = []
     for node in machine.nodes:
+        nid = node.id
         # L1 lines.
-        for line in node.l1.resident_lines():
+        lines = np.array(node.l1.resident_lines(), np.int64)
+        unreached = ~_cached_by(directory, lines >> amap.chunk_shift, nid)
+        for line in lines[unreached].tolist():
             chunk = line >> amap.chunk_shift
-            if not directory.is_cached_by(chunk, node.id):
-                out.append(Violation(
-                    "cache-reachability",
-                    f"L1 holds line {line} (chunk {chunk}) without"
-                    " copyset membership",
-                    node=node.id, page=line >> amap.line_shift,
-                    detail={"structure": "l1", "chunk": chunk, "line": line}))
+            out.append(Violation(
+                "cache-reachability",
+                f"L1 holds line {line} (chunk {chunk}) without"
+                " copyset membership",
+                node=nid, page=line >> amap.line_shift,
+                detail={"structure": "l1", "chunk": chunk, "line": line}))
         # RAC entries (chunks, or victim lines in victim-fill mode).
-        for entry in node.rac.resident_entries():
-            chunk = entry >> amap.chunk_shift if node.rac_victim else entry
-            if not directory.is_cached_by(chunk, node.id):
-                out.append(Violation(
-                    "cache-reachability",
-                    f"RAC holds chunk {chunk} without copyset membership",
-                    node=node.id, page=amap.page_of_chunk(chunk),
-                    detail={"structure": "rac", "chunk": chunk}))
+        entries = np.array(node.rac.resident_entries(), np.int64)
+        chunks = entries >> amap.chunk_shift if node.rac_victim else entries
+        for chunk in chunks[~_cached_by(directory, chunks, nid)].tolist():
+            out.append(Violation(
+                "cache-reachability",
+                f"RAC holds chunk {chunk} without copyset membership",
+                node=nid, page=amap.page_of_chunk(chunk),
+                detail={"structure": "rac", "chunk": chunk}))
         # S-COMA valid bits.
-        for page, mask in node.page_table.scoma_valid.items():
+        pt = node.page_table
+        valid = np.asarray(pt.scoma_valid).reshape(-1, pt.sv_words)
+        for page in np.flatnonzero(valid.any(axis=1)).tolist():
             first = amap.first_chunk_of_page(page)
+            mask = pt.valid_mask(page)
             for cip in range(amap.chunks_per_page):
                 if mask >> cip & 1 and not directory.is_cached_by(
-                        first + cip, node.id):
+                        first + cip, nid):
                     out.append(Violation(
                         "cache-reachability",
                         f"S-COMA valid bit set for chunk {first + cip}"
                         " without copyset membership",
-                        node=node.id, page=page,
+                        node=nid, page=page,
                         detail={"structure": "scoma", "chunk": first + cip}))
         # Write permission.
-        for chunk in node.owned:
-            if directory.owner.get(chunk) != node.id:
-                out.append(Violation(
-                    "cache-reachability",
-                    f"node holds write permission on chunk {chunk} but"
-                    f" directory owner is {directory.owner.get(chunk, -1)}",
-                    node=node.id, page=amap.page_of_chunk(chunk),
-                    detail={"structure": "owned", "chunk": chunk}))
+        owned = np.flatnonzero(np.asarray(node.owned))
+        for chunk in owned[owners[owned] != nid].tolist():
+            out.append(Violation(
+                "cache-reachability",
+                f"node holds write permission on chunk {chunk} but"
+                f" directory owner is {directory.owner[chunk]}",
+                node=nid, page=amap.page_of_chunk(chunk),
+                detail={"structure": "owned", "chunk": chunk}))
     return out
 
 
@@ -187,11 +212,17 @@ def check_rac_exclusivity(machine) -> list[Violation]:
 def check_page_table(machine) -> list[Violation]:
     """Mode/valid/clock agreement + home mapping vs the allocator."""
     allocator = machine.allocator
+    homes = np.asarray(allocator.home)
     out = []
     for node in machine.nodes:
         pt = node.page_table
-        scoma_pages = {p for p, m in pt.mode.items() if m == PageMode.SCOMA}
-        valid_pages = set(pt.scoma_valid)
+        modes = np.asarray(pt.mode)
+        scoma_pages = set(np.flatnonzero(modes == PageMode.SCOMA).tolist())
+        # Every S-COMA page carries valid bits (all clear when freshly
+        # mapped); any other page must have none.
+        valid = np.asarray(pt.scoma_valid).reshape(-1, pt.sv_words)
+        valid_pages = scoma_pages | set(
+            np.flatnonzero(valid.any(axis=1)).tolist())
         if valid_pages != scoma_pages:
             out.append(Violation(
                 "page-table",
@@ -206,14 +237,16 @@ def check_page_table(machine) -> list[Violation]:
                 f"second-chance clock {clock_pages} disagrees with"
                 f" S-COMA-mode pages {sorted(scoma_pages)}",
                 node=node.id))
-        for page, mode in pt.mode.items():
-            home = allocator.home[page]
-            if mode == PageMode.HOME and home != node.id:
+        mapped = np.flatnonzero(modes)
+        foreign = (modes[mapped] == PageMode.HOME) != (homes[mapped] == node.id)
+        for page in mapped[foreign].tolist():
+            mode, home = pt.mode[page], allocator.home[page]
+            if mode == PageMode.HOME:
                 out.append(Violation(
                     "page-table",
                     f"page mapped HOME but allocator home is {home}",
                     node=node.id, page=page))
-            elif mode in (PageMode.SCOMA, PageMode.CCNUMA) and home == node.id:
+            else:
                 out.append(Violation(
                     "page-table",
                     f"page mapped {PageMode(mode).name} on its own home node",

@@ -14,12 +14,17 @@ into the requester's S-COMA page cache (Section 2.4).  When the counter
 crosses the requester's current threshold the directory piggybacks a
 relocation hint on the data response.
 
-Copysets are integer bitmasks over node ids, keeping the hot path to a
-couple of integer ops per request.
+Copysets are bitmasks over node ids, ``words`` 64-bit words per chunk
+(node ``n`` is bit ``n & 63`` of word ``n >> 6``), so the hot path is a
+couple of integer ops per request at any machine size.  All three maps
+are dense buffers the replay kernel reads and writes in place.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..kernel.vm import DEFAULT_PAGES
 from .messages import Message, MessageLog, MsgKind
 
 __all__ = ["Directory", "FetchOutcome"]
@@ -71,23 +76,28 @@ class Directory:
     """
 
     def __init__(self, n_nodes: int, chunks_per_page: int,
+                 n_pages: int = DEFAULT_PAGES,
                  log: MessageLog | None = None,
                  grant_exclusive: bool = False) -> None:
         if n_nodes <= 0:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.chunks_per_page = chunks_per_page
+        self.n_pages = n_pages
         #: MESI mode: a read miss with an empty copyset is granted
         #: Exclusive, letting the reader write later with no upgrade
         #: transaction (classic E-state optimisation).
         self.grant_exclusive = grant_exclusive
         self.exclusive_grants = 0
-        # chunk -> copyset bitmask; missing means uncached anywhere.
-        self.copyset: dict[int, int] = {}
-        # chunk -> dirty owner node id; missing means clean.
-        self.owner: dict[int, int] = {}
-        # (page, node) -> refetch count since last relocation/reset.
-        self.refetch_count: dict[tuple[int, int], int] = {}
+        self.words = words = (n_nodes + 63) >> 6
+        n_chunks = n_pages * chunks_per_page
+        #: Sharer bitmaps, word ``chunk * words + (node >> 6)``.
+        self.copyset = memoryview(np.zeros(n_chunks * words, np.uint64))
+        #: chunk -> dirty owner node id; -1 means clean.
+        self.owner = memoryview(np.full(n_chunks, -1, np.int64))
+        #: Refetches of (page, node) since the last relocation/reset, at
+        #: ``page * n_nodes + node``.
+        self.refetch_count = memoryview(np.zeros(n_pages * n_nodes, np.int64))
         self.log = log
         # Aggregate counters (Table 6 and general stats).
         self.total_refetches = 0
@@ -124,51 +134,64 @@ class Directory:
         path (docs/performance.md); both entry points share this body,
         so their behaviour cannot diverge.
         """
-        bit = 1 << node
         copyset = self.copyset
         owner_map = self.owner
         log = self.log
-        cs = copyset.get(chunk, 0)
+        words = self.words
+        base = chunk * words
+        mine = base + (node >> 6)
+        bit = 1 << (node & 63)
+        cs = copyset[mine]
         refetch = bool(cs & bit)
         forwarded = False
         exclusive = False
         invalidations: tuple[int, ...] = ()
 
-        owner = owner_map.get(chunk, -1)
+        owner = owner_map[chunk]
         if owner != -1 and owner != node:
             # Dirty at a third node: home forwards, owner writes back.
             forwarded = True
             self.forwards += 1
             if log is not None:
                 log.record(Message(MsgKind.FWD, home, owner, chunk))
-            del owner_map[chunk]
+            owner_map[chunk] = -1
 
         if is_write:
-            others = cs & ~bit
-            if others:
-                invalidations = tuple(n for n in range(self.n_nodes) if others >> n & 1)
+            sharers = []
+            for w in range(base, base + words):
+                others = copyset[w]
+                if w == mine:
+                    others &= ~bit
+                first = (w - base) << 6
+                while others:
+                    low = others & -others
+                    sharers.append(first + low.bit_length() - 1)
+                    others ^= low
+                copyset[w] = 0
+            copyset[mine] = bit
+            if sharers:
+                invalidations = tuple(sharers)
                 self.invalidations_sent += len(invalidations)
                 if log is not None:
                     for victim in invalidations:
                         log.record(Message(MsgKind.INV, node, victim, chunk))
-            copyset[chunk] = bit
             owner_map[chunk] = node
         else:
-            copyset[chunk] = cs | bit
             if owner == node:
                 # Re-read by the owner keeps ownership.
                 pass
-            elif self.grant_exclusive and cs == 0:
+            elif self.grant_exclusive and not any(copyset[base:base + words]):
                 # MESI: first and only reader takes the chunk Exclusive.
                 owner_map[chunk] = node
                 exclusive = True
+            copyset[mine] = cs | bit
 
         relocation_hint = False
         if refetch and count_refetch:
             self.total_refetches += 1
             if threshold > 0:
-                key = (page, node)
-                count = self.refetch_count.get(key, 0) + 1
+                key = page * self.n_nodes + node
+                count = self.refetch_count[key] + 1
                 if count >= threshold:
                     relocation_hint = True
                     self.relocation_hints += 1
@@ -196,34 +219,41 @@ class Directory:
         the paper's Ncold term.  Returns the number of chunks the node
         was dropped from.
         """
+        owner = self.owner
+        words = self.words
+        bit = 1 << (node & 63)
         first = page * self.chunks_per_page
-        bulk = getattr(self.copyset, "drop_node_bulk", None)
-        if bulk is not None:
-            # Array-backed copysets (vectorized replay): clear the
-            # node's bit across the whole page in one numpy sweep.
-            return bulk(self.owner, node, first, self.chunks_per_page)
-        bit = 1 << node
-        clear = ~bit
+        # The node's copyset word of every chunk of the page.
+        column = self.copyset[first * words + (node >> 6):
+                              (first + self.chunks_per_page) * words:words]
         dropped = 0
-        for chunk in range(first, first + self.chunks_per_page):
-            cs = self.copyset.get(chunk)
-            if cs is not None and cs & bit:
-                self.copyset[chunk] = cs & clear
+        for i, cs in enumerate(column.tolist()):
+            if cs & bit:
+                column[i] = cs ^ bit
                 dropped += 1
-                if self.owner.get(chunk) == node:
-                    del self.owner[chunk]  # dirty data written back home
+                if owner[first + i] == node:
+                    owner[first + i] = -1  # dirty data written back home
         return dropped
 
     def reset_refetch(self, page: int, node: int) -> None:
         """Reset the hot-page evidence for (page, node) after a remap."""
-        self.refetch_count.pop((page, node), None)
+        self.refetch_count[page * self.n_nodes + node] = 0
 
     def refetches_of(self, page: int, node: int) -> int:
-        return self.refetch_count.get((page, node), 0)
+        return self.refetch_count[page * self.n_nodes + node]
+
+    def copyset_of(self, chunk: int) -> int:
+        """The chunk's sharers as one integer (node n is bit n)."""
+        cs = 0
+        base = chunk * self.words
+        for w in range(base + self.words - 1, base - 1, -1):
+            cs = cs << 64 | self.copyset[w]
+        return cs
 
     def sharers(self, chunk: int) -> list[int]:
-        cs = self.copyset.get(chunk, 0)
+        cs = self.copyset_of(chunk)
         return [n for n in range(self.n_nodes) if cs >> n & 1]
 
     def is_cached_by(self, chunk: int, node: int) -> bool:
-        return bool(self.copyset.get(chunk, 0) >> node & 1)
+        word = self.copyset[chunk * self.words + (node >> 6)]
+        return bool(word >> (node & 63) & 1)

@@ -109,8 +109,12 @@ class ArchitecturePolicy:
         """React to a pageout-daemon run (thrashing backoff lives here)."""
 
     def on_page_evicted(self, state: PolicyNodeState, page: int,
-                        pagecache_hits: int) -> None:
-        """Bookkeeping when one of the node's S-COMA pages is evicted."""
+                        pagecache_hits: int, cached_pages: int) -> None:
+        """Bookkeeping when one of the node's S-COMA pages is evicted.
+
+        *cached_pages* is the node's S-COMA page count just before this
+        eviction.
+        """
 
     def describe(self) -> dict:
         """Static description used by the Table 2 cost/complexity emitter."""

@@ -33,9 +33,9 @@ DEFAULT_BREAK_EVEN = 32
 
 
 class VCNUMANodeState(PolicyNodeState):
-    """Adds the break-even detector and a view of the cached-page count."""
+    """Adds the break-even detector."""
 
-    __slots__ = ("detector", "cached_pages")
+    __slots__ = ("detector",)
 
     def __init__(self, threshold: int, break_even: int, increment: int,
                  min_evictions_per_eval: int) -> None:
@@ -44,7 +44,6 @@ class VCNUMANodeState(PolicyNodeState):
             break_even=break_even, base_threshold=threshold,
             increment=increment,
             min_evictions_per_eval=min_evictions_per_eval)
-        self.cached_pages = 0
 
     def effective_threshold(self) -> int:
         # The detector owns the live threshold.
@@ -84,10 +83,9 @@ class VCNUMAPolicy(ArchitecturePolicy):
         return RelocationDecision.RELOCATE
 
     def on_page_evicted(self, state: PolicyNodeState, page: int,
-                        pagecache_hits: int) -> None:
+                        pagecache_hits: int, cached_pages: int) -> None:
         assert isinstance(state, VCNUMANodeState)
-        state.detector.record_eviction(pagecache_hits,
-                                       max(1, state.cached_pages))
+        state.detector.record_eviction(pagecache_hits, max(1, cached_pages))
 
     def describe(self) -> dict:
         return {

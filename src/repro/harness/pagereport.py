@@ -9,6 +9,8 @@ CLI exposes this as ``python -m repro hotpages <app> <arch>``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..kernel.vm import PageMode
 from ..sim.engine import Engine
 from .report import format_table
@@ -22,23 +24,22 @@ def hot_page_report(engine: Engine, top: int = 10) -> dict:
     directory = machine.directory
 
     # Accumulated (and not-yet-consumed) refetch evidence per page.
-    evidence: dict[int, int] = {}
-    for (page, _node), count in directory.refetch_count.items():
-        evidence[page] = evidence.get(page, 0) + count
-    hottest = sorted(evidence.items(), key=lambda kv: -kv[1])[:top]
+    evidence = np.asarray(directory.refetch_count).reshape(
+        -1, directory.n_nodes).sum(axis=1)
+    pages = np.flatnonzero(evidence)
+    hottest = sorted(zip(pages.tolist(), evidence[pages].tolist()),
+                     key=lambda kv: -kv[1])[:top]
 
-    cached = {
-        node.id: sorted(node.page_table.scoma_clock)
-        for node in machine.nodes
-    }
-    modes: dict[str, int] = {"HOME": 0, "SCOMA": 0, "CCNUMA": 0}
-    for node in machine.nodes:
-        for mode in node.page_table.mode.values():
-            modes[PageMode(mode).name] += 1
+    totals = sum(np.bincount(np.asarray(node.page_table.mode),
+                             minlength=len(PageMode))
+                 for node in machine.nodes)
+    modes = {mode.name: int(totals[mode]) for mode in PageMode
+             if mode != PageMode.UNMAPPED}
 
     return {
         "hottest_pages": hottest,
-        "cached_pages_per_node": {n: len(p) for n, p in cached.items()},
+        "cached_pages_per_node": {node.id: node.page_table.scoma_page_count()
+                                  for node in machine.nodes},
         "mapping_mode_totals": modes,
         "relocation_hints": directory.relocation_hints,
         "total_refetches": directory.total_refetches,

@@ -11,9 +11,13 @@ busy-until timestamp like the other resources.
 Bus time is already folded into the Table 4 minimum latencies (L1 miss
 service cannot be faster than the bus transaction), so the default
 per-transaction *additional* cost is zero and only contention shows up.
+The busy-until stamp is a node's slot of the machine-wide bus block,
+which the replay kernel reads and writes in place.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["SplitTransactionBus"]
 
@@ -25,24 +29,27 @@ class SplitTransactionBus:
                  "transactions", "contended", "total_queue_cycles")
 
     def __init__(self, occupancy: int = 4, fixed_cost: int = 0,
-                 max_queue_occupancies: int = 8) -> None:
+                 max_queue_occupancies: int = 8, busy_until=None) -> None:
         if occupancy < 0 or fixed_cost < 0:
             raise ValueError("bus parameters must be non-negative")
         self.occupancy = occupancy
         self.fixed_cost = fixed_cost
         #: Queue-estimate bound (see BankedMemory: clock-skew guard).
         self.max_queue = max_queue_occupancies * occupancy
-        self.busy_until = 0
+        #: One-slot view: the bus is free from ``busy_until[0]`` on.
+        self.busy_until = memoryview(np.zeros(1, np.int64)
+                                     if busy_until is None else busy_until)
         self.transactions = 0
         self.contended = 0
         self.total_queue_cycles = 0
 
     def transact(self, now: int) -> int:
         """Run one bus transaction at *now*; returns added latency."""
-        queue = self.busy_until - now if self.busy_until > now else 0
+        busy = self.busy_until[0]
+        queue = busy - now if busy > now else 0
         if queue > self.max_queue:
             queue = self.max_queue
-        self.busy_until = now + queue + self.occupancy
+        self.busy_until[0] = now + queue + self.occupancy
         self.transactions += 1
         if queue:
             self.contended += 1

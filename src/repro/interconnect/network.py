@@ -14,9 +14,14 @@ queues; the queueing delay is added to its latency.  This is exactly the
 "input port contention (only)" the paper models, and it is what makes
 average remote latency exceed the Table 4 minimum as remote traffic
 grows.
+
+The port stamps and the contention-free pair costs are flat ``int64``
+buffers the replay kernel reads (and, for the ports, writes) in place.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .topology import SwitchTopology, Topology
 
@@ -28,7 +33,7 @@ class Network:
 
     __slots__ = ("topology", "propagation", "fall_through", "port_occupancy",
                  "max_queue", "port_busy_until", "messages",
-                 "contended_messages", "total_queue_cycles", "_base")
+                 "contended_messages", "total_queue_cycles", "_n", "_base")
 
     def __init__(self, topology: Topology | None = None, n_nodes: int = 8,
                  propagation: int = 2, fall_through: int = 4,
@@ -45,26 +50,26 @@ class Network:
         # unbounded busy_until comparison would book clock skew as
         # contention (see BankedMemory for the same reasoning).
         self.max_queue = max_queue_occupancies * port_occupancy
-        self.port_busy_until = [0] * self.topology.n_nodes
+        n = self.topology.n_nodes
+        self.port_busy_until = memoryview(np.zeros(n, np.int64))
         self.messages = 0
         self.contended_messages = 0
         self.total_queue_cycles = 0
         # Hop counts are a pure function of the (immutable) topology, so
-        # the contention-free one-way cost is precomputed per node pair.
-        # One hops() call at construction replaces one per message.
-        n = self.topology.n_nodes
-        self._base = [
+        # the contention-free one-way cost is precomputed per node pair
+        # (``_base[src * n + dst]``).  One hops() call at construction
+        # replaces one per message.
+        self._n = n
+        self._base = memoryview(np.array(
             [0 if s == d else propagation * self.topology.hops(s, d) + fall_through
-             for d in range(n)]
-            for s in range(n)
-        ]
+             for s in range(n) for d in range(n)], dtype=np.int64))
 
     # ------------------------------------------------------------------
     def one_way(self, src: int, dst: int, now: int) -> int:
         """Latency of one message from *src* to *dst* departing at *now*."""
         if src == dst:
             return 0
-        base = self._base[src][dst]
+        base = self._base[src * self._n + dst]
         arrival = now + base
         busy = self.port_busy_until[dst]
         queue = busy - arrival if busy > arrival else 0
@@ -85,7 +90,7 @@ class Network:
 
     def min_one_way(self, src: int, dst: int) -> int:
         """Contention-free one-way latency (for Table 4)."""
-        return self._base[src][dst]
+        return self._base[src * self._n + dst]
 
     def utilisation_stats(self) -> dict:
         return {

@@ -15,19 +15,30 @@ locality-blind alternatives so the placement study
 first-touch buys.
 
 An allocator assigns a *home node* to each shared page the first time
-any node in the machine touches it, and stays sticky afterwards.
+any node in the machine touches it, and stays sticky afterwards.  The
+assignments are a dense ``int64`` buffer (``-1`` = unassigned) that the
+replay kernel reads in place.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from .vm import DEFAULT_PAGES
 
 __all__ = ["HomeAllocator", "RoundRobinAllocator", "RandomAllocator",
            "make_allocator"]
 
 
 class HomeAllocator:
-    """Machine-wide home-node assignment for shared pages."""
+    """Machine-wide home-node assignment for shared pages.
 
-    def __init__(self, n_nodes: int, total_shared_pages: int) -> None:
+    *n_pages* sizes the assignment buffer (a machine passes the pages
+    its workload references); it always covers *total_shared_pages*.
+    """
+
+    def __init__(self, n_nodes: int, total_shared_pages: int,
+                 n_pages: int = DEFAULT_PAGES) -> None:
         if n_nodes <= 0:
             raise ValueError("need at least one node")
         if total_shared_pages < 0:
@@ -35,7 +46,9 @@ class HomeAllocator:
         self.n_nodes = n_nodes
         # Proportional share, rounded up so the quotas cover all pages.
         self.quota = -(-total_shared_pages // n_nodes) if total_shared_pages else 0
-        self.home: dict[int, int] = {}
+        #: page -> home node; -1 means not yet assigned.
+        self.home = memoryview(np.full(max(n_pages, total_shared_pages), -1,
+                                       np.int64))
         self.count = [0] * n_nodes
         self._rr_next = 0
         self.first_touch_hits = 0
@@ -43,8 +56,8 @@ class HomeAllocator:
 
     def home_of(self, page: int, toucher: int) -> int:
         """Return *page*'s home node, assigning it on the first touch."""
-        node = self.home.get(page)
-        if node is not None:
+        node = self.home[page]
+        if node != -1:
             return node
         if not 0 <= toucher < self.n_nodes:
             raise ValueError(f"toucher {toucher} out of range")
@@ -77,8 +90,8 @@ class HomeAllocator:
         """
         if not 0 <= new_home < self.n_nodes:
             raise ValueError(f"new_home {new_home} out of range")
-        old = self.home.get(page)
-        if old is None:
+        old = self.home[page]
+        if old == -1:
             raise KeyError(f"page {page} has no home yet")
         if old != new_home:
             self.home[page] = new_home
@@ -87,7 +100,7 @@ class HomeAllocator:
         return old
 
     def assigned(self, page: int) -> bool:
-        return page in self.home
+        return self.home[page] != -1
 
     def pages_homed_at(self, node: int) -> int:
         return self.count[node]
@@ -105,8 +118,8 @@ class RoundRobinAllocator(HomeAllocator):
     """
 
     def home_of(self, page: int, toucher: int) -> int:
-        node = self.home.get(page)
-        if node is not None:
+        node = self.home[page]
+        if node != -1:
             return node
         if not 0 <= toucher < self.n_nodes:
             raise ValueError(f"toucher {toucher} out of range")
@@ -126,13 +139,13 @@ class RandomAllocator(HomeAllocator):
     """
 
     def __init__(self, n_nodes: int, total_shared_pages: int,
-                 seed: int = 12345) -> None:
-        super().__init__(n_nodes, total_shared_pages)
+                 n_pages: int = DEFAULT_PAGES, seed: int = 12345) -> None:
+        super().__init__(n_nodes, total_shared_pages, n_pages)
         self.seed = seed
 
     def home_of(self, page: int, toucher: int) -> int:
-        node = self.home.get(page)
-        if node is not None:
+        node = self.home[page]
+        if node != -1:
             return node
         if not 0 <= toucher < self.n_nodes:
             raise ValueError(f"toucher {toucher} out of range")
@@ -156,11 +169,12 @@ _ALLOCATORS = {
 }
 
 
-def make_allocator(policy: str, n_nodes: int, total_shared_pages: int):
+def make_allocator(policy: str, n_nodes: int, total_shared_pages: int,
+                   n_pages: int = DEFAULT_PAGES):
     """Instantiate a home-placement policy by name."""
     try:
         cls = _ALLOCATORS[policy]
     except KeyError:
         raise ValueError(f"unknown home placement {policy!r}; choose from"
                          f" {sorted(_ALLOCATORS)}") from None
-    return cls(n_nodes, total_shared_pages)
+    return cls(n_nodes, total_shared_pages, n_pages)

@@ -8,26 +8,49 @@ the node's total physical memory (the paper sets them to a few percent
 of total memory; exact digits unreadable -- see DESIGN.md).
 
 The pool tracks only *counts*: which physical frame backs which page is
-immaterial to timing, so frames are fungible.
+immaterial to timing, so frames are fungible.  The counts live in the
+node's *page-cache row* (``PC_*`` slots below), which the second-chance
+clock (:class:`~repro.kernel.vm.PageTable`) shares and the replay
+kernel (:mod:`repro.sim.soatrace`) reads and writes in place.
 """
 
 from __future__ import annotations
 
-__all__ = ["FreePagePool"]
+import numpy as np
+
+__all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
+           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES"]
+
+#: Slots of a node's page-cache row: the pool's counters, then the
+#: S-COMA clock's ring cursor (head index and length).  Keep in sync
+#: with the ``PC_*`` enum of the kernel source in repro.sim.soatrace.
+(PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
+ PC_LEN) = range(7)
+N_PC = 7
+
+
+def _slot(index: int) -> property:
+    return property(lambda self: self._pc[index],
+                    lambda self, value: self._pc.__setitem__(index, value))
 
 
 class FreePagePool:
-    """Counter-based free-frame pool with low-water marks."""
+    """Counter-based free-frame pool with low-water marks.
 
-    __slots__ = ("capacity", "free", "free_min", "free_target",
-                 "allocations", "releases", "failed_allocations")
+    *pc* is the node's page-cache row (an ``int64`` array of ``N_PC``
+    slots); a pool built without one allocates its own.
+    """
+
+    __slots__ = ("capacity", "free_target", "_pc")
 
     def __init__(self, cache_frames: int, total_frames: int,
-                 free_min_frac: float = 0.005, free_target_frac: float = 0.02) -> None:
+                 free_min_frac: float = 0.005, free_target_frac: float = 0.02,
+                 pc=None) -> None:
         if cache_frames < 0 or total_frames <= 0:
             raise ValueError("frame counts must be positive")
         if not 0 <= free_min_frac <= free_target_frac <= 1:
             raise ValueError("need 0 <= free_min_frac <= free_target_frac <= 1")
+        self._pc = memoryview(np.zeros(N_PC, np.int64) if pc is None else pc)
         self.capacity = cache_frames
         self.free = cache_frames
         # Water marks are fractions of *total* node memory, as in BSD,
@@ -35,9 +58,12 @@ class FreePagePool:
         self.free_min = min(cache_frames, max(1, round(total_frames * free_min_frac)))
         self.free_target = min(cache_frames, max(self.free_min,
                                                  round(total_frames * free_target_frac)))
-        self.allocations = 0
-        self.releases = 0
-        self.failed_allocations = 0
+
+    free = _slot(PC_FREE)
+    allocations = _slot(PC_ALLOCS)
+    releases = _slot(PC_RELEASES)
+    failed_allocations = _slot(PC_FAILED)
+    free_min = _slot(PC_FREE_MIN)
 
     def try_allocate(self) -> bool:
         """Take one frame from the pool.  False if empty."""
@@ -57,7 +83,8 @@ class FreePagePool:
 
     @property
     def below_min(self) -> bool:
-        return self.free < self.free_min
+        # Read per scheduling slice: index the row, skip two properties.
+        return self._pc[PC_FREE] < self._pc[PC_FREE_MIN]
 
     @property
     def below_target(self) -> bool:

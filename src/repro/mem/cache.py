@@ -10,12 +10,17 @@ every S-COMA page eviction must flush the page's lines from the
 processor cache (Section 2.3) -- this is what induces the cold misses
 the paper's Ncold term accounts for.
 
-The tag store is a plain Python list indexed by set, which profiling
-showed to be faster than a numpy array for the scalar, branchy access
-pattern of the simulation inner loop (single-element reads dominate).
+The tag and dirty stores are indexed by set: an ``int64`` tag per set
+(``-1`` when empty) and a dirty byte per set.  A machine hands each
+node's cache its rows of the machine-wide blocks, which the replay
+kernel reads and writes in place; the cache indexes them through
+``memoryview``s, whose single-element reads return plain ints at about
+the cost of a list index.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .address import AddressMap
 
@@ -48,7 +53,9 @@ class DirectMappedCache:
 
     __slots__ = ("n_sets", "set_mask", "tags", "dirty", "stats", "amap")
 
-    def __init__(self, size_bytes: int, line_bytes: int, amap: AddressMap | None = None) -> None:
+    def __init__(self, size_bytes: int, line_bytes: int,
+                 amap: AddressMap | None = None, tags=None,
+                 dirty=None) -> None:
         if size_bytes % line_bytes:
             raise ValueError("cache size must be a multiple of the line size")
         n_sets = size_bytes // line_bytes
@@ -56,9 +63,12 @@ class DirectMappedCache:
             raise ValueError("number of sets must be a power of two")
         self.n_sets = n_sets
         self.set_mask = n_sets - 1
+        if tags is None:
+            tags = np.full(n_sets, -1, np.int64)
+            dirty = np.zeros(n_sets, np.uint8)
         # tags[set] holds the resident global line id, or -1 when empty.
-        self.tags: list[int] = [-1] * n_sets
-        self.dirty: list[bool] = [False] * n_sets
+        self.tags = memoryview(tags)
+        self.dirty = memoryview(dirty)
         self.stats = CacheStats()
         self.amap = amap or AddressMap()
 
@@ -116,30 +126,18 @@ class DirectMappedCache:
         page.  Returns the number of lines flushed, which the kernel
         cost model converts to cycles.
         """
-        amap = self.amap
-        lpp = amap.lines_per_page
-        first = page * lpp
-        tags = self.tags
-        mask = self.set_mask
-        # A page's lines map to `lines_per_page` consecutive sets (mod
-        # n_sets); iterate those rather than scanning the whole cache.
-        span = min(lpp, self.n_sets)
-        bulk = getattr(tags, "flush_page_bulk", None)
-        if bulk is not None:
-            # Array-backed tag store (vectorized replay): one numpy
-            # sweep over the span instead of span single-element reads.
-            flushed = bulk(self.dirty, first, span, mask,
-                           amap.line_shift, page)
-        else:
-            flushed = 0
-            for offset in range(span):
-                # Every line of the page whose set == (first+offset)&mask.
-                s = (first + offset) & mask
-                tag = tags[s]
-                if tag != -1 and (tag >> amap.line_shift) == page:
-                    tags[s] = -1
-                    self.dirty[s] = False
-                    flushed += 1
+        lpp = self.amap.lines_per_page
+        # A page's lines map to `lines_per_page` consecutive sets (every
+        # set when the page outspans the cache); with power-of-two
+        # geometry the run never wraps, so one slice covers it.
+        first = (page * lpp) & self.set_mask
+        span = slice(first, first + min(lpp, self.n_sets))
+        tags = np.asarray(self.tags)[span]
+        hit = tags >> self.amap.line_shift == page   # empty (-1) never hits
+        flushed = int(np.count_nonzero(hit))
+        if flushed:
+            tags[hit] = -1
+            np.asarray(self.dirty)[span][hit] = 0
         self.stats.flushed_lines += flushed
         return flushed
 
@@ -152,5 +150,5 @@ class DirectMappedCache:
         return [t for t in self.tags if t != -1]
 
     def clear(self) -> None:
-        self.tags = [-1] * self.n_sets
-        self.dirty = [False] * self.n_sets
+        np.asarray(self.tags)[:] = -1
+        np.asarray(self.dirty)[:] = 0

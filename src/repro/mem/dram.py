@@ -10,9 +10,13 @@ access at time ``now`` to bank ``b`` starts at ``max(now, busy_until[b])``
 and occupies the bank for ``occupancy`` cycles; the access latency is the
 fixed service latency plus any queueing delay.  Banks are interleaved at
 DSM-chunk granularity, the grain at which the DSM engine moves data.
+The ``busy_until`` stamps are a node's row of the machine-wide bank
+block, which the replay kernel reads and writes in place.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["BankedMemory"]
 
@@ -26,14 +30,15 @@ class BankedMemory:
 
     def __init__(self, n_banks: int = 4, service_cycles: int = 50,
                  occupancy_cycles: int = 20,
-                 max_queue_occupancies: int = 8) -> None:
+                 max_queue_occupancies: int = 8, busy_until=None) -> None:
         if n_banks <= 0 or n_banks & (n_banks - 1):
             raise ValueError("bank count must be a positive power of two")
         if service_cycles <= 0 or occupancy_cycles <= 0:
             raise ValueError("cycle parameters must be positive")
         self.n_banks = n_banks
         self.bank_mask = n_banks - 1
-        self.busy_until = [0] * n_banks
+        self.busy_until = memoryview(np.zeros(n_banks, np.int64)
+                                     if busy_until is None else busy_until)
         self.service_cycles = service_cycles
         self.occupancy_cycles = occupancy_cycles
         # Requests arrive stamped with loosely-synchronised node clocks

@@ -11,10 +11,15 @@ performance than anticipated" -- it is what makes fft nearly
 pressure-insensitive -- so we model it faithfully.
 
 A configurable number of chunk entries is supported (direct-mapped by
-chunk id); the paper's machine corresponds to ``n_entries=1``.
+chunk id); the paper's machine corresponds to ``n_entries=1``.  Entries
+are ``int64`` slots (``-1`` when empty); a machine hands each node's RAC
+its row of the machine-wide block, which the replay kernel reads and
+writes in place.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["RemoteAccessCache"]
 
@@ -24,12 +29,13 @@ class RemoteAccessCache:
 
     __slots__ = ("n_entries", "entry_mask", "chunks", "hits", "misses", "fills")
 
-    def __init__(self, n_entries: int = 1) -> None:
+    def __init__(self, n_entries: int = 1, entries=None) -> None:
         if n_entries <= 0 or n_entries & (n_entries - 1):
             raise ValueError("RAC entry count must be a positive power of two")
         self.n_entries = n_entries
         self.entry_mask = n_entries - 1
-        self.chunks: list[int] = [-1] * n_entries
+        self.chunks = memoryview(np.full(n_entries, -1, np.int64)
+                                 if entries is None else entries)
         self.hits = 0
         self.misses = 0
         self.fills = 0
@@ -74,4 +80,4 @@ class RemoteAccessCache:
         return flushed
 
     def clear(self) -> None:
-        self.chunks = [-1] * self.n_entries
+        np.asarray(self.chunks)[:] = -1

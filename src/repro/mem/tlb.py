@@ -11,12 +11,18 @@ page" (Section 3).  We therefore model, per node:
 
 The reference bits are the load-bearing piece: the second-chance scan in
 :mod:`repro.kernel.pageout` reads and clears them to decide which S-COMA
-pages are cold enough to evict.
+pages are cold enough to evict.  They are one byte per page: a machine
+hands each node's TLB its row of the machine-wide block, which the
+replay kernel reads and writes in place.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+
+import numpy as np
+
+from ..kernel.vm import DEFAULT_PAGES
 
 __all__ = ["TLB"]
 
@@ -26,7 +32,7 @@ class TLB:
 
     __slots__ = ("capacity", "entries", "ref_bits", "hits", "misses", "shootdowns")
 
-    def __init__(self, capacity: int = 128) -> None:
+    def __init__(self, capacity: int = 128, ref_bits=None) -> None:
         if capacity <= 0:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
@@ -34,14 +40,15 @@ class TLB:
         # Reference bits persist beyond TLB residency: the paper's VM
         # keeps them in the pmap, and the pageout daemon consults them
         # for *every* S-COMA page, resident in the TLB or not.
-        self.ref_bits: dict[int, bool] = {}
+        self.ref_bits = memoryview(np.zeros(DEFAULT_PAGES, np.uint8)
+                                   if ref_bits is None else ref_bits)
         self.hits = 0
         self.misses = 0
         self.shootdowns = 0
 
     def access(self, page: int) -> bool:
         """Touch *page*: set its reference bit, return True on TLB hit."""
-        self.ref_bits[page] = True
+        self.ref_bits[page] = 1
         if page in self.entries:
             self.hits += 1
             return True
@@ -52,15 +59,15 @@ class TLB:
         return False
 
     def reference_bit(self, page: int) -> bool:
-        return self.ref_bits.get(page, False)
+        return bool(self.ref_bits[page])
 
     def clear_reference_bit(self, page: int) -> None:
-        self.ref_bits[page] = False
+        self.ref_bits[page] = 0
 
     def shootdown(self, page: int) -> None:
         """Remove *page*'s translation (remap/eviction path)."""
         self.entries.pop(page, None)
-        self.ref_bits.pop(page, None)
+        self.ref_bits[page] = 0
         self.shootdowns += 1
 
     def resident(self, page: int) -> bool:

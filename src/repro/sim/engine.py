@@ -118,10 +118,16 @@ class Engine:
         if quantum <= 0:
             raise ValueError("quantum must be positive")
         self.quantum = quantum
+        _, _, _, _, ref_lo, ref_hi = workload.soa()
+        if ref_lo < 0:
+            raise ValueError(f"workload {workload.name!r} references line"
+                             f" {ref_lo}; line ids must be non-negative")
+        line_shift = self.config.address_map().line_shift
         self.machine = Machine(self.config, policy,
                                workload.home_pages_per_node,
                                workload.total_shared_pages,
-                               log_messages=log_messages)
+                               log_messages=log_messages,
+                               n_pages=(ref_hi >> line_shift) + 1)
         #: Machine-shared rare-event bus (identity is stable for the
         #: engine's lifetime, so it can be cached in locals).
         self._events = self.machine.events
@@ -156,6 +162,7 @@ class Engine:
         self._line_shift = amap.line_shift
         self._chunk_shift = amap.chunk_shift
         self._cpp_mask = amap.chunks_per_page - 1
+        self._sv_words = (amap.chunks_per_page + 63) >> 6
         self._hit_cycles = self.config.l1_hit_cycles
         self._rac_cycles = self.config.rac_hit_cycles
         self._dsm2 = 2 * self.config.dsm_processing_cycles
@@ -223,15 +230,14 @@ class Engine:
     def _run_vector(self) -> list[int]:
         """Vectorized SoA replay loop (see repro.sim.soatrace).
 
-        Bit-identical to the reference loop.  The decoded trace and the
-        machine's mutable state (free pools and S-COMA clocks
-        included) move into dense numpy arrays, and a small compiled
-        kernel replays the scheduler, the reference cases and the page
-        faults of already-homed pages over them, handing only the
-        residual events (first touches, daemon-due faults, relocation
-        hints), daemon runs and barrier releases back to the scalar
-        machinery -- which then operates on the same arrays through
-        views, so the two substrates never diverge.
+        Bit-identical to the reference loop.  A small compiled kernel
+        replays the decoded trace -- the scheduler, the reference cases
+        and the page faults of already-homed pages -- in place on the
+        machine's own state buffers (free pools and S-COMA clocks
+        included), handing only the residual events (first touches,
+        daemon-due faults, relocation hints), daemon runs and barrier
+        releases back to the scalar machinery, which indexes the same
+        buffers, so the two substrates never diverge.
 
         Degrades silently to :meth:`_run_reference` when the kernel is
         unavailable (no C compiler / cffi) or the run shape is outside
@@ -361,7 +367,7 @@ class Engine:
             if is_write:
                 chunk = line >> self._chunk_shift
                 owned = node.owned
-                if chunk not in owned:
+                if not owned[chunk]:
                     page = line >> self._line_shift
                     home = self._home[page]
                     events = self._events
@@ -369,7 +375,7 @@ class Engine:
                         events.clock = now
                     lat = self._protocol.upgrade(node.id, chunk, page,
                                                  home, now)
-                    owned.add(chunk)
+                    owned[chunk] = 1
                     stats.upgrades += 1
                     stats.U_SH_MEM += lat
                     l1.mark_dirty(line)
@@ -384,11 +390,11 @@ class Engine:
             events.clock = now
         page = line >> self._line_shift
         chunk = line >> self._chunk_shift
-        node.tlb.ref_bits[page] = True
+        node.tlb.ref_bits[page] = 1
         nid = node.id
 
         kernel = 0
-        mode = node.page_table.mode.get(page, 0)
+        mode = node.page_table.mode[page]
         if mode == 0:  # UNMAPPED: first touch on this node
             mode, kernel = self._page_fault(node, page, now)
         home = self._home[page]
@@ -408,17 +414,19 @@ class Engine:
             stats.HOME += 1
             stats.HOME_LAT += lat
             if is_write or out[5]:
-                owned.add(chunk)
+                owned[chunk] = 1
         elif mode == PageMode.SCOMA:
             cip = chunk & self._cpp_mask
-            if node.page_table.scoma_valid[page] >> cip & 1:
+            valid = node.page_table.scoma_valid[
+                page * self._sv_words + (cip >> 6)]
+            if valid >> (cip & 63) & 1:
                 lat += node.memory.access(chunk, now + lat)
                 stats.SCOMA += 1
                 node.pagecache_hits[page] += 1
                 stats.SCOMA_LAT += lat
-                if is_write and chunk not in owned:
+                if is_write and not owned[chunk]:
                     lat += protocol.upgrade(nid, chunk, page, home, now + lat)
-                    owned.add(chunk)
+                    owned[chunk] = 1
                     stats.upgrades += 1
             else:
                 fetch_lat, out = protocol.remote_fetch_raw(
@@ -428,15 +436,15 @@ class Engine:
                 node.page_table.set_chunk_valid(page, cip)
                 self._classify_remote(node, chunk, out[0], lat)
                 if is_write or out[5]:
-                    owned.add(chunk)
+                    owned[chunk] = 1
         else:  # PageMode.CCNUMA
             if node.rac.lookup(line if self._rac_victim else chunk):
                 lat += self._rac_cycles
                 stats.RAC += 1
                 stats.RAC_LAT += lat
-                if is_write and chunk not in owned:
+                if is_write and not owned[chunk]:
                     lat += protocol.upgrade(nid, chunk, page, home, now + lat)
-                    owned.add(chunk)
+                    owned[chunk] = 1
                     stats.upgrades += 1
             else:
                 threshold = node.policy_state.effective_threshold()
@@ -447,7 +455,7 @@ class Engine:
                     node.rac.fill(chunk)
                 self._classify_remote(node, chunk, out[0], lat)
                 if is_write or out[5]:
-                    owned.add(chunk)
+                    owned[chunk] = 1
                 if out[3]:  # relocation hint
                     # Fill the L1 *before* the relocation interrupt: the
                     # access completed first, and the remap's page flush
@@ -472,7 +480,7 @@ class Engine:
         victim = node.l1.fill(line, dirty=is_write)
         if self._rac_victim and victim != -1:
             vpage = victim >> self._line_shift
-            if node.page_table.mode.get(vpage, 0) == PageMode.CCNUMA:
+            if node.page_table.mode[vpage] == PageMode.CCNUMA:
                 node.rac.fill(victim)
 
     # ------------------------------------------------------------------
@@ -486,13 +494,13 @@ class Engine:
         else:
             stats.COLD += 1
             stats.COLD_LAT += lat
-            if chunk in node.ever_fetched:
+            if node.ever_fetched[chunk]:
                 stats.induced_cold += 1
             else:
                 stats.essential_cold += 1
-                node.ever_fetched.add(chunk)
+                node.ever_fetched[chunk] = 1
             return
-        node.ever_fetched.add(chunk)
+        node.ever_fetched[chunk] = 1
 
     def _page_fault(self, node, page: int, now: int) -> tuple[int, int]:
         """First touch to *page* on *node*: returns (mode, kernel_cycles).
@@ -590,7 +598,7 @@ class Engine:
         home_chunks = 0
         first = amap.first_chunk_of_page(page)
         for chunk in range(first, first + amap.chunks_per_page):
-            cs = directory.copyset.get(chunk, 0)
+            cs = directory.copyset_of(chunk)
             if cs & allowed:
                 stats.skipped_migrations += 1
                 return 0

@@ -4,6 +4,10 @@ Builds the full simulated multiprocessor for one (architecture,
 workload, pressure) combination and wires the cross-node callbacks:
 chunk invalidation (writes) and owner demotion (reads of dirty data)
 reach into the victim node's L1/RAC/page-cache state.
+
+All machine state the replay kernel reads or writes is allocated here,
+once: the directory, the home allocator and the network own their
+buffers, and the per-node families are rows of :attr:`Machine.blocks`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from ..interconnect.topology import SwitchTopology
 from ..kernel.allocation import make_allocator
 from .config import SystemConfig
 from .events import EventBus
-from .node import Node
+from .node import Node, NodeBlocks
 
 __all__ = ["Machine"]
 
@@ -28,16 +32,20 @@ class Machine:
 
     def __init__(self, config: SystemConfig, policy: ArchitecturePolicy,
                  home_pages_per_node: int, total_shared_pages: int,
-                 log_messages: bool = False) -> None:
+                 log_messages: bool = False, n_pages: int = 0) -> None:
         self.config = config
         self.policy = policy
         self.amap = config.address_map()
+        #: Pages every page-indexed buffer covers: the workload's shared
+        #: pages, or more when *n_pages* (the pages its trace references)
+        #: says so.
+        self.n_pages = max(total_shared_pages, n_pages, 1)
         #: Shared rare-event bus (near-zero cost while unobserved).
         self.events = EventBus()
 
         self.log = MessageLog() if log_messages else None
         self.directory = Directory(config.n_nodes, self.amap.chunks_per_page,
-                                   log=self.log,
+                                   self.n_pages, log=self.log,
                                    grant_exclusive=config.protocol == "mesi")
         self.network = Network(
             topology=SwitchTopology(config.n_nodes, config.switch_radix),
@@ -48,7 +56,9 @@ class Machine:
         )
         self.allocator = make_allocator(config.home_placement,
                                         config.n_nodes,
-                                        total_shared_pages)
+                                        total_shared_pages, self.n_pages)
+        self.blocks = NodeBlocks(config.n_nodes, config, self.amap,
+                                 self.n_pages)
 
         cache_frames = (config.cache_frames(home_pages_per_node)
                         if policy.uses_page_cache else 0)
@@ -59,12 +69,14 @@ class Machine:
         total_frames = config.total_frames(home_pages_per_node)
         self.nodes = [
             Node(i, config, self.amap, self.directory, policy,
-                 cache_frames, total_frames, events=self.events)
+                 cache_frames, total_frames, events=self.events,
+                 blocks=self.blocks)
             for i in range(config.n_nodes)
         ]
         self.buses = [SplitTransactionBus(config.bus_occupancy_cycles
-                                          if config.model_contention else 0)
-                      for _ in range(config.n_nodes)]
+                                          if config.model_contention else 0,
+                                          busy_until=self.blocks.bus_busy[i:i + 1])
+                      for i in range(config.n_nodes)]
 
         self.protocol = CoherenceProtocol(
             self.directory, self.network,

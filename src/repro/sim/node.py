@@ -10,14 +10,21 @@ their three side-effect families always happen together:
 2. directory state: drop the node from the page's copysets (making
    future accesses *induced cold misses*) and reset refetch evidence;
 3. accounting: cycle charges to K-BASE/K-OVERHD and event counters.
+
+Every piece of per-node state the replay kernel reads or writes is a row
+of a machine-wide :class:`NodeBlocks` block, handed to the node's models
+when they are built; the models index those rows directly, so the
+reference loop, the kernel and every post-run reader share one copy.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..coherence.directory import Directory
 from ..core.policy import ArchitecturePolicy, PolicyNodeState
 from ..kernel.costs import KernelCosts
-from ..kernel.freelist import FreePagePool
+from ..kernel.freelist import N_PC, FreePagePool
 from ..kernel.pageout import PageoutDaemon
 from ..kernel.vm import PageMode, PageTable
 from ..mem.address import AddressMap
@@ -31,16 +38,63 @@ from .events import (EV_DAEMON, EV_DEMOTE, EV_EVICT, EV_FLUSH,
                      EV_INVALIDATE, EV_MAP_SCOMA, EV_RELOCATE, EventBus)
 from .stats import NodeStats
 
-__all__ = ["Node"]
+__all__ = ["Node", "NodeBlocks"]
+
+
+class NodeBlocks:
+    """Per-node machine state, one row per node, in the layout and dtypes
+    of the replay kernel's ``SoaState`` (see :mod:`repro.sim.soatrace`).
+
+    ``l1_tags``/``l1_dirty`` and ``rac`` are the caches (``-1`` = empty
+    slot); ``owned``/``ever`` are per-chunk membership bytes; ``modes``,
+    ``scoma_valid`` (``sv_words`` words per page), ``pc_hits`` (``-1`` =
+    absent) and ``ref_bits`` are per page; ``mem_busy``/``bus_busy`` are
+    the bank and bus busy-until stamps; ``pc`` is the page-cache row
+    (free-pool counters plus the clock cursor) and ``clk`` the clock's
+    ring buffer.
+    """
+
+    __slots__ = ("l1_tags", "l1_dirty", "rac", "owned", "ever", "modes",
+                 "scoma_valid", "pc_hits", "ref_bits", "mem_busy",
+                 "bus_busy", "pc", "clk")
+
+    def __init__(self, n_nodes: int, config: SystemConfig,
+                 amap: AddressMap, n_pages: int) -> None:
+        n_pages = max(n_pages, 1)
+        n_chunks = n_pages * amap.chunks_per_page
+        n_sets = config.l1_size_bytes // config.line_bytes
+        sv_words = (amap.chunks_per_page + 63) >> 6
+        self.l1_tags = np.full((n_nodes, n_sets), -1, np.int64)
+        self.l1_dirty = np.zeros((n_nodes, n_sets), np.uint8)
+        self.rac = np.full((n_nodes, config.rac_entries), -1, np.int64)
+        self.owned = np.zeros((n_nodes, n_chunks), np.uint8)
+        self.ever = np.zeros((n_nodes, n_chunks), np.uint8)
+        self.modes = np.zeros((n_nodes, n_pages), np.int64)
+        self.scoma_valid = np.zeros((n_nodes, n_pages, sv_words), np.uint64)
+        self.pc_hits = np.full((n_nodes, n_pages), -1, np.int64)
+        self.ref_bits = np.zeros((n_nodes, n_pages), np.uint8)
+        self.mem_busy = np.zeros((n_nodes, config.dram_banks), np.int64)
+        self.bus_busy = np.zeros(n_nodes, np.int64)
+        self.pc = np.zeros((n_nodes, N_PC), np.int64)
+        self.clk = np.zeros((n_nodes, n_pages + 1), np.int64)
 
 
 class Node:
-    """One node of the simulated machine."""
+    """One node of the simulated machine.
+
+    *blocks* holds the machine-wide state rows (row ``node_id`` is this
+    node's); a node built without them allocates a one-node block.
+    """
 
     def __init__(self, node_id: int, config: SystemConfig, amap: AddressMap,
                  directory: Directory, policy: ArchitecturePolicy,
                  cache_frames: int, total_frames: int,
-                 events: EventBus | None = None) -> None:
+                 events: EventBus | None = None,
+                 blocks: NodeBlocks | None = None) -> None:
+        if blocks is None:
+            blocks, row = NodeBlocks(1, config, amap, directory.n_pages), 0
+        else:
+            row = node_id
         self.id = node_id
         #: Machine-shared rare-event bus (see repro.sim.events).
         self.events = events if events is not None else EventBus()
@@ -52,33 +106,42 @@ class Node:
 
         if config.l1_ways == 1:
             self.l1 = DirectMappedCache(config.l1_size_bytes,
-                                        config.line_bytes, amap)
+                                        config.line_bytes, amap,
+                                        tags=blocks.l1_tags[row],
+                                        dirty=blocks.l1_dirty[row])
         else:
             self.l1 = SetAssociativeCache(config.l1_size_bytes,
                                           config.line_bytes,
                                           config.l1_ways, amap)
-        self.rac = RemoteAccessCache(config.rac_entries)
+        self.rac = RemoteAccessCache(config.rac_entries,
+                                     entries=blocks.rac[row])
         #: Victim-mode RACs hold 32-byte L1 victim *lines*; fetch-mode
         #: RACs hold whole 128-byte chunks (see SystemConfig).
         self.rac_victim = config.rac_fill_policy == "victim"
-        self.tlb = TLB(config.tlb_entries)
+        self.tlb = TLB(config.tlb_entries, ref_bits=blocks.ref_bits[row])
         self.memory = BankedMemory(config.dram_banks, config.local_memory_cycles,
                                    config.dram_occupancy_cycles,
                                    max_queue_occupancies=(
-                                       8 if config.model_contention else 0))
-        self.page_table = PageTable(amap.chunks_per_page)
+                                       8 if config.model_contention else 0),
+                                   busy_until=blocks.mem_busy[row])
+        self.page_table = PageTable(amap.chunks_per_page,
+                                    modes=blocks.modes[row],
+                                    scoma_valid=blocks.scoma_valid[row],
+                                    pc=blocks.pc[row], clk=blocks.clk[row])
         self.pool = FreePagePool(cache_frames, total_frames,
-                                 config.free_min_frac, config.free_target_frac)
+                                 config.free_min_frac, config.free_target_frac,
+                                 pc=blocks.pc[row])
         self.policy_state: PolicyNodeState = policy.make_node_state()
         self.stats = NodeStats()
 
-        #: chunks this node holds in Modified state (write permission).
-        self.owned: set[int] = set()
-        #: chunks this node has ever fetched remotely (induced-cold stats).
-        self.ever_fetched: set[int] = set()
+        #: chunk -> 1 while this node holds it Modified (write permission).
+        self.owned = memoryview(blocks.owned[row])
+        #: chunk -> 1 once this node has fetched it remotely (induced-cold
+        #: stats).
+        self.ever_fetched = memoryview(blocks.ever[row])
         #: page -> misses satisfied from the page cache since mapping
-        #: (VC-NUMA's break-even input).
-        self.pagecache_hits: dict[int, int] = {}
+        #: (VC-NUMA's break-even input); -1 while the page is not cached.
+        self.pagecache_hits = memoryview(blocks.pc_hits[row])
 
         self.daemon = PageoutDaemon(
             self.page_table, self.pool, self.costs,
@@ -111,7 +174,7 @@ class Node:
                 self.rac.invalidate_chunk(line)
         else:
             self.rac.invalidate_chunk(chunk)
-        self.owned.discard(chunk)
+        self.owned[chunk] = 0
         page = amap.page_of_chunk(chunk)
         if self.page_table.mode_of(page) == PageMode.SCOMA:
             self.page_table.clear_chunk_valid(page, chunk % amap.chunks_per_page)
@@ -123,7 +186,7 @@ class Node:
 
     def demote_chunk(self, chunk: int, now: int | None = None) -> None:
         """Lose write permission (a remote reader demoted our M copy)."""
-        self.owned.discard(chunk)
+        self.owned[chunk] = 0
         events = self.events
         if events.watching(EV_DEMOTE):
             if now is not None and EV_DEMOTE in events.kind_observers:
@@ -145,12 +208,8 @@ class Node:
         self.rac.flush_page(page, self.amap.lines_per_page if self.rac_victim
                             else self.amap.chunks_per_page)
         first = self.amap.first_chunk_of_page(page)
-        discard_range = getattr(self.owned, "discard_range", None)
-        if discard_range is not None:
-            discard_range(first, first + self.amap.chunks_per_page)
-        else:
-            for chunk in range(first, first + self.amap.chunks_per_page):
-                self.owned.discard(chunk)
+        cpp = self.amap.chunks_per_page
+        self.owned[first:first + cpp] = bytes(cpp)
         self.directory.drop_node_from_page(self.id, page)
         self.stats.lines_flushed += flushed
         if self.events.observers:
@@ -161,8 +220,6 @@ class Node:
         """Install *page* into the page cache (frame already allocated)."""
         self.page_table.map_scoma(page)
         self.pagecache_hits[page] = 0
-        if hasattr(self.policy_state, "cached_pages"):
-            self.policy_state.cached_pages = self.page_table.scoma_page_count()
         if self.events.observers:
             self.events.publish(EV_MAP_SCOMA, self.id, page)
 
@@ -173,14 +230,15 @@ class Node:
         it entirely.  The frame returns to the free pool.
         """
         flushed = self.flush_page(page)
+        cached_pages = self.page_table.scoma_page_count()
         self.page_table.unmap_scoma(page, to_ccnuma=self.policy.evict_to_ccnuma)
         self.tlb.shootdown(page)
         self.pool.release()
         self.directory.reset_refetch(page, self.id)
-        hits = self.pagecache_hits.pop(page, 0)
-        self.policy.on_page_evicted(self.policy_state, page, hits)
-        if hasattr(self.policy_state, "cached_pages"):
-            self.policy_state.cached_pages = self.page_table.scoma_page_count()
+        hits = self.pagecache_hits[page]
+        self.pagecache_hits[page] = -1
+        self.policy.on_page_evicted(self.policy_state, page, hits,
+                                    cached_pages)
         self.stats.evictions += 1
         if forced:
             self.stats.forced_evictions += 1

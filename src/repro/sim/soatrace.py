@@ -1,14 +1,14 @@
 """Structure-of-arrays replay substrate: the compiled replay kernel.
 
 The engine's default replay path (``Engine.vector_mode == "auto"``)
-runs the reference loop's arithmetic over a dense structure-of-arrays
-decode of the machine state: every dict/set the reference loop
-mutates per event (directory copyset/owner, page-table modes and
-S-COMA valid masks, refetch counters, TLB reference bits, L1 tags,
-RAC slots, ownership sets, free-frame pools, the second-chance
-clocks) becomes a flat numpy array, and the per-event scheduler +
-classification + protocol arithmetic runs as a small compiled kernel
-over those arrays.  The kernel is a direct transliteration of
+runs the reference loop's arithmetic as a small compiled kernel over
+the machine's own state buffers: directory copysets, owners and
+refetch counters, page homes, page-table modes and S-COMA valid masks,
+TLB reference bits, L1 tags, RAC slots, ownership bytes, free-frame
+pools, the second-chance clocks and the bank, bus and port queues are
+dense buffers the models own from construction (see
+:class:`~repro.sim.node.NodeBlocks`), and the kernel reads and writes
+them in place.  The kernel is a direct transliteration of
 ``Engine._run_reference`` and ``Engine._shared_ref``, page faults and
 pure S-COMA's forced evictions included (``Engine._page_fault``,
 ``Node.choose_victim``, ``Node.evict_scoma_page``).  It decides
@@ -45,20 +45,14 @@ Implementation notes
   entries are replayed post-slice with scalar-identical clocks and
   order; and residual events exit in batched *runs* that Python
   drains before re-entering the kernel.
-* While the vectorized run is live, the machine's dict/set/list state
-  is *replaced* by array-backed views (single source of truth): the
-  scalar residual path, the pageout daemon and all post-run consumers
-  (invariant audits, ``utilisation_report``) read and write the same
-  arrays the kernel does.  The views stay installed after the run;
-  they implement the exact observable semantics of what they replace
-  and return Python ints/bools (never numpy scalars, which would
-  poison the JSON-serialised ``RunResult``).  Commutative counters
-  that nothing reads mid-run (``NodeStats`` buckets, cache and
-  interconnect tallies) are the exception: the kernel accumulates
-  them as deltas merged once at the end.
-* Timing state (bank, bus and port queues) is copied into the arrays
-  once per run and around each residual drain, the only Python exit
-  that touches it.
+* There is one copy of the machine state: :func:`run_vector` only
+  points the kernel's ``SoaState`` at the models' buffers, so the
+  scalar residual path, the pageout daemon and every post-run consumer
+  (invariant audits, ``utilisation_report``) read the bytes the kernel
+  wrote.  Commutative counters that nothing reads mid-run
+  (``NodeStats`` buckets, cache and interconnect tallies) are the
+  exception: the kernel accumulates them as deltas merged once at the
+  end (:func:`_merge_deltas`).
 * Path selection (``REPRO_VECTOR_PATH``) is a runtime mode: it must
   never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
@@ -78,7 +72,6 @@ import warnings
 import numpy as np
 
 from ..core.policy import ArchitecturePolicy
-from ..kernel.freelist import FreePagePool
 from ..kernel.vm import PageMode
 from .events import EV_DEMOTE, EV_INVALIDATE
 from .trace import EV_WRITE
@@ -107,12 +100,6 @@ _IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
  _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP, _P_PAGE_FAULT,
  _P_PAGE_REMAP, _P_FLUSH_LINE, _P_DRY_SCOMA, _P_CLK_CAP) = range(41)
 _N_PARAMS = 41
-
-# Per-node page-cache row pc[] (keep in sync with the C enum): the free
-# pool's counters and the second-chance clock's ring-buffer cursor.
-(_PC_FREE, _PC_ALLOCS, _PC_RELEASES, _PC_FAILED, _PC_FREE_MIN, _PC_HEAD,
- _PC_LEN) = range(7)
-_N_PC = 7
 
 #: Per-node stats delta row: (slot, NodeStats attribute).  Commutative
 #: counters only -- nothing reads them mid-run, so the kernel
@@ -1119,654 +1106,6 @@ def vector_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Array-backed views over the machine's dict/set/list state
-# ---------------------------------------------------------------------------
-# While a vectorized run is live these replace the real containers, so
-# the scalar residual path, the pageout daemon, the fault handler and
-# the post-run invariant audits all read/write the same dense arrays
-# the kernel does.  Every accessor converts to plain Python int/bool:
-# numpy scalars must never leak into NodeStats or RunResult (they
-# would change the JSON bytes the store hashes).
-
-
-_WORD = 0xFFFFFFFFFFFFFFFF
-
-
-def _join_words(row) -> int:
-    """Little-endian uint64 words -> one arbitrary-precision Python int."""
-    v = 0
-    for w in range(len(row) - 1, -1, -1):
-        v = (v << 64) | int(row[w])
-    return v
-
-
-def _split_words(value: int, row) -> None:
-    """One Python int -> little-endian uint64 words (row pre-zeroed not
-    required; every word is written)."""
-    for w in range(len(row)):
-        row[w] = value & _WORD
-        value >>= 64
-
-
-class _MaskDict:
-    """Directory.copyset: chunk -> sharer bitmask; 0 means absent.
-
-    Backed by a 2-D ``(n_chunks, words)`` uint64 array so >62-node
-    machines fit; the view joins/splits the multi-word rows into the
-    arbitrary-precision Python ints the scalar directory code uses.
-
-    The real dict can briefly hold an explicit 0 (drop_node_from_page
-    stores ``cs & clear``), but every consumer reads through ``.get``
-    with a 0/None default and bit-tests the result, so 0-as-absent is
-    observationally identical.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = _join_words(self._a[key])
-        return v if v else default
-
-    def __getitem__(self, key):
-        v = _join_words(self._a[key])
-        if not v:
-            raise KeyError(key)
-        return v
-
-    def __setitem__(self, key, value):
-        _split_words(int(value), self._a[key])
-
-    def __contains__(self, key):
-        return bool(self._a[key].any())
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a.any(axis=1)))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self._a.any(axis=1)).tolist())
-
-    def items(self):
-        a = self._a
-        return [(k, _join_words(a[k]))
-                for k in np.flatnonzero(a.any(axis=1)).tolist()]
-
-    def keys(self):
-        return list(self)
-
-    def pop(self, key, default=None):
-        v = _join_words(self._a[key])
-        self._a[key] = 0
-        return v if v else default
-
-    def clear(self):
-        self._a[:] = 0
-
-    def update(self, other=()):
-        items = other.items() if hasattr(other, "items") else other
-        for k, v in items:
-            _split_words(int(v), self._a[k])
-
-    def drop_node_bulk(self, owner, node, first, count):
-        """Directory.drop_node_from_page over the backing arrays.
-
-        One numpy sweep instead of ``count`` get/set round-trips
-        through the arbitrary-precision join/split; observationally
-        identical to the scalar loop (0-as-absent, owner entry dropped
-        only where the node was actually a sharer and the owner)."""
-        bit = np.uint64(1 << (node & 63))
-        col = self._a[first:first + count, node >> 6]
-        hit = (col & bit) != 0
-        dropped = int(np.count_nonzero(hit))
-        if dropped:
-            col[hit] &= ~bit
-            oa = owner._a[first:first + count]
-            oa[hit & (oa == node)] = -1
-        return dropped
-
-
-class _OwnerDict:
-    """Directory.owner: chunk -> owning node; -1 means absent."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = self._a[key]
-        return int(v) if v != -1 else default
-
-    def __getitem__(self, key):
-        v = self._a[key]
-        if v == -1:
-            raise KeyError(key)
-        return int(v)
-
-    def __setitem__(self, key, value):
-        self._a[key] = value
-
-    def __delitem__(self, key):
-        if self._a[key] == -1:
-            raise KeyError(key)
-        self._a[key] = -1
-
-    def __contains__(self, key):
-        return self._a[key] != -1
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a != -1))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self._a != -1).tolist())
-
-    def items(self):
-        a = self._a
-        return [(k, int(a[k])) for k in np.flatnonzero(a != -1).tolist()]
-
-    def keys(self):
-        return list(self)
-
-
-class _RefetchDict:
-    """Directory.refetch_count: (page, node) -> count over a flat array.
-
-    An explicit 0 (the hint path resets the count) is indistinguishable
-    from absence for every consumer (``.get(key, 0)`` / ``.pop``).
-    """
-
-    __slots__ = ("_a", "_n")
-
-    def __init__(self, a, n_nodes):
-        self._a = a
-        self._n = n_nodes
-
-    def _idx(self, key):
-        page, node = key
-        return page * self._n + node
-
-    def get(self, key, default=None):
-        v = self._a[self._idx(key)]
-        return int(v) if v else default
-
-    def __getitem__(self, key):
-        v = self._a[self._idx(key)]
-        if not v:
-            raise KeyError(key)
-        return int(v)
-
-    def __setitem__(self, key, value):
-        self._a[self._idx(key)] = value
-
-    def __contains__(self, key):
-        return bool(self._a[self._idx(key)])
-
-    def pop(self, key, default=None):
-        i = self._idx(key)
-        v = self._a[i]
-        self._a[i] = 0
-        return int(v) if v else default
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a))
-
-    def items(self):
-        n = self._n
-        return [((k // n, k % n), int(self._a[k]))
-                for k in np.flatnonzero(self._a).tolist()]
-
-    def keys(self):
-        return [k for k, _ in self.items()]
-
-
-class _ModeDict:
-    """PageTable.mode: page -> PageMode; UNMAPPED (0) means absent."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = self._a[key]
-        return PageMode(int(v)) if v else default
-
-    def __getitem__(self, key):
-        v = self._a[key]
-        if not v:
-            raise KeyError(key)
-        return PageMode(int(v))
-
-    def __setitem__(self, key, value):
-        self._a[key] = int(value)
-
-    def __delitem__(self, key):
-        if not self._a[key]:
-            raise KeyError(key)
-        self._a[key] = 0
-
-    def __contains__(self, key):
-        return bool(self._a[key])
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self._a).tolist())
-
-    def items(self):
-        a = self._a
-        return [(k, PageMode(int(a[k]))) for k in np.flatnonzero(a).tolist()]
-
-    def values(self):
-        return [v for _, v in self.items()]
-
-    def keys(self):
-        return list(self)
-
-
-class _ScomaValidDict:
-    """PageTable.scoma_valid: page -> chunk-valid bitmask.
-
-    Presence is *mode-derived* (a page has an entry iff its mode is
-    SCOMA), because a freshly mapped page legitimately holds mask 0 and
-    must still show up in iteration and the page-table audits.
-    ``__delitem__`` only zeroes the mask: unmap_scoma deletes the entry
-    while the mode is still SCOMA and flips the mode immediately after,
-    which removes the derived presence.
-
-    Writes to a page whose mode is *not* SCOMA land in a plain-dict
-    overlay instead: the simulator never does this, but the invariant
-    tests inject exactly that corruption (an entry disagreeing with the
-    page mode) to prove the checker sees it, and the view must be able
-    to hold -- and delete -- the bad entry like the real dict would.
-    """
-
-    __slots__ = ("_a", "_m", "_x")
-
-    def __init__(self, a, modes):
-        self._a = a
-        self._m = modes
-        self._x = {}
-
-    def get(self, key, default=None):
-        if self._m[key] != 2:
-            return self._x.get(key, default)
-        return _join_words(self._a[key])
-
-    def __getitem__(self, key):
-        if self._m[key] != 2:
-            return self._x[key]
-        return _join_words(self._a[key])
-
-    def __setitem__(self, key, value):
-        if self._m[key] == 2:
-            _split_words(int(value), self._a[key])
-            self._x.pop(key, None)
-        else:
-            self._x[key] = value
-
-    def __delitem__(self, key):
-        if key in self._x:
-            del self._x[key]
-        elif self._m[key] == 2:
-            self._a[key] = 0
-        else:
-            raise KeyError(key)
-
-    def __contains__(self, key):
-        return self._m[key] == 2 or key in self._x
-
-    def __len__(self):
-        return int(np.count_nonzero(self._m == 2)) + len(self._x)
-
-    def __iter__(self):
-        yield from np.flatnonzero(self._m == 2).tolist()
-        yield from self._x
-
-    def items(self):
-        a = self._a
-        out = [(k, _join_words(a[k]))
-               for k in np.flatnonzero(self._m == 2).tolist()]
-        out.extend(self._x.items())
-        return out
-
-    def keys(self):
-        return list(self)
-
-
-class _PcHitsDict:
-    """Node.pagecache_hits: page -> hit count; -1 means absent.
-
-    Presence is *not* mode-derived: evict_scoma_page pops the entry
-    after unmap_scoma has already flipped the mode, so the entry must
-    outlive the SCOMA mapping by one step.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = self._a[key]
-        return int(v) if v >= 0 else default
-
-    def __getitem__(self, key):
-        v = self._a[key]
-        if v < 0:
-            raise KeyError(key)
-        return int(v)
-
-    def __setitem__(self, key, value):
-        self._a[key] = value
-
-    def __contains__(self, key):
-        return self._a[key] >= 0
-
-    def pop(self, key, default=None):
-        v = self._a[key]
-        self._a[key] = -1
-        return int(v) if v >= 0 else default
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a >= 0))
-
-    def items(self):
-        a = self._a
-        return [(k, int(a[k])) for k in np.flatnonzero(a >= 0).tolist()]
-
-    def keys(self):
-        return np.flatnonzero(self._a >= 0).tolist()
-
-
-class _RefBitsDict:
-    """TLB.ref_bits: page -> bool.  A stored False and absence are
-    indistinguishable to every consumer (``get(page, False)``), so the
-    view needs no separate presence bit."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = self._a[key]
-        return True if v else default
-
-    def __getitem__(self, key):
-        if not self._a[key]:
-            raise KeyError(key)
-        return True
-
-    def __setitem__(self, key, value):
-        self._a[key] = 1 if value else 0
-
-    def __contains__(self, key):
-        return bool(self._a[key])
-
-    def pop(self, key, default=None):
-        v = self._a[key]
-        self._a[key] = 0
-        return True if v else default
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a))
-
-    def keys(self):
-        return np.flatnonzero(self._a).tolist()
-
-
-class _ChunkSet:
-    """Node.owned / Node.ever_fetched over a uint8 membership row."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def add(self, key):
-        self._a[key] = 1
-
-    def discard(self, key):
-        self._a[key] = 0
-
-    def discard_range(self, start, stop):
-        """Bulk discard of a contiguous key range (page flush)."""
-        self._a[start:stop] = 0
-
-    def __contains__(self, key):
-        return bool(self._a[key])
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self._a).tolist())
-
-
-class _IntList:
-    """list[int] facade over an int64 row (L1 tags, RAC chunks)."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def __getitem__(self, i):
-        return int(self._a[i])
-
-    def __setitem__(self, i, v):
-        self._a[i] = v
-
-    def __len__(self):
-        return len(self._a)
-
-    def __iter__(self):
-        return iter(self._a.tolist())
-
-    def flush_page_bulk(self, dirty, first, span, mask, line_shift, page):
-        """Cache.flush_page over the backing arrays.
-
-        A page's lines land in ``span`` consecutive sets; with the
-        power-of-two geometry the span never wraps, so the sweep is a
-        contiguous slice compare + masked clear (the wrap fallback
-        gathers through an index array).  Bit-identical to the scalar
-        per-set loop."""
-        a = self._a
-        s0 = first & mask
-        if s0 + span <= len(a):
-            seg = a[s0:s0 + span]
-            dseg = dirty._a[s0:s0 + span]
-        else:  # pragma: no cover - non-power-of-two geometry only
-            idx = (first + np.arange(span)) & mask
-            seg = a[idx]
-            dseg = None
-        hit = (seg != -1) & ((seg >> line_shift) == page)
-        flushed = int(np.count_nonzero(hit))
-        if flushed:
-            if dseg is None:  # pragma: no cover - wrap fallback
-                sel = idx[hit]
-                a[sel] = -1
-                dirty._a[sel] = 0
-            else:
-                seg[hit] = -1
-                dseg[hit] = 0
-        return flushed
-
-
-class _BoolList:
-    """list[bool] facade over a uint8 row (L1 dirty bits)."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def __getitem__(self, i):
-        return bool(self._a[i])
-
-    def __setitem__(self, i, v):
-        self._a[i] = 1 if v else 0
-
-    def __len__(self):
-        return len(self._a)
-
-    def __iter__(self):
-        return [bool(x) for x in self._a.tolist()].__iter__()
-
-
-class _HomeDict:
-    """HomeAllocator.home: page -> home node; -1 means unassigned."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = a
-
-    def get(self, key, default=None):
-        v = self._a[key]
-        return int(v) if v != -1 else default
-
-    def __getitem__(self, key):
-        v = self._a[key]
-        if v == -1:
-            raise KeyError(key)
-        return int(v)
-
-    def __setitem__(self, key, value):
-        self._a[key] = value
-
-    def __contains__(self, key):
-        return self._a[key] != -1
-
-    def __len__(self):
-        return int(np.count_nonzero(self._a != -1))
-
-    def __iter__(self):
-        return iter(np.flatnonzero(self._a != -1).tolist())
-
-    def items(self):
-        a = self._a
-        return [(k, int(a[k])) for k in np.flatnonzero(a != -1).tolist()]
-
-    def keys(self):
-        return list(self)
-
-
-class _PoolView(FreePagePool):
-    """Node.pool: the free-frame counters live in the node's ``pc`` row.
-
-    The kernel takes and returns frames at page faults and forced
-    evictions; the daemon, the relocation path and the audits go
-    through the inherited methods, which read and write the same row.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, pool: FreePagePool, row) -> None:
-        self._a = row
-        self.capacity = pool.capacity
-        self.free_target = pool.free_target
-        row[:_PC_HEAD] = (pool.free, pool.allocations, pool.releases,
-                          pool.failed_allocations, pool.free_min)
-
-    def _get(slot):
-        return property(lambda self: int(self._a[slot]),
-                        lambda self, value: self._a.__setitem__(slot, value))
-
-    free = _get(_PC_FREE)
-    allocations = _get(_PC_ALLOCS)
-    releases = _get(_PC_RELEASES)
-    failed_allocations = _get(_PC_FAILED)
-    free_min = _get(_PC_FREE_MIN)
-    del _get
-
-
-class _ClockView:
-    """PageTable.scoma_clock: the deque as a ring buffer of ``cap``
-    slots in an int64 row, its cursor in the node's ``pc`` row.
-
-    ``cap`` leaves room for every page plus one, so a corrupted
-    duplicate entry (the invariant tests inject one) still fits.
-    """
-
-    __slots__ = ("_buf", "_pc")
-
-    def __init__(self, clock, buf, pc) -> None:
-        self._buf = buf
-        self._pc = pc
-        pages = list(clock)
-        buf[:len(pages)] = pages
-        pc[_PC_HEAD] = 0
-        pc[_PC_LEN] = len(pages)
-
-    def _slot(self, i: int) -> int:
-        return (int(self._pc[_PC_HEAD]) + i) % len(self._buf)
-
-    def _pages(self):
-        n = len(self)
-        return self._buf[(int(self._pc[_PC_HEAD]) + np.arange(n))
-                         % len(self._buf)]
-
-    def __len__(self) -> int:
-        return int(self._pc[_PC_LEN])
-
-    def __getitem__(self, i: int) -> int:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("clock index out of range")
-        return int(self._buf[self._slot(i)])
-
-    def __iter__(self):
-        return iter(self._pages().tolist())
-
-    def append(self, page: int) -> None:
-        n = len(self)
-        if n == len(self._buf):
-            raise RuntimeError("S-COMA clock overflow")
-        self._buf[self._slot(n)] = page
-        self._pc[_PC_LEN] = n + 1
-
-    def pop(self) -> int:
-        page = self[-1]
-        self._pc[_PC_LEN] -= 1
-        return page
-
-    def rotate(self, n: int = 1) -> None:
-        """deque.rotate; the kernel's clock_rotate is ``rotate(-1)``."""
-        if not len(self):
-            return
-        last = len(self) - 1
-        for _ in range(-n):         # clock[0] moves to the back
-            page = self[0]
-            self._pc[_PC_HEAD] = self._slot(1)
-            self._buf[self._slot(last)] = page
-        for _ in range(n):          # the back moves to clock[0]
-            page = self[last]
-            self._pc[_PC_HEAD] = self._slot(-1)
-            self._buf[self._slot(0)] = page
-
-    def remove(self, page: int) -> None:
-        n = len(self)
-        if n and self[0] == page:   # the daemon evicts clock[0]
-            self._pc[_PC_HEAD] = self._slot(1)
-            self._pc[_PC_LEN] = n - 1
-            return
-        pages = self._pages()
-        hits = np.flatnonzero(pages == page)
-        if not hits.size:
-            raise ValueError("deque.remove(x): x not in deque")
-        self._buf[:n - 1] = np.delete(pages, hits[0])
-        self._pc[_PC_HEAD] = 0
-        self._pc[_PC_LEN] = n - 1
-
-
-# ---------------------------------------------------------------------------
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
 
@@ -1796,13 +1135,9 @@ def _eligible(engine) -> bool:
         return False
     if machine.directory.log is not None or machine.events.observers:
         return False
-    _, _, _, _, ref_lo, ref_hi = engine.workload.soa()
-    if ref_hi >= 0:
-        n_pages = engine.workload.total_shared_pages
-        lines_total = n_pages << engine._line_shift
-        if ref_lo < 0 or ref_hi >= lines_total:
-            return False
-    return True
+    ref_hi = engine.workload.soa()[5]
+    lines_total = engine.workload.total_shared_pages << engine._line_shift
+    return ref_hi < lines_total
 
 
 def _merge_deltas(engine, st, aux, glob) -> None:
@@ -1856,6 +1191,11 @@ def run_vector(engine) -> list[int] | None:
     the kernel is unavailable or the run is ineligible -- in which
     case nothing has been mutated and the caller falls back to
     ``_run_reference``.
+
+    The kernel works on the machine's own state buffers (see
+    :class:`~repro.sim.node.NodeBlocks`): this function only points the
+    ``SoaState`` struct at them, so every Python exit reads and writes
+    exactly the bytes the kernel does.
     """
     kernel = _load_kernel()
     if kernel is None or not _eligible(engine):
@@ -1864,68 +1204,21 @@ def run_vector(engine) -> list[int] | None:
 
     machine = engine.machine
     config = engine.config
-    amap = machine.amap
     nodes = machine.nodes
     directory = machine.directory
     network = machine.network
-    allocator = machine.allocator
+    blocks = machine.blocks
     n = config.n_nodes
-    n_pages = engine.workload.total_shared_pages
-    cpp = amap.chunks_per_page
-    n_chunks = n_pages * cpp
-    n_sets = nodes[0].l1.n_sets
-    rac_entries = nodes[0].rac.n_entries
-    n_banks = len(nodes[0].memory.busy_until)
+    n_pages = machine.n_pages
+    cpp = machine.amap.chunks_per_page
+    n_sets = blocks.l1_tags.shape[1]
+    rac_entries = blocks.rac.shape[1]
+    n_banks = blocks.mem_busy.shape[1]
     mem0 = nodes[0].memory
     bus0 = machine.buses[0]
 
     # --- trace SoA ---------------------------------------------------
     kinds_all, args_all, tr_off, tr_len, _, _ = engine.workload.soa()
-
-    # --- dense state arrays, built from the live containers ----------
-    # Copyset / S-COMA valid bitmaps are multi-word uint64 rows so the
-    # kernel model has no node-count or chunks-per-page ceiling.
-    cs_words = (n + 63) // 64
-    sv_words = (cpp + 63) // 64
-    copyset = np.zeros((max(n_chunks, 1), cs_words), dtype=np.uint64)
-    for k, v in directory.copyset.items():
-        _split_words(int(v), copyset[k])
-    owner = np.full(max(n_chunks, 1), -1, dtype=np.int64)
-    for k, v in directory.owner.items():
-        owner[k] = v
-    refetch = np.zeros(max(n_pages * n, 1), dtype=np.int64)
-    for (pg, nd), v in directory.refetch_count.items():
-        refetch[pg * n + nd] = v
-    home = np.full(max(n_pages, 1), -1, dtype=np.int64)
-    for pg, v in allocator.home.items():
-        home[pg] = v
-    modes = np.zeros((n, max(n_pages, 1)), dtype=np.int64)
-    scoma_valid = np.zeros((n, max(n_pages, 1), sv_words), dtype=np.uint64)
-    pc_hits = np.full((n, max(n_pages, 1)), -1, dtype=np.int64)
-    ref_bits = np.zeros((n, max(n_pages, 1)), dtype=np.uint8)
-    owned = np.zeros((n, max(n_chunks, 1)), dtype=np.uint8)
-    ever = np.zeros((n, max(n_chunks, 1)), dtype=np.uint8)
-    l1_tags = np.empty((n, n_sets), dtype=np.int64)
-    l1_dirty = np.empty((n, n_sets), dtype=np.uint8)
-    rac_arr = np.empty((n, rac_entries), dtype=np.int64)
-    for i, node in enumerate(nodes):
-        pt = node.page_table
-        for pg, m in pt.mode.items():
-            modes[i, pg] = int(m)
-        for pg, mask in pt.scoma_valid.items():
-            _split_words(int(mask), scoma_valid[i, pg])
-        for pg, hits in node.pagecache_hits.items():
-            pc_hits[i, pg] = hits
-        for pg, bit in node.tlb.ref_bits.items() if hasattr(
-                node.tlb.ref_bits, "items") else ():
-            ref_bits[i, pg] = 1 if bit else 0
-        for c in node.owned:
-            owned[i, c] = 1
-        for c in node.ever_fetched:
-            ever[i, c] = 1
-        l1_tags[i, :] = node.l1.tags
-        l1_dirty[i, :] = [1 if d else 0 for d in node.l1.dirty]
-        rac_arr[i, :] = node.rac.chunks
 
     # --- scheduler state ---------------------------------------------
     pos = np.zeros(n, dtype=np.int64)
@@ -1945,26 +1238,16 @@ def run_vector(engine) -> list[int] | None:
     ring_dem = EV_DEMOTE in events.kind_observers
     ring_cap = max(1024, 2 * n + 4)
     ring = np.zeros((ring_cap, 4), dtype=np.int64)
-    inv_scratch = np.zeros(cs_words, dtype=np.uint64)
+    inv_scratch = np.zeros(directory.words, dtype=np.uint64)
 
-    # --- timing state (copied in/out at every kernel boundary) -------
-    net_port = np.zeros(n, dtype=np.int64)
-    mem_busy = np.zeros((n, n_banks), dtype=np.int64)
-    bus_busy = np.zeros(n, dtype=np.int64)
-    net_base = np.ascontiguousarray(np.array(network._base, dtype=np.int64))
-
-    # --- page cache: free pools, second-chance clocks, fault modes ---
-    clk_cap = max(n_pages, 1) + 1
-    pc = np.zeros((n, _N_PC), dtype=np.int64)
-    clk = np.zeros((n, clk_cap), dtype=np.int64)
+    # --- fault modes -------------------------------------------------
     fault_mode = np.zeros((n, 2), dtype=np.int64)
     policy = engine.policy
     hook = getattr(policy.on_page_evicted, "__func__", None)
     if not engine._mandatory_scoma:
         dry_scoma = 0       # a hybrid's dry pool maps CC-NUMA
     elif (hook is ArchitecturePolicy.on_page_evicted
-          and not policy.evict_to_ccnuma
-          and not hasattr(nodes[0].policy_state, "cached_pages")):
+          and not policy.evict_to_ccnuma):
         dry_scoma = 1       # forced eviction in the kernel
     else:
         dry_scoma = -1      # the eviction needs Python
@@ -2002,14 +1285,14 @@ def run_vector(engine) -> list[int] | None:
     params[_P_NET_OCC] = network.port_occupancy
     params[_P_NET_MAXQ] = network.max_queue
     params[_P_LPC] = 1 << engine._chunk_shift
-    params[_P_N_PAGES] = max(n_pages, 1)
+    params[_P_N_PAGES] = n_pages
     params[_P_N_SETS] = n_sets
     params[_P_N_BANKS] = n_banks
     params[_P_RAC_ENTRIES] = rac_entries
     params[_P_PC_SHIFT] = engine._line_shift - engine._chunk_shift
-    params[_P_N_CHUNKS] = max(n_chunks, 1)
-    params[_P_CS_WORDS] = cs_words
-    params[_P_SV_WORDS] = sv_words
+    params[_P_N_CHUNKS] = n_pages * cpp
+    params[_P_CS_WORDS] = directory.words
+    params[_P_SV_WORDS] = nodes[0].page_table.sv_words
     params[_P_RING_INV] = 1 if ring_inv else 0
     params[_P_RING_DEM] = 1 if ring_dem else 0
     params[_P_RING_CAP] = ring_cap
@@ -2018,103 +1301,63 @@ def run_vector(engine) -> list[int] | None:
     params[_P_PAGE_REMAP] = costs.page_remap
     params[_P_FLUSH_LINE] = costs.flush_per_line
     params[_P_DRY_SCOMA] = dry_scoma
-    params[_P_CLK_CAP] = clk_cap
-
-    # --- install the views: arrays become the single source of truth -
-    directory.copyset = _MaskDict(copyset)
-    directory.owner = _OwnerDict(owner)
-    directory.refetch_count = _RefetchDict(refetch, n)
-    home_view = _HomeDict(home)
-    allocator.home = home_view
-    engine._home = home_view
-    for i, node in enumerate(nodes):
-        pt = node.page_table
-        pt.mode = _ModeDict(modes[i])
-        pt.scoma_valid = _ScomaValidDict(scoma_valid[i], modes[i])
-        node.pagecache_hits = _PcHitsDict(pc_hits[i])
-        node.tlb.ref_bits = _RefBitsDict(ref_bits[i])
-        node.owned = _ChunkSet(owned[i])
-        node.ever_fetched = _ChunkSet(ever[i])
-        node.l1.tags = _IntList(l1_tags[i])
-        node.l1.dirty = _BoolList(l1_dirty[i])
-        node.rac.chunks = _IntList(rac_arr[i])
-        node.pool = node.daemon.pool = _PoolView(node.pool, pc[i])
-        pt.scoma_clock = _ClockView(pt.scoma_clock, clk[i], pc[i])
+    params[_P_CLK_CAP] = blocks.clk.shape[1]
 
     # --- wire the C struct -------------------------------------------
     state = ffi.new("SoaState *")
     keepalive = []
 
-    def _ptr(arr, ctype):
-        keepalive.append(arr)
-        return ffi.cast(ctype, arr.ctypes.data)
+    def _ptr(buf, ctype):
+        cdata = ffi.from_buffer(ctype + "[]", buf)
+        keepalive.append(cdata)
+        return cdata
 
-    state.P = _ptr(params, "int64_t *")
-    state.kinds = _ptr(np.ascontiguousarray(kinds_all), "uint8_t *")
-    state.args = _ptr(np.ascontiguousarray(args_all), "int64_t *")
-    state.tr_off = _ptr(np.ascontiguousarray(tr_off), "int64_t *")
-    state.tr_len = _ptr(np.ascontiguousarray(tr_len), "int64_t *")
-    state.pos = _ptr(pos, "int64_t *")
-    state.clock = _ptr(clock, "int64_t *")
-    state.arrival = _ptr(arrival, "int64_t *")
-    state.barrier_id = _ptr(barrier_id, "int64_t *")
-    state.finished = _ptr(finished, "uint8_t *")
-    state.waiting = _ptr(waiting, "uint8_t *")
-    state.ctl = _ptr(ctl, "int64_t *")
-    state.l1_tags = _ptr(l1_tags, "int64_t *")
-    state.l1_dirty = _ptr(l1_dirty, "uint8_t *")
-    state.rac = _ptr(rac_arr, "int64_t *")
-    state.owned = _ptr(owned, "uint8_t *")
-    state.ever = _ptr(ever, "uint8_t *")
-    state.copyset = _ptr(copyset, "uint64_t *")
-    state.owner = _ptr(owner, "int64_t *")
-    state.refetch = _ptr(refetch, "int64_t *")
-    state.modes = _ptr(modes, "int64_t *")
-    state.scoma_valid = _ptr(scoma_valid, "uint64_t *")
-    state.pc_hits = _ptr(pc_hits, "int64_t *")
-    state.ref_bits = _ptr(ref_bits, "uint8_t *")
-    state.home = _ptr(home, "int64_t *")
-    state.net_base = _ptr(net_base, "int64_t *")
-    state.net_port = _ptr(net_port, "int64_t *")
-    state.mem_busy = _ptr(mem_busy, "int64_t *")
-    state.bus_busy = _ptr(bus_busy, "int64_t *")
-    state.pc = _ptr(pc, "int64_t *")
-    state.clk = _ptr(clk, "int64_t *")
-    state.fault_mode = _ptr(fault_mode, "int64_t *")
-    state.next_run = _ptr(next_run, "int64_t *")
-    state.thr = _ptr(thr, "int64_t *")
-    state.st = _ptr(st, "int64_t *")
-    state.aux = _ptr(aux, "int64_t *")
-    state.glob = _ptr(glob, "int64_t *")
-    state.inv_scratch = _ptr(inv_scratch, "uint64_t *")
-    state.ring = _ptr(ring, "int64_t *")
-
-    buses = machine.buses
-
-    def _timing_in():
-        """Copy the live timing state into the arrays, one bulk
-        assignment per array."""
-        mem_busy[:] = [node.memory.busy_until for node in nodes]
-        bus_busy[:] = [bus.busy_until for bus in buses]
-        net_port[:] = network.port_busy_until
-
-    def _timing_out():
-        """Copy the arrays back into the live objects (plain ints)."""
-        for node, row in zip(nodes, mem_busy.tolist()):
-            node.memory.busy_until[:] = row
-        for bus, busy in zip(buses, bus_busy.tolist()):
-            bus.busy_until = busy
-        network.port_busy_until[:] = net_port.tolist()
+    state.P = _ptr(params, "int64_t")
+    state.kinds = _ptr(np.ascontiguousarray(kinds_all), "uint8_t")
+    state.args = _ptr(np.ascontiguousarray(args_all), "int64_t")
+    state.tr_off = _ptr(np.ascontiguousarray(tr_off), "int64_t")
+    state.tr_len = _ptr(np.ascontiguousarray(tr_len), "int64_t")
+    state.pos = _ptr(pos, "int64_t")
+    state.clock = _ptr(clock, "int64_t")
+    state.arrival = _ptr(arrival, "int64_t")
+    state.barrier_id = _ptr(barrier_id, "int64_t")
+    state.finished = _ptr(finished, "uint8_t")
+    state.waiting = _ptr(waiting, "uint8_t")
+    state.ctl = _ptr(ctl, "int64_t")
+    state.l1_tags = _ptr(blocks.l1_tags, "int64_t")
+    state.l1_dirty = _ptr(blocks.l1_dirty, "uint8_t")
+    state.rac = _ptr(blocks.rac, "int64_t")
+    state.owned = _ptr(blocks.owned, "uint8_t")
+    state.ever = _ptr(blocks.ever, "uint8_t")
+    state.copyset = _ptr(directory.copyset, "uint64_t")
+    state.owner = _ptr(directory.owner, "int64_t")
+    state.refetch = _ptr(directory.refetch_count, "int64_t")
+    state.modes = _ptr(blocks.modes, "int64_t")
+    state.scoma_valid = _ptr(blocks.scoma_valid, "uint64_t")
+    state.pc_hits = _ptr(blocks.pc_hits, "int64_t")
+    state.ref_bits = _ptr(blocks.ref_bits, "uint8_t")
+    state.home = _ptr(machine.allocator.home, "int64_t")
+    state.net_base = _ptr(network._base, "int64_t")
+    state.net_port = _ptr(network.port_busy_until, "int64_t")
+    state.mem_busy = _ptr(blocks.mem_busy, "int64_t")
+    state.bus_busy = _ptr(blocks.bus_busy, "int64_t")
+    state.pc = _ptr(blocks.pc, "int64_t")
+    state.clk = _ptr(blocks.clk, "int64_t")
+    state.fault_mode = _ptr(fault_mode, "int64_t")
+    state.next_run = _ptr(next_run, "int64_t")
+    state.thr = _ptr(thr, "int64_t")
+    state.st = _ptr(st, "int64_t")
+    state.aux = _ptr(aux, "int64_t")
+    state.glob = _ptr(glob, "int64_t")
+    state.inv_scratch = _ptr(inv_scratch, "uint64_t")
+    state.ring = _ptr(ring, "int64_t")
 
     def _mode_code(node, free_frames):
-        """policy.initial_mode as the kernel's fault mode: SCOMA (2),
-        CCNUMA (3), or -1 when the mapping needs a Python hook."""
-        mode = policy.initial_mode(node.policy_state, free_frames)
-        if mode == PageMode.CCNUMA or (
-                mode == PageMode.SCOMA
-                and not hasattr(node.policy_state, "cached_pages")):
-            return int(mode)
-        return -1
+        """policy.initial_mode as the kernel's fault mode: S-COMA, or
+        CC-NUMA for any other answer, as in Engine._page_fault."""
+        scoma = (policy.initial_mode(node.policy_state, free_frames)
+                 == PageMode.SCOMA)
+        return int(PageMode.SCOMA if scoma else PageMode.CCNUMA)
 
     def _policy_in(i):
         """Node i's policy-derived kernel inputs.  Only Python exits
@@ -2146,9 +1389,8 @@ def run_vector(engine) -> list[int] | None:
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
-    # Only a residual drain touches timing state, and only residual and
-    # daemon exits change policy inputs, so those are all that copy.
-    _timing_in()
+    # Only residual and daemon exits change policy inputs, so those are
+    # all that refresh them.
     for i in range(n):
         _policy_in(i)
     while True:
@@ -2160,7 +1402,6 @@ def run_vector(engine) -> list[int] | None:
             # first event was already admitted by the kernel's limit
             # check; each later one re-checks the slice limit, exactly
             # like the scalar loop's `while now < limit` would.
-            _timing_out()
             best = int(ctl[_BEST])
             now = int(ctl[_NOW])
             limit = int(ctl[_LIMIT])
@@ -2177,7 +1418,6 @@ def run_vector(engine) -> list[int] | None:
                 p += 1
             pos[best] = p
             ctl[_NOW] = now
-            _timing_in()
             _policy_in(best)
         elif rc == _RINGFULL:
             pass  # flushed above; re-enter with a drained ring
@@ -2199,7 +1439,6 @@ def run_vector(engine) -> list[int] | None:
             waiting[:] = [1 if w else 0 for w in waiting_l]
             finished[:] = [1 if f else 0 for f in finished_l]
         else:
-            _timing_out()
             _merge_deltas(engine, st, aux, glob)
             if rc == _DEADLOCK:
                 raise RuntimeError("deadlock: all unfinished nodes are"

@@ -11,6 +11,7 @@ Three angles:
   runtime-layer integration (``check=True`` bypasses the result store).
 """
 
+import numpy as np
 import pytest
 
 from repro.check import (InvariantChecker, Violation, audit_machine,
@@ -62,22 +63,29 @@ class TestStructuralChecks:
         assert check_page_table(machine) == []
 
     def test_swmr_detects_owner_outside_copyset(self, machine):
-        chunk, copyset = next(iter(machine.directory.copyset.items()))
+        directory = machine.directory
+        chunk = next(c for c in range(len(directory.owner))
+                     if directory.copyset_of(c))
+        copyset = directory.copyset_of(chunk)
         bad_owner = next(n for n in range(4) if copyset != 1 << n)
-        machine.directory.owner[chunk] = bad_owner
+        saved = directory.owner[chunk]
+        directory.owner[chunk] = bad_owner
         try:
             found = check_directory_swmr(machine)
             assert any(v.invariant == "directory-swmr"
                        and v.detail["chunk"] == chunk for v in found)
         finally:
-            del machine.directory.owner[chunk]
+            directory.owner[chunk] = saved
 
     def test_reachability_detects_unreachable_scoma_bit(self, machine):
-        node = next(n for n in machine.nodes if n.page_table.scoma_valid)
-        page = next(iter(node.page_table.scoma_valid))
+        node = next(n for n in machine.nodes
+                    if n.page_table.scoma_page_count())
+        page = node.page_table.scoma_clock[0]
         first = machine.amap.first_chunk_of_page(page)
-        saved = dict(machine.directory.copyset)
-        machine.directory.copyset.pop(first, None)
+        copysets = np.asarray(machine.directory.copyset).reshape(
+            -1, machine.directory.words)
+        saved = copysets[first].copy()
+        copysets[first] = 0
         node.page_table.set_chunk_valid(page, 0)
         try:
             found = check_cache_reachability(machine)
@@ -88,8 +96,7 @@ class TestStructuralChecks:
                 audit_machine(machine)
         finally:
             node.page_table.clear_chunk_valid(page, 0)
-            machine.directory.copyset.clear()
-            machine.directory.copyset.update(saved)
+            copysets[first] = saved
 
     def test_reachability_detects_unreachable_rac_entry(self, machine):
         node = next(n for n in machine.nodes
@@ -97,15 +104,17 @@ class TestStructuralChecks:
         entry = next(iter(node.rac.resident_entries()))
         chunk = (entry >> machine.amap.chunk_shift if node.rac_victim
                  else entry)
-        saved = machine.directory.copyset.pop(chunk, None)
+        copysets = np.asarray(machine.directory.copyset).reshape(
+            -1, machine.directory.words)
+        saved = copysets[chunk].copy()
+        copysets[chunk] = 0
         try:
             found = check_cache_reachability(machine)
             assert any(v.invariant == "cache-reachability"
                        and v.detail.get("structure") == "rac"
                        for v in found)
         finally:
-            if saved is not None:
-                machine.directory.copyset[chunk] = saved
+            copysets[chunk] = saved
 
     def test_frame_accounting_detects_leak(self, machine):
         pool = machine.nodes[0].pool
@@ -123,45 +132,39 @@ class TestStructuralChecks:
         entry = next(iter(node.rac.resident_entries()))
         page = (entry >> machine.amap.line_shift if node.rac_victim
                 else machine.amap.page_of_chunk(entry))
-        saved = node.page_table.mode.get(page)
+        saved = node.page_table.mode[page]
         node.page_table.mode[page] = PageMode.SCOMA
         try:
             found = check_rac_exclusivity(machine)
             assert any(v.invariant == "rac-exclusivity" and v.page == page
                        for v in found)
         finally:
-            if saved is None:
-                del node.page_table.mode[page]
-            else:
-                node.page_table.mode[page] = saved
+            node.page_table.mode[page] = saved
 
     def test_page_table_detects_valid_mode_disagreement(self, machine):
         node = machine.nodes[0]
-        ccnuma_page = next(p for p, m in node.page_table.mode.items()
+        ccnuma_page = next(p for p, m in enumerate(node.page_table.mode)
                            if m == PageMode.CCNUMA)
-        node.page_table.scoma_valid[ccnuma_page] = 0
+        node.page_table.set_chunk_valid(ccnuma_page, 0)
         try:
             found = check_page_table(machine)
             assert any(v.invariant == "page-table"
                        and "disagree" in v.message for v in found)
         finally:
-            del node.page_table.scoma_valid[ccnuma_page]
+            node.page_table.clear_chunk_valid(ccnuma_page, 0)
 
     def test_page_table_detects_bogus_home_mapping(self, machine):
         node = machine.nodes[0]
-        foreign = next(p for p, home in machine.allocator.home.items()
-                       if home != node.id)
-        saved = node.page_table.mode.get(foreign)
+        foreign = next(p for p, home in enumerate(machine.allocator.home)
+                       if home not in (-1, node.id))
+        saved = node.page_table.mode[foreign]
         node.page_table.mode[foreign] = PageMode.HOME
         try:
             found = check_page_table(machine)
             assert any(v.invariant == "page-table" and v.page == foreign
                        and "allocator home" in v.message for v in found)
         finally:
-            if saved is None:
-                del node.page_table.mode[foreign]
-            else:
-                node.page_table.mode[foreign] = saved
+            node.page_table.mode[foreign] = saved
 
     def test_page_table_detects_clock_desync(self, machine):
         node = next(n for n in machine.nodes if n.page_table.scoma_clock)

@@ -53,7 +53,8 @@ class GoldenModel:
         self.copy_version.pop((node, chunk), None)
 
     def check(self, directory: Directory) -> None:
-        for chunk, cs in directory.copyset.items():
+        for chunk in range(len(directory.owner)):
+            cs = directory.copyset_of(chunk)
             current = self.version.get(chunk, 0)
             for node in range(N_NODES):
                 if cs >> node & 1:
@@ -64,7 +65,7 @@ class GoldenModel:
 
 
 def make_protocol(golden: GoldenModel):
-    directory = Directory(N_NODES, 32)
+    directory = Directory(N_NODES, 32, n_pages=1)  # the ops' page 0
     network = Network(SwitchTopology(N_NODES), port_occupancy=0)
     memories = [BankedMemory(4, 50, 20) for _ in range(N_NODES)]
     protocol = CoherenceProtocol(
@@ -93,8 +94,8 @@ class TestDirectoryGoldenModel:
             else:
                 golden.on_read(node, chunk)
             # SWMR: a dirty owner is the sole copyset member.
-            owner = directory.owner.get(chunk)
-            if owner is not None:
+            owner = directory.owner[chunk]
+            if owner != -1:
                 assert directory.sharers(chunk) == [owner]
             golden.check(directory)
 
@@ -109,8 +110,9 @@ class TestDirectoryGoldenModel:
                 continue
             protocol.remote_fetch(node, chunk, 0, (node + 1) % N_NODES,
                                   op == "write", 0, 0)
-            for c, owner in directory.owner.items():
-                assert directory.is_cached_by(c, owner)
+            for c, owner in enumerate(directory.owner):
+                if owner != -1:
+                    assert directory.is_cached_by(c, owner)
 
 
 # The machine-level audit now lives in the checker subsystem; sibling

@@ -49,7 +49,7 @@ class TestCopysets:
         out = directory.fetch(2, 0, 0, False, 0)
         assert out.forwarded
         assert out.prev_owner == 1
-        assert 0 not in directory.owner  # clean after writeback
+        assert directory.owner[0] == -1  # clean after writeback
 
     def test_owner_rereading_does_not_forward(self, directory):
         directory.fetch(1, 0, 0, True, 0)
@@ -135,7 +135,7 @@ class TestDropNodeFromPage:
     def test_drop_clears_ownership(self, directory):
         directory.fetch(1, 0, 0, True, 0)
         directory.drop_node_from_page(1, 0)
-        assert 0 not in directory.owner
+        assert directory.owner[0] == -1
 
     def test_drop_only_affects_given_page(self, directory):
         directory.fetch(1, 0, 0, False, 0)     # page 0

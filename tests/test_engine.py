@@ -236,6 +236,20 @@ class TestAccounting:
         with pytest.raises(RuntimeError, match="barrier mismatch"):
             simulate(wl, CCNUMAPolicy(), cfg())
 
+    def test_negative_line_id_rejected(self):
+        # State is indexed by page and chunk, where a negative line id
+        # would wrap to another page instead of failing.
+        b0 = TraceBuilder()
+        b0.read(0)
+        b0.read(-1)
+        b0.barrier(0)
+        b1 = TraceBuilder()
+        b1.barrier(0)
+        wl = WorkloadTraces("neg", [b0.build(), b1.build()], 1, 2)
+        with pytest.raises(ValueError,
+                           match="line ids must be non-negative"):
+            Engine(wl, CCNUMAPolicy(), cfg())
+
 
 class TestWriteCoherence:
     def test_write_to_shared_chunk_upgrades(self):

@@ -182,7 +182,7 @@ class TestPageTable:
         pt.unmap_scoma(1, to_ccnuma=True)
         assert pt.mode_of(1) == PageMode.CCNUMA
         assert pt.remaps_to_ccnuma == 1
-        assert 1 not in pt.scoma_valid
+        assert pt.valid_mask(1) == 0
 
     def test_unmap_scoma_to_unmapped(self):
         pt = PageTable(32)
@@ -214,6 +214,12 @@ class TestPageTable:
     def test_rejects_nonpositive_chunk_count(self):
         with pytest.raises(ValueError):
             PageTable(0)
+
+    def test_clock_remove_of_missing_page_raises(self):
+        pt = PageTable(32)
+        pt.map_scoma(1)
+        with pytest.raises(ValueError):
+            pt.scoma_clock.remove(2)
 
     def test_wide_pages_supported(self):
         # Python's arbitrary-precision masks place no 64-chunk ceiling

@@ -51,9 +51,9 @@ class TestCrossNodeWiring:
     def test_demotion_reaches_owner(self):
         m = make_machine()
         m.protocol.remote_fetch(1, 0, 0, 0, True, 0, 0)
-        m.nodes[1].owned.add(0)
+        m.nodes[1].owned[0] = 1
         m.protocol.remote_fetch(2, 0, 0, 0, False, 0, 100)
-        assert 0 not in m.nodes[1].owned
+        assert not m.nodes[1].owned[0]
 
     def test_utilisation_report_shape(self):
         m = make_machine()

@@ -23,13 +23,13 @@ class TestDirectoryExclusive:
         out = d.fetch(2, 0, 0, False, 0)
         assert not out.exclusive
         assert out.forwarded  # E owner supplies the data
-        assert 0 not in d.owner  # demoted to shared
+        assert d.owner[0] == -1  # demoted to shared
 
     def test_msi_never_grants_exclusive(self):
         d = Directory(4, 32, grant_exclusive=False)
         out = d.fetch(1, 0, 0, False, 0)
         assert not out.exclusive
-        assert 0 not in d.owner
+        assert d.owner[0] == -1
 
     def test_exclusive_then_remote_write_invalidates(self):
         d = Directory(4, 32, grant_exclusive=True)

@@ -30,21 +30,21 @@ class TestInvalidation:
         for line in amap.lines_of_chunk(chunk):
             node.l1.fill(line)
         node.rac.fill(chunk)
-        node.owned.add(chunk)
+        node.owned[chunk] = 1
 
         node.invalidate_chunk(chunk)
         assert all(not node.l1.contains(line) for line in amap.lines_of_chunk(chunk))
         assert not node.rac.contains(chunk)
-        assert chunk not in node.owned
+        assert not node.owned[chunk]
         assert not node.page_table.chunk_valid(page, 0)
 
     def test_demote_only_drops_ownership(self):
         node, _, amap = make_node()
         chunk = 3
-        node.owned.add(chunk)
+        node.owned[chunk] = 1
         node.l1.fill(amap.lines_of_chunk(chunk)[0])
         node.demote_chunk(chunk)
-        assert chunk not in node.owned
+        assert not node.owned[chunk]
         assert node.l1.contains(amap.lines_of_chunk(chunk)[0])
 
 
@@ -63,9 +63,9 @@ class TestFlushPage:
         node, _, amap = make_node()
         page = 2
         chunk = page * amap.chunks_per_page + 3
-        node.owned.add(chunk)
+        node.owned[chunk] = 1
         node.flush_page(page)
-        assert chunk not in node.owned
+        assert not node.owned[chunk]
 
 
 class TestEviction:
@@ -91,7 +91,7 @@ class TestEviction:
     def test_evict_resets_refetch_counter(self):
         node, directory, amap = make_node()
         page = 7
-        directory.refetch_count[(page, 0)] = 5
+        directory.refetch_count[page * directory.n_nodes + 0] = 5
         node.pool.try_allocate()
         node.map_scoma(page)
         node.evict_scoma_page(page, forced=False)

@@ -33,7 +33,7 @@ class TestReport:
 
     def test_mode_totals_match_page_tables(self, engine):
         report = hot_page_report(engine)
-        total_mappings = sum(len(n.page_table.mode)
+        total_mappings = sum(sum(1 for m in n.page_table.mode if m)
                              for n in engine.machine.nodes)
         assert sum(report["mapping_mode_totals"].values()) == total_mappings
 

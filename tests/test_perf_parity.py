@@ -19,6 +19,7 @@ from the model: fix the kernel (or fold the change into
 ``_shared_ref``, which both loops share), never the reference loop.
 """
 
+import functools
 import hashlib
 import json
 
@@ -39,12 +40,52 @@ CELLS = [(app, arch, pressure)
          for app in APPS for arch in ARCHITECTURES for pressure in PRESSURES]
 
 
-def run_cell(app, arch, pressure, *, config_kwargs=None, **engine_kwargs):
+def make_engine(app, arch, pressure, *, config_kwargs=None,
+                **engine_kwargs):
     wl = get_workload(app, SCALE)
     cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure,
                        **(config_kwargs or {}))
-    engine = Engine(wl, scaled_policy(arch), config=cfg, **engine_kwargs)
-    return engine.run().to_dict()
+    return Engine(wl, scaled_policy(arch), config=cfg, **engine_kwargs)
+
+
+def run_cell(app, arch, pressure, *, config_kwargs=None, **engine_kwargs):
+    return make_engine(app, arch, pressure, config_kwargs=config_kwargs,
+                       **engine_kwargs).run().to_dict()
+
+
+def wide_workload():
+    from repro.workloads import synthetic
+    return synthetic.generate(
+        n_nodes=96, home_pages_per_node=3, remote_pages_per_node=5,
+        sweeps=3, lines_per_visit=6, hot_fraction=0.7,
+        write_fraction=0.3, home_lines_per_sweep=16, seed=11)
+
+
+def wide_engine(arch, **engine_kwargs):
+    """A 96-node machine: copysets are two 64-bit words per chunk."""
+    from repro.core import make_policy
+    kwargs = {"ascoma": dict(threshold=8, increment=4)}.get(arch, {})
+    cfg = SystemConfig(n_nodes=96, memory_pressure=0.6)
+    return Engine(wide_workload(), make_policy(arch, **kwargs), cfg,
+                  **engine_kwargs)
+
+
+#: The shapes the parity suites replay both ways, by name.
+SHAPES = {
+    "matrix": make_engine,
+    "96_node": wide_engine,
+    # page_bytes=16384 -> 128 chunks per page: two valid-bit words.
+    "wide_pages": functools.partial(make_engine, "radix", pressure=0.9,
+                                    config_kwargs={"page_bytes": 16384}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def replayed(shape, args, vector_path):
+    """``(engine, RunResult.to_dict())`` after one replay of a shape,
+    shared by the result-level and the full-state parity checks."""
+    engine = SHAPES[shape](*args, vector_path=vector_path)
+    return engine, engine.run().to_dict()
 
 
 def _content_hash(payload: dict) -> str:
@@ -65,8 +106,8 @@ class TestTwoWayParity:
 
     @pytest.mark.parametrize("app,arch,pressure", CELLS)
     def test_two_way_matrix(self, app, arch, pressure):
-        reference = run_cell(app, arch, pressure, vector_path=False)
-        vector = run_cell(app, arch, pressure, vector_path=True)
+        _, reference = replayed("matrix", (app, arch, pressure), False)
+        _, vector = replayed("matrix", (app, arch, pressure), True)
         assert vector == reference
         # Byte-level, not just structural: the store persists JSON, so
         # the hash of the canonical serialization is what a spec-keyed
@@ -131,26 +172,10 @@ class TestWidenedEligibility:
     event ring).  Each gets the same two-way bit-identity check as the
     core matrix."""
 
-    def _wide_workload(self):
-        from repro.workloads import synthetic
-        return synthetic.generate(
-            n_nodes=96, home_pages_per_node=3, remote_pages_per_node=5,
-            sweeps=3, lines_per_visit=6, hot_fraction=0.7,
-            write_fraction=0.3, home_lines_per_sweep=16, seed=11)
-
-    def _wide_cell(self, arch, **engine_kwargs):
-        from repro.core import make_policy
-        kwargs = {"ascoma": dict(threshold=8, increment=4)}.get(arch, {})
-        wl = self._wide_workload()
-        cfg = SystemConfig(n_nodes=96, memory_pressure=0.6)
-        engine = Engine(wl, make_policy(arch, **kwargs), cfg,
-                        **engine_kwargs)
-        return engine.run().to_dict()
-
     @pytest.mark.parametrize("arch", ("ascoma", "ccnuma", "scoma"))
     def test_96_node_two_way(self, arch):
-        reference = self._wide_cell(arch, vector_path=False)
-        vector = self._wide_cell(arch, vector_path=True)
+        _, reference = replayed("96_node", (arch,), False)
+        _, vector = replayed("96_node", (arch,), True)
         assert vector == reference
         assert _content_hash(vector) == _content_hash(reference)
 
@@ -158,23 +183,16 @@ class TestWidenedEligibility:
     def test_wide_pages_two_way(self, arch):
         """page_bytes=16384 -> 128 chunks per page: the S-COMA valid
         bitmap no longer fits one word."""
-        cfg = {"page_bytes": 16384}
-        reference = run_cell("radix", arch, 0.9, config_kwargs=cfg,
-                             vector_path=False)
-        vector = run_cell("radix", arch, 0.9, config_kwargs=cfg,
-                          vector_path=True)
+        _, reference = replayed("wide_pages", (arch,), False)
+        _, vector = replayed("wide_pages", (arch,), True)
         assert vector == reference
 
     def test_widened_shapes_pass_preflight(self):
         """_eligible itself (no kernel needed): 96 nodes and a
         kind-filtered observer must both pass."""
-        from repro.core import make_policy
         from repro.obs.backoff import BackoffTelemetry
         from repro.sim.soatrace import _eligible
-        wl = self._wide_workload()
-        cfg = SystemConfig(n_nodes=96, memory_pressure=0.6)
-        engine = Engine(wl, make_policy("ascoma", threshold=8, increment=4),
-                        cfg)
+        engine = wide_engine("ascoma")
         BackoffTelemetry().attach(engine)
         assert _eligible(engine)
 
@@ -187,6 +205,114 @@ class TestWidenedEligibility:
         engine = Engine(wl, scaled_policy("ASCOMA"), config=cfg)
         engine.sampler = object()
         assert not _eligible(engine)
+
+
+def state_buffers(engine) -> dict:
+    """Every state buffer the kernel reads or writes, as raw bytes."""
+    machine = engine.machine
+    blocks = machine.blocks
+    state = {name: getattr(blocks, name).tobytes()
+             for name in type(blocks).__slots__}
+    directory = machine.directory
+    state["copyset"] = directory.copyset.tobytes()
+    state["owner"] = directory.owner.tobytes()
+    state["refetch"] = directory.refetch_count.tobytes()
+    state["home"] = machine.allocator.home.tobytes()
+    state["net_port"] = machine.network.port_busy_until.tobytes()
+    return state
+
+
+def hidden_counters(engine) -> dict:
+    """Every model counter ``RunResult.to_dict()`` leaves out."""
+    machine = engine.machine
+    allocator = machine.allocator
+    out = {"allocator": (list(allocator.count), allocator.first_touch_hits,
+                         allocator.round_robin_spills)}
+    for node in machine.nodes:
+        l1, rac, pt = node.l1.stats, node.rac, node.page_table
+        pool, daemon = node.pool, node.daemon
+        out[node.id] = {
+            "l1": (l1.writebacks, l1.invalidations, l1.flushed_lines),
+            "rac": (rac.hits, rac.misses, rac.fills),
+            "page_table": (pt.faults, pt.remaps_to_scoma,
+                           pt.remaps_to_ccnuma),
+            "tlb_shootdowns": node.tlb.shootdowns,
+            "pool": (pool.free, pool.allocations, pool.releases,
+                     pool.failed_allocations),
+            "daemon": (daemon.runs, daemon.total_reclaimed,
+                       daemon.total_cost, daemon.interval,
+                       daemon.next_run_at),
+        }
+    return out
+
+
+class TestFullStateParity:
+    """Beyond the results: after a reference and a kernel replay of the
+    same cell, every state buffer is byte-identical and so is every
+    model counter the result payload leaves out."""
+
+    def _assert_same_machine(self, shape, args):
+        reference, _ = replayed(shape, args, False)
+        vector, _ = replayed(shape, args, True)
+        ref_state, vec_state = state_buffers(reference), state_buffers(vector)
+        assert ref_state.keys() == vec_state.keys()
+        for name in ref_state:
+            assert vec_state[name] == ref_state[name], name
+        assert hidden_counters(vector) == hidden_counters(reference)
+
+    @pytest.mark.parametrize("app,arch,pressure", CELLS)
+    def test_matrix_full_state(self, app, arch, pressure):
+        self._assert_same_machine("matrix", (app, arch, pressure))
+
+    @pytest.mark.parametrize("arch", ("ascoma", "ccnuma", "scoma"))
+    def test_96_node_full_state(self, arch):
+        self._assert_same_machine("96_node", (arch,))
+
+    @pytest.mark.parametrize("arch", ("ASCOMA", "SCOMA"))
+    def test_wide_pages_full_state(self, arch):
+        self._assert_same_machine("wide_pages", (arch,))
+
+
+def kernel_visible_state(engine) -> list:
+    """Every model attribute that holds kernel-visible state."""
+    machine = engine.machine
+    directory = machine.directory
+    held = [engine._home, machine.allocator.home, directory.copyset,
+            directory.owner, directory.refetch_count,
+            machine.network.port_busy_until, machine.network._base]
+    held += [bus.busy_until for bus in machine.buses]
+    for node in machine.nodes:
+        pt = node.page_table
+        held += [pt.mode, pt.scoma_valid, pt.scoma_clock, node.pool,
+                 node.daemon.pool, node.owned, node.ever_fetched,
+                 node.pagecache_hits, node.tlb.ref_bits, node.l1.tags,
+                 node.l1.dirty, node.rac.chunks, node.memory.busy_until]
+    return held
+
+
+def test_kernel_run_rebinds_no_model_state(monkeypatch):
+    """The kernel works on the models' own buffers: after a run that
+    dispatched into it, every state-holding attribute is the object it
+    was at construction."""
+    import repro.sim.soatrace as soatrace
+
+    engine = make_engine("radix", "ASCOMA", 0.9, vector_path=True)
+    before = kernel_visible_state(engine)
+    calls = []
+    run_vector = soatrace.run_vector
+
+    def probe(eng):
+        clock = run_vector(eng)
+        calls.append(clock is not None)
+        return clock
+
+    monkeypatch.setattr(soatrace, "run_vector", probe)
+    engine.run()
+    if vector_available():
+        assert calls == [True]
+    after = kernel_visible_state(engine)
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
 
 
 class TestObsTimelineParity:
@@ -424,7 +550,7 @@ class TestKernelPageFaults:
         engine = self._engine("radix", "ASCOMA", pressure)
         vector = engine.run().to_dict()
         dry_faults = sum(
-            sum(m == PageMode.CCNUMA for m in nd.page_table.mode.values())
+            sum(m == PageMode.CCNUMA for m in nd.page_table.mode)
             - nd.page_table.remaps_to_ccnuma + nd.page_table.remaps_to_scoma
             for nd in engine.machine.nodes)
         assert dry_faults > 0
@@ -473,39 +599,45 @@ class TestKernelPageFaults:
         assert len(calls) <= engine.workload.total_shared_pages + daemon_runs
 
     def test_clock_view_behaves_like_the_deque(self):
-        """The array-backed S-COMA clock answers every deque operation
-        the daemon, the fault path and the audits use exactly as the
-        deque it replaces, wrapped ring buffer included."""
+        """The S-COMA clock the kernel drives in place, a ring buffer
+        whose cursor lives in the node's page-cache row, answers every
+        deque operation the daemon, the fault path and the audits use
+        exactly as the deque it replaces, wrapped ring buffer
+        included."""
         import random
         from collections import deque
 
         import numpy as np
 
-        from repro.sim.soatrace import _PC_HEAD, _PC_LEN, _ClockView
+        from repro.kernel.freelist import N_PC, PC_HEAD, PC_LEN
+        from repro.kernel.vm import PageTable
 
         rng = random.Random(7)
         for _ in range(50):
             real = deque()
-            pc = np.zeros(8, dtype=np.int64)
-            view = _ClockView(deque(), np.zeros(6, dtype=np.int64), pc)
+            pc = np.zeros(N_PC, dtype=np.int64)
+            pt = PageTable(32, modes=np.zeros(5, dtype=np.int64),
+                           scoma_valid=np.zeros((5, 1), dtype=np.uint64),
+                           pc=pc, clk=np.zeros(6, dtype=np.int64))
+            clock = pt.scoma_clock
             for _ in range(60):
                 op = rng.randrange(5)
                 if op == 0 and len(real) < 6:
                     page = rng.randrange(20)
                     real.append(page)
-                    view.append(page)
+                    clock.append(page)
                 elif op == 1:
                     n = rng.choice((-1, 1, -2))
                     real.rotate(n)
-                    view.rotate(n)
+                    clock.rotate(n)
                 elif op == 2 and real:
                     page = rng.choice(list(real))
                     real.remove(page)
-                    view.remove(page)
+                    clock.remove(page)
                 elif op == 3 and real:
-                    assert view.pop() == real.pop()
-                assert list(view) == list(real)
-                assert len(view) == len(real) == int(pc[_PC_LEN])
+                    assert clock.pop() == real.pop()
+                assert list(clock) == list(real)
+                assert len(clock) == len(real) == int(pc[PC_LEN])
                 if real:
-                    assert view[0] == real[0] and view[-1] == real[-1]
-                assert 0 <= int(pc[_PC_HEAD]) < 6
+                    assert clock[0] == real[0] and clock[-1] == real[-1]
+                assert 0 <= int(pc[PC_HEAD]) < 6

@@ -117,29 +117,28 @@ class TestVCNUMA:
         policy = VCNUMAPolicy(threshold=16, break_even=8, increment=8,
                               min_evictions_per_eval=4)
         state = policy.make_node_state()
-        state.cached_pages = 2
         for _ in range(4):  # 4 evictions with 0 page-cache hits: all losers
-            policy.on_page_evicted(state, page=1, pagecache_hits=0)
+            policy.on_page_evicted(state, page=1, pagecache_hits=0,
+                                   cached_pages=2)
         assert state.effective_threshold() == 24
 
     def test_threshold_recovers_after_winning_evictions(self):
         policy = VCNUMAPolicy(threshold=16, break_even=8, increment=8,
                               min_evictions_per_eval=4)
         state = policy.make_node_state()
-        state.cached_pages = 2
         for _ in range(4):
-            policy.on_page_evicted(state, 1, pagecache_hits=0)
+            policy.on_page_evicted(state, 1, pagecache_hits=0, cached_pages=2)
         for _ in range(4):
-            policy.on_page_evicted(state, 1, pagecache_hits=100)
+            policy.on_page_evicted(state, 1, pagecache_hits=100,
+                                   cached_pages=2)
         assert state.effective_threshold() == 16
 
     def test_evaluation_cadence_respected(self):
         policy = VCNUMAPolicy(threshold=16, break_even=8, increment=8,
                               min_evictions_per_eval=8)
         state = policy.make_node_state()
-        state.cached_pages = 1
         for _ in range(7):
-            policy.on_page_evicted(state, 1, pagecache_hits=0)
+            policy.on_page_evicted(state, 1, pagecache_hits=0, cached_pages=1)
         assert state.effective_threshold() == 16  # not evaluated yet
 
 
