@@ -8,7 +8,6 @@ Commands
 ``sweep APP``          pressure sweep for one app across architectures
 ``matrix``             the whole evaluation matrix, parallel + resumable
 ``claims``             run the paper-claim scorecard
-``bench``              run the repro.perf microbenchmark suite
 ``check APP ARCH``     one run under the online invariant checker
 ``hotpages APP ARCH``  hot-page report after one run
 ``analyze APP``        workload characterisation (tracestats)
@@ -232,20 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="sweep")
 
     sub.add_parser("claims", help="paper-claim scorecard")
-
-    p = sub.add_parser("bench",
-                       help="run the repro.perf microbenchmark suite")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats per benchmark, best-of reported"
-                        " (default 3)")
-    p.add_argument("--only", default=None,
-                   help="run only benchmarks whose name contains this"
-                        " substring")
-    p.add_argument("--out", default=None, metavar="JSON",
-                   help="write the results as JSON (e.g. BENCH_pr3.json)")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="previous BENCH_*.json: embed it and report"
-                        " speedups against it")
 
     p = sub.add_parser("check",
                        help="run one simulation under the online invariant"
@@ -627,25 +612,6 @@ def _cmd_claims(args) -> str:
     return render_scorecard(validate_all(scale=args.scale))
 
 
-def _cmd_bench(args) -> str:
-    import json as _json
-    from ..perf import bench_payload, load_bench_json, run_suite
-    results = run_suite(repeats=args.repeats, only=args.only)
-    if not results:
-        raise ValueError(f"no benchmark matches {args.only!r}")
-    baseline = load_bench_json(args.baseline) if args.baseline else None
-    payload = bench_payload(results, baseline=baseline)
-    lines = [r.summary() for r in results]
-    for name, speedup in payload.get("speedup_vs_baseline", {}).items():
-        lines.append(f"{name}: {speedup:.2f}x vs baseline")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        lines.append(f"wrote {args.out}")
-    return "\n".join(lines)
-
-
 def _cmd_hotpages(args) -> str:
     from ..sim.config import SystemConfig
     from ..sim.engine import Engine
@@ -849,7 +815,6 @@ _COMMANDS = {
     "ingest": _cmd_ingest,
     "sample-report": _cmd_sample_report,
     "claims": _cmd_claims,
-    "bench": _cmd_bench,
     "check": _cmd_check,
     "hotpages": _cmd_hotpages,
     "analyze": _cmd_analyze,
@@ -881,16 +846,18 @@ def _make_recorder(args):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Loop selection travels via the environment (never the spec hash),
-    # so executor pool workers inherit it with zero plumbing.
-    if args.vector_mode:
-        os.environ["REPRO_VECTOR_PATH"] = args.vector_mode
     from ..obs import use_obs
     from ..runtime import RunStore, TraceStore, use_store, use_trace_store
     store = None if args.no_cache else RunStore(args.store_dir)
     trace_store = (None if args.no_trace_cache
                    else TraceStore(args.trace_dir))
     recorder = _make_recorder(args)
+    # Loop selection travels via the environment (never the spec hash),
+    # so executor pool workers inherit it with zero plumbing.  It holds
+    # for this command only.
+    prev_mode = os.environ.get("REPRO_VECTOR_PATH")
+    if args.vector_mode:
+        os.environ["REPRO_VECTOR_PATH"] = args.vector_mode
     try:
         with use_store(store, refresh=args.refresh), \
                 use_trace_store(trace_store), use_obs(recorder):
@@ -899,6 +866,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        if args.vector_mode:
+            if prev_mode is None:
+                os.environ.pop("REPRO_VECTOR_PATH", None)
+            else:
+                os.environ["REPRO_VECTOR_PATH"] = prev_mode
         if recorder is not None:
             sink = recorder.sink
             sink.close()

@@ -8,7 +8,7 @@ resident: the :class:`~repro.runtime.store.RunStore`, the
 trace memo) and — with the process backend — a warm worker pool all
 survive across jobs, so a submit whose cells are cached answers in
 about a millisecond where a fresh ``repro run`` pays ~1s of process
-startup (``bench_serve_warm`` pins the factor).
+startup (``benchmarks/test_perf_regression.py`` checks the factor).
 
 Guarantees, mirroring (and built on) :mod:`repro.runtime.executor`:
 

@@ -42,11 +42,6 @@ class TestParser:
         args = build_parser().parse_args(["matrix", "--quantum", "500"])
         assert args.quantum == 500
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.repeats == 3
-        assert args.only is None and args.out is None and args.baseline is None
-
     def test_obs_flags_on_run_and_matrix(self):
         args = build_parser().parse_args(["run", "fft", "ascoma", "--obs"])
         assert args.obs and not args.no_obs
@@ -141,39 +136,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1/1 claims reproduced" in out
 
-
-class TestBenchCommand:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--only", "tracegen:em3d", "--repeats", "1",
-                     "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tracegen:em3d" in out and "ev/s" in out
-        import json
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == 1
-        (entry,) = payload["results"]
-        assert entry["name"] == "tracegen:em3d"
-        assert entry["events_per_sec"] > 0
-
-    def test_bench_with_baseline_reports_speedup(self, capsys, tmp_path):
-        base = tmp_path / "base.json"
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--only", "tracegen:em3d", "--repeats", "1",
-                     "--out", str(base)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--only", "tracegen:em3d", "--repeats", "1",
-                     "--baseline", str(base), "--out", str(out_path)]) == 0
-        assert "x vs baseline" in capsys.readouterr().out
-        import json
-        payload = json.loads(out_path.read_text())
-        assert "tracegen:em3d" in payload["speedup_vs_baseline"]
-        assert payload["baseline"] == json.loads(base.read_text())
-
-    def test_bench_unknown_filter_fails_cleanly(self, capsys):
-        assert main(["bench", "--only", "no-such-bench"]) == 2
-        assert "error" in capsys.readouterr().err
-
     def test_quantum_changes_the_run(self, capsys):
         base = ["--scale", "0.1", "--no-cache", "run", "radix", "ascoma",
                 "--pressure", "0.7"]
@@ -185,6 +147,30 @@ class TestBenchCommand:
         # move the counters; identical output would mean the flag is
         # not reaching the engine.
         assert tight != default
+
+    @pytest.mark.parametrize("before", [None, "1"])
+    def test_vector_mode_holds_for_the_command_only(self, monkeypatch,
+                                                    capsys, before):
+        """--vector-mode sets REPRO_VECTOR_PATH while the command runs
+        (pool workers inherit it) and then restores the caller's value,
+        or its absence, whether the command succeeds or fails."""
+        import os
+
+        import repro.harness.cli as cli
+        if before is None:
+            monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_VECTOR_PATH", before)
+        during = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "run",
+            lambda args: during.append(os.environ.get("REPRO_VECTOR_PATH"))
+            or "ran")
+        assert main(["--vector-mode", "off", "run", "fft", "ascoma"]) == 0
+        assert during == ["off"]
+        assert os.environ.get("REPRO_VECTOR_PATH") == before
+        assert main(["--vector-mode", "off", "sweep", "linpack"]) == 2
+        assert os.environ.get("REPRO_VECTOR_PATH") == before
 
 
 class TestMatrixCommand:

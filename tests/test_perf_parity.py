@@ -319,7 +319,9 @@ class TestObsTimelineParity:
     """--obs must observe the *same simulation* whichever loop runs it:
     the BackoffTelemetry row stream (every daemon decision with its
     clock, every phase row) and its counters must be byte-equal across
-    kernel and reference replays."""
+    kernel and reference replays, and so must the invalidate/demote
+    stream the kernel's event ring defers to kind-filtered
+    subscribers."""
 
     def _run_with_obs(self, **engine_kwargs):
         from repro.obs.backoff import BackoffTelemetry
@@ -338,6 +340,62 @@ class TestObsTimelineParity:
         assert t_ref.rows, "radix@0.9 must produce daemon activity"
         assert t_vec.rows == t_ref.rows
         assert t_vec.counters() == t_ref.counters()
+
+    @staticmethod
+    def _ping_pong_workload():
+        """Two nodes that each write one line and read another of the
+        same 8 lines of page 0, 40,000 times: a steady stream of
+        invalidations and demotions with no Python exit to drain
+        them."""
+        from repro.sim.trace import TraceBuilder, WorkloadTraces
+        traces = []
+        for _ in range(2):
+            b = TraceBuilder()
+            for i in range(40_000):
+                b.write(i % 8)
+                b.read((i + 4) % 8)
+            traces.append(b.build())
+        return WorkloadTraces("ping-pong", traces, home_pages_per_node=1,
+                              total_shared_pages=2)
+
+    def test_saturated_event_ring_parity(self, monkeypatch):
+        """More watched invalidations and demotions than the ring holds
+        between exits: the kernel must leave through ``_RINGFULL``, and
+        ``_flush_ring`` must publish the same ``(kind, node, page,
+        clock, detail)`` stream as the reference loop."""
+        from repro.core import make_policy
+        from repro.sim import soatrace
+        from repro.sim.events import EV_DEMOTE, EV_INVALIDATE
+
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        ffi, lib = soatrace._load_kernel()
+        exits = []
+
+        class CountingLib:
+            def soa_run(self, state):
+                exits.append(lib.soa_run(state))
+                return exits[-1]
+
+        monkeypatch.setattr(soatrace, "_KERNEL", (ffi, CountingLib()))
+
+        def replay(vector_path):
+            engine = Engine(self._ping_pong_workload(), make_policy("CCNUMA"),
+                            SystemConfig(n_nodes=2, memory_pressure=0.5),
+                            quantum=10, vector_path=vector_path)
+            seen = []
+            engine.machine.events.subscribe(
+                lambda ev: seen.append((ev.kind, ev.node, ev.page, ev.clock,
+                                        ev.detail)),
+                kinds=(EV_INVALIDATE, EV_DEMOTE))
+            return engine.run().to_dict(), seen
+
+        r_vec, s_vec = replay(True)
+        r_ref, s_ref = replay(False)
+        assert exits.count(soatrace._RINGFULL) >= 1
+        assert {kind for kind, *_ in s_ref} == {EV_INVALIDATE, EV_DEMOTE}
+        assert s_vec == s_ref
+        assert r_vec == r_ref
 
 
 class TestVectorPathSelection:
@@ -499,6 +557,109 @@ class TestVectorModeSelection:
         assert vector_outcomes == [None]
         assert len(reference_calls) == 1
         assert result.invariant_violations == 0
+
+
+class TestDefaultPathEngagesKernel:
+    """The parity suites prove the kernel is *correct* when selected;
+    these prove it is *selected* on the paths users take: a
+    default-constructed engine, a cell observed the way ``--obs``
+    observes it, and cells on executor pool workers.  Each clears
+    ``REPRO_VECTOR_PATH`` (so the kernel-off CI leg runs it too) and
+    requires every ``run_vector`` call to return a clock."""
+
+    @staticmethod
+    def _probe(monkeypatch, record):
+        """Route every ``run_vector`` call through *record(clock)*.
+        Engine._run_vector imports run_vector lazily from the module,
+        so patching the module attribute intercepts the dispatch, in
+        forked pool workers too."""
+        from repro.sim import soatrace
+        real_run_vector = soatrace.run_vector
+
+        def probe(engine):
+            clock = real_run_vector(engine)
+            record(clock)
+            return clock
+
+        monkeypatch.setattr(soatrace, "run_vector", probe)
+
+    def test_vector_default_engages_kernel(self, monkeypatch):
+        """A default-constructed :class:`Engine` (no flags, no
+        environment overrides) must dispatch into the compiled kernel
+        and complete without falling back -- an eligibility regression
+        (or a dispatch typo) would otherwise degrade every default run
+        to the reference loop silently."""
+        from repro.sim import soatrace
+        from repro.sim.engine import default_vector_mode
+
+        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+        assert default_vector_mode() == "auto", (
+            "a clean environment must dispatch in vector-auto mode")
+        if not soatrace.vector_available():
+            pytest.skip("compiled SoA kernel unavailable on this host")
+
+        outcomes = []
+        self._probe(monkeypatch, outcomes.append)
+        wl = get_workload("fft", 0.05)
+        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.7)
+        Engine(wl, scaled_policy("ASCOMA"), config=cfg).run()
+        assert outcomes, "default-constructed Engine never reached run_vector"
+        assert outcomes[0] is not None, (
+            "run_vector fell back to the scalar path on a plain matrix cell; "
+            "kernel eligibility has regressed")
+
+    def test_observed_cell_engages_kernel(self, monkeypatch, tmp_path):
+        """``--obs`` attaches a :class:`~repro.obs.SpanRecorder`; its
+        backoff telemetry subscribes by kind, so the cell must still
+        replay on the kernel.  An unfiltered observer would refuse it
+        and cost 3-4x, the failure the ``--obs`` budget guards."""
+        from repro.obs import ObsSink, SpanRecorder
+        from repro.runtime import RunSpec, execute
+        from repro.runtime.spec import RunFailure
+
+        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+        if not vector_available():
+            pytest.skip("compiled SoA kernel unavailable on this host")
+        outcomes = []
+        self._probe(monkeypatch, outcomes.append)
+        obs = SpanRecorder(ObsSink(tmp_path))
+        try:
+            (result,) = execute([RunSpec.make("fft", "ASCOMA", 0.7, 0.05)],
+                                parallel=False, obs=obs).values()
+        finally:
+            obs.sink.close()
+        assert not isinstance(result, RunFailure)
+        assert outcomes and all(clock is not None for clock in outcomes), (
+            f"run_vector outcomes under --obs: {outcomes}")
+
+    def test_pool_workers_engage_kernel(self, monkeypatch, tmp_path):
+        """Cells dispatched to executor pool workers must replay on the
+        kernel in the workers.  Forked workers inherit the probe, which
+        appends each call's outcome to a file the parent reads back."""
+        import os
+
+        from repro.runtime import RunSpec, execute
+        from repro.runtime.spec import RunFailure
+
+        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+        if not vector_available():
+            pytest.skip("compiled SoA kernel unavailable on this host")
+        log = tmp_path / "outcomes"
+
+        def record(clock):
+            with open(log, "a", encoding="utf-8") as fh:
+                outcome = "fallback" if clock is None else "kernel"
+                fh.write(f"{os.getpid()} {outcome}\n")
+
+        self._probe(monkeypatch, record)
+        specs = [RunSpec.make("fft", arch, 0.7, 0.05)
+                 for arch in ("CCNUMA", "SCOMA", "RNUMA", "ASCOMA")]
+        results = execute(specs, parallel=True, max_workers=2)
+        assert not any(isinstance(r, RunFailure) for r in results.values())
+        records = [line.split() for line in log.read_text().splitlines()]
+        assert len(records) == len(specs), records
+        assert all(outcome == "kernel" for _, outcome in records), records
+        assert all(int(pid) != os.getpid() for pid, _ in records), records
 
 
 class TestKernelPageFaults:
