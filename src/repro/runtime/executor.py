@@ -146,8 +146,8 @@ def _prewarm(specs) -> dict:
     skipped — the same failure reproduces inside :func:`run_spec`,
     where it is isolated into a :class:`RunFailure` instead of killing
     the sweep.  Sampled cells warm (and count) the *sampled* workload,
-    which on a warm trace store streams from the ``.soa`` sidecar
-    without materializing the full trace.
+    which on a warm trace store streams from the memory-mapped full
+    trace without materializing it in the heap.
 
     The vector kernel is probed (built + dlopened) here too: one
     compile in the parent instead of one per forked worker, and the

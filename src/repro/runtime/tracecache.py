@@ -14,41 +14,28 @@ caches results:
   arrays changes the key; bumping
   :data:`~repro.sim.trace.TRACE_FORMAT_VERSION` orphans every entry.
 * **Artifacts** — one file per workload under ``results/traces/``, in
-  the existing ``_MAGIC`` binary format
-  (:meth:`~repro.sim.trace.WorkloadTraces.save`), written atomically so
-  concurrent matrix workers cannot tear an entry.
+  the trace file format of :meth:`~repro.sim.trace.WorkloadTraces.save`:
+  flat kind and arg arrays behind a JSON header, written atomically so
+  concurrent matrix workers cannot tear an entry.  ``get`` memory-maps
+  the file read-only (:meth:`~repro.sim.trace.WorkloadTraces.load`), so
+  warm processes never decode a workload, and concurrent matrix
+  workers share one page-cache copy of its arrays.
 * **Memo** — a per-process in-memory layer on top
   (:func:`fetch_traces`), so a warm worker touches each workload once
   per run no matter how many cells share it, and cells served from the
-  same process share one ``WorkloadTraces`` object (and therefore one
-  cached SoA decode) instead of one per cell.
+  same process share one ``WorkloadTraces`` object.
 
 A corrupt, stale or foreign file is a *miss*, never an error: the
-workload is regenerated and the entry rewritten.  The cache changes
-*when* traces are built, never *what* is built — ``tests/test_tracecache.py``
-pins cached-vs-regenerated bit-identity.
+workload is regenerated and the entry rewritten.  A store that cannot
+be written is not an error either: :func:`fetch_traces` keeps the
+workload it built and warns once.  The cache changes *when* traces are
+built, never *what* is built — ``tests/test_tracecache.py`` pins
+cached-vs-regenerated bit-identity.
 
 Replay-loop selection (``REPRO_VECTOR_PATH``) never enters
 :func:`trace_key` for the same reason it stays out of
 ``RunSpec.spec_hash()``: the loops are bit-identical consumers of the
-same trace arrays, and the vectorized loop's SoA decode
-(:meth:`~repro.sim.trace.WorkloadTraces.soa`) is a per-process view
-built lazily on top of whatever this cache loads.
-
-SoA sidecars
-------------
-With the vector kernel the default substrate, every fresh process pays
-the SoA decode (concatenate all node traces into flat arrays) before
-its first replay.  ``put`` therefore also writes a ``.soa`` sidecar
-next to each ``.trace`` artifact — flat kind/arg arrays in a
-memory-mappable layout — and ``get`` attaches it read-only via
-``np.memmap``, so warm processes skip the decode *and* share the
-page-cache copy of the arrays across concurrent matrix workers.  The
-sidecar is strictly additive: it is keyed by the workload's
-``content_hash`` plus :data:`SOA_FORMAT_VERSION`, and any mismatch,
-truncation, foreign byte order or missing file is a silent decode miss
-(the in-memory decode runs as before), never an error.  Older caches
-containing only ``.trace`` files keep working unchanged.
+same trace arrays.
 """
 
 from __future__ import annotations
@@ -57,15 +44,13 @@ import contextlib
 import hashlib
 import json
 import os
-import sys
-import tempfile
+import warnings
 from pathlib import Path
 
-import numpy as np
+from ..sim.trace import TRACE_FORMAT_VERSION, TRACE_LAYOUT_VERSION, \
+    WorkloadTraces
 
-from ..sim.trace import TRACE_FORMAT_VERSION, WorkloadTraces
-
-__all__ = ["TRACE_STORE_VERSION", "SOA_FORMAT_VERSION", "TraceStore",
+__all__ = ["TRACE_STORE_VERSION", "TraceStore",
            "trace_key", "fetch_traces", "clear_trace_memo",
            "get_default_trace_store", "set_default_trace_store",
            "use_trace_store", "write_soa_sidecar", "attach_soa_sidecar",
@@ -75,165 +60,35 @@ __all__ = ["TRACE_STORE_VERSION", "SOA_FORMAT_VERSION", "TraceStore",
 #: keying scheme itself changes; old artifacts then stop matching.
 TRACE_STORE_VERSION = 1
 
-#: Version of the ``.soa`` sidecar layout.  Bump when the byte layout
-#: or the tuple shape of ``WorkloadTraces.soa()`` changes; stale
-#: sidecars then read as decode misses and are rewritten on the next
-#: ``put``.
-SOA_FORMAT_VERSION = 1
 
-_SOA_MAGIC = b"ASOA1\n"
-
-
-def _pad8(offset: int) -> int:
-    """Bytes of zero padding needed to 8-align *offset*."""
-    return -offset % 8
+# The three functions below are the store's whole file I/O.  They keep
+# their "sidecar" names, although no second file exists, because the
+# benchmark's per-layer tracer wraps them by name, as
+# ``tracecache.soa_write``, ``tracecache.soa_attach`` and
+# ``workloads.sample``: renaming them is a change to the benchmark.
+def write_soa_sidecar(path: Path, traces: WorkloadTraces) -> None:
+    """Write *traces* to *path* (atomically; raises ``OSError``)."""
+    traces.save(str(path))
 
 
-def write_soa_sidecar(trace_path: Path, traces: WorkloadTraces) -> bool:
-    """Write ``<stem>.soa`` next to *trace_path*; best-effort.
+def attach_soa_sidecar(path: Path) -> WorkloadTraces:
+    """Memory-map the workload at *path* (raises ``OSError``/``ValueError``)."""
+    return WorkloadTraces.load(str(path))
 
-    Layout: magic, one JSON header line (format version, workload
-    ``content_hash``, per-node lengths, ref bounds, byte order), zero
-    padding to 8 bytes, the raw ``uint8`` kind array, padding, the raw
-    little-endian ``int64`` arg array.  Returns ``False`` (and leaves
-    no partial file behind) on any failure — an unwritable cache
-    directory must never break trace generation.
+
+def sample_from_sidecar(path: Path, sample) -> WorkloadTraces | None:
+    """The *sample* of the workload stored at *path*, or ``None``.
+
+    The full arrays stay memory-mapped while the sampler streams over
+    them node by node, so only the reduced workload enters the heap.
     """
-    kinds, args, _offsets, lengths, ref_lo, ref_hi = traces.soa()
-    header = {
-        "soa_format_version": SOA_FORMAT_VERSION,
-        "content_hash": traces.content_hash(),
-        "n_nodes": traces.n_nodes,
-        "lengths": [int(x) for x in lengths],
-        "ref_lo": ref_lo,
-        "ref_hi": ref_hi,
-        "byteorder": "little",
-    }
-    blob = json.dumps(header, sort_keys=True,
-                      separators=(",", ":")).encode() + b"\n"
-    path = trace_path.with_suffix(".soa")
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=trace_path.parent, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_SOA_MAGIC)
-            fh.write(blob)
-            fh.write(b"\0" * _pad8(fh.tell()))
-            fh.write(np.ascontiguousarray(kinds, dtype=np.uint8).tobytes())
-            fh.write(b"\0" * _pad8(fh.tell()))
-            fh.write(np.ascontiguousarray(args, dtype="<i8").tobytes())
-        os.replace(tmp, path)
-        return True
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        return False
-
-
-def _map_soa(trace_path: Path):
-    """Validate and memory-map ``<stem>.soa``.
-
-    Returns ``(header, kinds, args, offsets, lengths)`` with the two
-    event arrays as read-only memmaps, or ``None`` on any mismatch
-    (wrong magic/version/byte order, truncation, unreadable file).
-    """
-    if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-        return None
-    path = trace_path.with_suffix(".soa")
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(_SOA_MAGIC)) != _SOA_MAGIC:
-                return None
-            header = json.loads(fh.readline().decode())
-            if header.get("soa_format_version") != SOA_FORMAT_VERSION:
-                return None
-            if header.get("byteorder") != "little":
-                return None
-            lengths_list = header.get("lengths")
-            if not isinstance(lengths_list, list):
-                return None
-            pos = fh.tell()
-        lengths = np.array(lengths_list, dtype=np.int64)
-        total = int(lengths.sum())
-        k_off = pos + _pad8(pos)
-        a_off = k_off + total
-        a_off += _pad8(a_off)
-        if path.stat().st_size != a_off + 8 * total:
-            return None
-        if total:
-            kinds = np.memmap(path, dtype=np.uint8, mode="r",
-                              offset=k_off, shape=(total,))
-            args = np.memmap(path, dtype=np.dtype("<i8"), mode="r",
-                             offset=a_off, shape=(total,))
-        else:
-            kinds = np.zeros(0, dtype=np.uint8)
-            args = np.zeros(0, dtype=np.int64)
-        offsets = np.zeros(len(lengths), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        return header, kinds, args, offsets, lengths
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def attach_soa_sidecar(trace_path: Path, traces: WorkloadTraces) -> bool:
-    """Memory-map ``<stem>.soa`` into ``traces``' SoA cache slot.
-
-    Validates magic, format version, workload content hash, byte order
-    and exact file size before trusting the arrays; every mismatch is
-    a silent decode miss (returns ``False``), after which
-    :meth:`WorkloadTraces.soa` recomputes in memory exactly as it
-    would without a sidecar.
-    """
-    mapped = _map_soa(trace_path)
-    if mapped is None:
-        return False
-    header, kinds, args, offsets, lengths = mapped
-    if header.get("content_hash") != traces.content_hash():
-        return False
-    if len(lengths) != traces.n_nodes:
-        return False
-    try:
-        bounds = (int(header["ref_lo"]), int(header["ref_hi"]))
-    except (KeyError, ValueError, TypeError):
-        return False
-    traces._soa_cache = (kinds, args, offsets, lengths, *bounds)
-    return True
-
-
-def sample_from_sidecar(trace_path: Path, sample) -> WorkloadTraces | None:
-    """Build a *sampled* workload straight from a cached full artifact.
-
-    Reads only the ``.trace`` metadata header (a few hundred bytes) and
-    memory-maps the ``.soa`` sidecar, so the full event arrays never
-    enter the process heap — the property that lets ``--sample-rate``
-    runs on a warm trace store peak at roughly the kept fraction of the
-    full run's trace memory.  Any missing or invalid file is ``None``
-    (the caller falls back to sampling an in-memory full fetch).
-    """
-    from ..mem.address import AddressMap
-    from ..sim.trace import load_trace_header
-    from ..workloads.sample import assemble_sampled
+    from ..workloads.sample import sample_workload
 
     try:
-        header = load_trace_header(str(trace_path))
-    except (OSError, ValueError, KeyError, EOFError, SyntaxError):
+        full = WorkloadTraces.load(str(path))
+    except (OSError, ValueError):
         return None
-    mapped = _map_soa(trace_path)
-    if mapped is None:
-        return None
-    soa_header, kinds, args, offsets, lengths = mapped
-    if len(lengths) != header.get("n_nodes"):
-        return None
-    params = dict(header.get("params") or {})
-    params["full_content_hash"] = soa_header.get("content_hash")
-    try:
-        return assemble_sampled(header["name"], kinds, args, offsets,
-                                lengths, header["home_pages_per_node"],
-                                header["total_shared_pages"], params, sample,
-                                AddressMap().lines_per_page)
-    except (KeyError, ValueError, TypeError):
-        return None
+    return sample_workload(full, sample)
 
 
 def trace_key(app: str, scale: float, sample=None, **overrides) -> str:
@@ -292,7 +147,6 @@ class TraceStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.soa_attaches = 0
 
     # -- paths ----------------------------------------------------------
     def path_for(self, app: str, scale: float, sample=None,
@@ -328,51 +182,35 @@ class TraceStore:
             **overrides) -> WorkloadTraces | None:
         """Cached workload, or ``None`` (never raises on bad files).
 
-        A wrong magic, a stale format version, a truncated file or a
-        header naming a different application all read as a miss; the
-        caller regenerates and overwrites.  A non-null *sample*
-        resolves the sampled artifact (distinct key, never aliases the
-        full trace).
+        A wrong magic, a stale format or layout version, a file whose
+        size does not match its header or a header naming a different
+        application all read as a miss; the caller regenerates and
+        overwrites.  A non-null *sample* resolves the sampled artifact
+        (distinct key, never aliases the full trace).
         """
         from ..workloads.sample import SampleSpec
 
         sample = SampleSpec.from_any(sample)
         path = self.path_for(app, scale, sample=sample, **overrides)
         try:
-            traces = WorkloadTraces.load(str(path))
-        except (OSError, ValueError, KeyError, EOFError, SyntaxError):
-            # SyntaxError: a truncated header fails ast.literal_eval.
+            traces = attach_soa_sidecar(path)
+        except (OSError, ValueError):
             self.misses += 1
             return None
         if not self._name_matches(traces, app, sample):
             self.misses += 1
             return None
         self.hits += 1
-        if attach_soa_sidecar(path, traces):
-            self.soa_attaches += 1
         return traces
-
-    def __contains__(self, key: tuple) -> bool:
-        app, scale = key
-        return self.path_for(app, scale).exists()
 
     # -- update ---------------------------------------------------------
     def put(self, app: str, scale: float, traces: WorkloadTraces,
             sample=None, **overrides) -> Path:
-        """Persist *traces* atomically (write temp file, then rename)."""
+        """Persist *traces* atomically; returns the artifact's path."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(app, scale, sample=sample, **overrides)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        os.close(fd)
-        try:
-            traces.save(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        self.writes += 1
         write_soa_sidecar(path, traces)
+        self.writes += 1
         return path
 
     # -- maintenance ----------------------------------------------------
@@ -389,53 +227,46 @@ class TraceStore:
             try:
                 traces = WorkloadTraces.load(str(path))
                 nbytes = path.stat().st_size
-            except (OSError, ValueError, KeyError, EOFError, SyntaxError):
+            except (OSError, ValueError):
                 continue
             out.append({
                 "file": path.name,
                 "name": traces.name,
                 "n_nodes": traces.n_nodes,
-                "events": sum(len(t) for t in traces.traces),
+                "events": len(traces.kinds),
                 "content_hash": traces.content_hash(),
                 "bytes": nbytes,
-                "soa": path.with_suffix(".soa").exists(),
             })
         return out
 
     def clear(self) -> int:
-        """Delete every artifact (and its sidecar); returns .trace count."""
+        """Delete every artifact; returns how many were removed."""
         removed = 0
         for path in self.root.glob("*.trace"):
             with contextlib.suppress(OSError):
                 path.unlink()
                 removed += 1
-            with contextlib.suppress(OSError):
-                path.with_suffix(".soa").unlink()
         return removed
 
     def size_bytes(self) -> int:
         """Total artifact bytes; files vanishing mid-scan count as 0."""
         total = 0
-        for pattern in ("*.trace", "*.soa"):
-            for path in self.root.glob(pattern):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
+        for path in self.root.glob("*.trace"):
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue
         return total
 
     def describe(self) -> dict:
         n = len(list(self.root.glob("*.trace"))) if self.root.is_dir() else 0
-        n_soa = len(list(self.root.glob("*.soa"))) if self.root.is_dir() else 0
         return {"root": str(self.root), "entries": n,
-                "soa_sidecars": n_soa,
                 "bytes": self.size_bytes(),
                 "format_version": TRACE_FORMAT_VERSION,
+                "layout_version": TRACE_LAYOUT_VERSION,
                 "store_version": TRACE_STORE_VERSION,
-                "soa_format_version": SOA_FORMAT_VERSION,
                 "session": {"hits": self.hits, "misses": self.misses,
-                            "writes": self.writes,
-                            "soa_attaches": self.soa_attaches}}
+                            "writes": self.writes}}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceStore({str(self.root)!r})"
@@ -457,19 +288,18 @@ def clear_trace_memo() -> None:
 def fetch_traces(app: str, scale: float,
                  store: "TraceStore | None" = None,
                  sample=None) -> WorkloadTraces:
-    """Memo -> trace store -> sidecar sampling -> generator, in order.
+    """Memo -> trace store -> sampling or generation, in order.
 
     The one entry point the runtime layer uses for workload traces.
     With *store* ``None`` the ambient store applies (``None`` ambient
-    means no disk caching — the library/test default); generation misses
-    are written back so the next process starts warm.
+    means no disk caching — the library/test default); misses are
+    written back so the next process starts warm.  A store that cannot
+    be written keeps the workload and warns once (:func:`_put`).
 
     A non-null *sample* resolves the *sampled* workload: a cached
-    sampled artifact if one exists, else — on a warm store — a
-    streaming reduction straight from the full artifact's ``.soa``
-    sidecar (the full arrays never enter the heap), else an in-memory
-    sampling of the full fetch.  Sampled results are written back under
-    their own sample-suffixed key.
+    sampled artifact if one exists, else a sampling of the full fetch
+    (memory-mapped on a warm store, so only the reduced arrays enter
+    the heap), written back under its own sample-suffixed key.
 
     External (``ext/``) apps resolve only through the store — there is
     no generator to fall back to; a miss raises with a pointer to
@@ -486,50 +316,60 @@ def fetch_traces(app: str, scale: float,
         return traces
     if store is not None:
         traces = store.get(app, scale, sample=sample)
-    if traces is None and sample is not None and store is not None:
-        full_path = store.path_for(app, scale)
-        traces = sample_from_sidecar(full_path, sample)
-        if traces is not None and not store._name_matches(traces, app, sample):
-            traces = None
-        if traces is not None and app.startswith("ext/"):
-            # The sampled arrays hash differently from the full
-            # workload, so identity is pinned through the sidecar's
-            # record of the *full* content hash instead.
-            from ..workloads.ingest import parse_external_app
-
-            if (traces.params.get("full_content_hash")
-                    != parse_external_app(app)[1]):
-                traces = None
-        if traces is not None:
-            store.put(app, scale, traces, sample=sample)
-    if traces is None and sample is not None:
-        traces = _sample_in_memory(app, scale, store, sample)
-        if store is not None:
-            store.put(app, scale, traces, sample=sample)
     if traces is None:
-        if app.startswith("ext/"):
-            raise LookupError(
-                f"external workload {app!r} is not in the trace store"
-                + (f" at {store.root}" if store is not None else
-                   " (and no trace store is installed)")
-                + "; register it first with `repro ingest`")
-        # get_workload's lru_cache is the generation-side memo, shared
-        # with direct harness callers (perf suite, tables, figures).
-        from ..harness.experiment import get_workload
-
-        traces = get_workload(app, scale)
+        traces = _build(app, scale, store, sample)
         if store is not None:
-            store.put(app, scale, traces)
+            _put(store, app, scale, traces, sample)
     _memo[key] = traces
     return traces
 
 
-def _sample_in_memory(app: str, scale: float, store, sample) -> WorkloadTraces:
-    """Cold-path sampling: fetch (or generate) the full workload, reduce it."""
-    from ..workloads.sample import sample_workload
+def _build(app: str, scale: float, store, sample) -> WorkloadTraces:
+    """A workload the store missed: sampled from the full fetch, or generated."""
+    if sample is not None:
+        from ..workloads.sample import sample_workload
 
-    full = fetch_traces(app, scale, store)
-    return sample_workload(full, sample)
+        traces = sample_workload(fetch_traces(app, scale, store), sample)
+        if app.startswith("ext/"):
+            # The sampled arrays hash differently from the full
+            # workload, so record the full hash the id names (the full
+            # fetch verified it).
+            from ..workloads.ingest import parse_external_app
+
+            traces.params["full_content_hash"] = parse_external_app(app)[1]
+        return traces
+    if app.startswith("ext/"):
+        raise LookupError(
+            f"external workload {app!r} is not in the trace store"
+            + (f" at {store.root}" if store is not None else
+               " (and no trace store is installed)")
+            + "; register it first with `repro ingest`")
+    # get_workload's lru_cache is the generation-side memo, shared
+    # with direct harness callers (tables, figures).
+    from ..harness.experiment import get_workload
+
+    return get_workload(app, scale)
+
+
+#: Store roots whose failed write has already warned in this process.
+_unwritable: set[str] = set()
+
+
+def _put(store: TraceStore, app: str, scale: float, traces: WorkloadTraces,
+         sample) -> None:
+    """Write back a miss; an unwritable store warns once and is skipped.
+
+    The trace store is a cache: a failed write loses nothing but the
+    next process's head start, so the run keeps the workload it built.
+    """
+    try:
+        store.put(app, scale, traces, sample=sample)
+    except OSError as exc:
+        if str(store.root) not in _unwritable:
+            _unwritable.add(str(store.root))
+            warnings.warn(f"trace store at {store.root} is unusable ({exc});"
+                          " continuing without caching traces",
+                          RuntimeWarning, stacklevel=3)
 
 
 # -- ambient default ----------------------------------------------------

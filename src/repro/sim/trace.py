@@ -7,26 +7,35 @@ A trace is the sequence of events one node's processor generates:
 * ``LOCAL``  -- a burst of private/non-shared memory stall (cycles),
 * ``BARRIER`` -- global synchronisation point.
 
-Traces are stored as three parallel numpy arrays (kind, arg) for
-compactness; the replay engine converts them to Python lists once per
-run because scalar indexing of Python lists is ~3x faster than numpy
-scalar indexing in the interpreter loop (see the hpc guides: profile,
-then optimise the measured hot path).
+A workload keeps every node's events in one flat pair of arrays: a
+``uint8`` kind array and an ``int64`` arg array, with per-node
+``offsets``/``lengths``.  Each node's :class:`Trace` is a view into
+them.  The compiled replay kernel reads the flat arrays directly
+(:meth:`WorkloadTraces.soa`); the reference loop converts each node's
+view to Python lists once per run, because scalar indexing of Python
+lists is ~3x faster than numpy scalar indexing in the interpreter loop.
 
-The module also provides a tiny binary save/load format so generated
-workloads can be cached on disk.
+On disk a workload is one file: a magic line, one JSON header line,
+then the kind array and the little-endian arg array, each starting on
+an 8-byte boundary.  :meth:`WorkloadTraces.save` writes it atomically
+and :meth:`WorkloadTraces.load` memory-maps it read-only, so a loaded
+workload's events stay in the page cache instead of the heap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["EV_READ", "EV_WRITE", "EV_COMPUTE", "EV_LOCAL", "EV_BARRIER",
-           "TRACE_FORMAT_VERSION", "Trace", "TraceBuilder", "WorkloadTraces",
-           "coalesce_events", "load_trace_header"]
+           "TRACE_FORMAT_VERSION", "TRACE_LAYOUT_VERSION", "Trace",
+           "TraceBuilder", "WorkloadTraces", "coalesce_events"]
 
 EV_READ = 0
 EV_WRITE = 1
@@ -37,14 +46,24 @@ EV_BARRIER = 4
 _EVENT_NAMES = {EV_READ: "READ", EV_WRITE: "WRITE", EV_COMPUTE: "COMPUTE",
                 EV_LOCAL: "LOCAL", EV_BARRIER: "BARRIER"}
 
-_MAGIC = b"ASCT1\n"
+_MAGIC = b"ASTRACE\n"
 
-#: Version of the event encoding + on-disk layout.  Bump whenever the
-#: meaning of (kind, arg) pairs or the binary layout changes: saved
-#: files then stop loading (``load`` raises) and every content hash
-#: derived from this constant stops matching, so stale trace-cache
-#: entries are regenerated rather than silently misread.
+#: Version of the event encoding.  Bump whenever the meaning of
+#: (kind, arg) pairs changes: saved files then stop loading (``load``
+#: raises) and every content hash derived from this constant stops
+#: matching, so stale trace-cache entries are regenerated rather than
+#: silently misread.
 TRACE_FORMAT_VERSION = 1
+
+#: Version of the on-disk file layout (header fields, array placement).
+#: Bump when :meth:`WorkloadTraces.save` changes what it writes; older
+#: files then stop loading.  Unlike :data:`TRACE_FORMAT_VERSION` it
+#: enters no content hash or cache key.
+TRACE_LAYOUT_VERSION = 1
+
+#: Header fields every saved workload carries, with their JSON types.
+_HEADER_FIELDS = {"name": str, "home_pages_per_node": int,
+                  "total_shared_pages": int, "params": dict, "lengths": list}
 
 
 def coalesce_events(kinds: np.ndarray,
@@ -217,9 +236,12 @@ class TraceBuilder:
 class WorkloadTraces:
     """A complete workload: one trace per node + metadata.
 
-    ``home_pages_per_node`` sizes each node's pinned memory (and thus,
-    with the memory pressure, its page cache); ``name`` keys the Table 5
-    and Figure 2/3 emitters.
+    The events of all nodes live in one flat ``kinds`` (``uint8``) and
+    one flat ``args`` (``int64``) array; node *i*'s events are
+    ``[offsets[i], offsets[i] + lengths[i])`` and ``traces[i]`` is a
+    :class:`Trace` view of that slice.  ``home_pages_per_node`` sizes
+    each node's pinned memory (and thus, with the memory pressure, its
+    page cache); ``name`` keys the Table 5 and Figure 2/3 emitters.
     """
 
     def __init__(self, name: str, traces: list[Trace],
@@ -227,14 +249,30 @@ class WorkloadTraces:
                  params: dict | None = None) -> None:
         if not traces:
             raise ValueError("need at least one node trace")
-        barrier_counts = {t.barriers() for t in traces}
-        if len(barrier_counts) != 1:
-            raise ValueError("all nodes must reach the same number of barriers")
+        self._bind(name, np.concatenate([t.kinds for t in traces]),
+                   np.concatenate([t.args for t in traces]),
+                   [len(t) for t in traces], home_pages_per_node,
+                   total_shared_pages, params)
+
+    def _bind(self, name: str, kinds, args, lengths,
+              home_pages_per_node: int, total_shared_pages: int,
+              params: dict | None) -> None:
+        """Adopt flat event arrays (without copying them) and metadata."""
         self.name = name
-        self.traces = traces
         self.home_pages_per_node = home_pages_per_node
         self.total_shared_pages = total_shared_pages
         self.params = params or {}
+        self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        self.args = np.ascontiguousarray(args, dtype=np.int64)
+        self.lengths = np.array(lengths, dtype=np.int64)
+        self.offsets = np.zeros(len(self.lengths), dtype=np.int64)
+        np.cumsum(self.lengths[:-1], out=self.offsets[1:])
+        self.traces = [Trace(self.kinds[o:o + n], self.args[o:o + n])
+                       for o, n in zip(self.offsets.tolist(),
+                                       self.lengths.tolist())]
+        if len({t.barriers() for t in self.traces}) != 1:
+            raise ValueError("all nodes must reach the same number of barriers")
+        self._ref_bounds = None
 
     @property
     def n_nodes(self) -> int:
@@ -271,40 +309,23 @@ class WorkloadTraces:
         return h / (h + r) if (h + r) else 1.0
 
     def soa(self) -> tuple:
-        """Structure-of-arrays decode of the whole workload, cached.
+        """Structure-of-arrays form of the whole workload.
 
-        Returns ``(kinds, args, offsets, lengths, ref_lo, ref_hi)``:
-        every node trace concatenated into one contiguous ``uint8`` kind
-        array and one contiguous ``int64`` arg array, with per-node
-        ``offsets``/``lengths`` (``int64``) locating node *i*'s events at
-        ``[offsets[i], offsets[i] + lengths[i])``.  ``ref_lo``/``ref_hi``
-        are the smallest and largest line id any READ/WRITE event
-        references (``0``/``-1`` when there are none) -- the vectorized
-        replay substrate (:mod:`repro.sim.soatrace`) sizes and bounds-
-        checks its dense state arrays with them.
-
-        The decode is computed once and cached on the workload object:
-        the evaluation matrix replays one workload under many
-        architectures and pressures, and the per-process trace memo
-        shares the ``WorkloadTraces`` instance across those runs, so the
-        concatenation cost is paid once per workload.  All arrays are
-        read-only for callers.
+        Returns ``(kinds, args, offsets, lengths, ref_lo, ref_hi)``: the
+        workload's own flat arrays, so nothing is copied.
+        ``ref_lo``/``ref_hi`` are the smallest and largest line id any
+        READ/WRITE event references (``0``/``-1`` when there are none)
+        -- the vectorized replay substrate (:mod:`repro.sim.soatrace`)
+        sizes and bounds-checks its dense state arrays with them.  They
+        are computed on the first call; all arrays are read-only for
+        callers.
         """
-        cached = getattr(self, "_soa_cache", None)
-        if cached is None:
-            kinds = np.concatenate([t.kinds for t in self.traces])
-            args = np.concatenate([t.args for t in self.traces])
-            lengths = np.array([len(t) for t in self.traces], dtype=np.int64)
-            offsets = np.zeros(len(lengths), dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            refs = args[kinds <= EV_WRITE]
-            if len(refs):
-                ref_lo, ref_hi = int(refs.min()), int(refs.max())
-            else:
-                ref_lo, ref_hi = 0, -1
-            cached = (kinds, args, offsets, lengths, ref_lo, ref_hi)
-            self._soa_cache = cached
-        return cached
+        if self._ref_bounds is None:
+            refs = self.args[self.kinds <= EV_WRITE]
+            self._ref_bounds = ((int(refs.min()), int(refs.max()))
+                                if len(refs) else (0, -1))
+        return (self.kinds, self.args, self.offsets, self.lengths,
+                *self._ref_bounds)
 
     def content_hash(self) -> str:
         """Stable 16-hex digest of the complete workload.
@@ -323,59 +344,82 @@ class WorkloadTraces:
 
     # -- persistence ---------------------------------------------------
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            header = {
-                "name": self.name,
-                "home_pages_per_node": self.home_pages_per_node,
-                "total_shared_pages": self.total_shared_pages,
-                "n_nodes": self.n_nodes,
-                "params": self.params,
-                "format_version": TRACE_FORMAT_VERSION,
-            }
-            fh.write((repr(header) + "\n").encode())
-            for trace in self.traces:
-                np.save(fh, trace.kinds)
-                np.save(fh, trace.args)
+        """Write the workload to *path* atomically.
+
+        The file is written under a temporary name in the target
+        directory and renamed over *path*, so a process that has *path*
+        memory-mapped keeps reading the old file's pages: truncating a
+        mapped file in place would make its next read raise SIGBUS.
+        """
+        header = {
+            "format_version": TRACE_FORMAT_VERSION,
+            "layout_version": TRACE_LAYOUT_VERSION,
+            "name": self.name,
+            "home_pages_per_node": self.home_pages_per_node,
+            "total_shared_pages": self.total_shared_pages,
+            "params": self.params,
+            "lengths": self.lengths.tolist(),
+        }
+        head = _MAGIC + json.dumps(header, sort_keys=True,
+                                   separators=(",", ":")).encode() + b"\n"
+        head += bytes(-len(head) % 8)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(head)
+                fh.write(self.kinds.data)
+                fh.write(bytes(-len(self.kinds) % 8))
+                fh.write(np.ascontiguousarray(self.args, dtype="<i8").data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "WorkloadTraces":
+        """Memory-map a file written by :meth:`save`, read-only.
+
+        Raises ``ValueError`` on a foreign magic, a stale format or
+        layout version, a malformed header, a file whose size does not
+        match its header, or nodes with unequal barrier counts.
+        """
         with open(path, "rb") as fh:
-            header = _read_header(fh, path)
-            traces = []
-            for _ in range(header["n_nodes"]):
-                kinds = np.load(fh)
-                args = np.load(fh)
-                traces.append(Trace(kinds, args))
-        return cls(header["name"], traces, header["home_pages_per_node"],
-                   header["total_shared_pages"], header.get("params"))
-
-
-def _read_header(fh, path) -> dict:
-    import ast
-
-    if fh.read(len(_MAGIC)) != _MAGIC:
-        raise ValueError(f"{path} is not a workload trace file")
-    header = ast.literal_eval(fh.readline().decode())
-    # Files written before format_version existed carry no version key
-    # and read as version 0: always stale.
-    version = header.get("format_version", 0)
-    if version != TRACE_FORMAT_VERSION:
-        raise ValueError(
-            f"{path} has trace format version {version}, "
-            f"expected {TRACE_FORMAT_VERSION}")
-    return header
-
-
-def load_trace_header(path: str) -> dict:
-    """The metadata header of a saved workload, without the arrays.
-
-    Reads a few hundred bytes however large the trace is — the hook the
-    trace cache's streaming sampled path uses to recover
-    ``name``/``home_pages_per_node``/``total_shared_pages``/``params``
-    while the event arrays stay memory-mapped in the ``.soa`` sidecar.
-    Raises exactly like :meth:`WorkloadTraces.load` on a foreign or
-    stale file.
-    """
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
+            if fh.read(len(_MAGIC)) != _MAGIC:
+                raise ValueError(f"{path} is not a workload trace file")
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict):
+                raise ValueError(f"{path} has no trace header")
+            for key, version in (("format_version", TRACE_FORMAT_VERSION),
+                                 ("layout_version", TRACE_LAYOUT_VERSION)):
+                if header.get(key) != version:
+                    raise ValueError(
+                        f"{path} has trace {key.replace('_', ' ')}"
+                        f" {header.get(key)}, expected {version}")
+            for key, kind in _HEADER_FIELDS.items():
+                if not isinstance(header.get(key), kind):
+                    raise ValueError(f"{path}: bad trace header field {key!r}")
+            lengths = header["lengths"]
+            if not lengths or not all(isinstance(n, int) and n >= 0
+                                      for n in lengths):
+                raise ValueError(f"{path}: bad trace header field 'lengths'")
+            total = sum(lengths)
+            kinds_at = fh.tell() + -fh.tell() % 8
+            args_at = kinds_at + total + -total % 8
+            size = os.fstat(fh.fileno()).st_size
+            if size != args_at + 8 * total:
+                raise ValueError(f"{path} is {size} bytes, its header"
+                                 f" says {args_at + 8 * total}")
+            if total:
+                mapped = np.memmap(fh, dtype=np.uint8, mode="r")
+                kinds = mapped[kinds_at:kinds_at + total]
+                args = mapped[args_at:].view("<i8")
+            else:
+                kinds = np.zeros(0, dtype=np.uint8)
+                args = np.zeros(0, dtype=np.int64)
+        workload = cls.__new__(cls)
+        workload._bind(header["name"], kinds, args, lengths,
+                       header["home_pages_per_node"],
+                       header["total_shared_pages"], header["params"])
+        return workload

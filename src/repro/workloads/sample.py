@@ -9,10 +9,10 @@ replay the reduced trace, and report the full-trace metrics through a
 documented scale-up estimator with *measured* error bounds
 (``docs/sampling.md``).
 
-Two samplers, both streaming over the structure-of-arrays decode
-(:meth:`~repro.sim.trace.WorkloadTraces.soa`) so a 100x trace is never
-converted to list form and — when the trace cache holds a ``.soa``
-sidecar — never even loaded into the heap:
+Two samplers, both streaming node by node over the workload's flat
+event arrays (:meth:`~repro.sim.trace.WorkloadTraces.soa`), so a 100x
+trace is never converted to list form and — when it comes from the
+trace cache, memory-mapped — never even loaded into the heap:
 
 * **Rate sampling** (``rate=k``) keeps every k-th *barrier epoch*
   (``unit="sweep"``, the default): whole sweeps survive intact, so the
@@ -65,7 +65,7 @@ from ..sim.trace import (EV_BARRIER, EV_COMPUTE, EV_LOCAL, EV_WRITE, Trace,
                          WorkloadTraces, coalesce_events)
 
 __all__ = ["SAMPLE_FORMAT_VERSION", "SampleSpec", "sample_workload",
-           "assemble_sampled", "sample_scale_factor",
+           "sample_scale_factor",
            "sample_soa", "trace_memory_bytes", "estimated_metrics",
            "sampling_error", "sampling_error_report", "scaled_home_pages",
            "ERROR_ANALYSIS_CONFIGS", "ERROR_BOUNDS"]
@@ -322,9 +322,8 @@ def sample_soa(kinds: np.ndarray, args: np.ndarray, offsets: np.ndarray,
                lines_per_page: int) -> list[Trace]:
     """Sample concatenated SoA arrays node by node.
 
-    The core the streaming trace-cache path uses: *kinds*/*args* may be
-    read-only memmaps of a ``.soa`` sidecar, and only per-node slices
-    plus the (reduced) output ever hit the heap.
+    *kinds*/*args* may be read-only memmaps of a trace-cache file; only
+    per-node slices plus the (reduced) output ever hit the heap.
     """
     return [
         _sample_node(kinds[off:off + ln], args[off:off + ln], node, spec,
@@ -357,38 +356,15 @@ def _sample_entry(spec: SampleSpec, full_refs: int, kept_refs: int) -> dict:
     return entry
 
 
-def assemble_sampled(name: str, kinds, args, offsets, lengths,
-                     home_pages_per_node: int, total_shared_pages: int,
-                     params: dict, spec: SampleSpec,
-                     lines_per_page: int) -> WorkloadTraces:
-    """Sample raw SoA arrays and wrap the result as a workload.
-
-    The shared assembly used by :func:`sample_workload` (in-memory
-    arrays) and the trace cache's sidecar path (memmapped arrays):
-    samples node by node, rescales the page pool, and records the
-    sample entry (with measured scale factor) in the params.
-    """
-    sampled = sample_soa(kinds, args, offsets, lengths, spec, lines_per_page)
-    full_refs = int(np.count_nonzero(np.asarray(kinds) <= EV_WRITE))
-    kept_refs = sum(t.shared_refs() for t in sampled)
-    params = dict(params or {})
-    params["sample"] = _sample_entry(spec, full_refs, kept_refs)
-    return WorkloadTraces(
-        name=name,
-        traces=sampled,
-        home_pages_per_node=scaled_home_pages(home_pages_per_node, spec),
-        total_shared_pages=total_shared_pages,
-        params=params)
-
-
 def sample_workload(traces: WorkloadTraces, sample,
                     lines_per_page: int | None = None) -> WorkloadTraces:
     """The sampled form of *traces* (or *traces* itself for a null spec).
 
-    Works on the SoA decode, so the workload's list-form conversion is
-    never materialized; when the workload came from the trace cache
-    with a sidecar attached, the source arrays are memmaps and the heap
-    only ever holds the reduced output.
+    Streams over the flat event arrays node by node, so the list form
+    is never materialized; when the workload came from the trace cache
+    those arrays are memory-mapped and the heap only ever holds the
+    reduced output.  The result's page pool is rescaled and its params
+    record the sample entry, with the measured scale factor.
     """
     spec = SampleSpec.from_any(sample)
     if spec is None:
@@ -397,10 +373,18 @@ def sample_workload(traces: WorkloadTraces, sample,
         from ..mem.address import AddressMap
         lines_per_page = AddressMap().lines_per_page
     kinds, args, offsets, lengths, _lo, _hi = traces.soa()
-    return assemble_sampled(traces.name, kinds, args, offsets, lengths,
-                            traces.home_pages_per_node,
-                            traces.total_shared_pages, traces.params, spec,
-                            lines_per_page)
+    sampled = sample_soa(kinds, args, offsets, lengths, spec, lines_per_page)
+    full_refs = int(np.count_nonzero(kinds <= EV_WRITE))
+    kept_refs = sum(t.shared_refs() for t in sampled)
+    params = dict(traces.params)
+    params["sample"] = _sample_entry(spec, full_refs, kept_refs)
+    return WorkloadTraces(
+        name=traces.name,
+        traces=sampled,
+        home_pages_per_node=scaled_home_pages(traces.home_pages_per_node,
+                                              spec),
+        total_shared_pages=traces.total_shared_pages,
+        params=params)
 
 
 def sample_scale_factor(traces: WorkloadTraces) -> float:
@@ -424,27 +408,19 @@ def sample_scale_factor(traces: WorkloadTraces) -> float:
 
 
 def trace_memory_bytes(traces: WorkloadTraces) -> int:
-    """Heap bytes the workload's replay inputs currently occupy.
+    """Heap bytes the workload's event arrays occupy.
 
-    Counts the per-node event arrays and the SoA decode (if
-    materialized).  Memory-mapped arrays (``.soa`` sidecars served from
-    the page cache) are excluded: they are shared, reclaimable file
-    pages, not per-run heap.  This is
-    the accounting behind the sampled-run memory claim pinned by
+    Arrays memory-mapped from a trace-cache file count as zero: they
+    are shared, reclaimable page-cache pages, not per-run heap.  This
+    is the accounting behind the sampled-run memory claim pinned by
     ``tests/test_sampling.py``.
     """
-    def heap_bytes(arr) -> int:
-        base = arr
-        while getattr(base, "base", None) is not None:
-            base = base.base
-        return 0 if isinstance(base, np.memmap) else arr.nbytes
-
     total = 0
-    for trace in traces.traces:
-        total += heap_bytes(trace.kinds) + heap_bytes(trace.args)
-    cached = getattr(traces, "_soa_cache", None)
-    if cached is not None:
-        total += heap_bytes(cached[0]) + heap_bytes(cached[1])
+    for arr in (traces.kinds, traces.args):
+        base = arr
+        while base is not None and not isinstance(base, np.memmap):
+            base = base.base
+        total += 0 if base is not None else arr.nbytes
     return total
 
 

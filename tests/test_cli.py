@@ -237,6 +237,25 @@ class TestStoreCommand:
         assert main(["store", "list"]) == 0
         assert "is empty" in capsys.readouterr().out
 
+    def test_unusable_trace_dir_keeps_the_run(self, capsys, tmp_path):
+        """A --trace-dir under a regular file cannot be created: the run
+        warns once, exits 0 and prints the --no-trace-cache result."""
+        import warnings
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        flags = ["--scale", "0.1", "--no-cache"]
+        cell = ["run", "fft", "ASCOMA", "--pressure", "0.5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*flags, "--trace-dir", str(blocker / "traces"),
+                         *cell]) == 0
+        unusable = capsys.readouterr().out
+        (warning,) = [w for w in caught
+                      if issubclass(w.category, RuntimeWarning)]
+        assert f"trace store at {blocker / 'traces'}" in str(warning.message)
+        assert main([*flags, "--no-trace-cache", *cell]) == 0
+        assert capsys.readouterr().out == unusable
+
     def test_cached_rerun_hits_store(self, capsys):
         args = ["--scale", "0.2", "run", "fft", "ascoma",
                 "--pressure", "0.5"]

@@ -14,8 +14,8 @@ The sampling contract has four legs, each pinned here:
   either store, while the *unsampled* canonical form is bit-identical
   to what it was before the feature existed.
 * **Accuracy & memory** — the committed error-analysis bounds hold,
-  and a warm-store rate-10 fetch streams from the ``.soa`` sidecar at
-  a fraction of the full trace's heap.
+  and a warm-store rate-10 fetch streams from the memory-mapped trace
+  file at a fraction of the full trace's heap.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
 """Unit tests for trace records, builders and persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.harness.experiment import APP_PRESSURES, get_workload
 from repro.sim.trace import (EV_BARRIER, EV_COMPUTE, EV_LOCAL, EV_READ,
                              EV_WRITE, Trace, TraceBuilder, WorkloadTraces)
+from repro.workloads import SampleSpec, ingest_file, sample_workload
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestTraceBuilder:
@@ -129,3 +135,44 @@ class TestWorkloadTraces:
         path.write_bytes(b"not a trace file")
         with pytest.raises(ValueError):
             WorkloadTraces.load(str(path))
+
+    def test_traces_are_views_of_the_flat_arrays(self):
+        wl = self.make(n_nodes=3)
+        kinds, args, offsets, lengths, lo, hi = wl.soa()
+        assert kinds is wl.kinds and args is wl.args
+        assert offsets.tolist() == [0, 2, 4] and lengths.tolist() == [2] * 3
+        assert (lo, hi) == (0, 256)
+        for trace in wl.traces:
+            assert np.shares_memory(trace.kinds, wl.kinds)
+            assert np.shares_memory(trace.args, wl.args)
+
+    def test_empty_workload_round_trips(self, tmp_path):
+        wl = WorkloadTraces("empty", [TraceBuilder().build()] * 2, 1, 2)
+        path = tmp_path / "empty.bin"
+        wl.save(str(path))
+        loaded = WorkloadTraces.load(str(path))
+        assert loaded.n_nodes == 2 and len(loaded.kinds) == 0
+        assert loaded.soa()[4:] == (0, -1)
+        assert loaded.content_hash() == wl.content_hash()
+
+
+@pytest.mark.parametrize("case", [*sorted(APP_PRESSURES), "csv-ingest",
+                                  "sampled"])
+def test_load_save_keeps_params_and_content_hash(case, tmp_path):
+    """The JSON header carries every generator's params unchanged."""
+    if case == "csv-ingest":
+        wl = ingest_file(FIXTURES / "external_small.csv", barriers=3,
+                         cycles_per_time=2.0)
+    elif case == "sampled":
+        wl = sample_workload(get_workload("fft", 0.1),
+                             SampleSpec(rate=4, pages=0.5))
+    else:
+        wl = get_workload(case, 0.1)
+    path = tmp_path / "wl.trace"
+    wl.save(str(path))
+    loaded = WorkloadTraces.load(str(path))
+    assert loaded.params == wl.params
+    assert loaded.content_hash() == wl.content_hash()
+    assert (loaded.name, loaded.home_pages_per_node,
+            loaded.total_shared_pages) == (wl.name, wl.home_pages_per_node,
+                                           wl.total_shared_pages)

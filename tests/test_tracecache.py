@@ -9,6 +9,9 @@ back to regeneration.
 
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.harness.parallel import run_cells
 from repro.runtime import (RunSpec, TraceStore, clear_trace_memo,
                            fetch_traces, lpt_order, spec_cost,
                            submit_chunksize, trace_key, use_trace_store)
+from repro.workloads.sample import trace_memory_bytes
 
 APP = "em3d"
 SCALE = 0.2
@@ -70,7 +74,8 @@ class TestBitExactness:
             fetched = fetch_traces(APP, SCALE)
         assert store.writes == 1
         assert fetched.content_hash() == get_workload(APP, SCALE).content_hash()
-        assert store.path_for(APP, SCALE).exists()
+        # One file per workload, and no leftover temp file.
+        assert list(store.root.iterdir()) == [store.path_for(APP, SCALE)]
 
     def test_fetch_hits_disk_after_memo_drop(self, tmp_path):
         store = _store(tmp_path)
@@ -123,15 +128,16 @@ class TestInvalidation:
         assert store.get(APP, SCALE) is not None
 
     def test_load_rejects_versionless_header(self, tmp_path):
-        """Files from before format versioning read as version 0."""
+        """A header without a format version is stale, whatever else
+        it says: the version check names the missing version."""
         wl = get_workload(APP, SCALE)
         path = tmp_path / "old.trace"
         wl.save(str(path))
         raw = path.read_bytes()
-        stale = raw.replace(b"'format_version': 1", b"'format_version': 0", 1)
+        stale = raw.replace(b'"format_version":1,', b"", 1)
         assert stale != raw
         path.write_bytes(stale)
-        with pytest.raises(ValueError, match="format version 0"):
+        with pytest.raises(ValueError, match="format version None"):
             trace_mod.WorkloadTraces.load(str(path))
 
     def test_wrong_app_under_right_name_is_a_miss(self, tmp_path):
@@ -158,96 +164,112 @@ class TestMaintenance:
         assert info["entries"] == 0 and info["bytes"] == 0
 
 
-class TestSoaSidecar:
-    """The ``.soa`` sidecar is strictly additive: attaching one must
-    be observationally identical to the in-memory decode it replaces,
-    and *anything* wrong with it — missing, corrupt, truncated, stale
-    version, foreign workload — is a silent decode miss, never an
-    error."""
+def _memory_mapped(arr) -> bool:
+    while arr is not None and not isinstance(arr, np.memmap):
+        arr = arr.base
+    return arr is not None
+
+
+def _flip_barrier(path: Path) -> None:
+    """Turn node 0's first non-barrier event into a barrier, in place."""
+    raw = bytearray(path.read_bytes())
+    kinds_at = raw.index(b"\n", len(b"ASTRACE\n")) + 1
+    kinds_at += -kinds_at % 8
+    first = next(i for i in range(kinds_at, len(raw))
+                 if raw[i] != trace_mod.EV_BARRIER)
+    raw[first] = trace_mod.EV_BARRIER
+    path.write_bytes(bytes(raw))
+
+
+class TestOneFileFormat:
+    """One file per workload: ``put`` writes it atomically, ``get``
+    memory-maps it read-only, and anything wrong with it is a store
+    miss that regenerates, never an error."""
 
     def _warm(self, tmp_path):
         store = _store(tmp_path)
         store.put(APP, SCALE, get_workload(APP, SCALE))
         return store
 
-    def test_put_writes_sidecar_and_get_attaches(self, tmp_path):
+    def test_get_maps_the_put_file_read_only(self, tmp_path):
         store = self._warm(tmp_path)
-        assert store.path_for(APP, SCALE).with_suffix(".soa").exists()
         warm = store.get(APP, SCALE)
-        assert store.soa_attaches == 1
-        kinds, args, offsets, lengths, lo, hi = warm._soa_cache
-        assert isinstance(kinds, np.memmap) and isinstance(args, np.memmap)
-        # Bit-identical to the decode a sidecar-less load would run.
-        ck, ca, co, cl, clo, chi = get_workload(APP, SCALE).soa()
-        assert np.array_equal(kinds, ck) and np.array_equal(args, ca)
-        assert np.array_equal(offsets, co) and np.array_equal(lengths, cl)
-        assert (lo, hi) == (clo, chi)
+        for arr in (warm.kinds, warm.args,
+                    warm.traces[0].kinds, warm.traces[-1].args):
+            assert _memory_mapped(arr) and not arr.flags.writeable
+        assert trace_memory_bytes(warm) == 0
+        cold = get_workload(APP, SCALE)
+        assert trace_memory_bytes(cold) > 0
+        for got, want in zip(warm.soa(), cold.soa()):
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.array_equal(got, want)
+        for got, want in zip(warm.traces, cold.traces):
+            assert np.array_equal(got.kinds, want.kinds)
+            assert np.array_equal(got.args, want.args)
+        assert list(store.root.iterdir()) == [store.path_for(APP, SCALE)]
 
-    def test_missing_sidecar_is_a_decode_miss(self, tmp_path):
-        store = self._warm(tmp_path)
-        store.path_for(APP, SCALE).with_suffix(".soa").unlink()
-        warm = store.get(APP, SCALE)
-        assert warm is not None and store.soa_attaches == 0
-        # The in-memory decode still runs, unchanged.
-        ck, ca, *_ = get_workload(APP, SCALE).soa()
-        kinds, args, *_ = warm.soa()
-        assert np.array_equal(kinds, ck) and np.array_equal(args, ca)
-
-    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
-    def test_damaged_sidecar_is_a_decode_miss(self, tmp_path, damage):
-        store = self._warm(tmp_path)
-        soa_path = store.path_for(APP, SCALE).with_suffix(".soa")
+    @pytest.mark.parametrize("damage", [
+        "garbage", "truncated", "extra-byte", "stale-format",
+        "stale-layout", "unequal-barriers"])
+    def test_damaged_file_is_a_miss_that_regenerates(self, tmp_path,
+                                                     monkeypatch, damage):
+        path = self._warm(tmp_path).path_for(APP, SCALE)
+        raw = path.read_bytes()
         if damage == "garbage":
-            soa_path.write_bytes(b"JUNK" * 32)
+            path.write_bytes(b"JUNK" * 32)
+        elif damage == "truncated":
+            path.write_bytes(raw[:-1])
+        elif damage == "extra-byte":
+            path.write_bytes(raw + b"\0")
+        elif damage == "unequal-barriers":
+            _flip_barrier(path)
         else:
-            soa_path.write_bytes(soa_path.read_bytes()[:64])
-        warm = store.get(APP, SCALE)
-        assert warm is not None and store.soa_attaches == 0
-        assert getattr(warm, "_soa_cache", None) is None
+            version = ("TRACE_FORMAT_VERSION" if damage == "stale-format"
+                       else "TRACE_LAYOUT_VERSION")
+            with monkeypatch.context() as m:
+                m.setattr(trace_mod, version, getattr(trace_mod, version) + 1)
+                get_workload(APP, SCALE).save(str(path))
+        assert path.read_bytes() != raw
+        store = _store(tmp_path)
+        assert store.get(APP, SCALE) is None and store.misses == 1
+        with use_trace_store(store):
+            fetched = fetch_traces(APP, SCALE)
+        assert fetched.content_hash() == get_workload(APP, SCALE).content_hash()
+        assert store.writes == 1 and path.read_bytes() == raw
 
-    def test_stale_soa_version_is_a_decode_miss(self, tmp_path, monkeypatch):
-        import repro.runtime.tracecache as tc
+    def test_mapped_workload_survives_overwrite(self, tmp_path):
+        """``put`` renames a new file over the old one, so a workload
+        mapped from the old file keeps reading its own arrays.  (A
+        rewrite in place would change them under the mapping, or
+        truncate it: SIGBUS on the next read.)"""
         store = self._warm(tmp_path)
-        monkeypatch.setattr(tc, "SOA_FORMAT_VERSION",
-                            tc.SOA_FORMAT_VERSION + 1)
-        warm = store.get(APP, SCALE)
-        assert warm is not None and store.soa_attaches == 0
+        mapped = store.get(APP, SCALE)
+        want = get_workload(APP, SCALE)
+        store.put(APP, SCALE, get_workload("ocean", SCALE))
+        assert store.get(APP, SCALE) is None  # now names another app
+        assert np.array_equal(mapped.kinds, want.kinds)
+        assert np.array_equal(mapped.args, want.args)
+        assert mapped.content_hash() == want.content_hash()
 
-    def test_foreign_workload_sidecar_is_a_decode_miss(self, tmp_path):
-        """A sidecar whose content hash does not match the trace it
-        sits next to (e.g. a half-synced cache dir) must not attach."""
-        import repro.runtime.tracecache as tc
-        store = self._warm(tmp_path)
-        assert tc.write_soa_sidecar(store.path_for(APP, SCALE),
-                                    get_workload("fft", SCALE))
-        warm = store.get(APP, SCALE)
-        assert warm is not None and store.soa_attaches == 0
-
-    def test_sidecar_write_failure_is_non_fatal(self, tmp_path):
-        import repro.runtime.tracecache as tc
-        missing = tmp_path / "nowhere" / "x.trace"
-        assert tc.write_soa_sidecar(missing, get_workload(APP, SCALE)) \
-            is False
-
-    def test_clear_and_describe_cover_sidecars(self, tmp_path):
+    def test_clear_and_describe_count_one_file_per_workload(self, tmp_path):
         store = self._warm(tmp_path)
         (entry,) = store.entries()
-        assert entry["soa"] is True
+        assert entry["bytes"] == store.path_for(APP, SCALE).stat().st_size
         info = store.describe()
-        assert info["soa_sidecars"] == 1
-        assert info["soa_format_version"] >= 1
+        assert info["entries"] == 1 and info["bytes"] == entry["bytes"]
+        assert info["layout_version"] == trace_mod.TRACE_LAYOUT_VERSION
         assert store.clear() == 1
-        assert not list(store.root.glob("*.soa"))
+        assert not list(store.root.iterdir())
 
-    def test_vector_replay_reads_memmapped_sidecar(self, tmp_path):
-        """End-to-end: a read-only memory-mapped sidecar must feed the
-        compiled kernel and produce the reference bytes."""
+    def test_kernel_replays_memory_mapped_store_hit(self, tmp_path):
+        """End-to-end: a read-only memory-mapped store hit must feed
+        the compiled kernel and produce the reference loop's bytes."""
         from repro.harness.experiment import scaled_policy
         from repro.sim.config import SystemConfig
         from repro.sim.engine import Engine
         store = self._warm(tmp_path)
         warm = store.get(APP, SCALE)
-        assert isinstance(warm._soa_cache[0], np.memmap)
+        assert _memory_mapped(warm.soa()[0])
 
         def run(wl, **kwargs):
             cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.7)
@@ -257,6 +279,40 @@ class TestSoaSidecar:
         vector = run(warm, vector_path=True)
         reference = run(get_workload(APP, SCALE), vector_path=False)
         assert vector == reference
+
+
+class TestUnusableStore:
+    """The trace store is a cache: when it cannot be written, a fetch
+    keeps the workload it built and warns once per store root."""
+
+    def _blocked(self, tmp_path) -> TraceStore:
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        return TraceStore(blocker / "traces")  # a path under a file
+
+    def test_fetch_keeps_the_workload_and_warns_once(self, tmp_path):
+        store = self._blocked(tmp_path)
+        with use_trace_store(store), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = fetch_traces(APP, 0.1)
+            sampled = fetch_traces(APP, 0.1, sample={"rate": 4})
+            clear_trace_memo()
+            again = fetch_traces(APP, 0.1)
+        want = get_workload(APP, 0.1).content_hash()
+        assert full.content_hash() == again.content_hash() == want
+        assert sampled.params["sample"]["rate"] == 4
+        assert store.writes == 0
+        (warning,) = [w for w in caught
+                      if issubclass(w.category, RuntimeWarning)]
+        assert str(store.root) in str(warning.message)
+
+    def test_registration_still_needs_the_store(self, tmp_path):
+        from repro.workloads.ingest import ingest_file, register_external
+        fixture = Path(__file__).parent / "fixtures" / "external_small.csv"
+        with pytest.raises(OSError):
+            register_external(ingest_file(fixture),
+                              store=self._blocked(tmp_path))
 
 
 class TestCostModel:
@@ -357,7 +413,6 @@ class TestConcurrentMutation:
                 import pathlib
                 p = pathlib.Path(path)
                 p.unlink()
-                p.with_suffix(".soa").unlink(missing_ok=True)
                 deleted.append(path)
             return wl
 
