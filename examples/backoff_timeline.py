@@ -26,9 +26,8 @@ from repro.workloads import generate_workload
 def timeline(app: str, pressure: float) -> None:
     workload = generate_workload(app, scale=0.5)
     config = SystemConfig(n_nodes=workload.n_nodes, memory_pressure=pressure)
-    sampler = TimeSeriesSampler()
-    engine = Engine(workload, scaled_policy("ASCOMA"), config,
-                    sampler=sampler)
+    engine = Engine(workload, scaled_policy("ASCOMA"), config)
+    sampler = TimeSeriesSampler().attach(engine)
     result = engine.run()
 
     print(f"\n{app} at {pressure:.0%} pressure, AS-COMA "

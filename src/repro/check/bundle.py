@@ -16,12 +16,10 @@ the trace shrinker (:mod:`repro.check.shrink`) can minimise it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
-from ..kernel.costs import KernelCosts
-from ..sim.config import SystemConfig
+from ..sim.config import SystemConfig, config_from_dict, config_to_dict
 from ..sim.engine import DEFAULT_QUANTUM, Engine
 from ..sim.trace import WorkloadTraces
 from .checker import InvariantChecker
@@ -32,19 +30,6 @@ __all__ = ["ReproBundle", "config_to_dict", "config_from_dict"]
 _FORMAT = "repro-check-bundle-v1"
 _TRACES_FILE = "traces.bin"
 _META_FILE = "bundle.json"
-
-
-def config_to_dict(config: SystemConfig) -> dict:
-    """JSON-safe dict round-trippable through :func:`config_from_dict`."""
-    return dataclasses.asdict(config)
-
-
-def config_from_dict(data: dict) -> SystemConfig:
-    fields = dict(data)
-    kernel = fields.pop("kernel", None)
-    if kernel is not None:
-        fields["kernel"] = KernelCosts(**kernel)
-    return SystemConfig(**fields)
 
 
 class ReproBundle:

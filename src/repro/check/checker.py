@@ -20,15 +20,18 @@ Two kinds of checking compose:
   the precise transition that introduced it, which is what the failure
   replay wants.
 
-Attach with :meth:`InvariantChecker.attach`; the engine then reports
-``invariant_violations`` in its :class:`~repro.sim.stats.RunResult`.
+Attach with :meth:`InvariantChecker.attach`, which subscribes to every
+kind (``ALL_KINDS``); the engine then reports ``invariant_violations``
+in its :class:`~repro.sim.stats.RunResult`.  Watching faults, S-COMA
+mappings, evictions and flushes, which the compiled kernel performs
+without publishing, keeps checked runs on the reference loop.
 """
 
 from __future__ import annotations
 
 from ..kernel.vm import PageMode
-from ..sim.events import (EV_BARRIER, EV_DAEMON, EV_END, EV_EVICT, EV_FAULT,
-                          EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE)
+from ..sim.events import (ALL_KINDS, EV_BARRIER, EV_DAEMON, EV_END, EV_EVICT,
+                          EV_FAULT, EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE)
 from .invariants import STRUCTURAL_CHECKS, Violation
 
 __all__ = ["InvariantChecker", "GRANULARITIES"]
@@ -68,10 +71,11 @@ class InvariantChecker:
     @classmethod
     def attach(cls, engine, granularity: str = "barrier",
                max_violations: int = 1000) -> "InvariantChecker":
-        """Create a checker, subscribe it, and register it on *engine*."""
+        """Create a checker, subscribe it to every event kind, and
+        register it on *engine*."""
         checker = cls(engine.machine, engine.policy, granularity,
                       max_violations)
-        engine.machine.events.subscribe(checker)
+        engine.machine.events.subscribe(checker, ALL_KINDS)
         engine.checker = checker
         return checker
 

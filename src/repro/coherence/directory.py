@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernel.vm import DEFAULT_PAGES
-from .messages import Message, MessageLog, MsgKind
 
 __all__ = ["Directory", "FetchOutcome"]
 
@@ -77,7 +76,6 @@ class Directory:
 
     def __init__(self, n_nodes: int, chunks_per_page: int,
                  n_pages: int = DEFAULT_PAGES,
-                 log: MessageLog | None = None,
                  grant_exclusive: bool = False) -> None:
         if n_nodes <= 0:
             raise ValueError("need at least one node")
@@ -98,7 +96,6 @@ class Directory:
         #: Refetches of (page, node) since the last relocation/reset, at
         #: ``page * n_nodes + node``.
         self.refetch_count = memoryview(np.zeros(n_pages * n_nodes, np.int64))
-        self.log = log
         # Aggregate counters (Table 6 and general stats).
         self.total_refetches = 0
         self.relocation_hints = 0
@@ -107,8 +104,7 @@ class Directory:
 
     # ------------------------------------------------------------------
     def fetch(self, node: int, chunk: int, page: int, is_write: bool,
-              threshold: int, count_refetch: bool = True,
-              home: int = 0) -> FetchOutcome:
+              threshold: int, count_refetch: bool = True) -> FetchOutcome:
         """Process a GET/GETX for *chunk* of *page* from *node*.
 
         *threshold* is the requester's current relocation threshold; 0
@@ -119,11 +115,10 @@ class Directory:
         coherence-driven and must not re-trigger relocation).
         """
         return FetchOutcome(*self.fetch_raw(node, chunk, page, is_write,
-                                            threshold, count_refetch, home))
+                                            threshold, count_refetch))
 
     def fetch_raw(self, node: int, chunk: int, page: int, is_write: bool,
-                  threshold: int, count_refetch: bool = True,
-                  home: int = 0) -> tuple:
+                  threshold: int, count_refetch: bool = True) -> tuple:
         """:meth:`fetch` without the :class:`FetchOutcome` wrapper.
 
         Returns the outcome as a plain tuple in ``FetchOutcome.__init__``
@@ -136,7 +131,6 @@ class Directory:
         """
         copyset = self.copyset
         owner_map = self.owner
-        log = self.log
         words = self.words
         base = chunk * words
         mine = base + (node >> 6)
@@ -152,8 +146,6 @@ class Directory:
             # Dirty at a third node: home forwards, owner writes back.
             forwarded = True
             self.forwards += 1
-            if log is not None:
-                log.record(Message(MsgKind.FWD, home, owner, chunk))
             owner_map[chunk] = -1
 
         if is_write:
@@ -172,9 +164,6 @@ class Directory:
             if sharers:
                 invalidations = tuple(sharers)
                 self.invalidations_sent += len(invalidations)
-                if log is not None:
-                    for victim in invalidations:
-                        log.record(Message(MsgKind.INV, node, victim, chunk))
             owner_map[chunk] = node
         else:
             if owner == node:
@@ -200,12 +189,6 @@ class Directory:
                     self.refetch_count[key] = count
         if exclusive:
             self.exclusive_grants += 1
-        if log is not None:
-            log.record(Message(
-                MsgKind.GETX if is_write else MsgKind.GET, node, home, chunk,
-            ))
-            log.record(Message(MsgKind.DATA, home, node, chunk,
-                               relocation_hint=relocation_hint))
         return (refetch, forwarded, invalidations, relocation_hint,
                 owner if owner != node else -1, exclusive)
 

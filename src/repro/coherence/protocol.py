@@ -83,7 +83,7 @@ class CoherenceProtocol:
         uses this to skip two object constructions per transaction.
         """
         out = self.directory.fetch_raw(node, chunk, page, is_write,
-                                       threshold, count_refetch, home=home)
+                                       threshold, count_refetch)
         net = self.network
         lat = net.one_way(node, home, now)                  # request
         lat += self.memories[home].access(chunk, now + lat)  # home DRAM/dir
@@ -129,8 +129,7 @@ class CoherenceProtocol:
                         is_write: bool, now: int) -> tuple:
         """:meth:`local_fetch` returning ``(latency, outcome_tuple)``."""
         out = self.directory.fetch_raw(node, chunk, page, is_write,
-                                       threshold=0, count_refetch=False,
-                                       home=node)
+                                       threshold=0, count_refetch=False)
         lat = self.memories[node].access(chunk, now)
         if out[1]:  # forwarded
             # Dirty at a remote node: full round trip to retrieve it.
@@ -153,8 +152,7 @@ class CoherenceProtocol:
         data is already local, only permission travels.
         """
         out = self.directory.fetch_raw(node, chunk, page, True,
-                                       threshold=0, count_refetch=False,
-                                       home=home)
+                                       threshold=0, count_refetch=False)
         if home == node:
             lat = 0
         else:

@@ -2,7 +2,7 @@
 
 from .experiment import (APP_PRESSURES, ARCHITECTURES, DEFAULT_SCALE,
                          SCALED_POLICY_KWARGS, get_workload, run_app,
-                         run_full_matrix, run_pressure_sweep, scaled_policy)
+                         run_pressure_sweep, scaled_policy)
 from .claims import Claim, render_scorecard, validate_all
 from .crossover import crossover_report, find_crossover, relative_time_at
 from .figures import FIGURE_APPS, export_csv, figure_series, render_figure
@@ -48,7 +48,6 @@ __all__ = [
     "result_to_dict",
     "run_app",
     "run_cells",
-    "run_full_matrix",
     "run_matrix_parallel",
     "run_pressure_sweep",
     "save_results",

@@ -29,7 +29,6 @@ from ..workloads import generate_workload
 __all__ = [
     "ARCHITECTURES", "APP_PRESSURES", "SCALED_POLICY_KWARGS", "DEFAULT_SCALE",
     "scaled_policy", "get_workload", "run_app", "run_pressure_sweep",
-    "run_full_matrix",
 ]
 
 #: Evaluation order used throughout the paper's charts.
@@ -122,9 +121,3 @@ def run_pressure_sweep(app: str, archs=ARCHITECTURES, pressures=None,
         for pressure in pressures:
             results[(arch, pressure)] = run_app(app, arch, pressure, scale)
     return results
-
-
-def run_full_matrix(apps=None, scale: float = DEFAULT_SCALE) -> dict:
-    """The paper's whole evaluation: ``{app: pressure-sweep results}``."""
-    apps = apps or tuple(APP_PRESSURES)
-    return {app: run_pressure_sweep(app, scale=scale) for app in apps}

@@ -1,9 +1,10 @@
 """Config and result serialization: reproducible experiment records.
 
-``config_to_dict`` / ``config_from_dict`` round-trip a
-:class:`~repro.sim.config.SystemConfig` (including the nested kernel
-cost model) through plain JSON-compatible dicts, so an experiment's
-exact machine parameters can be stored next to its results.
+``config_to_dict`` / ``config_from_dict`` (defined next to
+:class:`~repro.sim.config.SystemConfig`) round-trip a config, the nested
+kernel cost model included, through plain JSON-compatible dicts, so an
+experiment's exact machine parameters can be stored next to its
+results.
 ``result_to_dict`` flattens a :class:`~repro.sim.stats.RunResult` the
 same way (delegating to ``RunResult.to_dict``/``from_dict``, which the
 runtime result store shares); ``save_results`` / ``load_results``
@@ -12,29 +13,13 @@ persist a whole matrix as one JSON file under ``results/``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
-from ..kernel.costs import KernelCosts
-from ..sim.config import SystemConfig
+from ..sim.config import SystemConfig, config_from_dict, config_to_dict
 from ..sim.stats import RunResult
 
 __all__ = ["config_to_dict", "config_from_dict", "result_to_dict",
            "result_from_dict", "save_results", "load_results"]
-
-
-def config_to_dict(config: SystemConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["kernel"] = dataclasses.asdict(config.kernel)
-    return data
-
-
-def config_from_dict(data: dict) -> SystemConfig:
-    data = dict(data)
-    kernel = data.pop("kernel", None)
-    if kernel is not None:
-        data["kernel"] = KernelCosts(**kernel)
-    return SystemConfig(**data)
 
 
 def result_to_dict(result: RunResult) -> dict:

@@ -5,13 +5,12 @@ the pageout daemon raises the relocation threshold, stretches its own
 invocation interval and eventually disables remapping; when cold pages
 reappear it walks all three back (Section 3).  End-of-run aggregates
 cannot show that trajectory.  :class:`BackoffTelemetry` subscribes to
-the :class:`~repro.sim.events.EventBus` with a *kind-filtered*
-subscription (``EV_DAEMON``/``EV_BARRIER``/``EV_END`` only), so it sees
-every daemon decision with cycle context while the replay hot path —
-which gates its inlined fast cases on the *unfiltered* observer list —
-keeps running at full speed.  That is what keeps ``--obs`` within the
-2% overhead budget where attaching a full observer (e.g. the invariant
-checker) costs 2-4x.
+the :class:`~repro.sim.events.EventBus` for ``EV_DAEMON``,
+``EV_BARRIER`` and ``EV_END`` only, so it sees every daemon decision
+with cycle context while the run stays on the compiled kernel, which
+publishes those kinds from its Python exits.  That is what keeps
+``--obs`` within the 2% overhead budget where the invariant checker,
+which watches every kind, costs 2-4x.
 
 Each daemon run becomes one row carrying the post-backoff state
 (threshold, interval, relocation enabled) plus *derived transitions*

@@ -530,8 +530,7 @@ class JobServer:
 
         The observer is synchronous (bus publishes are synchronous) and
         only enqueues; delivery happens on the connection's writer via
-        :meth:`_pump_stream`.  Kind filtering keeps these per-client
-        observers out of ``bus.observers`` entirely.
+        :meth:`_pump_stream`.
         """
         queue: asyncio.Queue = asyncio.Queue()
 

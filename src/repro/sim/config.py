@@ -21,12 +21,12 @@ sweep any parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from ..kernel.costs import KernelCosts
 from ..mem.address import AddressMap
 
-__all__ = ["SystemConfig"]
+__all__ = ["SystemConfig", "config_to_dict", "config_from_dict"]
 
 
 @dataclass(frozen=True)
@@ -186,3 +186,17 @@ class SystemConfig:
             "Page size": f"{self.page_bytes} bytes",
             "Clock": f"{self.clock_mhz} MHz",
         }
+
+
+def config_to_dict(config: SystemConfig) -> dict:
+    """JSON-safe dict (the kernel cost model nested) round-trippable
+    through :func:`config_from_dict`."""
+    return asdict(config)
+
+
+def config_from_dict(data: dict) -> SystemConfig:
+    fields = dict(data)
+    kernel = fields.pop("kernel", None)
+    if kernel is not None:
+        fields["kernel"] = KernelCosts(**kernel)
+    return SystemConfig(**fields)

@@ -1,11 +1,13 @@
 """Bounded per-event debug tracing.
 
 For diagnosing a simulation (why did this page relocate?  which chunk
-ping-pongs?), attach an :class:`EventTrace` to one node.  The trace is
-an observer on the machine-wide :class:`~repro.sim.events.EventBus`:
-it records the node's *page-management* events (mappings, evictions,
-relocations, flushes) and ignores the chattier coherence traffic, so
-the bounded buffer holds the interesting rare transitions.
+ping-pongs?), attach an :class:`EventTrace` to one node.  The trace
+subscribes to the machine-wide :class:`~repro.sim.events.EventBus` for
+the *page-management* kinds only (mappings, evictions, relocations,
+flushes), not the chattier coherence traffic, so the bounded buffer
+holds the interesting rare transitions.  The kernel maps and evicts
+some pages without publishing, so a traced run replays on the
+reference loop.
 
 Usage::
 
@@ -24,9 +26,9 @@ from .events import EV_EVICT, EV_FLUSH, EV_MAP_SCOMA, EV_RELOCATE
 
 __all__ = ["Event", "EventTrace"]
 
-#: Event kinds the trace keeps (page management only -- invalidations
-#: and demotions would flood the bounded buffer).
-_TRACED_KINDS = frozenset({EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_FLUSH})
+#: Event kinds the trace subscribes to (page management only --
+#: invalidations and demotions would flood the bounded buffer).
+_TRACED_KINDS = (EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_FLUSH)
 
 
 @dataclass(frozen=True)
@@ -73,21 +75,25 @@ class EventTrace:
         node_id = node.id
 
         def observer(event) -> None:
-            if event.node != node_id or event.kind not in _TRACED_KINDS:
+            if event.node != node_id:
                 return
             detail = ""
             if event.kind == EV_EVICT:
                 detail = "forced" if event.detail.get("forced") else "daemon"
             trace.record(event.kind, event.node, event.page, detail)
 
-        node.events.subscribe(observer)
+        node.events.subscribe(observer, _TRACED_KINDS)
         return trace
 
     def ping_pong_pages(self, min_cycles: int = 2) -> dict[int, int]:
-        """Pages that were relocated/mapped at least *min_cycles* times --
-        the thrashing fingerprint."""
+        """Pages mapped into the page cache at least *min_cycles* times --
+        the thrashing fingerprint.
+
+        Counts ``map_scoma`` only: it is published once per S-COMA-first
+        fault and once per relocation (which also publishes
+        ``relocate`` for the same remap)."""
         counts: dict[int, int] = {}
         for event in self.events:
-            if event.kind in ("map_scoma", "relocate"):
+            if event.kind == EV_MAP_SCOMA:
                 counts[event.page] = counts.get(event.page, 0) + 1
         return {page: n for page, n in counts.items() if n >= min_cycles}

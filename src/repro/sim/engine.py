@@ -41,8 +41,10 @@ every architecture):
   the pageout daemon, relocation hints);
 * the **reference path** is the straightforward one-call-per-event
   loop.  It is the parity oracle for the kernel and the loss-free
-  fallback for every run the kernel cannot take: an attached checker,
-  sampler or message log, an associative L1, or no C compiler.
+  fallback for every run the kernel cannot take: a subscriber to a
+  kind the kernel performs without publishing (fault, map_scoma,
+  evict, flush -- the invariant checker watches them all), an
+  associative L1, or no C compiler.
 
 Dispatch is two-state (``Engine.vector_mode``): ``auto`` -- the
 default -- tries the kernel and falls back to the reference loop;
@@ -51,6 +53,15 @@ default -- tries the kernel and falls back to the reference loop;
 argument beats the environment.  Loop selection is a runtime concern
 only: it never enters spec hashes or trace cache keys.  See
 ``docs/performance.md`` for the measured costs.
+
+Observing a run
+---------------
+Observers subscribe to the event kinds they name on the machine's bus
+(:mod:`repro.sim.events`); nothing else hooks into a run.  While the
+bus has any subscriber, the rare-event entry points -- the miss and
+upgrade paths of ``_shared_ref``, daemon runs, migrations, barrier
+releases and the run's end -- stamp its clock, so a subscriber sees
+the same clocks whatever else is watched.
 """
 
 from __future__ import annotations
@@ -102,13 +113,8 @@ class Engine:
     def __init__(self, workload: WorkloadTraces, policy: ArchitecturePolicy,
                  config: SystemConfig | None = None,
                  quantum: int = DEFAULT_QUANTUM,
-                 log_messages: bool = False,
-                 sampler=None,
                  vector_path: bool | None = None) -> None:
         self.workload = workload
-        #: Optional TimeSeriesSampler snapshotting policy state at every
-        #: barrier release (see repro.sim.timeseries).
-        self.sampler = sampler
         self.policy = policy
         self.config = config or SystemConfig(n_nodes=workload.n_nodes)
         if self.config.n_nodes != workload.n_nodes:
@@ -126,7 +132,6 @@ class Engine:
         self.machine = Machine(self.config, policy,
                                workload.home_pages_per_node,
                                workload.total_shared_pages,
-                               log_messages=log_messages,
                                n_pages=(ref_hi >> line_shift) + 1)
         #: Machine-shared rare-event bus (identity is stable for the
         #: engine's lifetime, so it can be cached in locals).
@@ -178,7 +183,7 @@ class Engine:
             clock = self._run_vector()
 
         events = self._events
-        if events.watching(EV_END):
+        if events.kind_observers:
             events.clock = max(clock) if clock else 0
             events.publish(EV_END, -1, -1)
 
@@ -219,10 +224,8 @@ class Engine:
                 waiting[i] = False
                 if pos[i] >= end[i]:
                     finished[i] = True
-        if self.sampler is not None:
-            self.sampler.sample(release, nodes)
         events = self._events
-        if events.watching(EV_BARRIER):
+        if events.kind_observers:
             events.clock = release
             events.publish(EV_BARRIER, -1, -1, barrier=ids.pop())
 
@@ -241,8 +244,8 @@ class Engine:
 
         Degrades silently to :meth:`_run_reference` when the kernel is
         unavailable (no C compiler / cffi) or the run shape is outside
-        its model.  Notably, attaching the invariant checker subscribes
-        an unfiltered observer, so checked runs take the reference loop.
+        its model.  Notably, the invariant checker watches every kind,
+        faults included, so checked runs take the reference loop.
         """
         from .soatrace import run_vector
 
@@ -371,7 +374,7 @@ class Engine:
                     page = line >> self._line_shift
                     home = self._home[page]
                     events = self._events
-                    if events.observers:
+                    if events.kind_observers:
                         events.clock = now
                     lat = self._protocol.upgrade(node.id, chunk, page,
                                                  home, now)
@@ -386,7 +389,7 @@ class Engine:
         # -- L1 miss ------------------------------------------------------
         stats.l1_misses += 1
         events = self._events
-        if events.observers:
+        if events.kind_observers:
             events.clock = now
         page = line >> self._line_shift
         chunk = line >> self._chunk_shift
@@ -543,7 +546,7 @@ class Engine:
                  kernel: int) -> tuple[int, int]:
         """Publish the fault event and return the (mode, kernel) pair."""
         events = self._events
-        if events.observers:
+        if events.watching(EV_FAULT):
             events.publish(EV_FAULT, node.id, page, mode=int(mode), home=home)
         return mode, kernel
 
@@ -631,7 +634,7 @@ class Engine:
         stats.K_OVERHD += overhead
         stats.migrations += 1
         events = self._events
-        if events.observers:
+        if events.kind_observers:
             events.clock = now
             events.publish(EV_MIGRATE, node.id, page, old_home=old_home)
         return overhead
@@ -639,8 +642,6 @@ class Engine:
 
 def simulate(workload: WorkloadTraces, policy: ArchitecturePolicy,
              config: SystemConfig | None = None,
-             quantum: int = DEFAULT_QUANTUM,
-             log_messages: bool = False) -> RunResult:
+             quantum: int = DEFAULT_QUANTUM) -> RunResult:
     """Convenience wrapper: build an :class:`Engine` and run it."""
-    return Engine(workload, policy, config=config, quantum=quantum,
-                  log_messages=log_messages).run()
+    return Engine(workload, policy, config=config, quantum=quantum).run()

@@ -4,19 +4,22 @@ The replay engine's per-reference hot path must stay fast, so the bus
 publishes only the *rare* transitions the protocol and VM state
 machines make -- page faults, S-COMA mappings, evictions, relocations,
 flushes, migrations, invalidations, daemon runs, barrier releases --
-to registered observers.  With no observer attached, every publish
-site reduces to one attribute load and a falsy-list check, so an
-unobserved run pays (near-)zero cost.
+to the observers that subscribed to that kind.  Every publish site
+guards on :meth:`EventBus.watching`, so a kind nobody watches costs one
+dict probe and builds no event.
 
 One :class:`EventBus` is shared by a :class:`~repro.sim.machine.Machine`
-and all of its nodes.  The engine stamps ``bus.clock`` with the acting
-node's local clock at every rare-event entry point, so observers see
-events with cycle context without the hot path threading ``now``
-through every call.
+and all of its nodes.  While the bus has any subscriber, the engine
+stamps ``bus.clock`` with the acting node's local clock at every
+rare-event entry point, so observers see events with cycle context
+without the hot path threading ``now`` through every call;
+invalidations and demotions carry their own protocol time instead.
 
 Observers include :class:`~repro.sim.debug.EventTrace` (bounded
-diagnostic recording) and :class:`~repro.check.InvariantChecker`
-(online invariant checking with deterministic failure replay).
+diagnostic recording), :class:`~repro.sim.timeseries.TimeSeriesSampler`
+(per-barrier state samples), :class:`~repro.obs.BackoffTelemetry`
+(``--obs``) and :class:`~repro.check.InvariantChecker` (online
+invariant checking with deterministic failure replay).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ __all__ = [
     "EventBus", "SimEvent",
     "EV_FAULT", "EV_MAP_SCOMA", "EV_EVICT", "EV_RELOCATE", "EV_FLUSH",
     "EV_INVALIDATE", "EV_DEMOTE", "EV_DAEMON", "EV_BARRIER", "EV_MIGRATE",
-    "EV_END",
+    "EV_END", "ALL_KINDS",
 ]
 
 # -- event kinds ---------------------------------------------------------
@@ -40,6 +43,11 @@ EV_DAEMON = "daemon"          #: pageout daemon run (detail: thrashing)
 EV_BARRIER = "barrier"        #: global barrier released
 EV_MIGRATE = "migrate"        #: page home migrated (detail: old_home)
 EV_END = "end"                #: simulation finished
+
+#: The eleven simulation kinds: what an observer of everything names.
+ALL_KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_FLUSH,
+             EV_INVALIDATE, EV_DEMOTE, EV_DAEMON, EV_BARRIER, EV_MIGRATE,
+             EV_END)
 
 
 class SimEvent:
@@ -62,48 +70,29 @@ class SimEvent:
 
 
 class EventBus:
-    """Synchronous observer list with a clock hint.
+    """Synchronous kind-filtered subscriptions with a clock hint.
 
-    ``publish`` returns immediately when no observer is subscribed;
-    publish *sites* may additionally guard on ``bus.observers`` to skip
-    building event details entirely.
-
-    Kind-filtered subscriptions (``subscribe(obs, kinds=...)``) exist
-    for telemetry that must not slow the replay hot path: a filtered
-    observer never appears in ``observers``, so the replay kernel
-    (which refuses a run while ``observers`` is non-empty) and the
-    per-event publish guards stay on.  The trade-off is that a
-    filtered observer only sees kinds whose publish sites guard on
-    :meth:`watching` rather than on ``observers`` — today the rare
-    run-structure kinds (``EV_DAEMON``, ``EV_BARRIER``, ``EV_END``),
-    which is exactly the set :class:`repro.obs.BackoffTelemetry` needs.
+    Every observer names the kinds it wants; ``kind_observers`` maps a
+    kind to its subscribers in subscription order, and holds no kind
+    without one.  What a run watches decides where it can replay: the
+    compiled kernel performs some transitions without publishing them,
+    so :func:`repro.sim.soatrace.run_vector` refuses a run that watches
+    one of those kinds (see ``docs/performance.md``).
     """
 
-    __slots__ = ("observers", "clock", "kind_observers")
+    __slots__ = ("kind_observers", "clock")
 
     def __init__(self) -> None:
-        self.observers: list = []
-        #: kind -> observers that only want that kind (see class docs).
+        #: kind -> observers subscribed to it, in subscription order.
         self.kind_observers: dict = {}
         self.clock = 0
 
-    def subscribe(self, observer, kinds=None) -> None:
-        """Register ``observer(event: SimEvent)``.
-
-        With *kinds* (an iterable of event-kind strings) the observer
-        is kind-filtered: it sees only those kinds, and it does not
-        disturb the ``observers``-guarded hot paths.
-        """
-        if kinds is None:
-            self.observers.append(observer)
-        else:
-            for kind in kinds:
-                self.kind_observers.setdefault(kind, []).append(observer)
+    def subscribe(self, observer, kinds) -> None:
+        """Register ``observer(event: SimEvent)`` for each of *kinds*."""
+        for kind in kinds:
+            self.kind_observers.setdefault(kind, []).append(observer)
 
     def unsubscribe(self, observer) -> None:
-        if observer in self.observers:
-            self.observers.remove(observer)
-            return
         for kind in list(self.kind_observers):
             subscribers = self.kind_observers[kind]
             while observer in subscribers:
@@ -113,15 +102,16 @@ class EventBus:
 
     def watching(self, kind: str) -> bool:
         """Would a publish of *kind* reach any observer right now?"""
-        return bool(self.observers) or kind in self.kind_observers
+        return kind in self.kind_observers
 
-    def publish(self, kind: str, node: int, page: int, **detail) -> None:
-        filtered = self.kind_observers.get(kind)
-        if not self.observers and not filtered:
+    def publish(self, kind: str, node: int, page: int,
+                clock: int | None = None, **detail) -> None:
+        """Deliver one event to *kind*'s subscribers.  It carries
+        *clock* when given, else the ambient ``self.clock``."""
+        subscribers = self.kind_observers.get(kind)
+        if not subscribers:
             return
-        event = SimEvent(kind, node, page, self.clock, detail)
-        for observer in self.observers:
+        event = SimEvent(kind, node, page,
+                         self.clock if clock is None else clock, detail)
+        for observer in subscribers:
             observer(event)
-        if filtered:
-            for observer in filtered:
-                observer(event)

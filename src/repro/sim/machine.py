@@ -13,7 +13,6 @@ buffers, and the per-node families are rows of :attr:`Machine.blocks`.
 from __future__ import annotations
 
 from ..coherence.directory import Directory
-from ..coherence.messages import MessageLog
 from ..coherence.protocol import CoherenceProtocol
 from ..core.policy import ArchitecturePolicy
 from ..interconnect.bus import SplitTransactionBus
@@ -32,7 +31,7 @@ class Machine:
 
     def __init__(self, config: SystemConfig, policy: ArchitecturePolicy,
                  home_pages_per_node: int, total_shared_pages: int,
-                 log_messages: bool = False, n_pages: int = 0) -> None:
+                 n_pages: int = 0) -> None:
         self.config = config
         self.policy = policy
         self.amap = config.address_map()
@@ -43,9 +42,8 @@ class Machine:
         #: Shared rare-event bus (near-zero cost while unobserved).
         self.events = EventBus()
 
-        self.log = MessageLog() if log_messages else None
         self.directory = Directory(config.n_nodes, self.amap.chunks_per_page,
-                                   self.n_pages, log=self.log,
+                                   self.n_pages,
                                    grant_exclusive=config.protocol == "mesi")
         self.network = Network(
             topology=SwitchTopology(config.n_nodes, config.switch_radix),

@@ -11,6 +11,10 @@ their three side-effect families always happen together:
    future accesses *induced cold misses*) and reset refetch evidence;
 3. accounting: cycle charges to K-BASE/K-OVERHD and event counters.
 
+Each operation publishes its event kind on the machine-wide
+:class:`~repro.sim.events.EventBus` only when a subscriber watches
+that kind; invalidations and demotions carry their protocol time.
+
 Every piece of per-node state the replay kernel reads or writes is a row
 of a machine-wide :class:`NodeBlocks` block, handed to the node's models
 when they are built; the models index those rows directly, so the
@@ -158,13 +162,9 @@ class Node:
     def invalidate_chunk(self, chunk: int, now: int | None = None) -> None:
         """Destroy this node's copy of *chunk* (remote write).
 
-        *now* is the protocol-time of the invalidation.  It stamps the
-        event-bus clock only for kind-filtered subscribers: unfiltered
-        observers keep seeing the ambient clock the engine stamps at
-        rare-event entry points (the checker corpus pins those event
-        streams), while filtered telemetry -- and the vector kernel's
-        event-ring replay, which must be clock-identical to this path
-        -- gets the precise transition time.
+        *now* is the protocol time of the invalidation: the published
+        event carries it, as the kernel's event ring does, and the
+        bus's ambient clock is left alone.
         """
         amap = self.amap
         for line in amap.lines_of_chunk(chunk):
@@ -180,19 +180,17 @@ class Node:
             self.page_table.clear_chunk_valid(page, chunk % amap.chunks_per_page)
         events = self.events
         if events.watching(EV_INVALIDATE):
-            if now is not None and EV_INVALIDATE in events.kind_observers:
-                events.clock = now
-            events.publish(EV_INVALIDATE, self.id, page, chunk=chunk)
+            events.publish(EV_INVALIDATE, self.id, page, clock=now,
+                           chunk=chunk)
 
     def demote_chunk(self, chunk: int, now: int | None = None) -> None:
         """Lose write permission (a remote reader demoted our M copy)."""
         self.owned[chunk] = 0
         events = self.events
         if events.watching(EV_DEMOTE):
-            if now is not None and EV_DEMOTE in events.kind_observers:
-                events.clock = now
             events.publish(EV_DEMOTE, self.id,
-                           self.amap.page_of_chunk(chunk), chunk=chunk)
+                           self.amap.page_of_chunk(chunk), clock=now,
+                           chunk=chunk)
 
     # ------------------------------------------------------------------
     # Page-management operations.
@@ -212,7 +210,7 @@ class Node:
         self.owned[first:first + cpp] = bytes(cpp)
         self.directory.drop_node_from_page(self.id, page)
         self.stats.lines_flushed += flushed
-        if self.events.observers:
+        if self.events.watching(EV_FLUSH):
             self.events.publish(EV_FLUSH, self.id, page, flushed=flushed)
         return flushed
 
@@ -220,7 +218,7 @@ class Node:
         """Install *page* into the page cache (frame already allocated)."""
         self.page_table.map_scoma(page)
         self.pagecache_hits[page] = 0
-        if self.events.observers:
+        if self.events.watching(EV_MAP_SCOMA):
             self.events.publish(EV_MAP_SCOMA, self.id, page)
 
     def evict_scoma_page(self, page: int, forced: bool) -> int:
@@ -242,7 +240,7 @@ class Node:
         self.stats.evictions += 1
         if forced:
             self.stats.forced_evictions += 1
-        if self.events.observers:
+        if self.events.watching(EV_EVICT):
             self.events.publish(EV_EVICT, self.id, page, forced=forced,
                                 flushed=flushed)
         return self.costs.eviction_cost(flushed)
@@ -259,7 +257,7 @@ class Node:
         self.directory.reset_refetch(page, self.id)
         self.policy_state.relocations += 1
         self.stats.relocations += 1
-        if self.events.observers:
+        if self.events.watching(EV_RELOCATE):
             self.events.publish(EV_RELOCATE, self.id, page, flushed=flushed)
         return self.costs.relocation_cost(flushed)
 
@@ -296,8 +294,7 @@ class Node:
         """Invoke the pageout daemon when the pool is low (rate-limited)."""
         if self.daemon.due(now):
             events = self.events
-            watched = events.watching(EV_DAEMON)
-            if watched:
+            if events.kind_observers:
                 events.clock = now
             result = self.daemon.run(now)
             self.stats.K_OVERHD += result.cost
@@ -305,7 +302,7 @@ class Node:
             if result.thrashing:
                 self.stats.daemon_thrash += 1
             self.policy.on_daemon_result(self.policy_state, result, self.daemon)
-            if watched:
+            if events.watching(EV_DAEMON):
                 # Published after on_daemon_result, so threshold/interval
                 # carry the *post-backoff* state of the adaptive machinery.
                 threshold = self.policy_state.effective_threshold()

@@ -33,18 +33,18 @@ Implementation notes
   loaded through :mod:`cffi` in ABI mode -- no ``Python.h``, no
   build-time dependency.  ``$REPRO_VECTOR_CFLAGS`` adds compiler flags
   (CI builds a sanitized kernel this way).  When cffi or a compiler
-  is missing, or a run shape is outside the kernel's model
-  (associative L1, a time-series sampler, a directory message log,
-  unfiltered event-bus observers), :func:`run_vector` returns ``None``
-  and the engine degrades loss-free to ``_run_reference`` (a single
-  ``RuntimeWarning`` flags environment problems such as a missing
-  compiler or a corrupt kernel cache; see :func:`_load_kernel`).
+  is missing, or a run is outside the kernel's model (an associative
+  L1, or a subscriber to a kind the kernel performs without
+  publishing -- see :func:`_eligible`), :func:`run_vector` returns
+  ``None`` and the engine degrades loss-free to ``_run_reference`` (a
+  single ``RuntimeWarning`` flags environment problems such as a
+  missing compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
-  node-count or chunks-per-page ceiling; kind-filtered EventBus
-  subscribers are served by a bounded in-kernel event ring whose
-  entries are replayed post-slice with scalar-identical clocks and
-  order; and residual events exit in batched *runs* that Python
-  drains before re-entering the kernel.
+  node-count or chunks-per-page ceiling; watched invalidations and
+  demotions go through a bounded in-kernel event ring whose entries
+  are replayed post-slice with scalar-identical clocks and order; and
+  residual events exit in batched *runs* that Python drains before
+  re-entering the kernel.
 * There is one copy of the machine state: :func:`run_vector` only
   points the kernel's ``SoaState`` at the models' buffers, so the
   scalar residual path, the pageout daemon and every post-run consumer
@@ -73,7 +73,8 @@ import numpy as np
 
 from ..core.policy import ArchitecturePolicy
 from ..kernel.vm import PageMode
-from .events import EV_DEMOTE, EV_INVALIDATE
+from .events import (EV_DEMOTE, EV_EVICT, EV_FAULT, EV_FLUSH, EV_INVALIDATE,
+                     EV_MAP_SCOMA)
 from .trace import EV_WRITE
 
 __all__ = ["run_vector", "vector_available"]
@@ -1109,31 +1110,28 @@ def vector_available() -> bool:
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
 
+#: Kinds the kernel performs without publishing: homed-page faults
+#: (with their S-COMA mappings) and pure S-COMA's forced evictions
+#: (with their flushes).  A run that watches one replays on the
+#: reference loop.
+_KERNEL_SILENT_KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_FLUSH)
+
+
 def _eligible(engine) -> bool:
     """Cheap pre-flight: is this run inside the kernel's model?
 
-    Anything that truly needs to observe *every* intermediate state
-    transition (unfiltered event-bus observers -- which is how the
-    invariant checker attaches -- a directory message log, a
-    time-series sampler) or a shape the dense arrays cannot carry
-    (associative L1, out-of-range reference args) falls back to
-    ``_run_reference``.
-
-    Shapes that used to disqualify a run but no longer do:
-
-    * **>62 nodes / chunks-per-page** -- copyset and S-COMA valid
-      bitmaps are multi-word ``uint64`` rows now;
-    * **kind-filtered observers** (``repro.obs`` backoff telemetry) --
-      run-structure kinds publish at Python exits exactly as before,
-      and in-kernel invalidations/demotions are replayed post-slice
-      through the bounded event ring.
+    A run falls back to ``_run_reference`` when it watches a kind in
+    :data:`_KERNEL_SILENT_KINDS` (the invariant checker watches every
+    kind) or has a shape the dense arrays cannot carry (associative L1,
+    out-of-range reference args).  Every other kind reaches its
+    subscribers on the kernel too: invalidations and demotions through
+    the event ring, relocations, migrations, daemon runs, barriers and
+    the run's end from the Python exits that perform them.
     """
-    machine = engine.machine
     if not engine._l1_direct:
         return False
-    if engine.sampler is not None:
-        return False
-    if machine.directory.log is not None or machine.events.observers:
+    events = engine.machine.events
+    if any(events.watching(kind) for kind in _KERNEL_SILENT_KINDS):
         return False
     ref_hi = engine.workload.soa()[5]
     lines_total = engine.workload.total_shared_pages << engine._line_shift
@@ -1231,11 +1229,10 @@ def run_vector(engine) -> list[int] | None:
 
     # --- event ring + invalidation scratch ---------------------------
     # The ring records in-kernel invalidations/demotions only when a
-    # kind-filtered subscriber actually watches that kind; an
-    # unfiltered observer already failed eligibility.
+    # subscriber actually watches that kind.
     events = machine.events
-    ring_inv = EV_INVALIDATE in events.kind_observers
-    ring_dem = EV_DEMOTE in events.kind_observers
+    ring_inv = events.watching(EV_INVALIDATE)
+    ring_dem = events.watching(EV_DEMOTE)
     ring_cap = max(1024, 2 * n + 4)
     ring = np.zeros((ring_cap, 4), dtype=np.int64)
     inv_scratch = np.zeros(directory.words, dtype=np.uint64)
@@ -1374,18 +1371,17 @@ def run_vector(engine) -> list[int] | None:
         """Replay ring-deferred invalidate/demote events to the bus.
 
         Runs before any other Python-side work at every kernel exit, so
-        the publish order (and the per-event clock stamp, which mirrors
-        the scalar kind-filtered stamping rule) matches the scalar
-        loops exactly.
+        the publish order matches the reference loop exactly; each
+        event carries its protocol time, as ``Node.invalidate_chunk``
+        and ``Node.demote_chunk`` publish it.
         """
         count = int(ctl[_RINGN])
         if not count:
             return
         for j in range(count):
             kind, nd, ch, clk = ring[j].tolist()
-            events.clock = clk
             events.publish(EV_INVALIDATE if kind == 0 else EV_DEMOTE,
-                           nd, ch >> pc_shift, chunk=ch)
+                           nd, ch >> pc_shift, clock=clk, chunk=ch)
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------

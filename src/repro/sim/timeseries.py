@@ -3,9 +3,17 @@
 The paper reports end-of-run aggregates; understanding *why* AS-COMA
 converges (threshold climbing, relocation shutting off, daemon interval
 stretching, a phase change recovering) needs the trajectory.  A
-:class:`TimeSeriesSampler` passed to :class:`~repro.sim.engine.Engine`
+:class:`TimeSeriesSampler` attached to an
+:class:`~repro.sim.engine.Engine` subscribes to ``EV_BARRIER`` and
 snapshots every node's page-management state at each barrier release --
-the natural globally-consistent points of the execution.
+the natural globally-consistent points of the execution.  Barrier
+releases are published at a Python exit of either replay loop, and
+every field it samples is live there, so a sampled run still replays
+on the compiled kernel::
+
+    sampler = TimeSeriesSampler().attach(engine)
+    engine.run()
+    sampler.series(0, "threshold")
 
 Used by ``examples/backoff_timeline.py`` and the regression tests that
 pin down the backoff dynamics (monotone threshold climb under sustained
@@ -13,6 +21,8 @@ thrashing, recovery after lu-style phase changes).
 """
 
 from __future__ import annotations
+
+from .events import EV_BARRIER
 
 __all__ = ["TimeSeriesSampler", "Sample"]
 
@@ -33,7 +43,9 @@ class Sample:
         self.relocation_enabled = self.threshold > 0 or not hasattr(
             node.policy_state, "backoff")
         self.relocations = node.stats.relocations
-        self.evictions = node.stats.evictions
+        # One frame release per eviction; unlike NodeStats.evictions it
+        # is live while the kernel runs (it merges stats at the end).
+        self.evictions = node.pool.releases
         self.daemon_interval = node.daemon.interval
         self.daemon_thrash = node.stats.daemon_thrash
 
@@ -46,6 +58,14 @@ class TimeSeriesSampler:
 
     def __init__(self) -> None:
         self.samples: list[Sample] = []
+
+    def attach(self, engine) -> "TimeSeriesSampler":
+        """Sample *engine*'s nodes at each of its barrier releases;
+        returns self."""
+        nodes = engine.machine.nodes
+        engine.machine.events.subscribe(
+            lambda event: self.sample(event.clock, nodes), (EV_BARRIER,))
+        return self
 
     def sample(self, now: int, nodes) -> None:
         for node in nodes:

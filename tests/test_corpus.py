@@ -23,11 +23,11 @@ ENTRIES = sorted(
 
 
 # Replay every bundle under both replay-loop selections.  The checker
-# that replay() attaches subscribes an unfiltered observer, which makes
-# the default vector dispatch fall back to the reference loop -- so the
-# vector leg proves that fallback is loss-free, exactly like the
-# REPRO_VECTOR_PATH=0 leg proves the reference loop reproduces the
-# recorded violations.
+# that replay() attaches watches every event kind, faults included,
+# which makes the default vector dispatch fall back to the reference
+# loop -- so the vector leg proves that fallback is loss-free, exactly
+# like the REPRO_VECTOR_PATH=0 leg proves the reference loop
+# reproduces the recorded violations.
 _PATH_ENVS = [
     pytest.param({"REPRO_VECTOR_PATH": "0"}, id="reference"),
     pytest.param({}, id="vector"),

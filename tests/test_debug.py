@@ -56,6 +56,14 @@ class TestEventTrace:
         assert 7 in hot and 9 not in hot
         assert hot[7] == 3
 
+    def test_single_relocation_is_not_ping_pong(self):
+        """A relocation publishes map_scoma and then relocate for the
+        same remap; one relocation per page must not read as two
+        cycles.  At 10% pressure R-NUMA relocates pages once each."""
+        trace, _ = run_traced("RNUMA", 0.1)
+        assert trace.of_kind("relocate")
+        assert trace.ping_pong_pages(min_cycles=2) == {}
+
     def test_thrashing_run_shows_ping_pong(self):
         trace, _ = run_traced("RNUMA", 0.9)
         # Under thrashing, some pages cycle through the cache repeatedly.

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.coherence.directory import Directory
-from repro.coherence.messages import MessageLog, MsgKind
 
 
 @pytest.fixture
@@ -148,30 +147,6 @@ class TestDropNodeFromPage:
         directory.drop_node_from_page(1, 0)
         out = directory.fetch(1, 0, 0, False, 0)
         assert not out.refetch  # induced cold miss, not a refetch
-
-
-class TestLogging:
-    def test_messages_logged(self):
-        log = MessageLog()
-        d = Directory(4, 32, log=log)
-        d.fetch(1, 0, 0, False, 0, home=2)
-        kinds = [m.kind for m in log.messages]
-        assert MsgKind.GET in kinds and MsgKind.DATA in kinds
-
-    def test_invalidations_logged(self):
-        log = MessageLog()
-        d = Directory(4, 32, log=log)
-        d.fetch(1, 0, 0, False, 0)
-        d.fetch(2, 0, 0, True, 0)
-        assert len(log.of_kind(MsgKind.INV)) == 1
-
-    def test_hint_piggybacked_on_data(self):
-        log = MessageLog()
-        d = Directory(4, 32, log=log)
-        d.fetch(1, 0, 0, False, 1)
-        d.fetch(1, 0, 0, False, 1)  # refetch crosses threshold 1
-        data = log.of_kind(MsgKind.DATA)
-        assert data[-1].relocation_hint
 
 
 class TestValidation:

@@ -84,8 +84,8 @@ class TestEngineFuzz:
     def test_invariants(self, arch, per_node, pressure, vector):
         """Every accounting invariant, with the checker online.
 
-        Runs under both loop selections: attaching the checker
-        subscribes an unfiltered observer, so a ``vector_path=True``
+        Runs under both loop selections: the checker watches every
+        event kind, faults included, so a ``vector_path=True``
         engine falls back to the reference loop -- this leg proves a
         checked run under vector dispatch stays loss-free and
         violation-silent.  (True vectorized runs are audited in

@@ -18,6 +18,9 @@ CASES = [
     ("custom_workload.py", [], "AS-COMA rel"),
     ("workload_analysis.py", ["fft", "0.2"], "ideal pressure"),
     ("design_space.py", ["fft", "0.5", "0.2"], "Rel. time"),
+    ("backoff_timeline.py", ["em3d", "0.9"], "barrier samples"),
+    ("quickstart.py", ["0.7"], "AS-COMA time breakdown"),
+    ("thrashing_backoff.py", [], "Per-node AS-COMA backoff state"),
 ]
 
 

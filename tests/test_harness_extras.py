@@ -1,11 +1,10 @@
-"""Coverage for harness extras: CSV export, message logging through the
-engine, engine edge cases, utilisation reporting."""
+"""Coverage for harness extras: CSV export, engine edge cases,
+utilisation reporting."""
 
 import csv
 
 import pytest
 
-from repro.coherence.messages import MsgKind
 from repro.core import CCNUMAPolicy
 from repro.harness import export_csv
 from repro.harness.experiment import run_app
@@ -42,25 +41,6 @@ class TestExportCSV:
             for key, value in row.items():
                 if key.startswith("miss_"):
                     assert value == str(int(value))
-
-
-class TestMessageLogging:
-    def test_engine_logs_protocol_messages(self):
-        wl = make_micro_workload()
-        engine = Engine(wl, CCNUMAPolicy(),
-                        SystemConfig(n_nodes=2, model_contention=False),
-                        log_messages=True)
-        engine.run()
-        log = engine.machine.log
-        assert log is not None and len(log) > 0
-        kinds = {m.kind for m in log.messages}
-        assert MsgKind.GET in kinds and MsgKind.DATA in kinds
-
-    def test_log_disabled_by_default(self):
-        wl = make_micro_workload()
-        engine = Engine(wl, CCNUMAPolicy(), SystemConfig(n_nodes=2))
-        engine.run()
-        assert engine.machine.log is None
 
 
 class TestEngineEdges:

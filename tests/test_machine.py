@@ -1,6 +1,6 @@
 """Unit tests for machine assembly and cross-node wiring."""
 
-from repro.core import CCNUMAPolicy, ASCOMAPolicy, SCOMAPolicy
+from repro.core import CCNUMAPolicy, ASCOMAPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.machine import Machine
 
@@ -29,13 +29,6 @@ class TestAssembly:
     def test_allocator_quota_balanced(self):
         m = make_machine()
         assert m.allocator.quota == 10
-
-    def test_message_log_optional(self):
-        cfg = SystemConfig(n_nodes=2)
-        m = Machine(cfg, SCOMAPolicy(), 4, 8, log_messages=True)
-        assert m.log is not None
-        m2 = Machine(cfg, SCOMAPolicy(), 4, 8)
-        assert m2.log is None
 
 
 class TestCrossNodeWiring:

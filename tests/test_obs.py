@@ -1,4 +1,5 @@
-"""Tests for repro.obs: sink, spans, kind-filtered backoff telemetry.
+"""Tests for repro.obs: sink, spans, kind-filtered backoff telemetry,
+and the event bus's kind subscriptions it rides on.
 
 The acceptance tests at the bottom pin the two ISSUE-level claims: an
 observed serial sweep's per-cell spans account for the measured
@@ -16,7 +17,8 @@ from repro.obs import (BackoffTelemetry, ObsSink, SpanRecorder,
                        render_summary, render_timeline, resolve_run_path,
                        summarize, use_obs, worker_recorder)
 from repro.runtime import RunSpec, execute
-from repro.sim.events import EV_BARRIER, EV_DAEMON, EV_EVICT, EventBus
+from repro.sim.events import (ALL_KINDS, EV_BARRIER, EV_DAEMON, EV_EVICT,
+                              EventBus)
 
 SCALE = 0.1
 
@@ -32,20 +34,24 @@ class TestEventBusKinds:
         assert [e.kind for e in seen] == [EV_DAEMON]
 
     def test_filtered_subscription_keeps_fast_paths_on(self):
-        """The whole point: a kind-filtered observer must not appear in
-        ``observers`` — the replay kernel's eligibility check and the
-        hot publish-site guards key off that list."""
+        """The publish-site guards and the kernel's eligibility check
+        key off ``watching``: it must answer per kind, so a subscriber
+        to run-structure kinds leaves page-management publishes off."""
         bus = EventBus()
         bus.subscribe(lambda e: None, kinds=(EV_DAEMON, EV_BARRIER))
-        assert bus.observers == []
         assert bus.watching(EV_DAEMON)
         assert bus.watching(EV_BARRIER)
         assert not bus.watching(EV_EVICT)
 
     def test_full_observer_watches_everything(self):
         bus = EventBus()
-        bus.subscribe(lambda e: None)
-        assert bus.watching(EV_EVICT) and bus.watching(EV_DAEMON)
+        bus.subscribe(lambda e: None, ALL_KINDS)
+        assert len(set(ALL_KINDS)) == 11
+        assert all(bus.watching(kind) for kind in ALL_KINDS)
+
+    def test_subscribe_requires_kinds(self):
+        with pytest.raises(TypeError):
+            EventBus().subscribe(lambda e: None)
 
     def test_unsubscribe_clears_emptied_kinds(self):
         bus = EventBus()
@@ -55,16 +61,37 @@ class TestEventBusKinds:
         assert bus.kind_observers == {}
         assert not bus.watching(EV_DAEMON)
 
-    def test_both_observer_classes_receive_one_event(self):
+    def test_unsubscribe_after_overlapping_subscriptions(self):
+        """One observer subscribed twice, to overlapping kinds, leaves
+        nothing behind."""
         bus = EventBus()
-        full, filtered = [], []
-        bus.subscribe(full.append)
-        bus.subscribe(filtered.append, kinds=(EV_DAEMON,))
+        obs = lambda e: None  # noqa: E731
+        bus.subscribe(obs, ALL_KINDS)
+        bus.subscribe(obs, kinds=(EV_DAEMON,))
+        bus.unsubscribe(obs)
+        assert bus.kind_observers == {}
+
+    def test_both_observer_classes_receive_one_event(self):
+        """An every-kind and a one-kind subscriber share one event,
+        delivered in subscription order."""
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda e: seen.append(("all", e)), ALL_KINDS)
+        bus.subscribe(lambda e: seen.append(("daemon", e)), (EV_DAEMON,))
         bus.clock = 42
         bus.publish(EV_DAEMON, 3, -1, thrashing=False)
-        assert len(full) == len(filtered) == 1
-        assert full[0] is filtered[0]
-        assert filtered[0].clock == 42 and filtered[0].node == 3
+        assert [who for who, _ in seen] == ["all", "daemon"]
+        assert seen[0][1] is seen[1][1]
+        assert seen[0][1].clock == 42 and seen[0][1].node == 3
+
+    def test_event_clock_overrides_ambient_clock(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append, ALL_KINDS)
+        bus.clock = 42
+        bus.publish(EV_EVICT, 1, 7, clock=99, forced=True)
+        assert seen[0].clock == 99 and seen[0].detail == {"forced": True}
+        assert bus.clock == 42
 
 
 # ----------------------------------------------------------------------
@@ -254,13 +281,14 @@ class TestAcceptance:
         from repro.sim.config import SystemConfig
         from repro.sim.engine import Engine
         from repro.harness.experiment import get_workload, scaled_policy
+        from repro.sim.soatrace import _eligible
         wl = get_workload("fft", SCALE)
         engine = Engine(wl, scaled_policy("ASCOMA"),
                         config=SystemConfig(n_nodes=wl.n_nodes,
                                             memory_pressure=0.7))
         telemetry = BackoffTelemetry().attach(engine)
         bus = engine.machine.events
-        assert bus.observers == []  # the kernel stays eligible
+        assert _eligible(engine)  # the kernel stays eligible
         telemetry.detach(engine)
         assert bus.kind_observers == {}
 
@@ -284,5 +312,4 @@ class TestAcceptance:
         telemetry = BackoffTelemetry()
         RunSpec("fft", "ASCOMA", 0.7, SCALE).execute(check=True,
                                                      telemetry=telemetry)
-        assert captured["bus"].observers == []
         assert captured["bus"].kind_observers == {}

@@ -196,16 +196,6 @@ class TestWidenedEligibility:
         BackoffTelemetry().attach(engine)
         assert _eligible(engine)
 
-    def test_sampler_still_falls_back(self):
-        """A time-series sampler needs every intermediate transition;
-        it must keep disqualifying the kernel."""
-        from repro.sim.soatrace import _eligible
-        wl = get_workload("fft", SCALE)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5)
-        engine = Engine(wl, scaled_policy("ASCOMA"), config=cfg)
-        engine.sampler = object()
-        assert not _eligible(engine)
-
 
 def state_buffers(engine) -> dict:
     """Every state buffer the kernel reads or writes, as raw bytes."""
@@ -398,6 +388,149 @@ class TestObsTimelineParity:
         assert r_vec == r_ref
 
 
+def watched_replay(monkeypatch, cell, vector_path, attach):
+    """Replay *cell* ``(app, arch, pressure, scale)`` with *attach(engine)*
+    run first.  Returns the result payload and the outcome of every
+    ``run_vector`` call: True when it returned clocks (the kernel ran),
+    False when it refused the run."""
+    from repro.sim import soatrace
+    app, arch, pressure, scale = cell
+    wl = get_workload(app, scale)
+    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
+    engine = Engine(wl, scaled_policy(arch), config=cfg,
+                    vector_path=vector_path)
+    attach(engine)
+    outcomes = []
+    real_run_vector = soatrace.run_vector
+
+    def probe(eng):
+        clock = real_run_vector(eng)
+        outcomes.append(clock is not None)
+        return clock
+
+    with monkeypatch.context() as patch:
+        patch.setattr(soatrace, "run_vector", probe)
+        result = engine.run().to_dict()
+    return result, outcomes
+
+
+def stream_of(kinds, seen):
+    """attach() hook: subscribe to *kinds*, appending each event's
+    ``(kind, node, page, clock, detail)`` to *seen*."""
+    def attach(engine):
+        engine.machine.events.subscribe(
+            lambda ev: seen.append((ev.kind, ev.node, ev.page, ev.clock,
+                                    ev.detail)), kinds)
+    return attach
+
+
+class TestWatchedKinds:
+    """Every observer names its kinds, and what a run watches decides
+    where it replays.  A kind the kernel performs without publishing
+    (fault, map_scoma, evict, flush) sends the run to the reference
+    loop; every other kind reaches its subscribers from the kernel too,
+    with the reference loop's events, clocks and order."""
+
+    THRASH = ("em3d", "RNUMA", 0.9, SCALE)
+
+    def test_page_kinds_reach_a_kind_filtered_subscriber(self, monkeypatch):
+        """A subscriber naming the six page-management kinds receives
+        exactly what an every-kind subscriber receives of them, on
+        both loops, and the run replays on the reference loop."""
+        from repro.sim.events import (ALL_KINDS, EV_EVICT, EV_FAULT,
+                                      EV_FLUSH, EV_MAP_SCOMA, EV_MIGRATE,
+                                      EV_RELOCATE)
+        page_kinds = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE,
+                      EV_FLUSH, EV_MIGRATE)
+        streams = {}
+        for vector_path in (False, True):
+            named, everything = [], []
+            result, outcomes = watched_replay(
+                monkeypatch, self.THRASH, vector_path,
+                stream_of(page_kinds, named))
+            assert outcomes == ([False] if vector_path else [])
+            full, _ = watched_replay(monkeypatch, self.THRASH, vector_path,
+                                     stream_of(ALL_KINDS, everything))
+            assert result == full
+            assert named == [ev for ev in everything if ev[0] in page_kinds]
+            streams[vector_path] = named
+        assert streams[True] == streams[False]
+        counts = {kind: sum(ev[0] == kind for ev in streams[False])
+                  for kind in page_kinds}
+        assert counts == {EV_FAULT: 200, EV_MAP_SCOMA: 218, EV_EVICT: 203,
+                          EV_RELOCATE: 218, EV_FLUSH: 421, EV_MIGRATE: 0}
+
+    @pytest.mark.parametrize("kind", ("fault", "map_scoma", "evict",
+                                      "flush"))
+    def test_kernel_silent_kind_falls_back(self, monkeypatch, kind):
+        """The kernel maps homed pages and force-evicts without
+        publishing; a run watching such a kind must not reach it."""
+        from repro.sim.soatrace import _eligible
+        seen, eligible = [], []
+
+        def attach(engine):
+            stream_of((kind,), seen)(engine)
+            eligible.append(_eligible(engine))
+
+        _, outcomes = watched_replay(monkeypatch, ("radix", "SCOMA", 0.9,
+                                                   SCALE), True, attach)
+        assert eligible == [False] and outcomes == [False]
+        assert seen
+
+    EXITS = ("relocate", "migrate", "daemon", "barrier")
+
+    @pytest.mark.parametrize("cell,kinds,published", [
+        (THRASH, ("relocate",), {"relocate"}),
+        (THRASH, EXITS, {"relocate", "daemon", "barrier"}),
+        (("em3d", "CCNUMAMIG", 0.9, SCALE), EXITS, {"migrate", "barrier"}),
+        (THRASH, EXITS + ("end", "invalidate", "demote"),
+         {"relocate", "daemon", "barrier", "end", "invalidate", "demote"}),
+    ], ids=["relocate", "python-exits", "migrate", "kernel-published"])
+    def test_published_kinds_ride_the_kernel(self, monkeypatch, cell, kinds,
+                                             published):
+        """Kinds published from the ring or a Python exit keep the run
+        on the kernel, with the reference loop's stream and result.
+        *published* names the kinds the cell actually produces."""
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        s_ref, s_vec = [], []
+        r_ref, _ = watched_replay(monkeypatch, cell, False,
+                                  stream_of(kinds, s_ref))
+        r_vec, outcomes = watched_replay(monkeypatch, cell, True,
+                                         stream_of(kinds, s_vec))
+        assert outcomes == [True]
+        assert {ev[0] for ev in s_ref} == published
+        assert s_vec == s_ref
+        assert r_vec == r_ref
+
+    @pytest.mark.parametrize("cell", [
+        ("em3d", "ASCOMA", 0.9, 0.35),
+        ("em3d", "RNUMA", 0.7, 0.2),
+        ("fft", "VCNUMA", 0.9, 0.2),
+        ("radix", "SCOMA", 0.9, 0.2),
+        ("lu", "ASCOMA", 0.7, 0.2),
+    ], ids=lambda cell: f"{cell[0]}-{cell[1]}-{cell[2]}-{cell[3]}")
+    def test_sampler_rides_the_kernel(self, monkeypatch, cell):
+        """The time-series sampler subscribes to barrier releases only,
+        and every field it reads is live at that exit, so a sampled
+        run replays on the kernel with the reference loop's samples."""
+        from repro.sim.timeseries import TimeSeriesSampler
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        samplers = {}
+
+        def attach(engine):
+            samplers[engine.vector_mode] = TimeSeriesSampler().attach(engine)
+
+        r_ref, _ = watched_replay(monkeypatch, cell, False, attach)
+        r_vec, outcomes = watched_replay(monkeypatch, cell, True, attach)
+        assert outcomes == [True]
+        ref = [s.as_dict() for s in samplers["off"].samples]
+        vec = [s.as_dict() for s in samplers["auto"].samples]
+        assert ref and vec == ref
+        assert r_vec == r_ref
+
+
 class TestVectorPathSelection:
     """``REPRO_VECTOR_PATH`` / ``vector_path`` selection: the only loop
     selector.  ``off`` spellings pick the reference loop; everything
@@ -531,7 +664,7 @@ class TestVectorModeSelection:
 
     def test_checked_cell_falls_back_to_reference(self, monkeypatch):
         """Where the fallback lands: a checked cell tries the kernel
-        once, is refused (the checker's unfiltered observer), and then
+        once, is refused (the checker watches kernel-silent kinds), and then
         replays on the reference loop exactly once."""
         import repro.sim.soatrace as soatrace
         from repro.runtime.spec import RunSpec
@@ -611,8 +744,9 @@ class TestDefaultPathEngagesKernel:
     def test_observed_cell_engages_kernel(self, monkeypatch, tmp_path):
         """``--obs`` attaches a :class:`~repro.obs.SpanRecorder`; its
         backoff telemetry subscribes by kind, so the cell must still
-        replay on the kernel.  An unfiltered observer would refuse it
-        and cost 3-4x, the failure the ``--obs`` budget guards."""
+        replay on the kernel.  Watching a kernel-silent kind would
+        refuse it and cost 3-4x, the failure the ``--obs`` budget
+        guards."""
         from repro.obs import ObsSink, SpanRecorder
         from repro.runtime import RunSpec, execute
         from repro.runtime.spec import RunFailure

@@ -4,6 +4,7 @@
 from repro.harness.experiment import scaled_policy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
+from repro.sim.events import EV_BARRIER
 from repro.sim.timeseries import TimeSeriesSampler
 from repro.workloads import generate_workload, lu
 
@@ -11,9 +12,8 @@ from repro.workloads import generate_workload, lu
 def run_sampled(app, arch, pressure, scale=0.25, **overrides):
     wl = generate_workload(app, scale=scale)
     cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
-    sampler = TimeSeriesSampler()
-    engine = Engine(wl, scaled_policy(arch, **overrides), cfg,
-                    sampler=sampler)
+    engine = Engine(wl, scaled_policy(arch, **overrides), cfg)
+    sampler = TimeSeriesSampler().attach(engine)
     result = engine.run()
     return sampler, result, wl
 
@@ -57,10 +57,14 @@ class TestSampler:
         assert set(line) <= {" "}
 
     def test_no_sampler_is_default(self):
+        """An engine starts unobserved; attaching a sampler subscribes
+        it to barrier releases and nothing else."""
         wl = generate_workload("fft", scale=0.25)
         engine = Engine(wl, scaled_policy("CCNUMA"),
                         SystemConfig(n_nodes=wl.n_nodes))
-        assert engine.sampler is None
+        assert engine.machine.events.kind_observers == {}
+        TimeSeriesSampler().attach(engine)
+        assert list(engine.machine.events.kind_observers) == [EV_BARRIER]
 
 
 class TestBackoffTrajectory:
@@ -89,8 +93,9 @@ class TestBackoffTrajectory:
         the effective threshold."""
         wl = lu.generate(scale=0.5)
         cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.9)
-        sampler = TimeSeriesSampler()
-        Engine(wl, scaled_policy("ASCOMA"), cfg, sampler=sampler).run()
+        engine = Engine(wl, scaled_policy("ASCOMA"), cfg)
+        sampler = TimeSeriesSampler().attach(engine)
+        engine.run()
         series = sampler.series(0, "threshold")
         peak = max(series)
         assert peak > 16, "backoff never engaged"
