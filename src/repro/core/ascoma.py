@@ -46,8 +46,9 @@ class ASCOMANodeState(PolicyNodeState):
 
     __slots__ = ("backoff",)
 
-    def __init__(self, threshold: int, increment: int, disable_after: int) -> None:
-        super().__init__(threshold)
+    def __init__(self, threshold: int, increment: int, disable_after: int,
+                 row=None) -> None:
+        super().__init__(threshold, row)
         self.backoff = AdaptiveBackoff(base_threshold=threshold,
                                        increment=increment,
                                        disable_after=disable_after)
@@ -85,9 +86,9 @@ class ASCOMAPolicy(ArchitecturePolicy):
         if not scoma_first:
             self.initial_modes = frozenset({PageMode.CCNUMA})
 
-    def make_node_state(self) -> ASCOMANodeState:
+    def make_node_state(self, row=None) -> ASCOMANodeState:
         return ASCOMANodeState(self._threshold, self._increment,
-                               self._disable_after)
+                               self._disable_after, row)
 
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         if self.scoma_first and free_frames > 0:

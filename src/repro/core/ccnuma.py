@@ -23,9 +23,6 @@ class CCNUMAPolicy(ArchitecturePolicy):
     name = "CCNUMA"
     uses_page_cache = False
 
-    def make_node_state(self) -> PolicyNodeState:
-        return PolicyNodeState(threshold=0)
-
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         return PageMode.CCNUMA
 

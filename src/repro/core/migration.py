@@ -42,8 +42,8 @@ class MigratingCCNUMAPolicy(ArchitecturePolicy):
             raise ValueError("migration threshold must be positive")
         self._threshold = threshold
 
-    def make_node_state(self) -> PolicyNodeState:
-        return PolicyNodeState(threshold=self._threshold)
+    def make_node_state(self, row=None) -> PolicyNodeState:
+        return PolicyNodeState(threshold=self._threshold, row=row)
 
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         return PageMode.CCNUMA

@@ -17,15 +17,32 @@ page-management decisions differ.  A policy decides:
 * bookkeeping on **page eviction** (VC-NUMA's break-even evaluation).
 
 Policies are stateless singletons; all mutable per-node state lives in a
-:class:`PolicyNodeState` so one policy object can serve every node.
+:class:`PolicyNodeState` so one policy object can serve every node.  The
+counters the replay kernel keeps for a policy -- relocations, skipped
+relocations and VC-NUMA's break-even tallies -- are slots of the node's
+*policy row* (``POL_*`` below), which the kernel reads and writes in
+place.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..kernel.freelist import row_slot
 from ..kernel.pageout import DaemonRunResult, PageoutDaemon
 from ..kernel.vm import PageMode
 
-__all__ = ["ArchitecturePolicy", "PolicyNodeState", "RelocationDecision"]
+__all__ = ["ArchitecturePolicy", "N_POL", "POL_EVICTIONS", "POL_LOSERS",
+           "POL_RELOCATIONS", "POL_SKIPPED", "POL_WINNERS",
+           "PolicyNodeState", "RelocationDecision"]
+
+#: Slots of a node's policy row: relocations and skipped relocations,
+#: then the break-even detector's evictions, losers and winners since
+#: its last evaluation (see repro.core.thrashing).  Keep in sync with
+#: the ``POL_*`` enum of the kernel source in repro.sim.soatrace.
+(POL_RELOCATIONS, POL_SKIPPED, POL_EVICTIONS, POL_LOSERS,
+ POL_WINNERS) = range(5)
+N_POL = 5
 
 
 class RelocationDecision:
@@ -41,19 +58,24 @@ class PolicyNodeState:
     """Per-node mutable policy state.
 
     Subclassed by policies that need extra bookkeeping; the base class
-    covers the common threshold/enable machinery.
+    covers the common threshold/enable machinery.  *row* is the node's
+    policy row (``N_POL`` ``int64`` slots); a state built without one
+    allocates its own.
     """
 
-    __slots__ = ("threshold", "relocation_enabled", "relocations",
-                 "skipped_relocations", "thrash_backoffs", "threshold_recoveries")
+    __slots__ = ("threshold", "relocation_enabled", "row", "thrash_backoffs",
+                 "threshold_recoveries")
 
-    def __init__(self, threshold: int) -> None:
+    def __init__(self, threshold: int, row=None) -> None:
+        self.row = memoryview(np.zeros(N_POL, np.int64) if row is None
+                              else row)
         self.threshold = threshold
         self.relocation_enabled = threshold > 0
-        self.relocations = 0
-        self.skipped_relocations = 0
         self.thrash_backoffs = 0
         self.threshold_recoveries = 0
+
+    relocations = row_slot(POL_RELOCATIONS)
+    skipped_relocations = row_slot(POL_SKIPPED)
 
     def effective_threshold(self) -> int:
         """Threshold the directory should enforce (0 = no counting)."""
@@ -90,8 +112,10 @@ class ArchitecturePolicy:
     #: backoff; VC-NUMA adjusts at *eviction* time, so it is excluded.)
     daemon_backoff: bool = False
 
-    def make_node_state(self) -> PolicyNodeState:
-        return PolicyNodeState(threshold=0)
+    def make_node_state(self, row=None) -> PolicyNodeState:
+        """Fresh per-node state over policy row *row* (see
+        :class:`PolicyNodeState`)."""
+        return PolicyNodeState(threshold=0, row=row)
 
     # -- hooks ----------------------------------------------------------
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:

@@ -43,8 +43,8 @@ class RNUMAPolicy(ArchitecturePolicy):
             raise ValueError("relocation threshold must be positive")
         self._threshold = threshold
 
-    def make_node_state(self) -> PolicyNodeState:
-        return PolicyNodeState(threshold=self._threshold)
+    def make_node_state(self, row=None) -> PolicyNodeState:
+        return PolicyNodeState(threshold=self._threshold, row=row)
 
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         return PageMode.CCNUMA

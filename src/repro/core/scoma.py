@@ -37,9 +37,6 @@ class SCOMAPolicy(ArchitecturePolicy):
     initial_modes = frozenset({PageMode.SCOMA})
     allows_forced_eviction = True  # fault-time eviction when the pool is dry
 
-    def make_node_state(self) -> PolicyNodeState:
-        return PolicyNodeState(threshold=0)
-
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         # Mandatory: S-COMA has no CC-NUMA fallback.  The node model
         # force-evicts a victim when free_frames == 0.

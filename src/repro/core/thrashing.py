@@ -17,11 +17,20 @@ one (Sections 2.4 and 3):
   page have occurred -- the paper points out this cadence is "not
   sufficiently often to avoid thrashing", which is exactly why VC-NUMA
   underperforms AS-COMA at high pressure.
+
+The break-even tallies since the last evaluation are slots of the
+node's policy row (see :mod:`repro.core.policy`): the replay kernel
+records forced evictions into them in place and leaves every
+evaluation to :meth:`BreakEvenDetector.record_eviction`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..kernel.freelist import row_slot
 from ..kernel.pageout import PageoutDaemon
+from .policy import N_POL, POL_EVICTIONS, POL_LOSERS, POL_WINNERS
 
 __all__ = ["AdaptiveBackoff", "BreakEvenDetector"]
 
@@ -82,12 +91,12 @@ class BreakEvenDetector:
     """VC-NUMA's replacement-driven thrashing evaluation (one per node)."""
 
     __slots__ = ("break_even", "increment", "base_threshold", "threshold",
-                 "min_evictions_per_eval",
-                 "evictions_since_eval", "losers_since_eval", "winners_since_eval",
-                 "evaluations", "backoffs", "recoveries")
+                 "min_evictions_per_eval", "row", "evaluations", "backoffs",
+                 "recoveries")
 
     def __init__(self, break_even: int = 32, base_threshold: int = 64,
-                 increment: int = 32, min_evictions_per_eval: int = 32) -> None:
+                 increment: int = 32, min_evictions_per_eval: int = 32,
+                 row=None) -> None:
         if break_even <= 0 or base_threshold <= 0 or increment <= 0:
             raise ValueError("detector parameters must be positive")
         if min_evictions_per_eval <= 0:
@@ -102,12 +111,17 @@ class BreakEvenDetector:
         #: events; the floor keeps that property when the simulated
         #: caches are scaled down.
         self.min_evictions_per_eval = min_evictions_per_eval
-        self.evictions_since_eval = 0
-        self.losers_since_eval = 0
-        self.winners_since_eval = 0
+        #: The node's policy row (a detector built without one allocates
+        #: its own).
+        self.row = memoryview(np.zeros(N_POL, np.int64) if row is None
+                              else row)
         self.evaluations = 0
         self.backoffs = 0
         self.recoveries = 0
+
+    evictions_since_eval = row_slot(POL_EVICTIONS)
+    losers_since_eval = row_slot(POL_LOSERS)
+    winners_since_eval = row_slot(POL_WINNERS)
 
     def record_eviction(self, pagecache_hits: int, cached_pages: int) -> None:
         """Record one S-COMA page eviction and evaluate if due.

@@ -38,12 +38,12 @@ class VCNUMANodeState(PolicyNodeState):
     __slots__ = ("detector",)
 
     def __init__(self, threshold: int, break_even: int, increment: int,
-                 min_evictions_per_eval: int) -> None:
-        super().__init__(threshold)
+                 min_evictions_per_eval: int, row=None) -> None:
+        super().__init__(threshold, row)
         self.detector = BreakEvenDetector(
             break_even=break_even, base_threshold=threshold,
             increment=increment,
-            min_evictions_per_eval=min_evictions_per_eval)
+            min_evictions_per_eval=min_evictions_per_eval, row=self.row)
 
     def effective_threshold(self) -> int:
         # The detector owns the live threshold.
@@ -69,9 +69,10 @@ class VCNUMAPolicy(ArchitecturePolicy):
         self._increment = increment
         self._min_evictions_per_eval = min_evictions_per_eval
 
-    def make_node_state(self) -> VCNUMANodeState:
+    def make_node_state(self, row=None) -> VCNUMANodeState:
         return VCNUMANodeState(self._threshold, self._break_even,
-                               self._increment, self._min_evictions_per_eval)
+                               self._increment, self._min_evictions_per_eval,
+                               row)
 
     def initial_mode(self, state: PolicyNodeState, free_frames: int) -> int:
         return PageMode.CCNUMA

@@ -16,18 +16,28 @@ first-touch buys.
 
 An allocator assigns a *home node* to each shared page the first time
 any node in the machine touches it, and stays sticky afterwards.  The
-assignments are a dense ``int64`` buffer (``-1`` = unassigned) that the
-replay kernel reads in place.
+assignments are a dense ``int64`` buffer (``-1`` = unassigned), and the
+allocator's counters one ``int64`` row (``AL_*`` slots below); the
+replay kernel reads and writes both in place, running the same choice
+for the variant :data:`PLACEMENT_CODES` names.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .freelist import row_slot
 from .vm import DEFAULT_PAGES
 
-__all__ = ["HomeAllocator", "RoundRobinAllocator", "RandomAllocator",
+__all__ = ["AL_COUNT", "AL_HITS", "AL_RR", "AL_SPILLS", "HomeAllocator",
+           "PLACEMENT_CODES", "RandomAllocator", "RoundRobinAllocator",
            "make_allocator"]
+
+#: Slots of the allocator row: the round-robin cursor, the first-touch
+#: hits and round-robin spills, then one home-page count per node from
+#: ``AL_COUNT`` on.  Keep in sync with the ``AL_*`` enum of the kernel
+#: source in repro.sim.soatrace.
+AL_RR, AL_HITS, AL_SPILLS, AL_COUNT = range(4)
 
 
 class HomeAllocator:
@@ -49,10 +59,14 @@ class HomeAllocator:
         #: page -> home node; -1 means not yet assigned.
         self.home = memoryview(np.full(max(n_pages, total_shared_pages), -1,
                                        np.int64))
-        self.count = [0] * n_nodes
-        self._rr_next = 0
-        self.first_touch_hits = 0
-        self.round_robin_spills = 0
+        #: The counter row (see the ``AL_*`` slots).
+        self.row = memoryview(np.zeros(AL_COUNT + n_nodes, np.int64))
+        #: node -> home pages assigned to it.
+        self.count = self.row[AL_COUNT:]
+
+    _rr_next = row_slot(AL_RR)
+    first_touch_hits = row_slot(AL_HITS)
+    round_robin_spills = row_slot(AL_SPILLS)
 
     def home_of(self, page: int, toucher: int) -> int:
         """Return *page*'s home node, assigning it on the first touch."""
@@ -167,6 +181,10 @@ _ALLOCATORS = {
     "round-robin": RoundRobinAllocator,
     "random": RandomAllocator,
 }
+
+#: The replay kernel's code for each allocator class's ``home_of``.
+PLACEMENT_CODES = {HomeAllocator: 0, RoundRobinAllocator: 1,
+                   RandomAllocator: 2}
 
 
 def make_allocator(policy: str, n_nodes: int, total_shared_pages: int,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
-           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES"]
+           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES", "row_slot"]
 
 #: Slots of a node's page-cache row: the pool's counters, then the
 #: S-COMA clock's ring cursor (head index and length).  Keep in sync
@@ -29,9 +29,11 @@ __all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
 N_PC = 7
 
 
-def _slot(index: int) -> property:
-    return property(lambda self: self._pc[index],
-                    lambda self, value: self._pc.__setitem__(index, value))
+def row_slot(index: int) -> property:
+    """An int attribute stored in slot *index* of ``self.row``, a
+    counter row the replay kernel shares."""
+    return property(lambda self: self.row[index],
+                    lambda self, value: self.row.__setitem__(index, value))
 
 
 class FreePagePool:
@@ -41,7 +43,7 @@ class FreePagePool:
     slots); a pool built without one allocates its own.
     """
 
-    __slots__ = ("capacity", "free_target", "_pc")
+    __slots__ = ("capacity", "free_target", "row")
 
     def __init__(self, cache_frames: int, total_frames: int,
                  free_min_frac: float = 0.005, free_target_frac: float = 0.02,
@@ -50,7 +52,7 @@ class FreePagePool:
             raise ValueError("frame counts must be positive")
         if not 0 <= free_min_frac <= free_target_frac <= 1:
             raise ValueError("need 0 <= free_min_frac <= free_target_frac <= 1")
-        self._pc = memoryview(np.zeros(N_PC, np.int64) if pc is None else pc)
+        self.row = memoryview(np.zeros(N_PC, np.int64) if pc is None else pc)
         self.capacity = cache_frames
         self.free = cache_frames
         # Water marks are fractions of *total* node memory, as in BSD,
@@ -59,11 +61,11 @@ class FreePagePool:
         self.free_target = min(cache_frames, max(self.free_min,
                                                  round(total_frames * free_target_frac)))
 
-    free = _slot(PC_FREE)
-    allocations = _slot(PC_ALLOCS)
-    releases = _slot(PC_RELEASES)
-    failed_allocations = _slot(PC_FAILED)
-    free_min = _slot(PC_FREE_MIN)
+    free = row_slot(PC_FREE)
+    allocations = row_slot(PC_ALLOCS)
+    releases = row_slot(PC_RELEASES)
+    failed_allocations = row_slot(PC_FAILED)
+    free_min = row_slot(PC_FREE_MIN)
 
     def try_allocate(self) -> bool:
         """Take one frame from the pool.  False if empty."""
@@ -84,7 +86,7 @@ class FreePagePool:
     @property
     def below_min(self) -> bool:
         # Read per scheduling slice: index the row, skip two properties.
-        return self._pc[PC_FREE] < self._pc[PC_FREE_MIN]
+        return self.row[PC_FREE] < self.row[PC_FREE_MIN]
 
     @property
     def below_target(self) -> bool:

@@ -23,13 +23,14 @@ needs *ranks* to be right, and event counts dominate those.
 
 The vector kernel reshuffles those ranks: in-kernel events cost near
 nothing, so a cell's time is dominated by how often it *exits* the
-kernel for residual events.  Page faults and pure S-COMA's forced
-evictions run in the kernel, so the relocating hybrids (R-NUMA,
-VC-NUMA), whose relocation hints still exit to Python, are now the
-slow ones per event.  :data:`VECTOR_ARCH_WEIGHTS` carries the
-separately calibrated vector ranks, and the cost functions pick the
-table matching the substrate the workers will actually use (the
-compiled kernel's availability in *this* process, probed once).
+kernel to Python.  Page faults, first touches, relocation hints and
+forced evictions all run in the kernel; what still exits is the
+pageout daemon (and the faults and hints it falls due at), so pure
+S-COMA, whose page cache the daemon works hardest, is now the slow one
+per event.  :data:`VECTOR_ARCH_WEIGHTS` carries the separately
+calibrated vector ranks, and the cost functions pick the table
+matching the substrate the workers will actually use (the compiled
+kernel's availability in *this* process, probed once).
 """
 
 from __future__ import annotations
@@ -60,16 +61,18 @@ DEFAULT_ARCH_WEIGHT = 1.02
 #: ASCOMA = 1.0.  Method: every cell of the 90-cell matrix at scale
 #: 0.1 (``matrix_specs(scale=0.1)``) run through ``RunSpec.execute``
 #: in one process with warm traces, five repeats; an architecture's
-#: events/s is its 18 cells' total events over the sum of their median
+#: events/s is its cells' total events over the sum of their median
 #: wall times, and its weight is ASCOMA's events/s over its own
-#: (2-vCPU x86-64 Linux VM, Python 3.11: CCNUMA 16.8M, SCOMA 10.9M,
-#: RNUMA 3.6M, VCNUMA 4.2M, ASCOMA 10.6M events/s).  Relocation hints
-#: still leave the kernel, so R-NUMA and VC-NUMA cost the most.
+#: (2-vCPU x86-64 Linux VM, Python 3.11: CCNUMA 19.9M, SCOMA 12.4M,
+#: RNUMA 17.0M, VCNUMA 16.9M, ASCOMA 19.2M events/s; three more runs
+#: moved no weight by more than 0.07).  Pure S-COMA's daemon runs and
+#: the faults it falls due at still leave the kernel, so it costs the
+#: most.
 VECTOR_ARCH_WEIGHTS = {
-    "CCNUMA": 0.63,
-    "SCOMA": 0.97,
-    "RNUMA": 2.95,
-    "VCNUMA": 2.52,
+    "CCNUMA": 0.96,
+    "SCOMA": 1.54,
+    "RNUMA": 1.13,
+    "VCNUMA": 1.13,
     "ASCOMA": 1.00,
 }
 

@@ -35,10 +35,12 @@ every architecture):
 
 * the **vector path** decodes the trace to structure-of-arrays form
   and replays it through the compiled SoA kernel in
-  :mod:`repro.sim.soatrace`, page faults and pure S-COMA's forced
-  evictions included, exiting to ``_shared_ref`` only for residual
-  events (a page's machine-wide first touch, a fault that would run
-  the pageout daemon, relocation hints);
+  :mod:`repro.sim.soatrace`, page faults (first touches included),
+  relocation hints and forced evictions included.  It exits to
+  ``_shared_ref`` only for a fault that would run the pageout daemon,
+  and to ``_handle_relocation_hint``, after the access, only for a
+  hint that would run the daemon, bring a break-even evaluation due,
+  migrate the page or find an empty clock;
 * the **reference path** is the straightforward one-call-per-event
   loop.  It is the parity oracle for the kernel and the loss-free
   fallback for every run the kernel cannot take: a subscriber to a
@@ -234,13 +236,13 @@ class Engine:
         """Vectorized SoA replay loop (see repro.sim.soatrace).
 
         Bit-identical to the reference loop.  A small compiled kernel
-        replays the decoded trace -- the scheduler, the reference cases
-        and the page faults of already-homed pages -- in place on the
-        machine's own state buffers (free pools and S-COMA clocks
-        included), handing only the residual events (first touches,
-        daemon-due faults, relocation hints), daemon runs and barrier
-        releases back to the scalar machinery, which indexes the same
-        buffers, so the two substrates never diverge.
+        replays the decoded trace -- the scheduler, the reference cases,
+        page faults, first touches and relocation hints -- in place on
+        the machine's own state buffers (free pools, S-COMA clocks,
+        allocator and policy rows included), handing only daemon-due
+        faults, the relocation hints that need Python, daemon runs and
+        barrier releases back to the scalar machinery, which indexes
+        the same buffers, so the two substrates never diverge.
 
         Degrades silently to :meth:`_run_reference` when the kernel is
         unavailable (no C compiler / cffi) or the run shape is outside
@@ -551,7 +553,11 @@ class Engine:
         return mode, kernel
 
     def _handle_relocation_hint(self, node, page: int, now: int) -> int:
-        """Directory flagged *page* hot for *node*: maybe remap it."""
+        """Directory flagged *page* hot for *node*: maybe remap it.
+
+        The replay kernel carries a transliteration
+        (``relocation_hint`` in :mod:`repro.sim.soatrace`) and calls
+        this only for the hints it leaves to Python."""
         stats = node.stats
         decision = self.policy.on_relocation_hint(node.policy_state,
                                                   node.pool.free)

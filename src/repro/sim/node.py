@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coherence.directory import Directory
-from ..core.policy import ArchitecturePolicy, PolicyNodeState
+from ..core.policy import N_POL, ArchitecturePolicy, PolicyNodeState
 from ..kernel.costs import KernelCosts
 from ..kernel.freelist import N_PC, FreePagePool
 from ..kernel.pageout import PageoutDaemon
@@ -54,13 +54,14 @@ class NodeBlocks:
     ``scoma_valid`` (``sv_words`` words per page), ``pc_hits`` (``-1`` =
     absent) and ``ref_bits`` are per page; ``mem_busy``/``bus_busy`` are
     the bank and bus busy-until stamps; ``pc`` is the page-cache row
-    (free-pool counters plus the clock cursor) and ``clk`` the clock's
-    ring buffer.
+    (free-pool counters plus the clock cursor), ``clk`` the clock's
+    ring buffer and ``policy`` the policy row (relocation counters and
+    break-even tallies, see :mod:`repro.core.policy`).
     """
 
     __slots__ = ("l1_tags", "l1_dirty", "rac", "owned", "ever", "modes",
                  "scoma_valid", "pc_hits", "ref_bits", "mem_busy",
-                 "bus_busy", "pc", "clk")
+                 "bus_busy", "pc", "clk", "policy")
 
     def __init__(self, n_nodes: int, config: SystemConfig,
                  amap: AddressMap, n_pages: int) -> None:
@@ -81,6 +82,7 @@ class NodeBlocks:
         self.bus_busy = np.zeros(n_nodes, np.int64)
         self.pc = np.zeros((n_nodes, N_PC), np.int64)
         self.clk = np.zeros((n_nodes, n_pages + 1), np.int64)
+        self.policy = np.zeros((n_nodes, N_POL), np.int64)
 
 
 class Node:
@@ -135,7 +137,8 @@ class Node:
         self.pool = FreePagePool(cache_frames, total_frames,
                                  config.free_min_frac, config.free_target_frac,
                                  pc=blocks.pc[row])
-        self.policy_state: PolicyNodeState = policy.make_node_state()
+        self.policy_state: PolicyNodeState = policy.make_node_state(
+            blocks.policy[row])
         self.stats = NodeStats()
 
         #: chunk -> 1 while this node holds it Modified (write permission).

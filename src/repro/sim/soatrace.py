@@ -3,22 +3,26 @@
 The engine's default replay path (``Engine.vector_mode == "auto"``)
 runs the reference loop's arithmetic as a small compiled kernel over
 the machine's own state buffers: directory copysets, owners and
-refetch counters, page homes, page-table modes and S-COMA valid masks,
-TLB reference bits, L1 tags, RAC slots, ownership bytes, free-frame
-pools, the second-chance clocks and the bank, bus and port queues are
-dense buffers the models own from construction (see
-:class:`~repro.sim.node.NodeBlocks`), and the kernel reads and writes
-them in place.  The kernel is a direct transliteration of
-``Engine._run_reference`` and ``Engine._shared_ref``, page faults and
-pure S-COMA's forced evictions included (``Engine._page_fault``,
-``Node.choose_victim``, ``Node.evict_scoma_page``).  It decides
-*before mutating anything* whether an event is one of the shapes it
-does not model -- the machine-wide first touch of a page (the home
-allocator stays in Python), a fault that would run the pageout daemon
-or a policy hook other than ``initial_mode``, or an imminent
-relocation hint -- and hands exactly those events back to the scalar
-``Engine._shared_ref`` machinery, so the residual path sees identical
-state and produces identical arithmetic.
+refetch counters, page homes and the home allocator's counters,
+page-table modes and S-COMA valid masks, TLB reference bits, L1 tags,
+RAC slots, ownership bytes, free-frame pools, the second-chance
+clocks, the policy rows (relocation counters and VC-NUMA's break-even
+tallies) and the bank, bus and port queues are dense buffers the
+models own from construction (see :class:`~repro.sim.node.NodeBlocks`),
+and the kernel reads and writes them in place.  The kernel is a direct
+transliteration of ``Engine._run_reference`` and ``Engine._shared_ref``:
+page faults with the home allocator's first touch
+(``Engine._page_fault``, ``HomeAllocator.home_of``), forced evictions
+(``Node.choose_victim``, ``Node.evict_scoma_page``) and relocation
+hints (``Engine._handle_relocation_hint``, ``Node.relocate_to_scoma``)
+included.  Two kinds of event still reach Python.  A page fault at
+which ``acquire_frame`` would run the pageout daemon (or that needs a
+Python-only hook) is decided *before mutating anything* and handed
+whole to ``Engine._shared_ref``.  A relocation hint that needs Python
+-- a daemon due at the hint, a break-even evaluation falling due, a
+``MIGRATE`` decision, an empty clock -- exits *after* its access
+completes, resumably, to ``Engine._handle_relocation_hint``.  Either
+way Python sees identical state and produces identical arithmetic.
 
 Bit-identical output to the reference loop is the contract: same
 ``RunResult.to_dict()``, same goldens, same store hashes (see
@@ -40,16 +44,19 @@ Implementation notes
   single ``RuntimeWarning`` flags environment problems such as a
   missing compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
-  node-count or chunks-per-page ceiling; watched invalidations and
-  demotions go through a bounded in-kernel event ring whose entries
-  are replayed post-slice with scalar-identical clocks and order; and
-  residual events exit in batched *runs* that Python drains before
-  re-entering the kernel.
+  node-count or chunks-per-page ceiling; and watched invalidations,
+  demotions and relocations go through a bounded in-kernel event ring
+  whose entries are published post-slice with scalar-identical clocks
+  and order.
 * There is one copy of the machine state: :func:`run_vector` only
   points the kernel's ``SoaState`` at the models' buffers, so the
-  scalar residual path, the pageout daemon and every post-run consumer
+  Python exits, the pageout daemon and every post-run consumer
   (invariant audits, ``utilisation_report``) read the bytes the kernel
-  wrote.  Commutative counters that nothing reads mid-run
+  wrote.  Each node's policy inputs -- ``initial_mode`` and
+  ``on_relocation_hint`` evaluated for a free and a dry pool, the
+  threshold and the daemon's next run -- are refreshed after every
+  exit that can change them; the C code never branches on the
+  architecture.  Commutative counters that nothing reads mid-run
   (``NodeStats`` buckets, cache and interconnect tallies) are the
   exception: the kernel accumulates them as deltas merged once at the
   end (:func:`_merge_deltas`).
@@ -71,10 +78,12 @@ import warnings
 
 import numpy as np
 
-from ..core.policy import ArchitecturePolicy
+from ..core.policy import ArchitecturePolicy, RelocationDecision
+from ..core.vcnuma import VCNUMAPolicy
+from ..kernel.allocation import PLACEMENT_CODES
 from ..kernel.vm import PageMode
 from .events import (EV_DEMOTE, EV_EVICT, EV_FAULT, EV_FLUSH, EV_INVALIDATE,
-                     EV_MAP_SCOMA)
+                     EV_MAP_SCOMA, EV_RELOCATE)
 from .trace import EV_WRITE
 
 __all__ = ["run_vector", "vector_available"]
@@ -82,14 +91,15 @@ __all__ = ["run_vector", "vector_available"]
 # ---------------------------------------------------------------------------
 # Kernel exit codes (keep in sync with the C source).
 _DONE = 0        # every node finished; deltas are ready to merge
-_RESIDUAL = 1    # run of events at ctl needs scalar Engine._shared_ref
+_RESIDUAL = 1    # the event at ctl needs scalar Engine._shared_ref
 _DAEMON = 2      # pageout daemon due on ctl[BEST] at ctl[NOW]
 _BARRIER = 3     # every unfinished node is waiting; release in Python
 _DEADLOCK = 4    # unfinished nodes exist but none is runnable
 _RINGFULL = 5    # event ring lacks headroom; flush and re-enter
+_HINT = 6        # relocation hint of page ctl[HINT_PAGE] needs Python
 
 # ctl[] slots (keep in sync with the C source).
-_IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
+_IN_SLICE, _BEST, _LIMIT, _NOW, _RINGN, _HINT_PAGE, _HINT_CLOCK = range(7)
 
 # params[] slots (keep in sync with the C enum).
 (_P_N, _P_QUANTUM, _P_NO_LIMIT, _P_LINE_SHIFT, _P_CHUNK_SHIFT, _P_CPP_MASK,
@@ -98,9 +108,11 @@ _IN_SLICE, _BEST, _LIMIT, _NOW, _RLEN, _RINGN = range(6)
  _P_MEM_SERVICE, _P_MEM_OCC, _P_MEM_MAXQ, _P_BUS_OCC, _P_BUS_FIXED,
  _P_BUS_MAXQ, _P_NET_OCC, _P_NET_MAXQ, _P_LPC, _P_N_PAGES, _P_N_SETS,
  _P_N_BANKS, _P_RAC_ENTRIES, _P_PC_SHIFT, _P_N_CHUNKS, _P_CS_WORDS,
- _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_CAP, _P_PAGE_FAULT,
- _P_PAGE_REMAP, _P_FLUSH_LINE, _P_DRY_SCOMA, _P_CLK_CAP) = range(41)
-_N_PARAMS = 41
+ _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_REL, _P_RING_CAP,
+ _P_PAGE_FAULT, _P_PAGE_REMAP, _P_FLUSH_LINE, _P_RELOC_INT, _P_MANDATORY,
+ _P_EVICT_CC, _P_EVICT_HOOK, _P_BREAK_EVEN, _P_MIN_EVAL, _P_CLK_CAP,
+ _P_PLACEMENT, _P_QUOTA, _P_SEED) = range(50)
+_N_PARAMS = 50
 
 #: Per-node stats delta row: (slot, NodeStats attribute).  Commutative
 #: counters only -- nothing reads them mid-run, so the kernel
@@ -110,19 +122,31 @@ _STAT_ATTRS = (
     "CONF_CAPC", "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT",
     "CONF_CAPC_LAT", "upgrades", "induced_cold", "essential_cold",
     "l1_hits", "l1_misses", "K_BASE", "K_OVERHD", "page_faults",
-    "evictions", "forced_evictions", "lines_flushed")
+    "evictions", "forced_evictions", "lines_flushed", "relocations",
+    "skipped_relocations")
 _N_STATS = len(_STAT_ATTRS)
 
 # Per-node auxiliary delta row (see _merge_deltas).
 (_A_WB, _A_INVAL, _A_RAC_HITS, _A_RAC_MISSES, _A_RAC_FILLS, _A_MEM_ACC,
  _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q, _A_PT_FAULTS,
- _A_SHOOTDOWNS, _A_L1_FLUSHED) = range(14)
-_N_AUX = 14
+ _A_SHOOTDOWNS, _A_L1_FLUSHED, _A_TO_SCOMA, _A_TO_CCNUMA) = range(16)
+_N_AUX = 16
 
 # Global delta row (see _merge_deltas).
 (_G_NET_MSGS, _G_NET_CONT, _G_NET_Q, _G_DIR_REFETCH, _G_DIR_FWD,
- _G_DIR_INV, _G_DIR_EXCL, _G_REMOTE, _G_THREE_HOP, _G_STALLS) = range(10)
-_N_GLOB = 10
+ _G_DIR_INV, _G_DIR_EXCL, _G_REMOTE, _G_THREE_HOP, _G_STALLS,
+ _G_DIR_HINTS) = range(11)
+_N_GLOB = 11
+
+#: The kernel's code for each RelocationDecision (H_* in the C source);
+#: any other decision (MIGRATE) is taken in Python.
+_HINT_CODES = {RelocationDecision.SKIP: 0, RelocationDecision.RELOCATE: 1,
+               RelocationDecision.RELOCATE_IF_FREE: 2}
+_H_PYTHON = 3
+
+#: The chunk-level ring entry kinds (R_INVALIDATE, R_DEMOTE in the C
+#: source), as published; R_RELOCATE entries carry a page.
+_RING_KINDS = (EV_INVALIDATE, EV_DEMOTE)
 
 _STRUCT = """
 typedef struct {
@@ -150,14 +174,17 @@ typedef struct {
     uint64_t *scoma_valid;
     int64_t *pc_hits;
     uint8_t *ref_bits;
-    const int64_t *home;
+    int64_t *home;
+    int64_t *alloc;
     const int64_t *net_base;
     int64_t *net_port;
     int64_t *mem_busy;
     int64_t *bus_busy;
     int64_t *pc;
     int64_t *clk;
+    int64_t *pol;
     const int64_t *fault_mode;
+    const int64_t *hint_mode;
     const int64_t *next_run;
     const int64_t *thr;
     int64_t *st;
@@ -189,38 +216,52 @@ enum { P_N, P_QUANTUM, P_NO_LIMIT, P_LINE_SHIFT, P_CHUNK_SHIFT, P_CPP_MASK,
        P_MEM_SERVICE, P_MEM_OCC, P_MEM_MAXQ, P_BUS_OCC, P_BUS_FIXED,
        P_BUS_MAXQ, P_NET_OCC, P_NET_MAXQ, P_LPC, P_N_PAGES, P_N_SETS,
        P_N_BANKS, P_RAC_ENTRIES, P_PC_SHIFT, P_N_CHUNKS, P_CS_WORDS,
-       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_CAP, P_PAGE_FAULT,
-       P_PAGE_REMAP, P_FLUSH_LINE, P_DRY_SCOMA, P_CLK_CAP };
+       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_REL, P_RING_CAP,
+       P_PAGE_FAULT, P_PAGE_REMAP, P_FLUSH_LINE, P_RELOC_INT, P_MANDATORY,
+       P_EVICT_CC, P_EVICT_HOOK, P_BREAK_EVEN, P_MIN_EVAL, P_CLK_CAP,
+       P_PLACEMENT, P_QUOTA, P_SEED };
 
 enum { S_USH, S_UINSTR, S_ULC, S_HOME, S_SCOMA, S_RAC, S_COLD, S_CONF,
        S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT, S_COLD_LAT, S_CONF_LAT,
        S_UPGRADES, S_INDUCED, S_ESSENTIAL, S_L1_HITS, S_L1_MISSES,
        S_K_BASE, S_K_OVERHD, S_FAULTS, S_EVICTIONS, S_FORCED, S_FLUSHED,
-       N_STATS };
+       S_RELOCATIONS, S_SKIPPED, N_STATS };
 
 enum { A_WB, A_INVAL, A_RAC_HITS, A_RAC_MISSES, A_RAC_FILLS, A_MEM_ACC,
        A_MEM_CONT, A_MEM_Q, A_BUS_TX, A_BUS_CONT, A_BUS_Q, A_PT_FAULTS,
-       A_SHOOTDOWNS, A_L1_FLUSHED, N_AUX };
+       A_SHOOTDOWNS, A_L1_FLUSHED, A_TO_SCOMA, A_TO_CCNUMA, N_AUX };
 
 enum { PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
        PC_LEN, N_PC };
 
+enum { POL_RELOCATIONS, POL_SKIPPED, POL_EVICTIONS, POL_LOSERS,
+       POL_WINNERS, N_POL };
+
+enum { AL_RR, AL_HITS, AL_SPILLS, AL_COUNT };
+
 enum { G_NET_MSGS, G_NET_CONT, G_NET_Q, G_DIR_REFETCH, G_DIR_FWD,
-       G_DIR_INV, G_DIR_EXCL, G_REMOTE, G_THREE_HOP, G_STALLS, N_GLOB };
+       G_DIR_INV, G_DIR_EXCL, G_REMOTE, G_THREE_HOP, G_STALLS,
+       G_DIR_HINTS, N_GLOB };
 
-enum { C_IN_SLICE, C_BEST, C_LIMIT, C_NOW, C_RLEN, C_RING };
+enum { C_IN_SLICE, C_BEST, C_LIMIT, C_NOW, C_RING, C_HINT, C_HINT_CLOCK };
 
-enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING };
+enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING,
+       RC_HINT };
 
-/* Bounded event ring: rare coherence transitions the kernel performs
- * itself (chunk invalidations, owner demotions) are recorded here when
- * a kind-filtered EventBus subscriber watches them, and replayed by the
+enum { H_SKIP, H_RELOCATE, H_IF_FREE, H_PYTHON };
+
+enum { R_INVALIDATE, R_DEMOTE, R_RELOCATE };
+
+/* Bounded event ring: rare transitions the kernel performs itself
+ * (chunk invalidations, owner demotions, relocations) are recorded here
+ * when an EventBus subscriber watches their kind, and published by the
  * Python driver at the next kernel exit -- identical events, identical
- * clocks, identical order to what the reference loop publishes. */
-static void ring_push(SoaState *s, int64_t kind, int64_t node,
-                      int64_t chunk, int64_t clk) {
-    int64_t *e = &s->ring[s->ctl[C_RING] * 4];
-    e[0] = kind; e[1] = node; e[2] = chunk; e[3] = clk;
+ * clocks, identical order to what the reference loop publishes.  An
+ * entry is (kind, node, chunk or page, clock, lines flushed). */
+static void ring_push(SoaState *s, int64_t kind, int64_t node, int64_t where,
+                      int64_t clk, int64_t flushed) {
+    int64_t *e = &s->ring[s->ctl[C_RING] * 5];
+    e[0] = kind; e[1] = node; e[2] = where; e[3] = clk; e[4] = flushed;
     s->ctl[C_RING]++;
 }
 
@@ -280,10 +321,8 @@ static void rac_fill(SoaState *s, int64_t node, int64_t key) {
     s->aux[node * N_AUX + A_RAC_FILLS]++;
 }
 
-/* Machine._invalidate_chunk + Node.invalidate_chunk.  The publish is
- * deferred through the event ring when a kind-filtered subscriber
- * watches EV_INVALIDATE; unfiltered observers disqualify the run
- * before the kernel starts. */
+/* Machine._invalidate_chunk + Node.invalidate_chunk.  The publish goes
+ * through the event ring when a subscriber watches EV_INVALIDATE. */
 static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
                                 int64_t now) {
     if (node == s->P[P_SKIP_NODE]) return;
@@ -313,7 +352,7 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + (cip >> 6)]
             &= ~((uint64_t)1 << (cip & 63));
     }
-    if (s->P[P_RING_INV]) ring_push(s, 0, node, chunk, now);
+    if (s->P[P_RING_INV]) ring_push(s, R_INVALIDATE, node, chunk, now, 0);
 }
 
 /* CoherenceProtocol._invalidate_all: invalidate each sharer in
@@ -338,17 +377,16 @@ static int64_t invalidate_all(SoaState *s, int64_t chunk,
 }
 
 typedef struct {
-    int64_t refetch, forwarded, has_inv, prev_owner, exclusive;
+    int64_t refetch, forwarded, has_inv, hint, prev_owner, exclusive;
 } DirOut;
 
-/* Directory.fetch_raw.  The relocation-hint branch is unreachable
- * here: shared_ref() pre-checks the hint condition against the
- * pre-mutation copyset/refetch state and exits to Python before
- * calling this, so count+1 < threshold always holds. */
+/* Directory.fetch_raw, relocation hint included: a refetch that takes
+ * the requester's counter for the page to the threshold resets it and
+ * flags the hint. */
 static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
                         int64_t page, int64_t is_write, int64_t threshold,
                         int64_t count_refetch) {
-    DirOut o = {0, 0, 0, -1, 0};
+    DirOut o = {0, 0, 0, 0, -1, 0};
     int64_t W = s->P[P_CS_WORDS];
     uint64_t *cs = &s->copyset[chunk * W];
     int64_t bw = node >> 6;
@@ -388,8 +426,16 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
     }
     if (o.refetch && count_refetch) {
         s->glob[G_DIR_REFETCH]++;
-        if (threshold > 0)
-            s->refetch[page * s->P[P_N] + node]++;
+        if (threshold > 0) {
+            int64_t *count = &s->refetch[page * s->P[P_N] + node];
+            if (*count + 1 >= threshold) {
+                o.hint = 1;
+                s->glob[G_DIR_HINTS]++;
+                *count = 0;
+            } else {
+                (*count)++;
+            }
+        }
     }
     if (o.exclusive) s->glob[G_DIR_EXCL]++;
     o.prev_owner = (owner != node) ? owner : -1;
@@ -408,7 +454,7 @@ static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
         if (!is_write && o->prev_owner >= 0) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
             if (s->P[P_RING_DEM])
-                ring_push(s, 1, o->prev_owner, chunk, now + lat);
+                ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0);
         }
     }
     lat += one_way(s, home, node, now + lat);
@@ -431,7 +477,7 @@ static int64_t local_after_dir(SoaState *s, DirOut *o, int64_t node,
         if (!is_write && o->prev_owner >= 0) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
             if (s->P[P_RING_DEM])
-                ring_push(s, 1, o->prev_owner, chunk, now + lat);
+                ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0);
         }
     }
     if (o->has_inv)
@@ -497,7 +543,57 @@ static void classify(SoaState *s, int64_t node, int64_t chunk,
     }
 }
 
-/* ---- Page management: page faults and forced S-COMA evictions ---- */
+/* ---- Page management: faults, evictions and relocations ---- */
+
+/* HomeAllocator.home_of in the variant P_PLACEMENT names (0 first
+ * touch up to the quota with a round-robin spill, 1 round robin, 2 a
+ * splitmix64 hash of the page; see kernel/allocation.py).  Returns the
+ * page's home; for an unassigned page that is the node its first touch
+ * by nid picks, and `assign` makes the choice (the home, the node's
+ * count, the cursor and the hit or spill counter of the allocator
+ * row).  Pure when `assign` is 0. */
+static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
+    int64_t home = s->home[page];
+    if (home >= 0) return home;
+    int64_t n = s->P[P_N], quota = s->P[P_QUOTA];
+    int64_t *al = s->alloc, *count = al + AL_COUNT;
+    int64_t rr = al[AL_RR], counter = -1;
+    if (s->P[P_PLACEMENT] == 0) {
+        if (quota == 0 || count[nid] < quota) {
+            home = nid;
+            counter = AL_HITS;
+        } else {
+            counter = AL_SPILLS;
+            for (int64_t k = 0; k < n && home < 0; k++) {
+                if (count[rr] < quota) home = rr;   /* _next_under_quota */
+                rr = (rr + 1) % n;
+            }
+            if (home < 0) {          /* all at quota: the least loaded */
+                home = 0;
+                for (int64_t i = 1; i < n; i++)
+                    if (count[i] < count[home]) home = i;
+            }
+        }
+    } else if (s->P[P_PLACEMENT] == 1) {
+        home = rr;
+        rr = (rr + 1) % n;
+        counter = AL_SPILLS;
+    } else {
+        uint64_t x = (uint64_t)page * 0x9E3779B97F4A7C15ULL
+                     + (uint64_t)s->P[P_SEED];
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        x ^= x >> 31;
+        home = (int64_t)(x % (uint64_t)n);
+    }
+    if (assign) {
+        s->home[page] = home;
+        count[home]++;
+        al[AL_RR] = rr;
+        if (counter >= 0) al[counter]++;
+    }
+    return home;
+}
 
 /* PageTable.scoma_clock, a deque, as a per-node ring buffer of
  * P_CLK_CAP slots; pc[PC_HEAD] is clock[0], pc[PC_LEN] its length. */
@@ -579,10 +675,25 @@ static int64_t flush_page(SoaState *s, int64_t nid, int64_t page) {
     return flushed;
 }
 
-/* Node.evict_scoma_page(page, forced=True) for a policy that unmaps
- * evicted pages (evict_to_ccnuma false) and whose on_page_evicted hook
- * is the base no-op.  page is choose_victim()'s pick, clock[0], so the
- * clock's deque.remove drops the front.  Returns K_OVERHD cycles. */
+/* May the kernel force-evict one of nid's S-COMA pages?  It needs a
+ * page to evict and an eviction hook it models (P_EVICT_HOOK: 0 the
+ * base no-op, 1 BreakEvenDetector.record_eviction, -1 a hook only
+ * Python runs), and the detector must not fall due for an evaluation:
+ * record_eviction runs one once its evictions reach two per cached
+ * page, and never fewer than P_MIN_EVAL.  Pure. */
+static int evict_ok(SoaState *s, int64_t nid) {
+    int64_t cached = s->pc[nid * N_PC + PC_LEN];
+    if (cached == 0 || s->P[P_EVICT_HOOK] < 0) return 0;
+    if (s->P[P_EVICT_HOOK] == 0) return 1;
+    int64_t cadence = 2 * cached;
+    if (cadence < s->P[P_MIN_EVAL]) cadence = s->P[P_MIN_EVAL];
+    return s->pol[nid * N_POL + POL_EVICTIONS] + 1 < cadence;
+}
+
+/* Node.evict_scoma_page(page, forced=True) for an eviction evict_ok()
+ * admitted.  page is choose_victim()'s pick, clock[0], so the clock's
+ * deque.remove drops the front; the page goes CC-NUMA for a hybrid
+ * (P_EVICT_CC), unmapped otherwise.  Returns K_OVERHD cycles. */
 static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
     int64_t flushed = flush_page(s, nid, page);
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
@@ -593,12 +704,23 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
     pc[PC_HEAD] = (pc[PC_HEAD] + 1) % s->P[P_CLK_CAP];
     pc[PC_LEN]--;
-    s->modes[pidx] = 0;                             /* UNMAPPED */
+    if (s->P[P_EVICT_CC]) {
+        s->modes[pidx] = 3;                         /* CCNUMA */
+        aux[A_TO_CCNUMA]++;
+    } else {
+        s->modes[pidx] = 0;                         /* UNMAPPED */
+    }
     s->ref_bits[pidx] = 0;                          /* TLB.shootdown */
     aux[A_SHOOTDOWNS]++;
     pc[PC_FREE]++;                                  /* pool.release */
     pc[PC_RELEASES]++;
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
+    if (s->P[P_EVICT_HOOK] == 1) {                  /* record_eviction */
+        int64_t *pol = &s->pol[nid * N_POL];
+        pol[POL_EVICTIONS]++;
+        pol[s->pc_hits[pidx] < s->P[P_BREAK_EVEN] ? POL_LOSERS
+                                                 : POL_WINNERS]++;
+    }
     s->pc_hits[pidx] = -1;                          /* pagecache_hits.pop */
     int64_t *st = &s->st[nid * N_STATS];
     st[S_EVICTIONS]++;
@@ -606,16 +728,80 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
     return s->P[P_PAGE_REMAP] + s->P[P_FLUSH_LINE] * flushed;
 }
 
+/* Node.map_scoma (frame already allocated): PageTable.map_scoma plus a
+ * zeroed page-cache hit count. */
+static void map_scoma(SoaState *s, int64_t nid, int64_t page) {
+    int64_t pidx = nid * s->P[P_N_PAGES] + page;
+    if (s->modes[pidx] == 3) s->aux[nid * N_AUX + A_TO_SCOMA]++;
+    s->modes[pidx] = 2;
+    for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
+        s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
+    clock_append(s, nid, page);
+    s->pc_hits[pidx] = 0;
+}
+
+/* Node.relocate_to_scoma of a CC-NUMA page (frame already allocated);
+ * the EV_RELOCATE publish carries `clk`, the clock the reference loop
+ * stamps at the miss.  Returns K_OVERHD cycles. */
+static int64_t relocate_to_scoma(SoaState *s, int64_t nid, int64_t page,
+                                 int64_t clk) {
+    int64_t flushed = flush_page(s, nid, page);
+    s->ref_bits[nid * s->P[P_N_PAGES] + page] = 0;  /* TLB.shootdown */
+    s->aux[nid * N_AUX + A_SHOOTDOWNS]++;
+    map_scoma(s, nid, page);
+    s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
+    s->pol[nid * N_POL + POL_RELOCATIONS]++;
+    s->st[nid * N_STATS + S_RELOCATIONS]++;
+    if (s->P[P_RING_REL]) ring_push(s, R_RELOCATE, nid, page, clk, flushed);
+    return s->P[P_RELOC_INT] + s->P[P_PAGE_REMAP]
+           + s->P[P_FLUSH_LINE] * flushed;
+}
+
+/* Engine._handle_relocation_hint for a hint at `now`: the policy's
+ * decision for the pool's state (H_*, see hint_mode), then
+ * acquire_frame and relocate_to_scoma -- after a forced eviction when
+ * the pool is dry and the decision is RELOCATE.  Returns the K_OVERHD
+ * cycles, or -1, before any mutation, when the hint needs Python: a
+ * MIGRATE decision, a daemon acquire_frame would run, or a forced
+ * eviction evict_ok() refuses. */
+static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
+                               int64_t now, int64_t clk) {
+    int64_t *pc = &s->pc[nid * N_PC];
+    int64_t *st = &s->st[nid * N_STATS];
+    int64_t free = pc[PC_FREE];
+    int64_t decision = s->hint_mode[nid * 2 + (free > 0 ? 0 : 1)];
+    if (decision == H_PYTHON) return -1;
+    if (decision != H_SKIP) {
+        if (free < pc[PC_FREE_MIN] && now >= s->next_run[nid])
+            return -1;                              /* daemon due */
+        if (free == 0 && decision == H_RELOCATE && !evict_ok(s, nid))
+            return -1;
+        if (free == 0) pc[PC_FAILED]++;             /* acquire_frame */
+    }
+    if (decision == H_SKIP || (free == 0 && decision == H_IF_FREE)) {
+        s->pol[nid * N_POL + POL_SKIPPED]++;
+        st[S_SKIPPED]++;
+        return 0;
+    }
+    int64_t overhead = free == 0                    /* forced eviction */
+        ? evict_scoma_page(s, nid, choose_victim(s, nid)) : 0;
+    pc[PC_FREE]--;                                  /* pool.try_allocate */
+    pc[PC_ALLOCS]++;
+    overhead += relocate_to_scoma(s, nid, page, clk);
+    st[S_K_OVERHD] += overhead;
+    return overhead;
+}
+
 /* The mode a page fault of (nid, page) at `now` asks for -- HOME, or
  * the policy's initial_mode for the pool's state -- or -1 when the
- * fault must be serviced by Engine._page_fault in Python: the
- * machine-wide first touch (home unassigned), a policy whose fault
- * needs a Python hook, or a pageout daemon that acquire_frame would
- * run.  Pure: reads state only. */
+ * fault must be serviced by Engine._page_fault in Python: a home the
+ * kernel cannot place (P_PLACEMENT < 0), a pageout daemon that
+ * acquire_frame would run, or a mandatory page cache's forced eviction
+ * evict_ok() refuses.  Pure: reads state only. */
 static int64_t fault_mode(SoaState *s, int64_t nid, int64_t page,
                           int64_t now) {
-    int64_t home = s->home[page];
-    if (home < 0) return -1;
+    if (s->home[page] < 0 && s->P[P_PLACEMENT] < 0) return -1;
+    int64_t home = home_of(s, page, nid, 0);
     if (home == nid) return 1;                      /* HOME */
     const int64_t *pc = &s->pc[nid * N_PC];
     int64_t free = pc[PC_FREE];
@@ -624,16 +810,15 @@ static int64_t fault_mode(SoaState *s, int64_t nid, int64_t page,
         if (free < pc[PC_FREE_MIN]
             && now + s->P[P_PAGE_FAULT] >= s->next_run[nid])
             return -1;                              /* daemon due */
-        if (free == 0 && (s->P[P_DRY_SCOMA] < 0
-                          || (s->P[P_DRY_SCOMA] && pc[PC_LEN] == 0)))
+        if (free == 0 && s->P[P_MANDATORY] && !evict_ok(s, nid))
             return -1;
     }
     return mode;
 }
 
-/* Engine._page_fault for a mode fault_mode() admitted.  Returns the
- * kernel cycles (K_BASE, plus K_OVERHD of a forced eviction) and
- * leaves the page mapped. */
+/* Engine._page_fault for a mode fault_mode() admitted: assigns the
+ * home on the machine-wide first touch and maps the page.  Returns the
+ * kernel cycles (K_BASE, plus K_OVERHD of a forced eviction). */
 static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
                           int64_t mode) {
     int64_t *st = &s->st[nid * N_STATS];
@@ -641,12 +826,12 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
     st[S_K_BASE] += kernel;
     st[S_FAULTS]++;
     s->aux[nid * N_AUX + A_PT_FAULTS]++;
-    int64_t pidx = nid * s->P[P_N_PAGES] + page;
+    home_of(s, page, nid, 1);
     if (mode == 2) {
         int64_t *pc = &s->pc[nid * N_PC];
         if (pc[PC_FREE] == 0) {
             pc[PC_FAILED]++;                        /* acquire_frame */
-            if (s->P[P_DRY_SCOMA]) {
+            if (s->P[P_MANDATORY]) {
                 /* Mandatory page cache: force-evict a victim now. */
                 int64_t overhead = evict_scoma_page(
                     s, nid, choose_victim(s, nid));
@@ -656,55 +841,22 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
                 mode = 3;                           /* hybrid: CC-NUMA */
             }
         }
-        if (mode == 2) {                            /* Node.map_scoma */
+        if (mode == 2) {
             pc[PC_FREE]--;
             pc[PC_ALLOCS]++;
-            for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
-                s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
-            clock_append(s, nid, page);
-            s->pc_hits[pidx] = 0;
+            map_scoma(s, nid, page);
         }
     }
-    s->modes[pidx] = mode;
+    if (mode != 2) s->modes[nid * s->P[P_N_PAGES] + page] = mode;
     return kernel;
 }
 
-/* Would a CC-NUMA-mode miss of this line carry a relocation hint? */
-static int hint_due(SoaState *s, int64_t nid, int64_t line, int64_t page) {
-    int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
-    int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-    if (s->rac[nid * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] == key)
-        return 0;
-    int64_t thr = s->thr[nid];
-    return thr > 0
-        && ((s->copyset[chunk * s->P[P_CS_WORDS] + (nid >> 6)]
-             >> (nid & 63)) & 1)
-        && s->refetch[page * s->P[P_N] + nid] + 1 >= thr;
-}
-
-/* The mapping mode an L1 miss of (nid, page) proceeds under, or -1
- * for a Python exit (fault_mode's exits and relocation hints).  For
- * an unmapped page *fault receives the mode page_fault() installs
- * (0 when the page is mapped).  Pure: reads state only. */
-static int64_t miss_mode(SoaState *s, int64_t nid, int64_t line,
-                         int64_t page, int64_t now, int64_t *fault) {
-    int64_t mode = s->modes[nid * s->P[P_N_PAGES] + page];
-    *fault = 0;
-    if (mode == 0) {
-        mode = *fault = fault_mode(s, nid, page, now);
-        if (mode < 0) return -1;
-        if (mode == 2 && s->pc[nid * N_PC + PC_FREE] == 0
-            && !s->P[P_DRY_SCOMA])
-            mode = 3;                   /* a hybrid's dry pool: CC-NUMA */
-    }
-    if (mode == 3 && hint_due(s, nid, line, page)) return -1;
-    return mode;
-}
-
-/* Engine._shared_ref.  Returns elapsed cycles, or -1 when the event
- * needs the scalar path (see miss_mode); -1 is returned strictly
+/* Engine._shared_ref.  Returns elapsed cycles, or -1 when a page fault
+ * needs the scalar path (see fault_mode); -1 is returned strictly
  * before any mutation, so Python can redo the whole event against
- * identical state. */
+ * identical state.  A relocation hint the kernel cannot take is left
+ * in ctl[C_HINT] (its miss clock in ctl[C_HINT_CLOCK]) after the
+ * access completes; the returned cycles then exclude the hint's. */
 static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                           int64_t is_write, int64_t now) {
     int64_t *st = &s->st[nid * N_STATS];
@@ -730,19 +882,24 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
         }
         return s->P[P_HIT_CYCLES];
     }
-    /* L1 miss: pure pre-checks before any mutation. */
+    /* L1 miss: a fault's pure pre-check before any mutation. */
     int64_t page = line >> s->P[P_LINE_SHIFT];
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t fault;
-    int64_t mode = miss_mode(s, nid, line, page, now, &fault);
-    if (mode < 0) return -1;
+    int64_t fault = 0;
+    if (s->modes[pidx] == 0) {
+        fault = fault_mode(s, nid, page, now);
+        if (fault < 0) return -1;
+    }
+    int64_t start = now;
     st[S_L1_MISSES]++;
     s->ref_bits[pidx] = 1;
     int64_t kernel = fault ? page_fault(s, nid, page, fault) : 0;
+    int64_t mode = s->modes[pidx];
     now += kernel;
     int64_t lat = bus_transact(s, nid, now);
     uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
     int64_t home = s->home[page];
+    int64_t hint = 0;
     if (mode == 1) {                                /* HOME */
         DirOut o = fetch_raw(s, nid, chunk, page, is_write, 0, 0);
         lat += local_after_dir(s, &o, nid, chunk, is_write, now + lat);
@@ -795,43 +952,40 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
             if (!s->P[P_RAC_VICTIM]) rac_fill(s, nid, chunk);
             classify(s, nid, chunk, o.refetch, lat);
             if (is_write || o.exclusive) *ownedp = 1;
+            hint = o.hint;
         }
     }
+    /* The L1 fill precedes a relocation: the access completed first,
+     * and the remap's page flush must purge this line too. */
     l1_fill_tail(s, nid, line, is_write);
     st[S_USH] += lat;
+    if (hint) {
+        int64_t overhead = relocation_hint(s, nid, page, now + lat, start);
+        if (overhead < 0) {
+            s->ctl[C_HINT] = page;
+            s->ctl[C_HINT_CLOCK] = start;
+        } else {
+            kernel += overhead;
+        }
+    }
     return kernel + lat;
 }
 
-/* May a later reference of a residual run join the same exit?  True
- * when, against current state, it is an L1 miss that exits for a
- * reason the earlier events of the run leave standing: a machine-wide
- * first touch or a relocation hint.  A due daemon is left out (the
- * run's first fault runs it), and the caller admits one reference per
- * page, since servicing a page's first exit maps the page or resets
- * its hint evidence.  Only a predictor: a reference that turns out
- * ordinary while Python drains the run is still handled
- * bit-identically by Engine._shared_ref. */
-static int joins_residual_run(SoaState *s, int64_t nid, int64_t line) {
-    if (s->l1_tags[nid * s->P[P_N_SETS] + (line & s->P[P_SET_MASK])] == line)
-        return 0;                                   /* L1 hit */
-    int64_t page = line >> s->P[P_LINE_SHIFT];
-    int64_t mode = s->modes[nid * s->P[P_N_PAGES] + page];
-    if (mode == 0) return s->home[page] < 0;        /* first touch */
-    return mode == 3 && hint_due(s, nid, line, page);
-}
-
 /* The reference loop's scheduler + slice runner.  Exits to Python only for
- * runs of residual references (RC_RESIDUAL, run length in ctl[C_RLEN];
- * see miss_mode), a due pageout daemon (RC_DAEMON), a full barrier
+ * a residual reference (RC_RESIDUAL, before it mutates anything; see
+ * fault_mode), a relocation hint that needs Python (RC_HINT, after its
+ * access), a due pageout daemon (RC_DAEMON), a full barrier
  * (RC_BARRIER), a full event ring (RC_RING), deadlock, or completion;
- * ctl[] carries the resume point across RC_RESIDUAL / RC_DAEMON /
- * RC_RING. */
+ * ctl[] carries the resume point across RC_RESIDUAL / RC_HINT /
+ * RC_DAEMON / RC_RING. */
 int64_t soa_run(SoaState *s) {
     const int64_t n = s->P[P_N];
     /* Worst-case ring entries one shared reference can record: one
-     * demotion plus n-1 invalidations; exit to flush below that. */
-    const int64_t ring_room = (s->P[P_RING_INV] || s->P[P_RING_DEM])
-                              ? n + 2 : 0;
+     * demotion, n-1 invalidations and a relocation; exit to flush
+     * below that. */
+    const int64_t ring_room =
+        (s->P[P_RING_INV] || s->P[P_RING_DEM] || s->P[P_RING_REL])
+        ? n + 2 : 0;
     int64_t best, limit, now;
     if (s->ctl[C_IN_SLICE]) {
         best = s->ctl[C_BEST];
@@ -900,31 +1054,17 @@ int64_t soa_run(SoaState *s) {
                     }
                     int64_t r = shared_ref(s, best, arg,
                                            ev == EV_WRITE, now);
-                    if (r < 0) {
-                        /* Batch the exit: scan ahead (bounded) for
-                         * consecutive shared refs that join the run,
-                         * one per page.  Python drains the whole run
-                         * before re-entering. */
-                        int64_t pages[64];
-                        int64_t scan = p + 1, np = 0;
-                        pages[np++] = args[p] >> s->P[P_LINE_SHIFT];
-                        while (scan < e && np < 64
-                               && kinds[scan] <= EV_WRITE
-                               && joins_residual_run(s, best, args[scan])) {
-                            int64_t pg = args[scan] >> s->P[P_LINE_SHIFT];
-                            int64_t k = 0;
-                            while (k < np && pages[k] != pg) k++;
-                            if (k < np) break;
-                            pages[np++] = pg;
-                            scan++;
+                    if (r < 0 || s->ctl[C_HINT] >= 0) {
+                        if (r >= 0) {               /* completed access */
+                            now += r;
+                            p++;
                         }
                         s->pos[best] = p;
                         s->ctl[C_IN_SLICE] = 1;
                         s->ctl[C_BEST] = best;
                         s->ctl[C_LIMIT] = limit;
                         s->ctl[C_NOW] = now;
-                        s->ctl[C_RLEN] = scan - p;
-                        return RC_RESIDUAL;
+                        return r < 0 ? RC_RESIDUAL : RC_HINT;
                     }
                     now += r;
                     p++;
@@ -1110,10 +1250,10 @@ def vector_available() -> bool:
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
 
-#: Kinds the kernel performs without publishing: homed-page faults
-#: (with their S-COMA mappings) and pure S-COMA's forced evictions
-#: (with their flushes).  A run that watches one replays on the
-#: reference loop.
+#: Kinds the kernel performs without publishing: page faults, forced
+#: evictions, and the flushes and S-COMA mappings of faults, evictions
+#: and relocations.  A run that watches one replays on the reference
+#: loop.
 _KERNEL_SILENT_KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_FLUSH)
 
 
@@ -1124,9 +1264,10 @@ def _eligible(engine) -> bool:
     :data:`_KERNEL_SILENT_KINDS` (the invariant checker watches every
     kind) or has a shape the dense arrays cannot carry (associative L1,
     out-of-range reference args).  Every other kind reaches its
-    subscribers on the kernel too: invalidations and demotions through
-    the event ring, relocations, migrations, daemon runs, barriers and
-    the run's end from the Python exits that perform them.
+    subscribers on the kernel too: invalidations, demotions and
+    relocations through the event ring, migrations, daemon runs,
+    barriers and the run's end from the Python exits that perform
+    them.
     """
     if not engine._l1_direct:
         return False
@@ -1153,7 +1294,10 @@ def _merge_deltas(engine, st, aux, glob) -> None:
         l1s.writebacks += int(arow[_A_WB])
         l1s.invalidations += int(arow[_A_INVAL])
         l1s.flushed_lines += int(arow[_A_L1_FLUSHED])
-        node.page_table.faults += int(arow[_A_PT_FAULTS])
+        pt = node.page_table
+        pt.faults += int(arow[_A_PT_FAULTS])
+        pt.remaps_to_scoma += int(arow[_A_TO_SCOMA])
+        pt.remaps_to_ccnuma += int(arow[_A_TO_CCNUMA])
         node.tlb.shootdowns += int(arow[_A_SHOOTDOWNS])
         rac = node.rac
         rac.hits += int(arow[_A_RAC_HITS])
@@ -1176,6 +1320,7 @@ def _merge_deltas(engine, st, aux, glob) -> None:
     directory.forwards += int(glob[_G_DIR_FWD])
     directory.invalidations_sent += int(glob[_G_DIR_INV])
     directory.exclusive_grants += int(glob[_G_DIR_EXCL])
+    directory.relocation_hints += int(glob[_G_DIR_HINTS])
     protocol = machine.protocol
     protocol.remote_fetches += int(glob[_G_REMOTE])
     protocol.three_hop_fetches += int(glob[_G_THREE_HOP])
@@ -1205,6 +1350,7 @@ def run_vector(engine) -> list[int] | None:
     nodes = machine.nodes
     directory = machine.directory
     network = machine.network
+    allocator = machine.allocator
     blocks = machine.blocks
     n = config.n_nodes
     n_pages = machine.n_pages
@@ -1226,30 +1372,30 @@ def run_vector(engine) -> list[int] | None:
     finished = np.array([tr_len[i] == 0 for i in range(n)], dtype=np.uint8)
     waiting = np.zeros(n, dtype=np.uint8)
     ctl = np.zeros(8, dtype=np.int64)
+    ctl[_HINT_PAGE] = -1
 
     # --- event ring + invalidation scratch ---------------------------
-    # The ring records in-kernel invalidations/demotions only when a
-    # subscriber actually watches that kind.
+    # The ring records in-kernel invalidations, demotions and
+    # relocations only when a subscriber actually watches that kind.
     events = machine.events
-    ring_inv = events.watching(EV_INVALIDATE)
-    ring_dem = events.watching(EV_DEMOTE)
     ring_cap = max(1024, 2 * n + 4)
-    ring = np.zeros((ring_cap, 4), dtype=np.int64)
+    ring = np.zeros((ring_cap, 5), dtype=np.int64)
     inv_scratch = np.zeros(directory.words, dtype=np.uint64)
 
-    # --- fault modes -------------------------------------------------
-    fault_mode = np.zeros((n, 2), dtype=np.int64)
+    # --- policy variants, picked once per run ------------------------
     policy = engine.policy
     hook = getattr(policy.on_page_evicted, "__func__", None)
-    if not engine._mandatory_scoma:
-        dry_scoma = 0       # a hybrid's dry pool maps CC-NUMA
-    elif (hook is ArchitecturePolicy.on_page_evicted
-          and not policy.evict_to_ccnuma):
-        dry_scoma = 1       # forced eviction in the kernel
+    if hook is ArchitecturePolicy.on_page_evicted:
+        evict_hook = 0      # the base no-op
+    elif hook is VCNUMAPolicy.on_page_evicted:
+        evict_hook = 1      # BreakEvenDetector.record_eviction
     else:
-        dry_scoma = -1      # the eviction needs Python
+        evict_hook = -1     # a hook only Python runs
+    detector = getattr(nodes[0].policy_state, "detector", None)
 
     # --- per-boundary scalars + counter deltas -----------------------
+    fault_mode = np.zeros((n, 2), dtype=np.int64)
+    hint_mode = np.zeros((n, 2), dtype=np.int64)
     next_run = np.zeros(n, dtype=np.int64)
     thr = np.zeros(n, dtype=np.int64)
     st = np.zeros((n, _N_STATS), dtype=np.int64)
@@ -1290,15 +1436,25 @@ def run_vector(engine) -> list[int] | None:
     params[_P_N_CHUNKS] = n_pages * cpp
     params[_P_CS_WORDS] = directory.words
     params[_P_SV_WORDS] = nodes[0].page_table.sv_words
-    params[_P_RING_INV] = 1 if ring_inv else 0
-    params[_P_RING_DEM] = 1 if ring_dem else 0
+    params[_P_RING_INV] = events.watching(EV_INVALIDATE)
+    params[_P_RING_DEM] = events.watching(EV_DEMOTE)
+    params[_P_RING_REL] = events.watching(EV_RELOCATE)
     params[_P_RING_CAP] = ring_cap
     costs = nodes[0].costs
     params[_P_PAGE_FAULT] = costs.page_fault
     params[_P_PAGE_REMAP] = costs.page_remap
     params[_P_FLUSH_LINE] = costs.flush_per_line
-    params[_P_DRY_SCOMA] = dry_scoma
+    params[_P_RELOC_INT] = costs.relocation_interrupt
+    params[_P_MANDATORY] = engine._mandatory_scoma
+    params[_P_EVICT_CC] = policy.evict_to_ccnuma
+    params[_P_EVICT_HOOK] = evict_hook
+    if evict_hook == 1:
+        params[_P_BREAK_EVEN] = detector.break_even
+        params[_P_MIN_EVAL] = detector.min_evictions_per_eval
     params[_P_CLK_CAP] = blocks.clk.shape[1]
+    params[_P_PLACEMENT] = PLACEMENT_CODES.get(type(allocator), -1)
+    params[_P_QUOTA] = allocator.quota
+    params[_P_SEED] = getattr(allocator, "seed", 0)
 
     # --- wire the C struct -------------------------------------------
     state = ffi.new("SoaState *")
@@ -1333,14 +1489,17 @@ def run_vector(engine) -> list[int] | None:
     state.scoma_valid = _ptr(blocks.scoma_valid, "uint64_t")
     state.pc_hits = _ptr(blocks.pc_hits, "int64_t")
     state.ref_bits = _ptr(blocks.ref_bits, "uint8_t")
-    state.home = _ptr(machine.allocator.home, "int64_t")
+    state.home = _ptr(allocator.home, "int64_t")
+    state.alloc = _ptr(allocator.row, "int64_t")
     state.net_base = _ptr(network._base, "int64_t")
     state.net_port = _ptr(network.port_busy_until, "int64_t")
     state.mem_busy = _ptr(blocks.mem_busy, "int64_t")
     state.bus_busy = _ptr(blocks.bus_busy, "int64_t")
     state.pc = _ptr(blocks.pc, "int64_t")
     state.clk = _ptr(blocks.clk, "int64_t")
+    state.pol = _ptr(blocks.policy, "int64_t")
     state.fault_mode = _ptr(fault_mode, "int64_t")
+    state.hint_mode = _ptr(hint_mode, "int64_t")
     state.next_run = _ptr(next_run, "int64_t")
     state.thr = _ptr(thr, "int64_t")
     state.st = _ptr(st, "int64_t")
@@ -1356,64 +1515,72 @@ def run_vector(engine) -> list[int] | None:
                  == PageMode.SCOMA)
         return int(PageMode.SCOMA if scoma else PageMode.CCNUMA)
 
+    def _hint_code(node, free_frames):
+        """policy.on_relocation_hint as the kernel's H_* code."""
+        return _HINT_CODES.get(
+            policy.on_relocation_hint(node.policy_state, free_frames),
+            _H_PYTHON)
+
     def _policy_in(i):
-        """Node i's policy-derived kernel inputs.  Only Python exits
-        change them (daemon runs, relocation hints, faults run in
-        Python), and only for the node that took the exit."""
+        """Node i's policy-derived kernel inputs, for a free and a dry
+        pool.  Only Python exits change them (daemon runs, faults and
+        hints run in Python, and the break-even evaluations they
+        reach), and only for the node that took the exit."""
         node = nodes[i]
         next_run[i] = node.daemon.next_run_at
         thr[i] = node.policy_state.effective_threshold()
         fault_mode[i] = (_mode_code(node, 1), _mode_code(node, 0))
+        hint_mode[i] = (_hint_code(node, 1), _hint_code(node, 0))
 
     pc_shift = int(params[_P_PC_SHIFT])
 
     def _flush_ring():
-        """Replay ring-deferred invalidate/demote events to the bus.
+        """Publish the ring's invalidate, demote and relocate events.
 
         Runs before any other Python-side work at every kernel exit, so
         the publish order matches the reference loop exactly; each
-        event carries its protocol time, as ``Node.invalidate_chunk``
-        and ``Node.demote_chunk`` publish it.
+        event carries the clock the reference loop publishes it with.
         """
         count = int(ctl[_RINGN])
         if not count:
             return
         for j in range(count):
-            kind, nd, ch, clk = ring[j].tolist()
-            events.publish(EV_INVALIDATE if kind == 0 else EV_DEMOTE,
-                           nd, ch >> pc_shift, clock=clk, chunk=ch)
+            kind, nd, where, clk, flushed = ring[j].tolist()
+            if kind < len(_RING_KINDS):
+                events.publish(_RING_KINDS[kind], nd, where >> pc_shift,
+                               clock=clk, chunk=where)
+            else:
+                events.publish(EV_RELOCATE, nd, where, clock=clk,
+                               flushed=flushed)
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
-    # Only residual and daemon exits change policy inputs, so those are
-    # all that refresh them.
+    # Only residual, hint and daemon exits change policy inputs, so
+    # those are all that refresh them.
     for i in range(n):
         _policy_in(i)
     while True:
         rc = int(lib.soa_run(state))
         _flush_ring()
         if rc == _RESIDUAL:
-            # Drain the whole run of residual events the kernel
-            # batched up (first touches, relocation bursts).  The
-            # first event was already admitted by the kernel's limit
-            # check; each later one re-checks the slice limit, exactly
-            # like the scalar loop's `while now < limit` would.
             best = int(ctl[_BEST])
             now = int(ctl[_NOW])
-            limit = int(ctl[_LIMIT])
-            run = int(ctl[_RLEN])
-            p = int(pos[best])
-            off = int(tr_off[best])
-            node = nodes[best]
-            shared_ref = engine._shared_ref
-            for j in range(run):
-                if j and now >= limit:
-                    break
-                now += shared_ref(node, int(args_all[off + p]),
-                                  int(kinds_all[off + p]) == EV_WRITE, now)
-                p += 1
-            pos[best] = p
-            ctl[_NOW] = now
+            at = int(tr_off[best] + pos[best])
+            ctl[_NOW] = now + engine._shared_ref(
+                nodes[best], int(args_all[at]),
+                int(kinds_all[at]) == EV_WRITE, now)
+            pos[best] += 1
+            _policy_in(best)
+        elif rc == _HINT:
+            # The access completed in the kernel; the hint's work runs
+            # at the access's end, with the clock its miss stamped.
+            best = int(ctl[_BEST])
+            now = int(ctl[_NOW])
+            if events.kind_observers:
+                events.clock = int(ctl[_HINT_CLOCK])
+            ctl[_NOW] = now + engine._handle_relocation_hint(
+                nodes[best], int(ctl[_HINT_PAGE]), now)
+            ctl[_HINT_PAGE] = -1
             _policy_in(best)
         elif rc == _RINGFULL:
             pass  # flushed above; re-enter with a drained ring

@@ -42,9 +42,10 @@ class Sample:
         self.threshold = node.policy_state.effective_threshold()
         self.relocation_enabled = self.threshold > 0 or not hasattr(
             node.policy_state, "backoff")
-        self.relocations = node.stats.relocations
-        # One frame release per eviction; unlike NodeStats.evictions it
-        # is live while the kernel runs (it merges stats at the end).
+        # Both read rows the kernel writes in place, so they are live
+        # while it runs (it merges NodeStats at the end): the policy
+        # row's relocations, and one frame release per eviction.
+        self.relocations = node.policy_state.relocations
         self.evictions = node.pool.releases
         self.daemon_interval = node.daemon.interval
         self.daemon_thrash = node.stats.daemon_thrash

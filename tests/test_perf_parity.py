@@ -70,6 +70,14 @@ def wide_engine(arch, **engine_kwargs):
                   **engine_kwargs)
 
 
+def placed_engine(placement, arch, **engine_kwargs):
+    """radix at 0.9 pressure homed by a locality-blind allocator: most
+    pages' homes are away from their first toucher."""
+    return make_engine("radix", arch, 0.9,
+                       config_kwargs={"home_placement": placement},
+                       **engine_kwargs)
+
+
 #: The shapes the parity suites replay both ways, by name.
 SHAPES = {
     "matrix": make_engine,
@@ -77,6 +85,7 @@ SHAPES = {
     # page_bytes=16384 -> 128 chunks per page: two valid-bit words.
     "wide_pages": functools.partial(make_engine, "radix", pressure=0.9,
                                     config_kwargs={"page_bytes": 16384}),
+    "placement": placed_engine,
 }
 
 
@@ -208,6 +217,7 @@ def state_buffers(engine) -> dict:
     state["owner"] = directory.owner.tobytes()
     state["refetch"] = directory.refetch_count.tobytes()
     state["home"] = machine.allocator.home.tobytes()
+    state["allocator"] = machine.allocator.row.tobytes()
     state["net_port"] = machine.network.port_busy_until.tobytes()
     return state
 
@@ -217,11 +227,19 @@ def hidden_counters(engine) -> dict:
     machine = engine.machine
     allocator = machine.allocator
     out = {"allocator": (list(allocator.count), allocator.first_touch_hits,
-                         allocator.round_robin_spills)}
+                         allocator.round_robin_spills),
+           "relocation_hints": machine.directory.relocation_hints}
     for node in machine.nodes:
         l1, rac, pt = node.l1.stats, node.rac, node.page_table
         pool, daemon = node.pool, node.daemon
+        state = node.policy_state
+        detector = getattr(state, "detector", None)
         out[node.id] = {
+            "policy": (state.relocations, state.skipped_relocations),
+            "detector": detector and (
+                detector.threshold, detector.evaluations, detector.backoffs,
+                detector.recoveries, detector.evictions_since_eval,
+                detector.losers_since_eval, detector.winners_since_eval),
             "l1": (l1.writebacks, l1.invalidations, l1.flushed_lines),
             "rac": (rac.hits, rac.misses, rac.fills),
             "page_table": (pt.faults, pt.remaps_to_scoma,
@@ -236,58 +254,64 @@ def hidden_counters(engine) -> dict:
     return out
 
 
+def assert_same_machine(shape, args):
+    """After a reference and a kernel replay of the shape, every state
+    buffer and every hidden counter is identical."""
+    reference, _ = replayed(shape, args, False)
+    vector, _ = replayed(shape, args, True)
+    ref_state, vec_state = state_buffers(reference), state_buffers(vector)
+    assert ref_state.keys() == vec_state.keys()
+    for name in ref_state:
+        assert vec_state[name] == ref_state[name], name
+    assert hidden_counters(vector) == hidden_counters(reference)
+
+
 class TestFullStateParity:
     """Beyond the results: after a reference and a kernel replay of the
     same cell, every state buffer is byte-identical and so is every
     model counter the result payload leaves out."""
 
-    def _assert_same_machine(self, shape, args):
-        reference, _ = replayed(shape, args, False)
-        vector, _ = replayed(shape, args, True)
-        ref_state, vec_state = state_buffers(reference), state_buffers(vector)
-        assert ref_state.keys() == vec_state.keys()
-        for name in ref_state:
-            assert vec_state[name] == ref_state[name], name
-        assert hidden_counters(vector) == hidden_counters(reference)
-
     @pytest.mark.parametrize("app,arch,pressure", CELLS)
     def test_matrix_full_state(self, app, arch, pressure):
-        self._assert_same_machine("matrix", (app, arch, pressure))
+        assert_same_machine("matrix", (app, arch, pressure))
 
     @pytest.mark.parametrize("arch", ("ascoma", "ccnuma", "scoma"))
     def test_96_node_full_state(self, arch):
-        self._assert_same_machine("96_node", (arch,))
+        assert_same_machine("96_node", (arch,))
 
     @pytest.mark.parametrize("arch", ("ASCOMA", "SCOMA"))
     def test_wide_pages_full_state(self, arch):
-        self._assert_same_machine("wide_pages", (arch,))
+        assert_same_machine("wide_pages", (arch,))
 
 
 def kernel_visible_state(engine) -> list:
     """Every model attribute that holds kernel-visible state."""
     machine = engine.machine
     directory = machine.directory
-    held = [engine._home, machine.allocator.home, directory.copyset,
-            directory.owner, directory.refetch_count,
+    allocator = machine.allocator
+    held = [engine._home, allocator.home, allocator.row, allocator.count,
+            directory.copyset, directory.owner, directory.refetch_count,
             machine.network.port_busy_until, machine.network._base]
     held += [bus.busy_until for bus in machine.buses]
     for node in machine.nodes:
-        pt = node.page_table
+        pt, state = node.page_table, node.policy_state
         held += [pt.mode, pt.scoma_valid, pt.scoma_clock, node.pool,
                  node.daemon.pool, node.owned, node.ever_fetched,
                  node.pagecache_hits, node.tlb.ref_bits, node.l1.tags,
-                 node.l1.dirty, node.rac.chunks, node.memory.busy_until]
+                 node.l1.dirty, node.rac.chunks, node.memory.busy_until,
+                 state, state.row]
+        detector = getattr(state, "detector", None)
+        if detector is not None:
+            held += [detector, detector.row]
     return held
 
 
 def test_kernel_run_rebinds_no_model_state(monkeypatch):
     """The kernel works on the models' own buffers: after a run that
     dispatched into it, every state-holding attribute is the object it
-    was at construction."""
+    was at construction (VC-NUMA adds the break-even detector's)."""
     import repro.sim.soatrace as soatrace
 
-    engine = make_engine("radix", "ASCOMA", 0.9, vector_path=True)
-    before = kernel_visible_state(engine)
     calls = []
     run_vector = soatrace.run_vector
 
@@ -297,12 +321,15 @@ def test_kernel_run_rebinds_no_model_state(monkeypatch):
         return clock
 
     monkeypatch.setattr(soatrace, "run_vector", probe)
-    engine.run()
+    for arch in ("ASCOMA", "VCNUMA"):
+        engine = make_engine("radix", arch, 0.9, vector_path=True)
+        before = kernel_visible_state(engine)
+        engine.run()
+        after = kernel_visible_state(engine)
+        assert len(after) == len(before)
+        assert all(a is b for a, b in zip(after, before))
     if vector_available():
-        assert calls == [True]
-    after = kernel_visible_state(engine)
-    assert len(after) == len(before)
-    assert all(a is b for a, b in zip(after, before))
+        assert calls == [True, True]
 
 
 class TestObsTimelineParity:
@@ -386,6 +413,22 @@ class TestObsTimelineParity:
         assert {kind for kind, *_ in s_ref} == {EV_INVALIDATE, EV_DEMOTE}
         assert s_vec == s_ref
         assert r_vec == r_ref
+
+
+def python_exits(engine) -> dict:
+    """Record *engine*'s ``_shared_ref`` and ``_handle_relocation_hint``
+    calls made through the instance, as ``run_vector``'s residual and
+    hint exits make them: name -> list of call arguments."""
+    calls = {}
+    for name in ("_shared_ref", "_handle_relocation_hint"):
+        method, log = getattr(engine, name), calls.setdefault(name, [])
+
+        def counted(*args, _method=method, _log=log):
+            _log.append(args)
+            return _method(*args)
+
+        setattr(engine, name, counted)
+    return calls
 
 
 def watched_replay(monkeypatch, cell, vector_path, attach):
@@ -797,9 +840,9 @@ class TestDefaultPathEngagesKernel:
 
 
 class TestKernelPageFaults:
-    """Page faults on pages whose home is assigned, and pure S-COMA's
-    forced evictions, run inside the kernel; the machine-wide first
-    touch and a daemon falling due at the fault still exit to
+    """Page faults, the machine-wide first touch (the home allocator's
+    choice) included, and pure S-COMA's forced evictions run inside the
+    kernel; only a daemon falling due at the fault still exits to
     ``Engine._page_fault``.  Each shape gets the two-way bit-identity
     check, plus a probe that the shape really occurred."""
 
@@ -873,25 +916,18 @@ class TestKernelPageFaults:
         monkeypatch.setattr(Engine, "_page_fault", page_fault)
         assert vector == run_cell("radix", "SCOMA", 0.9, vector_path=False)
 
-    def test_python_exits_bounded_by_first_touches_and_daemon(self):
-        """radix/SCOMA@0.9 thrashes its page cache.  Only first touches
-        and daemon-due faults may leave the kernel, so ``_shared_ref``
-        runs at most once per shared page plus once per daemon run."""
+    def test_python_exits_bounded_by_daemon_runs(self):
+        """radix/SCOMA@0.9 thrashes its page cache.  Only daemon-due
+        faults may leave the kernel, so ``_shared_ref`` runs at most
+        once per daemon run."""
         if not vector_available():
             pytest.skip("compiled kernel unavailable")
         engine = self._engine("radix", "SCOMA", 0.9)
-        calls = []
-        shared_ref = engine._shared_ref
-
-        def counted(*args):
-            calls.append(args[1])
-            return shared_ref(*args)
-
-        engine._shared_ref = counted
+        calls = python_exits(engine)["_shared_ref"]
         result = engine.run()
         daemon_runs = sum(s.daemon_runs for s in result.node_stats)
         assert result.aggregate().forced_evictions > 1000
-        assert len(calls) <= engine.workload.total_shared_pages + daemon_runs
+        assert len(calls) <= daemon_runs
 
     def test_clock_view_behaves_like_the_deque(self):
         """The S-COMA clock the kernel drives in place, a ring buffer
@@ -936,3 +972,101 @@ class TestKernelPageFaults:
                 if real:
                     assert clock[0] == real[0] and clock[-1] == real[-1]
                 assert 0 <= int(pc[PC_HEAD]) < 6
+
+
+class TestKernelRelocations:
+    """Relocation hints, with R-NUMA's and VC-NUMA's forced evictions
+    and VC-NUMA's break-even tallies, run inside the kernel after the
+    access that carries them.  A hint exits to
+    ``Engine._handle_relocation_hint`` only when it needs Python: a
+    daemon due at the hint, a break-even evaluation falling due, a
+    ``MIGRATE`` decision or an empty clock.  Each shape gets two-way
+    bit identity of the results and of the whole machine state, plus a
+    probe that the shape occurred."""
+
+    @staticmethod
+    def _hint_exits(shape, args):
+        """A kernel replay of the shape: its result, the engine and
+        its Python exits."""
+        engine = SHAPES[shape](*args, vector_path=True)
+        calls = python_exits(engine)
+        return engine.run(), engine, calls
+
+    @pytest.mark.parametrize("placement", ("round-robin", "random"))
+    @pytest.mark.parametrize("arch", ("RNUMA", "VCNUMA"))
+    def test_home_placement_relocations(self, placement, arch):
+        """Locality-blind placement, first touches included, plus the
+        hybrids' relocations and forced evictions: every first touch is
+        placed by the kernel and nearly every hint taken there."""
+        args = (placement, arch)
+        _, reference = replayed("placement", args, False)
+        _, vector = replayed("placement", args, True)
+        assert vector == reference
+        assert_same_machine("placement", args)
+        result, engine, calls = self._hint_exits("placement", args)
+        agg = result.aggregate()
+        assert agg.relocations > 500 and agg.forced_evictions > 400
+        if vector_available():
+            assert calls["_shared_ref"] == []
+            assert len(calls["_handle_relocation_hint"]) < agg.relocations / 20
+
+    def test_break_even_evaluations(self):
+        """radix/VCNUMA@0.9: forced evictions fill the break-even
+        tallies in the kernel, and the evictions that bring an
+        evaluation due leave it, so every evaluation runs in Python."""
+        args = ("radix", "VCNUMA", 0.9)
+        _, reference = replayed("matrix", args, False)
+        vector_engine, vector = replayed("matrix", args, True)
+        assert vector == reference
+        assert_same_machine("matrix", args)
+        nodes = vector_engine.machine.nodes
+        assert sum(nd.policy_state.detector.evaluations for nd in nodes) > 0
+        if vector_available():
+            _, _, calls = self._hint_exits("matrix", args)
+            assert calls["_shared_ref"] == []
+            assert calls["_handle_relocation_hint"]
+
+    def test_ascoma_dry_pool_skips(self):
+        """radix/ASCOMA@0.9: a hint that finds the pool dry is dropped
+        (RELOCATE_IF_FREE), counted as a failed allocation and a
+        skipped relocation, without leaving the kernel."""
+        args = ("radix", "ASCOMA", 0.9)
+        _, reference = replayed("matrix", args, False)
+        _, vector = replayed("matrix", args, True)
+        assert vector == reference
+        assert_same_machine("matrix", args)
+        result, engine, calls = self._hint_exits("matrix", args)
+        skipped = result.aggregate().skipped_relocations
+        assert skipped > 0
+        assert skipped == engine.machine.directory.relocation_hints
+        if vector_available():
+            assert calls["_handle_relocation_hint"] == []
+
+    def test_daemon_due_at_hint(self, monkeypatch):
+        """A hint whose frame request finds the daemon due exits to
+        Python after its access; radix/RNUMA@0.9 has a few."""
+        due_at_hint = []
+        handle = Engine._handle_relocation_hint
+
+        def probe(engine, node, page, now):
+            if node.daemon.due(now):
+                due_at_hint.append(now)
+            return handle(engine, node, page, now)
+
+        monkeypatch.setattr(Engine, "_handle_relocation_hint", probe)
+        vector = run_cell("radix", "RNUMA", 0.9, vector_path=True)
+        if vector_available():
+            assert due_at_hint
+        monkeypatch.setattr(Engine, "_handle_relocation_hint", handle)
+        assert vector == run_cell("radix", "RNUMA", 0.9, vector_path=False)
+
+    def test_python_exits_bounded_by_daemon_runs(self):
+        """radix/RNUMA@0.9 relocates hundreds of pages, most over a
+        forced eviction; none of that reaches ``_shared_ref``, which
+        runs at most once per daemon run."""
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        result, _, calls = self._hint_exits("matrix", ("radix", "RNUMA", 0.9))
+        agg = result.aggregate()
+        assert agg.relocations > 800
+        assert len(calls["_shared_ref"]) <= agg.daemon_runs

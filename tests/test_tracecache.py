@@ -342,15 +342,15 @@ class TestCostModel:
         from repro.runtime.costs import VECTOR_ARCH_WEIGHTS
         base = spec_cost(RunSpec("fft", "ASCOMA", 0.7), events=1000,
                          vector=True)
-        heavy = spec_cost(RunSpec("fft", "RNUMA", 0.7), events=1000,
+        heavy = spec_cost(RunSpec("fft", "SCOMA", 0.7), events=1000,
                           vector=True)
         assert base == 1000
-        assert heavy == 1000 * VECTOR_ARCH_WEIGHTS["RNUMA"]
+        assert heavy == 1000 * VECTOR_ARCH_WEIGHTS["SCOMA"]
         # The vector table reshuffles ranks, it does not just rescale:
-        # R-NUMA's relocation hints leave the kernel, so its relative
+        # pure S-COMA's daemon runs leave the kernel, so its relative
         # cost is far higher there than in the reference loop.
         assert heavy / base > spec_cost(
-            RunSpec("fft", "RNUMA", 0.7), events=1000, vector=False) / 1000
+            RunSpec("fft", "SCOMA", 0.7), events=1000, vector=False) / 1000
 
     def test_substrate_probe_respects_pinned_off(self, monkeypatch):
         from repro.runtime import costs
@@ -359,14 +359,14 @@ class TestCostModel:
 
     def test_lpt_vector_flag_changes_ranks_not_membership(self):
         specs = [RunSpec("fft", arch, 0.7)
-                 for arch in ("ASCOMA", "CCNUMA", "RNUMA")]
+                 for arch in ("ASCOMA", "CCNUMA", "SCOMA")]
         events_of = {("fft", 0.5): 1000}
         scalar = lpt_order(specs, events_of, vector=False)
         vector = lpt_order(specs, events_of, vector=True)
         assert sorted(s.arch for s in scalar) == \
             sorted(s.arch for s in vector)
         assert scalar[0].arch == "CCNUMA"  # the scalar outlier leads
-        assert vector[0].arch == "RNUMA"   # the vector outlier leads
+        assert vector[0].arch == "SCOMA"   # the vector outlier leads
 
     def test_submit_chunksize(self):
         assert submit_chunksize(90, 1) == 22
