@@ -22,9 +22,12 @@ Two kinds of checking compose:
 
 Attach with :meth:`InvariantChecker.attach`, which subscribes to every
 kind (``ALL_KINDS``); the engine then reports ``invariant_violations``
-in its :class:`~repro.sim.stats.RunResult`.  Watching faults, S-COMA
-mappings, evictions and flushes, which the compiled kernel performs
-without publishing, keeps checked runs on the reference loop.
+in its :class:`~repro.sim.stats.RunResult`.  A ``barrier`` checker
+watches the compiled kernel, the substrate of every default result: it
+publishes every kind, in the reference loop's order, at its next exit,
+and barrier releases and the run's end are exits.  An ``event``
+checker's sweeps need the machine as it is at each publish, in the
+middle of an access, so its runs replay on the reference loop.
 """
 
 from __future__ import annotations

@@ -17,16 +17,23 @@ relocation hint on the data response.
 Copysets are bitmasks over node ids, ``words`` 64-bit words per chunk
 (node ``n`` is bit ``n & 63`` of word ``n >> 6``), so the hot path is a
 couple of integer ops per request at any machine size.  All three maps
-are dense buffers the replay kernel reads and writes in place.
+are dense buffers the replay kernel reads and writes in place, and so
+are the counters (``DIR_*`` slots), the directory's slice of the
+machine's counter row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
 from ..kernel.vm import DEFAULT_PAGES
 
 __all__ = ["Directory", "FetchOutcome"]
+
+#: Counter row slots (the kernel's ``M_DIR_*``).
+(DIR_REFETCHES, DIR_HINTS, DIR_FORWARDS, DIR_INVALIDATIONS, DIR_EXCLUSIVE,
+ N_DIR) = range(6)
 
 
 class FetchOutcome:
@@ -76,7 +83,7 @@ class Directory:
 
     def __init__(self, n_nodes: int, chunks_per_page: int,
                  n_pages: int = DEFAULT_PAGES,
-                 grant_exclusive: bool = False) -> None:
+                 grant_exclusive: bool = False, counters=None) -> None:
         if n_nodes <= 0:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
@@ -86,7 +93,6 @@ class Directory:
         #: Exclusive, letting the reader write later with no upgrade
         #: transaction (classic E-state optimisation).
         self.grant_exclusive = grant_exclusive
-        self.exclusive_grants = 0
         self.words = words = (n_nodes + 63) >> 6
         n_chunks = n_pages * chunks_per_page
         #: Sharer bitmaps, word ``chunk * words + (node >> 6)``.
@@ -96,11 +102,11 @@ class Directory:
         #: Refetches of (page, node) since the last relocation/reset, at
         #: ``page * n_nodes + node``.
         self.refetch_count = memoryview(np.zeros(n_pages * n_nodes, np.int64))
-        # Aggregate counters (Table 6 and general stats).
-        self.total_refetches = 0
-        self.relocation_hints = 0
-        self.forwards = 0
-        self.invalidations_sent = 0
+        #: Aggregate counters (Table 6 and general stats).
+        self.row = counter_row(N_DIR, counters)
+
+    (total_refetches, relocation_hints, forwards, invalidations_sent,
+     exclusive_grants) = map(row_slot, range(N_DIR))
 
     # ------------------------------------------------------------------
     def fetch(self, node: int, chunk: int, page: int, is_write: bool,
@@ -145,7 +151,7 @@ class Directory:
         if owner != -1 and owner != node:
             # Dirty at a third node: home forwards, owner writes back.
             forwarded = True
-            self.forwards += 1
+            self.row[DIR_FORWARDS] += 1
             owner_map[chunk] = -1
 
         if is_write:
@@ -163,7 +169,7 @@ class Directory:
             copyset[mine] = bit
             if sharers:
                 invalidations = tuple(sharers)
-                self.invalidations_sent += len(invalidations)
+                self.row[DIR_INVALIDATIONS] += len(invalidations)
             owner_map[chunk] = node
         else:
             if owner == node:
@@ -177,18 +183,18 @@ class Directory:
 
         relocation_hint = False
         if refetch and count_refetch:
-            self.total_refetches += 1
+            self.row[DIR_REFETCHES] += 1
             if threshold > 0:
                 key = page * self.n_nodes + node
                 count = self.refetch_count[key] + 1
                 if count >= threshold:
                     relocation_hint = True
-                    self.relocation_hints += 1
+                    self.row[DIR_HINTS] += 1
                     self.refetch_count[key] = 0
                 else:
                     self.refetch_count[key] = count
         if exclusive:
-            self.exclusive_grants += 1
+            self.row[DIR_EXCLUSIVE] += 1
         return (refetch, forwarded, invalidations, relocation_hint,
                 owner if owner != node else -1, exclusive)
 

@@ -22,10 +22,14 @@ from __future__ import annotations
 from typing import Callable
 
 from ..interconnect.network import Network
+from ..kernel.freelist import counter_row, row_slot
 from ..mem.dram import BankedMemory
 from .directory import Directory, FetchOutcome
 
 __all__ = ["CoherenceProtocol", "RemoteResult"]
+
+#: Counter row slots (the kernel's ``M_PROTO_*``).
+PROTO_REMOTE, PROTO_THREE_HOP, PROTO_STALLS, N_PROTO = range(4)
 
 
 class RemoteResult:
@@ -45,7 +49,7 @@ class CoherenceProtocol:
                  memories: list[BankedMemory],
                  invalidate_chunk: Callable[..., None] | None = None,
                  demote_chunk: Callable[..., None] | None = None,
-                 stall_on_invalidate: bool = True) -> None:
+                 stall_on_invalidate: bool = True, counters=None) -> None:
         self.directory = directory
         self.network = network
         self.memories = memories
@@ -60,9 +64,10 @@ class CoherenceProtocol:
         #: invalidation ack; release consistency overlaps them (the
         #: invalidations still happen -- only the stall differs).
         self.stall_on_invalidate = stall_on_invalidate
-        self.remote_fetches = 0
-        self.three_hop_fetches = 0
-        self.write_stalls = 0
+        self.row = counter_row(N_PROTO, counters)
+
+    remote_fetches, three_hop_fetches, write_stalls = map(row_slot,
+                                                          range(N_PROTO))
 
     # ------------------------------------------------------------------
     def remote_fetch(self, node: int, chunk: int, page: int, home: int,
@@ -89,7 +94,7 @@ class CoherenceProtocol:
         lat += self.memories[home].access(chunk, now + lat)  # home DRAM/dir
         if out[1]:  # forwarded
             # Home -> owner -> requester instead of home -> requester.
-            self.three_hop_fetches += 1
+            self.row[PROTO_THREE_HOP] += 1
             lat += net.one_way(home, node, now + lat)  # forward leg (approx: same cost class)
             prev_owner = out[4]
             if not is_write and prev_owner >= 0:
@@ -98,7 +103,7 @@ class CoherenceProtocol:
         invalidations = out[2]
         if invalidations:
             lat += self._invalidate_all(invalidations, chunk, home, now + lat)
-        self.remote_fetches += 1
+        self.row[PROTO_REMOTE] += 1
         return lat, out
 
     def _invalidate_all(self, sharers, chunk: int, origin: int,
@@ -111,7 +116,7 @@ class CoherenceProtocol:
             rt = self.network.round_trip(origin, sharer, now)
             if rt > worst:
                 worst = rt
-        self.write_stalls += 1
+        self.row[PROTO_STALLS] += 1
         return worst if self.stall_on_invalidate else 0
 
     def local_fetch(self, node: int, chunk: int, page: int, is_write: bool,
@@ -133,7 +138,7 @@ class CoherenceProtocol:
         lat = self.memories[node].access(chunk, now)
         if out[1]:  # forwarded
             # Dirty at a remote node: full round trip to retrieve it.
-            self.three_hop_fetches += 1
+            self.row[PROTO_THREE_HOP] += 1
             prev_owner = out[4]
             owner = prev_owner if prev_owner >= 0 else self._any_remote(node)
             lat += self.network.round_trip(node, owner, now + lat)

@@ -18,31 +18,26 @@ page-management decisions differ.  A policy decides:
 
 Policies are stateless singletons; all mutable per-node state lives in a
 :class:`PolicyNodeState` so one policy object can serve every node.  The
-counters the replay kernel keeps for a policy -- relocations, skipped
-relocations and VC-NUMA's break-even tallies -- are slots of the node's
-*policy row* (``POL_*`` below), which the kernel reads and writes in
-place.
+counters the replay kernel keeps for a policy -- VC-NUMA's break-even
+tallies -- are slots of the node's *policy row* (``POL_*`` below), which
+the kernel reads and writes in place.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..kernel.freelist import row_slot
+from ..kernel.freelist import counter_row
 from ..kernel.pageout import DaemonRunResult, PageoutDaemon
 from ..kernel.vm import PageMode
 
 __all__ = ["ArchitecturePolicy", "N_POL", "POL_EVICTIONS", "POL_LOSERS",
-           "POL_RELOCATIONS", "POL_SKIPPED", "POL_WINNERS",
-           "PolicyNodeState", "RelocationDecision"]
+           "POL_WINNERS", "PolicyNodeState", "RelocationDecision"]
 
-#: Slots of a node's policy row: relocations and skipped relocations,
-#: then the break-even detector's evictions, losers and winners since
-#: its last evaluation (see repro.core.thrashing).  Keep in sync with
-#: the ``POL_*`` enum of the kernel source in repro.sim.soatrace.
-(POL_RELOCATIONS, POL_SKIPPED, POL_EVICTIONS, POL_LOSERS,
- POL_WINNERS) = range(5)
-N_POL = 5
+#: Slots of a node's policy row: the break-even detector's evictions,
+#: losers and winners since its last evaluation (see
+#: repro.core.thrashing).  Keep in sync with the ``POL_*`` enum of the
+#: kernel source in repro.sim.soatrace.
+POL_EVICTIONS, POL_LOSERS, POL_WINNERS = range(3)
+N_POL = 3
 
 
 class RelocationDecision:
@@ -67,15 +62,11 @@ class PolicyNodeState:
                  "threshold_recoveries")
 
     def __init__(self, threshold: int, row=None) -> None:
-        self.row = memoryview(np.zeros(N_POL, np.int64) if row is None
-                              else row)
+        self.row = counter_row(N_POL, row)
         self.threshold = threshold
         self.relocation_enabled = threshold > 0
         self.thrash_backoffs = 0
         self.threshold_recoveries = 0
-
-    relocations = row_slot(POL_RELOCATIONS)
-    skipped_relocations = row_slot(POL_SKIPPED)
 
     def effective_threshold(self) -> int:
         """Threshold the directory should enforce (0 = no counting)."""

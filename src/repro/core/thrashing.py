@@ -26,9 +26,7 @@ evaluation to :meth:`BreakEvenDetector.record_eviction`.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..kernel.freelist import row_slot
+from ..kernel.freelist import counter_row, row_slot
 from ..kernel.pageout import PageoutDaemon
 from .policy import N_POL, POL_EVICTIONS, POL_LOSERS, POL_WINNERS
 
@@ -113,8 +111,7 @@ class BreakEvenDetector:
         self.min_evictions_per_eval = min_evictions_per_eval
         #: The node's policy row (a detector built without one allocates
         #: its own).
-        self.row = memoryview(np.zeros(N_POL, np.int64) if row is None
-                              else row)
+        self.row = counter_row(N_POL, row)
         self.evaluations = 0
         self.backoffs = 0
         self.recoveries = 0

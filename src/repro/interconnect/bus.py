@@ -12,24 +12,30 @@ Bus time is already folded into the Table 4 minimum latencies (L1 miss
 service cannot be faster than the bus transaction), so the default
 per-transaction *additional* cost is zero and only contention shows up.
 The busy-until stamp is a node's slot of the machine-wide bus block,
-which the replay kernel reads and writes in place.
+and the counters its ``BUS_*`` slots of the counter block; the replay
+kernel reads and writes both in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
+
 __all__ = ["SplitTransactionBus"]
+
+#: Counter row slots (the kernel's ``K_BUS_*``).
+BUS_TRANSACTIONS, BUS_CONTENDED, BUS_QUEUE, N_BUS = range(4)
 
 
 class SplitTransactionBus:
     """Per-node coherent bus with busy-until contention accounting."""
 
-    __slots__ = ("occupancy", "fixed_cost", "max_queue", "busy_until",
-                 "transactions", "contended", "total_queue_cycles")
+    __slots__ = ("occupancy", "fixed_cost", "max_queue", "busy_until", "row")
 
     def __init__(self, occupancy: int = 4, fixed_cost: int = 0,
-                 max_queue_occupancies: int = 8, busy_until=None) -> None:
+                 max_queue_occupancies: int = 8, busy_until=None,
+                 counters=None) -> None:
         if occupancy < 0 or fixed_cost < 0:
             raise ValueError("bus parameters must be non-negative")
         self.occupancy = occupancy
@@ -39,9 +45,9 @@ class SplitTransactionBus:
         #: One-slot view: the bus is free from ``busy_until[0]`` on.
         self.busy_until = memoryview(np.zeros(1, np.int64)
                                      if busy_until is None else busy_until)
-        self.transactions = 0
-        self.contended = 0
-        self.total_queue_cycles = 0
+        self.row = counter_row(N_BUS, counters)
+
+    transactions, contended, total_queue_cycles = map(row_slot, range(N_BUS))
 
     def transact(self, now: int) -> int:
         """Run one bus transaction at *now*; returns added latency."""
@@ -50,10 +56,11 @@ class SplitTransactionBus:
         if queue > self.max_queue:
             queue = self.max_queue
         self.busy_until[0] = now + queue + self.occupancy
-        self.transactions += 1
+        row = self.row
+        row[BUS_TRANSACTIONS] += 1
         if queue:
-            self.contended += 1
-            self.total_queue_cycles += queue
+            row[BUS_CONTENDED] += 1
+            row[BUS_QUEUE] += queue
         return self.fixed_cost + queue
 
     def utilisation_stats(self) -> dict:

@@ -16,29 +16,34 @@ average remote latency exceed the Table 4 minimum as remote traffic
 grows.
 
 The port stamps and the contention-free pair costs are flat ``int64``
-buffers the replay kernel reads (and, for the ports, writes) in place.
+buffers the replay kernel reads (and, for the ports, writes) in place;
+so are the counters (``NET_*`` slots), the network's slice of the
+machine's counter row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
 from .topology import SwitchTopology, Topology
 
 __all__ = ["Network"]
+
+#: Counter row slots (the kernel's ``M_NET_*``).
+NET_MESSAGES, NET_CONTENDED, NET_QUEUE, N_NET = range(4)
 
 
 class Network:
     """Point-to-point message latency with per-node input-port queues."""
 
     __slots__ = ("topology", "propagation", "fall_through", "port_occupancy",
-                 "max_queue", "port_busy_until", "messages",
-                 "contended_messages", "total_queue_cycles", "_n", "_base")
+                 "max_queue", "port_busy_until", "row", "_n", "_base")
 
     def __init__(self, topology: Topology | None = None, n_nodes: int = 8,
                  propagation: int = 2, fall_through: int = 4,
                  port_occupancy: int = 8,
-                 max_queue_occupancies: int = 8) -> None:
+                 max_queue_occupancies: int = 8, counters=None) -> None:
         self.topology = topology or SwitchTopology(n_nodes)
         if propagation < 0 or fall_through < 0 or port_occupancy < 0:
             raise ValueError("latency parameters must be non-negative")
@@ -52,9 +57,7 @@ class Network:
         self.max_queue = max_queue_occupancies * port_occupancy
         n = self.topology.n_nodes
         self.port_busy_until = memoryview(np.zeros(n, np.int64))
-        self.messages = 0
-        self.contended_messages = 0
-        self.total_queue_cycles = 0
+        self.row = counter_row(N_NET, counters)
         # Hop counts are a pure function of the (immutable) topology, so
         # the contention-free one-way cost is precomputed per node pair
         # (``_base[src * n + dst]``).  One hops() call at construction
@@ -63,6 +66,9 @@ class Network:
         self._base = memoryview(np.array(
             [0 if s == d else propagation * self.topology.hops(s, d) + fall_through
              for s in range(n) for d in range(n)], dtype=np.int64))
+
+    messages, contended_messages, total_queue_cycles = map(row_slot,
+                                                           range(N_NET))
 
     # ------------------------------------------------------------------
     def one_way(self, src: int, dst: int, now: int) -> int:
@@ -76,10 +82,11 @@ class Network:
         if queue > self.max_queue:
             queue = self.max_queue
         self.port_busy_until[dst] = arrival + queue + self.port_occupancy
-        self.messages += 1
+        row = self.row
+        row[NET_MESSAGES] += 1
         if queue:
-            self.contended_messages += 1
-            self.total_queue_cycles += queue
+            row[NET_CONTENDED] += 1
+            row[NET_QUEUE] += queue
         return base + queue
 
     def round_trip(self, src: int, dst: int, now: int) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
-           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES", "row_slot"]
+           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES", "counter_row",
+           "row_slot"]
 
 #: Slots of a node's page-cache row: the pool's counters, then the
 #: S-COMA clock's ring cursor (head index and length).  Keep in sync
@@ -34,6 +35,11 @@ def row_slot(index: int) -> property:
     counter row the replay kernel shares."""
     return property(lambda self: self.row[index],
                     lambda self, value: self.row.__setitem__(index, value))
+
+
+def counter_row(n: int, row=None) -> memoryview:
+    """A view of *row*, or of a fresh row of *n* ``int64`` zeros."""
+    return memoryview(np.zeros(n, np.int64) if row is None else row)
 
 
 class FreePagePool:
@@ -52,7 +58,7 @@ class FreePagePool:
             raise ValueError("frame counts must be positive")
         if not 0 <= free_min_frac <= free_target_frac <= 1:
             raise ValueError("need 0 <= free_min_frac <= free_target_frac <= 1")
-        self.row = memoryview(np.zeros(N_PC, np.int64) if pc is None else pc)
+        self.row = counter_row(N_PC, pc)
         self.capacity = cache_frames
         self.free = cache_frames
         # Water marks are fractions of *total* node memory, as in BSD,

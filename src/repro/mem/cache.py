@@ -15,32 +15,34 @@ The tag and dirty stores are indexed by set: an ``int64`` tag per set
 node's cache its rows of the machine-wide blocks, which the replay
 kernel reads and writes in place; the cache indexes them through
 ``memoryview``s, whose single-element reads return plain ints at about
-the cost of a list index.
+the cost of a list index.  Its counters are an ``int64`` row too
+(``L1_*`` slots, see :class:`CacheStats`), the node's slice of the
+machine-wide counter block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
 from .address import AddressMap
 
 __all__ = ["DirectMappedCache", "CacheStats"]
 
+#: Counter row slots (the kernel's ``K_L1_*``).
+L1_HITS, L1_MISSES, L1_WRITEBACKS, L1_INVALIDATIONS, N_L1 = range(5)
+
 
 class CacheStats:
-    """Hit/miss/writeback counters for one cache instance."""
+    """Hit/miss/writeback counters for one cache instance, the slots of
+    an ``int64`` row."""
 
-    __slots__ = ("hits", "misses", "writebacks", "flushed_lines", "invalidations")
+    __slots__ = ("row",)
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-        self.flushed_lines = 0
-        self.invalidations = 0
+    def __init__(self, row=None) -> None:
+        self.row = counter_row(N_L1, row)
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+    hits, misses, writebacks, invalidations = map(row_slot, range(N_L1))
 
 
 class DirectMappedCache:
@@ -55,7 +57,7 @@ class DirectMappedCache:
 
     def __init__(self, size_bytes: int, line_bytes: int,
                  amap: AddressMap | None = None, tags=None,
-                 dirty=None) -> None:
+                 dirty=None, counters=None) -> None:
         if size_bytes % line_bytes:
             raise ValueError("cache size must be a multiple of the line size")
         n_sets = size_bytes // line_bytes
@@ -69,16 +71,16 @@ class DirectMappedCache:
         # tags[set] holds the resident global line id, or -1 when empty.
         self.tags = memoryview(tags)
         self.dirty = memoryview(dirty)
-        self.stats = CacheStats()
+        self.stats = CacheStats(counters)
         self.amap = amap or AddressMap()
 
     # -- hot path ---------------------------------------------------------
     def lookup(self, line: int) -> bool:
         """Probe the cache for *line*.  Returns True on hit."""
         if self.tags[line & self.set_mask] == line:
-            self.stats.hits += 1
+            self.stats.row[L1_HITS] += 1
             return True
-        self.stats.misses += 1
+        self.stats.row[L1_MISSES] += 1
         return False
 
     def fill(self, line: int, dirty: bool = False) -> int:
@@ -94,7 +96,7 @@ class DirectMappedCache:
                 self.dirty[s] = True
             return -1
         if victim != -1 and self.dirty[s]:
-            self.stats.writebacks += 1
+            self.stats.row[L1_WRITEBACKS] += 1
         self.tags[s] = line
         self.dirty[s] = dirty
         return victim
@@ -115,7 +117,7 @@ class DirectMappedCache:
         if self.tags[s] == line:
             self.tags[s] = -1
             self.dirty[s] = False
-            self.stats.invalidations += 1
+            self.stats.row[L1_INVALIDATIONS] += 1
             return True
         return False
 
@@ -138,7 +140,6 @@ class DirectMappedCache:
         if flushed:
             tags[hit] = -1
             np.asarray(self.dirty)[span][hit] = 0
-        self.stats.flushed_lines += flushed
         return flushed
 
     def resident_lines_of_page(self, page: int) -> list[int]:

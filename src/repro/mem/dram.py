@@ -11,26 +11,32 @@ and occupies the bank for ``occupancy`` cycles; the access latency is the
 fixed service latency plus any queueing delay.  Banks are interleaved at
 DSM-chunk granularity, the grain at which the DSM engine moves data.
 The ``busy_until`` stamps are a node's row of the machine-wide bank
-block, which the replay kernel reads and writes in place.
+block, and the counters its ``MEM_*`` slots of the counter block; the
+replay kernel reads and writes both in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
+
 __all__ = ["BankedMemory"]
+
+#: Counter row slots (the kernel's ``K_MEM_*``).
+MEM_ACCESSES, MEM_CONTENDED, MEM_QUEUE, N_MEM = range(4)
 
 
 class BankedMemory:
     """Per-node banked DRAM with simple busy-until contention."""
 
     __slots__ = ("n_banks", "bank_mask", "busy_until", "service_cycles",
-                 "occupancy_cycles", "max_queue", "accesses", "contended",
-                 "total_queue_cycles")
+                 "occupancy_cycles", "max_queue", "row")
 
     def __init__(self, n_banks: int = 4, service_cycles: int = 50,
                  occupancy_cycles: int = 20,
-                 max_queue_occupancies: int = 8, busy_until=None) -> None:
+                 max_queue_occupancies: int = 8, busy_until=None,
+                 counters=None) -> None:
         if n_banks <= 0 or n_banks & (n_banks - 1):
             raise ValueError("bank count must be a positive power of two")
         if service_cycles <= 0 or occupancy_cycles <= 0:
@@ -47,9 +53,9 @@ class BankedMemory:
         # Bounding the per-request queue estimate to a few service slots
         # keeps the contention signal and discards the skew artifact.
         self.max_queue = max_queue_occupancies * occupancy_cycles
-        self.accesses = 0
-        self.contended = 0
-        self.total_queue_cycles = 0
+        self.row = counter_row(N_MEM, counters)
+
+    accesses, contended, total_queue_cycles = map(row_slot, range(N_MEM))
 
     def access(self, chunk: int, now: int) -> int:
         """Access the bank holding *chunk* at time *now*.
@@ -63,10 +69,11 @@ class BankedMemory:
             queue = self.max_queue
         start = now + queue
         self.busy_until[bank] = start + self.occupancy_cycles
-        self.accesses += 1
+        row = self.row
+        row[MEM_ACCESSES] += 1
         if queue:
-            self.contended += 1
-            self.total_queue_cycles += queue
+            row[MEM_CONTENDED] += 1
+            row[MEM_QUEUE] += queue
         return self.service_cycles + queue
 
     def min_latency(self) -> int:

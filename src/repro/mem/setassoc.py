@@ -29,7 +29,7 @@ class SetAssociativeCache:
                  "amap")
 
     def __init__(self, size_bytes: int, line_bytes: int, ways: int,
-                 amap: AddressMap | None = None) -> None:
+                 amap: AddressMap | None = None, counters=None) -> None:
         if ways <= 0:
             raise ValueError("need at least one way")
         if size_bytes % (line_bytes * ways):
@@ -43,7 +43,7 @@ class SetAssociativeCache:
         # sets[s] is the set's resident lines in LRU order (front = LRU).
         self.sets: list[list[int]] = [[] for _ in range(n_sets)]
         self.dirty: list[set[int]] = [set() for _ in range(n_sets)]
-        self.stats = CacheStats()
+        self.stats = CacheStats(counters)
         self.amap = amap or AddressMap()
 
     # -- hot path ---------------------------------------------------------
@@ -118,7 +118,6 @@ class SetAssociativeCache:
                 s.remove(t)
                 self.dirty[idx].discard(t)
                 flushed += 1
-        self.stats.flushed_lines += flushed
         return flushed
 
     def resident_lines_of_page(self, page: int) -> list[int]:

@@ -13,7 +13,8 @@ The reference bits are the load-bearing piece: the second-chance scan in
 :mod:`repro.kernel.pageout` reads and clears them to decide which S-COMA
 pages are cold enough to evict.  They are one byte per page: a machine
 hands each node's TLB its row of the machine-wide block, which the
-replay kernel reads and writes in place.
+replay kernel reads and writes in place, and likewise its counter row
+(``TLB_*`` slots).
 """
 
 from __future__ import annotations
@@ -22,17 +23,22 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..kernel.freelist import counter_row, row_slot
 from ..kernel.vm import DEFAULT_PAGES
 
 __all__ = ["TLB"]
+
+#: Counter row slots (the kernel's ``K_TLB_*``).
+TLB_HITS, TLB_MISSES, TLB_SHOOTDOWNS, N_TLB = range(4)
 
 
 class TLB:
     """Fully-associative FIFO TLB with per-page reference bits."""
 
-    __slots__ = ("capacity", "entries", "ref_bits", "hits", "misses", "shootdowns")
+    __slots__ = ("capacity", "entries", "ref_bits", "row")
 
-    def __init__(self, capacity: int = 128, ref_bits=None) -> None:
+    def __init__(self, capacity: int = 128, ref_bits=None,
+                 counters=None) -> None:
         if capacity <= 0:
             raise ValueError("TLB capacity must be positive")
         self.capacity = capacity
@@ -42,9 +48,9 @@ class TLB:
         # for *every* S-COMA page, resident in the TLB or not.
         self.ref_bits = memoryview(np.zeros(DEFAULT_PAGES, np.uint8)
                                    if ref_bits is None else ref_bits)
-        self.hits = 0
-        self.misses = 0
-        self.shootdowns = 0
+        self.row = counter_row(N_TLB, counters)
+
+    hits, misses, shootdowns = map(row_slot, range(N_TLB))
 
     def access(self, page: int) -> bool:
         """Touch *page*: set its reference bit, return True on TLB hit."""

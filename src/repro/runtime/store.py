@@ -93,8 +93,9 @@ class RunStore:
         path = self.path_for(spec)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
+            # One string, one write: json.dump writes chunk by chunk.
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -5,9 +5,8 @@ ping-pongs?), attach an :class:`EventTrace` to one node.  The trace
 subscribes to the machine-wide :class:`~repro.sim.events.EventBus` for
 the *page-management* kinds only (mappings, evictions, relocations,
 flushes), not the chattier coherence traffic, so the bounded buffer
-holds the interesting rare transitions.  The kernel maps and evicts
-some pages without publishing, so a traced run replays on the
-reference loop.
+holds the interesting rare transitions.  A traced run still replays
+on the compiled kernel, whose event ring publishes those kinds.
 
 Usage::
 

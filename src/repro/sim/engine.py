@@ -39,14 +39,13 @@ every architecture):
   relocation hints and forced evictions included.  It exits to
   ``_shared_ref`` only for a fault that would run the pageout daemon,
   and to ``_handle_relocation_hint``, after the access, only for a
-  hint that would run the daemon, bring a break-even evaluation due,
-  migrate the page or find an empty clock;
+  hint that would run the daemon, bring a break-even evaluation due
+  or migrate the page;
 * the **reference path** is the straightforward one-call-per-event
   loop.  It is the parity oracle for the kernel and the loss-free
-  fallback for every run the kernel cannot take: a subscriber to a
-  kind the kernel performs without publishing (fault, map_scoma,
-  evict, flush -- the invariant checker watches them all), an
-  associative L1, or no C compiler.
+  fallback for every run the kernel cannot take: an invariant checker
+  at ``event`` granularity (its sweeps read the machine mid-access),
+  an associative L1, or no C compiler.
 
 Dispatch is two-state (``Engine.vector_mode``): ``auto`` -- the
 default -- tries the kernel and falls back to the reference loop;
@@ -75,13 +74,22 @@ from ..kernel.vm import PageMode
 from .config import SystemConfig
 from .events import EV_BARRIER, EV_END, EV_FAULT, EV_MIGRATE
 from .machine import Machine
-from .stats import RunResult
+from .stats import (S_CONF_CAPC, S_CONF_CAPC_LAT, S_COLD, S_COLD_LAT,
+                    S_ESSENTIAL_COLD, S_HOME, S_HOME_LAT, S_INDUCED_COLD,
+                    S_L1_HITS, S_L1_MISSES, S_RAC, S_RAC_LAT, S_SCOMA,
+                    S_SCOMA_LAT, S_SYNC, S_U_INSTR, S_U_LC_MEM, S_U_SH_MEM,
+                    S_UPGRADES, RunResult)
 from .trace import EV_COMPUTE, EV_LOCAL, EV_WRITE, WorkloadTraces
 
 __all__ = ["Engine", "simulate", "default_vector_mode"]
 
 #: How far (cycles) one node may run ahead of the runner-up clock.
 DEFAULT_QUANTUM = 2000
+
+# The page modes as plain ints: an IntEnum member lookup costs the
+# per-miss path about five times an int compare.
+_HOME, _SCOMA, _CCNUMA = map(int, (PageMode.HOME, PageMode.SCOMA,
+                                   PageMode.CCNUMA))
 
 
 def default_vector_mode() -> str:
@@ -179,10 +187,16 @@ class Engine:
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        if self.vector_mode == "off":
+        # The compiled kernel (repro.sim.soatrace) replays the run in
+        # place on the machine's own buffers, counter rows included,
+        # unless the run is outside its model or no kernel loads; then
+        # the reference loop does, bit-identically.
+        clock = None
+        if self.vector_mode != "off":
+            from .soatrace import run_vector
+            clock = run_vector(self)
+        if clock is None:
             clock = self._run_reference()
-        else:
-            clock = self._run_vector()
 
         events = self._events
         if events.kind_observers:
@@ -205,14 +219,17 @@ class Engine:
             architecture=self.policy.name,
             workload=self.workload.name,
             pressure=self.config.memory_pressure,
-            node_stats=[nd.stats for nd in machine.nodes],
+            node_stats=[nd.stats.copy() for nd in machine.nodes],
             extra=extra,
         )
 
     # ------------------------------------------------------------------
     def _release_barrier(self, nodes, clock, arrival, waiting, pos, end,
                          finished, barrier_id) -> None:
-        """Release a full barrier: charge SYNC, align clocks, publish."""
+        """Release a full barrier: charge SYNC, align clocks, publish.
+
+        The scheduler state arrives as lists (the reference loop) or
+        as memoryviews of the kernel's arrays, edited in place."""
         n = len(nodes)
         ids = {barrier_id[i] for i in range(n) if waiting[i]}
         if len(ids) != 1:
@@ -221,7 +238,7 @@ class Engine:
         release = max(arrival[i] for i in range(n) if waiting[i])
         for i in range(n):
             if waiting[i]:
-                nodes[i].stats.SYNC += release - arrival[i]
+                nodes[i].stats.row[S_SYNC] += release - arrival[i]
                 clock[i] = release
                 waiting[i] = False
                 if pos[i] >= end[i]:
@@ -230,31 +247,6 @@ class Engine:
         if events.kind_observers:
             events.clock = release
             events.publish(EV_BARRIER, -1, -1, barrier=ids.pop())
-
-    # ------------------------------------------------------------------
-    def _run_vector(self) -> list[int]:
-        """Vectorized SoA replay loop (see repro.sim.soatrace).
-
-        Bit-identical to the reference loop.  A small compiled kernel
-        replays the decoded trace -- the scheduler, the reference cases,
-        page faults, first touches and relocation hints -- in place on
-        the machine's own state buffers (free pools, S-COMA clocks,
-        allocator and policy rows included), handing only daemon-due
-        faults, the relocation hints that need Python, daemon runs and
-        barrier releases back to the scalar machinery, which indexes
-        the same buffers, so the two substrates never diverge.
-
-        Degrades silently to :meth:`_run_reference` when the kernel is
-        unavailable (no C compiler / cffi) or the run shape is outside
-        its model.  Notably, the invariant checker watches every kind,
-        faults included, so checked runs take the reference loop.
-        """
-        from .soatrace import run_vector
-
-        clock = run_vector(self)
-        if clock is None:
-            return self._run_reference()
-        return clock
 
     # ------------------------------------------------------------------
     def _run_reference(self) -> list[int]:
@@ -308,7 +300,7 @@ class Engine:
             p = pos[best]
             e = end[best]
             now = clock[best]
-            stats = node.stats
+            st = node.stats.row
             # Let the pageout daemon run on its own schedule, not only
             # when a frame is needed (it is how AS-COMA notices recovery).
             node.run_daemon_if_due(now)
@@ -320,10 +312,10 @@ class Engine:
                 if ev <= EV_WRITE:  # READ or WRITE
                     now += shared_ref(node, arg, ev == EV_WRITE, now)
                 elif ev == EV_COMPUTE:
-                    stats.U_INSTR += arg
+                    st[S_U_INSTR] += arg
                     now += arg
                 elif ev == EV_LOCAL:
-                    stats.U_LC_MEM += arg
+                    st[S_U_LC_MEM] += arg
                     now += arg
                 else:  # EV_BARRIER
                     waiting[best] = True
@@ -355,11 +347,12 @@ class Engine:
         time, K_BASE/K_OVERHD for kernel work triggered by the access).
 
         Attribute chains are hoisted into locals / precomputed engine
-        attributes (`_hit_cycles`, `_home`, ...): this function *is* the
-        profile's hot spot, and both replay loops share it, so every
-        saved lookup is bit-identical by construction.
+        attributes (`_hit_cycles`, `_home`, ...), and the stats row is
+        indexed directly: this function *is* the profile's hot spot, and
+        both replay loops share it, so every saved lookup is
+        bit-identical by construction.
         """
-        stats = node.stats
+        st = node.stats.row
         l1 = node.l1
 
         # -- L1 probe (the overwhelmingly common case) -------------------
@@ -368,7 +361,7 @@ class Engine:
         else:
             hit = l1.lookup(line)
         if hit:
-            stats.l1_hits += 1
+            st[S_L1_HITS] += 1
             if is_write:
                 chunk = line >> self._chunk_shift
                 owned = node.owned
@@ -381,15 +374,15 @@ class Engine:
                     lat = self._protocol.upgrade(node.id, chunk, page,
                                                  home, now)
                     owned[chunk] = 1
-                    stats.upgrades += 1
-                    stats.U_SH_MEM += lat
+                    st[S_UPGRADES] += 1
+                    st[S_U_SH_MEM] += lat
                     l1.mark_dirty(line)
                     return self._hit_cycles + lat
                 l1.mark_dirty(line)
             return self._hit_cycles
 
         # -- L1 miss ------------------------------------------------------
-        stats.l1_misses += 1
+        st[S_L1_MISSES] += 1
         events = self._events
         if events.kind_observers:
             events.clock = now
@@ -412,27 +405,27 @@ class Engine:
         # Outcome tuples are in Directory.fetch_raw order:
         # (refetch, forwarded, invalidations, relocation_hint,
         #  prev_owner, exclusive).
-        if mode == PageMode.HOME:
+        if mode == _HOME:
             fetch_lat, out = protocol.local_fetch_raw(nid, chunk, page,
                                                       is_write, now + lat)
             lat += fetch_lat
-            stats.HOME += 1
-            stats.HOME_LAT += lat
+            st[S_HOME] += 1
+            st[S_HOME_LAT] += lat
             if is_write or out[5]:
                 owned[chunk] = 1
-        elif mode == PageMode.SCOMA:
+        elif mode == _SCOMA:
             cip = chunk & self._cpp_mask
             valid = node.page_table.scoma_valid[
                 page * self._sv_words + (cip >> 6)]
             if valid >> (cip & 63) & 1:
                 lat += node.memory.access(chunk, now + lat)
-                stats.SCOMA += 1
+                st[S_SCOMA] += 1
                 node.pagecache_hits[page] += 1
-                stats.SCOMA_LAT += lat
+                st[S_SCOMA_LAT] += lat
                 if is_write and not owned[chunk]:
                     lat += protocol.upgrade(nid, chunk, page, home, now + lat)
                     owned[chunk] = 1
-                    stats.upgrades += 1
+                    st[S_UPGRADES] += 1
             else:
                 fetch_lat, out = protocol.remote_fetch_raw(
                     nid, chunk, page, home, is_write, 0, now + lat,
@@ -445,12 +438,12 @@ class Engine:
         else:  # PageMode.CCNUMA
             if node.rac.lookup(line if self._rac_victim else chunk):
                 lat += self._rac_cycles
-                stats.RAC += 1
-                stats.RAC_LAT += lat
+                st[S_RAC] += 1
+                st[S_RAC_LAT] += lat
                 if is_write and not owned[chunk]:
                     lat += protocol.upgrade(nid, chunk, page, home, now + lat)
                     owned[chunk] = 1
-                    stats.upgrades += 1
+                    st[S_UPGRADES] += 1
             else:
                 threshold = node.policy_state.effective_threshold()
                 fetch_lat, out = protocol.remote_fetch_raw(
@@ -469,14 +462,14 @@ class Engine:
                     self._l1_fill(node, line, is_write)
                     kernel += self._handle_relocation_hint(node, page,
                                                            now + lat)
-                    stats.U_SH_MEM += lat
+                    st[S_U_SH_MEM] += lat
                     return kernel + lat
 
         if self._rac_victim:
             self._l1_fill(node, line, is_write)
         else:
             l1.fill(line, is_write)
-        stats.U_SH_MEM += lat
+        st[S_U_SH_MEM] += lat
         return kernel + lat
 
     def _l1_fill(self, node, line: int, is_write: bool) -> None:
@@ -485,24 +478,24 @@ class Engine:
         victim = node.l1.fill(line, dirty=is_write)
         if self._rac_victim and victim != -1:
             vpage = victim >> self._line_shift
-            if node.page_table.mode[vpage] == PageMode.CCNUMA:
+            if node.page_table.mode[vpage] == _CCNUMA:
                 node.rac.fill(victim)
 
     # ------------------------------------------------------------------
     def _classify_remote(self, node, chunk: int, refetch: bool,
                          lat: int = 0) -> None:
         """COLD vs CONF/CAPC classification of a remote fetch."""
-        stats = node.stats
+        st = node.stats.row
         if refetch:
-            stats.CONF_CAPC += 1
-            stats.CONF_CAPC_LAT += lat
+            st[S_CONF_CAPC] += 1
+            st[S_CONF_CAPC_LAT] += lat
         else:
-            stats.COLD += 1
-            stats.COLD_LAT += lat
+            st[S_COLD] += 1
+            st[S_COLD_LAT] += lat
             if node.ever_fetched[chunk]:
-                stats.induced_cold += 1
+                st[S_INDUCED_COLD] += 1
             else:
-                stats.essential_cold += 1
+                st[S_ESSENTIAL_COLD] += 1
                 node.ever_fetched[chunk] = 1
             return
         node.ever_fetched[chunk] = 1
@@ -518,7 +511,6 @@ class Engine:
         kernel = costs.page_fault
         stats.K_BASE += kernel
         stats.page_faults += 1
-        node.page_table.faults += 1
 
         home = self.machine.allocator.home_of(page, node.id)
         if home == node.id:
@@ -562,7 +554,6 @@ class Engine:
         decision = self.policy.on_relocation_hint(node.policy_state,
                                                   node.pool.free)
         if decision == RelocationDecision.SKIP:
-            node.policy_state.skipped_relocations += 1
             stats.skipped_relocations += 1
             return 0
 
@@ -570,9 +561,10 @@ class Engine:
             return self._migrate_page(node, page, now)
 
         if not node.acquire_frame(now):
-            if decision == RelocationDecision.RELOCATE_IF_FREE:
-                # AS-COMA: never evict a hot page for another hot page.
-                node.policy_state.skipped_relocations += 1
+            if (decision == RelocationDecision.RELOCATE_IF_FREE
+                    or not node.page_table.scoma_clock):
+                # AS-COMA never evicts a hot page for another hot page,
+                # and a node with no page-cache frames has none to evict.
                 stats.skipped_relocations += 1
                 return 0
             # R-NUMA / VC-NUMA: force-evict a victim (possibly hot).

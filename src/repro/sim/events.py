@@ -74,10 +74,8 @@ class EventBus:
 
     Every observer names the kinds it wants; ``kind_observers`` maps a
     kind to its subscribers in subscription order, and holds no kind
-    without one.  What a run watches decides where it can replay: the
-    compiled kernel performs some transitions without publishing them,
-    so :func:`repro.sim.soatrace.run_vector` refuses a run that watches
-    one of those kinds (see ``docs/performance.md``).
+    without one.  Every kind reaches its subscribers on both replay
+    loops, with the same clocks and order.
     """
 
     __slots__ = ("kind_observers", "clock")

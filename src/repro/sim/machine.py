@@ -7,23 +7,33 @@ reach into the victim node's L1/RAC/page-cache state.
 
 All machine state the replay kernel reads or writes is allocated here,
 once: the directory, the home allocator and the network own their
-buffers, and the per-node families are rows of :attr:`Machine.blocks`.
+buffers, the per-node families (counters included) are rows of
+:attr:`Machine.blocks`, and the network's, directory's and protocol's
+counters share one row, :attr:`Machine.counters`.
 """
 
 from __future__ import annotations
 
-from ..coherence.directory import Directory
-from ..coherence.protocol import CoherenceProtocol
+from itertools import accumulate
+
+import numpy as np
+
+from ..coherence.directory import N_DIR, Directory
+from ..coherence.protocol import N_PROTO, CoherenceProtocol
 from ..core.policy import ArchitecturePolicy
 from ..interconnect.bus import SplitTransactionBus
-from ..interconnect.network import Network
+from ..interconnect.network import N_NET, Network
 from ..interconnect.topology import SwitchTopology
 from ..kernel.allocation import make_allocator
 from .config import SystemConfig
 from .events import EventBus
-from .node import Node, NodeBlocks
+from .node import CTR_BUS, N_CTR, Node, NodeBlocks
 
 __all__ = ["Machine"]
+
+#: Where the network's, directory's and protocol's counters start in the
+#: machine's counter row, and its length (the kernel's ``M_*`` enum).
+M_NET, M_DIR, M_PROTO, N_MACHINE = accumulate((0, N_NET, N_DIR, N_PROTO))
 
 
 class Machine:
@@ -41,16 +51,20 @@ class Machine:
         self.n_pages = max(total_shared_pages, n_pages, 1)
         #: Shared rare-event bus (near-zero cost while unobserved).
         self.events = EventBus()
+        #: The network's, directory's and protocol's counters (``M_*``).
+        self.counters = counters = np.zeros(N_MACHINE, np.int64)
 
         self.directory = Directory(config.n_nodes, self.amap.chunks_per_page,
                                    self.n_pages,
-                                   grant_exclusive=config.protocol == "mesi")
+                                   grant_exclusive=config.protocol == "mesi",
+                                   counters=counters[M_DIR:M_PROTO])
         self.network = Network(
             topology=SwitchTopology(config.n_nodes, config.switch_radix),
             propagation=config.net_propagation_cycles,
             fall_through=config.net_fall_through_cycles,
             port_occupancy=(config.net_port_occupancy_cycles
                             if config.model_contention else 0),
+            counters=counters[M_NET:M_DIR],
         )
         self.allocator = make_allocator(config.home_placement,
                                         config.n_nodes,
@@ -71,10 +85,11 @@ class Machine:
                  blocks=self.blocks)
             for i in range(config.n_nodes)
         ]
-        self.buses = [SplitTransactionBus(config.bus_occupancy_cycles
-                                          if config.model_contention else 0,
-                                          busy_until=self.blocks.bus_busy[i:i + 1])
-                      for i in range(config.n_nodes)]
+        self.buses = [SplitTransactionBus(
+            config.bus_occupancy_cycles if config.model_contention else 0,
+            busy_until=self.blocks.bus_busy[i:i + 1],
+            counters=self.blocks.counters[i, CTR_BUS:N_CTR])
+            for i in range(config.n_nodes)]
 
         self.protocol = CoherenceProtocol(
             self.directory, self.network,
@@ -82,6 +97,7 @@ class Machine:
             invalidate_chunk=self._invalidate_chunk,
             demote_chunk=self._demote_chunk,
             stall_on_invalidate=config.consistency == "sc",
+            counters=counters[M_PROTO:N_MACHINE],
         )
 
     # -- cross-node callbacks --------------------------------------------

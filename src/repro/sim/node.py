@@ -15,34 +15,43 @@ Each operation publishes its event kind on the machine-wide
 :class:`~repro.sim.events.EventBus` only when a subscriber watches
 that kind; invalidations and demotions carry their protocol time.
 
-Every piece of per-node state the replay kernel reads or writes is a row
-of a machine-wide :class:`NodeBlocks` block, handed to the node's models
-when they are built; the models index those rows directly, so the
-reference loop, the kernel and every post-run reader share one copy.
+Every piece of per-node state the replay kernel reads or writes, its
+counters included, is a row of a machine-wide :class:`NodeBlocks`
+block, handed to the node's models when they are built; the models
+index those rows directly, so the reference loop, the kernel and every
+reader, mid-run or after it, share one copy.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
 from ..coherence.directory import Directory
 from ..core.policy import N_POL, ArchitecturePolicy, PolicyNodeState
+from ..interconnect.bus import N_BUS
 from ..kernel.costs import KernelCosts
 from ..kernel.freelist import N_PC, FreePagePool
 from ..kernel.pageout import PageoutDaemon
-from ..kernel.vm import PageMode, PageTable
+from ..kernel.vm import N_PT, PageMode, PageTable
 from ..mem.address import AddressMap
-from ..mem.cache import DirectMappedCache
+from ..mem.cache import N_L1, DirectMappedCache
 from ..mem.setassoc import SetAssociativeCache
-from ..mem.dram import BankedMemory
-from ..mem.rac import RemoteAccessCache
-from ..mem.tlb import TLB
+from ..mem.dram import N_MEM, BankedMemory
+from ..mem.rac import N_RAC, RemoteAccessCache
+from ..mem.tlb import N_TLB, TLB
 from .config import SystemConfig
 from .events import (EV_DAEMON, EV_DEMOTE, EV_EVICT, EV_FLUSH,
                      EV_INVALIDATE, EV_MAP_SCOMA, EV_RELOCATE, EventBus)
-from .stats import NodeStats
+from .stats import N_STATS, NodeStats
 
 __all__ = ["Node", "NodeBlocks"]
+
+#: Where each model's counters start in a node's counter row, and the
+#: row's length (the kernel's ``K_*`` enum).
+CTR_L1, CTR_RAC, CTR_TLB, CTR_PT, CTR_MEM, CTR_BUS, N_CTR = accumulate(
+    (0, N_L1, N_RAC, N_TLB, N_PT, N_MEM, N_BUS))
 
 
 class NodeBlocks:
@@ -55,13 +64,14 @@ class NodeBlocks:
     absent) and ``ref_bits`` are per page; ``mem_busy``/``bus_busy`` are
     the bank and bus busy-until stamps; ``pc`` is the page-cache row
     (free-pool counters plus the clock cursor), ``clk`` the clock's
-    ring buffer and ``policy`` the policy row (relocation counters and
-    break-even tallies, see :mod:`repro.core.policy`).
+    ring buffer and ``policy`` the policy row (break-even tallies, see
+    :mod:`repro.core.policy`).  ``stats`` holds the :class:`NodeStats`
+    rows and ``counters`` the models' counter rows (``CTR_*``).
     """
 
     __slots__ = ("l1_tags", "l1_dirty", "rac", "owned", "ever", "modes",
                  "scoma_valid", "pc_hits", "ref_bits", "mem_busy",
-                 "bus_busy", "pc", "clk", "policy")
+                 "bus_busy", "pc", "clk", "policy", "stats", "counters")
 
     def __init__(self, n_nodes: int, config: SystemConfig,
                  amap: AddressMap, n_pages: int) -> None:
@@ -83,6 +93,8 @@ class NodeBlocks:
         self.pc = np.zeros((n_nodes, N_PC), np.int64)
         self.clk = np.zeros((n_nodes, n_pages + 1), np.int64)
         self.policy = np.zeros((n_nodes, N_POL), np.int64)
+        self.stats = np.zeros((n_nodes, N_STATS), np.int64)
+        self.counters = np.zeros((n_nodes, N_CTR), np.int64)
 
 
 class Node:
@@ -101,6 +113,7 @@ class Node:
             blocks, row = NodeBlocks(1, config, amap, directory.n_pages), 0
         else:
             row = node_id
+        counters = blocks.counters[row]
         self.id = node_id
         #: Machine-shared rare-event bus (see repro.sim.events).
         self.events = events if events is not None else EventBus()
@@ -114,32 +127,38 @@ class Node:
             self.l1 = DirectMappedCache(config.l1_size_bytes,
                                         config.line_bytes, amap,
                                         tags=blocks.l1_tags[row],
-                                        dirty=blocks.l1_dirty[row])
+                                        dirty=blocks.l1_dirty[row],
+                                        counters=counters[CTR_L1:CTR_RAC])
         else:
             self.l1 = SetAssociativeCache(config.l1_size_bytes,
                                           config.line_bytes,
-                                          config.l1_ways, amap)
+                                          config.l1_ways, amap,
+                                          counters=counters[CTR_L1:CTR_RAC])
         self.rac = RemoteAccessCache(config.rac_entries,
-                                     entries=blocks.rac[row])
+                                     entries=blocks.rac[row],
+                                     counters=counters[CTR_RAC:CTR_TLB])
         #: Victim-mode RACs hold 32-byte L1 victim *lines*; fetch-mode
         #: RACs hold whole 128-byte chunks (see SystemConfig).
         self.rac_victim = config.rac_fill_policy == "victim"
-        self.tlb = TLB(config.tlb_entries, ref_bits=blocks.ref_bits[row])
+        self.tlb = TLB(config.tlb_entries, ref_bits=blocks.ref_bits[row],
+                       counters=counters[CTR_TLB:CTR_PT])
         self.memory = BankedMemory(config.dram_banks, config.local_memory_cycles,
                                    config.dram_occupancy_cycles,
                                    max_queue_occupancies=(
                                        8 if config.model_contention else 0),
-                                   busy_until=blocks.mem_busy[row])
+                                   busy_until=blocks.mem_busy[row],
+                                   counters=counters[CTR_MEM:CTR_BUS])
         self.page_table = PageTable(amap.chunks_per_page,
                                     modes=blocks.modes[row],
                                     scoma_valid=blocks.scoma_valid[row],
-                                    pc=blocks.pc[row], clk=blocks.clk[row])
+                                    pc=blocks.pc[row], clk=blocks.clk[row],
+                                    counters=counters[CTR_PT:CTR_MEM])
         self.pool = FreePagePool(cache_frames, total_frames,
                                  config.free_min_frac, config.free_target_frac,
                                  pc=blocks.pc[row])
         self.policy_state: PolicyNodeState = policy.make_node_state(
             blocks.policy[row])
-        self.stats = NodeStats()
+        self.stats = NodeStats(blocks.stats[row])
 
         #: chunk -> 1 while this node holds it Modified (write permission).
         self.owned = memoryview(blocks.owned[row])
@@ -157,7 +176,6 @@ class Node:
             evict=self._daemon_evict,
             base_interval=config.daemon_base_interval,
         )
-        self._daemon_evict_count = 0
 
     # ------------------------------------------------------------------
     # Chunk-level coherence side effects (machine wires these in).
@@ -258,7 +276,6 @@ class Node:
         self.tlb.shootdown(page)
         self.map_scoma(page)
         self.directory.reset_refetch(page, self.id)
-        self.policy_state.relocations += 1
         self.stats.relocations += 1
         if self.events.watching(EV_RELOCATE):
             self.events.publish(EV_RELOCATE, self.id, page, flushed=flushed)
@@ -290,7 +307,6 @@ class Node:
         # The daemon's per-run dispatch/scan cost is charged by the
         # caller; the eviction work itself is charged here.
         self.stats.K_OVERHD += cost
-        self._daemon_evict_count += 1
 
     # ------------------------------------------------------------------
     def run_daemon_if_due(self, now: int) -> None:

@@ -6,11 +6,13 @@ the machine's own state buffers: directory copysets, owners and
 refetch counters, page homes and the home allocator's counters,
 page-table modes and S-COMA valid masks, TLB reference bits, L1 tags,
 RAC slots, ownership bytes, free-frame pools, the second-chance
-clocks, the policy rows (relocation counters and VC-NUMA's break-even
-tallies) and the bank, bus and port queues are dense buffers the
-models own from construction (see :class:`~repro.sim.node.NodeBlocks`),
-and the kernel reads and writes them in place.  The kernel is a direct
-transliteration of ``Engine._run_reference`` and ``Engine._shared_ref``:
+clocks, the policy rows (VC-NUMA's break-even tallies), the bank, bus
+and port queues, and every counter -- each node's ``NodeStats`` row and
+model counters, the machine's network, directory and protocol
+counters -- are dense buffers the models own from construction (see
+:class:`~repro.sim.node.NodeBlocks`), and the kernel reads and writes
+them in place.  The kernel is a direct transliteration of
+``Engine._run_reference`` and ``Engine._shared_ref``:
 page faults with the home allocator's first touch
 (``Engine._page_fault``, ``HomeAllocator.home_of``), forced evictions
 (``Node.choose_victim``, ``Node.evict_scoma_page``) and relocation
@@ -20,7 +22,7 @@ which ``acquire_frame`` would run the pageout daemon (or that needs a
 Python-only hook) is decided *before mutating anything* and handed
 whole to ``Engine._shared_ref``.  A relocation hint that needs Python
 -- a daemon due at the hint, a break-even evaluation falling due, a
-``MIGRATE`` decision, an empty clock -- exits *after* its access
+``MIGRATE`` decision -- exits *after* its access
 completes, resumably, to ``Engine._handle_relocation_hint``.  Either
 way Python sees identical state and produces identical arithmetic.
 
@@ -38,28 +40,26 @@ Implementation notes
   build-time dependency.  ``$REPRO_VECTOR_CFLAGS`` adds compiler flags
   (CI builds a sanitized kernel this way).  When cffi or a compiler
   is missing, or a run is outside the kernel's model (an associative
-  L1, or a subscriber to a kind the kernel performs without
-  publishing -- see :func:`_eligible`), :func:`run_vector` returns
-  ``None`` and the engine degrades loss-free to ``_run_reference`` (a
-  single ``RuntimeWarning`` flags environment problems such as a
-  missing compiler or a corrupt kernel cache; see :func:`_load_kernel`).
+  L1, or an ``event``-granularity invariant checker -- see
+  :func:`_eligible`), :func:`run_vector` returns ``None`` and the
+  engine degrades loss-free to ``_run_reference`` (a single
+  ``RuntimeWarning`` flags environment problems such as a missing
+  compiler or a corrupt kernel cache; see :func:`_load_kernel`).
   Copyset and S-COMA valid bitmaps are multi-word, so there is no
-  node-count or chunks-per-page ceiling; and watched invalidations,
-  demotions and relocations go through a bounded in-kernel event ring
-  whose entries are published post-slice with scalar-identical clocks
-  and order.
+  node-count or chunks-per-page ceiling; and every watched transition
+  the kernel performs (faults, S-COMA mappings, evictions, flushes,
+  relocations, invalidations, demotions) goes through a bounded
+  in-kernel event ring whose entries are published at the next exit
+  with the reference loop's clocks, details and order.
 * There is one copy of the machine state: :func:`run_vector` only
   points the kernel's ``SoaState`` at the models' buffers, so the
-  Python exits, the pageout daemon and every post-run consumer
-  (invariant audits, ``utilisation_report``) read the bytes the kernel
-  wrote.  Each node's policy inputs -- ``initial_mode`` and
-  ``on_relocation_hint`` evaluated for a free and a dry pool, the
-  threshold and the daemon's next run -- are refreshed after every
-  exit that can change them; the C code never branches on the
-  architecture.  Commutative counters that nothing reads mid-run
-  (``NodeStats`` buckets, cache and interconnect tallies) are the
-  exception: the kernel accumulates them as deltas merged once at the
-  end (:func:`_merge_deltas`).
+  Python exits, the pageout daemon, the invariant checker's sweeps and
+  every post-run consumer (``utilisation_report``, the result) read
+  the bytes the kernel wrote, counters included.  Each node's policy
+  inputs -- ``initial_mode`` and ``on_relocation_hint`` evaluated for
+  a free and a dry pool, the threshold and the daemon's next run --
+  are refreshed after every exit that can change them; the C code
+  never branches on the architecture.
 * Path selection (``REPRO_VECTOR_PATH``) is a runtime mode: it must
   never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
@@ -108,35 +108,11 @@ _IN_SLICE, _BEST, _LIMIT, _NOW, _RINGN, _HINT_PAGE, _HINT_CLOCK = range(7)
  _P_MEM_SERVICE, _P_MEM_OCC, _P_MEM_MAXQ, _P_BUS_OCC, _P_BUS_FIXED,
  _P_BUS_MAXQ, _P_NET_OCC, _P_NET_MAXQ, _P_LPC, _P_N_PAGES, _P_N_SETS,
  _P_N_BANKS, _P_RAC_ENTRIES, _P_PC_SHIFT, _P_N_CHUNKS, _P_CS_WORDS,
- _P_SV_WORDS, _P_RING_INV, _P_RING_DEM, _P_RING_REL, _P_RING_CAP,
- _P_PAGE_FAULT, _P_PAGE_REMAP, _P_FLUSH_LINE, _P_RELOC_INT, _P_MANDATORY,
- _P_EVICT_CC, _P_EVICT_HOOK, _P_BREAK_EVEN, _P_MIN_EVAL, _P_CLK_CAP,
- _P_PLACEMENT, _P_QUOTA, _P_SEED) = range(50)
-_N_PARAMS = 50
-
-#: Per-node stats delta row: (slot, NodeStats attribute).  Commutative
-#: counters only -- nothing reads them mid-run, so the kernel
-#: accumulates into a scratch array merged once at the end.
-_STAT_ATTRS = (
-    "U_SH_MEM", "U_INSTR", "U_LC_MEM", "HOME", "SCOMA", "RAC", "COLD",
-    "CONF_CAPC", "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT",
-    "CONF_CAPC_LAT", "upgrades", "induced_cold", "essential_cold",
-    "l1_hits", "l1_misses", "K_BASE", "K_OVERHD", "page_faults",
-    "evictions", "forced_evictions", "lines_flushed", "relocations",
-    "skipped_relocations")
-_N_STATS = len(_STAT_ATTRS)
-
-# Per-node auxiliary delta row (see _merge_deltas).
-(_A_WB, _A_INVAL, _A_RAC_HITS, _A_RAC_MISSES, _A_RAC_FILLS, _A_MEM_ACC,
- _A_MEM_CONT, _A_MEM_Q, _A_BUS_TX, _A_BUS_CONT, _A_BUS_Q, _A_PT_FAULTS,
- _A_SHOOTDOWNS, _A_L1_FLUSHED, _A_TO_SCOMA, _A_TO_CCNUMA) = range(16)
-_N_AUX = 16
-
-# Global delta row (see _merge_deltas).
-(_G_NET_MSGS, _G_NET_CONT, _G_NET_Q, _G_DIR_REFETCH, _G_DIR_FWD,
- _G_DIR_INV, _G_DIR_EXCL, _G_REMOTE, _G_THREE_HOP, _G_STALLS,
- _G_DIR_HINTS) = range(11)
-_N_GLOB = 11
+ _P_SV_WORDS, _P_WATCH, _P_RING_CAP, _P_PAGE_FAULT, _P_PAGE_REMAP,
+ _P_FLUSH_LINE, _P_RELOC_INT, _P_MANDATORY, _P_EVICT_CC, _P_EVICT_HOOK,
+ _P_BREAK_EVEN, _P_MIN_EVAL, _P_CLK_CAP, _P_PLACEMENT, _P_QUOTA,
+ _P_SEED) = range(48)
+_N_PARAMS = 48
 
 #: The kernel's code for each RelocationDecision (H_* in the C source);
 #: any other decision (MIGRATE) is taken in Python.
@@ -144,9 +120,10 @@ _HINT_CODES = {RelocationDecision.SKIP: 0, RelocationDecision.RELOCATE: 1,
                RelocationDecision.RELOCATE_IF_FREE: 2}
 _H_PYTHON = 3
 
-#: The chunk-level ring entry kinds (R_INVALIDATE, R_DEMOTE in the C
-#: source), as published; R_RELOCATE entries carry a page.
-_RING_KINDS = (EV_INVALIDATE, EV_DEMOTE)
+#: The event kind of each ring entry code (R_* in the C source); the
+#: first two are chunk-level, the rest carry a page.
+_RING_KINDS = (EV_INVALIDATE, EV_DEMOTE, EV_RELOCATE, EV_FAULT, EV_MAP_SCOMA,
+               EV_EVICT, EV_FLUSH)
 
 _STRUCT = """
 typedef struct {
@@ -188,8 +165,8 @@ typedef struct {
     const int64_t *next_run;
     const int64_t *thr;
     int64_t *st;
-    int64_t *aux;
-    int64_t *glob;
+    int64_t *ctr;
+    int64_t *mach;
     uint64_t *inv_scratch;
     int64_t *ring;
 } SoaState;
@@ -216,32 +193,37 @@ enum { P_N, P_QUANTUM, P_NO_LIMIT, P_LINE_SHIFT, P_CHUNK_SHIFT, P_CPP_MASK,
        P_MEM_SERVICE, P_MEM_OCC, P_MEM_MAXQ, P_BUS_OCC, P_BUS_FIXED,
        P_BUS_MAXQ, P_NET_OCC, P_NET_MAXQ, P_LPC, P_N_PAGES, P_N_SETS,
        P_N_BANKS, P_RAC_ENTRIES, P_PC_SHIFT, P_N_CHUNKS, P_CS_WORDS,
-       P_SV_WORDS, P_RING_INV, P_RING_DEM, P_RING_REL, P_RING_CAP,
-       P_PAGE_FAULT, P_PAGE_REMAP, P_FLUSH_LINE, P_RELOC_INT, P_MANDATORY,
-       P_EVICT_CC, P_EVICT_HOOK, P_BREAK_EVEN, P_MIN_EVAL, P_CLK_CAP,
-       P_PLACEMENT, P_QUOTA, P_SEED };
+       P_SV_WORDS, P_WATCH, P_RING_CAP, P_PAGE_FAULT, P_PAGE_REMAP,
+       P_FLUSH_LINE, P_RELOC_INT, P_MANDATORY, P_EVICT_CC, P_EVICT_HOOK,
+       P_BREAK_EVEN, P_MIN_EVAL, P_CLK_CAP, P_PLACEMENT, P_QUOTA, P_SEED };
 
-enum { S_USH, S_UINSTR, S_ULC, S_HOME, S_SCOMA, S_RAC, S_COLD, S_CONF,
-       S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT, S_COLD_LAT, S_CONF_LAT,
-       S_UPGRADES, S_INDUCED, S_ESSENTIAL, S_L1_HITS, S_L1_MISSES,
-       S_K_BASE, S_K_OVERHD, S_FAULTS, S_EVICTIONS, S_FORCED, S_FLUSHED,
-       S_RELOCATIONS, S_SKIPPED, N_STATS };
+/* A node's NodeStats row (repro.sim.stats.FIELDS). */
+enum { S_USH, S_K_BASE, S_K_OVERHD, S_UINSTR, S_ULC, S_SYNC, S_HOME,
+       S_SCOMA, S_RAC, S_COLD, S_CONF, S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT,
+       S_COLD_LAT, S_CONF_LAT, S_FAULTS, S_RELOCATIONS, S_SKIPPED,
+       S_EVICTIONS, S_FORCED, S_DAEMON_RUNS, S_DAEMON_THRASH, S_UPGRADES,
+       S_INDUCED, S_ESSENTIAL, S_FLUSHED, S_L1_HITS, S_L1_MISSES,
+       S_MIGRATIONS, S_SKIPPED_MIGRATIONS, N_STATS };
 
-enum { A_WB, A_INVAL, A_RAC_HITS, A_RAC_MISSES, A_RAC_FILLS, A_MEM_ACC,
-       A_MEM_CONT, A_MEM_Q, A_BUS_TX, A_BUS_CONT, A_BUS_Q, A_PT_FAULTS,
-       A_SHOOTDOWNS, A_L1_FLUSHED, A_TO_SCOMA, A_TO_CCNUMA, N_AUX };
+/* A node's model counter row (repro.sim.node.CTR_*): the L1's, the
+ * RAC's, the TLB's, the page table's, the memory's and the bus's. */
+enum { K_L1_HITS, K_L1_MISSES, K_L1_WB, K_L1_INVAL, K_RAC_MISSES,
+       K_RAC_FILLS, K_TLB_HITS, K_TLB_MISSES, K_TLB_SHOOTDOWNS,
+       K_PT_TO_SCOMA, K_PT_TO_CCNUMA, K_MEM_ACC, K_MEM_CONT, K_MEM_Q,
+       K_BUS_TX, K_BUS_CONT, K_BUS_Q, N_CTR };
+
+/* The machine's counter row (repro.sim.machine.M_*): the network's,
+ * the directory's and the protocol's. */
+enum { M_NET_MSGS, M_NET_CONT, M_NET_Q, M_DIR_REFETCH, M_DIR_HINTS,
+       M_DIR_FWD, M_DIR_INV, M_DIR_EXCL, M_PROTO_REMOTE, M_PROTO_THREE_HOP,
+       M_PROTO_STALLS };
 
 enum { PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
        PC_LEN, N_PC };
 
-enum { POL_RELOCATIONS, POL_SKIPPED, POL_EVICTIONS, POL_LOSERS,
-       POL_WINNERS, N_POL };
+enum { POL_EVICTIONS, POL_LOSERS, POL_WINNERS, N_POL };
 
 enum { AL_RR, AL_HITS, AL_SPILLS, AL_COUNT };
-
-enum { G_NET_MSGS, G_NET_CONT, G_NET_Q, G_DIR_REFETCH, G_DIR_FWD,
-       G_DIR_INV, G_DIR_EXCL, G_REMOTE, G_THREE_HOP, G_STALLS,
-       G_DIR_HINTS, N_GLOB };
 
 enum { C_IN_SLICE, C_BEST, C_LIMIT, C_NOW, C_RING, C_HINT, C_HINT_CLOCK };
 
@@ -250,18 +232,20 @@ enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING,
 
 enum { H_SKIP, H_RELOCATE, H_IF_FREE, H_PYTHON };
 
-enum { R_INVALIDATE, R_DEMOTE, R_RELOCATE };
+enum { R_INVALIDATE, R_DEMOTE, R_RELOCATE, R_FAULT, R_MAP_SCOMA, R_EVICT,
+       R_FLUSH };
 
-/* Bounded event ring: rare transitions the kernel performs itself
- * (chunk invalidations, owner demotions, relocations) are recorded here
- * when an EventBus subscriber watches their kind, and published by the
- * Python driver at the next kernel exit -- identical events, identical
- * clocks, identical order to what the reference loop publishes.  An
- * entry is (kind, node, chunk or page, clock, lines flushed). */
+/* Bounded event ring: every transition the kernel performs that the
+ * reference loop publishes is recorded here when an EventBus subscriber
+ * watches its kind (bit R_* of P_WATCH), and published by run_vector
+ * at the next kernel exit -- identical events, identical clocks,
+ * identical order to what the reference loop publishes.  An entry is
+ * (kind, node, chunk or page, clock, detail a, detail b). */
 static void ring_push(SoaState *s, int64_t kind, int64_t node, int64_t where,
-                      int64_t clk, int64_t flushed) {
-    int64_t *e = &s->ring[s->ctl[C_RING] * 5];
-    e[0] = kind; e[1] = node; e[2] = where; e[3] = clk; e[4] = flushed;
+                      int64_t clk, int64_t a, int64_t b) {
+    if (!(s->P[P_WATCH] >> kind & 1)) return;
+    int64_t *e = &s->ring[s->ctl[C_RING] * 6];
+    e[0] = kind; e[1] = node; e[2] = where; e[3] = clk; e[4] = a; e[5] = b;
     s->ctl[C_RING]++;
 }
 
@@ -274,8 +258,8 @@ static int64_t one_way(SoaState *s, int64_t src, int64_t dst, int64_t now) {
     int64_t queue = busy > arrival ? busy - arrival : 0;
     if (queue > s->P[P_NET_MAXQ]) queue = s->P[P_NET_MAXQ];
     s->net_port[dst] = arrival + queue + s->P[P_NET_OCC];
-    s->glob[G_NET_MSGS]++;
-    if (queue) { s->glob[G_NET_CONT]++; s->glob[G_NET_Q] += queue; }
+    s->mach[M_NET_MSGS]++;
+    if (queue) { s->mach[M_NET_CONT]++; s->mach[M_NET_Q] += queue; }
     return base + queue;
 }
 
@@ -292,9 +276,9 @@ static int64_t mem_access(SoaState *s, int64_t node, int64_t chunk,
     int64_t queue = *busy > now ? *busy - now : 0;
     if (queue > s->P[P_MEM_MAXQ]) queue = s->P[P_MEM_MAXQ];
     *busy = now + queue + s->P[P_MEM_OCC];
-    int64_t *aux = &s->aux[node * N_AUX];
-    aux[A_MEM_ACC]++;
-    if (queue) { aux[A_MEM_CONT]++; aux[A_MEM_Q] += queue; }
+    int64_t *ctr = &s->ctr[node * N_CTR];
+    ctr[K_MEM_ACC]++;
+    if (queue) { ctr[K_MEM_CONT]++; ctr[K_MEM_Q] += queue; }
     return s->P[P_MEM_SERVICE] + queue;
 }
 
@@ -304,9 +288,9 @@ static int64_t bus_transact(SoaState *s, int64_t node, int64_t now) {
     int64_t queue = busy > now ? busy - now : 0;
     if (queue > s->P[P_BUS_MAXQ]) queue = s->P[P_BUS_MAXQ];
     s->bus_busy[node] = now + queue + s->P[P_BUS_OCC];
-    int64_t *aux = &s->aux[node * N_AUX];
-    aux[A_BUS_TX]++;
-    if (queue) { aux[A_BUS_CONT]++; aux[A_BUS_Q] += queue; }
+    int64_t *ctr = &s->ctr[node * N_CTR];
+    ctr[K_BUS_TX]++;
+    if (queue) { ctr[K_BUS_CONT]++; ctr[K_BUS_Q] += queue; }
     return s->P[P_BUS_FIXED] + queue;
 }
 
@@ -318,11 +302,10 @@ static void rac_drop(SoaState *s, int64_t node, int64_t key) {
 
 static void rac_fill(SoaState *s, int64_t node, int64_t key) {
     s->rac[node * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] = key;
-    s->aux[node * N_AUX + A_RAC_FILLS]++;
+    s->ctr[node * N_CTR + K_RAC_FILLS]++;
 }
 
-/* Machine._invalidate_chunk + Node.invalidate_chunk.  The publish goes
- * through the event ring when a subscriber watches EV_INVALIDATE. */
+/* Machine._invalidate_chunk + Node.invalidate_chunk. */
 static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
                                 int64_t now) {
     if (node == s->P[P_SKIP_NODE]) return;
@@ -330,13 +313,13 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
     int64_t first = chunk * lpc;
     int64_t *tags = &s->l1_tags[node * s->P[P_N_SETS]];
     uint8_t *dirty = &s->l1_dirty[node * s->P[P_N_SETS]];
-    int64_t *aux = &s->aux[node * N_AUX];
+    int64_t *ctr = &s->ctr[node * N_CTR];
     for (int64_t line = first; line < first + lpc; line++) {
         int64_t slot = line & s->P[P_SET_MASK];
         if (tags[slot] == line) {
             tags[slot] = -1;
             dirty[slot] = 0;
-            aux[A_INVAL]++;
+            ctr[K_L1_INVAL]++;
         }
     }
     if (s->P[P_RAC_VICTIM]) {
@@ -352,7 +335,7 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + (cip >> 6)]
             &= ~((uint64_t)1 << (cip & 63));
     }
-    if (s->P[P_RING_INV]) ring_push(s, R_INVALIDATE, node, chunk, now, 0);
+    ring_push(s, R_INVALIDATE, node, chunk, now, 0, 0);
 }
 
 /* CoherenceProtocol._invalidate_all: invalidate each sharer in
@@ -372,7 +355,7 @@ static int64_t invalidate_all(SoaState *s, int64_t chunk,
             if (rt > worst) worst = rt;
         }
     }
-    s->glob[G_STALLS]++;
+    s->mach[M_PROTO_STALLS]++;
     return s->P[P_STALL_INV] ? worst : 0;
 }
 
@@ -395,7 +378,7 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
     int64_t owner = s->owner[chunk];
     if (owner != -1 && owner != node) {
         o.forwarded = 1;
-        s->glob[G_DIR_FWD]++;
+        s->mach[M_DIR_FWD]++;
         s->owner[chunk] = -1;
     }
     if (is_write) {
@@ -411,7 +394,7 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
         s->owner[chunk] = node;
         if (inv) {
             o.has_inv = 1;
-            s->glob[G_DIR_INV] += inv;
+            s->mach[M_DIR_INV] += inv;
         }
     } else {
         uint64_t any = 0;
@@ -425,19 +408,19 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
         }
     }
     if (o.refetch && count_refetch) {
-        s->glob[G_DIR_REFETCH]++;
+        s->mach[M_DIR_REFETCH]++;
         if (threshold > 0) {
             int64_t *count = &s->refetch[page * s->P[P_N] + node];
             if (*count + 1 >= threshold) {
                 o.hint = 1;
-                s->glob[G_DIR_HINTS]++;
+                s->mach[M_DIR_HINTS]++;
                 *count = 0;
             } else {
                 (*count)++;
             }
         }
     }
-    if (o.exclusive) s->glob[G_DIR_EXCL]++;
+    if (o.exclusive) s->mach[M_DIR_EXCL]++;
     o.prev_owner = (owner != node) ? owner : -1;
     return o;
 }
@@ -449,18 +432,17 @@ static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
     int64_t lat = one_way(s, node, home, now);
     lat += mem_access(s, home, chunk, now + lat);
     if (o->forwarded) {
-        s->glob[G_THREE_HOP]++;
+        s->mach[M_PROTO_THREE_HOP]++;
         lat += one_way(s, home, node, now + lat);
         if (!is_write && o->prev_owner >= 0) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
-            if (s->P[P_RING_DEM])
-                ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0);
+            ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0, 0);
         }
     }
     lat += one_way(s, home, node, now + lat);
     if (o->has_inv)
         lat += invalidate_all(s, chunk, home, now + lat);
-    s->glob[G_REMOTE]++;
+    s->mach[M_PROTO_REMOTE]++;
     return lat;
 }
 
@@ -470,14 +452,13 @@ static int64_t local_after_dir(SoaState *s, DirOut *o, int64_t node,
                                int64_t now) {
     int64_t lat = mem_access(s, node, chunk, now);
     if (o->forwarded) {
-        s->glob[G_THREE_HOP]++;
+        s->mach[M_PROTO_THREE_HOP]++;
         int64_t owner = o->prev_owner >= 0 ? o->prev_owner
                                            : (node + 1) % s->P[P_N];
         lat += round_trip(s, node, owner, now + lat);
         if (!is_write && o->prev_owner >= 0) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
-            if (s->P[P_RING_DEM])
-                ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0);
+            ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0, 0);
         }
     }
     if (o->has_inv)
@@ -506,7 +487,7 @@ static int64_t l1_fill(SoaState *s, int64_t node, int64_t line,
         if (make_dirty) dirty[slot] = 1;
         return -1;
     }
-    if (victim != -1 && dirty[slot]) s->aux[node * N_AUX + A_WB]++;
+    if (victim != -1 && dirty[slot]) s->ctr[node * N_CTR + K_L1_WB]++;
     tags[slot] = line;
     dirty[slot] = (uint8_t)make_dirty;
     return victim;
@@ -632,8 +613,10 @@ static int64_t choose_victim(SoaState *s, int64_t nid) {
 
 /* Node.flush_page: L1 lines, RAC entries, owned chunks and the node's
  * directory copyset bits (and ownership) for every chunk of the page.
- * Returns the L1 lines flushed. */
-static int64_t flush_page(SoaState *s, int64_t nid, int64_t page) {
+ * Every page-management publish carries `clk`, the clock the reference
+ * loop stamps at the miss.  Returns the L1 lines flushed. */
+static int64_t flush_page(SoaState *s, int64_t nid, int64_t page,
+                          int64_t clk) {
     /* DirectMappedCache.flush_page over the page's consecutive sets */
     int64_t lpp = (int64_t)1 << s->P[P_LINE_SHIFT];
     int64_t cpp = s->P[P_CPP_MASK] + 1;
@@ -651,7 +634,6 @@ static int64_t flush_page(SoaState *s, int64_t nid, int64_t page) {
             flushed++;
         }
     }
-    s->aux[nid * N_AUX + A_L1_FLUSHED] += flushed;
     /* RemoteAccessCache.flush_page: entries are lines or chunks */
     int64_t rac_span = s->P[P_RAC_VICTIM] ? lpp : cpp;
     int64_t lo = page * rac_span, hi = lo + rac_span;
@@ -672,6 +654,7 @@ static int64_t flush_page(SoaState *s, int64_t nid, int64_t page) {
         }
     }
     s->st[nid * N_STATS + S_FLUSHED] += flushed;
+    ring_push(s, R_FLUSH, nid, page, clk, flushed, 0);
     return flushed;
 }
 
@@ -694,10 +677,11 @@ static int evict_ok(SoaState *s, int64_t nid) {
  * admitted.  page is choose_victim()'s pick, clock[0], so the clock's
  * deque.remove drops the front; the page goes CC-NUMA for a hybrid
  * (P_EVICT_CC), unmapped otherwise.  Returns K_OVERHD cycles. */
-static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
-    int64_t flushed = flush_page(s, nid, page);
+static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
+                                int64_t clk) {
+    int64_t flushed = flush_page(s, nid, page, clk);
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t *aux = &s->aux[nid * N_AUX];
+    int64_t *ctr = &s->ctr[nid * N_CTR];
     int64_t *pc = &s->pc[nid * N_PC];
     /* PageTable.unmap_scoma */
     for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
@@ -706,12 +690,12 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
     pc[PC_LEN]--;
     if (s->P[P_EVICT_CC]) {
         s->modes[pidx] = 3;                         /* CCNUMA */
-        aux[A_TO_CCNUMA]++;
+        ctr[K_PT_TO_CCNUMA]++;
     } else {
         s->modes[pidx] = 0;                         /* UNMAPPED */
     }
     s->ref_bits[pidx] = 0;                          /* TLB.shootdown */
-    aux[A_SHOOTDOWNS]++;
+    ctr[K_TLB_SHOOTDOWNS]++;
     pc[PC_FREE]++;                                  /* pool.release */
     pc[PC_RELEASES]++;
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
@@ -725,34 +709,34 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page) {
     int64_t *st = &s->st[nid * N_STATS];
     st[S_EVICTIONS]++;
     st[S_FORCED]++;
+    ring_push(s, R_EVICT, nid, page, clk, flushed, 1);
     return s->P[P_PAGE_REMAP] + s->P[P_FLUSH_LINE] * flushed;
 }
 
 /* Node.map_scoma (frame already allocated): PageTable.map_scoma plus a
  * zeroed page-cache hit count. */
-static void map_scoma(SoaState *s, int64_t nid, int64_t page) {
+static void map_scoma(SoaState *s, int64_t nid, int64_t page, int64_t clk) {
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    if (s->modes[pidx] == 3) s->aux[nid * N_AUX + A_TO_SCOMA]++;
+    if (s->modes[pidx] == 3) s->ctr[nid * N_CTR + K_PT_TO_SCOMA]++;
     s->modes[pidx] = 2;
     for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
     clock_append(s, nid, page);
     s->pc_hits[pidx] = 0;
+    ring_push(s, R_MAP_SCOMA, nid, page, clk, 0, 0);
 }
 
-/* Node.relocate_to_scoma of a CC-NUMA page (frame already allocated);
- * the EV_RELOCATE publish carries `clk`, the clock the reference loop
- * stamps at the miss.  Returns K_OVERHD cycles. */
+/* Node.relocate_to_scoma of a CC-NUMA page (frame already allocated).
+ * Returns K_OVERHD cycles. */
 static int64_t relocate_to_scoma(SoaState *s, int64_t nid, int64_t page,
                                  int64_t clk) {
-    int64_t flushed = flush_page(s, nid, page);
+    int64_t flushed = flush_page(s, nid, page, clk);
     s->ref_bits[nid * s->P[P_N_PAGES] + page] = 0;  /* TLB.shootdown */
-    s->aux[nid * N_AUX + A_SHOOTDOWNS]++;
-    map_scoma(s, nid, page);
+    s->ctr[nid * N_CTR + K_TLB_SHOOTDOWNS]++;
+    map_scoma(s, nid, page, clk);
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
-    s->pol[nid * N_POL + POL_RELOCATIONS]++;
     s->st[nid * N_STATS + S_RELOCATIONS]++;
-    if (s->P[P_RING_REL]) ring_push(s, R_RELOCATE, nid, page, clk, flushed);
+    ring_push(s, R_RELOCATE, nid, page, clk, flushed, 0);
     return s->P[P_RELOC_INT] + s->P[P_PAGE_REMAP]
            + s->P[P_FLUSH_LINE] * flushed;
 }
@@ -760,10 +744,11 @@ static int64_t relocate_to_scoma(SoaState *s, int64_t nid, int64_t page,
 /* Engine._handle_relocation_hint for a hint at `now`: the policy's
  * decision for the pool's state (H_*, see hint_mode), then
  * acquire_frame and relocate_to_scoma -- after a forced eviction when
- * the pool is dry and the decision is RELOCATE.  Returns the K_OVERHD
- * cycles, or -1, before any mutation, when the hint needs Python: a
- * MIGRATE decision, a daemon acquire_frame would run, or a forced
- * eviction evict_ok() refuses. */
+ * the pool is dry and the decision is RELOCATE.  A dry pool with an
+ * empty clock has no frame to take or evict: the hint is skipped.
+ * Returns the K_OVERHD cycles, or -1, before any mutation, when the
+ * hint needs Python: a MIGRATE decision, a daemon acquire_frame would
+ * run, or a forced eviction evict_ok() refuses. */
 static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
                                int64_t now, int64_t clk) {
     int64_t *pc = &s->pc[nid * N_PC];
@@ -774,17 +759,18 @@ static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
     if (decision != H_SKIP) {
         if (free < pc[PC_FREE_MIN] && now >= s->next_run[nid])
             return -1;                              /* daemon due */
-        if (free == 0 && decision == H_RELOCATE && !evict_ok(s, nid))
+        if (free == 0 && decision == H_RELOCATE && pc[PC_LEN]
+            && !evict_ok(s, nid))
             return -1;
         if (free == 0) pc[PC_FAILED]++;             /* acquire_frame */
     }
-    if (decision == H_SKIP || (free == 0 && decision == H_IF_FREE)) {
-        s->pol[nid * N_POL + POL_SKIPPED]++;
+    if (decision == H_SKIP || (free == 0 && (decision == H_IF_FREE
+                                             || pc[PC_LEN] == 0))) {
         st[S_SKIPPED]++;
         return 0;
     }
     int64_t overhead = free == 0                    /* forced eviction */
-        ? evict_scoma_page(s, nid, choose_victim(s, nid)) : 0;
+        ? evict_scoma_page(s, nid, choose_victim(s, nid), clk) : 0;
     pc[PC_FREE]--;                                  /* pool.try_allocate */
     pc[PC_ALLOCS]++;
     overhead += relocate_to_scoma(s, nid, page, clk);
@@ -816,17 +802,17 @@ static int64_t fault_mode(SoaState *s, int64_t nid, int64_t page,
     return mode;
 }
 
-/* Engine._page_fault for a mode fault_mode() admitted: assigns the
- * home on the machine-wide first touch and maps the page.  Returns the
- * kernel cycles (K_BASE, plus K_OVERHD of a forced eviction). */
+/* Engine._page_fault for a mode fault_mode() admitted at `clk`:
+ * assigns the home on the machine-wide first touch and maps the page.
+ * Returns the kernel cycles (K_BASE, plus K_OVERHD of a forced
+ * eviction). */
 static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
-                          int64_t mode) {
+                          int64_t mode, int64_t clk) {
     int64_t *st = &s->st[nid * N_STATS];
     int64_t kernel = s->P[P_PAGE_FAULT];
     st[S_K_BASE] += kernel;
     st[S_FAULTS]++;
-    s->aux[nid * N_AUX + A_PT_FAULTS]++;
-    home_of(s, page, nid, 1);
+    int64_t home = home_of(s, page, nid, 1);
     if (mode == 2) {
         int64_t *pc = &s->pc[nid * N_PC];
         if (pc[PC_FREE] == 0) {
@@ -834,7 +820,7 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
             if (s->P[P_MANDATORY]) {
                 /* Mandatory page cache: force-evict a victim now. */
                 int64_t overhead = evict_scoma_page(
-                    s, nid, choose_victim(s, nid));
+                    s, nid, choose_victim(s, nid), clk);
                 st[S_K_OVERHD] += overhead;
                 kernel += overhead;
             } else {
@@ -844,10 +830,11 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
         if (mode == 2) {
             pc[PC_FREE]--;
             pc[PC_ALLOCS]++;
-            map_scoma(s, nid, page);
+            map_scoma(s, nid, page, clk);
         }
     }
     if (mode != 2) s->modes[nid * s->P[P_N_PAGES] + page] = mode;
+    ring_push(s, R_FAULT, nid, page, clk, mode, home);
     return kernel;
 }
 
@@ -893,7 +880,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     int64_t start = now;
     st[S_L1_MISSES]++;
     s->ref_bits[pidx] = 1;
-    int64_t kernel = fault ? page_fault(s, nid, page, fault) : 0;
+    int64_t kernel = fault ? page_fault(s, nid, page, fault, start) : 0;
     int64_t mode = s->modes[pidx];
     now += kernel;
     int64_t lat = bus_transact(s, nid, now);
@@ -930,10 +917,8 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
         }
     } else {                                        /* CCNUMA */
         int64_t key = s->P[P_RAC_VICTIM] ? line : chunk;
-        int64_t *aux = &s->aux[nid * N_AUX];
         if (s->rac[nid * s->P[P_RAC_ENTRIES]
                    + (key & s->P[P_RAC_MASK])] == key) {
-            aux[A_RAC_HITS]++;
             lat += s->P[P_RAC_CYCLES];
             st[S_RAC]++;
             st[S_RAC_LAT] += lat;
@@ -943,7 +928,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                 st[S_UPGRADES]++;
             }
         } else {
-            aux[A_RAC_MISSES]++;
+            s->ctr[nid * N_CTR + K_RAC_MISSES]++;
             DirOut o = fetch_raw(s, nid, chunk, page, is_write,
                                  s->thr[nid], 1);
             int64_t fl = remote_after_dir(s, &o, nid, chunk, home,
@@ -980,12 +965,11 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
  * RC_DAEMON / RC_RING. */
 int64_t soa_run(SoaState *s) {
     const int64_t n = s->P[P_N];
-    /* Worst-case ring entries one shared reference can record: one
-     * demotion, n-1 invalidations and a relocation; exit to flush
-     * below that. */
-    const int64_t ring_room =
-        (s->P[P_RING_INV] || s->P[P_RING_DEM] || s->P[P_RING_REL])
-        ? n + 2 : 0;
+    /* Worst-case ring entries one shared reference can record: a fault
+     * with a forced eviction (4), one demotion or n-1 invalidations, and
+     * a relocation over a forced eviction (5); exit to flush below
+     * that. */
+    const int64_t ring_room = s->P[P_WATCH] ? n + 9 : 0;
     int64_t best, limit, now;
     if (s->ctl[C_IN_SLICE]) {
         best = s->ctl[C_BEST];
@@ -1250,81 +1234,27 @@ def vector_available() -> bool:
 # Eligibility + orchestration
 # ---------------------------------------------------------------------------
 
-#: Kinds the kernel performs without publishing: page faults, forced
-#: evictions, and the flushes and S-COMA mappings of faults, evictions
-#: and relocations.  A run that watches one replays on the reference
-#: loop.
-_KERNEL_SILENT_KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_FLUSH)
-
 
 def _eligible(engine) -> bool:
     """Cheap pre-flight: is this run inside the kernel's model?
 
-    A run falls back to ``_run_reference`` when it watches a kind in
-    :data:`_KERNEL_SILENT_KINDS` (the invariant checker watches every
-    kind) or has a shape the dense arrays cannot carry (associative L1,
-    out-of-range reference args).  Every other kind reaches its
-    subscribers on the kernel too: invalidations, demotions and
-    relocations through the event ring, migrations, daemon runs,
-    barriers and the run's end from the Python exits that perform
-    them.
+    A run falls back to ``_run_reference`` when an invariant checker
+    sweeps at ``event`` granularity -- its sweeps read the machine
+    mid-access, at each page-management publish, which the kernel never
+    exposes -- or when it has a shape the dense arrays cannot carry
+    (associative L1, out-of-range reference args).  Every kind reaches
+    its subscribers on the kernel: faults, S-COMA mappings, evictions,
+    flushes, relocations, invalidations and demotions through the event
+    ring, migrations, daemon runs, barriers and the run's end from the
+    Python exits that perform them.
     """
     if not engine._l1_direct:
         return False
-    events = engine.machine.events
-    if any(events.watching(kind) for kind in _KERNEL_SILENT_KINDS):
+    if getattr(engine.checker, "granularity", None) == "event":
         return False
     ref_hi = engine.workload.soa()[5]
     lines_total = engine.workload.total_shared_pages << engine._line_shift
     return ref_hi < lines_total
-
-
-def _merge_deltas(engine, st, aux, glob) -> None:
-    """Fold the kernel's commutative counter deltas into the live
-    objects.  Every value goes through int(): numpy scalars must not
-    reach NodeStats / RunResult."""
-    machine = engine.machine
-    for i, node in enumerate(machine.nodes):
-        stats = node.stats
-        row = st[i]
-        for slot, attr in enumerate(_STAT_ATTRS):
-            setattr(stats, attr, getattr(stats, attr) + int(row[slot]))
-        arow = aux[i]
-        l1s = node.l1.stats
-        l1s.writebacks += int(arow[_A_WB])
-        l1s.invalidations += int(arow[_A_INVAL])
-        l1s.flushed_lines += int(arow[_A_L1_FLUSHED])
-        pt = node.page_table
-        pt.faults += int(arow[_A_PT_FAULTS])
-        pt.remaps_to_scoma += int(arow[_A_TO_SCOMA])
-        pt.remaps_to_ccnuma += int(arow[_A_TO_CCNUMA])
-        node.tlb.shootdowns += int(arow[_A_SHOOTDOWNS])
-        rac = node.rac
-        rac.hits += int(arow[_A_RAC_HITS])
-        rac.misses += int(arow[_A_RAC_MISSES])
-        rac.fills += int(arow[_A_RAC_FILLS])
-        mem = node.memory
-        mem.accesses += int(arow[_A_MEM_ACC])
-        mem.contended += int(arow[_A_MEM_CONT])
-        mem.total_queue_cycles += int(arow[_A_MEM_Q])
-        bus = machine.buses[i]
-        bus.transactions += int(arow[_A_BUS_TX])
-        bus.contended += int(arow[_A_BUS_CONT])
-        bus.total_queue_cycles += int(arow[_A_BUS_Q])
-    net = machine.network
-    net.messages += int(glob[_G_NET_MSGS])
-    net.contended_messages += int(glob[_G_NET_CONT])
-    net.total_queue_cycles += int(glob[_G_NET_Q])
-    directory = machine.directory
-    directory.total_refetches += int(glob[_G_DIR_REFETCH])
-    directory.forwards += int(glob[_G_DIR_FWD])
-    directory.invalidations_sent += int(glob[_G_DIR_INV])
-    directory.exclusive_grants += int(glob[_G_DIR_EXCL])
-    directory.relocation_hints += int(glob[_G_DIR_HINTS])
-    protocol = machine.protocol
-    protocol.remote_fetches += int(glob[_G_REMOTE])
-    protocol.three_hop_fetches += int(glob[_G_THREE_HOP])
-    protocol.write_stalls += int(glob[_G_STALLS])
 
 
 def run_vector(engine) -> list[int] | None:
@@ -1335,10 +1265,12 @@ def run_vector(engine) -> list[int] | None:
     case nothing has been mutated and the caller falls back to
     ``_run_reference``.
 
-    The kernel works on the machine's own state buffers (see
-    :class:`~repro.sim.node.NodeBlocks`): this function only points the
-    ``SoaState`` struct at them, so every Python exit reads and writes
-    exactly the bytes the kernel does.
+    The kernel works on the machine's own state buffers, counters
+    included (see :class:`~repro.sim.node.NodeBlocks`): this function
+    only points the ``SoaState`` struct at them, so every Python exit
+    reads and writes exactly the bytes the kernel does.  Its own
+    per-run arrays -- scheduler state, exit control, policy inputs --
+    are read and written through memoryviews.
     """
     kernel = _load_kernel()
     if kernel is None or not _eligible(engine):
@@ -1355,31 +1287,30 @@ def run_vector(engine) -> list[int] | None:
     n = config.n_nodes
     n_pages = machine.n_pages
     cpp = machine.amap.chunks_per_page
-    n_sets = blocks.l1_tags.shape[1]
-    rac_entries = blocks.rac.shape[1]
-    n_banks = blocks.mem_busy.shape[1]
     mem0 = nodes[0].memory
     bus0 = machine.buses[0]
 
     # --- trace SoA ---------------------------------------------------
-    kinds_all, args_all, tr_off, tr_len, _, _ = engine.workload.soa()
+    kinds_all, args_all, tr_off, tr_len = (
+        memoryview(np.ascontiguousarray(a)) for a in engine.workload.soa()[:4])
 
     # --- scheduler state ---------------------------------------------
-    pos = np.zeros(n, dtype=np.int64)
-    clock = np.zeros(n, dtype=np.int64)
-    arrival = np.zeros(n, dtype=np.int64)
-    barrier_id = np.full(n, -1, dtype=np.int64)
-    finished = np.array([tr_len[i] == 0 for i in range(n)], dtype=np.uint8)
-    waiting = np.zeros(n, dtype=np.uint8)
-    ctl = np.zeros(8, dtype=np.int64)
+    pos = memoryview(np.zeros(n, np.int64))
+    clock = memoryview(np.zeros(n, np.int64))
+    arrival = memoryview(np.zeros(n, np.int64))
+    barrier_id = memoryview(np.full(n, -1, np.int64))
+    finished = memoryview(np.array([length == 0 for length in tr_len],
+                                   np.uint8))
+    waiting = memoryview(np.zeros(n, np.uint8))
+    ctl = memoryview(np.zeros(8, np.int64))
     ctl[_HINT_PAGE] = -1
 
     # --- event ring + invalidation scratch ---------------------------
-    # The ring records in-kernel invalidations, demotions and
-    # relocations only when a subscriber actually watches that kind.
+    # The ring records the kernel's transitions of each watched kind:
+    # bit `code` of P_WATCH stands for _RING_KINDS[code].
     events = machine.events
-    ring_cap = max(1024, 2 * n + 4)
-    ring = np.zeros((ring_cap, 5), dtype=np.int64)
+    ring_cap = max(1024, 2 * n + 20)
+    ring = np.zeros((ring_cap, 6), dtype=np.int64)
     inv_scratch = np.zeros(directory.words, dtype=np.uint64)
 
     # --- policy variants, picked once per run ------------------------
@@ -1393,14 +1324,11 @@ def run_vector(engine) -> list[int] | None:
         evict_hook = -1     # a hook only Python runs
     detector = getattr(nodes[0].policy_state, "detector", None)
 
-    # --- per-boundary scalars + counter deltas -----------------------
-    fault_mode = np.zeros((n, 2), dtype=np.int64)
-    hint_mode = np.zeros((n, 2), dtype=np.int64)
-    next_run = np.zeros(n, dtype=np.int64)
-    thr = np.zeros(n, dtype=np.int64)
-    st = np.zeros((n, _N_STATS), dtype=np.int64)
-    aux = np.zeros((n, _N_AUX), dtype=np.int64)
-    glob = np.zeros(_N_GLOB, dtype=np.int64)
+    # --- per-node policy inputs, refreshed at Python exits -----------
+    fault_mode = memoryview(np.zeros(2 * n, np.int64))
+    hint_mode = memoryview(np.zeros(2 * n, np.int64))
+    next_run = memoryview(np.zeros(n, np.int64))
+    thr = memoryview(np.zeros(n, np.int64))
 
     params = np.zeros(_N_PARAMS, dtype=np.int64)
     params[_P_N] = n
@@ -1429,16 +1357,15 @@ def run_vector(engine) -> list[int] | None:
     params[_P_NET_MAXQ] = network.max_queue
     params[_P_LPC] = 1 << engine._chunk_shift
     params[_P_N_PAGES] = n_pages
-    params[_P_N_SETS] = n_sets
-    params[_P_N_BANKS] = n_banks
-    params[_P_RAC_ENTRIES] = rac_entries
+    params[_P_N_SETS] = blocks.l1_tags.shape[1]
+    params[_P_N_BANKS] = blocks.mem_busy.shape[1]
+    params[_P_RAC_ENTRIES] = blocks.rac.shape[1]
     params[_P_PC_SHIFT] = engine._line_shift - engine._chunk_shift
     params[_P_N_CHUNKS] = n_pages * cpp
     params[_P_CS_WORDS] = directory.words
     params[_P_SV_WORDS] = nodes[0].page_table.sv_words
-    params[_P_RING_INV] = events.watching(EV_INVALIDATE)
-    params[_P_RING_DEM] = events.watching(EV_DEMOTE)
-    params[_P_RING_REL] = events.watching(EV_RELOCATE)
+    params[_P_WATCH] = sum(1 << code for code, kind in enumerate(_RING_KINDS)
+                           if events.watching(kind))
     params[_P_RING_CAP] = ring_cap
     costs = nodes[0].costs
     params[_P_PAGE_FAULT] = costs.page_fault
@@ -1456,64 +1383,33 @@ def run_vector(engine) -> list[int] | None:
     params[_P_QUOTA] = allocator.quota
     params[_P_SEED] = getattr(allocator, "seed", 0)
 
-    # --- wire the C struct -------------------------------------------
-    state = ffi.new("SoaState *")
-    keepalive = []
-
-    def _ptr(buf, ctype):
-        cdata = ffi.from_buffer(ctype + "[]", buf)
-        keepalive.append(cdata)
-        return cdata
-
-    state.P = _ptr(params, "int64_t")
-    state.kinds = _ptr(np.ascontiguousarray(kinds_all), "uint8_t")
-    state.args = _ptr(np.ascontiguousarray(args_all), "int64_t")
-    state.tr_off = _ptr(np.ascontiguousarray(tr_off), "int64_t")
-    state.tr_len = _ptr(np.ascontiguousarray(tr_len), "int64_t")
-    state.pos = _ptr(pos, "int64_t")
-    state.clock = _ptr(clock, "int64_t")
-    state.arrival = _ptr(arrival, "int64_t")
-    state.barrier_id = _ptr(barrier_id, "int64_t")
-    state.finished = _ptr(finished, "uint8_t")
-    state.waiting = _ptr(waiting, "uint8_t")
-    state.ctl = _ptr(ctl, "int64_t")
-    state.l1_tags = _ptr(blocks.l1_tags, "int64_t")
-    state.l1_dirty = _ptr(blocks.l1_dirty, "uint8_t")
-    state.rac = _ptr(blocks.rac, "int64_t")
-    state.owned = _ptr(blocks.owned, "uint8_t")
-    state.ever = _ptr(blocks.ever, "uint8_t")
-    state.copyset = _ptr(directory.copyset, "uint64_t")
-    state.owner = _ptr(directory.owner, "int64_t")
-    state.refetch = _ptr(directory.refetch_count, "int64_t")
-    state.modes = _ptr(blocks.modes, "int64_t")
-    state.scoma_valid = _ptr(blocks.scoma_valid, "uint64_t")
-    state.pc_hits = _ptr(blocks.pc_hits, "int64_t")
-    state.ref_bits = _ptr(blocks.ref_bits, "uint8_t")
-    state.home = _ptr(allocator.home, "int64_t")
-    state.alloc = _ptr(allocator.row, "int64_t")
-    state.net_base = _ptr(network._base, "int64_t")
-    state.net_port = _ptr(network.port_busy_until, "int64_t")
-    state.mem_busy = _ptr(blocks.mem_busy, "int64_t")
-    state.bus_busy = _ptr(blocks.bus_busy, "int64_t")
-    state.pc = _ptr(blocks.pc, "int64_t")
-    state.clk = _ptr(blocks.clk, "int64_t")
-    state.pol = _ptr(blocks.policy, "int64_t")
-    state.fault_mode = _ptr(fault_mode, "int64_t")
-    state.hint_mode = _ptr(hint_mode, "int64_t")
-    state.next_run = _ptr(next_run, "int64_t")
-    state.thr = _ptr(thr, "int64_t")
-    state.st = _ptr(st, "int64_t")
-    state.aux = _ptr(aux, "int64_t")
-    state.glob = _ptr(glob, "int64_t")
-    state.inv_scratch = _ptr(inv_scratch, "uint64_t")
-    state.ring = _ptr(ring, "int64_t")
+    # --- wire the C struct: each field points at its buffer ---------
+    buffers = dict(
+        P=params, kinds=kinds_all, args=args_all, tr_off=tr_off,
+        tr_len=tr_len, pos=pos, clock=clock, arrival=arrival,
+        barrier_id=barrier_id, finished=finished, waiting=waiting, ctl=ctl,
+        l1_tags=blocks.l1_tags, l1_dirty=blocks.l1_dirty, rac=blocks.rac,
+        owned=blocks.owned, ever=blocks.ever, copyset=directory.copyset,
+        owner=directory.owner, refetch=directory.refetch_count,
+        modes=blocks.modes, scoma_valid=blocks.scoma_valid,
+        pc_hits=blocks.pc_hits, ref_bits=blocks.ref_bits,
+        home=allocator.home, alloc=allocator.row, net_base=network._base,
+        net_port=network.port_busy_until, mem_busy=blocks.mem_busy,
+        bus_busy=blocks.bus_busy, pc=blocks.pc, clk=blocks.clk,
+        pol=blocks.policy, fault_mode=fault_mode, hint_mode=hint_mode,
+        next_run=next_run, thr=thr, st=blocks.stats, ctr=blocks.counters,
+        mach=machine.counters, inv_scratch=inv_scratch, ring=ring)
+    keepalive = {field: ffi.from_buffer(
+        np.asarray(buf).dtype.name + "_t[]", buf)
+        for field, buf in buffers.items()}
+    state = ffi.new("SoaState *", keepalive)
 
     def _mode_code(node, free_frames):
         """policy.initial_mode as the kernel's fault mode: S-COMA, or
         CC-NUMA for any other answer, as in Engine._page_fault."""
         scoma = (policy.initial_mode(node.policy_state, free_frames)
                  == PageMode.SCOMA)
-        return int(PageMode.SCOMA if scoma else PageMode.CCNUMA)
+        return PageMode.SCOMA if scoma else PageMode.CCNUMA
 
     def _hint_code(node, free_frames):
         """policy.on_relocation_hint as the kernel's H_* code."""
@@ -1529,29 +1425,38 @@ def run_vector(engine) -> list[int] | None:
         node = nodes[i]
         next_run[i] = node.daemon.next_run_at
         thr[i] = node.policy_state.effective_threshold()
-        fault_mode[i] = (_mode_code(node, 1), _mode_code(node, 0))
-        hint_mode[i] = (_hint_code(node, 1), _hint_code(node, 0))
+        fault_mode[2 * i] = _mode_code(node, 1)
+        fault_mode[2 * i + 1] = _mode_code(node, 0)
+        hint_mode[2 * i] = _hint_code(node, 1)
+        hint_mode[2 * i + 1] = _hint_code(node, 0)
 
-    pc_shift = int(params[_P_PC_SHIFT])
+    pc_shift = engine._line_shift - engine._chunk_shift
 
     def _flush_ring():
-        """Publish the ring's invalidate, demote and relocate events.
+        """Publish the ring's events.
 
         Runs before any other Python-side work at every kernel exit, so
         the publish order matches the reference loop exactly; each
-        event carries the clock the reference loop publishes it with.
+        event carries the clock and the detail, of the same types, the
+        reference loop publishes it with.
         """
-        count = int(ctl[_RINGN])
+        count = ctl[_RINGN]
         if not count:
             return
-        for j in range(count):
-            kind, nd, where, clk, flushed = ring[j].tolist()
-            if kind < len(_RING_KINDS):
-                events.publish(_RING_KINDS[kind], nd, where >> pc_shift,
-                               clock=clk, chunk=where)
+        for code, nd, where, clk, a, b in ring[:count].tolist():
+            kind = _RING_KINDS[code]
+            if kind in (EV_INVALIDATE, EV_DEMOTE):
+                events.publish(kind, nd, where >> pc_shift, clock=clk,
+                               chunk=where)
+            elif kind == EV_FAULT:
+                events.publish(kind, nd, where, clock=clk, mode=a, home=b)
+            elif kind == EV_EVICT:
+                events.publish(kind, nd, where, clock=clk, forced=bool(b),
+                               flushed=a)
+            elif kind == EV_MAP_SCOMA:
+                events.publish(kind, nd, where, clock=clk)
             else:
-                events.publish(EV_RELOCATE, nd, where, clock=clk,
-                               flushed=flushed)
+                events.publish(kind, nd, where, clock=clk, flushed=a)
         ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
@@ -1560,51 +1465,38 @@ def run_vector(engine) -> list[int] | None:
     for i in range(n):
         _policy_in(i)
     while True:
-        rc = int(lib.soa_run(state))
+        rc = lib.soa_run(state)
         _flush_ring()
         if rc == _RESIDUAL:
-            best = int(ctl[_BEST])
-            now = int(ctl[_NOW])
-            at = int(tr_off[best] + pos[best])
+            best = ctl[_BEST]
+            now = ctl[_NOW]
+            at = tr_off[best] + pos[best]
             ctl[_NOW] = now + engine._shared_ref(
-                nodes[best], int(args_all[at]),
-                int(kinds_all[at]) == EV_WRITE, now)
+                nodes[best], args_all[at], kinds_all[at] == EV_WRITE, now)
             pos[best] += 1
             _policy_in(best)
         elif rc == _HINT:
             # The access completed in the kernel; the hint's work runs
             # at the access's end, with the clock its miss stamped.
-            best = int(ctl[_BEST])
-            now = int(ctl[_NOW])
+            best = ctl[_BEST]
+            now = ctl[_NOW]
             if events.kind_observers:
-                events.clock = int(ctl[_HINT_CLOCK])
+                events.clock = ctl[_HINT_CLOCK]
             ctl[_NOW] = now + engine._handle_relocation_hint(
-                nodes[best], int(ctl[_HINT_PAGE]), now)
+                nodes[best], ctl[_HINT_PAGE], now)
             ctl[_HINT_PAGE] = -1
             _policy_in(best)
         elif rc == _RINGFULL:
             pass  # flushed above; re-enter with a drained ring
         elif rc == _DAEMON:
-            best = int(ctl[_BEST])
-            nodes[best].run_daemon_if_due(int(ctl[_NOW]))
+            best = ctl[_BEST]
+            nodes[best].run_daemon_if_due(ctl[_NOW])
             _policy_in(best)
         elif rc == _BARRIER:
-            clock_l = clock.tolist()
-            arrival_l = arrival.tolist()
-            waiting_l = [bool(x) for x in waiting]
-            pos_l = pos.tolist()
-            end_l = tr_len.tolist()
-            finished_l = [bool(x) for x in finished]
-            bid_l = barrier_id.tolist()
-            engine._release_barrier(nodes, clock_l, arrival_l, waiting_l,
-                                    pos_l, end_l, finished_l, bid_l)
-            clock[:] = clock_l
-            waiting[:] = [1 if w else 0 for w in waiting_l]
-            finished[:] = [1 if f else 0 for f in finished_l]
+            engine._release_barrier(nodes, clock, arrival, waiting, pos,
+                                    tr_len, finished, barrier_id)
+        elif rc == _DEADLOCK:
+            raise RuntimeError("deadlock: all unfinished nodes are waiting"
+                               " at a barrier that never released")
         else:
-            _merge_deltas(engine, st, aux, glob)
-            if rc == _DEADLOCK:
-                raise RuntimeError("deadlock: all unfinished nodes are"
-                                   " waiting at a barrier that never"
-                                   " released")
-            return [int(c) for c in clock]
+            return clock.tolist()

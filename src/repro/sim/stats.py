@@ -16,32 +16,64 @@ These mirror the two chart families of Figures 2 and 3:
 
 from __future__ import annotations
 
-__all__ = ["TIME_BUCKETS", "MISS_CLASSES", "NodeStats", "RunResult"]
+import numpy as np
+
+from ..kernel.freelist import counter_row, row_slot
+
+__all__ = ["FIELDS", "MISS_CLASSES", "N_STATS", "NodeStats", "RunResult",
+           "TIME_BUCKETS"]
 
 TIME_BUCKETS = ("U_SH_MEM", "K_BASE", "K_OVERHD", "U_INSTR", "U_LC_MEM", "SYNC")
 MISS_CLASSES = ("HOME", "SCOMA", "RAC", "COLD", "CONF_CAPC")
 
+#: The per-node counters in row (and ``as_dict()``) order: the kernel's
+#: ``S_*`` enum.
+FIELDS = (
+    # time buckets (cycles)
+    "U_SH_MEM", "K_BASE", "K_OVERHD", "U_INSTR", "U_LC_MEM", "SYNC",
+    # miss classes (counts)
+    "HOME", "SCOMA", "RAC", "COLD", "CONF_CAPC",
+    # per-class stall cycles (for average-latency analysis)
+    "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT", "CONF_CAPC_LAT",
+    # event counters
+    "page_faults", "relocations", "skipped_relocations", "evictions",
+    "forced_evictions", "daemon_runs", "daemon_thrash", "upgrades",
+    "induced_cold", "essential_cold", "lines_flushed", "l1_hits",
+    "l1_misses", "migrations", "skipped_migrations",
+)
+N_STATS = len(FIELDS)
+#: The row slot of each field, for the hot paths that index the row.
+(S_U_SH_MEM, S_K_BASE, S_K_OVERHD, S_U_INSTR, S_U_LC_MEM, S_SYNC, S_HOME,
+ S_SCOMA, S_RAC, S_COLD, S_CONF_CAPC, S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT,
+ S_COLD_LAT, S_CONF_CAPC_LAT, S_PAGE_FAULTS, S_RELOCATIONS,
+ S_SKIPPED_RELOCATIONS, S_EVICTIONS, S_FORCED_EVICTIONS, S_DAEMON_RUNS,
+ S_DAEMON_THRASH, S_UPGRADES, S_INDUCED_COLD, S_ESSENTIAL_COLD,
+ S_LINES_FLUSHED, S_L1_HITS, S_L1_MISSES, S_MIGRATIONS,
+ S_SKIPPED_MIGRATIONS) = range(N_STATS)
+
 
 class NodeStats:
-    """Per-node counters.  Attribute access is hot-path; keep it flat."""
+    """Per-node counters: properties over the slots of one ``int64``
+    row, which a machine's nodes share with the replay kernel (hot paths
+    index ``row`` directly).  A :class:`RunResult` holds copies."""
 
-    __slots__ = (
-        # time buckets (cycles)
-        "U_SH_MEM", "K_BASE", "K_OVERHD", "U_INSTR", "U_LC_MEM", "SYNC",
-        # miss classes (counts)
-        "HOME", "SCOMA", "RAC", "COLD", "CONF_CAPC",
-        # per-class stall cycles (for average-latency analysis)
-        "HOME_LAT", "SCOMA_LAT", "RAC_LAT", "COLD_LAT", "CONF_CAPC_LAT",
-        # event counters
-        "page_faults", "relocations", "skipped_relocations", "evictions",
-        "forced_evictions", "daemon_runs", "daemon_thrash", "upgrades",
-        "induced_cold", "essential_cold", "lines_flushed", "l1_hits",
-        "l1_misses", "migrations", "skipped_migrations",
-    )
+    __slots__ = ("row",)
 
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+    def __init__(self, row=None) -> None:
+        self.row = counter_row(N_STATS, row)
+
+    def copy(self) -> "NodeStats":
+        """These counters in a row of their own."""
+        return NodeStats(np.array(self.row))
+
+    # Pickles carry the fields by name, as for a plain slotted object.
+    def __getstate__(self):
+        return None, self.as_dict()
+
+    def __setstate__(self, state) -> None:
+        self.__init__()
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     def total_cycles(self) -> int:
@@ -77,7 +109,7 @@ class NodeStats:
         return getattr(self, miss_class + "_LAT") / count if count else 0.0
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return dict(zip(FIELDS, self.row.tolist()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "NodeStats":
@@ -88,8 +120,14 @@ class NodeStats:
         return stats
 
     def merge(self, other: "NodeStats") -> None:
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        row = self.row
+        for slot, value in enumerate(other.row.tolist()):
+            row[slot] += value
+
+
+for _slot, _name in enumerate(FIELDS):
+    setattr(NodeStats, _name, row_slot(_slot))
+del _slot, _name
 
 
 class RunResult:

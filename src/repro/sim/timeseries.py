@@ -8,8 +8,8 @@ stretching, a phase change recovering) needs the trajectory.  A
 snapshots every node's page-management state at each barrier release --
 the natural globally-consistent points of the execution.  Barrier
 releases are published at a Python exit of either replay loop, and
-every field it samples is live there, so a sampled run still replays
-on the compiled kernel::
+every field it samples, ``NodeStats`` included, is live there, so a
+sampled run still replays on the compiled kernel::
 
     sampler = TimeSeriesSampler().attach(engine)
     engine.run()
@@ -42,13 +42,11 @@ class Sample:
         self.threshold = node.policy_state.effective_threshold()
         self.relocation_enabled = self.threshold > 0 or not hasattr(
             node.policy_state, "backoff")
-        # Both read rows the kernel writes in place, so they are live
-        # while it runs (it merges NodeStats at the end): the policy
-        # row's relocations, and one frame release per eviction.
-        self.relocations = node.policy_state.relocations
-        self.evictions = node.pool.releases
+        stats = node.stats
+        self.relocations = stats.relocations
+        self.evictions = stats.evictions
         self.daemon_interval = node.daemon.interval
-        self.daemon_thrash = node.stats.daemon_thrash
+        self.daemon_thrash = stats.daemon_thrash
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

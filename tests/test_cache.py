@@ -124,10 +124,11 @@ class TestFlushPage:
         assert cache.flush_page(9) == 0
 
     def test_flush_counts_stat(self, cache):
+        """The flushed-line count a node adds to its ``lines_flushed``
+        stat is what the flush returns."""
         amap = AddressMap()
         cache.fill(amap.line_id(2, 0))
-        cache.flush_page(2)
-        assert cache.stats.flushed_lines == 1
+        assert cache.flush_page(2) == 1
 
     def test_flush_with_cache_smaller_than_page(self):
         # 2 KiB cache = 64 sets < 128 lines/page: sets wrap.

@@ -89,12 +89,30 @@ SHAPES = {
 }
 
 
+#: (shape, args, vector_path) -> the digests of every state buffer at
+#: each barrier release of that replay (see buffer_digests).
+_BARRIER_SNAPSHOTS = {}
+
+
 @functools.lru_cache(maxsize=None)
 def replayed(shape, args, vector_path):
     """``(engine, RunResult.to_dict())`` after one replay of a shape,
-    shared by the result-level and the full-state parity checks."""
+    shared by the result-level and the full-state parity checks.  An
+    ``EV_BARRIER`` subscriber snapshots the machine at every barrier
+    release (:func:`barrier_snapshots`)."""
+    from repro.sim.events import EV_BARRIER
     engine = SHAPES[shape](*args, vector_path=vector_path)
+    snapshots = _BARRIER_SNAPSHOTS[shape, args, vector_path] = []
+    engine.machine.events.subscribe(
+        lambda event: snapshots.append(buffer_digests(engine)),
+        (EV_BARRIER,))
     return engine, engine.run().to_dict()
+
+
+def barrier_snapshots(shape, args, vector_path) -> list:
+    """The state-buffer digests at each barrier release of a replay."""
+    replayed(shape, args, vector_path)
+    return _BARRIER_SNAPSHOTS[shape, args, vector_path]
 
 
 def _content_hash(payload: dict) -> str:
@@ -207,7 +225,8 @@ class TestWidenedEligibility:
 
 
 def state_buffers(engine) -> dict:
-    """Every state buffer the kernel reads or writes, as raw bytes."""
+    """Every state buffer the kernel reads or writes, counter rows
+    included, as raw bytes."""
     machine = engine.machine
     blocks = machine.blocks
     state = {name: getattr(blocks, name).tobytes()
@@ -219,34 +238,27 @@ def state_buffers(engine) -> dict:
     state["home"] = machine.allocator.home.tobytes()
     state["allocator"] = machine.allocator.row.tobytes()
     state["net_port"] = machine.network.port_busy_until.tobytes()
+    state["machine_counters"] = machine.counters.tobytes()
     return state
 
 
+def buffer_digests(engine) -> dict:
+    """:func:`state_buffers`, each buffer as a short digest."""
+    return {name: hashlib.sha256(data).hexdigest()[:16]
+            for name, data in state_buffers(engine).items()}
+
+
 def hidden_counters(engine) -> dict:
-    """Every model counter ``RunResult.to_dict()`` leaves out."""
-    machine = engine.machine
-    allocator = machine.allocator
-    out = {"allocator": (list(allocator.count), allocator.first_touch_hits,
-                         allocator.round_robin_spills),
-           "relocation_hints": machine.directory.relocation_hints}
-    for node in machine.nodes:
-        l1, rac, pt = node.l1.stats, node.rac, node.page_table
-        pool, daemon = node.pool, node.daemon
-        state = node.policy_state
-        detector = getattr(state, "detector", None)
+    """The model state no buffer holds: each node's pageout daemon and
+    VC-NUMA's break-even detector."""
+    out = {}
+    for node in engine.machine.nodes:
+        daemon = node.daemon
+        detector = getattr(node.policy_state, "detector", None)
         out[node.id] = {
-            "policy": (state.relocations, state.skipped_relocations),
             "detector": detector and (
                 detector.threshold, detector.evaluations, detector.backoffs,
-                detector.recoveries, detector.evictions_since_eval,
-                detector.losers_since_eval, detector.winners_since_eval),
-            "l1": (l1.writebacks, l1.invalidations, l1.flushed_lines),
-            "rac": (rac.hits, rac.misses, rac.fills),
-            "page_table": (pt.faults, pt.remaps_to_scoma,
-                           pt.remaps_to_ccnuma),
-            "tlb_shootdowns": node.tlb.shootdowns,
-            "pool": (pool.free, pool.allocations, pool.releases,
-                     pool.failed_allocations),
+                detector.recoveries),
             "daemon": (daemon.runs, daemon.total_reclaimed,
                        daemon.total_cost, daemon.interval,
                        daemon.next_run_at),
@@ -256,9 +268,16 @@ def hidden_counters(engine) -> dict:
 
 def assert_same_machine(shape, args):
     """After a reference and a kernel replay of the shape, every state
-    buffer and every hidden counter is identical."""
+    buffer is identical at each barrier release and at the end, and so
+    is every hidden counter."""
     reference, _ = replayed(shape, args, False)
     vector, _ = replayed(shape, args, True)
+    ref_snaps = barrier_snapshots(shape, args, False)
+    vec_snaps = barrier_snapshots(shape, args, True)
+    assert ref_snaps and len(vec_snaps) == len(ref_snaps)
+    for barrier, (ref, vec) in enumerate(zip(ref_snaps, vec_snaps)):
+        assert vec == ref, (barrier, [name for name in ref
+                                      if vec[name] != ref[name]])
     ref_state, vec_state = state_buffers(reference), state_buffers(vector)
     assert ref_state.keys() == vec_state.keys()
     for name in ref_state:
@@ -267,9 +286,10 @@ def assert_same_machine(shape, args):
 
 
 class TestFullStateParity:
-    """Beyond the results: after a reference and a kernel replay of the
-    same cell, every state buffer is byte-identical and so is every
-    model counter the result payload leaves out."""
+    """Beyond the results: during and after a reference and a kernel
+    replay of the same cell, every state buffer, counter rows included,
+    is byte-identical at each barrier release and at the end, and so is
+    the model state the buffers leave out."""
 
     @pytest.mark.parametrize("app,arch,pressure", CELLS)
     def test_matrix_full_state(self, app, arch, pressure):
@@ -291,15 +311,19 @@ def kernel_visible_state(engine) -> list:
     allocator = machine.allocator
     held = [engine._home, allocator.home, allocator.row, allocator.count,
             directory.copyset, directory.owner, directory.refetch_count,
-            machine.network.port_busy_until, machine.network._base]
+            directory.row, machine.network.port_busy_until,
+            machine.network._base, machine.network.row, machine.protocol.row]
     held += [bus.busy_until for bus in machine.buses]
+    held += [bus.row for bus in machine.buses]
     for node in machine.nodes:
         pt, state = node.page_table, node.policy_state
         held += [pt.mode, pt.scoma_valid, pt.scoma_clock, node.pool,
                  node.daemon.pool, node.owned, node.ever_fetched,
                  node.pagecache_hits, node.tlb.ref_bits, node.l1.tags,
                  node.l1.dirty, node.rac.chunks, node.memory.busy_until,
-                 state, state.row]
+                 state, state.row, node.stats, node.stats.row,
+                 node.l1.stats, node.l1.stats.row, node.rac.row,
+                 node.tlb.row, pt.row, node.memory.row]
         detector = getattr(state, "detector", None)
         if detector is not None:
             held += [detector, detector.row]
@@ -468,18 +492,17 @@ def stream_of(kinds, seen):
 
 
 class TestWatchedKinds:
-    """Every observer names its kinds, and what a run watches decides
-    where it replays.  A kind the kernel performs without publishing
-    (fault, map_scoma, evict, flush) sends the run to the reference
-    loop; every other kind reaches its subscribers from the kernel too,
-    with the reference loop's events, clocks and order."""
+    """Every observer names its kinds, and every kind reaches its
+    subscribers from the kernel too, with the reference loop's events,
+    clocks and order: the transitions the kernel performs through its
+    event ring, the rest from the Python exits that perform them."""
 
     THRASH = ("em3d", "RNUMA", 0.9, SCALE)
 
     def test_page_kinds_reach_a_kind_filtered_subscriber(self, monkeypatch):
         """A subscriber naming the six page-management kinds receives
         exactly what an every-kind subscriber receives of them, on
-        both loops, and the run replays on the reference loop."""
+        both loops, and the run replays on the kernel."""
         from repro.sim.events import (ALL_KINDS, EV_EVICT, EV_FAULT,
                                       EV_FLUSH, EV_MAP_SCOMA, EV_MIGRATE,
                                       EV_RELOCATE)
@@ -491,7 +514,8 @@ class TestWatchedKinds:
             result, outcomes = watched_replay(
                 monkeypatch, self.THRASH, vector_path,
                 stream_of(page_kinds, named))
-            assert outcomes == ([False] if vector_path else [])
+            assert outcomes == ([vector_available()] if vector_path
+                                else [])
             full, _ = watched_replay(monkeypatch, self.THRASH, vector_path,
                                      stream_of(ALL_KINDS, everything))
             assert result == full
@@ -505,20 +529,23 @@ class TestWatchedKinds:
 
     @pytest.mark.parametrize("kind", ("fault", "map_scoma", "evict",
                                       "flush"))
-    def test_kernel_silent_kind_falls_back(self, monkeypatch, kind):
-        """The kernel maps homed pages and force-evicts without
-        publishing; a run watching such a kind must not reach it."""
-        from repro.sim.soatrace import _eligible
-        seen, eligible = [], []
-
-        def attach(engine):
-            stream_of((kind,), seen)(engine)
-            eligible.append(_eligible(engine))
-
-        _, outcomes = watched_replay(monkeypatch, ("radix", "SCOMA", 0.9,
-                                                   SCALE), True, attach)
-        assert eligible == [False] and outcomes == [False]
-        assert seen
+    def test_page_kind_rides_the_kernel(self, monkeypatch, kind):
+        """The kernel records the faults, S-COMA mappings, forced
+        evictions and flushes it performs in its event ring: a run
+        watching one of those kinds stays on the kernel, with the
+        reference loop's stream and result (pure S-COMA at 0.9
+        pressure makes all four in the kernel)."""
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        cell = ("radix", "SCOMA", 0.9, SCALE)
+        s_ref, s_vec = [], []
+        r_ref, _ = watched_replay(monkeypatch, cell, False,
+                                  stream_of((kind,), s_ref))
+        r_vec, outcomes = watched_replay(monkeypatch, cell, True,
+                                         stream_of((kind,), s_vec))
+        assert outcomes == [True]
+        assert s_ref and s_vec == s_ref
+        assert r_vec == r_ref
 
     EXITS = ("relocate", "migrate", "daemon", "barrier")
 
@@ -705,14 +732,16 @@ class TestVectorModeSelection:
         assert bool(calls) is expect_kernel
         assert result == self._engine(vector_path=False).run().to_dict()
 
-    def test_checked_cell_falls_back_to_reference(self, monkeypatch):
-        """Where the fallback lands: a checked cell tries the kernel
-        once, is refused (the checker watches kernel-silent kinds), and then
-        replays on the reference loop exactly once."""
+    def test_checked_cell_rides_the_kernel(self, monkeypatch):
+        """A checked cell (``RunSpec.execute(check=True)``, a
+        barrier-granularity checker) replays on the kernel, once, and
+        never on the reference loop."""
         import repro.sim.soatrace as soatrace
         from repro.runtime.spec import RunSpec
 
         monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
         vector_outcomes = []
         reference_calls = []
         real_run_vector = soatrace.run_vector
@@ -730,8 +759,8 @@ class TestVectorModeSelection:
         monkeypatch.setattr(soatrace, "run_vector", probe)
         monkeypatch.setattr(Engine, "_run_reference", reference)
         result = RunSpec.make("fft", "ASCOMA", 0.9, SCALE).execute(check=True)
-        assert vector_outcomes == [None]
-        assert len(reference_calls) == 1
+        assert len(vector_outcomes) == 1 and vector_outcomes[0] is not None
+        assert reference_calls == []
         assert result.invariant_violations == 0
 
 
@@ -746,7 +775,7 @@ class TestDefaultPathEngagesKernel:
     @staticmethod
     def _probe(monkeypatch, record):
         """Route every ``run_vector`` call through *record(clock)*.
-        Engine._run_vector imports run_vector lazily from the module,
+        Engine.run imports run_vector lazily from the module,
         so patching the module attribute intercepts the dispatch, in
         forked pool workers too."""
         from repro.sim import soatrace
@@ -979,8 +1008,8 @@ class TestKernelRelocations:
     and VC-NUMA's break-even tallies, run inside the kernel after the
     access that carries them.  A hint exits to
     ``Engine._handle_relocation_hint`` only when it needs Python: a
-    daemon due at the hint, a break-even evaluation falling due, a
-    ``MIGRATE`` decision or an empty clock.  Each shape gets two-way
+    daemon due at the hint, a break-even evaluation falling due or a
+    ``MIGRATE`` decision.  Each shape gets two-way
     bit identity of the results and of the whole machine state, plus a
     probe that the shape occurred."""
 
@@ -1060,6 +1089,20 @@ class TestKernelRelocations:
         monkeypatch.setattr(Engine, "_handle_relocation_hint", handle)
         assert vector == run_cell("radix", "RNUMA", 0.9, vector_path=False)
 
+    @pytest.mark.parametrize("arch", ("RNUMA", "VCNUMA"))
+    def test_no_frames_skips_hints(self, arch):
+        """At pressure 1.0 a hybrid has no page-cache frames, so a hint
+        finds a dry pool and an empty clock: nothing to take and nothing
+        to force-evict.  Both loops drop it as a skipped relocation
+        (they used to die with "no S-COMA page to evict")."""
+        engine = make_engine("fft", arch, 1.0, vector_path=True)
+        assert engine.machine.page_cache_frames() == 0
+        vector = engine.run()
+        assert vector.aggregate().skipped_relocations > 0
+        assert vector.aggregate().relocations == 0
+        assert vector.to_dict() == run_cell("fft", arch, 1.0,
+                                            vector_path=False)
+
     def test_python_exits_bounded_by_daemon_runs(self):
         """radix/RNUMA@0.9 relocates hundreds of pages, most over a
         forced eviction; none of that reaches ``_shared_ref``, which
@@ -1070,3 +1113,82 @@ class TestKernelRelocations:
         agg = result.aggregate()
         assert agg.relocations > 800
         assert len(calls["_shared_ref"]) <= agg.daemon_runs
+
+
+def checked_replay(monkeypatch, engine, granularity="barrier"):
+    """Run *engine* under an invariant checker of *granularity*.
+    Returns the result payload, the violations as ``(invariant, node,
+    page, clock)`` in order, and whether ``run_vector`` returned
+    clocks (``[]`` when the engine never tried the kernel)."""
+    from repro.check import InvariantChecker
+    from repro.sim import soatrace
+    checker = InvariantChecker.attach(engine, granularity=granularity)
+    outcomes = []
+    real_run_vector = soatrace.run_vector
+
+    def probe(eng):
+        clock = real_run_vector(eng)
+        outcomes.append(clock is not None)
+        return clock
+
+    with monkeypatch.context() as patch:
+        patch.setattr(soatrace, "run_vector", probe)
+        result = engine.run().to_dict()
+    violations = [(v.invariant, v.node, v.page, v.clock)
+                  for v in checker.violations]
+    return result, violations, outcomes
+
+
+class TestCheckedOnKernel:
+    """The invariant checker watches the substrate that produces the
+    results: at the default ``barrier`` granularity a checked run
+    replays on the kernel, with the reference loop's result and
+    violations (invariant, node, page and clock, in order).  Only an
+    ``event``-granularity checker, whose sweeps read the machine in the
+    middle of an access, still replays on the reference loop."""
+
+    @pytest.mark.parametrize("entry", ("ascoma-skip-invalidate",
+                                       "ccnumamig-migratory-clean",
+                                       "vcnuma-highpressure-clean"))
+    def test_corpus_bundle_checked_on_kernel(self, monkeypatch, entry):
+        import os
+
+        from repro.check import ReproBundle
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        bundle = ReproBundle.load(os.path.join(
+            os.path.dirname(__file__), "corpus", entry))
+        runs = [checked_replay(monkeypatch, Engine(
+            bundle.workload, bundle.make_policy(), config=bundle.config,
+            quantum=bundle.quantum, vector_path=vector_path))
+            for vector_path in (False, True)]
+        (r_ref, v_ref, _), (r_vec, v_vec, outcomes) = runs
+        assert outcomes == [True]
+        assert v_vec == v_ref and r_vec == r_ref
+
+    def test_injected_bug_caught_on_kernel(self, monkeypatch):
+        """The kernel's own seeded bug (a node that skips its
+        invalidations, P_SKIP_NODE) is caught on the kernel."""
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        runs = [checked_replay(monkeypatch, make_engine(
+            "fft", "ASCOMA", 0.9, vector_path=vector_path,
+            config_kwargs={"debug_skip_invalidate_node": 1}))
+            for vector_path in (False, True)]
+        (r_ref, v_ref, _), (r_vec, v_vec, outcomes) = runs
+        assert outcomes == [True]
+        assert v_ref and v_vec == v_ref
+        assert r_vec == r_ref
+
+    def test_event_granularity_checker_falls_back(self, monkeypatch):
+        """An ``event``-granularity checker sweeps at every
+        page-management publish, so the kernel refuses the run and the
+        reference loop replays it, with the result and violations of a
+        run pinned to the reference loop."""
+        runs = [checked_replay(monkeypatch, make_engine(
+            "fft", "ASCOMA", 0.9, vector_path=vector_path,
+            config_kwargs={"debug_skip_invalidate_node": 1}), "event")
+            for vector_path in (False, True)]
+        (r_ref, v_ref, _), (r_auto, v_auto, outcomes) = runs
+        assert outcomes == [False]
+        assert v_ref and v_auto == v_ref and r_auto == r_ref

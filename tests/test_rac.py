@@ -21,7 +21,7 @@ class TestSingleEntry:
         assert not rac.lookup(4)
         rac.fill(4)
         assert rac.lookup(4)
-        assert rac.hits == 1 and rac.misses == 1
+        assert rac.misses == 1 and rac.fills == 1
 
     def test_invalidate(self):
         rac = RemoteAccessCache(1)

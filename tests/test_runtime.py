@@ -110,6 +110,16 @@ class TestRunStore:
             == [s.as_dict() for s in result.node_stats]
         assert again.execution_time() == result.execution_time()
 
+    def test_stored_file_is_one_json_dumps(self, tmp_path):
+        """The artifact's bytes are exactly ``json.dumps`` of the
+        payload, written in one piece."""
+        from repro.runtime.store import STORE_VERSION
+        result = SPEC.execute()
+        path = RunStore(tmp_path).put(SPEC, result)
+        assert path.read_text() == json.dumps({
+            "store_version": STORE_VERSION, "spec_hash": SPEC.spec_hash(),
+            "spec": SPEC.to_dict(), "result": result.to_dict()})
+
     def test_store_version_mismatch_is_a_miss(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         store.put(SPEC, SPEC.execute())
