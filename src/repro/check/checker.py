@@ -20,37 +20,44 @@ Two kinds of checking compose:
   the precise transition that introduced it, which is what the failure
   replay wants.
 
-Attach with :meth:`InvariantChecker.attach`, which subscribes to every
-kind (``ALL_KINDS``); the engine then reports ``invariant_violations``
+Attach with :meth:`InvariantChecker.attach`, which subscribes to the
+eight kinds the checker acts on (:attr:`InvariantChecker.KINDS`): the
+six the event-driven checks read, plus barrier releases and the run's
+end, where sweeps run.  Flushes, invalidations and demotions are
+sub-operation events no check reads, so a checked run neither builds
+nor delivers them.  The engine then reports ``invariant_violations``
 in its :class:`~repro.sim.stats.RunResult`.  A ``barrier`` checker
 watches the compiled kernel, the substrate of every default result: it
-publishes every kind, in the reference loop's order, at its next exit,
-and barrier releases and the run's end are exits.  An ``event``
-checker's sweeps need the machine as it is at each publish, in the
-middle of an access, so its runs replay on the reference loop.
+publishes each watched kind, in the reference loop's order, at its
+next exit, and barrier releases and the run's end are exits.  An
+``event`` checker's sweeps need the machine as it is at each publish,
+in the middle of an access, so its runs replay on the reference loop.
 """
 
 from __future__ import annotations
 
 from ..kernel.vm import PageMode
-from ..sim.events import (ALL_KINDS, EV_BARRIER, EV_DAEMON, EV_END, EV_EVICT,
-                          EV_FAULT, EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE)
+from ..sim.events import (EV_BARRIER, EV_DAEMON, EV_END, EV_EVICT, EV_FAULT,
+                          EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE)
 from .invariants import STRUCTURAL_CHECKS, Violation
 
 __all__ = ["InvariantChecker", "GRANULARITIES"]
 
 GRANULARITIES = ("event", "barrier")
 
-#: Operation-completion events: machine state is consistent when these
-#: publish, so structural sweeps may run.  Sub-operation events (flush,
-#: invalidate, demote) fire mid-transaction and are excluded.
-_STABLE_KINDS = frozenset({EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE,
-                           EV_DAEMON, EV_MIGRATE, EV_BARRIER, EV_END})
-_BARRIER_KINDS = frozenset({EV_BARRIER, EV_END})
+_BARRIER_KINDS = (EV_BARRIER, EV_END)
 
 
 class InvariantChecker:
     """Subscribes to a machine's event bus and accumulates violations."""
+
+    #: Operation-completion events: machine state is consistent when
+    #: these publish, so structural sweeps may run.  They are also every
+    #: kind an event-driven check reads, so :meth:`attach` subscribes to
+    #: them, and only them, at either granularity.  Sub-operation events
+    #: (flush, invalidate, demote) fire mid-transaction and are excluded.
+    KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_DAEMON,
+             EV_MIGRATE, EV_BARRIER, EV_END)
 
     def __init__(self, machine, policy, granularity: str = "barrier",
                  max_violations: int = 1000) -> None:
@@ -63,7 +70,7 @@ class InvariantChecker:
         self.violations: list[Violation] = []
         self.events_seen = 0
         self.sweeps_run = 0
-        self._sweep_kinds = (_STABLE_KINDS if granularity == "event"
+        self._sweep_kinds = (self.KINDS if granularity == "event"
                              else _BARRIER_KINDS)
         #: (node, page) -> shadow PageMode (absent = never observed).
         self._shadow: dict[tuple[int, int], int] = {}
@@ -74,11 +81,12 @@ class InvariantChecker:
     @classmethod
     def attach(cls, engine, granularity: str = "barrier",
                max_violations: int = 1000) -> "InvariantChecker":
-        """Create a checker, subscribe it to every event kind, and
-        register it on *engine*."""
+        """Create a checker, subscribe it to the kinds it acts on
+        (:attr:`KINDS`, whatever the granularity), and register it on
+        *engine*."""
         checker = cls(engine.machine, engine.policy, granularity,
                       max_violations)
-        engine.machine.events.subscribe(checker, ALL_KINDS)
+        engine.machine.events.subscribe(checker, cls.KINDS)
         engine.checker = checker
         return checker
 

@@ -24,14 +24,23 @@ The invariant families, and the paper sections they guard:
   memory, so RAC residency would be unreachable dead state (Section 4.1).
 * **page-table** -- mode/valid-bits/clock agreement and home-mapping
   consistency with the global allocator (catches migration bugs).
+
+Each check reads the whole machine at once -- the per-node rows of
+``Machine.blocks``, the directory's copysets and owners, the
+allocator's homes -- with array operations over all nodes together, so
+a clean machine costs a few passes over those buffers.  Records are
+built only for the offending entries, node by node, in the order a
+walk over each node's structures would find them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
+from ..kernel.freelist import PC_ALLOCS, PC_FREE, PC_HEAD, PC_LEN, PC_RELEASES
 from ..kernel.vm import PageMode
 
 __all__ = [
@@ -83,10 +92,46 @@ def _copysets(directory) -> np.ndarray:
     return np.asarray(directory.copyset).reshape(-1, directory.words)
 
 
-def _cached_by(directory, chunks: np.ndarray, node: int) -> np.ndarray:
-    """Per-chunk copyset membership of *node* (a bool array)."""
-    words = _copysets(directory)[chunks, node >> 6]
-    return (words >> np.uint64(node & 63)) & np.uint64(1) != 0
+def _node_ids(machine) -> np.ndarray:
+    """The node ids as a column, to broadcast against per-node rows."""
+    return np.arange(len(machine.nodes))[:, None]
+
+
+def _cached(directory, nodes: np.ndarray, chunks: np.ndarray) -> np.ndarray:
+    """Copyset membership of each of *nodes* in the matching chunk of
+    *chunks* (the two broadcast together)."""
+    words = np.asarray(directory.copyset).take(
+        chunks * directory.words + (nodes >> 6))
+    return (words & (np.uint64(1) << (nodes & 63).astype(np.uint64))) != 0
+
+
+def _l1_lines(machine) -> np.ndarray:
+    """Every node's resident L1 lines, one row per node (``-1`` =
+    empty): a direct-mapped L1's tag row, or the resident lines of an
+    associative L1, which keeps no machine-wide row, in its own order."""
+    if machine.config.l1_ways == 1:
+        return machine.blocks.l1_tags
+    resident = [node.l1.resident_lines() for node in machine.nodes]
+    lines = np.full((len(resident), max(map(len, resident))), -1, np.int64)
+    for row, held in zip(lines, resident):
+        row[:len(held)] = held
+    return lines
+
+
+def _entries(bad: np.ndarray, *values: np.ndarray):
+    """``(value, ...)`` at every set entry of the mask *bad*, each of
+    *values* broadcast to its shape, in row-major order, as plain ints.
+    A clean mask costs one pass."""
+    if not bad.any():
+        return ()
+    return zip(*(np.broadcast_to(v, bad.shape)[bad].tolist()
+                 for v in values))
+
+
+def _by_node(violations: list[Violation]) -> list[Violation]:
+    """*violations* node by node, each node's in the order found."""
+    violations.sort(key=attrgetter("node"))    # stable
+    return violations
 
 
 def check_directory_swmr(machine) -> list[Violation]:
@@ -94,14 +139,14 @@ def check_directory_swmr(machine) -> list[Violation]:
     directory = machine.directory
     amap = machine.amap
     owners = np.asarray(directory.owner)
-    chunks = np.flatnonzero(owners != -1)
-    expected = np.zeros((len(chunks), directory.words), np.uint64)
-    expected[np.arange(len(chunks)), owners[chunks] >> 6] = (
-        np.uint64(1) << (owners[chunks] & 63).astype(np.uint64))
-    bad = (_copysets(directory)[chunks] != expected).any(axis=1)
+    column = owners[:, None]
+    # The copyset a dirty owner leaves: its own bit, in its own word.
+    expected = np.where(np.arange(directory.words) == column >> 6,
+                        np.uint64(1) << (column & 63).astype(np.uint64),
+                        np.uint64(0))
+    bad = (owners != -1) & (_copysets(directory) != expected).any(axis=1)
     out = []
-    for chunk in chunks[bad].tolist():
-        owner = directory.owner[chunk]
+    for chunk, owner in _entries(bad, np.arange(owners.size), owners):
         cs = directory.copyset_of(chunk)
         out.append(Violation(
             "directory-swmr",
@@ -116,142 +161,168 @@ def check_cache_reachability(machine) -> list[Violation]:
     """Every cached copy must be reachable by directory invalidations."""
     directory = machine.directory
     amap = machine.amap
-    owners = np.asarray(directory.owner)
+    blocks = machine.blocks
+    nodes = _node_ids(machine)
     out = []
-    for node in machine.nodes:
-        nid = node.id
-        # L1 lines.
-        lines = np.array(node.l1.resident_lines(), np.int64)
-        unreached = ~_cached_by(directory, lines >> amap.chunk_shift, nid)
-        for line in lines[unreached].tolist():
-            chunk = line >> amap.chunk_shift
-            out.append(Violation(
-                "cache-reachability",
-                f"L1 holds line {line} (chunk {chunk}) without"
-                " copyset membership",
-                node=nid, page=line >> amap.line_shift,
-                detail={"structure": "l1", "chunk": chunk, "line": line}))
-        # RAC entries (chunks, or victim lines in victim-fill mode).
-        entries = np.array(node.rac.resident_entries(), np.int64)
-        chunks = entries >> amap.chunk_shift if node.rac_victim else entries
-        for chunk in chunks[~_cached_by(directory, chunks, nid)].tolist():
-            out.append(Violation(
-                "cache-reachability",
-                f"RAC holds chunk {chunk} without copyset membership",
-                node=nid, page=amap.page_of_chunk(chunk),
-                detail={"structure": "rac", "chunk": chunk}))
-        # S-COMA valid bits.
-        pt = node.page_table
-        valid = np.asarray(pt.scoma_valid).reshape(-1, pt.sv_words)
-        for page in np.flatnonzero(valid.any(axis=1)).tolist():
-            first = amap.first_chunk_of_page(page)
-            mask = pt.valid_mask(page)
-            for cip in range(amap.chunks_per_page):
-                if mask >> cip & 1 and not directory.is_cached_by(
-                        first + cip, nid):
-                    out.append(Violation(
-                        "cache-reachability",
-                        f"S-COMA valid bit set for chunk {first + cip}"
-                        " without copyset membership",
-                        node=nid, page=page,
-                        detail={"structure": "scoma", "chunk": first + cip}))
-        # Write permission.
-        owned = np.flatnonzero(np.asarray(node.owned))
-        for chunk in owned[owners[owned] != nid].tolist():
-            out.append(Violation(
-                "cache-reachability",
-                f"node holds write permission on chunk {chunk} but"
-                f" directory owner is {directory.owner[chunk]}",
-                node=nid, page=amap.page_of_chunk(chunk),
-                detail={"structure": "owned", "chunk": chunk}))
-    return out
+    # L1 lines.
+    lines = _l1_lines(machine)
+    chunks = lines >> amap.chunk_shift
+    for nid, line, chunk in _entries(
+            (lines != -1) & ~_cached(directory, nodes, chunks),
+            nodes, lines, chunks):
+        out.append(Violation(
+            "cache-reachability",
+            f"L1 holds line {line} (chunk {chunk}) without"
+            " copyset membership",
+            node=nid, page=line >> amap.line_shift,
+            detail={"structure": "l1", "chunk": chunk, "line": line}))
+    # RAC entries (chunks, or victim lines in victim-fill mode).
+    entries = blocks.rac
+    chunks = (entries >> amap.chunk_shift
+              if machine.config.rac_fill_policy == "victim" else entries)
+    for nid, chunk in _entries(
+            (entries != -1) & ~_cached(directory, nodes, chunks),
+            nodes, chunks):
+        out.append(Violation(
+            "cache-reachability",
+            f"RAC holds chunk {chunk} without copyset membership",
+            node=nid, page=amap.page_of_chunk(chunk),
+            detail={"structure": "rac", "chunk": chunk}))
+    # S-COMA valid bits, of the (node, page) pairs holding any.
+    valid = blocks.scoma_valid
+    held, pages = np.nonzero(valid.any(axis=2))
+    cpp = amap.chunks_per_page
+    bits = np.unpackbits(
+        valid[held, pages].astype("<u8", copy=False).view(np.uint8),
+        axis=1, count=cpp, bitorder="little").view(bool)
+    held, pages = held[:, None], pages[:, None]
+    chunks = pages * cpp + np.arange(cpp)
+    for nid, page, chunk in _entries(
+            bits & ~_cached(directory, held, chunks), held, pages, chunks):
+        out.append(Violation(
+            "cache-reachability",
+            f"S-COMA valid bit set for chunk {chunk}"
+            " without copyset membership",
+            node=nid, page=page,
+            detail={"structure": "scoma", "chunk": chunk}))
+    # Write permission.
+    owners = np.asarray(directory.owner)
+    for nid, chunk, owner in _entries(
+            (blocks.owned != 0) & (owners != nodes), nodes,
+            np.arange(owners.size), owners):
+        out.append(Violation(
+            "cache-reachability",
+            f"node holds write permission on chunk {chunk} but"
+            f" directory owner is {owner}",
+            node=nid, page=amap.page_of_chunk(chunk),
+            detail={"structure": "owned", "chunk": chunk}))
+    return _by_node(out)
 
 
 def check_frame_accounting(machine) -> list[Violation]:
     """Free-pool ledger balance and frame <-> S-COMA page agreement."""
+    pc = machine.blocks.pc
+    capacity = machine.page_cache_frames()
+    in_use = capacity - pc[:, PC_FREE]
+    unbalanced = ((in_use < 0) | (in_use > capacity)
+                  | (in_use != pc[:, PC_ALLOCS] - pc[:, PC_RELEASES]))
+    # The S-COMA pages mapped are the second-chance clock's length.
+    miscounted = in_use != pc[:, PC_LEN]
     out = []
-    for node in machine.nodes:
-        pool = node.pool
-        if not pool.ledger_consistent():
+    for nid in np.flatnonzero(unbalanced | miscounted).tolist():
+        free, allocations, releases, scoma_pages = pc[
+            nid, [PC_FREE, PC_ALLOCS, PC_RELEASES, PC_LEN]].tolist()
+        if unbalanced[nid]:
             out.append(Violation(
                 "frame-accounting",
-                f"pool ledger out of balance: free={pool.free}"
-                f" capacity={pool.capacity} allocations={pool.allocations}"
-                f" releases={pool.releases}",
-                node=node.id))
-        scoma_pages = node.page_table.scoma_page_count()
-        if pool.in_use != scoma_pages:
+                f"pool ledger out of balance: free={free}"
+                f" capacity={capacity} allocations={allocations}"
+                f" releases={releases}",
+                node=nid))
+        if miscounted[nid]:
             out.append(Violation(
                 "frame-accounting",
-                f"{pool.in_use} frames in use but {scoma_pages} S-COMA"
+                f"{capacity - free} frames in use but {scoma_pages} S-COMA"
                 " pages mapped",
-                node=node.id,
-                detail={"in_use": pool.in_use, "scoma_pages": scoma_pages}))
+                node=nid,
+                detail={"in_use": capacity - free,
+                        "scoma_pages": scoma_pages}))
     return out
 
 
 def check_rac_exclusivity(machine) -> list[Violation]:
     """RAC entries belong only to CC-NUMA-mode pages."""
     amap = machine.amap
-    out = []
-    for node in machine.nodes:
-        for entry in node.rac.resident_entries():
-            page = (entry >> amap.line_shift if node.rac_victim
-                    else amap.page_of_chunk(entry))
-            mode = node.page_table.mode_of(page)
-            if mode != PageMode.CCNUMA:
-                out.append(Violation(
-                    "rac-exclusivity",
-                    f"RAC holds data of page {page} which is in"
-                    f" {PageMode(mode).name} mode",
-                    node=node.id, page=page,
-                    detail={"entry": entry, "mode": int(mode)}))
-    return out
+    blocks = machine.blocks
+    entries = blocks.rac
+    pages = entries >> (amap.line_shift
+                        if machine.config.rac_fill_policy == "victim"
+                        else amap.line_shift - amap.chunk_shift)
+    nodes = _node_ids(machine)
+    modes = blocks.modes[nodes, pages]
+    return [Violation(
+        "rac-exclusivity",
+        f"RAC holds data of page {page} which is in"
+        f" {PageMode(mode).name} mode",
+        node=nid, page=page, detail={"entry": entry, "mode": mode})
+        for nid, entry, page, mode in _entries(
+            (entries != -1) & (modes != PageMode.CCNUMA),
+            nodes, entries, pages, modes)]
 
 
 def check_page_table(machine) -> list[Violation]:
     """Mode/valid/clock agreement + home mapping vs the allocator."""
+    blocks = machine.blocks
     allocator = machine.allocator
-    homes = np.asarray(allocator.home)
+    nodes = _node_ids(machine)
+    modes = blocks.modes
+    n_pages = modes.shape[1]
+    scoma = modes == PageMode.SCOMA
+    # Every S-COMA page carries valid bits (all clear when freshly
+    # mapped); any other page must have none.
+    valid = blocks.scoma_valid.any(axis=2)
+    # The second-chance clock of each node, from its head, as ClockRing
+    # reads its ring buffer; it must hold each S-COMA page exactly once.
+    pc, clk = blocks.pc, blocks.clk
+    ahead = np.arange(max(int(pc[:, PC_LEN].max()), 0))
+    clock = clk[nodes, (pc[:, PC_HEAD, None] + ahead) % clk.shape[1]]
+    queued = ahead < pc[:, PC_LEN, None]
+    known = queued & (clock >= 0) & (clock < n_pages)
+    counts = np.bincount((nodes * n_pages + clock)[known],
+                         minlength=modes.size).reshape(modes.shape)
+    unclocked = (counts != scoma).any(axis=1) | (queued & ~known).any(axis=1)
+    homes = np.asarray(allocator.home)[:n_pages]
+    foreign = (modes != PageMode.UNMAPPED) & (
+        (modes == PageMode.HOME) != (homes == nodes))
     out = []
-    for node in machine.nodes:
-        pt = node.page_table
-        modes = np.asarray(pt.mode)
-        scoma_pages = set(np.flatnonzero(modes == PageMode.SCOMA).tolist())
-        # Every S-COMA page carries valid bits (all clear when freshly
-        # mapped); any other page must have none.
-        valid = np.asarray(pt.scoma_valid).reshape(-1, pt.sv_words)
-        valid_pages = scoma_pages | set(
-            np.flatnonzero(valid.any(axis=1)).tolist())
-        if valid_pages != scoma_pages:
+    for nid in np.flatnonzero((valid & ~scoma).any(axis=1)).tolist():
+        out.append(Violation(
+            "page-table",
+            f"S-COMA valid-bit pages"
+            f" {np.flatnonzero(valid[nid] | scoma[nid]).tolist()} disagree"
+            f" with S-COMA-mode pages {np.flatnonzero(scoma[nid]).tolist()}",
+            node=nid))
+    for nid in np.flatnonzero(unclocked).tolist():
+        out.append(Violation(
+            "page-table",
+            f"second-chance clock {clock[nid, queued[nid]].tolist()}"
+            f" disagrees with S-COMA-mode pages"
+            f" {np.flatnonzero(scoma[nid]).tolist()}",
+            node=nid))
+    for nid, page, mode in _entries(foreign, nodes, np.arange(n_pages),
+                                    modes):
+        if mode == PageMode.HOME:
             out.append(Violation(
                 "page-table",
-                f"S-COMA valid-bit pages {sorted(valid_pages)} disagree"
-                f" with S-COMA-mode pages {sorted(scoma_pages)}",
-                node=node.id))
-        clock_pages = list(pt.scoma_clock)
-        if (len(clock_pages) != len(set(clock_pages))
-                or set(clock_pages) != scoma_pages):
+                f"page mapped HOME but allocator home is"
+                f" {allocator.home[page]}",
+                node=nid, page=page))
+        else:
             out.append(Violation(
                 "page-table",
-                f"second-chance clock {clock_pages} disagrees with"
-                f" S-COMA-mode pages {sorted(scoma_pages)}",
-                node=node.id))
-        mapped = np.flatnonzero(modes)
-        foreign = (modes[mapped] == PageMode.HOME) != (homes[mapped] == node.id)
-        for page in mapped[foreign].tolist():
-            mode, home = pt.mode[page], allocator.home[page]
-            if mode == PageMode.HOME:
-                out.append(Violation(
-                    "page-table",
-                    f"page mapped HOME but allocator home is {home}",
-                    node=node.id, page=page))
-            else:
-                out.append(Violation(
-                    "page-table",
-                    f"page mapped {PageMode(mode).name} on its own home node",
-                    node=node.id, page=page))
-    return out
+                f"page mapped {PageMode(mode).name} on its own home node",
+                node=nid, page=page))
+    return _by_node(out)
 
 
 #: All structural sweeps, in reporting order.

@@ -14,9 +14,10 @@ relocation threshold, stretching the daemon interval and, in extremis,
 disabling relocation; R-NUMA ignores it; pure S-COMA has no choice but
 to keep evicting).
 
-The daemon does not evict pages itself: it asks the owning node through
-an ``evict(page)`` callback so that cache flushes, directory updates and
-cycle accounting happen in one place (:mod:`repro.sim.node`).
+The daemon does not evict pages itself: each run asks the owning node
+through the ``evict(page)`` callback it is handed, so that cache
+flushes, directory updates and cycle accounting happen in one place
+(:mod:`repro.sim.node`).  The daemon keeps no reference to the node.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ class PageoutDaemon:
                  costs: KernelCosts,
                  reference_bit: Callable[[int], bool],
                  clear_reference_bit: Callable[[int], None],
-                 evict: Callable[[int], None],
                  base_interval: int = 50_000) -> None:
         self.page_table = page_table
         self.pool = pool
         self.costs = costs
         self.reference_bit = reference_bit
         self.clear_reference_bit = clear_reference_bit
-        self.evict = evict
         #: Minimum cycles between invocations; AS-COMA's backoff grows it.
         self.base_interval = base_interval
         self.interval = base_interval
@@ -78,8 +77,9 @@ class PageoutDaemon:
         """Should the daemon run?  Pool below free_min and not rate-limited."""
         return self.pool.below_min and now >= self.next_run_at
 
-    def run(self, now: int) -> DaemonRunResult:
-        """One daemon invocation: a single second-chance revolution.
+    def run(self, now: int, evict: Callable[[int], None]) -> DaemonRunResult:
+        """One daemon invocation: a single second-chance revolution;
+        ``evict(page)`` evicts a cold page.
 
         Pages whose reference bit is set get the bit cleared and survive
         (their second chance); pages whose bit is still clear from the
@@ -105,7 +105,7 @@ class PageoutDaemon:
             else:
                 # Cold page: evict (callback pops it from the clock and
                 # releases its frame back to the pool).
-                self.evict(page)
+                evict(page)
                 reclaimed += 1
         cost = self.costs.daemon_run_cost(scanned)
         self.runs += 1

@@ -9,8 +9,9 @@ the :class:`~repro.sim.events.EventBus` for ``EV_DAEMON``,
 ``EV_BARRIER`` and ``EV_END`` only, so it sees every daemon decision
 with cycle context while the run stays on the compiled kernel, which
 publishes those kinds from its Python exits.  That is what keeps
-``--obs`` within the 2% overhead budget where the invariant checker,
-which watches every kind, costs 2-4x.
+``--obs`` within its overhead budget, where the invariant checker,
+which also watches the page-management kinds and sweeps the whole
+machine at every barrier, costs several times an unchecked run.
 
 Each daemon run becomes one row carrying the post-backoff state
 (threshold, interval, relocation enabled) plus *derived transitions*

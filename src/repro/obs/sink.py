@@ -3,12 +3,14 @@
 One observability *run* is one ``<obs_dir>/<run_id>.jsonl`` file; every
 line is one self-describing JSON record (see ``docs/observability.md``
 for the record schemas).  The sink is process-safe by construction:
-the file is opened with ``O_APPEND`` and each record is written with a
-single ``os.write`` call, so concurrent writers (the executor's parent
-process and, in principle, its pool workers) interleave whole lines,
-never fragments.  In practice the executor keeps all writes in the
-parent — workers buffer records in memory and the parent merges them —
-so the ``O_APPEND`` discipline is a safety net, not a hot path.
+the file is opened with ``O_APPEND`` and each record -- or each batch,
+such as a cell's records -- is written with a single ``os.write`` call
+(continued only after a short write), so concurrent writers (the
+executor's parent process and, in principle, its pool workers)
+interleave whole lines, never fragments.  In practice the executor
+keeps all writes in the parent — workers buffer records in memory and
+the parent merges them — so the ``O_APPEND`` discipline is a safety
+net, not a hot path.
 
 A corrupt or truncated trailing line (a killed run) is skipped by
 :func:`read_records`, mirroring how the result/trace stores treat
@@ -27,6 +29,10 @@ __all__ = ["DEFAULT_OBS_DIR", "ObsSink", "default_obs_dir", "new_run_id",
 
 #: Default telemetry directory, next to the result/trace stores.
 DEFAULT_OBS_DIR = "results/obs"
+
+#: Encodes one record as one line's JSON; shared by every sink.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                            default=str)
 
 
 def default_obs_dir() -> str:
@@ -60,14 +66,19 @@ class ObsSink:
 
     def write(self, record: dict) -> None:
         """Append one record as one JSON line (single atomic write)."""
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True, default=str) + "\n"
-        os.write(self._fileno(), line.encode())
-        self.records_written += 1
+        self.write_many((record,))
 
     def write_many(self, records) -> None:
-        for record in records:
-            self.write(record)
+        """Append *records* as JSON lines with one ``os.write``, the
+        same bytes as one ``write`` per record."""
+        lines = [_ENCODER.encode(record) + "\n" for record in records]
+        if not lines:
+            return
+        data = memoryview("".join(lines).encode())
+        fd = self._fileno()
+        while data:
+            data = data[os.write(fd, data):]
+        self.records_written += len(lines)
 
     def close(self) -> None:
         if self._fd is not None:

@@ -37,19 +37,23 @@ class SpanRecorder:
         self.source = source
 
     # -- low-level -------------------------------------------------------
-    def _write(self, record: dict) -> None:
+    def _record(self, rec: str, fields: dict) -> dict:
+        record = {"rec": rec}
+        record.update(fields)
         record["src"] = self.source
         record["pid"] = os.getpid()
+        return record
+
+    def _write_many(self, records: list[dict]) -> None:
+        """Hand *records* to the sink in one piece."""
         if isinstance(self.sink, list):
-            self.sink.append(record)
+            self.sink.extend(records)
         else:
-            self.sink.write(record)
+            self.sink.write_many(records)
 
     def emit(self, rec: str, **fields) -> None:
         """Write one record of type *rec* (``span``/``event``/...)."""
-        record = {"rec": rec}
-        record.update(fields)
-        self._write(record)
+        self._write_many([self._record(rec, fields)])
 
     # -- spans and events ------------------------------------------------
     @contextlib.contextmanager
@@ -77,12 +81,16 @@ class SpanRecorder:
         self.emit("event", name=name, **fields)
 
     def backoff_rows(self, spec, rows) -> None:
-        """Merge a cell's backoff time series (see repro.obs.backoff)."""
+        """Merge a cell's backoff time series (see repro.obs.backoff),
+        all of its records in one write."""
         label, spec_hash = spec.label(), spec.spec_hash()
+        records = []
         for row in rows:
             fields = dict(row)
             rec = fields.pop("rec", "backoff")
-            self.emit(rec, spec=label, spec_hash=spec_hash, **fields)
+            records.append(self._record(
+                rec, dict(spec=label, spec_hash=spec_hash, **fields)))
+        self._write_many(records)
 
     def drain(self) -> list[dict]:
         """Buffered records (list sinks only) — the worker return path."""
@@ -92,12 +100,9 @@ class SpanRecorder:
         return records
 
     def merge(self, records) -> None:
-        """Write records drained from a worker verbatim (no re-stamping)."""
-        for record in records:
-            if isinstance(self.sink, list):
-                self.sink.append(record)
-            else:
-                self.sink.write(record)
+        """Write records drained from a worker verbatim (no re-stamping),
+        in one write."""
+        self._write_many(list(records))
 
 
 def worker_recorder() -> SpanRecorder:

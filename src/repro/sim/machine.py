@@ -36,6 +36,28 @@ __all__ = ["Machine"]
 M_NET, M_DIR, M_PROTO, N_MACHINE = accumulate((0, N_NET, N_DIR, N_PROTO))
 
 
+def _cross_node_callbacks(nodes: list[Node], skip_node: int):
+    """The protocol's ``invalidate_chunk`` and ``demote_chunk``: each
+    reaches into the victim node.  They close over the node list, not
+    the machine, so a machine holds no reference cycle and is freed as
+    soon as its last user lets go of it."""
+
+    def invalidate_chunk(node_id: int, chunk: int,
+                         now: int | None = None) -> None:
+        if node_id == skip_node:
+            # Deliberate protocol bug used to exercise the invariant
+            # checker (repro.check): the victim keeps a stale copy that
+            # the directory no longer knows about.
+            return
+        nodes[node_id].invalidate_chunk(chunk, now)
+
+    def demote_chunk(node_id: int, chunk: int,
+                     now: int | None = None) -> None:
+        nodes[node_id].demote_chunk(chunk, now)
+
+    return invalidate_chunk, demote_chunk
+
+
 class Machine:
     """The assembled multiprocessor."""
 
@@ -91,28 +113,16 @@ class Machine:
             counters=self.blocks.counters[i, CTR_BUS:N_CTR])
             for i in range(config.n_nodes)]
 
+        invalidate_chunk, demote_chunk = _cross_node_callbacks(
+            self.nodes, config.debug_skip_invalidate_node)
         self.protocol = CoherenceProtocol(
             self.directory, self.network,
             memories=[n.memory for n in self.nodes],
-            invalidate_chunk=self._invalidate_chunk,
-            demote_chunk=self._demote_chunk,
+            invalidate_chunk=invalidate_chunk,
+            demote_chunk=demote_chunk,
             stall_on_invalidate=config.consistency == "sc",
             counters=counters[M_PROTO:N_MACHINE],
         )
-
-    # -- cross-node callbacks --------------------------------------------
-    def _invalidate_chunk(self, node_id: int, chunk: int,
-                          now: int | None = None) -> None:
-        if node_id == self.config.debug_skip_invalidate_node:
-            # Deliberate protocol bug used to exercise the invariant
-            # checker (repro.check): the victim keeps a stale copy that
-            # the directory no longer knows about.
-            return
-        self.nodes[node_id].invalidate_chunk(chunk, now)
-
-    def _demote_chunk(self, node_id: int, chunk: int,
-                      now: int | None = None) -> None:
-        self.nodes[node_id].demote_chunk(chunk, now)
 
     # -- introspection ----------------------------------------------------
     def page_cache_frames(self) -> int:

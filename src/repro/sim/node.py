@@ -173,7 +173,6 @@ class Node:
             self.page_table, self.pool, self.costs,
             reference_bit=self.tlb.reference_bit,
             clear_reference_bit=self.tlb.clear_reference_bit,
-            evict=self._daemon_evict,
             base_interval=config.daemon_base_interval,
         )
 
@@ -315,7 +314,7 @@ class Node:
             events = self.events
             if events.kind_observers:
                 events.clock = now
-            result = self.daemon.run(now)
+            result = self.daemon.run(now, self._daemon_evict)
             self.stats.K_OVERHD += result.cost
             self.stats.daemon_runs += 1
             if result.thrashing:

@@ -22,12 +22,12 @@ ENTRIES = sorted(
     if os.path.isfile(os.path.join(CORPUS, name, "bundle.json")))
 
 
-# Replay every bundle under both replay-loop selections.  The checker
-# that replay() attaches watches every event kind, faults included,
-# which makes the default vector dispatch fall back to the reference
-# loop -- so the vector leg proves that fallback is loss-free, exactly
-# like the REPRO_VECTOR_PATH=0 leg proves the reference loop
-# reproduces the recorded violations.
+# Replay every bundle under both replay-loop selections.  The bundles
+# are recorded at ``event`` granularity, whose sweeps read the machine
+# in the middle of an access, so replay() sends them to the reference
+# loop under the default vector dispatch too -- the vector leg proves
+# that fallback is loss-free, exactly like the REPRO_VECTOR_PATH=0 leg
+# proves the reference loop reproduces the recorded violations.
 _PATH_ENVS = [
     pytest.param({"REPRO_VECTOR_PATH": "0"}, id="reference"),
     pytest.param({}, id="vector"),

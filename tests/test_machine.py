@@ -1,7 +1,14 @@
 """Unit tests for machine assembly and cross-node wiring."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core import CCNUMAPolicy, ASCOMAPolicy
+from repro.harness.experiment import get_workload, scaled_policy
 from repro.sim.config import SystemConfig
+from repro.sim.engine import Engine
 from repro.sim.machine import Machine
 
 
@@ -53,3 +60,24 @@ class TestCrossNodeWiring:
         report = m.utilisation_report()
         assert set(report) == {"network", "memory", "buses", "directory"}
         assert len(report["memory"]) == 4
+
+
+class TestNoReferenceCycle:
+    """A finished machine is freed as soon as its engine is, without
+    the cyclic collector: neither the protocol's cross-node callbacks
+    nor the pageout daemons refer back to the machine or a node."""
+
+    @pytest.mark.parametrize("arch", ["ASCOMA", "VCNUMA", "SCOMA"])
+    def test_machine_dies_with_its_engine(self, arch):
+        wl = get_workload("fft", 0.1)
+        engine = Engine(wl, scaled_policy(arch),
+                        config=SystemConfig(n_nodes=wl.n_nodes,
+                                            memory_pressure=0.9))
+        gc.disable()
+        try:
+            engine.run()
+            machine = weakref.ref(engine.machine)
+            del engine
+            assert machine() is None
+        finally:
+            gc.enable()

@@ -107,6 +107,75 @@ class TestSink:
         assert [r["rec"] for r in records] == ["span", "event"]
         assert sink.records_written == 2
 
+    RECORDS = [
+        {"rec": "span", "name": "cell", "wall_s": 0.125, "attempt": 0},
+        {"rec": "backoff", "node": 3, "threshold": 32, "enabled": True,
+         "free": None, "zeta": "\u00e9", "alpha": [1, 2.5]},
+        {"rec": "event", "name": "fail", "error": ValueError("x"),
+         "nested": {"b": 1, "a": {"d": 0, "c": 1}}},
+    ]
+
+    def test_batched_write_matches_per_record_lines(self, tmp_path):
+        """A batch is the bytes of one ``json.dumps`` line per record,
+        keys sorted, unknown types through ``str``."""
+        import json
+        expected = "".join(
+            json.dumps(r, separators=(",", ":"), sort_keys=True,
+                       default=str) + "\n" for r in self.RECORDS).encode()
+        one = ObsSink(tmp_path, run_id="one")
+        for record in self.RECORDS:
+            one.write(record)
+        many = ObsSink(tmp_path, run_id="many")
+        many.write_many(self.RECORDS)
+        many.write_many([])
+        for sink in (one, many):
+            sink.close()
+            assert sink.path.read_bytes() == expected
+            assert sink.records_written == len(self.RECORDS)
+
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        import os
+        whole = ObsSink(tmp_path, run_id="whole")
+        whole.write_many(self.RECORDS)
+        whole.close()
+        real_write = os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(os, "write", short_write)
+        short = ObsSink(tmp_path, run_id="short")
+        short.write_many(self.RECORDS)
+        short.close()
+        assert len(calls) > 1
+        assert short.path.read_bytes() == whole.path.read_bytes()
+
+    def test_backoff_rows_and_merge_write_one_piece(self, tmp_path,
+                                                    monkeypatch):
+        """A cell's backoff rows, and a worker's merged records, reach
+        the sink as one batch with the records one ``emit`` per row
+        would write."""
+        spec = RunSpec("fft", "ASCOMA", 0.5, SCALE)
+        rows = [{"rec": "backoff", "node": 0, "threshold": 8},
+                {"rec": "phase", "barrier": 1}, {"node": 1}]
+        batches = []
+        monkeypatch.setattr(ObsSink, "write_many",
+                            lambda sink, records: batches.append(records))
+        obs = SpanRecorder(ObsSink(tmp_path))
+        obs.backoff_rows(spec, rows)
+        worker = worker_recorder()
+        for row in rows:
+            fields = dict(row)
+            worker.emit(fields.pop("rec", "backoff"), spec=spec.label(),
+                        spec_hash=spec.spec_hash(), **fields)
+        shipped = worker.drain()
+        obs.merge(shipped)
+        assert len(batches) == 2
+        assert [dict(r, src="worker") for r in batches[0]] == batches[1]
+        assert batches[1] == shipped
+
     def test_resolve_latest_and_by_id(self, tmp_path):
         ObsSink(tmp_path, run_id="20260101-000000-1").write({"rec": "a"})
         ObsSink(tmp_path, run_id="20260102-000000-1").write({"rec": "b"})

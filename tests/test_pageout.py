@@ -20,12 +20,16 @@ class Harness:
             self.page_table, self.pool, KernelCosts(),
             reference_bit=lambda p: self.ref_bits.get(p, False),
             clear_reference_bit=lambda p: self.ref_bits.__setitem__(p, False),
-            evict=self._evict, base_interval=1000)
+            base_interval=1000)
 
     def map_page(self, page, referenced=True):
         assert self.pool.try_allocate()
         self.page_table.map_scoma(page)
         self.ref_bits[page] = referenced
+
+    def run(self, now):
+        """One daemon run, evicting through this harness."""
+        return self.daemon.run(now, self._evict)
 
     def _evict(self, page):
         self.page_table.unmap_scoma(page, to_ccnuma=True)
@@ -38,7 +42,7 @@ class TestSecondChance:
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=False)
-        result = h.daemon.run(now=0)
+        result = h.run(now=0)
         assert result.reclaimed >= 1
         assert not result.thrashing
         assert h.evicted  # cold pages went first
@@ -47,7 +51,7 @@ class TestSecondChance:
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        result = h.daemon.run(now=0)
+        result = h.run(now=0)
         assert result.reclaimed == 0
         assert result.thrashing
         assert h.evicted == []
@@ -56,32 +60,32 @@ class TestSecondChance:
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        h.daemon.run(now=0)
+        h.run(now=0)
         assert all(not h.ref_bits[p] for p in range(4))
 
     def test_second_run_evicts_if_not_retouched(self):
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        h.daemon.run(now=0)
-        result = h.daemon.run(now=h.daemon.interval)
+        h.run(now=0)
+        result = h.run(now=h.daemon.interval)
         assert result.reclaimed >= 1
 
     def test_retouched_pages_survive_second_run(self):
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        h.daemon.run(now=0)
+        h.run(now=0)
         for p in range(4):
             h.ref_bits[p] = True  # application touched them again
-        result = h.daemon.run(now=h.daemon.interval)
+        result = h.run(now=h.daemon.interval)
         assert result.reclaimed == 0 and result.thrashing
 
     def test_stops_at_target(self):
         h = Harness(cache_frames=10)
         for p in range(10):
             h.map_page(p, referenced=False)
-        result = h.daemon.run(now=0)
+        result = h.run(now=0)
         # Deficit was free_target (pool empty); no more than needed evicted.
         assert result.reclaimed == result.target
         assert len(h.evicted) == result.target
@@ -99,7 +103,7 @@ class TestScheduling:
         h = Harness()
         for p in range(4):
             h.map_page(p)
-        h.daemon.run(now=0)
+        h.run(now=0)
         assert not h.daemon.due(now=h.daemon.interval - 1)
         assert h.daemon.due(now=h.daemon.interval)
 
@@ -137,13 +141,13 @@ class TestScheduling:
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        result = h.daemon.run(now=0)
+        result = h.run(now=0)
         assert result.cost == KernelCosts().daemon_run_cost(result.scanned)
 
     def test_counters(self):
         h = Harness()
         for p in range(4):
             h.map_page(p, referenced=True)
-        h.daemon.run(now=0)
+        h.run(now=0)
         assert h.daemon.runs == 1
         assert h.daemon.thrash_events == 1

@@ -1192,3 +1192,51 @@ class TestCheckedOnKernel:
         (r_ref, v_ref, _), (r_auto, v_auto, outcomes) = runs
         assert outcomes == [False]
         assert v_ref and v_auto == v_ref and r_auto == r_ref
+
+
+class TestCheckerSubscription:
+    """The checker watches the eight kinds it acts on, at either
+    granularity, and none of the sub-operation kinds no check reads:
+    a checked kernel run records no flush, invalidation or demotion in
+    its event ring, and the reference loop builds none."""
+
+    KINDS = {"fault", "map_scoma", "evict", "relocate", "migrate",
+             "daemon", "barrier", "end"}
+
+    @pytest.mark.parametrize("granularity", ("event", "barrier"))
+    def test_attach_watches_the_eight_kinds(self, granularity):
+        from repro.check import InvariantChecker
+        engine = make_engine("fft", "ASCOMA", 0.9)
+        InvariantChecker.attach(engine, granularity=granularity)
+        events = engine.machine.events
+        assert set(events.kind_observers) == self.KINDS
+        for kind in ("flush", "invalidate", "demote"):
+            assert not events.watching(kind)
+
+    def test_checked_kernel_run_sets_no_sub_operation_watch_bit(
+            self, monkeypatch):
+        """On a cell that flushes, invalidates and demotes, every kernel
+        entry of a checked run watches exactly the four page kinds the
+        kernel performs and the checker reads (``P_WATCH``)."""
+        from repro.check import InvariantChecker
+        from repro.sim import soatrace
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        ffi, lib = soatrace._load_kernel()
+        masks = []
+
+        class WatchProbe:
+            def soa_run(self, state):
+                masks.append(state.P[soatrace._P_WATCH])
+                return lib.soa_run(state)
+
+        monkeypatch.setattr(soatrace, "_load_kernel",
+                            lambda: (ffi, WatchProbe()))
+        engine = make_engine("em3d", "RNUMA", 0.9, vector_path=True)
+        checker = InvariantChecker.attach(engine)
+        engine.run()
+        assert masks and len(set(masks)) == 1
+        watched = {kind for code, kind in enumerate(soatrace._RING_KINDS)
+                   if masks[0] >> code & 1}
+        assert watched == {"fault", "map_scoma", "evict", "relocate"}
+        assert checker.events_seen and not checker.violations

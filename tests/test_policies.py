@@ -22,7 +22,7 @@ def make_daemon():
     return PageoutDaemon(pt, pool, KernelCosts(),
                          reference_bit=lambda p: False,
                          clear_reference_bit=lambda p: None,
-                         evict=lambda p: None, base_interval=1000)
+                         base_interval=1000)
 
 
 class TestRegistry:
