@@ -66,11 +66,10 @@ automatically on :data:`~repro.sim.trace.TRACE_FORMAT_VERSION` bumps.
 
 Telemetry
 ---------
-``--obs`` on ``run``/``matrix`` (or ``REPRO_OBS=1``; ``--no-obs``
-overrides the env var) records one JSONL telemetry run — executor
-spans plus the adaptive-backoff time series — under ``--obs-dir``
-(default ``results/obs``, or ``$REPRO_OBS_DIR``).  ``repro obs
-summary|timeline|export`` inspect the recorded runs; see
+``--obs`` on ``run``/``matrix`` records one JSONL telemetry run —
+executor spans plus the adaptive-backoff time series — under
+``--obs-dir`` (default ``results/obs``, or ``$REPRO_OBS_DIR``).
+``repro obs summary|timeline|export`` inspect the recorded runs; see
 ``docs/observability.md``.
 """
 
@@ -91,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload scale factor (default 0.5)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result store")
-    parser.add_argument("--vector-mode", choices=("auto", "off"),
-                        help="replay dispatch: 'auto' (the default with"
-                             " no flag and no REPRO_VECTOR_PATH) uses the"
-                             " compiled kernel whenever the run is"
-                             " eligible, 'off' runs the reference loop")
     parser.add_argument("--refresh", action="store_true",
                         help="re-simulate cached cells (and re-store them)")
     parser.add_argument("--store-dir",
@@ -119,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--obs", action="store_true",
                        help="record run telemetry (executor spans + backoff"
                             " time series) under --obs-dir")
-        p.add_argument("--no-obs", action="store_true",
-                       help="disable telemetry even if REPRO_OBS=1")
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("number", type=int, choices=range(1, 7))
@@ -830,13 +822,9 @@ def _make_recorder(args):
     """The per-invocation telemetry recorder, or ``None`` when off.
 
     ``--obs`` turns telemetry on for commands that grew the flag
-    (``run``/``matrix``); ``REPRO_OBS=1`` does the same without editing
-    scripts, and ``--no-obs`` wins over the environment.
+    (``run``/``matrix``).
     """
-    if not hasattr(args, "obs"):  # command has no telemetry surface
-        return None
-    obs_on = args.obs or os.environ.get("REPRO_OBS") == "1"
-    if args.no_obs or not obs_on:
+    if not getattr(args, "obs", False):
         return None
     from ..obs import ObsSink, SpanRecorder
     recorder = SpanRecorder(ObsSink(args.obs_dir))
@@ -852,12 +840,6 @@ def main(argv: list[str] | None = None) -> int:
     trace_store = (None if args.no_trace_cache
                    else TraceStore(args.trace_dir))
     recorder = _make_recorder(args)
-    # Loop selection travels via the environment (never the spec hash),
-    # so executor pool workers inherit it with zero plumbing.  It holds
-    # for this command only.
-    prev_mode = os.environ.get("REPRO_VECTOR_PATH")
-    if args.vector_mode:
-        os.environ["REPRO_VECTOR_PATH"] = args.vector_mode
     try:
         with use_store(store, refresh=args.refresh), \
                 use_trace_store(trace_store), use_obs(recorder):
@@ -866,11 +848,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if args.vector_mode:
-            if prev_mode is None:
-                os.environ.pop("REPRO_VECTOR_PATH", None)
-            else:
-                os.environ["REPRO_VECTOR_PATH"] = prev_mode
         if recorder is not None:
             sink = recorder.sink
             sink.close()

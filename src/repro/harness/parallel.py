@@ -17,8 +17,10 @@ and fanned back out; a failing cell comes back as a
 killing the pool; with a store attached, already-computed cells resume
 from disk.
 
-Used by the CLI's ``sweep``/``matrix`` paths and available as a library
-call for large parameter studies::
+The CLI's ``matrix`` builds its cells with :func:`matrix_specs` and
+hands them to :func:`~repro.runtime.executor.execute` itself;
+:func:`run_cells` and :func:`run_matrix_parallel` are library calls
+for large parameter studies::
 
     from repro.harness.parallel import run_cells
     results = run_cells([("em3d", "ASCOMA", p, 0.5)

@@ -17,8 +17,8 @@ between the two.  It produces one JSONL stream per observed run
   :class:`~repro.sim.events.EventBus` subscription that keeps the
   run on the replay kernel (:mod:`repro.obs.backoff`).
 
-Enable with ``--obs`` on ``repro run``/``repro matrix`` (or
-``REPRO_OBS=1``); inspect with ``repro obs summary|timeline|export``.
+Enable with ``--obs`` on ``repro run``/``repro matrix``; inspect with
+``repro obs summary|timeline|export``.
 The measured cost of an observed ``matrix_micro`` is gated at <=10%
 (``benchmarks/test_perf_regression.py``).  See ``docs/observability.md``.
 """

@@ -2,7 +2,7 @@
 
 A matrix sweep's cells differ in cost by an order of magnitude: apps
 differ ~10x in trace event count (ocean vs fft at equal scale), and
-architectures differ a few percent in replay speed per event.  Naive
+architectures differ up to ~1.6x in replay time per event.  Naive
 FIFO dispatch therefore ends with one worker grinding a giant ocean
 cell while the rest idle.  This module estimates each
 :class:`~repro.runtime.spec.RunSpec`'s cost as
@@ -15,60 +15,36 @@ Chunked submission sizing lives here too, so pool IPC overhead and
 tail latency are traded off in one place.
 
 The architecture weights are *calibrated from measurement*, not
-guessed: ``BENCH_pr3.json``'s ``single:fft/<arch>`` benchmarks give
-events/second per architecture on the reference machine; the weight is
-each architecture's per-event time relative to ASCOMA.  They were
-measured on a scalar loop that has since been removed, but LPT only
-needs *ranks* to be right, and event counts dominate those.
-
-The vector kernel reshuffles those ranks: in-kernel events cost near
+guessed, on the compiled replay kernel.  In-kernel events cost near
 nothing, so a cell's time is dominated by how often it *exits* the
 kernel to Python.  Page faults, first touches, relocation hints and
 forced evictions all run in the kernel; what still exits is the
 pageout daemon (and the faults and hints it falls due at), so pure
-S-COMA, whose page cache the daemon works hardest, is now the slow one
-per event.  :data:`VECTOR_ARCH_WEIGHTS` carries the separately
-calibrated vector ranks, and the cost functions pick the table
-matching the substrate the workers will actually use (the compiled
-kernel's availability in *this* process, probed once).
+S-COMA, whose page cache the daemon works hardest, is the slow one per
+event.  A host without a kernel replays on the reference loop, where
+the architectures cost within a few percent of each other per event;
+LPT only needs *ranks* to be right, event counts dominate those, and
+the dispatch order never changes a result.
 """
 
 from __future__ import annotations
 
 from .spec import RunSpec, canonical_arch
 
-__all__ = ["ARCH_WEIGHTS", "DEFAULT_ARCH_WEIGHT", "VECTOR_ARCH_WEIGHTS",
-           "DEFAULT_VECTOR_ARCH_WEIGHT", "workload_events",
+__all__ = ["ARCH_WEIGHTS", "DEFAULT_ARCH_WEIGHT", "workload_events",
            "spec_cost", "lpt_order", "submit_chunksize"]
 
-#: Relative per-event replay time on the *scalar* substrate,
-#: ASCOMA = 1.0.  Derived from BENCH_pr3.json ``single:fft/*``
-#: events/s (859544 / arch ev/s): CC-NUMA re-fetches remote lines
-#: forever under pressure, so it pays the most per event; the
-#: page-caching architectures are cheaper.
+#: Relative per-event replay time through the kernel, ASCOMA = 1.0.
+#: Method: every cell of the 90-cell matrix at scale 0.1
+#: (``matrix_specs(scale=0.1)``) run through ``RunSpec.execute`` in one
+#: process with warm traces, five repeats; an architecture's events/s
+#: is its cells' total events over the sum of their median wall times,
+#: and its weight is ASCOMA's events/s over its own (2-vCPU x86-64
+#: Linux VM, Python 3.11: CCNUMA 19.9M, SCOMA 12.4M, RNUMA 17.0M,
+#: VCNUMA 16.9M, ASCOMA 19.2M events/s; three more runs moved no
+#: weight by more than 0.07).  Pure S-COMA's daemon runs and the faults
+#: it falls due at still leave the kernel, so it costs the most.
 ARCH_WEIGHTS = {
-    "CCNUMA": 1.037,
-    "SCOMA": 1.015,
-    "RNUMA": 1.027,
-    "VCNUMA": 1.003,
-    "ASCOMA": 1.000,
-}
-
-#: Unknown architectures (tests, experiments) assume mid-pack cost.
-DEFAULT_ARCH_WEIGHT = 1.02
-
-#: Relative per-event replay time through the vector kernel,
-#: ASCOMA = 1.0.  Method: every cell of the 90-cell matrix at scale
-#: 0.1 (``matrix_specs(scale=0.1)``) run through ``RunSpec.execute``
-#: in one process with warm traces, five repeats; an architecture's
-#: events/s is its cells' total events over the sum of their median
-#: wall times, and its weight is ASCOMA's events/s over its own
-#: (2-vCPU x86-64 Linux VM, Python 3.11: CCNUMA 19.9M, SCOMA 12.4M,
-#: RNUMA 17.0M, VCNUMA 16.9M, ASCOMA 19.2M events/s; three more runs
-#: moved no weight by more than 0.07).  Pure S-COMA's daemon runs and
-#: the faults it falls due at still leave the kernel, so it costs the
-#: most.
-VECTOR_ARCH_WEIGHTS = {
     "CCNUMA": 0.96,
     "SCOMA": 1.54,
     "RNUMA": 1.13,
@@ -76,29 +52,8 @@ VECTOR_ARCH_WEIGHTS = {
     "ASCOMA": 1.00,
 }
 
-#: Unknown architectures on the vector substrate: mid-pack cost.
-DEFAULT_VECTOR_ARCH_WEIGHT = 1.10
-
-
-def _vector_substrate() -> bool:
-    """Will workers replay through the vector kernel by default?
-
-    True iff vector dispatch is not pinned off process-wide *and* the
-    compiled kernel actually loads here (workers are forked from — or
-    configured identically to — this process).  Probed per call; the
-    kernel load itself is memoized, so this is one env read plus one
-    memo lookup after the first call.  Env parsing is delegated to
-    :func:`~repro.sim.engine.default_vector_mode` so the cost model,
-    the engine, the CLI and the job server all read
-    ``REPRO_VECTOR_PATH`` with the same (strict) rules.
-    """
-    from ..sim.engine import default_vector_mode
-
-    if default_vector_mode() == "off":
-        return False
-    from ..sim.soatrace import vector_available
-
-    return vector_available()
+#: Unknown architectures (tests, experiments) assume mid-pack cost.
+DEFAULT_ARCH_WEIGHT = 1.10
 
 
 def workload_events(app: str, scale: float, sample=None) -> int:
@@ -117,51 +72,30 @@ def workload_events(app: str, scale: float, sample=None) -> int:
     return sum(len(t) for t in traces.traces)
 
 
-def spec_cost(spec: RunSpec, events: int | None = None,
-              vector: bool | None = None) -> float:
+def spec_cost(spec: RunSpec, events: int) -> float:
     """Estimated replay cost of one cell, in weighted events.
 
-    *events* is the workload's total event count; ``None`` looks it up
-    (generating or cache-hitting the trace as a side effect).
-    *vector* selects the weight table — ``True`` for the vector kernel,
-    ``False`` for the reference loop, ``None`` (default) for
-    whichever substrate this process would actually dispatch on.
+    *events* is the workload's total event count
+    (:func:`workload_events`).
     """
-    if events is None:
-        events = workload_events(spec.app, spec.scale,
-                                 sample=spec.sample or None)
-    if vector is None:
-        vector = _vector_substrate()
-    arch = canonical_arch(spec.arch)
-    if vector:
-        weight = VECTOR_ARCH_WEIGHTS.get(arch, DEFAULT_VECTOR_ARCH_WEIGHT)
-    else:
-        weight = ARCH_WEIGHTS.get(arch, DEFAULT_ARCH_WEIGHT)
-    return events * weight
+    return events * ARCH_WEIGHTS.get(canonical_arch(spec.arch),
+                                     DEFAULT_ARCH_WEIGHT)
 
 
-def lpt_order(specs, events_of=None, vector: bool | None = None) -> list:
+def lpt_order(specs, events_of=None) -> list:
     """Specs sorted costliest-first (LPT dispatch order).
 
-    *events_of* maps ``(app, scale, sample) -> event count`` (legacy
-    ``(app, scale)`` keys still resolve unsampled specs); missing
+    *events_of* maps ``(app, scale, sample) -> event count``; missing
     entries (e.g. a spec whose workload failed to generate — it will
     fail identically in the worker, where the failure is isolated)
     cost 0 and sort last.  The sort is stable, so equal-cost cells keep
-    their submission order and reruns dispatch identically.  *vector*
-    picks the weight table as in :func:`spec_cost`; the substrate probe
-    runs once for the whole sort, not per cell.
+    their submission order and reruns dispatch identically.
     """
     events_of = events_of or {}
-    if vector is None:
-        vector = _vector_substrate()
 
     def cost(spec: RunSpec) -> float:
         events = events_of.get((spec.app, spec.scale, spec.sample))
-        if events is None and not spec.sample:
-            events = events_of.get((spec.app, spec.scale))
-        return spec_cost(spec, events, vector=vector) if events is not None \
-            else 0.0
+        return 0.0 if events is None else spec_cost(spec, events)
 
     return sorted(specs, key=cost, reverse=True)
 

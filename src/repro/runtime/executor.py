@@ -150,8 +150,7 @@ def _prewarm(specs) -> dict:
     trace without materializing it in the heap.
 
     The vector kernel is probed (built + dlopened) here too: one
-    compile in the parent instead of one per forked worker, and the
-    LPT cost model's substrate detection then reads a warm memo.
+    compile in the parent instead of one per forked worker.
     """
     from ..sim.soatrace import vector_available
     from .costs import workload_events

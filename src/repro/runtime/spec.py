@@ -16,11 +16,13 @@ Hash stability rules
 * the hash covers a ``version`` field (:data:`SPEC_VERSION`) — bump it
   whenever simulator semantics change so that stale store artifacts
   become unreachable rather than silently wrong;
-* replay-loop selection (``REPRO_VECTOR_PATH`` or the engine's
-  ``vector_path`` argument) is a *runtime mode*, deliberately outside
-  the hash: the kernel and the reference loop are pinned bit-identical
-  by ``tests/test_perf_parity.py``, so a store entry produced by
-  either validly services the same spec replayed through the other.
+* which loop replays a cell (the kernel, or the reference loop that
+  ineligible runs, hosts without a kernel and the engine's
+  ``vector_path=False`` take) is a *runtime matter*, deliberately
+  outside the hash: the kernel and the reference loop are pinned
+  bit-identical by ``tests/test_perf_parity.py``, so a store entry
+  produced by either validly services the same spec replayed through
+  the other.
 
 A failed execution is described by :class:`RunFailure`, which names the
 spec that failed so batch sweeps can report and resume precisely.

@@ -32,10 +32,9 @@ workload it built and warns once.  The cache changes *when* traces are
 built, never *what* is built — ``tests/test_tracecache.py`` pins
 cached-vs-regenerated bit-identity.
 
-Replay-loop selection (``REPRO_VECTOR_PATH``) never enters
-:func:`trace_key` for the same reason it stays out of
-``RunSpec.spec_hash()``: the loops are bit-identical consumers of the
-same trace arrays.
+Which replay loop consumes a trace never enters :func:`trace_key`, for
+the same reason it stays out of ``RunSpec.spec_hash()``: the loops are
+bit-identical consumers of the same trace arrays.
 """
 
 from __future__ import annotations

@@ -194,21 +194,17 @@ class JobServer:
     def describe(self) -> dict:
         """Server info embedded in ``ping`` responses.
 
-        The ``vector`` block reports the replay substrate cells will
-        actually dispatch on: the process-wide mode
-        (:func:`~repro.sim.engine.default_vector_mode`) and whether the
-        compiled kernel loads here (workers fork from, or are
-        configured identically to, this process).
+        The ``vector`` block reports whether the compiled kernel loads
+        here (workers fork from, or are configured identically to, this
+        process), i.e. whether eligible cells replay on it.
         """
-        from ..sim.engine import default_vector_mode
         from ..sim.soatrace import vector_available
         from .protocol import PROTOCOL_VERSION
         return {
             "protocol": PROTOCOL_VERSION,
             "backend": self.backend,
             "workers": self.workers,
-            "vector": {"mode": default_vector_mode(),
-                       "available": vector_available()},
+            "vector": {"available": vector_available()},
             "max_queued": self.max_queued,
             "live_jobs": len(self.jobs.live()),
             "jobs": len(self.jobs),

@@ -45,14 +45,15 @@ every architecture):
   loop.  It is the parity oracle for the kernel and the loss-free
   fallback for every run the kernel cannot take: an invariant checker
   at ``event`` granularity (its sweeps read the machine mid-access),
-  an associative L1, or no C compiler.
+  an associative L1, an out-of-range reference, or a host where no
+  kernel loads.
 
-Dispatch is two-state (``Engine.vector_mode``): ``auto`` -- the
-default -- tries the kernel and falls back to the reference loop;
-``off`` (``REPRO_VECTOR_PATH=0``, ``vector_path=False`` or ``repro
---vector-mode off``) runs the reference loop directly.  A constructor
-argument beats the environment.  Loop selection is a runtime concern
-only: it never enters spec hashes or trace cache keys.  See
+The run picks its loop from what it can observe: it tries the kernel
+and falls back to the reference loop when the run is outside the
+kernel's model or no kernel loads.  ``Engine(vector_path=False)`` is
+the one way to ask for the reference loop directly, as the parity
+suites do for their oracle.  Loop selection is a runtime concern only:
+it never enters spec hashes or trace cache keys.  See
 ``docs/performance.md`` for the measured costs.
 
 Observing a run
@@ -67,8 +68,6 @@ the same clocks whatever else is watched.
 
 from __future__ import annotations
 
-import os
-
 from ..core.policy import ArchitecturePolicy, RelocationDecision
 from ..kernel.vm import PageMode
 from .config import SystemConfig
@@ -81,7 +80,7 @@ from .stats import (S_CONF_CAPC, S_CONF_CAPC_LAT, S_COLD, S_COLD_LAT,
                     S_UPGRADES, RunResult)
 from .trace import EV_COMPUTE, EV_LOCAL, EV_WRITE, WorkloadTraces
 
-__all__ = ["Engine", "simulate", "default_vector_mode"]
+__all__ = ["Engine", "simulate"]
 
 #: How far (cycles) one node may run ahead of the runner-up clock.
 DEFAULT_QUANTUM = 2000
@@ -92,38 +91,13 @@ _HOME, _SCOMA, _CCNUMA = map(int, (PageMode.HOME, PageMode.SCOMA,
                                    PageMode.CCNUMA))
 
 
-def default_vector_mode() -> str:
-    """Vector mode (``auto``/``off``) an Engine gets from the
-    environment alone — what ``REPRO_VECTOR_PATH`` currently resolves
-    to, before any ctor override.  Used by the CLI and the job server
-    to report the process-wide dispatch default.
-
-    Only the documented spellings are honoured: ``0/off/no/false`` pin
-    the reference loop; empty, ``auto`` and ``1/on/yes/true`` dispatch
-    through the kernel when the run is eligible.  Anything else (a typo
-    like ``of`` or ``fasle``) warns once and falls back to ``auto``, so
-    a typo can never forbid the kernel behind the user's back."""
-    raw = os.environ.get("REPRO_VECTOR_PATH", "").strip().lower()
-    if raw in ("", "auto", "1", "on", "yes", "true"):
-        return "auto"
-    if raw in ("0", "off", "no", "false"):
-        return "off"
-    import warnings
-
-    warnings.warn(
-        f"unrecognized REPRO_VECTOR_PATH={raw!r}; expected one of"
-        " 1/on/yes/true, 0/off/no/false, or auto — falling back to 'auto'",
-        RuntimeWarning, stacklevel=2)
-    return "auto"
-
-
 class Engine:
     """One simulation run."""
 
     def __init__(self, workload: WorkloadTraces, policy: ArchitecturePolicy,
                  config: SystemConfig | None = None,
                  quantum: int = DEFAULT_QUANTUM,
-                 vector_path: bool | None = None) -> None:
+                 vector_path: bool = True) -> None:
         self.workload = workload
         self.policy = policy
         self.config = config or SystemConfig(n_nodes=workload.n_nodes)
@@ -159,16 +133,10 @@ class Engine:
         #: Victim-mode RAC: fills from L1 evictions of remote lines,
         #: never from fetches (see SystemConfig.rac_fill_policy).
         self._rac_victim = self.config.rac_fill_policy == "victim"
-        #: Replay-loop selection: ``"auto"`` runs the SoA kernel
-        #: whenever this engine is eligible and a kernel can be loaded,
-        #: falling back loss-free to the reference loop otherwise;
-        #: ``"off"`` runs the reference loop directly.  An explicit
-        #: ctor argument (True = auto, False = off) beats the
-        #: environment (REPRO_VECTOR_PATH, see default_vector_mode).
-        if vector_path is None:
-            self.vector_mode = default_vector_mode()
-        else:
-            self.vector_mode = "auto" if vector_path else "off"
+        #: True runs the SoA kernel whenever this engine is eligible
+        #: and a kernel loads, falling back loss-free to the reference
+        #: loop otherwise; False runs the reference loop directly.
+        self.vector_path = vector_path
         # Hot-path constants and stable sub-object aliases, hoisted once
         # so `_shared_ref` never re-walks attribute chains per event.
         # All aliased objects are created by Machine.__init__ and only
@@ -192,7 +160,7 @@ class Engine:
         # unless the run is outside its model or no kernel loads; then
         # the reference loop does, bit-identically.
         clock = None
-        if self.vector_mode != "off":
+        if self.vector_path:
             from .soatrace import run_vector
             clock = run_vector(self)
         if clock is None:
@@ -253,8 +221,8 @@ class Engine:
         """Reference replay loop: one `_shared_ref` call per event.
 
         This is the pre-optimisation engine, kept verbatim as the
-        kernel's parity oracle (`tests/test_perf_parity.py`), as its
-        fallback, and as the ``REPRO_VECTOR_PATH=0`` escape hatch.
+        kernel's parity oracle (`tests/test_perf_parity.py`,
+        ``Engine(vector_path=False)``) and as its fallback.
         """
         machine = self.machine
         nodes = machine.nodes

@@ -1,8 +1,8 @@
 """Structure-of-arrays replay substrate: the compiled replay kernel.
 
-The engine's default replay path (``Engine.vector_mode == "auto"``)
-runs the reference loop's arithmetic as a small compiled kernel over
-the machine's own state buffers: directory copysets, owners and
+Every run inside the kernel's model replays here: a small compiled
+kernel runs the reference loop's arithmetic over the machine's own
+state buffers: directory copysets, owners and
 refetch counters, page homes and the home allocator's counters,
 page-table modes and S-COMA valid masks, TLB reference bits, L1 tags,
 RAC slots, ownership bytes, free-frame pools, the second-chance
@@ -60,8 +60,8 @@ Implementation notes
   a free and a dry pool, the threshold and the daemon's next run --
   are refreshed after every exit that can change them; the C code
   never branches on the architecture.
-* Path selection (``REPRO_VECTOR_PATH``) is a runtime mode: it must
-  never enter ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
+* Which loop replays a run is a runtime matter: it must never enter
+  ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ __all__ = ["run_vector", "vector_available"]
 
 # ---------------------------------------------------------------------------
 # Kernel exit codes (keep in sync with the C source).
-_DONE = 0        # every node finished; deltas are ready to merge
+_DONE = 0        # every node finished; the buffers hold the result
 _RESIDUAL = 1    # the event at ctl needs scalar Engine._shared_ref
 _DAEMON = 2      # pageout daemon due on ctl[BEST] at ctl[NOW]
 _BARRIER = 3     # every unfinished node is waiting; release in Python

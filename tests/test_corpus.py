@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+import repro.sim.soatrace as soatrace
 from repro.check import ReproBundle
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -22,24 +23,24 @@ ENTRIES = sorted(
     if os.path.isfile(os.path.join(CORPUS, name, "bundle.json")))
 
 
-# Replay every bundle under both replay-loop selections.  The bundles
-# are recorded at ``event`` granularity, whose sweeps read the machine
-# in the middle of an access, so replay() sends them to the reference
-# loop under the default vector dispatch too -- the vector leg proves
-# that fallback is loss-free, exactly like the REPRO_VECTOR_PATH=0 leg
-# proves the reference loop reproduces the recorded violations.
-_PATH_ENVS = [
-    pytest.param({"REPRO_VECTOR_PATH": "0"}, id="reference"),
-    pytest.param({}, id="vector"),
+# Replay every bundle on both replay loops.  The bundles are recorded at
+# ``event`` granularity, whose sweeps read the machine in the middle of
+# an access, so replay() sends them to the reference loop under the
+# default dispatch too: the vector leg proves that fallback is
+# loss-free, and the reference leg, where ``run_vector`` answers
+# ``None`` as it does on a host where no kernel loads, proves the
+# reference loop reproduces the recorded violations.
+_LOOPS = [
+    pytest.param(True, id="reference"),
+    pytest.param(False, id="vector"),
 ]
 
 
-@pytest.mark.parametrize("path_env", _PATH_ENVS)
+@pytest.mark.parametrize("reference", _LOOPS)
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_replay_reproduces_recorded_violations(entry, path_env, monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
-    for var, value in path_env.items():
-        monkeypatch.setenv(var, value)
+def test_replay_reproduces_recorded_violations(entry, reference, monkeypatch):
+    if reference:
+        monkeypatch.setattr(soatrace, "run_vector", lambda engine: None)
     bundle = ReproBundle.load(os.path.join(CORPUS, entry))
     result, checker = bundle.replay()
     assert ([v.as_dict() for v in checker.violations]

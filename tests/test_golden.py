@@ -63,7 +63,10 @@ def test_golden_counters_reference_path(key, monkeypatch):
     to the *same* seed-era numbers -- the goldens predate the kernel,
     so neither loop may have drifted from the original model
     (tests/test_perf_parity.py checks the loops against each other;
-    this checks them against history).
+    this checks them against history).  ``run_vector`` answers
+    ``None``, as it does on a host where no kernel loads, so the
+    engine falls back.
     """
-    monkeypatch.setenv("REPRO_VECTOR_PATH", "0")
+    import repro.sim.soatrace as soatrace
+    monkeypatch.setattr(soatrace, "run_vector", lambda engine: None)
     _check_golden(key)

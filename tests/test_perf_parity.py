@@ -3,12 +3,11 @@
 The engine carries two replay loops (see the module docstring of
 ``repro.sim.engine``): the compiled SoA kernel that every eligible run
 takes by default (``repro.sim.soatrace``), and the straightforward
-reference loop (``Engine(vector_path=False)`` /
-``REPRO_VECTOR_PATH=0``) that is both its oracle and the fallback for
-every run the kernel cannot take.  The kernel is required to be a
-*bit-identical* transformation, so these tests compare complete
-``RunResult.to_dict()`` payloads -- every node's every stats bucket,
-miss-class counter and clock -- across every architecture, two
+reference loop (``Engine(vector_path=False)``) that is both its oracle
+and the fallback for every run the kernel cannot take.  The kernel is
+required to be a *bit-identical* transformation, so these tests compare
+complete ``RunResult.to_dict()`` payloads -- every node's every stats
+bucket, miss-class counter and clock -- across every architecture, two
 workloads with different locality profiles, and two memory-pressure
 regimes, and additionally pin the serialized store bytes (what
 ``RunStore.put`` persists and hashes by spec) to be identical
@@ -124,11 +123,11 @@ def _content_hash(payload: dict) -> str:
 class TestTwoWayParity:
     """The differential matrix: reference x kernel, every arch.
 
-    ``vector_path=True`` asks for the kernel whatever the environment
-    says.  When the compiled kernel is unavailable the engine degrades
-    to the reference loop, which keeps the assertions valid but
-    vacuous -- so the availability probe is asserted separately (and
-    the CI default legs run where a compiler is guaranteed).
+    ``vector_path=True`` asks for the kernel.  When the compiled kernel
+    is unavailable the engine degrades to the reference loop, which
+    keeps the assertions valid but vacuous -- so the availability probe
+    is asserted separately (and the CI default legs run where a
+    compiler is guaranteed).
     """
 
     @pytest.mark.parametrize("app,arch,pressure", CELLS)
@@ -154,32 +153,24 @@ class TestTwoWayParity:
                              vector_path=False)
         assert auto == reference
 
-    def test_vector_env_selection_matches(self, monkeypatch):
-        """REPRO_VECTOR_PATH=1 (now a spelling of auto) must take the
-        same code path as the ctor argument and produce the same
-        bytes."""
-        explicit = run_cell("fft", "ASCOMA", 0.9, vector_path=True)
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "1")
-        via_env = run_cell("fft", "ASCOMA", 0.9)
-        assert _content_hash(explicit) == _content_hash(via_env)
-
     def test_store_bytes_identical_across_paths(self, tmp_path, monkeypatch):
         """End-to-end store check: the exact bytes RunStore writes must
         not depend on the loop that produced the result."""
+        import repro.sim.soatrace as soatrace
         from repro.runtime.spec import RunSpec
         from repro.runtime.store import RunStore
 
         spec = RunSpec(app="fft", arch="ASCOMA", pressure=0.9, scale=SCALE)
-        blobs = []
-        # REPRO_VECTOR_PATH unset (auto, the kernel) and 0 (reference).
-        for value in (None, "0"):
-            monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
-            if value is not None:
-                monkeypatch.setenv("REPRO_VECTOR_PATH", value)
-            store = RunStore(tmp_path / f"store-{value}")
-            path = store.put(spec, spec.execute())
-            blobs.append(path.read_bytes())
-        assert len(set(blobs)) == 1
+
+        def stored(name):
+            store = RunStore(tmp_path / name)
+            return store.put(spec, spec.execute()).read_bytes()
+
+        vector = stored("store-vector")
+        # run_vector answers None, as it does when no kernel loads, so
+        # the engine falls back to the reference loop.
+        monkeypatch.setattr(soatrace, "run_vector", lambda engine: None)
+        assert stored("store-reference") == vector
 
     def test_kernel_availability_probe(self):
         """vector_available() must answer without raising; on CI's
@@ -590,45 +581,21 @@ class TestWatchedKinds:
         samplers = {}
 
         def attach(engine):
-            samplers[engine.vector_mode] = TimeSeriesSampler().attach(engine)
+            samplers[engine.vector_path] = TimeSeriesSampler().attach(engine)
 
         r_ref, _ = watched_replay(monkeypatch, cell, False, attach)
         r_vec, outcomes = watched_replay(monkeypatch, cell, True, attach)
         assert outcomes == [True]
-        ref = [s.as_dict() for s in samplers["off"].samples]
-        vec = [s.as_dict() for s in samplers["auto"].samples]
+        ref = [s.as_dict() for s in samplers[False].samples]
+        vec = [s.as_dict() for s in samplers[True].samples]
         assert ref and vec == ref
         assert r_vec == r_ref
 
 
-class TestVectorPathSelection:
-    """``REPRO_VECTOR_PATH`` / ``vector_path`` selection: the only loop
-    selector.  ``off`` spellings pick the reference loop; everything
-    else dispatches through the kernel when the run is eligible."""
-
-    def _engine(self, **kwargs):
-        wl = get_workload("fft", SCALE)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5)
-        return Engine(wl, scaled_policy("ASCOMA"), config=cfg, **kwargs)
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("yes", True), ("0", False), ("", True),
-    ])
-    def test_env_var_selects_vector(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_VECTOR_PATH", value)
-        assert (self._engine().vector_mode != "off") is expected
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "1")
-        assert self._engine(vector_path=False).vector_mode == "off"
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "0")
-        assert self._engine(vector_path=True).vector_mode == "auto"
-
-
 class TestVectorModeSelection:
-    """The two-state dispatch behind the ctor boolean: ``auto``
-    (default) replays through the kernel whenever eligible, ``off``
-    pins the reference loop."""
+    """Loop selection: ``Engine(vector_path=True)``, the default, tries
+    the kernel and falls back loss-free; ``vector_path=False`` runs the
+    reference loop directly."""
 
     def _engine(self, **kwargs):
         wl = get_workload("fft", SCALE)
@@ -636,91 +603,21 @@ class TestVectorModeSelection:
         return Engine(wl, scaled_policy("ASCOMA"), config=cfg, **kwargs)
 
     def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
-        assert self._engine().vector_mode == "auto"
-
-    @pytest.mark.parametrize("value,expected", [
-        ("", "auto"), ("auto", "auto"), ("AUTO", "auto"),
-        ("0", "off"), ("off", "off"), ("no", "off"), ("false", "off"),
-        ("1", "auto"), ("yes", "auto"), ("on", "auto"),
-    ])
-    def test_env_mode_table(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_VECTOR_PATH", value)
-        from repro.sim.engine import default_vector_mode
-        assert default_vector_mode() == expected
-        assert self._engine().vector_mode == expected
-
-    def test_ctor_booleans_map_to_modes(self):
-        assert self._engine(vector_path=True).vector_mode == "auto"
-        assert self._engine(vector_path=False).vector_mode == "off"
-
-    @pytest.mark.parametrize("value", [" 1 ", "ON", " yes", "True",
-                                       "\toff\t", " FALSE "])
-    def test_env_values_are_stripped_and_case_folded(self, monkeypatch,
-                                                     value):
-        monkeypatch.setenv("REPRO_VECTOR_PATH", value)
-        from repro.sim.engine import default_vector_mode
-        expected = "auto" if value.strip().lower() in ("1", "on", "yes",
-                                                       "true") else "off"
-        assert default_vector_mode() == expected
-
-    @pytest.mark.parametrize("garbage", ["2", "of", "fasle", "vector",
-                                         "-1", "y", "enable", "onoff"])
-    def test_garbage_env_warns_and_falls_back_to_auto(self, monkeypatch,
-                                                      garbage):
-        """An unrecognized value must not pin the reference loop: it
-        warns and defers to auto dispatch."""
-        monkeypatch.setenv("REPRO_VECTOR_PATH", garbage)
-        from repro.sim.engine import default_vector_mode
-        with pytest.warns(RuntimeWarning, match="REPRO_VECTOR_PATH"):
-            assert default_vector_mode() == "auto"
-        with pytest.warns(RuntimeWarning):
-            assert self._engine().vector_mode == "auto"
-
-    def test_whitespace_only_env_is_auto_without_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "   ")
-        from repro.sim.engine import default_vector_mode
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_vector_mode() == "auto"
-
-    def test_ctor_beats_garbage_env(self, monkeypatch):
-        """An explicit ctor choice wins over whatever the environment
-        says, garbage included (the env is not even consulted, so no
-        warning fires)."""
-        import warnings
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "fasle")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert self._engine(vector_path=True).vector_mode == "auto"
-            assert self._engine(vector_path=False).vector_mode == "off"
-
-    def test_cost_model_substrate_honours_strict_parsing(self, monkeypatch):
-        """The LPT cost model reads the env through the same parser: a
-        typo'd 'off' must not silently flip its weight table."""
-        from repro.runtime.costs import _vector_substrate
-        from repro.sim.soatrace import vector_available
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "off")
-        assert _vector_substrate() is False
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "of")  # typo != off
-        with pytest.warns(RuntimeWarning):
-            assert _vector_substrate() is vector_available()
-
-    @pytest.mark.parametrize("kwargs,env,expect_kernel", [
-        ({}, {}, True),                                # auto
-        ({"vector_path": True}, {}, True),             # explicit auto
-        ({"vector_path": False}, {}, False),           # explicit off
-        ({}, {"REPRO_VECTOR_PATH": "off"}, False),     # env off
-    ])
-    def test_dispatch_reaches_kernel(self, monkeypatch, kwargs, env,
-                                     expect_kernel):
-        """run() must actually route through run_vector exactly when
-        the mode says so (auto included), falling back losslessly."""
+        """A default-constructed engine picks its loop itself: it tries
+        the kernel first, on any host."""
         import repro.sim.soatrace as soatrace
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+        calls = []
+        monkeypatch.setattr(soatrace, "run_vector",
+                            lambda engine: calls.append(engine))
+        engine = self._engine()
+        engine.run()
+        assert calls == [engine]
+
+    @pytest.mark.parametrize("vector_path", [True, False])
+    def test_dispatch_reaches_kernel(self, monkeypatch, vector_path):
+        """run() must route through run_vector exactly when the
+        constructor asks for the kernel, falling back losslessly."""
+        import repro.sim.soatrace as soatrace
         calls = []
 
         def probe(engine):
@@ -728,8 +625,8 @@ class TestVectorModeSelection:
             return None  # degrade: the engine must finish on the reference
 
         monkeypatch.setattr(soatrace, "run_vector", probe)
-        result = self._engine(**kwargs).run().to_dict()
-        assert bool(calls) is expect_kernel
+        result = self._engine(vector_path=vector_path).run().to_dict()
+        assert bool(calls) is vector_path
         assert result == self._engine(vector_path=False).run().to_dict()
 
     def test_checked_cell_rides_the_kernel(self, monkeypatch):
@@ -739,7 +636,6 @@ class TestVectorModeSelection:
         import repro.sim.soatrace as soatrace
         from repro.runtime.spec import RunSpec
 
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
         if not vector_available():
             pytest.skip("compiled kernel unavailable")
         vector_outcomes = []
@@ -768,9 +664,8 @@ class TestDefaultPathEngagesKernel:
     """The parity suites prove the kernel is *correct* when selected;
     these prove it is *selected* on the paths users take: a
     default-constructed engine, a cell observed the way ``--obs``
-    observes it, and cells on executor pool workers.  Each clears
-    ``REPRO_VECTOR_PATH`` (so the kernel-off CI leg runs it too) and
-    requires every ``run_vector`` call to return a clock."""
+    observes it, and cells on executor pool workers.  Each requires
+    every ``run_vector`` call to return a clock."""
 
     @staticmethod
     def _probe(monkeypatch, record):
@@ -795,11 +690,7 @@ class TestDefaultPathEngagesKernel:
         (or a dispatch typo) would otherwise degrade every default run
         to the reference loop silently."""
         from repro.sim import soatrace
-        from repro.sim.engine import default_vector_mode
 
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
-        assert default_vector_mode() == "auto", (
-            "a clean environment must dispatch in vector-auto mode")
         if not soatrace.vector_available():
             pytest.skip("compiled SoA kernel unavailable on this host")
 
@@ -823,7 +714,6 @@ class TestDefaultPathEngagesKernel:
         from repro.runtime import RunSpec, execute
         from repro.runtime.spec import RunFailure
 
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
         if not vector_available():
             pytest.skip("compiled SoA kernel unavailable on this host")
         outcomes = []
@@ -847,7 +737,6 @@ class TestDefaultPathEngagesKernel:
         from repro.runtime import RunSpec, execute
         from repro.runtime.spec import RunFailure
 
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
         if not vector_available():
             pytest.skip("compiled SoA kernel unavailable on this host")
         log = tmp_path / "outcomes"

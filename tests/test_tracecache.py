@@ -320,53 +320,22 @@ class TestCostModel:
         specs = [RunSpec("fft", "ASCOMA", 0.7),
                  RunSpec("ocean", "ASCOMA", 0.7),
                  RunSpec("fft", "RNUMA", 0.7)]
-        events_of = {("fft", 0.5): 100, ("ocean", 0.5): 1000}
+        events_of = {("fft", 0.5, ()): 100, ("ocean", 0.5, ()): 1000}
         ordered = lpt_order(specs, events_of)
         assert [s.app for s in ordered] == ["ocean", "fft", "fft"]
-        # Among equal event counts the heavier architecture goes first
-        # (R-NUMA outweighs AS-COMA in both weight tables).
+        # Among equal event counts the heavier architecture goes first.
         assert ordered[1].arch == "RNUMA"
 
     def test_lpt_unknown_workload_sorts_last(self):
         good = RunSpec("fft", "ASCOMA", 0.7)
         bad = RunSpec("nope", "ASCOMA", 0.7)
-        ordered = lpt_order([bad, good], {("fft", 0.5): 10})
+        ordered = lpt_order([bad, good], {("fft", 0.5, ()): 10})
         assert ordered == [good, bad]
 
     def test_spec_cost_uses_arch_weight(self):
         base = spec_cost(RunSpec("fft", "ASCOMA", 0.7), events=1000)
         heavy = spec_cost(RunSpec("fft", "RNUMA", 0.7), events=1000)
         assert heavy > base == 1000
-
-    def test_vector_weight_table_selected_explicitly(self):
-        from repro.runtime.costs import VECTOR_ARCH_WEIGHTS
-        base = spec_cost(RunSpec("fft", "ASCOMA", 0.7), events=1000,
-                         vector=True)
-        heavy = spec_cost(RunSpec("fft", "SCOMA", 0.7), events=1000,
-                          vector=True)
-        assert base == 1000
-        assert heavy == 1000 * VECTOR_ARCH_WEIGHTS["SCOMA"]
-        # The vector table reshuffles ranks, it does not just rescale:
-        # pure S-COMA's daemon runs leave the kernel, so its relative
-        # cost is far higher there than in the reference loop.
-        assert heavy / base > spec_cost(
-            RunSpec("fft", "SCOMA", 0.7), events=1000, vector=False) / 1000
-
-    def test_substrate_probe_respects_pinned_off(self, monkeypatch):
-        from repro.runtime import costs
-        monkeypatch.setenv("REPRO_VECTOR_PATH", "0")
-        assert costs._vector_substrate() is False
-
-    def test_lpt_vector_flag_changes_ranks_not_membership(self):
-        specs = [RunSpec("fft", arch, 0.7)
-                 for arch in ("ASCOMA", "CCNUMA", "SCOMA")]
-        events_of = {("fft", 0.5): 1000}
-        scalar = lpt_order(specs, events_of, vector=False)
-        vector = lpt_order(specs, events_of, vector=True)
-        assert sorted(s.arch for s in scalar) == \
-            sorted(s.arch for s in vector)
-        assert scalar[0].arch == "CCNUMA"  # the scalar outlier leads
-        assert vector[0].arch == "SCOMA"   # the vector outlier leads
 
     def test_submit_chunksize(self):
         assert submit_chunksize(90, 1) == 22

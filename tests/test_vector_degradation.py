@@ -74,7 +74,6 @@ class TestMissingCompiler:
     def test_auto_mode_degrades_identically(self, kernel_sandbox,
                                             monkeypatch):
         """The default ``auto`` dispatch hits the same fallback."""
-        monkeypatch.delenv("REPRO_VECTOR_PATH", raising=False)
         monkeypatch.setattr(soatrace.shutil, "which", lambda name: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
