@@ -153,7 +153,7 @@ def test_serve_warm_beats_cold_cli(tmp_path):
     rounds = 20
     spec = RunSpec("fft", "ASCOMA", MATRIX_PRESSURE, 0.05)
     store = RunStore(tmp_path / "store")
-    execute([spec], store=store, parallel=False)  # prime the cache
+    execute([spec], store=store, max_workers=1)  # prime the cache
 
     src_root = pathlib.Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src_root))

@@ -7,10 +7,8 @@ from .claims import Claim, render_scorecard, validate_all
 from .crossover import crossover_report, find_crossover, relative_time_at
 from .figures import FIGURE_APPS, export_csv, figure_series, render_figure
 from .pagereport import hot_page_report, render_hot_pages
-from .parallel import matrix_specs, run_cells, run_matrix_parallel
+from .parallel import matrix_specs
 from .svg import figure_svg, render_stacked_svg
-from .serialize import (config_from_dict, config_to_dict, load_results,
-                        result_from_dict, result_to_dict, save_results)
 from .report import format_stacked_bars, format_table
 from .tables import (render_table1, render_table2, render_table3,
                      render_table4, render_table5, render_table6, table1,
@@ -44,16 +42,8 @@ __all__ = [
     "hot_page_report",
     "matrix_specs",
     "render_hot_pages",
-    "result_from_dict",
-    "result_to_dict",
     "run_app",
-    "run_cells",
-    "run_matrix_parallel",
     "run_pressure_sweep",
-    "save_results",
-    "load_results",
-    "config_from_dict",
-    "config_to_dict",
     "validate_all",
     "scaled_policy",
     "table1",

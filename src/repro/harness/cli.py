@@ -82,6 +82,14 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """``--workers``: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -165,11 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix",
                        help="run the full evaluation matrix (resumable)")
     p.add_argument("--apps", help="comma-separated app subset (default: all)")
-    p.add_argument("--serial", action="store_true",
-                   help="run inline instead of over a process pool")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="process-pool size (default: one per cell, capped"
-                        " at the CPU count)")
+                        " at the CPU count; 1 runs inline)")
     p.add_argument("--retries", type=int, default=0,
                    help="per-cell retry attempts on failure")
     p.add_argument("--quantum", type=int, default=None,
@@ -467,9 +473,9 @@ def _cmd_matrix(args):
                                 on_event=_print_cell_events)
             outcomes = client.outcomes(job["id"])
     else:
-        outcomes = execute(specs, parallel=not args.serial,
-                           max_workers=args.workers, retries=args.retries,
-                           progress=log_progress, check=args.check)
+        outcomes = execute(specs, max_workers=args.workers,
+                           retries=args.retries, progress=log_progress,
+                           check=args.check)
     failures = [o for o in outcomes.values() if isinstance(o, RunFailure)]
     violations = 0
     per_app: dict = {}

@@ -1,63 +1,23 @@
-"""Parallel execution of the evaluation matrix.
+"""The paper's evaluation matrix as a list of cells.
 
-The full Figure 2/3 matrix is ~100 independent simulations; this module
-fans them out over a process pool via the runtime executor
-(:mod:`repro.runtime.executor`).  Cells are canonical
-:class:`~repro.runtime.spec.RunSpec` values — the legacy
-``(app, arch, pressure, scale)`` tuple API is kept as a thin adapter —
-and workers resolve workloads through the trace cache
-(:mod:`repro.runtime.tracecache`): forked workers inherit the parent's
-pre-warmed traces, spawn workers hit the on-disk store, and only a
-cold cache pays for deterministic regeneration (shipping traces
-through pickle would cost more than either).
+The full Figure 2/3 matrix is ~90 independent simulations.
+:func:`matrix_specs` names them as canonical
+:class:`~repro.runtime.spec.RunSpec` values; the runtime executor
+(:func:`repro.runtime.execute`) fans them out over a process pool,
+dedupes, stores each cell as it finishes and resumes from the store::
 
-Executor guarantees inherited here: duplicate cells are simulated once
-and fanned back out; a failing cell comes back as a
-:class:`~repro.runtime.spec.RunFailure` naming its spec instead of
-killing the pool; with a store attached, already-computed cells resume
-from disk.
+    from repro.harness.parallel import matrix_specs
+    from repro.runtime import execute
+    results = execute(matrix_specs(("em3d",), scale=0.5))
 
-The CLI's ``matrix`` builds its cells with :func:`matrix_specs` and
-hands them to :func:`~repro.runtime.executor.execute` itself;
-:func:`run_cells` and :func:`run_matrix_parallel` are library calls
-for large parameter studies::
-
-    from repro.harness.parallel import run_cells
-    results = run_cells([("em3d", "ASCOMA", p, 0.5)
-                         for p in (0.1, 0.3, 0.5, 0.7, 0.9)])
+The CLI's ``matrix`` command is this call plus progress and a report.
 """
 
 from __future__ import annotations
 
-from ..runtime import RunFailure, RunSpec, execute
-from ..sim.stats import RunResult
+from ..runtime import RunSpec
 
-__all__ = ["run_cell", "run_cells", "run_matrix_parallel", "matrix_specs"]
-
-
-def run_cell(cell: tuple) -> RunResult:
-    """One (app, arch, pressure, scale) simulation; exceptions propagate."""
-    return RunSpec.from_cell(cell).execute()
-
-
-def run_cells(cells: list[tuple], max_workers: int | None = None,
-              parallel: bool = True, *, store=None,
-              refresh: bool | None = None, retries: int = 0,
-              progress=None) -> dict[tuple, RunResult | RunFailure]:
-    """Run many matrix cells, in parallel by default.
-
-    Returns ``{cell: RunResult | RunFailure}`` with one entry per input
-    cell — duplicates are simulated once and fanned back out.
-    ``parallel=False`` runs inline (deterministic single-process path
-    for tests and debugging); *store*/*refresh*/*retries*/*progress*
-    pass straight through to :func:`repro.runtime.execute`.
-    """
-    cells = list(cells)
-    specs = [RunSpec.from_cell(cell) for cell in cells]
-    outcomes = execute(specs, store=store, refresh=refresh,
-                       parallel=parallel, max_workers=max_workers,
-                       retries=retries, progress=progress)
-    return {cell: outcomes[spec] for cell, spec in zip(cells, specs)}
+__all__ = ["matrix_specs"]
 
 
 def matrix_specs(apps=None, scale: float = 0.5,
@@ -87,37 +47,3 @@ def matrix_specs(apps=None, scale: float = 0.5,
                 specs.append(RunSpec.make(app, arch, pressure, scale,
                                           quantum=quantum, sample=sample))
     return specs
-
-
-def run_matrix_parallel(apps=None, scale: float = 0.5,
-                        max_workers: int | None = None, *, store=None,
-                        refresh: bool | None = None, retries: int = 0,
-                        progress=None, strict: bool = True,
-                        quantum: int | None = None, sample=None) -> dict:
-    """The paper's whole matrix, fanned out: {app: {(arch, p): result}}.
-
-    CC-NUMA runs once per app (pressure-insensitive) under the key
-    ``("CCNUMA", None)``, as in
-    :func:`repro.harness.experiment.run_pressure_sweep`.  A non-default
-    *quantum* reaches every cell (the CLI's ``--quantum``).  With
-    ``strict=True`` (default) any failed cell raises a RuntimeError
-    naming the failing specs; ``strict=False`` instead includes the
-    :class:`RunFailure` objects in the mapping for the caller to
-    inspect.
-    """
-    from .experiment import APP_PRESSURES
-    apps = apps or tuple(APP_PRESSURES)
-    specs = matrix_specs(apps, scale, quantum=quantum, sample=sample)
-    outcomes = execute(specs, store=store, refresh=refresh,
-                       max_workers=max_workers, retries=retries,
-                       progress=progress)
-    failures = [o for o in outcomes.values() if isinstance(o, RunFailure)]
-    if failures and strict:
-        names = ", ".join(f.label() for f in failures)
-        raise RuntimeError(f"{len(failures)} matrix cell(s) failed: {names}")
-    out: dict = {app: {} for app in apps}
-    for spec, outcome in outcomes.items():
-        key = (("CCNUMA", None) if spec.arch == "CCNUMA"
-               else (spec.arch, spec.pressure))
-        out[spec.app][key] = outcome
-    return out

@@ -12,13 +12,19 @@ The layer between the simulator core and every harness consumer:
 * :func:`execute` / :func:`execute_spec` — store-aware batch/single
   execution with dedupe, per-cell fault isolation, retry and resume,
   plus warm pool workers and cost-aware (LPT) dispatch
-  (:mod:`repro.runtime.costs`).
+  (:mod:`repro.runtime.costs`).  :func:`execute` is the one path from
+  cells to stored results: it settles (stores, reports) each cell as
+  it finishes, so a dead pool worker loses only the cells it had not
+  returned; with ``max_workers=1`` it runs inline.  Its write-back,
+  :func:`store_result`, is the one the job server (:mod:`repro.serve`)
+  uses too.
 
 See ``docs/runtime.md`` for hashing and cache-invalidation rules.
 """
 
 from .costs import ARCH_WEIGHTS, lpt_order, spec_cost, submit_chunksize
-from .executor import execute, execute_spec, log_progress, run_spec
+from .executor import (execute, execute_spec, log_progress, run_spec,
+                       store_result)
 from .spec import SPEC_VERSION, RunFailure, RunSpec, canonical_arch
 from .store import (STORE_VERSION, RunStore, get_default_refresh,
                     get_default_store, set_default_store, use_store)
@@ -49,6 +55,7 @@ __all__ = [
     "set_default_store",
     "set_default_trace_store",
     "spec_cost",
+    "store_result",
     "submit_chunksize",
     "trace_key",
     "use_store",

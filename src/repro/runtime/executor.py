@@ -1,7 +1,9 @@
 """Batch execution of RunSpecs: dedupe, cache, isolate, retry, resume.
 
-This is the one engine every harness entry point (CLI, figures, tables,
-claims, benchmarks) funnels through.  Guarantees:
+This is the one path from cells to stored results: every harness entry
+point (CLI, figures, tables, claims, benchmarks) funnels through
+:func:`execute`, and the job server shares its write-back
+(:func:`store_result`) and simulate body.  Guarantees:
 
 * **Dedupe before dispatch** — identical specs are simulated once, and
   results fan back out to every requesting position.
@@ -9,17 +11,24 @@ claims, benchmarks) funnels through.  Guarantees:
   attached, cached cells are served from disk and only missing (or
   previously failed — failures are never stored) cells are simulated,
   so an interrupted matrix sweep restarts where it left off.
+* **Settle as they finish** — each cell is written back to the store
+  (and reported) as soon as the pool's in-order result iterator yields
+  it, not after the whole sweep, so a dead worker or a Ctrl-C keeps
+  every cell that came back before it.
 * **Fault isolation** — a failing cell yields a
   :class:`~repro.runtime.spec.RunFailure` naming its spec instead of
-  killing the whole process pool.
+  killing the whole process pool.  A worker that dies
+  (``BrokenProcessPool``) turns each cell not yet yielded into a
+  ``RunFailure`` naming it, with one ``RuntimeWarning`` per call.
 * **Optional retry** — transient failures can be retried per cell.
 * **Progress** — an optional callback sees one event per cell
   (``"hit" | "run" | "fail" | "store-fail"``); :func:`log_progress`
   prints them.
 * **Store-fault isolation** — a raising ``store.put`` (disk full,
   permissions, corrupt store dir) after a successful simulation keeps
-  the :class:`~repro.sim.stats.RunResult` and surfaces a
-  ``"store-fail"`` progress event instead of killing the sweep.
+  the :class:`~repro.sim.stats.RunResult`, surfaces a ``"store-fail"``
+  progress event and ends the call with one ``RuntimeWarning`` naming
+  how many cells were left unstored.
 
 Observability (PR 5): with a :class:`~repro.obs.SpanRecorder` attached
 (explicitly via ``obs=`` or ambiently via
@@ -32,14 +41,15 @@ adaptive-backoff time series through a kind-filtered
 records in memory and the parent merges them into the sink.  With no
 recorder attached every instrumentation site is one ``is None`` check.
 
-Matrix-throughput machinery (PR 4): before dispatching, the parent
-pre-warms each distinct ``(app, scale)`` workload through the trace
-cache — forked workers inherit the traces, and on spawn platforms the
-pool *initializer* re-installs the ambient
+Matrix-throughput machinery (PR 4): with more than one worker, the
+parent pre-warms each distinct ``(app, scale)`` workload through the
+trace cache — forked workers inherit the traces, and on spawn
+platforms the pool *initializer* re-installs the ambient
 :class:`~repro.runtime.tracecache.TraceStore` and pre-imports the
 simulator so a worker's first cell pays no import/generation cost.
 Cells dispatch costliest-first (LPT, see :mod:`repro.runtime.costs`)
-in chunks sized to amortise pickle round-trips.
+in chunks sized to amortise pickle round-trips.  With one worker the
+cells run inline, in submission order.
 """
 
 from __future__ import annotations
@@ -48,7 +58,9 @@ import contextlib
 import os
 import sys
 import traceback
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from ..obs import get_default_obs, worker_recorder
 from ..sim.stats import RunResult
@@ -57,7 +69,8 @@ from .spec import RunFailure, RunSpec
 from .store import get_default_refresh, get_default_store
 from .tracecache import get_default_trace_store
 
-__all__ = ["execute", "execute_spec", "run_spec", "log_progress"]
+__all__ = ["execute", "execute_spec", "run_spec", "store_result",
+           "log_progress"]
 
 
 def _span(obs, name: str, **fields):
@@ -66,35 +79,71 @@ def _span(obs, name: str, **fields):
             else contextlib.nullcontext())
 
 
+def _simulate(spec: RunSpec, check: bool, obs, attempt: int = 0) -> RunResult:
+    """Run one cell's simulation, under telemetry when *obs* is set.
+
+    With an *obs* :class:`~repro.obs.SpanRecorder`, the attempt is
+    wrapped in a ``cell`` span containing a ``simulate`` span, and the
+    simulation's backoff time series (collected through a kind-filtered
+    :class:`~repro.obs.BackoffTelemetry`) is merged into the record
+    stream together with one ``backoff_summary`` record.  Exceptions
+    propagate.
+    """
+    if obs is None:
+        return spec.execute(check=check)
+    from ..obs import BackoffTelemetry
+    telemetry = BackoffTelemetry()
+    with obs.span("cell", spec=spec, attempt=attempt):
+        with obs.span("simulate", spec=spec):
+            result = spec.execute(check=check, telemetry=telemetry)
+        obs.backoff_rows(spec, telemetry.rows)
+        obs.emit("backoff_summary", spec=spec.label(),
+                 spec_hash=spec.spec_hash(), **telemetry.counters())
+    return result
+
+
 def run_spec(spec: RunSpec, retries: int = 0, check: bool = False,
              obs=None) -> RunResult | RunFailure:
     """Execute one spec, converting exceptions into :class:`RunFailure`.
 
-    With an *obs* :class:`~repro.obs.SpanRecorder`, each attempt is
-    wrapped in a ``cell`` span containing a ``simulate`` span, and a
-    successful simulation's backoff time series (collected through a
-    kind-filtered :class:`~repro.obs.BackoffTelemetry`) is merged into
-    the record stream together with one ``backoff_summary`` record.
+    Each attempt records the telemetry of :func:`_simulate` when an
+    *obs* recorder is given.
     """
     attempt = 0
     while True:
         try:
-            if obs is None:
-                return spec.execute(check=check)
-            from ..obs import BackoffTelemetry
-            telemetry = BackoffTelemetry()
-            with obs.span("cell", spec=spec, attempt=attempt):
-                with obs.span("simulate", spec=spec):
-                    result = spec.execute(check=check, telemetry=telemetry)
-                obs.backoff_rows(spec, telemetry.rows)
-                obs.emit("backoff_summary", spec=spec.label(),
-                         spec_hash=spec.spec_hash(), **telemetry.counters())
-            return result
+            return _simulate(spec, check, obs, attempt)
         except Exception as exc:  # noqa: BLE001 - isolation is the point
             if attempt >= retries:
                 return RunFailure(spec, f"{type(exc).__name__}: {exc}",
                                   traceback.format_exc())
             attempt += 1
+
+
+def store_result(store, spec: RunSpec, result: RunResult,
+                 obs=None) -> str | None:
+    """Write one simulated result back to *store*; never raises.
+
+    The write-back :func:`execute` and the job server share.  Returns
+    ``None`` once the result is stored (or when *store* is ``None``),
+    or the error summary when ``store.put`` raised (disk full,
+    permissions, corrupt store dir): the cell simulated fine and its
+    result is kept by the caller, it just will not resume from the
+    store next time.  With an *obs* recorder the put is timed as a
+    ``store_put`` span and a failure is recorded as a ``store-fail``
+    event.
+    """
+    if store is None:
+        return None
+    try:
+        with _span(obs, "store_put", spec=spec):
+            store.put(spec, result)
+    except Exception as exc:  # noqa: BLE001 - keep the result
+        detail = f"{type(exc).__name__}: {exc}"
+        if obs is not None:
+            obs.event("store-fail", spec=spec, error=detail)
+        return detail
+    return None
 
 
 def _pool_worker(payload: tuple) -> tuple:
@@ -180,25 +229,23 @@ def log_progress(event: str, spec: RunSpec, detail: str = "",
 
 
 def execute(specs, *, store=None, refresh: bool | None = None,
-            parallel: bool = True, max_workers: int | None = None,
-            retries: int = 0, progress=None, check: bool = False,
-            obs=None) -> dict:
+            max_workers: int | None = None, retries: int = 0,
+            progress=None, check: bool = False, obs=None) -> dict:
     """Run many specs; returns ``{spec: RunResult | RunFailure}``.
 
     *store* defaults to the ambient store (``None`` disables caching);
     *refresh* forces re-simulation of cached cells (results are still
-    written back).  ``parallel=False`` runs inline in deterministic
-    order — the path tests use.  ``check=True`` attaches the online
-    invariant checker to every cell and bypasses the store entirely
-    (checked results carry extra fields and must not pollute the cache,
-    and cached results carry no violation counts).
+    written back).  ``check=True`` attaches the online invariant
+    checker to every cell and bypasses the store entirely (checked
+    results carry extra fields and must not pollute the cache, and
+    cached results carry no violation counts).
 
-    ``parallel=True`` pre-warms workloads, dispatches costliest-first
-    and chunks submissions (see the module docstring); when only one
-    worker would be used the pool is skipped entirely and cells run
-    inline — same results, none of the fork/pickle overhead.  An
-    explicit *max_workers* is clamped to the number of cells actually
-    dispatched, so a generous ``--workers`` never forks idle workers.
+    *max_workers* (default: the CPU count) is clamped to the number of
+    cells actually dispatched, so a generous ``--workers`` never forks
+    idle workers.  With one worker the cells run inline in submission
+    order — the deterministic path tests use, none of the fork/pickle
+    overhead; with more, the pool path of the module docstring.  Either
+    way each cell is settled (stored, reported) as it finishes.
 
     *obs* is an optional :class:`~repro.obs.SpanRecorder` (defaulting
     to the ambient one, see :func:`repro.obs.use_obs`); with one
@@ -215,16 +262,9 @@ def execute(specs, *, store=None, refresh: bool | None = None,
     if obs is None:
         obs = get_default_obs()
 
-    unique: list[RunSpec] = []
-    seen: set[RunSpec] = set()
-    for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
-            unique.append(spec)
-
     results: dict = {}
     todo: list[RunSpec] = []
-    for spec in unique:
+    for spec in dict.fromkeys(specs):
         cached = None if (store is None or refresh) else store.get(spec)
         if cached is not None:
             results[spec] = cached
@@ -235,62 +275,68 @@ def execute(specs, *, store=None, refresh: bool | None = None,
         else:
             todo.append(spec)
 
-    if todo:
-        workers = min(max_workers or (os.cpu_count() or 2), len(todo))
-        if parallel and workers > 1:
-            with _span(obs, "prewarm", cells=len(todo)):
-                events_of = _prewarm(todo)
-            ordered = lpt_order(todo, events_of)
-            trace_store = get_default_trace_store()
-            trace_root = str(trace_store.root) if trace_store else None
-            chunk = submit_chunksize(len(ordered), workers)
-            payloads = [(spec, retries, check, obs is not None)
-                        for spec in ordered]
+    unstored: list[str] = []
+
+    def settle(spec: RunSpec, outcome, records=None) -> None:
+        if obs is not None and records:
+            obs.merge(records)
+        results[spec] = outcome
+        if isinstance(outcome, RunFailure):
+            if obs is not None:
+                obs.event("fail", spec=spec, error=outcome.error)
+            if progress:
+                progress("fail", spec, outcome.error)
+            return
+        detail = store_result(store, spec, outcome, obs)
+        if detail is None:
+            if progress:
+                progress("run", spec)
+        else:
+            unstored.append(detail)
+            if progress:
+                progress("store-fail", spec, detail)
+
+    workers = min(max_workers or (os.cpu_count() or 2), len(todo))
+    if workers > 1:
+        with _span(obs, "prewarm", cells=len(todo)):
+            events_of = _prewarm(todo)
+        ordered = lpt_order(todo, events_of)
+        trace_store = get_default_trace_store()
+        trace_root = str(trace_store.root) if trace_store else None
+        chunk = submit_chunksize(len(ordered), workers)
+        payloads = [(spec, retries, check, obs is not None)
+                    for spec in ordered]
+        try:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_pool_init,
                                      initargs=(trace_root,)) as pool, \
                     _span(obs, "dispatch", cells=len(todo), workers=workers,
                           pool="warm"):
                 outcomes = pool.map(_pool_worker, payloads, chunksize=chunk)
-                pairs = list(zip(ordered, outcomes))
-        else:
-            if parallel and len(todo) > 1:
-                with _span(obs, "prewarm", cells=len(todo)):
-                    _prewarm(todo)  # single worker: still warm the memo once
-            with _span(obs, "dispatch", cells=len(todo), workers=1,
-                       pool="inline"):
-                # Inline cells record straight into the parent's sink.
-                pairs = [(spec, (run_spec(spec, retries, check, obs=obs),
-                                 None))
-                         for spec in todo]
-        for spec, (outcome, records) in pairs:
-            if obs is not None and records:
-                obs.merge(records)
-            results[spec] = outcome
-            if isinstance(outcome, RunFailure):
-                if obs is not None:
-                    obs.event("fail", spec=spec, error=outcome.error)
-                if progress:
-                    progress("fail", spec, outcome.error)
-                continue
-            stored = True
-            if store is not None:
-                try:
-                    with _span(obs, "store_put", spec=spec):
-                        store.put(spec, outcome)
-                except Exception as exc:  # noqa: BLE001 - keep the result
-                    # The cell simulated fine; a failing write-back
-                    # (disk full, permissions, corrupt store dir) must
-                    # not kill the sweep — the result is still returned,
-                    # it just will not resume from the store next time.
-                    stored = False
-                    detail = f"{type(exc).__name__}: {exc}"
-                    if obs is not None:
-                        obs.event("store-fail", spec=spec, error=detail)
-                    if progress:
-                        progress("store-fail", spec, detail)
-            if stored and progress:
-                progress("run", spec)
+                for spec, (outcome, records) in zip(ordered, outcomes):
+                    settle(spec, outcome, records)
+        except BrokenProcessPool as exc:
+            # A worker died (OOM kill, os._exit, a signal): every cell
+            # already yielded is settled; the rest fail, naming the cause.
+            error = f"{type(exc).__name__}: {exc}"
+            trace = traceback.format_exc()
+            lost = [spec for spec in ordered if spec not in results]
+            for spec in lost:
+                settle(spec, RunFailure(spec, error, trace))
+            warnings.warn(
+                f"a pool worker died; {len(lost)} of {len(todo)} cell(s)"
+                f" came back as failures ({error}); re-run to resume them",
+                RuntimeWarning, stacklevel=2)
+    elif todo:
+        with _span(obs, "dispatch", cells=len(todo), workers=1,
+                   pool="inline"):
+            # Inline cells record straight into the parent's sink.
+            for spec in todo:
+                settle(spec, run_spec(spec, retries, check, obs=obs))
+    if unstored:
+        warnings.warn(
+            f"{len(unstored)} simulated cell(s) left unstored; first error:"
+            f" {unstored[0]}", RuntimeWarning, stacklevel=2)
     return results
 
 
@@ -300,11 +346,13 @@ def execute_spec(spec: RunSpec, *, store=None, refresh: bool | None = None,
 
     The single-cell path ``run_app`` and friends use: store-aware like
     :func:`execute`, but a failure raises — callers asking for exactly
-    one result want the exception, not a wrapper.  ``check=True``
-    attaches the online invariant checker and bypasses the store.
-    With an *obs* recorder (explicit or ambient) the cell records the
-    same ``cell``/``simulate``/``store_put`` spans and backoff series
-    as the batch path.
+    one result want the exception, not a wrapper.  That includes a
+    raising ``store.put``, so this path writes back with
+    ``store.put`` itself rather than :func:`store_result`.
+    ``check=True`` attaches the online invariant checker and bypasses
+    the store.  With an *obs* recorder (explicit or ambient) the cell
+    records the same ``cell``/``simulate``/``store_put`` spans and
+    backoff series as the batch path.
     """
     if obs is None:
         obs = get_default_obs()
@@ -321,17 +369,7 @@ def execute_spec(spec: RunSpec, *, store=None, refresh: bool | None = None,
                 if obs is not None:
                     obs.event("hit", spec=spec)
                 return cached
-    if obs is None:
-        result = spec.execute(check=check)
-    else:
-        from ..obs import BackoffTelemetry
-        telemetry = BackoffTelemetry()
-        with obs.span("cell", spec=spec):
-            with obs.span("simulate", spec=spec):
-                result = spec.execute(check=check, telemetry=telemetry)
-            obs.backoff_rows(spec, telemetry.rows)
-            obs.emit("backoff_summary", spec=spec.label(),
-                     spec_hash=spec.spec_hash(), **telemetry.counters())
+    result = _simulate(spec, check, obs)
     if store is not None:
         with _span(obs, "store_put", spec=spec):
             store.put(spec, result)

@@ -115,16 +115,6 @@ class RunSpec:
                    _freeze(policy_overrides), _freeze(config_overrides),
                    quantum, _freeze_sample(sample))
 
-    @classmethod
-    def from_cell(cls, cell: tuple) -> "RunSpec":
-        """Adapt a legacy ``(app, arch, pressure, scale)`` tuple."""
-        app, arch, pressure, scale = cell
-        return cls(app, arch, pressure, scale)
-
-    def cell(self) -> tuple:
-        """The legacy tuple form (drops overrides and quantum)."""
-        return (self.app, self.arch, self.pressure, self.scale)
-
     # -- serialisation / hashing ---------------------------------------
     def to_dict(self) -> dict:
         out = {

@@ -22,10 +22,11 @@ Guarantees, mirroring (and built on) :mod:`repro.runtime.executor`:
   state ``failed``), never a dead server.  A killed pool worker breaks
   only the cells in flight on that pool; the pool is rebuilt lazily
   and subsequent submits succeed.
-* **Store parity** — results are written through the same
-  :meth:`RunStore.put` as in-process runs, in the parent, producing
-  byte-identical artifacts; a raising ``put`` keeps the result and
-  surfaces the executor's ``store-fail`` tag as a protocol event.
+* **Store parity** — results are written back in the parent through
+  the executor's own :func:`~repro.runtime.executor.store_result`, so
+  server and in-process runs produce byte-identical artifacts; a
+  raising ``put`` keeps the result and surfaces the executor's
+  ``store-fail`` tag as a protocol event.
 * **Backpressure** — at most ``max_queued`` jobs may be live at once;
   beyond that, submits are rejected with the ``backpressure`` error
   code instead of queueing unboundedly.
@@ -60,7 +61,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from ..runtime import RunFailure, RunSpec
-from ..runtime.executor import _pool_init, _pool_worker
+from ..runtime.executor import _pool_init, _pool_worker, store_result
 from ..runtime.tracecache import set_default_trace_store
 from ..sim.events import EventBus
 from ..sim.stats import RunResult
@@ -332,20 +333,13 @@ class JobServer:
                 self.obs.event("run", spec=spec)
         if isinstance(outcome, RunResult):
             self.stats["simulated"] += 1
-            if self.store is not None:
-                try:
-                    self.store.put(spec, outcome)
-                except Exception as exc:  # noqa: BLE001 - keep the result
-                    # Same contract as the executor: a failing
-                    # write-back must not lose a simulated result.
-                    detail = f"{type(exc).__name__}: {exc}"
-                    self.stats["store_failures"] += 1
-                    job.bump("store-fail")
-                    if self.obs is not None:
-                        self.obs.event("store-fail", spec=spec, error=detail)
-                    self.bus.publish(EV_CELL, -1, -1, job=job.id,
-                                     name="store-fail", spec=spec.label(),
-                                     spec_hash=spec.spec_hash(), error=detail)
+            detail = store_result(self.store, spec, outcome, self.obs)
+            if detail is not None:
+                self.stats["store_failures"] += 1
+                job.bump("store-fail")
+                self.bus.publish(EV_CELL, -1, -1, job=job.id,
+                                 name="store-fail", spec=spec.label(),
+                                 spec_hash=spec.spec_hash(), error=detail)
         return outcome
 
     # ------------------------------------------------------------------

@@ -1115,6 +1115,10 @@ def _compiler_id(cc: str) -> str:
     return f"{real}:{st.st_size}:{st.st_mtime_ns}"
 
 
+class _UnusableCache(Exception):
+    """``$REPRO_VECTOR_CACHE`` cannot be created or written."""
+
+
 def _build_library() -> str | None:
     """Compile the kernel into a shared library keyed by what built it.
 
@@ -1125,9 +1129,11 @@ def _build_library() -> str | None:
     the same flags loads, so a prebuilt cache keeps working.
 
     Returns the ``.so`` path, or ``None`` when no library exists and
-    none can be built.  The build is atomic (compile to a temp name,
-    ``os.replace`` into place) so concurrent processes -- the
-    executor's worker pool warms up in parallel -- race benignly.
+    none can be built; raises :class:`_UnusableCache` when the cache
+    directory cannot be created or written, so the warning names it.
+    The build is atomic (compile to a temp name, ``os.replace`` into
+    place) so concurrent processes -- the executor's worker pool warms
+    up in parallel -- race benignly.
     """
     flags = _cflags()
     key = hashlib.sha256("\0".join([_C_SOURCE, *flags]).encode()
@@ -1143,8 +1149,12 @@ def _build_library() -> str | None:
         so_path = os.path.join(cache, f"soakernel-{key}-{cc_key}.so")
         if os.path.exists(so_path):
             return so_path
-        os.makedirs(cache, exist_ok=True)
-        fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
+        try:
+            os.makedirs(cache, exist_ok=True)
+            fd, c_path = tempfile.mkstemp(suffix=".c", dir=cache)
+        except OSError as exc:
+            raise _UnusableCache(
+                f"kernel cache directory {cache} is unusable: {exc}") from exc
         with os.fdopen(fd, "w") as f:
             f.write(_C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
@@ -1198,6 +1208,8 @@ def _load_kernel():
         return None
     try:
         so_path = _build_library()
+    except _UnusableCache as exc:
+        return _fail(str(exc))
     except Exception as exc:  # unexpected build-machinery failure
         return _fail(f"kernel build error: {exc}")
     if so_path is None:

@@ -190,8 +190,8 @@ class RunResult:
     def to_dict(self) -> dict:
         """JSON-compatible form; round-trips through :meth:`from_dict`.
 
-        The canonical result serialisation: ``harness.serialize`` and
-        the runtime result store both build on this pair.
+        The canonical result serialisation: the runtime result store
+        builds on this pair.
         """
         return {
             "architecture": self.architecture,

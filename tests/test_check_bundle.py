@@ -108,5 +108,5 @@ class TestCheckCli:
 
     def test_matrix_check_flag_reports(self, capsys):
         assert main(["--scale", "0.2", "matrix", "--apps", "fft",
-                     "--serial", "--check"]) == 0
+                     "--workers", "1", "--check"]) == 0
         assert "0 violation(s) across" in capsys.readouterr().out

@@ -423,6 +423,6 @@ class TestRuntimeIntegration:
         result = execute_spec(spec, store=store, check=True)
         assert result.invariant_violations == 0
         assert store.get(spec) is None  # nothing cached
-        outcomes = execute([spec], store=store, parallel=False, check=True)
+        outcomes = execute([spec], store=store, max_workers=1, check=True)
         assert outcomes[spec].invariant_violations == 0
         assert store.get(spec) is None

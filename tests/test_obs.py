@@ -284,7 +284,7 @@ class TestAcceptance:
         sink = ObsSink(tmp_path, run_id="acc")
         t0 = time.perf_counter()
         with use_obs(SpanRecorder(sink)):
-            results = execute(specs, store=None, parallel=False)
+            results = execute(specs, store=None, max_workers=1)
         wall = time.perf_counter() - t0
         sink.close()
         assert all(hasattr(r, "execution_time") for r in results.values())
@@ -339,9 +339,9 @@ class TestAcceptance:
         spec = RunSpec("fft", "ASCOMA", 0.5, SCALE)
         plain_store = RunStore(tmp_path / "plain")
         obs_store = RunStore(tmp_path / "obs")
-        execute([spec], store=plain_store, parallel=False)
+        execute([spec], store=plain_store, max_workers=1)
         with use_obs(worker_recorder()):
-            execute([spec], store=obs_store, parallel=False)
+            execute([spec], store=obs_store, max_workers=1)
         plain = plain_store.path_for(spec).read_text()
         observed = obs_store.path_for(spec).read_text()
         assert plain == observed

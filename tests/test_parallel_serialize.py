@@ -1,15 +1,15 @@
-"""Tests for parallel matrix execution and config/result serialization."""
+"""Tests for matrix execution over the executor and for the config and
+result dict round-trips."""
 
+import json
 import math
 
-
 from repro.harness.experiment import run_app
-from repro.harness.parallel import run_cell, run_cells, run_matrix_parallel
-from repro.harness.serialize import (config_from_dict, config_to_dict,
-                                     load_results, result_from_dict,
-                                     result_to_dict, save_results)
+from repro.harness.parallel import matrix_specs
 from repro.kernel.costs import KernelCosts
-from repro.sim.config import SystemConfig
+from repro.runtime import RunSpec, execute
+from repro.sim.config import SystemConfig, config_from_dict, config_to_dict
+from repro.sim.stats import RunResult
 
 SCALE = 0.2
 
@@ -28,75 +28,53 @@ class TestSerializeConfig:
         assert again.kernel.page_remap == 1234
 
     def test_dict_is_json_compatible(self):
-        import json
         json.dumps(config_to_dict(SystemConfig()))
 
 
 class TestSerializeResults:
     def test_result_roundtrip(self):
         result = run_app("fft", "ASCOMA", 0.5, scale=SCALE)
-        again = result_from_dict(result_to_dict(result))
+        again = RunResult.from_dict(result.to_dict())
         assert again.architecture == result.architecture
         assert again.aggregate().as_dict() == result.aggregate().as_dict()
         assert again.execution_time() == result.execution_time()
 
-    def test_save_load_file(self, tmp_path):
-        results = {("ASCOMA", 0.5): run_app("fft", "ASCOMA", 0.5, SCALE)}
-        path = tmp_path / "run.json"
-        save_results(str(path), results, config=SystemConfig(n_nodes=8))
-        config, loaded = load_results(str(path))
-        assert config.n_nodes == 8
-        assert ("ASCOMA", 0.5) in loaded
-        assert loaded[("ASCOMA", 0.5)].aggregate().total_cycles() == \
-            results[("ASCOMA", 0.5)].aggregate().total_cycles()
-
-    def test_save_without_config(self, tmp_path):
-        path = tmp_path / "run.json"
-        save_results(str(path), {})
-        config, loaded = load_results(str(path))
-        assert config is None and loaded == {}
-
 
 class TestParallel:
     def test_run_cell_matches_run_app(self):
-        a = run_cell(("fft", "CCNUMA", 0.5, SCALE))
+        a = RunSpec("fft", "CCNUMA", 0.5, SCALE).execute()
         b = run_app("fft", "CCNUMA", 0.5, scale=SCALE)
         assert a.aggregate().as_dict() == b.aggregate().as_dict()
 
     def test_inline_path(self):
-        cells = [("fft", "CCNUMA", 0.5, SCALE), ("fft", "ASCOMA", 0.5, SCALE)]
-        results = run_cells(cells, parallel=False)
-        assert set(results) == set(cells)
+        specs = [RunSpec("fft", "CCNUMA", 0.5, SCALE),
+                 RunSpec("fft", "ASCOMA", 0.5, SCALE)]
+        results = execute(specs, max_workers=1)
+        assert set(results) == set(specs)
 
     def test_parallel_matches_inline(self):
-        cells = [("fft", "CCNUMA", 0.5, SCALE), ("fft", "ASCOMA", 0.5, SCALE),
-                 ("fft", "SCOMA", 0.9, SCALE)]
-        inline = run_cells(cells, parallel=False)
-        fanned = run_cells(cells, parallel=True, max_workers=2)
-        for cell in cells:
-            assert (inline[cell].aggregate().as_dict()
-                    == fanned[cell].aggregate().as_dict())
+        specs = [RunSpec("fft", "CCNUMA", 0.5, SCALE),
+                 RunSpec("fft", "ASCOMA", 0.5, SCALE),
+                 RunSpec("fft", "SCOMA", 0.9, SCALE)]
+        inline = execute(specs, max_workers=1)
+        fanned = execute(specs, max_workers=2)
+        for spec in specs:
+            assert (inline[spec].aggregate().as_dict()
+                    == fanned[spec].aggregate().as_dict())
 
     def test_matrix_parallel_shape(self):
-        out = run_matrix_parallel(apps=("fft",), scale=SCALE, max_workers=2)
-        assert ("CCNUMA", None) in out["fft"]
-        assert any(key[0] == "ASCOMA" for key in out["fft"])
+        out = execute(matrix_specs(("fft",), SCALE), max_workers=2)
+        # CC-NUMA is pressure-insensitive: one cell per app.
+        assert [spec.arch for spec in out].count("CCNUMA") == 1
+        assert any(spec.arch == "ASCOMA" for spec in out)
 
     def test_matrix_results_are_finite(self):
-        out = run_matrix_parallel(apps=("fft",), scale=SCALE, max_workers=2)
-        for result in out["fft"].values():
+        out = execute(matrix_specs(("fft",), SCALE), max_workers=2)
+        for result in out.values():
             total = result.aggregate().total_cycles()
             assert total > 0 and math.isfinite(total)
 
-    def test_matrix_parallel_plumbs_quantum(self, monkeypatch):
-        """--quantum must reach every spec of the parallel matrix path."""
-        import repro.harness.parallel as par
-        captured = []
-
-        def fake_execute(specs, **kwargs):
-            captured.extend(specs)
-            return {spec: object() for spec in captured}
-
-        monkeypatch.setattr(par, "execute", fake_execute)
-        run_matrix_parallel(apps=("fft",), scale=SCALE, quantum=512)
-        assert captured and all(spec.quantum == 512 for spec in captured)
+    def test_matrix_parallel_plumbs_quantum(self):
+        """--quantum must reach every spec of the matrix."""
+        specs = matrix_specs(("fft",), SCALE, quantum=512)
+        assert specs and all(spec.quantum == 512 for spec in specs)

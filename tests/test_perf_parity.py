@@ -721,7 +721,7 @@ class TestDefaultPathEngagesKernel:
         obs = SpanRecorder(ObsSink(tmp_path))
         try:
             (result,) = execute([RunSpec.make("fft", "ASCOMA", 0.7, 0.05)],
-                                parallel=False, obs=obs).values()
+                                max_workers=1, obs=obs).values()
         finally:
             obs.sink.close()
         assert not isinstance(result, RunFailure)
@@ -749,7 +749,7 @@ class TestDefaultPathEngagesKernel:
         self._probe(monkeypatch, record)
         specs = [RunSpec.make("fft", arch, 0.7, 0.05)
                  for arch in ("CCNUMA", "SCOMA", "RNUMA", "ASCOMA")]
-        results = execute(specs, parallel=True, max_workers=2)
+        results = execute(specs, max_workers=2)
         assert not any(isinstance(r, RunFailure) for r in results.values())
         records = [line.split() for line in log.read_text().splitlines()]
         assert len(records) == len(specs), records

@@ -1,19 +1,33 @@
 """Tests for the runtime layer: RunSpec hashing, RunStore, executor."""
 
 import json
+import os
+import warnings
 
 import pytest
 
 from repro.harness.experiment import run_app
-from repro.harness.parallel import run_cells
 from repro.runtime import (RunFailure, RunSpec, RunStore, execute,
                            execute_spec, get_default_store, log_progress,
-                           run_spec, use_store)
+                           lpt_order, run_spec, use_store)
 from repro.runtime import store as store_mod
+from repro.sim.soatrace import vector_available
 from repro.sim.stats import RunResult
 
 SCALE = 0.1
 SPEC = RunSpec("fft", "ASCOMA", 0.5, SCALE)
+
+
+def _runtime_warnings(call):
+    """``call()``'s return value and the RuntimeWarnings it raised.
+
+    The kernel is probed first, so a host without a kernel spends its
+    one "vector kernel unavailable" warning outside the count."""
+    vector_available()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture
@@ -70,10 +84,6 @@ class TestRunSpec:
         assert again == spec
         assert again.spec_hash() == spec.spec_hash()
         json.dumps(spec.to_dict())  # JSON-compatible
-
-    def test_cell_roundtrip(self):
-        cell = ("fft", "SCOMA", 0.9, 0.2)
-        assert RunSpec.from_cell(cell).cell() == cell
 
     def test_label_names_the_cell(self):
         assert "fft/ASCOMA@50%" in SPEC.label()
@@ -207,7 +217,7 @@ class TestFaultIsolation:
         """Acceptance: one bad cell -> others complete, failure names it."""
         store = RunStore(tmp_path)
         out = execute([self.GOOD[0], self.BAD, self.GOOD[1]],
-                      store=store, parallel=False)
+                      store=store, max_workers=1)
         failure = out[self.BAD]
         assert isinstance(failure, RunFailure)
         assert failure.spec == self.BAD
@@ -221,11 +231,11 @@ class TestFaultIsolation:
         """Acceptance: resume touches only cells without stored results."""
         store = RunStore(tmp_path)
         execute([self.GOOD[0], self.BAD, self.GOOD[1]],
-                store=store, parallel=False)
+                store=store, max_workers=1)
         executed_first = list(exec_counter)
         assert len(executed_first) == 3
         out = execute([self.GOOD[0], self.BAD, self.GOOD[1]],
-                      store=store, parallel=False)
+                      store=store, max_workers=1)
         # only the (still-failing) bad cell was re-attempted
         assert exec_counter[len(executed_first):] == [self.BAD]
         assert isinstance(out[self.BAD], RunFailure)
@@ -234,7 +244,7 @@ class TestFaultIsolation:
 
     def test_pool_path_isolates_failures_too(self):
         out = execute([self.GOOD[0], self.BAD, self.GOOD[1]],
-                      parallel=True, max_workers=2)
+                      max_workers=2)
         assert isinstance(out[self.BAD], RunFailure)
         assert all(isinstance(out[s], RunResult) for s in self.GOOD)
 
@@ -267,14 +277,14 @@ class TestStoreFaultIsolation:
         """Satellite bugfix: a raising store.put after a successful
         simulate must not kill the sweep — the RunResult survives."""
         store = self.FailingPutStore(tmp_path)
-        out = execute([SPEC, self.SPEC2], store=store, parallel=False)
+        out = execute([SPEC, self.SPEC2], store=store, max_workers=1)
         assert all(isinstance(r, RunResult) for r in out.values())
         assert len(out) == 2
 
     def test_failing_put_surfaces_store_fail_event(self, tmp_path):
         events = []
         out = execute([SPEC], store=self.FailingPutStore(tmp_path),
-                      parallel=False,
+                      max_workers=1,
                       progress=lambda e, s, d="": events.append((e, s, d)))
         assert isinstance(out[SPEC], RunResult)
         (event, spec, detail) = events[0]
@@ -282,6 +292,19 @@ class TestStoreFaultIsolation:
         assert "OSError" in detail and "disk full" in detail
         # no "run" event for the cell: it completed but was not stored
         assert [e for e, _, _ in events] == ["store-fail"]
+
+    def test_failing_put_warns_once_per_call(self, tmp_path):
+        """A library call with no progress callback and no obs recorder
+        must not swallow failed write-backs: one RuntimeWarning names
+        how many cells went unstored and the first error."""
+        store = self.FailingPutStore(tmp_path)
+        out, caught = _runtime_warnings(
+            lambda: execute([SPEC, self.SPEC2], store=store, max_workers=1))
+        assert all(isinstance(r, RunResult) for r in out.values())
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        message = str(caught[0].message)
+        assert "2 simulated cell(s) left unstored" in message
+        assert "OSError: disk full" in message
 
     def test_execute_spec_propagates_store_failure(self, tmp_path):
         """The single-cell path keeps its raise-to-caller contract."""
@@ -304,34 +327,34 @@ class TestProgress:
         store = RunStore(tmp_path)
         events: list = []
         execute([self.GOOD[0], self.BAD, self.GOOD[1]], store=store,
-                parallel=False, progress=self._collect(events))
+                max_workers=1, progress=self._collect(events))
         assert events == [("run", self.GOOD[0]), ("fail", self.BAD),
                           ("run", self.GOOD[1])]
         events.clear()
         execute([self.GOOD[0], self.BAD, self.GOOD[1]], store=store,
-                parallel=False, progress=self._collect(events))
+                max_workers=1, progress=self._collect(events))
         assert events == [("hit", self.GOOD[0]), ("hit", self.GOOD[1]),
                           ("fail", self.BAD)]
 
     def test_dedupe_reports_each_cell_once(self, tmp_path):
         events: list = []
         execute([self.GOOD[0], RunSpec("fft", "cc-numa", 0.5, SCALE)],
-                store=RunStore(tmp_path), parallel=False,
+                store=RunStore(tmp_path), max_workers=1,
                 progress=self._collect(events))
         assert events == [("run", self.GOOD[0])]
 
     def test_refresh_reruns_cached_cells(self, tmp_path):
         store = RunStore(tmp_path)
-        execute([self.GOOD[0]], store=store, parallel=False)
+        execute([self.GOOD[0]], store=store, max_workers=1)
         events: list = []
-        execute([self.GOOD[0]], store=store, parallel=False, refresh=True,
+        execute([self.GOOD[0]], store=store, max_workers=1, refresh=True,
                 progress=self._collect(events))
         assert events == [("run", self.GOOD[0])]
 
     def test_store_disabled_never_hits(self):
         events: list = []
         for _ in range(2):
-            execute([self.GOOD[0]], store=None, parallel=False,
+            execute([self.GOOD[0]], store=None, max_workers=1,
                     progress=self._collect(events))
         assert events == [("run", self.GOOD[0])] * 2
 
@@ -382,26 +405,80 @@ class TestPoolSizing:
     def test_workers_clamped_to_cell_count(self, fake_pool):
         """Satellite bugfix: ``--workers 8`` with 2 cells must fork 2
         workers, not 8 idle ones."""
-        out = execute(self.GOOD, store=None, parallel=True, max_workers=8)
+        out = execute(self.GOOD, store=None, max_workers=8)
         assert fake_pool == [2]
         assert all(isinstance(r, RunResult) for r in out.values())
 
     def test_single_cell_runs_inline(self, fake_pool):
-        out = execute([SPEC], store=None, parallel=True, max_workers=8)
+        out = execute([SPEC], store=None, max_workers=8)
         assert fake_pool == []  # no pool for a 1-cell dispatch
         assert isinstance(out[SPEC], RunResult)
 
 
+class TestDeadWorker:
+    """A pool worker that dies loses no cell that came back before it."""
+
+    SPECS = [RunSpec("fft", arch, pressure, SCALE)
+             for arch, pressure in (("SCOMA", 0.5), ("RNUMA", 0.9),
+                                    ("VCNUMA", 0.9), ("ASCOMA", 0.5),
+                                    ("ASCOMA", 0.9), ("CCNUMA", 0.5))]
+
+    def test_dead_worker_keeps_settled_cells(self, tmp_path, monkeypatch):
+        """The last-dispatched cell kills its worker (2 workers; forked
+        workers inherit the wrapped ``run_spec``).  Every cell that came
+        back is stored, byte-identical to a serial run; the rest fail
+        naming ``BrokenProcessPool``; one warning; a re-run serves the
+        stored cells from the store."""
+        from repro.runtime import executor as executor_mod
+        from repro.runtime.costs import workload_events
+
+        events = workload_events("fft", SCALE)
+        victim = lpt_order(self.SPECS, {("fft", SCALE, ()): events})[-1]
+        parent = os.getpid()
+        real = executor_mod.run_spec
+
+        def deadly(spec, *args, **kwargs):
+            if spec == victim and os.getpid() != parent:
+                os._exit(3)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "run_spec", deadly)
+        store = RunStore(tmp_path / "store")
+        out, caught = _runtime_warnings(
+            lambda: execute(self.SPECS, store=store, max_workers=2))
+        assert set(out) == set(self.SPECS)
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        assert "BrokenProcessPool" in str(caught[0].message)
+        assert isinstance(out[victim], RunFailure)
+        assert "BrokenProcessPool" in out[victim].error
+        done = {spec for spec, r in out.items() if isinstance(r, RunResult)}
+        assert done, "no cell came back before the worker died"
+        assert all("BrokenProcessPool" in r.error for r in out.values()
+                   if isinstance(r, RunFailure))
+
+        serial = RunStore(tmp_path / "serial")
+        execute(self.SPECS, store=serial, max_workers=1)  # victim: inline
+        for spec in done:
+            assert (store.path_for(spec).read_bytes()
+                    == serial.path_for(spec).read_bytes()), spec
+
+        seen: list = []
+        execute(self.SPECS, store=store, max_workers=1,
+                progress=lambda e, s, d="": seen.append((e, s)))
+        assert {s for e, s in seen if e == "hit"} == done
+        assert {s for e, s in seen if e == "run"} == set(self.SPECS) - done
+
+
 class TestDedupe:
     def test_duplicate_cells_simulated_once(self, exec_counter):
-        c1 = ("fft", "ascoma", 0.5, SCALE)
-        c2 = ("fft", "AS-COMA", 0.5, SCALE)  # same cell, spelled differently
-        out = run_cells([c1, c2, c1], parallel=False)
+        c1 = RunSpec("fft", "ascoma", 0.5, SCALE)
+        c2 = RunSpec("fft", "AS-COMA", 0.5, SCALE)  # spelled differently
+        out = execute([c1, c2, c1], max_workers=1)
         assert len(exec_counter) == 1
         assert out[c1].to_dict() == out[c2].to_dict()
 
     def test_execute_fans_duplicates_back_out(self, exec_counter):
         out = execute([SPEC, RunSpec("fft", "as-coma", 0.5, SCALE)],
-                      parallel=False)
+                      max_workers=1)
         assert len(exec_counter) == 1
         assert len(out) == 1  # canonically the same spec

@@ -349,7 +349,7 @@ def test_terminal_job_eviction_is_bounded():
 
 def test_server_store_artifact_is_byte_identical(tmp_path):
     local_store = RunStore(tmp_path / "local")
-    outcomes = execute([SMALL_SPEC], store=local_store, parallel=False)
+    outcomes = execute([SMALL_SPEC], store=local_store, max_workers=1)
     assert SMALL_SPEC in outcomes
 
     with serve_tmp() as (server, sock):

@@ -17,8 +17,7 @@ import pytest
 
 import repro.sim.trace as trace_mod
 from repro.harness.experiment import get_workload
-from repro.harness.parallel import run_cells
-from repro.runtime import (RunSpec, TraceStore, clear_trace_memo,
+from repro.runtime import (RunSpec, TraceStore, clear_trace_memo, execute,
                            fetch_traces, lpt_order, spec_cost,
                            submit_chunksize, trace_key, use_trace_store)
 from repro.workloads.sample import trace_memory_bytes
@@ -348,17 +347,17 @@ class TestCostModel:
 class TestCrossProcessDeterminism:
     """Satellite: parallel and serial payloads must be identical."""
 
-    CELLS = [(app, arch, 0.5, SCALE)
+    SPECS = [RunSpec(app, arch, 0.5, SCALE)
              for app in ("fft", "em3d") for arch in ("ASCOMA", "SCOMA")]
 
     @pytest.mark.parametrize("cache", ["without-cache", "with-cache"])
     def test_parallel_matches_serial_to_dict(self, tmp_path, cache):
         store = _store(tmp_path) if cache == "with-cache" else None
         with use_trace_store(store):
-            serial = run_cells(self.CELLS, parallel=False, store=None)
-            parallel = run_cells(self.CELLS, max_workers=2, store=None)
-        for cell in self.CELLS:
-            assert serial[cell].to_dict() == parallel[cell].to_dict(), cell
+            serial = execute(self.SPECS, max_workers=1, store=None)
+            parallel = execute(self.SPECS, max_workers=2, store=None)
+        for spec in self.SPECS:
+            assert serial[spec].to_dict() == parallel[spec].to_dict(), spec
 
 
 class TestConcurrentMutation:
