@@ -233,13 +233,17 @@ class JobServer:
                 else:
                     pending.append((spec, self._cell_task(spec, job)))
             for spec, task in pending:
-                outcome = await asyncio.shield(task)
+                # Every job awaiting the cell counts it once: a failed
+                # write-back is its "store-fail", not also a "run".
+                outcome, store_error = await asyncio.shield(task)
                 job.outcomes[spec.spec_hash()] = outcome
-                self._progress(
-                    job, "fail" if isinstance(outcome, RunFailure)
-                    else "run", spec,
-                    error=(outcome.error
-                           if isinstance(outcome, RunFailure) else None))
+                if isinstance(outcome, RunFailure):
+                    self._progress(job, "fail", spec, error=outcome.error)
+                elif store_error is not None:
+                    self._progress(job, "store-fail", spec,
+                                   error=store_error)
+                else:
+                    self._progress(job, "run", spec)
             job.state = "failed" if job.failures() else "done"
         except asyncio.CancelledError:
             job.state = "cancelled"
@@ -297,11 +301,12 @@ class JobServer:
     async def _simulate_cell(self, spec: RunSpec, job: Job):
         """Run one unique cell off-loop; store the result in the parent.
 
-        Returns ``RunResult | RunFailure`` — the worker function
-        already isolates simulation exceptions into RunFailure, so only
-        infrastructure faults (a broken pool) surface here, and they
-        too are converted so one dead worker cannot poison a job with
-        an unhandled exception.
+        Returns ``(RunResult | RunFailure, store_error)``, where
+        *store_error* is the write-back's failure summary or ``None``.
+        The worker function already isolates simulation exceptions into
+        RunFailure, so only infrastructure faults (a broken pool)
+        surface here, and they too are converted so one dead worker
+        cannot poison a job with an unhandled exception.
         """
         payload = (spec, job.retries, False, self.obs is not None)
         if self._sem is None:
@@ -331,16 +336,13 @@ class JobServer:
                 self.obs.event("fail", spec=spec, error=outcome.error)
             else:
                 self.obs.event("run", spec=spec)
+        store_error = None
         if isinstance(outcome, RunResult):
             self.stats["simulated"] += 1
-            detail = store_result(self.store, spec, outcome, self.obs)
-            if detail is not None:
+            store_error = store_result(self.store, spec, outcome, self.obs)
+            if store_error is not None:
                 self.stats["store_failures"] += 1
-                job.bump("store-fail")
-                self.bus.publish(EV_CELL, -1, -1, job=job.id,
-                                 name="store-fail", spec=spec.label(),
-                                 spec_hash=spec.spec_hash(), error=detail)
-        return outcome
+        return outcome, store_error
 
     # ------------------------------------------------------------------
     # worker pool lifecycle

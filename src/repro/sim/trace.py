@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,12 +157,26 @@ class Trace:
         return h.hexdigest()[:16]
 
 
-@dataclass
 class TraceBuilder:
-    """Append-only trace construction."""
+    """Append-only trace construction.
 
-    _kinds: list[int] = field(default_factory=list)
-    _args: list[int] = field(default_factory=list)
+    Events accumulate as numpy chunks.  A bulk append stores a validated
+    copy of its arrays as one chunk, so a caller may reuse or mutate its
+    arrays afterwards; scalar appends (``read``, ``write``, ``compute``,
+    ``local``, ``barrier``) collect in a short pending run of Python ints
+    that is sealed into a chunk when the next bulk append arrives, or at
+    :meth:`build`.  Bulk-appended events never pass through Python
+    ints, which would cost more than generating them.
+    """
+
+    __slots__ = ("_kind_chunks", "_arg_chunks", "_kinds", "_args")
+
+    def __init__(self) -> None:
+        self._kind_chunks: list[np.ndarray] = []
+        self._arg_chunks: list[np.ndarray] = []
+        # The pending run of scalar appends.
+        self._kinds: list[int] = []
+        self._args: list[int] = []
 
     def read(self, line: int) -> None:
         self._kinds.append(EV_READ)
@@ -195,8 +208,9 @@ class TraceBuilder:
         """Bulk-append shared references (vectorised generator path)."""
         if len(lines) != len(writes):
             raise ValueError("lines/writes length mismatch")
-        self._kinds.extend(np.where(writes, EV_WRITE, EV_READ).tolist())
-        self._args.extend(np.asarray(lines, dtype=np.int64).tolist())
+        self._append(
+            np.where(writes, np.uint8(EV_WRITE), np.uint8(EV_READ)).ravel(),
+            np.array(lines, dtype=np.int64).ravel())
 
     def extend_events(self, kinds, args) -> None:
         """Bulk-append pre-encoded ``(kind, arg)`` pairs.
@@ -204,33 +218,57 @@ class TraceBuilder:
         Accepts numpy arrays or plain sequences; multi-dimensional
         arrays are flattened in C order.  This is the public bulk API
         for vectorised emitters that assemble whole event blocks
-        (e.g. ``workloads.base.emit_visits``) -- they must not reach
-        into the private ``_kinds``/``_args`` lists.
+        (e.g. ``workloads.base.emit_visits``).  Kinds are checked
+        against ``EV_READ..EV_BARRIER`` before they are narrowed to
+        ``uint8``, so no out-of-range kind can wrap onto a valid one.
         """
-        kinds = np.asarray(kinds, dtype=np.uint8).ravel()
-        args = np.asarray(args, dtype=np.int64).ravel()
+        kinds = np.ravel(kinds)
+        args = np.ravel(args)
         if kinds.shape != args.shape:
             raise ValueError("kinds/args length mismatch")
-        if len(kinds) and int(kinds.max()) > EV_BARRIER:
+        if len(kinds) and not (EV_READ <= kinds.min()
+                               and kinds.max() <= EV_BARRIER):
             raise ValueError("unknown event kind in bulk append")
-        self._kinds.extend(kinds.tolist())
-        self._args.extend(args.tolist())
+        self._append(kinds.astype(np.uint8), args.astype(np.int64))
+
+    def _append(self, kinds: np.ndarray, args: np.ndarray) -> None:
+        """Seal the pending run, then adopt *kinds*/*args* (owned
+        copies) as the next chunk."""
+        self._seal()
+        if len(kinds):
+            self._kind_chunks.append(kinds)
+            self._arg_chunks.append(args)
+
+    def _seal(self) -> None:
+        """Turn the pending scalar run into a chunk."""
+        if self._kinds:
+            self._kind_chunks.append(np.array(self._kinds, dtype=np.uint8))
+            self._arg_chunks.append(np.array(self._args, dtype=np.int64))
+            self._kinds.clear()
+            self._args.clear()
 
     def build(self, coalesce: bool = False) -> Trace:
         """Freeze into a :class:`Trace`.
 
+        The trace owns its arrays and the builder stays usable: later
+        appends extend what a later ``build`` returns.
         ``coalesce=True`` merges adjacent same-kind COMPUTE/LOCAL runs
         (see :func:`coalesce_events`) -- the generators pass it so
         replay never pays for split cycle bursts.
         """
-        kinds = np.array(self._kinds, dtype=np.uint8)
-        args = np.array(self._args, dtype=np.int64)
+        self._seal()
+        if self._kind_chunks:
+            kinds = np.concatenate(self._kind_chunks)
+            args = np.concatenate(self._arg_chunks)
+        else:
+            kinds = np.zeros(0, dtype=np.uint8)
+            args = np.zeros(0, dtype=np.int64)
         if coalesce:
             kinds, args = coalesce_events(kinds, args)
         return Trace(kinds, args)
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return sum(map(len, self._kind_chunks)) + len(self._kinds)
 
 
 class WorkloadTraces:

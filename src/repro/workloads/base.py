@@ -177,8 +177,7 @@ def emit_visits(builder: TraceBuilder, rng: np.random.Generator,
     args[:, 1:] = lines[:n_blocks * block].reshape(n_blocks, block)
 
     builder.extend_events(kinds, args)
-    # Tail references that do not fill a whole block (bulk-appended:
-    # same events the per-call read/write loop produced, one extend).
+    # Tail references that do not fill a whole block.
     tail = n_blocks * block
     if tail < n:
         builder.extend_refs(lines[tail:], writes[tail:])
@@ -204,12 +203,14 @@ class SyntheticGenerator:
         Default: a random sample of other nodes' pages, biased toward
         neighbouring nodes (producer/consumer locality).
         """
-        spec = self.spec
-        h = spec.home_pages_per_node
-        candidates = np.array([p for p in range(spec.total_shared_pages)
-                               if p // h != node])
-        count = min(spec.remote_pages_per_node, len(candidates))
+        candidates = self._foreign_pages(node)
+        count = min(self.spec.remote_pages_per_node, len(candidates))
         return rng.choice(candidates, size=count, replace=False)
+
+    def _foreign_pages(self, node: int) -> np.ndarray:
+        """Every shared page homed on another node, in page order."""
+        pages = np.arange(self.spec.total_shared_pages)
+        return pages[pages // self.spec.home_pages_per_node != node]
 
     def sweep_visit_pages(self, node: int, sweep: int, hot: np.ndarray,
                           cold: np.ndarray,
@@ -288,6 +289,6 @@ class SyntheticGenerator:
         spec = self.spec
         lpp = self.amap.lines_per_page
         first = node * spec.home_pages_per_node
-        for page in range(first, first + spec.home_pages_per_node):
-            builder.read(page * lpp)
+        pages = np.arange(first, first + spec.home_pages_per_node)
+        builder.extend_refs(pages * lpp, np.zeros(len(pages), dtype=bool))
         builder.compute(100)

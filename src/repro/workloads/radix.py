@@ -35,11 +35,7 @@ class RadixGenerator(SyntheticGenerator):
     """Every remote page, no spatial locality, clustered visits."""
 
     def remote_pages_of(self, node: int, rng: np.random.Generator) -> np.ndarray:
-        spec = self.spec
-        h = spec.home_pages_per_node
-        pages = np.array([p for p in range(spec.total_shared_pages)
-                          if p // h != node])
-        return rng.permutation(pages)
+        return rng.permutation(self._foreign_pages(node))
 
 
 def default_spec(n_nodes: int = 8, scale: float = 1.0, seed: int = 3,

@@ -7,7 +7,8 @@
 * A pool worker killed mid-job fails that job with a RunFailure payload
   but leaves the server serving; the pool is rebuilt lazily.
 * A raising ``store.put`` surfaces the executor's ``store-fail`` tag as
-  a protocol event without losing the simulated result.
+  a protocol event without losing the simulated result, and every job
+  awaiting the cell counts it once, as ``store-fail``.
 * 1000 sequential streamed jobs leave the server-wide EventBus observer
   lists empty — the subscription-lifecycle regression test.
 """
@@ -23,8 +24,8 @@ import pytest
 from repro.runtime import RunSpec, RunStore
 from repro.serve import JobServer, ServeClient
 
-from .serveutil import (SMALL_SPEC, SMALL_SPECS, fast_worker, serve_tmp,
-                        wait_terminal)
+from .serveutil import (SMALL_SPEC, SMALL_SPECS, fast_worker,
+                        make_slow_worker, serve_tmp, wait_terminal)
 
 N_CLIENTS = 8
 
@@ -109,7 +110,7 @@ def test_store_put_failure_surfaces_tag_and_keeps_result(tmp_path):
             # The write-back failed, the simulation did not: the job is
             # done and the result is served from the job table.
             assert job["state"] == "done"
-            assert job["counts"].get("store-fail") == 1
+            assert job["counts"] == {"store-fail": 1}
             outcomes = client.outcomes(job["id"])
             assert outcomes[SMALL_SPEC].execution_time() > 0
         assert server.stats["store_failures"] == 1
@@ -120,6 +121,24 @@ def test_store_put_failure_surfaces_tag_and_keeps_result(tmp_path):
     assert len(tags) == 1
     assert tags[0]["spec_hash"] == SMALL_SPEC.spec_hash()
     assert "disk full (injected)" in tags[0]["error"]
+
+
+def test_store_fail_counted_once_in_every_awaiting_job(tmp_path):
+    """A cell whose write-back fails is one ``store-fail`` -- never also
+    a ``run`` -- in the job that started it and in a job attached to it;
+    the server counts the failure once."""
+    with serve_tmp(store=_FailingStore(tmp_path / "bad-store"),
+                   worker_fn=make_slow_worker(0.5)) as (server, sock):
+        with ServeClient(sock) as client:
+            first = client.submit(SMALL_SPEC)
+            second = client.submit(SMALL_SPEC)
+            first = wait_terminal(client, first["id"])
+            second = wait_terminal(client, second["id"])
+        assert server.stats["attached"] == 1
+        assert server.stats["simulated"] == 1
+        assert server.stats["store_failures"] == 1
+    assert first["counts"] == {"store-fail": 1}
+    assert second["counts"] == {"attach": 1, "store-fail": 1}
 
 
 def test_event_bus_observers_do_not_grow_across_jobs():

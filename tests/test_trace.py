@@ -49,6 +49,69 @@ class TestTraceBuilder:
         with pytest.raises(ValueError):
             TraceBuilder().extend_refs(np.array([1]), np.array([True, False]))
 
+    @pytest.mark.parametrize("kind", [256, -255, -1, EV_BARRIER + 1])
+    def test_extend_events_rejects_out_of_range_kind(self, kind):
+        # 256 and -255 wrap onto READ and WRITE if narrowed to uint8
+        # before they are checked.
+        b = TraceBuilder()
+        with pytest.raises(ValueError, match="unknown event kind"):
+            b.extend_events(np.array([kind]), np.array([5]))
+        assert len(b) == 0
+
+    def test_interleaved_scalar_and_bulk_appends_keep_order(self):
+        b = TraceBuilder()
+        b.read(1)
+        b.extend_events([EV_COMPUTE, EV_WRITE], [7, 2])
+        b.write(3)
+        b.barrier(0)
+        b.extend_refs(np.array([4, 5]), np.array([True, False]))
+        b.local(9)
+        assert list(b.build()) == [
+            (EV_READ, 1), (EV_COMPUTE, 7), (EV_WRITE, 2), (EV_WRITE, 3),
+            (EV_BARRIER, 0), (EV_WRITE, 4), (EV_READ, 5), (EV_LOCAL, 9)]
+
+    def test_bulk_appends_copy_their_arrays(self):
+        kinds = np.array([[EV_COMPUTE, EV_READ]], dtype=np.uint8)
+        args = np.array([[5, 10]])
+        lines, writes = np.array([20]), np.array([False])
+        b = TraceBuilder()
+        b.extend_events(kinds, args)
+        b.extend_refs(lines, writes)
+        kinds[:] = EV_BARRIER
+        args[:] = 0
+        lines[:] = 0
+        writes[:] = True
+        assert list(b.build()) == [(EV_COMPUTE, 5), (EV_READ, 10),
+                                   (EV_READ, 20)]
+
+    def test_len_counts_pending_and_sealed_events(self):
+        b = TraceBuilder()
+        b.read(1)
+        b.write(2)
+        assert len(b) == 2
+        b.extend_refs(np.arange(3), np.zeros(3, dtype=bool))
+        assert len(b) == 5
+        b.barrier(0)
+        assert len(b) == 6
+        assert len(b.build()) == 6
+
+    def test_empty_builder_builds_empty_trace(self):
+        t = TraceBuilder().build(coalesce=True)
+        assert len(t) == 0
+        assert t.kinds.dtype == np.uint8 and t.args.dtype == np.int64
+
+    def test_build_twice_returns_the_longer_trace(self):
+        b = TraceBuilder()
+        b.read(1)
+        b.extend_events([EV_COMPUTE], [4])
+        first = b.build()
+        b.write(2)
+        b.extend_refs(np.array([3]), np.array([False]))
+        second = b.build()
+        assert list(first) == [(EV_READ, 1), (EV_COMPUTE, 4)]
+        assert list(second) == [(EV_READ, 1), (EV_COMPUTE, 4),
+                                (EV_WRITE, 2), (EV_READ, 3)]
+
 
 class TestTrace:
     def make(self):

@@ -80,6 +80,28 @@ class TestAllApps:
         assert 0 < wl.params["spec"]["ideal_pressure"] < 1
 
 
+#: ``content_hash()`` of every app at three scales (default seeds): the
+#: full-trace hashes the benchmark's ``traces`` workload pins.  A change
+#: to generation that moves one byte, RNG draw or event order fails here.
+GENERATED_HASHES = {
+    ("barnes", 0.1): "289e9e3ea4e734b2", ("barnes", 0.5): "7ebf09d58a8ee698",
+    ("barnes", 1.0): "620737f55729d327", ("em3d", 0.1): "64e96ff95b194349",
+    ("em3d", 0.5): "53ce2b1f3562ad09", ("em3d", 1.0): "0332a269f70e49d5",
+    ("fft", 0.1): "79a3ad0861f7ff1f", ("fft", 0.5): "29fbb13910152b75",
+    ("fft", 1.0): "9b9f8216b60e8d5c", ("lu", 0.1): "fd9a47740e7101f3",
+    ("lu", 0.5): "4bde4ad781b38ac9", ("lu", 1.0): "d85f1b44eff9d84a",
+    ("ocean", 0.1): "b5a77c960750a29a", ("ocean", 0.5): "62f81fdb856cd706",
+    ("ocean", 1.0): "23d26e601e35ed51", ("radix", 0.1): "7bf3d0669b3e8d86",
+    ("radix", 0.5): "762445e1f00f0e41", ("radix", 1.0): "2fe211915a0337f6",
+}
+
+
+@pytest.mark.parametrize("app,scale", sorted(GENERATED_HASHES))
+def test_generated_bytes_are_pinned(app, scale):
+    assert (generate_workload(app, scale=scale).content_hash()
+            == GENERATED_HASHES[(app, scale)])
+
+
 class TestIdealPressures:
     """Table 5's ordering: radix lowest, fft/ocean highest."""
 
