@@ -10,18 +10,15 @@ over R-NUMA/VC-NUMA case), little effect on fft/ocean.
 
 import pytest
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 
 def run_pair(app):
-    wl = get_workload(app, DEFAULT_SCALE)
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.1)
-    full = simulate(wl, scaled_policy("ASCOMA"), cfg)
-    no_first = simulate(wl, scaled_policy("ASCOMA", scoma_first=False), cfg)
-    return (full.aggregate().total_cycles(),
-            no_first.aggregate().total_cycles())
+    return tuple(RunSpec.make(app, "ASCOMA", 0.1, DEFAULT_SCALE,
+                              policy_overrides=overrides).execute()
+                 .aggregate().total_cycles()
+                 for overrides in ({}, {"scoma_first": False}))
 
 
 @pytest.mark.parametrize("app", ["radix", "em3d"])

@@ -9,26 +9,23 @@ improvement: without the backoff, the page cache keeps being fine-tuned
 
 import pytest
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 HIGH_PRESSURE = {"em3d": 0.9, "radix": 0.9, "barnes": 0.7}
 
 
-def run_pair(app):
-    wl = get_workload(app, DEFAULT_SCALE)
-    cfg = SystemConfig(n_nodes=wl.n_nodes,
-                       memory_pressure=HIGH_PRESSURE[app])
-    full = simulate(wl, scaled_policy("ASCOMA"), cfg)
-    fixed = simulate(wl, scaled_policy("ASCOMA", adaptive=False), cfg)
-    return full, fixed
+def run_pair(app, pressure):
+    """AS-COMA with and without the adaptive backoff."""
+    return tuple(RunSpec.make(app, "ASCOMA", pressure, DEFAULT_SCALE,
+                              policy_overrides=overrides).execute()
+                 for overrides in ({}, {"adaptive": False}))
 
 
 @pytest.mark.parametrize("app", sorted(HIGH_PRESSURE))
 def test_backoff_reduces_kernel_overhead(app, benchmark, emit):
-    full, fixed = benchmark.pedantic(run_pair, args=(app,), rounds=1,
-                                     iterations=1)
+    full, fixed = benchmark.pedantic(run_pair, args=(app, HIGH_PRESSURE[app]),
+                                     rounds=1, iterations=1)
     f, x = full.aggregate(), fixed.aggregate()
     emit(f"A2 backoff ablation ({app}, {HIGH_PRESSURE[app]:.0%} pressure):\n"
          f"  adaptive : {f.total_cycles():,} cycles, K_OVERHD "
@@ -48,12 +45,8 @@ def test_backoff_does_not_hurt_at_low_pressure(benchmark, emit):
     """With no thrashing the backoff never engages: both variants match."""
 
     def run():
-        wl = get_workload("em3d", DEFAULT_SCALE)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.1)
-        full = simulate(wl, scaled_policy("ASCOMA"), cfg)
-        fixed = simulate(wl, scaled_policy("ASCOMA", adaptive=False), cfg)
-        return (full.aggregate().total_cycles(),
-                fixed.aggregate().total_cycles())
+        return tuple(r.aggregate().total_cycles()
+                     for r in run_pair("em3d", 0.1))
 
     a, b = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(f"A2 backoff ablation (em3d, 10% pressure): adaptive {a:,} vs "

@@ -9,20 +9,18 @@ the threshold rises, while remote conflict misses rise (promotion is
 delayed).
 """
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload
-from repro.core import RNUMAPolicy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 THRESHOLDS = (4, 8, 16, 32, 64)
 
 
 def sweep():
-    wl = get_workload("em3d", DEFAULT_SCALE)
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.7)
     rows = []
     for threshold in THRESHOLDS:
-        agg = simulate(wl, RNUMAPolicy(threshold=threshold), cfg).aggregate()
+        agg = RunSpec.make("em3d", "RNUMA", 0.7, DEFAULT_SCALE,
+                           policy_overrides={"threshold": threshold}
+                           ).execute().aggregate()
         rows.append({
             "threshold": threshold,
             "cycles": agg.total_cycles(),

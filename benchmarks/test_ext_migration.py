@@ -12,23 +12,20 @@ approach won this design space.
 
 import pytest
 
-from repro.core import make_policy
-from repro.harness.experiment import DEFAULT_SCALE, get_workload
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 from repro.workloads import migratory
 
 
 def run_migratory():
+    # No app name selects this generator: the workload replaces the
+    # spec's (an unstored run).
     wl = migratory.generate(scale=DEFAULT_SCALE)
     rows = {}
     for pressure in (0.1, 0.9):
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
-        base = simulate(wl, make_policy("ccnuma"), cfg).aggregate()
-        mig = simulate(wl, make_policy("ccnuma-mig", threshold=16),
-                       cfg).aggregate()
-        asc = simulate(wl, make_policy("ascoma", threshold=16, increment=8),
-                       cfg).aggregate()
+        base, mig, asc = (RunSpec("migratory", arch, pressure, DEFAULT_SCALE)
+                          .execute(traces=wl).aggregate()
+                          for arch in ("CCNUMA", "CCNUMAMIG", "ASCOMA"))
         bt = base.total_cycles()
         rows[pressure] = {
             "mig_rel": mig.total_cycles() / bt,
@@ -64,12 +61,9 @@ def test_migration_on_producer_consumer(benchmark, emit):
 
 def test_migration_vetoed_on_shared_workload(benchmark, emit):
     def run():
-        wl = get_workload("em3d", DEFAULT_SCALE)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5)
-        base = simulate(wl, make_policy("ccnuma"), cfg).aggregate()
-        mig = simulate(wl, make_policy("ccnuma-mig", threshold=16),
-                       cfg).aggregate()
-        return base, mig
+        return tuple(RunSpec("em3d", arch, 0.5, DEFAULT_SCALE)
+                     .execute().aggregate()
+                     for arch in ("CCNUMA", "CCNUMAMIG"))
 
     base, mig = benchmark.pedantic(run, rounds=1, iterations=1)
     rel = mig.total_cycles() / base.total_cycles()

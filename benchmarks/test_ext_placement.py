@@ -13,21 +13,18 @@ and random placement.  This bench quantifies the choice on two fronts:
   are complements, not substitutes.
 """
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 PLACEMENTS = ("first-touch", "round-robin", "random")
 
 
 def sweep(arch, pressure):
-    wl = get_workload("em3d", DEFAULT_SCALE)
-    out = {}
-    for placement in PLACEMENTS:
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure,
-                           home_placement=placement)
-        out[placement] = simulate(wl, scaled_policy(arch), cfg).aggregate()
-    return out
+    return {placement: RunSpec.make(
+                "em3d", arch, pressure, DEFAULT_SCALE,
+                config_overrides={"home_placement": placement}
+            ).execute().aggregate()
+            for placement in PLACEMENTS}
 
 
 def test_placement_on_ccnuma(benchmark, emit):

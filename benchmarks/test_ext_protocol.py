@@ -11,21 +11,19 @@ fight read-path conflict misses).
 
 import pytest
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 
 def sweep():
     rows = []
     for app in ("ocean", "em3d", "radix"):
-        wl = get_workload(app, DEFAULT_SCALE)
         row = {"app": app}
         for proto in ("msi", "mesi"):
-            cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5,
-                               protocol=proto)
-            cc = simulate(wl, scaled_policy("CCNUMA"), cfg).aggregate()
-            asc = simulate(wl, scaled_policy("ASCOMA"), cfg).aggregate()
+            cc, asc = (RunSpec.make(app, arch, 0.5, DEFAULT_SCALE,
+                                    config_overrides={"protocol": proto})
+                       .execute().aggregate()
+                       for arch in ("CCNUMA", "ASCOMA"))
             row[proto] = {
                 "upgrades": cc.upgrades,
                 "ccnuma_cycles": cc.total_cycles(),

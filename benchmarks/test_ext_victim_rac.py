@@ -21,16 +21,15 @@ therefore comes from its thrashing detection, not its victim cache --
 justifying the paper's methodology after the fact.
 """
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 
 def run(app, mode, entries):
-    wl = get_workload(app, DEFAULT_SCALE)
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5,
-                       rac_fill_policy=mode, rac_entries=entries)
-    return simulate(wl, scaled_policy("CCNUMA"), cfg).aggregate()
+    return RunSpec.make(app, "CCNUMA", 0.5, DEFAULT_SCALE,
+                        config_overrides={"rac_fill_policy": mode,
+                                          "rac_entries": entries}
+                        ).execute().aggregate()
 
 
 def test_victim_vs_fetch_rac(benchmark, emit):

@@ -7,10 +7,8 @@ Runs the em3d headline at scales 0.25x / 0.5x / 1.0x and checks the
 ordering and AS-COMA's CC-NUMA convergence at every scale.
 """
 
-from repro.harness.experiment import scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
-from repro.workloads import em3d
+from repro.harness.experiment import get_workload
+from repro.runtime import RunSpec
 
 SCALES = (0.25, 0.5, 1.0)
 
@@ -18,17 +16,12 @@ SCALES = (0.25, 0.5, 1.0)
 def sweep():
     rows = []
     for scale in SCALES:
-        wl = em3d.generate(scale=scale)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.9)
-        base = simulate(wl, scaled_policy("CCNUMA"),
-                        cfg).aggregate().total_cycles()
-        scoma = simulate(wl, scaled_policy("SCOMA"),
-                         cfg).aggregate().total_cycles() / base
-        rnuma = simulate(wl, scaled_policy("RNUMA"),
-                         cfg).aggregate().total_cycles() / base
-        ascoma = simulate(wl, scaled_policy("ASCOMA"),
-                          cfg).aggregate().total_cycles() / base
-        rows.append((scale, wl.total_refs(), scoma, rnuma, ascoma))
+        base, scoma, rnuma, ascoma = (
+            RunSpec("em3d", arch, 0.9, scale).execute().aggregate()
+            .total_cycles()
+            for arch in ("CCNUMA", "SCOMA", "RNUMA", "ASCOMA"))
+        rows.append((scale, get_workload("em3d", scale).total_refs(),
+                     scoma / base, rnuma / base, ascoma / base))
     return rows
 
 

@@ -19,26 +19,24 @@ import pytest
 
 from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
 from repro.kernel.costs import KernelCosts
+from repro.runtime import RunSpec
 from repro.sim.config import SystemConfig
 from repro.sim.engine import simulate
 
 
-def em3d():
-    return get_workload("em3d", DEFAULT_SCALE)
-
-
-def run(cfg, arch="ASCOMA"):
-    return simulate(em3d(), scaled_policy(arch), cfg).aggregate()
+def run(arch, pressure, quantum=None, **config):
+    """One em3d cell; *config* overrides the machine's parameters."""
+    return RunSpec.make("em3d", arch, pressure, DEFAULT_SCALE,
+                        config_overrides=config, quantum=quantum
+                        ).execute().aggregate()
 
 
 def test_rac_size_sensitivity(benchmark, emit):
     def sweep():
         rows = []
         for entries in (1, 4, 16):
-            cfg = SystemConfig(n_nodes=8, memory_pressure=0.5,
-                               rac_entries=entries)
-            base = run(cfg, "CCNUMA")
-            asc = run(cfg, "ASCOMA")
+            base = run("CCNUMA", 0.5, rac_entries=entries)
+            asc = run("ASCOMA", 0.5, rac_entries=entries)
             rows.append((entries, base.RAC, base.total_cycles(),
                          asc.total_cycles() / base.total_cycles()))
         return rows
@@ -62,11 +60,10 @@ def test_network_ratio_sensitivity(benchmark, emit):
     def sweep():
         rows = []
         for dsm in (20, 59, 150):
-            cfg = SystemConfig(n_nodes=8, memory_pressure=0.5,
-                               dsm_processing_cycles=dsm)
-            ratio = cfg.remote_to_local_ratio()
-            base = run(cfg, "CCNUMA")
-            asc = run(cfg, "ASCOMA")
+            ratio = SystemConfig(
+                dsm_processing_cycles=dsm).remote_to_local_ratio()
+            base = run("CCNUMA", 0.5, dsm_processing_cycles=dsm)
+            asc = run("ASCOMA", 0.5, dsm_processing_cycles=dsm)
             rows.append((ratio, asc.total_cycles() / base.total_cycles()))
         return rows
 
@@ -85,6 +82,9 @@ def test_network_ratio_sensitivity(benchmark, emit):
 
 def test_kernel_cost_sensitivity(benchmark, emit):
     def sweep():
+        # KernelCosts is a config object, not a scalar that a RunSpec
+        # override can carry, so this study builds its engines itself.
+        wl = get_workload("em3d", DEFAULT_SCALE)
         rows = []
         for factor in (1, 4):
             kernel = KernelCosts(
@@ -92,10 +92,10 @@ def test_kernel_cost_sensitivity(benchmark, emit):
                 relocation_interrupt=1000 * factor,
             )
             cfg = SystemConfig(n_nodes=8, memory_pressure=0.9, kernel=kernel)
-            base = run(cfg, "CCNUMA").total_cycles()
-            rows.append((factor,
-                         run(cfg, "RNUMA").total_cycles() / base,
-                         run(cfg, "ASCOMA").total_cycles() / base))
+            base, rnuma, ascoma = (
+                simulate(wl, scaled_policy(arch), cfg).aggregate()
+                .total_cycles() for arch in ("CCNUMA", "RNUMA", "ASCOMA"))
+            rows.append((factor, rnuma / base, ascoma / base))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -117,9 +117,8 @@ def test_l1_associativity_sensitivity(benchmark, emit):
     def sweep():
         rows = []
         for ways in (1, 4):
-            cfg = SystemConfig(n_nodes=8, memory_pressure=0.5, l1_ways=ways)
-            base = run(cfg, "CCNUMA")
-            asc = run(cfg, "ASCOMA")
+            base = run("CCNUMA", 0.5, l1_ways=ways)
+            asc = run("ASCOMA", 0.5, l1_ways=ways)
             rows.append((ways, base.CONF_CAPC,
                          asc.total_cycles() / base.total_cycles()))
         return rows
@@ -148,11 +147,8 @@ def test_quantum_robustness(benchmark, emit):
     def sweep():
         rels = []
         for quantum in (500, 2000, 8000):
-            cfg = SystemConfig(n_nodes=8, memory_pressure=0.7)
-            base = simulate(em3d(), scaled_policy("CCNUMA"), cfg,
-                            quantum=quantum).aggregate().total_cycles()
-            asc = simulate(em3d(), scaled_policy("ASCOMA"), cfg,
-                           quantum=quantum).aggregate().total_cycles()
+            base = run("CCNUMA", 0.7, quantum=quantum).total_cycles()
+            asc = run("ASCOMA", 0.7, quantum=quantum).total_cycles()
             rels.append(asc / base)
         return rels
 

@@ -22,15 +22,11 @@ def test_table1_formula_tracks_simulation(benchmark, emit):
         # Contention off: Table 1 is a minimum-latency cost model, and
         # the paper notes average latencies exceed the minimum because
         # of (modelled) contention.
-        from repro.harness.experiment import get_workload, scaled_policy
-        from repro.sim.config import SystemConfig
-        from repro.sim.engine import simulate
+        from repro.runtime import RunSpec
 
-        wl = get_workload("em3d", 0.35)
-        cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.7,
-                           model_contention=False)
-        result = simulate(wl, scaled_policy("ASCOMA"), cfg)
-        agg = result.aggregate()
+        agg = RunSpec.make("em3d", "ASCOMA", 0.7, 0.35,
+                           config_overrides={"model_contention": False}
+                           ).execute().aggregate()
         lat = table4()
         model = RemoteOverheadModel(t_pagecache=int(lat["Local Memory"]),
                                     t_remote=int(lat["Remote Memory"]))

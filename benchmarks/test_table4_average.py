@@ -11,16 +11,14 @@ modelling is disabled.
 
 import pytest
 
-from repro.harness.experiment import DEFAULT_SCALE, get_workload, scaled_policy
-from repro.sim.config import SystemConfig
-from repro.sim.engine import simulate
+from repro.harness.experiment import DEFAULT_SCALE
+from repro.runtime import RunSpec
 
 
 def run(contention: bool):
-    wl = get_workload("em3d", DEFAULT_SCALE)
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.5,
-                       model_contention=contention)
-    return simulate(wl, scaled_policy("CCNUMA"), cfg).aggregate()
+    return RunSpec.make("em3d", "CCNUMA", 0.5, DEFAULT_SCALE,
+                        config_overrides={"model_contention": contention}
+                        ).execute().aggregate()
 
 
 def test_average_vs_minimum_latency(benchmark, emit):

@@ -2,7 +2,7 @@
 
 from .experiment import (APP_PRESSURES, ARCHITECTURES, DEFAULT_SCALE,
                          SCALED_POLICY_KWARGS, get_workload, run_app,
-                         run_pressure_sweep, scaled_policy)
+                         run_pressure_sweep, scaled_policy, sweep_specs)
 from .claims import Claim, render_scorecard, validate_all
 from .crossover import crossover_report, find_crossover, relative_time_at
 from .figures import FIGURE_APPS, export_csv, figure_series, render_figure
@@ -46,6 +46,7 @@ __all__ = [
     "run_pressure_sweep",
     "validate_all",
     "scaled_policy",
+    "sweep_specs",
     "table1",
     "table2",
     "table3",

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .experiment import APP_PRESSURES, DEFAULT_SCALE, run_app
+from ..runtime import RunSpec
+from .experiment import (APP_PRESSURES, DEFAULT_SCALE, resolve_cells,
+                         sweep_specs)
 from .figures import figure_series
 from .report import format_table
 
@@ -33,17 +35,25 @@ def _rel(series: dict, label: str) -> float:
 
 
 def validate_all(scale: float = DEFAULT_SCALE) -> list[Claim]:
-    """Run the matrix and grade every claim.  Returns the scorecard."""
-    series = {app: figure_series(app, scale=scale)
-              for app in APP_PRESSURES}
+    """Run the matrix and grade every claim.  Returns the scorecard.
+
+    Every cell the claims read (each app's sweep, plus em3d's CC-NUMA
+    at 10% and 90%) resolves in one :func:`resolve_cells` call.
+    """
+    sweeps = {app: sweep_specs(app, scale=scale) for app in APP_PRESSURES}
+    em3d_cc = [RunSpec("em3d", "CCNUMA", p, scale) for p in (0.1, 0.9)]
+    results = resolve_cells([spec for cells in sweeps.values()
+                             for spec in cells.values()] + em3d_cc)
+    series = {app: figure_series(app, scale, {key: results[spec]
+                                              for key, spec in cells.items()})
+              for app, cells in sweeps.items()}
     claims: list[Claim] = []
 
     def add(claim, source, expected, measured, passed):
         claims.append(Claim(claim, source, expected, measured, passed))
 
     # 1. CC-NUMA is pressure-insensitive.
-    lo = run_app("em3d", "CCNUMA", 0.1, scale).aggregate().total_cycles()
-    hi = run_app("em3d", "CCNUMA", 0.9, scale).aggregate().total_cycles()
+    lo, hi = (results[spec].aggregate().total_cycles() for spec in em3d_cc)
     drift = abs(lo - hi) / lo
     add("CC-NUMA is not affected by memory pressure", "Section 5",
         "drift < 1%", f"drift {drift:.2%}", drift < 0.01)

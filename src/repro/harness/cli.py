@@ -564,16 +564,12 @@ def _cmd_sample_report(args) -> str:
 
 def _cmd_check(args):
     from ..check import InvariantChecker, ReproBundle, shrink_bundle
-    from ..sim.config import SystemConfig
-    from ..sim.engine import Engine
-    from ..workloads import generate_workload
-    from .experiment import SCALED_POLICY_KWARGS, scaled_policy
-    from ..runtime import canonical_arch
-    wl = generate_workload(args.app, scale=args.scale)
-    cfg = SystemConfig(
-        n_nodes=wl.n_nodes, memory_pressure=args.pressure,
-        debug_skip_invalidate_node=args.inject_skip_invalidate)
-    engine = Engine(wl, scaled_policy(args.arch), cfg)
+    from ..runtime import RunSpec
+    from .experiment import SCALED_POLICY_KWARGS
+    spec = RunSpec.make(args.app, args.arch, args.pressure, args.scale,
+                        config_overrides={"debug_skip_invalidate_node":
+                                          args.inject_skip_invalidate})
+    engine = spec.engine()
     checker = InvariantChecker.attach(engine, granularity=args.granularity)
     engine.run()
     lines = [f"{args.app} / {engine.policy.name} at"
@@ -583,10 +579,9 @@ def _cmd_check(args):
              f" {checker.sweeps_run:,} sweeps):",
              checker.report()]
     if checker.violations and args.bundle_dir:
-        arch_key = canonical_arch(args.arch)
         bundle = ReproBundle.capture(
-            engine, checker, architecture=arch_key,
-            policy_kwargs=SCALED_POLICY_KWARGS.get(arch_key, {}))
+            engine, checker, architecture=spec.arch,
+            policy_kwargs=SCALED_POLICY_KWARGS.get(spec.arch, {}))
         bundle.save(args.bundle_dir)
         lines.append(f"replay bundle written to {args.bundle_dir}")
         if args.minimise:
@@ -611,14 +606,9 @@ def _cmd_claims(args) -> str:
 
 
 def _cmd_hotpages(args) -> str:
-    from ..sim.config import SystemConfig
-    from ..sim.engine import Engine
-    from ..workloads import generate_workload
-    from .experiment import scaled_policy
+    from ..runtime import RunSpec
     from .pagereport import render_hot_pages
-    wl = generate_workload(args.app, scale=args.scale)
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=args.pressure)
-    engine = Engine(wl, scaled_policy(args.arch), cfg)
+    engine = RunSpec(args.app, args.arch, args.pressure, args.scale).engine()
     engine.run()
     return render_hot_pages(engine)
 

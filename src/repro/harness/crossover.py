@@ -15,21 +15,32 @@ architectures.
 
 from __future__ import annotations
 
-from .experiment import DEFAULT_SCALE, get_workload, run_app
+from ..runtime import RunSpec
+from .experiment import DEFAULT_SCALE, get_workload, resolve_cells
 
 __all__ = ["relative_time_at", "find_crossover", "crossover_report"]
 
 
+def _total_cycles(specs: list) -> list:
+    """Each cell's total cycles, the cells resolved in one execute call."""
+    results = resolve_cells(specs)
+    return [results[spec].aggregate().total_cycles() for spec in specs]
+
+
+def _baseline(app: str, scale: float) -> RunSpec:
+    """The CC-NUMA cell relative times divide by."""
+    return RunSpec(app, "CCNUMA", 0.5, scale)
+
+
 def relative_time_at(app: str, arch: str, pressure: float,
-                     scale: float = DEFAULT_SCALE,
-                     _baseline_cache: dict = {}) -> float:
-    """Execution time of (app, arch, pressure) relative to CC-NUMA."""
-    key = (app, scale)
-    if key not in _baseline_cache:
-        _baseline_cache[key] = run_app(app, "CCNUMA", 0.5,
-                                       scale).aggregate().total_cycles()
-    total = run_app(app, arch, pressure, scale).aggregate().total_cycles()
-    return total / _baseline_cache[key]
+                     scale: float = DEFAULT_SCALE) -> float:
+    """Execution time of (app, arch, pressure) relative to CC-NUMA.
+
+    The baseline resolves with the cell, through the ambient store.
+    """
+    base, total = _total_cycles([_baseline(app, scale),
+                                 RunSpec(app, arch, pressure, scale)])
+    return total / base
 
 
 def find_crossover(app: str, arch: str, lo: float = 0.05, hi: float = 0.95,
@@ -38,17 +49,22 @@ def find_crossover(app: str, arch: str, lo: float = 0.05, hi: float = 0.95,
     """Bisect for the lowest pressure where *arch* stops beating CC-NUMA.
 
     Returns None when the architecture never crosses in [lo, hi] --
-    either it always wins (AS-COMA on lu) or never does.
+    either it always wins (AS-COMA on lu) or never does.  The baseline
+    and both endpoints resolve in one call, then one cell per
+    bisection step.
     """
-    rel_lo = relative_time_at(app, arch, lo, scale)
-    rel_hi = relative_time_at(app, arch, hi, scale)
+    base, total_lo, total_hi = _total_cycles([
+        _baseline(app, scale), RunSpec(app, arch, lo, scale),
+        RunSpec(app, arch, hi, scale)])
+    rel_lo, rel_hi = total_lo / base, total_hi / base
     if rel_lo >= threshold:
         return lo if rel_hi >= threshold else None
     if rel_hi < threshold:
         return None
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if relative_time_at(app, arch, mid, scale) >= threshold:
+        (total,) = _total_cycles([RunSpec(app, arch, mid, scale)])
+        if total / base >= threshold:
             hi = mid
         else:
             lo = mid

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..core import make_policy
-from ..runtime import RunSpec, execute_spec
+from ..runtime import RunFailure, RunSpec, execute
 from ..sim.stats import RunResult
 from ..sim.trace import WorkloadTraces
 from ..workloads import generate_workload
@@ -29,6 +29,7 @@ from ..workloads import generate_workload
 __all__ = [
     "ARCHITECTURES", "APP_PRESSURES", "SCALED_POLICY_KWARGS", "DEFAULT_SCALE",
     "scaled_policy", "get_workload", "run_app", "run_pressure_sweep",
+    "sweep_specs",
 ]
 
 #: Evaluation order used throughout the paper's charts.
@@ -75,18 +76,62 @@ def get_workload(app: str, scale: float = DEFAULT_SCALE) -> WorkloadTraces:
     return generate_workload(app, scale=scale)
 
 
+def sweep_specs(app: str, archs=ARCHITECTURES, pressures=None,
+                scale: float = DEFAULT_SCALE, quantum: int | None = None,
+                sample=None) -> dict:
+    """One application's sweep cells as ``{(arch, pressure): RunSpec}``.
+
+    CC-NUMA is pressure-insensitive, so the paper plots a single bar
+    for it: one cell under ``("CCNUMA", None)``, at the lowest pressure.
+    Every other architecture in *archs* gets one cell per pressure.
+    *quantum* and *sample* apply to every cell (see :func:`run_app`).
+    """
+    pressures = pressures or APP_PRESSURES.get(app)
+    if pressures is None:
+        raise ValueError(f"unknown application {app!r};"
+                         f" choose from {sorted(APP_PRESSURES)}")
+
+    def cell(arch: str, pressure: float) -> RunSpec:
+        return RunSpec.make(app, arch, pressure, scale, quantum=quantum,
+                            sample=sample)
+
+    cells = {("CCNUMA", None): cell("CCNUMA", pressures[0])}
+    for arch in archs:
+        if arch != "CCNUMA":
+            for pressure in pressures:
+                cells[(arch, pressure)] = cell(arch, pressure)
+    return cells
+
+
+def resolve_cells(specs, check: bool = False) -> dict:
+    """``{spec: RunResult}`` from one :func:`~repro.runtime.execute` call.
+
+    How the harness runs its cells: deduped, through the ambient store,
+    pooled over the CPUs (inline for one cell).  The first failed cell
+    in *specs* order raises :class:`ValueError` naming it: a figure
+    cannot be drawn around a missing cell.
+    """
+    specs = list(specs)
+    results = execute(specs, check=check)
+    for spec in specs:
+        if isinstance(results[spec], RunFailure):
+            raise ValueError(results[spec].label())
+    return results
+
+
 def run_app(app: str, arch: str, pressure: float,
             scale: float = DEFAULT_SCALE, check: bool = False,
             quantum: int | None = None, sample=None,
             **policy_overrides) -> RunResult:
     """One cell of the evaluation matrix.
 
-    Goes through the runtime layer: with an ambient
+    A one-cell :func:`resolve_cells`: with an ambient
     :class:`~repro.runtime.store.RunStore` installed (the CLI installs
     one by default), repeated cells are served from disk instead of
-    re-simulated.  Without one (the library/test default) this is a
-    plain simulation, as before.  ``check=True`` attaches the online
-    invariant checker and bypasses the store (see ``docs/invariants.md``).
+    re-simulated; without one (the library/test default) this is a
+    plain simulation.  A failed store write keeps the result and warns
+    once.  ``check=True`` attaches the online invariant checker and bypasses
+    the store (see ``docs/invariants.md``).
     ``quantum`` overrides the engine's scheduling quantum; it is part
     of the spec, so distinct quanta occupy distinct store entries.
     ``sample`` (a :class:`~repro.workloads.sample.SampleSpec`, dict or
@@ -97,27 +142,16 @@ def run_app(app: str, arch: str, pressure: float,
     spec = RunSpec.make(app, arch, pressure, scale,
                         policy_overrides=policy_overrides, quantum=quantum,
                         sample=sample)
-    return execute_spec(spec, check=check)
+    return resolve_cells([spec], check=check)[spec]
 
 
 def run_pressure_sweep(app: str, archs=ARCHITECTURES, pressures=None,
                        scale: float = DEFAULT_SCALE) -> dict:
-    """All (arch, pressure) runs for one application.
+    """All (arch, pressure) runs for one application, in one execute call.
 
     Returns ``{(arch, pressure): RunResult}`` plus the CC-NUMA baseline
-    under key ``("CCNUMA", None)`` -- CC-NUMA is pressure-insensitive,
-    so the paper plots a single bar for it.
+    under key ``("CCNUMA", None)`` (see :func:`sweep_specs`).
     """
-    pressures = pressures or APP_PRESSURES.get(app)
-    if pressures is None:
-        raise ValueError(f"unknown application {app!r};"
-                         f" choose from {sorted(APP_PRESSURES)}")
-    results: dict = {}
-    baseline = run_app(app, "CCNUMA", pressures[0], scale)
-    results[("CCNUMA", None)] = baseline
-    for arch in archs:
-        if arch == "CCNUMA":
-            continue
-        for pressure in pressures:
-            results[(arch, pressure)] = run_app(app, arch, pressure, scale)
-    return results
+    cells = sweep_specs(app, archs, pressures, scale)
+    results = resolve_cells(cells.values())
+    return {key: results[spec] for key, spec in cells.items()}

@@ -16,6 +16,7 @@ The CLI's ``matrix`` command is this call plus progress and a report.
 from __future__ import annotations
 
 from ..runtime import RunSpec
+from .experiment import APP_PRESSURES, sweep_specs
 
 __all__ = ["matrix_specs"]
 
@@ -24,7 +25,8 @@ def matrix_specs(apps=None, scale: float = 0.5,
                  quantum: int | None = None, sample=None) -> list[RunSpec]:
     """Every spec of the paper's evaluation matrix.
 
-    CC-NUMA appears once per app (pressure-insensitive, simulated at
+    Each app's :func:`~repro.harness.experiment.sweep_specs`, in app
+    order: CC-NUMA once per app (pressure-insensitive, simulated at
     the app's lowest pressure), the other architectures once per
     (app, pressure) point.  A non-default *quantum* applies to every
     cell and keys distinct store entries (quantum changes event
@@ -33,17 +35,6 @@ def matrix_specs(apps=None, scale: float = 0.5,
     sampled matrices replay reduced traces and occupy their own store
     entries (see :mod:`repro.workloads.sample`).
     """
-    from .experiment import APP_PRESSURES, ARCHITECTURES
-    apps = apps or tuple(APP_PRESSURES)
-    specs = []
-    for app in apps:
-        pressures = APP_PRESSURES[app]
-        specs.append(RunSpec.make(app, "CCNUMA", pressures[0], scale,
-                                  quantum=quantum, sample=sample))
-        for arch in ARCHITECTURES:
-            if arch == "CCNUMA":
-                continue
-            for pressure in pressures:
-                specs.append(RunSpec.make(app, arch, pressure, scale,
-                                          quantum=quantum, sample=sample))
-    return specs
+    return [spec for app in apps or tuple(APP_PRESSURES)
+            for spec in sweep_specs(app, scale=scale, quantum=quantum,
+                                    sample=sample).values()]

@@ -9,10 +9,12 @@ produce the text form printed by the benches.
 from __future__ import annotations
 
 from ..core import TABLE1_ROWS, TABLE2_ROWS, make_policy
+from ..runtime import RunSpec
 from ..sim.config import SystemConfig
 from ..sim.engine import Engine
 from ..sim.trace import TraceBuilder, WorkloadTraces
-from .experiment import APP_PRESSURES, DEFAULT_SCALE, get_workload, run_app
+from .experiment import (APP_PRESSURES, DEFAULT_SCALE, get_workload,
+                         resolve_cells)
 from .report import format_table
 
 __all__ = [
@@ -144,6 +146,9 @@ def table6(scale: float = DEFAULT_SCALE, pressure: float = 0.1) -> list[dict]:
     (every relocation request can be satisfied) and count, per node, the
     remote pages that crossed the refetch threshold.
     """
+    cells = {app: RunSpec(app, "RNUMA", pressure, scale)
+             for app in APP_PRESSURES}
+    results = resolve_cells(cells.values())
     rows = []
     for app in APP_PRESSURES:
         wl = get_workload(app, scale)
@@ -153,8 +158,7 @@ def table6(scale: float = DEFAULT_SCALE, pressure: float = 0.1) -> list[dict]:
         total_remote = sum(
             sum(1 for p in t.pages_touched(lpp) if home_of[p] != node)
             for node, t in enumerate(wl.traces))
-        result = run_app(app, "RNUMA", pressure, scale)
-        relocated = result.aggregate().relocations
+        relocated = results[cells[app]].aggregate().relocations
         rows.append({
             "program": app,
             "total_remote_pages": total_remote,

@@ -9,8 +9,8 @@ The layer between the simulator core and every harness consumer:
 * :class:`TraceStore` — content-addressed on-disk cache of generated
   workload traces (``results/traces/<app>-<hash>.trace``) with a
   per-process memo on top (:func:`fetch_traces`);
-* :func:`execute` / :func:`execute_spec` — store-aware batch/single
-  execution with dedupe, per-cell fault isolation, retry and resume,
+* :func:`execute` — store-aware execution of any set of cells with
+  dedupe, per-cell fault isolation, retry and resume,
   plus warm pool workers and cost-aware (LPT) dispatch
   (:mod:`repro.runtime.costs`).  :func:`execute` is the one path from
   cells to stored results: it settles (stores, reports) each cell as
@@ -23,8 +23,7 @@ See ``docs/runtime.md`` for hashing and cache-invalidation rules.
 """
 
 from .costs import ARCH_WEIGHTS, lpt_order, spec_cost, submit_chunksize
-from .executor import (execute, execute_spec, log_progress, run_spec,
-                       store_result)
+from .executor import execute, log_progress, run_spec, store_result
 from .spec import SPEC_VERSION, RunFailure, RunSpec, canonical_arch
 from .store import (STORE_VERSION, RunStore, get_default_refresh,
                     get_default_store, set_default_store, use_store)
@@ -44,7 +43,6 @@ __all__ = [
     "canonical_arch",
     "clear_trace_memo",
     "execute",
-    "execute_spec",
     "fetch_traces",
     "get_default_refresh",
     "get_default_store",

@@ -1,8 +1,8 @@
 """Batch execution of RunSpecs: dedupe, cache, isolate, retry, resume.
 
 This is the one path from cells to stored results: every harness entry
-point (CLI, figures, tables, claims, benchmarks) funnels through
-:func:`execute`, and the job server shares its write-back
+point (CLI, figures, tables, claims, crossover search) resolves its
+cells through :func:`execute`, and the job server shares its write-back
 (:func:`store_result`) and simulate body.  Guarantees:
 
 * **Dedupe before dispatch** — identical specs are simulated once, and
@@ -69,8 +69,7 @@ from .spec import RunFailure, RunSpec
 from .store import get_default_refresh, get_default_store
 from .tracecache import get_default_trace_store
 
-__all__ = ["execute", "execute_spec", "run_spec", "store_result",
-           "log_progress"]
+__all__ = ["execute", "run_spec", "store_result", "log_progress"]
 
 
 def _span(obs, name: str, **fields):
@@ -338,39 +337,3 @@ def execute(specs, *, store=None, refresh: bool | None = None,
             f"{len(unstored)} simulated cell(s) left unstored; first error:"
             f" {unstored[0]}", RuntimeWarning, stacklevel=2)
     return results
-
-
-def execute_spec(spec: RunSpec, *, store=None, refresh: bool | None = None,
-                 check: bool = False, obs=None) -> RunResult:
-    """Run (or fetch) one spec; exceptions propagate to the caller.
-
-    The single-cell path ``run_app`` and friends use: store-aware like
-    :func:`execute`, but a failure raises — callers asking for exactly
-    one result want the exception, not a wrapper.  That includes a
-    raising ``store.put``, so this path writes back with
-    ``store.put`` itself rather than :func:`store_result`.
-    ``check=True`` attaches the online invariant checker and bypasses
-    the store.  With an *obs* recorder (explicit or ambient) the cell
-    records the same ``cell``/``simulate``/``store_put`` spans and
-    backoff series as the batch path.
-    """
-    if obs is None:
-        obs = get_default_obs()
-    if check:
-        store = None
-    else:
-        if store is None:
-            store = get_default_store()
-        if refresh is None:
-            refresh = get_default_refresh()
-        if store is not None and not refresh:
-            cached = store.get(spec)
-            if cached is not None:
-                if obs is not None:
-                    obs.event("hit", spec=spec)
-                return cached
-    result = _simulate(spec, check, obs)
-    if store is not None:
-        with _span(obs, "store_put", spec=spec):
-            store.put(spec, result)
-    return result

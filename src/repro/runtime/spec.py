@@ -173,27 +173,19 @@ class RunSpec:
                 f"(x{self.scale:g}){extra}")
 
     # -- execution ------------------------------------------------------
-    def execute(self, check: bool = False, traces=None,
-                telemetry=None) -> RunResult:
-        """Run this cell's simulation (no result caching — see the executor).
+    def engine(self, traces=None):
+        """This cell's :class:`~repro.sim.engine.Engine`, ready to run.
 
-        ``check=True`` attaches an online
-        :class:`~repro.check.InvariantChecker` (barrier granularity);
-        the result then reports ``invariant_violations``.  *check* is a
-        runtime mode, not part of the spec, so it never enters the
-        content hash — checked runs bypass the result store instead.
+        The one place a cell becomes an engine: the workload, then
+        ``SystemConfig(n_nodes, pressure, **config_overrides)`` and
+        ``scaled_policy(arch, **policy_overrides)``, so the experiment's
+        scaled constants (DESIGN.md §6) apply here and nowhere else.
 
-        *telemetry* is an optional
-        :class:`~repro.obs.BackoffTelemetry` to attach to the engine's
-        event bus (kind-filtered, so the run stays on the kernel).
-        Like *check* it is a runtime mode: the rows it collects live on
-        the telemetry object, never in the :class:`RunResult`, so
-        cached results stay byte-identical with and without ``--obs``.
-
-        *traces* short-circuits workload acquisition with an explicit
-        :class:`~repro.sim.trace.WorkloadTraces` (the caller vouches it
-        matches ``(app, scale)``); otherwise the trace cache resolves it
-        — per-process memo, then the ambient
+        *traces* replaces the named workload with an explicit
+        :class:`~repro.sim.trace.WorkloadTraces`, for a workload no
+        spec can name (another seed, node count or generator).
+        Otherwise the trace cache resolves ``(app, scale, sample)``:
+        per-process memo, then the ambient
         :class:`~repro.runtime.tracecache.TraceStore` (if one is
         installed), then deterministic regeneration.
 
@@ -207,13 +199,35 @@ class RunSpec:
 
         workload = traces if traces is not None else fetch_traces(
             self.app, self.scale, sample=self.sample or None)
-        cfg_kwargs = {"n_nodes": workload.n_nodes,
-                      "memory_pressure": self.pressure}
-        cfg_kwargs.update(dict(self.config_overrides))
-        config = SystemConfig(**cfg_kwargs)
+        config = SystemConfig(**{"n_nodes": workload.n_nodes,
+                                 "memory_pressure": self.pressure,
+                                 **dict(self.config_overrides)})
         policy = scaled_policy(self.arch, **dict(self.policy_overrides))
-        engine = Engine(workload, policy, config=config,
-                        quantum=self.quantum or DEFAULT_QUANTUM)
+        return Engine(workload, policy, config=config,
+                      quantum=self.quantum or DEFAULT_QUANTUM)
+
+    def execute(self, check: bool = False, traces=None,
+                telemetry=None) -> RunResult:
+        """Run this cell's simulation (no result caching — see the executor).
+
+        :meth:`engine` plus the run.  ``check=True`` attaches an online
+        :class:`~repro.check.InvariantChecker` (barrier granularity);
+        the result then reports ``invariant_violations``.  *check* is a
+        runtime mode, not part of the spec, so it never enters the
+        content hash — checked runs bypass the result store instead.
+
+        *telemetry* is an optional
+        :class:`~repro.obs.BackoffTelemetry` to attach to the engine's
+        event bus (kind-filtered, so the run stays on the kernel).
+        Like *check* it is a runtime mode: the rows it collects live on
+        the telemetry object, never in the :class:`RunResult`, so
+        cached results stay byte-identical with and without ``--obs``.
+
+        *traces* replaces the named workload (see :meth:`engine`): the
+        run then simulates a workload the spec does not describe, so
+        its result is never stored.
+        """
+        engine = self.engine(traces)
         checker = None
         if check:
             from ..check import InvariantChecker

@@ -21,7 +21,7 @@ from repro.check import (InvariantChecker, Violation, audit_machine,
 from repro.core import make_policy
 from repro.harness.experiment import run_app
 from repro.kernel.vm import PageMode
-from repro.runtime import RunSpec, RunStore, execute, execute_spec
+from repro.runtime import RunSpec, RunStore, execute, use_store
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.workloads import synthetic
@@ -420,7 +420,8 @@ class TestRuntimeIntegration:
     def test_checked_runs_bypass_the_store(self, tmp_path):
         store = RunStore(str(tmp_path / "store"))
         spec = RunSpec.make("em3d", "ascoma", 0.7, 0.25)
-        result = execute_spec(spec, store=store, check=True)
+        with use_store(store):
+            result = run_app("em3d", "ascoma", 0.7, scale=0.25, check=True)
         assert result.invariant_violations == 0
         assert store.get(spec) is None  # nothing cached
         outcomes = execute([spec], store=store, max_workers=1, check=True)

@@ -5,6 +5,8 @@ autouse ``isolated_store_dir`` fixture (see conftest), so these tests
 never touch the repo-level ``results/store`` cache.
 """
 
+import re
+
 import pytest
 
 from repro.harness.claims import Claim, render_scorecard
@@ -131,16 +133,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "page" in out.lower()
 
-    def test_claims_command(self, capsys, monkeypatch):
-        # The real matrix takes ~30s even at tiny scale; the scorecard
-        # pipeline is what the CLI owns, so stub the matrix run.
-        import repro.harness.claims as claims_mod
-        canned = [Claim("stub claim", "Section 5", "x", "x", True)]
-        monkeypatch.setattr(claims_mod, "validate_all",
-                            lambda scale: canned)
-        assert main(["claims"]) == 0
+    def test_claims_command(self, capsys):
+        """The real scorecard: all 91 cells in one execute call."""
+        assert main(["--scale", "0.2", "claims"]) == 0
         out = capsys.readouterr().out
-        assert "1/1 claims reproduced" in out
+        assert "Paper-claim scorecard" in out
+        assert re.search(r"^\d+/21 claims reproduced$", out, re.M)
 
     def test_quantum_changes_the_run(self, capsys):
         base = ["--scale", "0.1", "--no-cache", "run", "radix", "ascoma",

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness.crossover import (crossover_report, find_crossover,
                                      relative_time_at)
+from repro.runtime import RunSpec, RunStore, use_store
 
 SCALE = 0.25
 
@@ -18,6 +19,19 @@ class TestRelativeTime:
 
     def test_scoma_high_pressure_above_one(self):
         assert relative_time_at("em3d", "SCOMA", 0.9, SCALE) > 1.5
+
+    def test_baseline_resolves_through_each_store(self, tmp_path):
+        """No process-wide baseline cache: the CC-NUMA baseline is a
+        cell like any other, served from and kept in the store each
+        call runs under."""
+        first, second = RunStore(tmp_path / "a"), RunStore(tmp_path / "b")
+        with use_store(first):
+            rel_first = relative_time_at("fft", "SCOMA", 0.7, 0.1)
+        with use_store(second):
+            rel_second = relative_time_at("fft", "SCOMA", 0.7, 0.1)
+        baseline = RunSpec("fft", "CCNUMA", 0.5, 0.1)
+        assert baseline in first and baseline in second
+        assert rel_first == rel_second
 
 
 class TestFindCrossover:

@@ -12,7 +12,8 @@ from repro.harness import (APP_PRESSURES, ARCHITECTURES, figure_series,
                            render_table4, render_table5, render_table6,
                            run_app, run_pressure_sweep, scaled_policy, table1,
                            table2, table3, table4, table5, table6)
-from repro.harness.experiment import get_workload
+from repro.harness.experiment import get_workload, sweep_specs
+from repro.harness.parallel import matrix_specs
 from repro.sim.stats import MISS_CLASSES, TIME_BUCKETS
 
 SCALE = 0.2
@@ -54,6 +55,21 @@ class TestExperiment:
                                      pressures=(0.3, 0.7), scale=SCALE)
         assert ("CCNUMA", None) in results
         assert ("ASCOMA", 0.3) in results and ("ASCOMA", 0.7) in results
+
+    def test_sweep_with_a_failing_cell_raises_naming_it(self):
+        """A sweep cannot be charted around a missing cell: the first
+        failed cell raises ValueError naming it and its error."""
+        with pytest.raises(ValueError, match=r"fft/BOGUS@30%\(x0\.2\):"
+                                             r" ValueError: unknown arch"):
+            run_pressure_sweep("fft", archs=("CCNUMA", "BOGUS"),
+                               pressures=(0.3, 0.7), scale=SCALE)
+
+    def test_sweep_and_matrix_share_their_cells(self):
+        cells = sweep_specs("radix", scale=SCALE, quantum=500)
+        assert list(cells.values()) == matrix_specs(("radix",), SCALE,
+                                                    quantum=500)
+        assert len(cells) == 1 + 4 * len(APP_PRESSURES["radix"])
+        assert cells[("CCNUMA", None)].pressure == APP_PRESSURES["radix"][0]
 
 
 class TestTables:

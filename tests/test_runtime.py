@@ -6,13 +6,14 @@ import warnings
 
 import pytest
 
-from repro.harness.experiment import run_app
+from repro.harness.experiment import run_app, scaled_policy
 from repro.runtime import (RunFailure, RunSpec, RunStore, execute,
-                           execute_spec, get_default_store, log_progress,
-                           lpt_order, run_spec, use_store)
+                           get_default_store, log_progress, lpt_order,
+                           run_spec, use_store)
 from repro.runtime import store as store_mod
 from repro.sim.soatrace import vector_available
 from repro.sim.stats import RunResult
+from repro.workloads.sample import SampleSpec
 
 SCALE = 0.1
 SPEC = RunSpec("fft", "ASCOMA", 0.5, SCALE)
@@ -96,6 +97,49 @@ class TestRunSpec:
         # contention-free run is strictly faster than the contended one
         assert result.execution_time() < base.execution_time()
 
+    @pytest.mark.parametrize("spec, digest", [
+        (RunSpec("em3d", "ASCOMA", 0.9, 0.5), "6a84cac803c7acab"),
+        (RunSpec("fft", "CCNUMA", 0.1, 0.5), "1b521706f55d3927"),
+        (RunSpec.make("radix", "RNUMA", 0.3, 0.5, quantum=2000),
+         "e6e7939bcbc7f4fb"),
+        (RunSpec.make("em3d", "SCOMA", 0.9, 0.5, sample=SampleSpec(rate=4)),
+         "b3079ae5d690e73b"),
+        (RunSpec.make("ocean", "ASCOMA", 0.5, 0.5,
+                      config_overrides={"protocol": "mesi"}),
+         "4ceb54dd47a08f44"),
+    ], ids=lambda v: v.label() if isinstance(v, RunSpec) else v)
+    def test_spec_hash_is_pinned(self, spec, digest):
+        """Every stored result is keyed by its spec hash: a change to
+        the canonical form that does not bump SPEC_VERSION would
+        silently orphan (or worse, mis-serve) the whole store."""
+        assert spec.spec_hash() == digest
+
+    def test_engine_builds_the_scaled_cell(self):
+        spec = RunSpec.make("fft", "ASCOMA", 0.7, SCALE, quantum=500,
+                            policy_overrides={"increment": 4},
+                            config_overrides={"rac_entries": 4})
+        engine = spec.engine()
+        assert engine.workload.name == "fft"
+        assert engine.config.n_nodes == engine.workload.n_nodes
+        assert engine.config.memory_pressure == 0.7
+        assert engine.config.rac_entries == 4
+        assert engine.quantum == 500
+        # the experiment's scaled parameters under the spec's override
+        expected = scaled_policy("ASCOMA", increment=4)
+        assert type(engine.policy) is type(expected)
+        assert vars(engine.policy) == vars(expected)
+        assert vars(expected) != vars(scaled_policy("ASCOMA"))
+
+    def test_traces_replace_the_named_workload(self):
+        from repro.workloads import generate_workload
+        lu = generate_workload("lu", scale=SCALE)
+        engine = RunSpec("fft", "CCNUMA", 0.5, SCALE).engine(traces=lu)
+        assert engine.workload is lu
+        assert engine.config.n_nodes == lu.n_nodes
+        assert (RunSpec("fft", "CCNUMA", 0.5, SCALE).execute(traces=lu)
+                .to_dict() == RunSpec("lu", "CCNUMA", 0.5, SCALE)
+                .execute().to_dict())
+
 
 class TestRunStore:
     def test_empty_store_misses(self, tmp_path):
@@ -177,9 +221,9 @@ class TestCaching:
         """Acceptance: 2nd run of the same spec performs zero simulations
         and returns an identical RunResult."""
         store = RunStore(tmp_path)
-        first = execute_spec(SPEC, store=store)
+        first = execute([SPEC], store=store)[SPEC]
         assert len(exec_counter) == 1
-        second = execute_spec(SPEC, store=store)
+        second = execute([SPEC], store=store)[SPEC]
         assert len(exec_counter) == 1  # store hit: no new simulation
         assert second.to_dict() == first.to_dict()
         assert [s.as_dict() for s in second.node_stats] \
@@ -187,11 +231,11 @@ class TestCaching:
 
     def test_refresh_resimulates_and_restores(self, tmp_path, exec_counter):
         store = RunStore(tmp_path)
-        execute_spec(SPEC, store=store)
-        execute_spec(SPEC, store=store, refresh=True)
+        execute([SPEC], store=store)
+        execute([SPEC], store=store, refresh=True)
         assert len(exec_counter) == 2
         assert store.writes == 2
-        execute_spec(SPEC, store=store)  # refreshed artifact still serves
+        execute([SPEC], store=store)  # refreshed artifact still serves
         assert len(exec_counter) == 2
 
     def test_run_app_uses_ambient_store(self, tmp_path, exec_counter):
@@ -306,10 +350,16 @@ class TestStoreFaultIsolation:
         assert "2 simulated cell(s) left unstored" in message
         assert "OSError: disk full" in message
 
-    def test_execute_spec_propagates_store_failure(self, tmp_path):
-        """The single-cell path keeps its raise-to-caller contract."""
-        with pytest.raises(OSError, match="disk full"):
-            execute_spec(SPEC, store=self.FailingPutStore(tmp_path))
+    def test_run_app_keeps_the_result_and_warns_once(self, tmp_path):
+        """``run_app`` is a one-cell ``execute``: an unwritable store
+        costs the cache entry, not the run, as in ``repro matrix``."""
+        with use_store(self.FailingPutStore(tmp_path)):
+            result, caught = _runtime_warnings(
+                lambda: run_app("fft", "ASCOMA", 0.5, scale=SCALE))
+        assert isinstance(result, RunResult)
+        assert result.to_dict() == SPEC.execute().to_dict()
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        assert "1 simulated cell(s) left unstored" in str(caught[0].message)
 
 
 class TestProgress:
