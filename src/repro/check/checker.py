@@ -32,20 +32,41 @@ publishes each watched kind, in the reference loop's order, at its
 next exit, and barrier releases and the run's end are exits.  An
 ``event`` checker's sweeps need the machine as it is at each publish,
 in the middle of an access, so its runs replay on the reference loop.
+
+The page-mode FSM reads rows (:mod:`repro.sim.events`' row encoding):
+faults, S-COMA mappings, evictions and relocations are one stream,
+checked by :meth:`InvariantChecker.check_rows`.  The kernel's ring hands
+it each exit's rows of those kinds as one batch; the same kinds
+published from Python (the reference loop, a fault at which the daemon
+falls due, a daemon's evictions) enter it as one-row batches through
+:meth:`~InvariantChecker.__call__`, so both loops check one stream in
+one order.  Migrations and daemon runs, always published from Python,
+are checked per event on the same shadow.
 """
 
 from __future__ import annotations
 
 from ..kernel.vm import PageMode
 from ..sim.events import (EV_BARRIER, EV_DAEMON, EV_END, EV_EVICT, EV_FAULT,
-                          EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE)
-from .invariants import STRUCTURAL_CHECKS, Violation
+                          EV_MAP_SCOMA, EV_MIGRATE, EV_RELOCATE, R_EVICT,
+                          R_FAULT, R_MAP_SCOMA, event_row)
+from .invariants import (_CCNUMA, _HOME, _SCOMA, _UNMAPPED,
+                         STRUCTURAL_CHECKS, Violation)
 
 __all__ = ["InvariantChecker", "GRANULARITIES"]
 
 GRANULARITIES = ("event", "barrier")
 
 _BARRIER_KINDS = (EV_BARRIER, EV_END)
+
+#: The kinds the page-mode FSM checks as rows.
+_ROW_CHECKED = frozenset((EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE))
+
+
+def _fsm(message: str, node: int, page: int, clock: int,
+         invariant: str = "page-mode-fsm") -> Violation:
+    """A violation the page-mode FSM found at one row."""
+    return Violation(invariant, message, node=node, page=page, clock=clock)
 
 
 class InvariantChecker:
@@ -86,7 +107,8 @@ class InvariantChecker:
         *engine*."""
         checker = cls(engine.machine, engine.policy, granularity,
                       max_violations)
-        engine.machine.events.subscribe(checker, cls.KINDS)
+        engine.machine.events.subscribe(checker, cls.KINDS,
+                                        rows=checker.check_rows)
         engine.checker = checker
         return checker
 
@@ -105,14 +127,22 @@ class InvariantChecker:
 
     # ------------------------------------------------------------------
     def __call__(self, event) -> None:
-        """EventBus observer entry point."""
-        self.events_seen += 1
-        if len(self.violations) >= self.max_violations:
-            return
-        handler = self._EVENT_CHECKS.get(event.kind)
-        if handler is not None:
-            handler(self, event)
-        if event.kind in self._sweep_kinds:
+        """EventBus observer entry point.  A fault, S-COMA mapping,
+        eviction or relocation enters :meth:`check_rows` as a one-row
+        batch."""
+        capped = len(self.violations) >= self.max_violations
+        kind = event.kind
+        if kind in _ROW_CHECKED:
+            self.check_rows([event_row(event)])
+        else:
+            self.events_seen += 1
+            if capped:
+                return
+            if kind == EV_MIGRATE:
+                self._on_migrate(event)
+            elif kind == EV_DAEMON:
+                self._on_daemon(event)
+        if not capped and kind in self._sweep_kinds:
             self.sweep(clock=event.clock)
 
     def sweep(self, clock: int = -1) -> list[Violation]:
@@ -128,76 +158,91 @@ class InvariantChecker:
         return found
 
     # -- event-driven checks -------------------------------------------
+    def check_rows(self, rows) -> None:
+        """The page-mode FSM over fault, S-COMA map, eviction and
+        relocation rows (``[code, node, page, clock, a, b]``, see
+        :mod:`repro.sim.events`), in order.  Checking stops at the row
+        that finds the violation cap reached, as per-event delivery
+        would."""
+        self.events_seen += len(rows)
+        violations = self.violations
+        cap = self.max_violations
+        shadow = self._shadow
+        policy = self.policy
+        name = policy.name
+        initial = policy.initial_modes
+        relocates = policy.supports_relocation
+        evicted = _CCNUMA if policy.evict_to_ccnuma else _UNMAPPED
+        for code, node, page, clock, a, b in rows:
+            if len(violations) >= cap:
+                return
+            key = (node, page)
+            if code == R_FAULT:
+                # a: the mode the fault mapped, b: the page's home.
+                if b == node:
+                    if a != _HOME:
+                        violations.append(_fsm(
+                            f"fault on locally-homed page yielded"
+                            f" {PageMode(a).name}, expected HOME",
+                            node, page, clock))
+                elif a not in initial:
+                    legal = sorted(PageMode(m).name for m in initial)
+                    violations.append(_fsm(
+                        f"fault mapped remote page in {PageMode(a).name}"
+                        f" mode; {name} allows {legal}", node, page, clock))
+                prev = shadow.get(key, _UNMAPPED)
+                if prev != _UNMAPPED and prev != a:
+                    violations.append(_fsm(
+                        f"fault on a page already in {PageMode(prev).name}"
+                        " mode", node, page, clock))
+                shadow[key] = a
+            elif code == R_MAP_SCOMA:
+                prev = shadow.get(key, _UNMAPPED)
+                if prev == _CCNUMA:
+                    if not relocates:
+                        violations.append(_fsm(
+                            f"CC-NUMA page upgraded to S-COMA but {name}"
+                            " does not relocate", node, page, clock))
+                elif prev == _UNMAPPED:
+                    if _SCOMA not in initial:
+                        violations.append(_fsm(
+                            f"unmapped page mapped S-COMA but {name} never"
+                            " starts in S-COMA", node, page, clock))
+                else:
+                    violations.append(_fsm(
+                        f"S-COMA map of a page in {PageMode(prev).name}"
+                        " mode", node, page, clock))
+                shadow[key] = _SCOMA
+            elif code == R_EVICT:
+                # b: forced.
+                prev = shadow.get(key, _SCOMA)
+                if prev != _SCOMA:
+                    violations.append(_fsm(
+                        f"eviction of a page in {PageMode(prev).name} mode",
+                        node, page, clock))
+                if b and not policy.allows_forced_eviction:
+                    violations.append(_fsm(
+                        f"forced eviction under {name}, which never"
+                        " sacrifices a resident page", node, page, clock,
+                        "forced-eviction"))
+                shadow[key] = evicted
+            else:
+                # A relocation: map_scoma publishes before it, so the
+                # shadow must already show S-COMA here.
+                if not relocates:
+                    violations.append(_fsm(
+                        f"relocation under {name}, which does not relocate",
+                        node, page, clock))
+                prev = shadow.get(key, _SCOMA)
+                if prev != _SCOMA:
+                    violations.append(_fsm(
+                        f"relocation left page in {PageMode(prev).name}"
+                        " mode, expected SCOMA", node, page, clock))
+
     def _report(self, event, invariant: str, message: str, **detail) -> None:
         self.violations.append(Violation(
             invariant, message, node=event.node, page=event.page,
             clock=event.clock, detail=detail))
-
-    def _on_fault(self, event) -> None:
-        mode = event.detail["mode"]
-        home = event.detail["home"]
-        key = (event.node, event.page)
-        if home == event.node:
-            if mode != PageMode.HOME:
-                self._report(event, "page-mode-fsm",
-                             f"fault on locally-homed page yielded"
-                             f" {PageMode(mode).name}, expected HOME")
-        elif mode not in self.policy.initial_modes:
-            legal = sorted(PageMode(m).name for m in self.policy.initial_modes)
-            self._report(event, "page-mode-fsm",
-                         f"fault mapped remote page in {PageMode(mode).name}"
-                         f" mode; {self.policy.name} allows {legal}")
-        prev = self._shadow.get(key, PageMode.UNMAPPED)
-        if prev not in (PageMode.UNMAPPED, mode):
-            self._report(event, "page-mode-fsm",
-                         f"fault on a page already in {PageMode(prev).name}"
-                         " mode")
-        self._shadow[key] = mode
-
-    def _on_map_scoma(self, event) -> None:
-        key = (event.node, event.page)
-        prev = self._shadow.get(key, PageMode.UNMAPPED)
-        if prev == PageMode.CCNUMA:
-            if not self.policy.supports_relocation:
-                self._report(event, "page-mode-fsm",
-                             f"CC-NUMA page upgraded to S-COMA but"
-                             f" {self.policy.name} does not relocate")
-        elif prev == PageMode.UNMAPPED:
-            if PageMode.SCOMA not in self.policy.initial_modes:
-                self._report(event, "page-mode-fsm",
-                             f"unmapped page mapped S-COMA but"
-                             f" {self.policy.name} never starts in S-COMA")
-        else:
-            self._report(event, "page-mode-fsm",
-                         f"S-COMA map of a page in {PageMode(prev).name} mode")
-        self._shadow[key] = PageMode.SCOMA
-
-    def _on_evict(self, event) -> None:
-        key = (event.node, event.page)
-        prev = self._shadow.get(key, PageMode.SCOMA)
-        if prev != PageMode.SCOMA:
-            self._report(event, "page-mode-fsm",
-                         f"eviction of a page in {PageMode(prev).name} mode")
-        if event.detail.get("forced") and not self.policy.allows_forced_eviction:
-            self._report(event, "forced-eviction",
-                         f"forced eviction under {self.policy.name}, which"
-                         " never sacrifices a resident page")
-        self._shadow[key] = (PageMode.CCNUMA if self.policy.evict_to_ccnuma
-                             else PageMode.UNMAPPED)
-
-    def _on_relocate(self, event) -> None:
-        if not self.policy.supports_relocation:
-            self._report(event, "page-mode-fsm",
-                         f"relocation under {self.policy.name}, which does"
-                         " not relocate")
-        key = (event.node, event.page)
-        prev = self._shadow.get(key, PageMode.SCOMA)
-        if prev != PageMode.SCOMA:
-            # map_scoma publishes before the relocate event, so the
-            # shadow must already show S-COMA here.
-            self._report(event, "page-mode-fsm",
-                         f"relocation left page in {PageMode(prev).name}"
-                         " mode, expected SCOMA")
 
     def _on_migrate(self, event) -> None:
         if not self.policy.supports_migration:
@@ -243,12 +288,3 @@ class InvariantChecker:
                                  f" threshold {last} -> {threshold}",
                                  last=last, threshold=threshold)
         self._last_threshold[event.node] = threshold
-
-    _EVENT_CHECKS = {
-        EV_FAULT: _on_fault,
-        EV_MAP_SCOMA: _on_map_scoma,
-        EV_EVICT: _on_evict,
-        EV_RELOCATE: _on_relocate,
-        EV_MIGRATE: _on_migrate,
-        EV_DAEMON: _on_daemon,
-    }

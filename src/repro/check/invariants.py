@@ -28,13 +28,16 @@ The invariant families, and the paper sections they guard:
 Each check reads the whole machine at once -- the per-node rows of
 ``Machine.blocks``, the directory's copysets and owners, the
 allocator's homes -- with array operations over all nodes together, so
-a clean machine costs a few passes over those buffers.  Records are
+a clean machine costs a few passes over those buffers.  What depends
+only on the machine's size (node ids and copyset bits, chunk and page
+ranges) is built once per size and shared by every sweep.  Records are
 built only for the offending entries, node by node, in the order a
 walk over each node's structures would find them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -87,22 +90,42 @@ class Violation:
 
 
 # ----------------------------------------------------------------------
-def _copysets(directory) -> np.ndarray:
-    """The directory's sharer bitmaps as a (chunks, words) array."""
-    return np.asarray(directory.copyset).reshape(-1, directory.words)
+#: The page modes as plain ints (numpy compares an enum member slowly).
+_UNMAPPED, _HOME, _SCOMA, _CCNUMA = (int(mode) for mode in (
+    PageMode.UNMAPPED, PageMode.HOME, PageMode.SCOMA, PageMode.CCNUMA))
+
+#: Bit ``i`` of a 64-bit copyset word, for ``i`` in 0..63.
+_BIT = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
-def _node_ids(machine) -> np.ndarray:
-    """The node ids as a column, to broadcast against per-node rows."""
-    return np.arange(len(machine.nodes))[:, None]
+def _shared(array: np.ndarray) -> np.ndarray:
+    """*array*, read-only: it is shared by every sweep."""
+    array.flags.writeable = False
+    return array
 
 
-def _cached(directory, nodes: np.ndarray, chunks: np.ndarray) -> np.ndarray:
-    """Copyset membership of each of *nodes* in the matching chunk of
-    *chunks* (the two broadcast together)."""
-    words = np.asarray(directory.copyset).take(
-        chunks * directory.words + (nodes >> 6))
-    return (words & (np.uint64(1) << (nodes & 63).astype(np.uint64))) != 0
+@functools.lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """``0 .. n-1``: a chunk, page or clock range, built once per length."""
+    return _shared(np.arange(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _node_columns(n_nodes: int) -> tuple:
+    """The node ids as a column, to broadcast against per-node rows,
+    and each node's bit in its copyset word."""
+    ids = np.arange(n_nodes)[:, None]
+    return _shared(ids), _shared(_BIT[ids & 63])
+
+
+def _unreached(directory, nodes: np.ndarray, bits: np.ndarray,
+               chunks: np.ndarray) -> np.ndarray:
+    """Is each of *nodes* missing from the copyset of the matching
+    chunk of *chunks*?  *bits* holds each node's bit in its copyset
+    word (all three broadcast together)."""
+    words = directory.words
+    index = chunks if words == 1 else chunks * words + (nodes >> 6)
+    return (np.asarray(directory.copyset).take(index) & bits) == 0
 
 
 def _l1_lines(machine) -> np.ndarray:
@@ -139,14 +162,18 @@ def check_directory_swmr(machine) -> list[Violation]:
     directory = machine.directory
     amap = machine.amap
     owners = np.asarray(directory.owner)
-    column = owners[:, None]
+    copysets = np.asarray(directory.copyset)
     # The copyset a dirty owner leaves: its own bit, in its own word.
-    expected = np.where(np.arange(directory.words) == column >> 6,
-                        np.uint64(1) << (column & 63).astype(np.uint64),
-                        np.uint64(0))
-    bad = (owners != -1) & (_copysets(directory) != expected).any(axis=1)
+    if directory.words == 1:
+        stray = copysets != _BIT.take(owners & 63)
+    else:
+        column = owners[:, None]
+        stray = (copysets.reshape(-1, directory.words) != np.where(
+            _arange(directory.words) == column >> 6,
+            _BIT.take(column & 63), 0)).any(axis=1)
     out = []
-    for chunk, owner in _entries(bad, np.arange(owners.size), owners):
+    for chunk, owner in _entries((owners != -1) & stray,
+                                 _arange(owners.size), owners):
         cs = directory.copyset_of(chunk)
         out.append(Violation(
             "directory-swmr",
@@ -162,13 +189,13 @@ def check_cache_reachability(machine) -> list[Violation]:
     directory = machine.directory
     amap = machine.amap
     blocks = machine.blocks
-    nodes = _node_ids(machine)
+    nodes, bits = _node_columns(len(machine.nodes))
     out = []
     # L1 lines.
     lines = _l1_lines(machine)
     chunks = lines >> amap.chunk_shift
     for nid, line, chunk in _entries(
-            (lines != -1) & ~_cached(directory, nodes, chunks),
+            (lines != -1) & _unreached(directory, nodes, bits, chunks),
             nodes, lines, chunks):
         out.append(Violation(
             "cache-reachability",
@@ -181,7 +208,7 @@ def check_cache_reachability(machine) -> list[Violation]:
     chunks = (entries >> amap.chunk_shift
               if machine.config.rac_fill_policy == "victim" else entries)
     for nid, chunk in _entries(
-            (entries != -1) & ~_cached(directory, nodes, chunks),
+            (entries != -1) & _unreached(directory, nodes, bits, chunks),
             nodes, chunks):
         out.append(Violation(
             "cache-reachability",
@@ -190,15 +217,16 @@ def check_cache_reachability(machine) -> list[Violation]:
             detail={"structure": "rac", "chunk": chunk}))
     # S-COMA valid bits, of the (node, page) pairs holding any.
     valid = blocks.scoma_valid
-    held, pages = np.nonzero(valid.any(axis=2))
+    pairs = np.flatnonzero(valid.any(axis=2))
     cpp = amap.chunks_per_page
-    bits = np.unpackbits(
-        valid[held, pages].astype("<u8", copy=False).view(np.uint8),
-        axis=1, count=cpp, bitorder="little").view(bool)
-    held, pages = held[:, None], pages[:, None]
-    chunks = pages * cpp + np.arange(cpp)
+    held_bits = np.unpackbits(
+        valid.reshape(-1, valid.shape[2])[pairs].astype("<u8", copy=False)
+        .view(np.uint8), axis=1, count=cpp, bitorder="little").view(bool)
+    held, pages = np.divmod(pairs[:, None], valid.shape[1])
+    chunks = pages * cpp + _arange(cpp)
     for nid, page, chunk in _entries(
-            bits & ~_cached(directory, held, chunks), held, pages, chunks):
+            held_bits & _unreached(directory, held, _BIT[held & 63], chunks),
+            held, pages, chunks):
         out.append(Violation(
             "cache-reachability",
             f"S-COMA valid bit set for chunk {chunk}"
@@ -209,7 +237,7 @@ def check_cache_reachability(machine) -> list[Violation]:
     owners = np.asarray(directory.owner)
     for nid, chunk, owner in _entries(
             (blocks.owned != 0) & (owners != nodes), nodes,
-            np.arange(owners.size), owners):
+            _arange(owners.size), owners):
         out.append(Violation(
             "cache-reachability",
             f"node holds write permission on chunk {chunk} but"
@@ -258,7 +286,7 @@ def check_rac_exclusivity(machine) -> list[Violation]:
     pages = entries >> (amap.line_shift
                         if machine.config.rac_fill_policy == "victim"
                         else amap.line_shift - amap.chunk_shift)
-    nodes = _node_ids(machine)
+    nodes = _node_columns(len(machine.nodes))[0]
     modes = blocks.modes[nodes, pages]
     return [Violation(
         "rac-exclusivity",
@@ -266,7 +294,7 @@ def check_rac_exclusivity(machine) -> list[Violation]:
         f" {PageMode(mode).name} mode",
         node=nid, page=page, detail={"entry": entry, "mode": mode})
         for nid, entry, page, mode in _entries(
-            (entries != -1) & (modes != PageMode.CCNUMA),
+            (entries != -1) & (modes != _CCNUMA),
             nodes, entries, pages, modes)]
 
 
@@ -274,26 +302,28 @@ def check_page_table(machine) -> list[Violation]:
     """Mode/valid/clock agreement + home mapping vs the allocator."""
     blocks = machine.blocks
     allocator = machine.allocator
-    nodes = _node_ids(machine)
+    nodes = _node_columns(len(machine.nodes))[0]
     modes = blocks.modes
     n_pages = modes.shape[1]
-    scoma = modes == PageMode.SCOMA
+    scoma = modes == _SCOMA
     # Every S-COMA page carries valid bits (all clear when freshly
     # mapped); any other page must have none.
     valid = blocks.scoma_valid.any(axis=2)
     # The second-chance clock of each node, from its head, as ClockRing
     # reads its ring buffer; it must hold each S-COMA page exactly once.
     pc, clk = blocks.pc, blocks.clk
-    ahead = np.arange(max(int(pc[:, PC_LEN].max()), 0))
+    length = pc[:, PC_LEN, None]
+    ahead = _arange(max(int(length.max()), 0))
     clock = clk[nodes, (pc[:, PC_HEAD, None] + ahead) % clk.shape[1]]
-    queued = ahead < pc[:, PC_LEN, None]
+    queued = ahead < length
     known = queued & (clock >= 0) & (clock < n_pages)
     counts = np.bincount((nodes * n_pages + clock)[known],
                          minlength=modes.size).reshape(modes.shape)
-    unclocked = (counts != scoma).any(axis=1) | (queued & ~known).any(axis=1)
+    # Known entries are queued ones: a queued entry that is not known
+    # lies outside the table.
+    unclocked = (counts != scoma).any(axis=1) | (queued != known).any(axis=1)
     homes = np.asarray(allocator.home)[:n_pages]
-    foreign = (modes != PageMode.UNMAPPED) & (
-        (modes == PageMode.HOME) != (homes == nodes))
+    foreign = (modes != _UNMAPPED) & ((modes == _HOME) != (homes == nodes))
     out = []
     for nid in np.flatnonzero((valid & ~scoma).any(axis=1)).tolist():
         out.append(Violation(
@@ -309,9 +339,9 @@ def check_page_table(machine) -> list[Violation]:
             f" disagrees with S-COMA-mode pages"
             f" {np.flatnonzero(scoma[nid]).tolist()}",
             node=nid))
-    for nid, page, mode in _entries(foreign, nodes, np.arange(n_pages),
+    for nid, page, mode in _entries(foreign, nodes, _arange(n_pages),
                                     modes):
-        if mode == PageMode.HOME:
+        if mode == _HOME:
             out.append(Violation(
                 "page-table",
                 f"page mapped HOME but allocator home is"

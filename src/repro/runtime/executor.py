@@ -322,10 +322,8 @@ def execute(specs, *, store=None, refresh: bool | None = None,
             lost = [spec for spec in ordered if spec not in results]
             for spec in lost:
                 settle(spec, RunFailure(spec, error, trace))
-            warnings.warn(
-                f"a pool worker died; {len(lost)} of {len(todo)} cell(s)"
-                f" came back as failures ({error}); re-run to resume them",
-                RuntimeWarning, stacklevel=2)
+            _warn(f"a pool worker died; {len(lost)} of {len(todo)} cell(s)"
+                  f" came back as failures ({error}); re-run to resume them")
     elif todo:
         with _span(obs, "dispatch", cells=len(todo), workers=1,
                    pool="inline"):
@@ -333,7 +331,22 @@ def execute(specs, *, store=None, refresh: bool | None = None,
             for spec in todo:
                 settle(spec, run_spec(spec, retries, check, obs=obs))
     if unstored:
-        warnings.warn(
-            f"{len(unstored)} simulated cell(s) left unstored; first error:"
-            f" {unstored[0]}", RuntimeWarning, stacklevel=2)
+        _warn(f"{len(unstored)} simulated cell(s) left unstored; first error:"
+              f" {unstored[0]}")
     return results
+
+
+#: Modules whose frames a warning from :func:`execute` looks past: the
+#: harness resolves its cells through it, so the cause is their caller.
+_INTERNAL = ("repro.runtime.", "repro.harness.")
+
+
+def _warn(message: str) -> None:
+    """Raise a ``RuntimeWarning`` attributed to the first caller
+    outside ``repro.runtime`` and ``repro.harness`` (``warnings.warn``
+    has no ``skip_file_prefixes`` before Python 3.12)."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and (
+            frame.f_globals.get("__name__", "") + ".").startswith(_INTERNAL):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)

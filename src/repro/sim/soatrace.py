@@ -82,8 +82,7 @@ from ..core.policy import ArchitecturePolicy, RelocationDecision
 from ..core.vcnuma import VCNUMAPolicy
 from ..kernel.allocation import PLACEMENT_CODES
 from ..kernel.vm import PageMode
-from .events import (EV_DEMOTE, EV_EVICT, EV_FAULT, EV_FLUSH, EV_INVALIDATE,
-                     EV_MAP_SCOMA, EV_RELOCATE)
+from .events import ROW_KINDS
 from .trace import EV_WRITE
 
 __all__ = ["run_vector", "vector_available"]
@@ -120,10 +119,10 @@ _HINT_CODES = {RelocationDecision.SKIP: 0, RelocationDecision.RELOCATE: 1,
                RelocationDecision.RELOCATE_IF_FREE: 2}
 _H_PYTHON = 3
 
-#: The event kind of each ring entry code (R_* in the C source); the
-#: first two are chunk-level, the rest carry a page.
-_RING_KINDS = (EV_INVALIDATE, EV_DEMOTE, EV_RELOCATE, EV_FAULT, EV_MAP_SCOMA,
-               EV_EVICT, EV_FLUSH)
+#: The C array type of each buffer dtype the ``SoaState`` fields point
+#: at (``dtype.name`` is computed in Python, per call).
+_C_ARRAY = {np.dtype(t): f"{np.dtype(t).name}_t[]"
+            for t in (np.int64, np.uint64, np.uint8)}
 
 _STRUCT = """
 typedef struct {
@@ -1319,7 +1318,8 @@ def run_vector(engine) -> list[int] | None:
 
     # --- event ring + invalidation scratch ---------------------------
     # The ring records the kernel's transitions of each watched kind:
-    # bit `code` of P_WATCH stands for _RING_KINDS[code].
+    # bit `code` of P_WATCH stands for events.ROW_KINDS[code], the R_*
+    # enum of the C source.
     events = machine.events
     ring_cap = max(1024, 2 * n + 20)
     ring = np.zeros((ring_cap, 6), dtype=np.int64)
@@ -1376,7 +1376,7 @@ def run_vector(engine) -> list[int] | None:
     params[_P_N_CHUNKS] = n_pages * cpp
     params[_P_CS_WORDS] = directory.words
     params[_P_SV_WORDS] = nodes[0].page_table.sv_words
-    params[_P_WATCH] = sum(1 << code for code, kind in enumerate(_RING_KINDS)
+    params[_P_WATCH] = sum(1 << code for code, kind in enumerate(ROW_KINDS)
                            if events.watching(kind))
     params[_P_RING_CAP] = ring_cap
     costs = nodes[0].costs
@@ -1411,9 +1411,8 @@ def run_vector(engine) -> list[int] | None:
         pol=blocks.policy, fault_mode=fault_mode, hint_mode=hint_mode,
         next_run=next_run, thr=thr, st=blocks.stats, ctr=blocks.counters,
         mach=machine.counters, inv_scratch=inv_scratch, ring=ring)
-    keepalive = {field: ffi.from_buffer(
-        np.asarray(buf).dtype.name + "_t[]", buf)
-        for field, buf in buffers.items()}
+    keepalive = {field: ffi.from_buffer(_C_ARRAY[np.asarray(buf).dtype], buf)
+                 for field, buf in buffers.items()}
     state = ffi.new("SoaState *", keepalive)
 
     def _mode_code(node, free_frames):
@@ -1445,31 +1444,15 @@ def run_vector(engine) -> list[int] | None:
     pc_shift = engine._line_shift - engine._chunk_shift
 
     def _flush_ring():
-        """Publish the ring's events.
+        """Publish the ring's rows (see ``EventBus.publish_rows``).
 
         Runs before any other Python-side work at every kernel exit, so
-        the publish order matches the reference loop exactly; each
-        event carries the clock and the detail, of the same types, the
-        reference loop publishes it with.
+        the publish order matches the reference loop exactly.
         """
         count = ctl[_RINGN]
-        if not count:
-            return
-        for code, nd, where, clk, a, b in ring[:count].tolist():
-            kind = _RING_KINDS[code]
-            if kind in (EV_INVALIDATE, EV_DEMOTE):
-                events.publish(kind, nd, where >> pc_shift, clock=clk,
-                               chunk=where)
-            elif kind == EV_FAULT:
-                events.publish(kind, nd, where, clock=clk, mode=a, home=b)
-            elif kind == EV_EVICT:
-                events.publish(kind, nd, where, clock=clk, forced=bool(b),
-                               flushed=a)
-            elif kind == EV_MAP_SCOMA:
-                events.publish(kind, nd, where, clock=clk)
-            else:
-                events.publish(kind, nd, where, clock=clk, flushed=a)
-        ctl[_RINGN] = 0
+        if count:
+            events.publish_rows(ring[:count], pc_shift)
+            ctl[_RINGN] = 0
 
     # --- drive the kernel --------------------------------------------
     # Only residual, hint and daemon exits change policy inputs, so

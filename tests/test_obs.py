@@ -18,7 +18,8 @@ from repro.obs import (BackoffTelemetry, ObsSink, SpanRecorder,
                        summarize, use_obs, worker_recorder)
 from repro.runtime import RunSpec, execute
 from repro.sim.events import (ALL_KINDS, EV_BARRIER, EV_DAEMON, EV_EVICT,
-                              EventBus)
+                              EV_FAULT, EV_FLUSH, R_FAULT, R_FLUSH, EventBus,
+                              event_row)
 
 SCALE = 0.1
 
@@ -83,6 +84,35 @@ class TestEventBusKinds:
         assert [who for who, _ in seen] == ["all", "daemon"]
         assert seen[0][1] is seen[1][1]
         assert seen[0][1].clock == 42 and seen[0][1].node == 3
+
+    def test_row_taker_gets_rows_and_others_get_events(self):
+        """``publish_rows`` hands a row taker one list of the rows of its
+        kinds and builds an event per row only for the other
+        subscribers; unsubscribing the taker hands its kinds back."""
+        import numpy as np
+        bus = EventBus()
+        batches, seen = [], []
+
+        def taker(event):
+            seen.append(("taker", event))
+
+        bus.subscribe(taker, (EV_FAULT,), rows=batches.append)
+        bus.subscribe(lambda e: seen.append(("all", e)), (EV_FAULT, EV_FLUSH))
+        rows = np.array([[R_FAULT, 1, 7, 40, 3, 0], [R_FLUSH, 1, 7, 41, 2, 0],
+                         [R_FAULT, 2, 9, 42, 2, 2]])
+        bus.publish_rows(rows, 5)
+        assert batches == [[[R_FAULT, 1, 7, 40, 3, 0],
+                            [R_FAULT, 2, 9, 42, 2, 2]]]
+        assert [(who, e.kind, e.node, e.page, e.clock, e.detail)
+                for who, e in seen] == [
+            ("all", EV_FAULT, 1, 7, 40, {"mode": 3, "home": 0}),
+            ("all", EV_FLUSH, 1, 7, 41, {"flushed": 2}),
+            ("all", EV_FAULT, 2, 9, 42, {"mode": 2, "home": 2})]
+        assert [event_row(e) for _, e in seen] == rows.tolist()
+        bus.unsubscribe(taker)
+        assert bus.row_takers == [] and len(bus.kind_observers) == 2
+        bus.publish_rows(rows, 5)
+        assert len(batches) == 1 and len(seen) == 6
 
     def test_event_clock_overrides_ambient_clock(self):
         bus = EventBus()

@@ -1083,6 +1083,152 @@ class TestCheckedOnKernel:
         assert v_ref and v_auto == v_ref and r_auto == r_ref
 
 
+class RowRecorder:
+    """Takes the checker's four row kinds as :class:`InvariantChecker`
+    does: the kernel's ring batches whole, each event published from
+    Python as its one row.  ``rows`` is the stream in arrival order,
+    ``batches`` each ring batch's ``(start, end)`` in it."""
+
+    KINDS = ("fault", "map_scoma", "evict", "relocate")
+
+    def __init__(self):
+        self.rows, self.batches = [], []
+
+    def __call__(self, event):
+        from repro.sim.events import event_row
+        self.rows.append(event_row(event))
+
+    def take(self, batch):
+        self.batches.append((len(self.rows), len(self.rows) + len(batch)))
+        self.rows.extend(batch)
+
+
+def recorded_checked_replay(monkeypatch, engine, max_violations=1000):
+    """Run *engine* under a ``barrier`` checker capped at
+    *max_violations*, beside a :class:`RowRecorder`.  Returns the
+    result payload, the checker, the recorder, and whether each
+    ``run_vector`` call returned clocks."""
+    from repro.check import InvariantChecker
+    from repro.sim import soatrace
+    checker = InvariantChecker.attach(engine, max_violations=max_violations)
+    recorder = RowRecorder()
+    engine.machine.events.subscribe(recorder, RowRecorder.KINDS,
+                                    rows=recorder.take)
+    outcomes = []
+    real_run_vector = soatrace.run_vector
+
+    def probe(eng):
+        clock = real_run_vector(eng)
+        outcomes.append(clock is not None)
+        return clock
+
+    with monkeypatch.context() as patch:
+        patch.setattr(soatrace, "run_vector", probe)
+        result = engine.run().to_dict()
+    return result, checker, recorder, outcomes
+
+
+def bundle_engine(entry, vector_path):
+    import os
+
+    from repro.check import ReproBundle
+    bundle = ReproBundle.load(os.path.join(os.path.dirname(__file__),
+                                           "corpus", entry))
+    return Engine(bundle.workload, bundle.make_policy(), config=bundle.config,
+                  quantum=bundle.quantum, vector_path=vector_path)
+
+
+#: The inputs the checker's row stream is compared on, by name.
+CHECKED_STREAMS = {
+    entry: functools.partial(bundle_engine, entry)
+    for entry in ("ascoma-skip-invalidate", "ccnumamig-migratory-clean",
+                  "vcnuma-highpressure-clean")}
+CHECKED_STREAMS["skip-node-bug"] = lambda vector_path: make_engine(
+    "fft", "ASCOMA", 0.9, vector_path=vector_path,
+    config_kwargs={"debug_skip_invalidate_node": 1})
+CHECKED_STREAMS["96-node"] = functools.partial(wide_engine, "ascoma")
+
+
+class TestCheckedStreamParity:
+    """The kernel hands the checker its fault, S-COMA map, eviction and
+    relocation rows in ring batches; the reference loop publishes each
+    as an event, which enters the checker as one row.  Concatenated,
+    the batches are the reference loop's one-row stream, and the
+    checker counts, sweeps and reports the same on both loops."""
+
+    @pytest.mark.parametrize("name", list(CHECKED_STREAMS))
+    def test_batches_concatenate_to_the_reference_stream(self, monkeypatch,
+                                                         name):
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        (r_ref, c_ref, rec_ref, _), (r_vec, c_vec, rec_vec, outcomes) = [
+            recorded_checked_replay(monkeypatch,
+                                    CHECKED_STREAMS[name](vector_path=vector_path))
+            for vector_path in (False, True)]
+        assert outcomes == [True]
+        assert rec_ref.batches == []
+        assert max(end - start for start, end in rec_vec.batches) > 1
+        assert rec_ref.rows and rec_vec.rows == rec_ref.rows
+        assert c_vec.events_seen == c_ref.events_seen
+        assert c_vec.sweeps_run == c_ref.sweeps_run
+        assert ([v.as_dict() for v in c_vec.violations]
+                == [v.as_dict() for v in c_ref.violations])
+        assert r_vec == r_ref
+
+
+class TestCheckerCap:
+    """``max_violations`` stops checking at the same event on both
+    loops, inside a ring batch too: the rows after the one that finds
+    the cap reached are counted, not checked."""
+
+    @staticmethod
+    def capped(monkeypatch, make, cap):
+        if not vector_available():
+            pytest.skip("compiled kernel unavailable")
+        runs = [recorded_checked_replay(
+            monkeypatch, make(vector_path=vector_path), cap)
+            for vector_path in (False, True)]
+        (r_ref, c_ref, _, _), (r_vec, c_vec, recorder, outcomes) = runs
+        assert outcomes == [True]
+        assert r_vec == r_ref
+        assert c_vec.events_seen == c_ref.events_seen
+        assert c_vec.sweeps_run == c_ref.sweeps_run
+        violations = [v.as_dict() for v in c_ref.violations]
+        assert [v.as_dict() for v in c_vec.violations] == violations
+        assert len(violations) >= cap
+        return violations, recorder
+
+    @pytest.mark.parametrize("cap", (1, 7, 100))
+    def test_seeded_bug(self, monkeypatch, cap):
+        violations, _ = self.capped(
+            monkeypatch, CHECKED_STREAMS["skip-node-bug"], cap)
+        assert len(violations) < 491
+
+    @pytest.mark.parametrize("cap", (1, 7, 100))
+    def test_cap_inside_a_ring_batch(self, monkeypatch, cap):
+        """radix/RNUMA@0.9 relocates over forced evictions in the
+        kernel; a policy that claims it never forces one makes each a
+        violation the checker finds inside a ring batch."""
+        from repro.sim.events import R_EVICT
+
+        def make(vector_path):
+            engine = make_engine("radix", "RNUMA", 0.9,
+                                 vector_path=vector_path)
+            engine.policy.allows_forced_eviction = False
+            return engine
+
+        violations, recorder = self.capped(monkeypatch, make, cap)
+        assert len(violations) == cap
+        assert {v["invariant"] for v in violations} == {"forced-eviction"}
+        # The row that reached the cap is followed by more of its batch.
+        last = violations[-1]
+        at = next(i for i, row in enumerate(recorder.rows)
+                  if row[0] == R_EVICT and row[5] and row[1:4] == [
+                      last["node"], last["page"], last["clock"]])
+        assert any(start <= at < end - 1
+                   for start, end in recorder.batches)
+
+
 class TestCheckerSubscription:
     """The checker watches the eight kinds it acts on, at either
     granularity, and none of the sub-operation kinds no check reads:
@@ -1109,6 +1255,7 @@ class TestCheckerSubscription:
         kernel performs and the checker reads (``P_WATCH``)."""
         from repro.check import InvariantChecker
         from repro.sim import soatrace
+        from repro.sim.events import ROW_KINDS
         if not vector_available():
             pytest.skip("compiled kernel unavailable")
         ffi, lib = soatrace._load_kernel()
@@ -1125,7 +1272,7 @@ class TestCheckerSubscription:
         checker = InvariantChecker.attach(engine)
         engine.run()
         assert masks and len(set(masks)) == 1
-        watched = {kind for code, kind in enumerate(soatrace._RING_KINDS)
+        watched = {kind for code, kind in enumerate(ROW_KINDS)
                    if masks[0] >> code & 1}
         assert watched == {"fault", "map_scoma", "evict", "relocate"}
         assert checker.events_seen and not checker.violations

@@ -361,6 +361,22 @@ class TestStoreFaultIsolation:
         assert len(caught) == 1, [str(w.message) for w in caught]
         assert "1 simulated cell(s) left unstored" in str(caught[0].message)
 
+    @pytest.mark.parametrize("entry", ("execute", "run_app"))
+    def test_unstored_warning_points_at_the_caller(self, tmp_path, entry):
+        """The warning is attributed to the code that asked for the
+        cells, here this file, not to the harness or runtime frames in
+        between (``run_app`` reaches ``execute`` through
+        ``resolve_cells``)."""
+        store = self.FailingPutStore(tmp_path)
+        call = {"execute": lambda: execute([SPEC], store=store,
+                                           max_workers=1),
+                "run_app": lambda: run_app("fft", "ASCOMA", 0.5,
+                                           scale=SCALE)}[entry]
+        with use_store(store):
+            _, caught = _runtime_warnings(call)
+        assert [os.path.realpath(w.filename) for w in caught] == [
+            os.path.realpath(__file__)]
+
 
 class TestProgress:
     GOOD = [RunSpec("fft", "CCNUMA", 0.5, SCALE),
@@ -499,6 +515,8 @@ class TestDeadWorker:
         assert set(out) == set(self.SPECS)
         assert len(caught) == 1, [str(w.message) for w in caught]
         assert "BrokenProcessPool" in str(caught[0].message)
+        assert os.path.realpath(caught[0].filename) == os.path.realpath(
+            __file__)
         assert isinstance(out[victim], RunFailure)
         assert "BrokenProcessPool" in out[victim].error
         done = {spec for spec, r in out.items() if isinstance(r, RunResult)}
