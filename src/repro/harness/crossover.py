@@ -20,6 +20,9 @@ from .experiment import DEFAULT_SCALE, get_workload, resolve_cells
 
 __all__ = ["relative_time_at", "find_crossover", "crossover_report"]
 
+#: The pressure range a search covers, and the width it bisects down to.
+LO, HI, TOL = 0.05, 0.95, 0.02
+
 
 def _total_cycles(specs: list) -> list:
     """Each cell's total cycles, the cells resolved in one execute call."""
@@ -43,8 +46,8 @@ def relative_time_at(app: str, arch: str, pressure: float,
     return total / base
 
 
-def find_crossover(app: str, arch: str, lo: float = 0.05, hi: float = 0.95,
-                   tol: float = 0.02, scale: float = DEFAULT_SCALE,
+def find_crossover(app: str, arch: str, lo: float = LO, hi: float = HI,
+                   tol: float = TOL, scale: float = DEFAULT_SCALE,
                    threshold: float = 1.0) -> float | None:
     """Bisect for the lowest pressure where *arch* stops beating CC-NUMA.
 
@@ -53,9 +56,22 @@ def find_crossover(app: str, arch: str, lo: float = 0.05, hi: float = 0.95,
     and both endpoints resolve in one call, then one cell per
     bisection step.
     """
-    base, total_lo, total_hi = _total_cycles([
-        _baseline(app, scale), RunSpec(app, arch, lo, scale),
-        RunSpec(app, arch, hi, scale)])
+    return _bisect(app, arch, _total_cycles(_endpoints(app, arch, lo, hi,
+                                                       scale)),
+                   lo, hi, tol, scale, threshold)
+
+
+def _endpoints(app: str, arch: str, lo: float, hi: float,
+               scale: float) -> list:
+    """The three cells a search starts from: baseline, *lo* and *hi*."""
+    return [_baseline(app, scale), RunSpec(app, arch, lo, scale),
+            RunSpec(app, arch, hi, scale)]
+
+
+def _bisect(app: str, arch: str, totals: list, lo: float, hi: float,
+            tol: float, scale: float, threshold: float) -> float | None:
+    """:func:`find_crossover` given its endpoints' total cycles."""
+    base, total_lo, total_hi = totals
     rel_lo, rel_hi = total_lo / base, total_hi / base
     if rel_lo >= threshold:
         return lo if rel_hi >= threshold else None
@@ -74,18 +90,25 @@ def find_crossover(app: str, arch: str, lo: float = 0.05, hi: float = 0.95,
 def crossover_report(apps=("em3d", "radix", "fft"),
                      archs=("SCOMA", "RNUMA", "ASCOMA"),
                      scale: float = DEFAULT_SCALE) -> list[dict]:
-    """Crossover pressure vs ideal pressure for a set of apps."""
+    """Crossover pressure vs ideal pressure for a set of apps.
+
+    Every search's baseline and endpoints resolve in one call, over one
+    pool; each search then bisects as :func:`find_crossover` does.
+    """
+    ideals = {app: get_workload(app, scale).params["spec"]["ideal_pressure"]
+              for app in apps}
+    searches = [(app, arch) for app in apps for arch in archs]
+    totals = _total_cycles([spec for app, arch in searches
+                            for spec in _endpoints(app, arch, LO, HI, scale)])
     rows = []
-    for app in apps:
-        workload = get_workload(app, scale)
-        ideal = workload.params["spec"]["ideal_pressure"]
-        for arch in archs:
-            crossover = find_crossover(app, arch, scale=scale)
-            rows.append({
-                "app": app,
-                "arch": arch,
-                "ideal_pressure": round(ideal, 2),
-                "crossover_pressure": (round(crossover, 2)
-                                       if crossover is not None else None),
-            })
+    for i, (app, arch) in enumerate(searches):
+        crossover = _bisect(app, arch, totals[3 * i:3 * i + 3], LO, HI, TOL,
+                            scale, 1.0)
+        rows.append({
+            "app": app,
+            "arch": arch,
+            "ideal_pressure": round(ideals[app], 2),
+            "crossover_pressure": (round(crossover, 2)
+                                   if crossover is not None else None),
+        })
     return rows

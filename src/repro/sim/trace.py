@@ -34,7 +34,8 @@ import numpy as np
 
 __all__ = ["EV_READ", "EV_WRITE", "EV_COMPUTE", "EV_LOCAL", "EV_BARRIER",
            "TRACE_FORMAT_VERSION", "TRACE_LAYOUT_VERSION", "Trace",
-           "TraceBuilder", "WorkloadTraces", "coalesce_events"]
+           "TraceBuilder", "WorkloadTraces", "coalesce_events",
+           "coalesce_nodes"]
 
 EV_READ = 0
 EV_WRITE = 1
@@ -46,6 +47,8 @@ _EVENT_NAMES = {EV_READ: "READ", EV_WRITE: "WRITE", EV_COMPUTE: "COMPUTE",
                 EV_LOCAL: "LOCAL", EV_BARRIER: "BARRIER"}
 
 _MAGIC = b"ASTRACE\n"
+
+_INT64 = np.iinfo(np.int64)
 
 #: Version of the event encoding.  Bump whenever the meaning of
 #: (kind, arg) pairs changes: saved files then stop loading (``load``
@@ -79,21 +82,37 @@ def coalesce_events(kinds: np.ndarray,
     """
     if kinds.shape != args.shape:
         raise ValueError("kinds/args length mismatch")
-    n = len(kinds)
-    if n == 0:
-        return kinds, args
-    mergeable = (kinds == EV_COMPUTE) | (kinds == EV_LOCAL)
+    return coalesce_nodes(kinds, args, [len(kinds)])[:2]
+
+
+def coalesce_nodes(kinds: np.ndarray, args: np.ndarray,
+                   lengths: list[int]) -> tuple[np.ndarray, np.ndarray,
+                                                list[int]]:
+    """:func:`coalesce_events` over each node's run of flat arrays.
+
+    Node *i* is the *i*-th run of ``lengths[i]`` events, and no run
+    merges across a node boundary.  Returns the arrays -- the same
+    objects when nothing merges -- and the nodes' new lengths.
+    """
+    if len(kinds) < 2:
+        return kinds, args, lengths
     # Event i merges into its predecessor iff same kind and mergeable.
-    merge = (kinds[1:] == kinds[:-1]) & mergeable[1:]
+    merge = kinds[1:] == kinds[:-1]
     if not merge.any():
-        return kinds, args
-    keep = np.concatenate([[True], ~merge])
-    group = np.cumsum(keep) - 1  # output index of each input event
-    out_args = np.zeros(int(keep.sum()), dtype=np.int64)
-    np.add.at(out_args, group, np.asarray(args, dtype=np.int64))
+        return kinds, args, lengths
+    merge &= (kinds[1:] == EV_COMPUTE) | (kinds[1:] == EV_LOCAL)
+    ends = np.cumsum(lengths)
+    merge[ends[(ends > 0) & (ends < len(kinds))] - 1] = False
+    if not merge.any():
+        return kinds, args, lengths
+    # Each surviving event starts a group that runs to the next one.
+    starts = np.flatnonzero(np.concatenate([[True], ~merge]))
+    lengths = np.diff(np.searchsorted(starts, ends), prepend=0).tolist()
     # Non-mergeable kinds are always singleton groups, so the group sum
     # is their own arg (barrier ids and line ids survive untouched).
-    return kinds[keep], out_args
+    return (kinds[starts],
+            np.add.reduceat(np.asarray(args, dtype=np.int64), starts),
+            lengths)
 
 
 class Trace:
@@ -160,23 +179,35 @@ class Trace:
 class TraceBuilder:
     """Append-only trace construction.
 
-    Events accumulate as numpy chunks.  A bulk append stores a validated
-    copy of its arrays as one chunk, so a caller may reuse or mutate its
-    arrays afterwards; scalar appends (``read``, ``write``, ``compute``,
-    ``local``, ``barrier``) collect in a short pending run of Python ints
-    that is sealed into a chunk when the next bulk append arrives, or at
-    :meth:`build`.  Bulk-appended events never pass through Python
-    ints, which would cost more than generating them.
+    Events accumulate as *pieces* that are written into their final
+    arrays once, by :meth:`build` or :meth:`WorkloadTraces.from_builders`
+    (both through :func:`_fill`).  A piece is either
+
+    * an event chunk ``(kinds, args, scan)``: a bulk append
+      (``extend_refs``, ``extend_events``) stores a validated copy of
+      its arrays, so a caller may reuse or mutate them afterwards; scalar
+      appends (``read``, ``write``, ``compute``, ``local``, ``barrier``)
+      collect in a short pending run of Python ints that is sealed into
+      a chunk when the next bulk append arrives, or at a build.  *scan*
+      says whether the chunk may hold adjacent COMPUTE or LOCAL events
+      of one kind, which coalescing merges; or
+    * a visit round ``(lines, writes, block, cycles)`` from
+      :meth:`extend_visits`, whose arrays the builder takes over as they
+      are: its events exist only in the arrays it is built into.
+
+    Bulk-appended events never pass through Python ints, which would
+    cost more than generating them.
     """
 
-    __slots__ = ("_kind_chunks", "_arg_chunks", "_kinds", "_args")
+    __slots__ = ("_pieces", "_kinds", "_args", "_scan")
 
     def __init__(self) -> None:
-        self._kind_chunks: list[np.ndarray] = []
-        self._arg_chunks: list[np.ndarray] = []
-        # The pending run of scalar appends.
+        self._pieces: list[tuple] = []
+        # The pending run of scalar appends, and whether it holds two
+        # adjacent COMPUTE or LOCAL events of one kind.
         self._kinds: list[int] = []
         self._args: list[int] = []
+        self._scan = False
 
     def read(self, line: int) -> None:
         self._kinds.append(EV_READ)
@@ -190,15 +221,19 @@ class TraceBuilder:
         if cycles < 0:
             raise ValueError("compute cycles must be non-negative")
         if cycles:
-            self._kinds.append(EV_COMPUTE)
-            self._args.append(cycles)
+            self._cycles(EV_COMPUTE, cycles)
 
     def local(self, cycles: int) -> None:
         if cycles < 0:
             raise ValueError("local-memory cycles must be non-negative")
         if cycles:
-            self._kinds.append(EV_LOCAL)
-            self._args.append(cycles)
+            self._cycles(EV_LOCAL, cycles)
+
+    def _cycles(self, kind: int, cycles: int) -> None:
+        if self._kinds and self._kinds[-1] == kind:
+            self._scan = True
+        self._kinds.append(kind)
+        self._args.append(cycles)
 
     def barrier(self, index: int) -> None:
         self._kinds.append(EV_BARRIER)
@@ -209,18 +244,16 @@ class TraceBuilder:
         if len(lines) != len(writes):
             raise ValueError("lines/writes length mismatch")
         self._append(
-            np.where(writes, np.uint8(EV_WRITE), np.uint8(EV_READ)).ravel(),
-            np.array(lines, dtype=np.int64).ravel())
+            (np.where(writes, np.uint8(EV_WRITE), np.uint8(EV_READ)).ravel(),
+             np.array(lines, dtype=np.int64).ravel(), False))
 
     def extend_events(self, kinds, args) -> None:
         """Bulk-append pre-encoded ``(kind, arg)`` pairs.
 
         Accepts numpy arrays or plain sequences; multi-dimensional
-        arrays are flattened in C order.  This is the public bulk API
-        for vectorised emitters that assemble whole event blocks
-        (e.g. ``workloads.base.emit_visits``).  Kinds are checked
-        against ``EV_READ..EV_BARRIER`` before they are narrowed to
-        ``uint8``, so no out-of-range kind can wrap onto a valid one.
+        arrays are flattened in C order.  Kinds are checked against
+        ``EV_READ..EV_BARRIER`` before they are narrowed to ``uint8``,
+        so no out-of-range kind can wrap onto a valid one.
         """
         kinds = np.ravel(kinds)
         args = np.ravel(args)
@@ -229,23 +262,79 @@ class TraceBuilder:
         if len(kinds) and not (EV_READ <= kinds.min()
                                and kinds.max() <= EV_BARRIER):
             raise ValueError("unknown event kind in bulk append")
-        self._append(kinds.astype(np.uint8), args.astype(np.int64))
+        self._append((kinds.astype(np.uint8), args.astype(np.int64), True))
 
-    def _append(self, kinds: np.ndarray, args: np.ndarray) -> None:
-        """Seal the pending run, then adopt *kinds*/*args* (owned
-        copies) as the next chunk."""
-        self._seal()
-        if len(kinds):
-            self._kind_chunks.append(kinds)
-            self._arg_chunks.append(args)
+    def extend_visits(self, lines: np.ndarray, writes: np.ndarray,
+                      block: int, cycles: int) -> None:
+        """Append one round of page visits, taking over its arrays.
+
+        The round's events are ``len(lines) // block`` blocks of one
+        ``COMPUTE`` marker of *cycles* followed by *block* references,
+        then the references that do not fill a block: reference *i* is
+        a ``WRITE`` of ``lines[i]`` if ``writes[i]``, else a ``READ``.
+        This is the vectorised generators' append
+        (``workloads.base.emit_visits``).  The builder keeps *lines* and
+        *writes* as they are, without a copy, until it is built: the
+        caller hands them over and must not change them afterwards.
+        """
+        lines = np.asarray(lines, dtype=np.int64).reshape(-1)
+        writes = np.asarray(writes, dtype=bool).reshape(-1)
+        if lines.shape != writes.shape:
+            raise ValueError("lines/writes length mismatch")
+        if block < 1:
+            raise ValueError("a visit block needs at least one reference")
+        self._append((lines, writes, int(block), int(cycles)))
+
+    def _append(self, piece: tuple) -> None:
+        """Seal the pending run, then adopt *piece* (an owned chunk or a
+        taken-over round) unless it is empty."""
+        if self._kinds:
+            self._seal()
+        if len(piece[0]):
+            self._pieces.append(piece)
 
     def _seal(self) -> None:
         """Turn the pending scalar run into a chunk."""
         if self._kinds:
-            self._kind_chunks.append(np.array(self._kinds, dtype=np.uint8))
-            self._arg_chunks.append(np.array(self._args, dtype=np.int64))
+            self._pieces.append((np.array(self._kinds, dtype=np.uint8),
+                                 np.array(self._args, dtype=np.int64),
+                                 self._scan))
             self._kinds.clear()
             self._args.clear()
+            self._scan = False
+
+    def _layout(self, coalesce: bool) -> tuple[list, int]:
+        """The pieces as :func:`_fill` writes them, and their event count.
+
+        Each entry is ``(piece, events, merge)``.  With *coalesce*, a
+        chunk that may hold a mergeable pair is coalesced on its own,
+        and a piece whose first event continues the previous piece's
+        last COMPUTE or LOCAL run is marked to *merge* into it.  A visit
+        round needs no scan: its COMPUTE markers are separated by at
+        least one reference, and it ends with a reference.
+        """
+        self._seal()
+        layout = []
+        total = 0
+        last = -1          # kind of the last event laid out so far
+        for piece in self._pieces:
+            if len(piece) == 3:
+                if coalesce and piece[2]:
+                    piece = (*coalesce_events(piece[0], piece[1]), True)
+                kinds = piece[0]
+                n, first, end = len(kinds), int(kinds[0]), int(kinds[-1])
+            else:
+                lines, writes, block, _ = piece
+                blocks = len(lines) // block
+                n = len(lines) + blocks
+                first = EV_COMPUTE if blocks else int(writes[0])
+                end = EV_READ
+            merge = (coalesce and first == last
+                     and (first == EV_COMPUTE or first == EV_LOCAL))
+            layout.append((piece, n, merge))
+            total += n - merge
+            last = end
+        return layout, total
 
     def build(self, coalesce: bool = False) -> Trace:
         """Freeze into a :class:`Trace`.
@@ -256,19 +345,54 @@ class TraceBuilder:
         (see :func:`coalesce_events`) -- the generators pass it so
         replay never pays for split cycle bursts.
         """
-        self._seal()
-        if self._kind_chunks:
-            kinds = np.concatenate(self._kind_chunks)
-            args = np.concatenate(self._arg_chunks)
-        else:
-            kinds = np.zeros(0, dtype=np.uint8)
-            args = np.zeros(0, dtype=np.int64)
-        if coalesce:
-            kinds, args = coalesce_events(kinds, args)
+        layout, total = self._layout(coalesce)
+        kinds = np.empty(total, dtype=np.uint8)
+        args = np.empty(total, dtype=np.int64)
+        _fill(layout, kinds, args)
         return Trace(kinds, args)
 
     def __len__(self) -> int:
-        return sum(map(len, self._kind_chunks)) + len(self._kinds)
+        return (sum(len(p[0]) + (len(p[0]) // p[2] if len(p) == 4 else 0)
+                    for p in self._pieces) + len(self._kinds))
+
+
+def _fill(layout: list, kinds: np.ndarray, args: np.ndarray) -> None:
+    """Write a builder's :meth:`~TraceBuilder._layout` into *kinds* and
+    *args*, which it fills exactly.
+
+    A piece marked to merge is written one slot early, over the event it
+    continues, whose cycles are then added back.  A visit round is
+    written through ``(blocks, block + 1)`` views: column 0 takes the
+    COMPUTE markers, the rest the references, and a write flag is its
+    own event kind (``EV_READ == 0``, ``EV_WRITE == 1``).
+    """
+    pos = 0
+    for piece, n, merge in layout:
+        if merge:
+            pos -= 1
+            carry = args[pos]
+        end = pos + n
+        if len(piece) == 3:
+            kinds[pos:end] = piece[0]
+            args[pos:end] = piece[1]
+        else:
+            lines, writes, block, cycles = piece
+            blocks = len(lines) // block
+            refs = blocks * block
+            head = pos + blocks * (block + 1)
+            if head < end:
+                kinds[head:end] = writes[refs:]
+                args[head:end] = lines[refs:]
+                lines, writes = lines[:refs], writes[:refs]
+            grid = kinds[pos:head].reshape(blocks, block + 1)
+            grid[:, 0] = EV_COMPUTE
+            grid[:, 1:] = writes.reshape(blocks, block)
+            grid = args[pos:head].reshape(blocks, block + 1)
+            grid[:, 0] = cycles
+            grid[:, 1:] = lines.reshape(blocks, block)
+        if merge:
+            args[pos] += carry
+        pos = end
 
 
 class WorkloadTraces:
@@ -291,6 +415,44 @@ class WorkloadTraces:
                    np.concatenate([t.args for t in traces]),
                    [len(t) for t in traces], home_pages_per_node,
                    total_shared_pages, params)
+
+    @classmethod
+    def from_builders(cls, name: str, builders: list[TraceBuilder],
+                      home_pages_per_node: int, total_shared_pages: int,
+                      params: dict | None = None) -> "WorkloadTraces":
+        """One node per builder, coalesced, written once.
+
+        Equal to ``WorkloadTraces(name, [b.build(coalesce=True) for b in
+        builders], ...)``, but the whole workload is sized first and each
+        builder's pieces are written straight into its node's slice of
+        the flat arrays, with no per-node trace in between.  The
+        builders stay usable, as after :meth:`TraceBuilder.build`.
+        """
+        if not builders:
+            raise ValueError("need at least one node trace")
+        layouts = [b._layout(coalesce=True) for b in builders]
+        lengths = [total for _, total in layouts]
+        kinds = np.empty(sum(lengths), dtype=np.uint8)
+        args = np.empty(sum(lengths), dtype=np.int64)
+        pos = 0
+        for layout, total in layouts:
+            _fill(layout, kinds[pos:pos + total], args[pos:pos + total])
+            pos += total
+        return cls.from_arrays(name, kinds, args, lengths,
+                               home_pages_per_node, total_shared_pages,
+                               params)
+
+    @classmethod
+    def from_arrays(cls, name: str, kinds: np.ndarray, args: np.ndarray,
+                    lengths, home_pages_per_node: int,
+                    total_shared_pages: int,
+                    params: dict | None = None) -> "WorkloadTraces":
+        """Adopt flat event arrays, node *i* being the *i*-th run of
+        ``lengths[i]`` events, without copying them."""
+        workload = cls.__new__(cls)
+        workload._bind(name, kinds, args, lengths, home_pages_per_node,
+                       total_shared_pages, params)
+        return workload
 
     def _bind(self, name: str, kinds, args, lengths,
               home_pages_per_node: int, total_shared_pages: int,
@@ -355,13 +517,15 @@ class WorkloadTraces:
         READ/WRITE event references (``0``/``-1`` when there are none)
         -- the vectorized replay substrate (:mod:`repro.sim.soatrace`)
         sizes and bounds-checks its dense state arrays with them.  They
-        are computed on the first call; all arrays are read-only for
-        callers.
+        are computed on the first call, as masked reductions that copy
+        no reference; all arrays are read-only for callers.
         """
         if self._ref_bounds is None:
-            refs = self.args[self.kinds <= EV_WRITE]
-            self._ref_bounds = ((int(refs.min()), int(refs.max()))
-                                if len(refs) else (0, -1))
+            refs = self.kinds <= EV_WRITE
+            self._ref_bounds = (
+                (int(np.min(self.args, where=refs, initial=_INT64.max)),
+                 int(np.max(self.args, where=refs, initial=_INT64.min)))
+                if refs.any() else (0, -1))
         return (self.kinds, self.args, self.offsets, self.lengths,
                 *self._ref_bounds)
 
@@ -456,8 +620,6 @@ class WorkloadTraces:
             else:
                 kinds = np.zeros(0, dtype=np.uint8)
                 args = np.zeros(0, dtype=np.int64)
-        workload = cls.__new__(cls)
-        workload._bind(header["name"], kinds, args, lengths,
-                       header["home_pages_per_node"],
-                       header["total_shared_pages"], header["params"])
-        return workload
+        return cls.from_arrays(header["name"], kinds, args, lengths,
+                               header["home_pages_per_node"],
+                               header["total_shared_pages"], header["params"])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mem.address import AddressMap
-from ..sim.trace import EV_COMPUTE, EV_READ, EV_WRITE, Trace, TraceBuilder, WorkloadTraces
+from ..sim.trace import TraceBuilder, WorkloadTraces
 
 __all__ = ["WorkloadSpec", "SyntheticGenerator", "emit_visits"]
 
@@ -137,51 +137,42 @@ def emit_visits(builder: TraceBuilder, rng: np.random.Generator,
     ``scatter=True`` permutes the round's references at line granularity
     before repeating, destroying the chunk adjacency the RAC depends on.
     ``line_repeats`` emits each line that many times back-to-back (the
-    repeats hit the L1).  Returns the number of shared references
-    emitted.
+    repeats hit the L1).  *lines_per_page* is a power of two, as
+    :class:`~repro.mem.address.AddressMap` guarantees.  Returns the
+    number of shared references emitted.
     """
     v = len(pages)
     if v == 0:
         return 0
+    if lines_per_page & (lines_per_page - 1):
+        raise ValueError("lines_per_page must be a power of two")
     ln = lines_per_visit
     offsets = rng.integers(0, lines_per_page, size=v)
     # (V, L) line ids: consecutive within the page, wrapping at the end.
-    lines = (pages[:, None] * lines_per_page
-             + (offsets[:, None] + np.arange(ln)) % lines_per_page).ravel()
+    lines = ((pages * lines_per_page)[:, None]
+             + ((offsets[:, None] + np.arange(ln))
+                & (lines_per_page - 1))).ravel()
     if scatter:
+        # Shuffled in place: the same draws as permuting into copies.
         if scatter_window > 0:
             # Permute within bounded windows of consecutive visits.
             w = scatter_window * ln
             full = (len(lines) // w) * w
             head = lines[:full].reshape(-1, w)
-            perm = rng.permuted(head, axis=1)
-            tail = rng.permutation(lines[full:])
-            lines = np.concatenate([perm.ravel(), tail])
+            rng.permuted(head, axis=1, out=head)
+            rng.shuffle(lines[full:])
         else:
-            lines = rng.permutation(lines)
+            rng.shuffle(lines)
     if line_repeats > 1:
-        lines = np.repeat(lines, line_repeats)
-    writes = rng.random(lines.shape) < write_fraction
+        lines = lines.repeat(line_repeats)
+    writes = rng.random(len(lines)) < write_fraction
 
     # One COMPUTE marker per `block` references keeps compute density
-    # independent of scatter/repeat settings.
-    block = ln * line_repeats
-    n = len(lines)
-    n_blocks = n // block
-    kinds = np.empty((n_blocks, block + 1), dtype=np.uint8)
-    kinds[:, 0] = EV_COMPUTE
-    kinds[:, 1:] = np.where(writes[:n_blocks * block], EV_WRITE,
-                            EV_READ).reshape(n_blocks, block)
-    args = np.empty((n_blocks, block + 1), dtype=np.int64)
-    args[:, 0] = compute_per_visit
-    args[:, 1:] = lines[:n_blocks * block].reshape(n_blocks, block)
-
-    builder.extend_events(kinds, args)
-    # Tail references that do not fill a whole block.
-    tail = n_blocks * block
-    if tail < n:
-        builder.extend_refs(lines[tail:], writes[tail:])
-    return n
+    # independent of scatter/repeat settings.  The builder takes the
+    # round's arrays over and lays the markers in only when it is built.
+    builder.extend_visits(lines, writes, ln * line_repeats,
+                          compute_per_visit)
+    return len(lines)
 
 
 class SyntheticGenerator:
@@ -243,7 +234,7 @@ class SyntheticGenerator:
         spec = self.spec
         amap = self.amap
         lpp = amap.lines_per_page
-        traces: list[Trace] = []
+        builders: list[TraceBuilder] = []
         for node in range(spec.n_nodes):
             rng = np.random.default_rng(spec.seed + 1009 * node)
             jitter = 1.0 + spec.compute_jitter * (rng.random() * 2 - 1)
@@ -272,13 +263,13 @@ class SyntheticGenerator:
                             scatter=False, line_repeats=spec.line_repeats)
                 builder.local(spec.local_cycles_per_sweep)
                 builder.barrier(sweep + 1)
-            # Coalescing merges any adjacent COMPUTE/LOCAL runs so the
-            # replay engine never iterates over split cycle bursts.
-            traces.append(builder.build(coalesce=True))
+            builders.append(builder)
 
-        return WorkloadTraces(
+        # Built coalesced: adjacent COMPUTE/LOCAL runs merge, so the
+        # replay engine never iterates over split cycle bursts.
+        return WorkloadTraces.from_builders(
             name=spec.name,
-            traces=traces,
+            builders=builders,
             home_pages_per_node=spec.home_pages_per_node,
             total_shared_pages=spec.total_shared_pages,
             params={"spec": spec.__dict__ | {"ideal_pressure": spec.ideal_pressure()}},

@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from ..mem.address import AddressMap
-from ..sim.trace import Trace, TraceBuilder, WorkloadTraces
+from ..sim.trace import TraceBuilder, WorkloadTraces
 
 __all__ = ["INGEST_FORMAT_VERSION", "INGEST_FORMATS", "EXTERNAL_PREFIX",
            "is_external_app", "external_app_id", "parse_external_app",
@@ -249,15 +249,13 @@ def ingest_file(path: str | Path, fmt: str = "csv", name: str | None = None,
                                 - int(prev * cycles_per_time))
             prev_time[node] = time
         builder.write(line) if write else builder.read(line)
-    traces: list[Trace] = []
     for node, builder in enumerate(per_node):
         for index in range(next_bar[node], barriers):
             builder.barrier(index)
-        traces.append(builder.build(coalesce=True))
 
-    return WorkloadTraces(
+    return WorkloadTraces.from_builders(
         name=EXTERNAL_PREFIX + base,
-        traces=traces,
+        builders=per_node,
         home_pages_per_node=home_pages,
         total_shared_pages=home_pages * n_nodes,
         params={"ingest": {

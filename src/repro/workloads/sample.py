@@ -9,10 +9,10 @@ replay the reduced trace, and report the full-trace metrics through a
 documented scale-up estimator with *measured* error bounds
 (``docs/sampling.md``).
 
-Two samplers, both streaming node by node over the workload's flat
-event arrays (:meth:`~repro.sim.trace.WorkloadTraces.soa`), so a 100x
-trace is never converted to list form and — when it comes from the
-trace cache, memory-mapped — never even loaded into the heap:
+Two samplers, both working over the workload's flat event arrays
+(``kinds``, ``args``, ``offsets``, ``lengths``), so a 100x trace is never
+converted to list form and — when it comes from the trace cache,
+memory-mapped — never copied whole into the heap:
 
 * **Rate sampling** (``rate=k``) keeps every k-th *barrier epoch*
   (``unit="sweep"``, the default): whole sweeps survive intact, so the
@@ -61,12 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.trace import (EV_BARRIER, EV_COMPUTE, EV_LOCAL, EV_WRITE, Trace,
-                         WorkloadTraces, coalesce_events)
+from ..sim.trace import (EV_BARRIER, EV_COMPUTE, EV_LOCAL, EV_WRITE,
+                         WorkloadTraces, coalesce_nodes)
 
 __all__ = ["SAMPLE_FORMAT_VERSION", "SampleSpec", "sample_workload",
-           "sample_scale_factor",
-           "sample_soa", "trace_memory_bytes", "estimated_metrics",
+           "sample_scale_factor", "trace_memory_bytes", "estimated_metrics",
            "sampling_error", "sampling_error_report", "scaled_home_pages",
            "ERROR_ANALYSIS_CONFIGS", "ERROR_BOUNDS"]
 
@@ -199,20 +198,26 @@ def _sweep_phase(seed: int, rate: int) -> int:
     return int.from_bytes(digest[:8], "big") % rate
 
 
-def _sweep_keep_mask(is_bar: np.ndarray, spec: SampleSpec) -> np.ndarray | None:
-    """Per-event keep mask for epoch (sweep) sampling, or ``None``.
+def _sweep_keep_mask(bars: np.ndarray, offsets: np.ndarray,
+                     lengths: np.ndarray,
+                     spec: SampleSpec) -> np.ndarray | None:
+    """Keep mask over a workload's flat events for epoch (sweep)
+    sampling, or ``None``.
 
-    Epoch 0 (everything up to and including the first barrier) is
-    always kept: it carries the home-pinning first-touch prologue and
-    the cold transient, which the estimator treats as unscaled.  Of the
-    remaining epochs, every ``rate``-th survives (phase hashed from the
-    seed); at least one interior epoch is always kept so a rate larger
-    than the sweep count still yields a replayable reduction.  Returns
-    ``None`` when the trace has no interior epochs to stride over
-    (fewer than two barriers — e.g. an ingested trace with only the
-    trailing barrier; use ``unit="visit"`` there).
+    *bars* holds each node's barrier positions in the flat arrays, one
+    row per node.  An event belongs to the epoch its terminating
+    barrier closes.  Epoch 0 (everything up to and including the first
+    barrier) is always kept: it carries the home-pinning first-touch
+    prologue and the cold transient, which the estimator treats as
+    unscaled.  Of the remaining epochs, every ``rate``-th survives
+    (phase hashed from the seed); at least one interior epoch is always
+    kept so a rate larger than the sweep count still yields a
+    replayable reduction.  Returns ``None`` when the trace has no
+    interior epochs to stride over (fewer than two barriers — e.g. an
+    ingested trace with only the trailing barrier; use ``unit="visit"``
+    there).
     """
-    nbar = int(is_bar.sum())
+    nbar = bars.shape[1]
     if nbar <= 1:
         return None
     phase = _sweep_phase(spec.seed, spec.rate)
@@ -223,9 +228,10 @@ def _sweep_keep_mask(is_bar: np.ndarray, spec: SampleSpec) -> np.ndarray | None:
     slice_keep[interior] = ((interior - 1 + phase) % spec.rate) == 0
     if not slice_keep[1:nbar].any():
         slice_keep[1 + phase % (nbar - 1)] = True
-    # An event belongs to the epoch its terminating barrier closes.
-    epoch = np.cumsum(is_bar) - is_bar
-    return slice_keep[epoch]
+    # Each node's epochs run from its start, past each barrier, to its end.
+    bounds = np.column_stack([offsets, bars + 1, offsets + lengths])
+    return np.repeat(np.tile(slice_keep, len(bars)),
+                     np.diff(bounds, axis=1).ravel())
 
 
 def _page_keep_mask(pages: np.ndarray, spec: SampleSpec) -> np.ndarray:
@@ -239,97 +245,58 @@ def _page_keep_mask(pages: np.ndarray, spec: SampleSpec) -> np.ndarray:
     return (x % np.uint64(_PAGE_HASH_BUCKETS)) < cutoff
 
 
-def _rescale_cycles(args: np.ndarray, mask: np.ndarray,
-                    fraction: float) -> None:
-    """Scale ``args[mask]`` by *fraction* in place, conserving the sum.
+def _rescale_cycles(kinds: np.ndarray, args: np.ndarray, keep: np.ndarray,
+                    fraction: float) -> np.ndarray:
+    """Scale one node's COMPUTE/LOCAL cycles by *fraction*.
 
-    Cumulative-sum rounding: event *i* gets
-    ``floor(S_i * f) - floor(S_{i-1} * f)``, so the per-node total is
-    ``floor(total * f)`` regardless of how the bursts are split —
-    deterministic, and immune to drift over millions of events.
+    Cumulative-sum rounding over every burst of the node, kept or not:
+    burst *i* gets ``floor(S_i * f) - floor(S_{i-1} * f)``, so the
+    per-node total is ``floor(total * f)`` regardless of how the bursts
+    are split — deterministic, and immune to drift over millions of
+    events.  Bursts that scale to zero are dropped from *keep*; returns
+    the new cycles of the kept bursts, in order.
     """
-    cycles = args[mask]
-    if not len(cycles):
+    cyc = np.flatnonzero((kinds == EV_COMPUTE) | (kinds == EV_LOCAL))
+    scaled = np.floor(np.cumsum(args[cyc], dtype=np.float64) * fraction)
+    scaled = np.diff(scaled.astype(np.int64), prepend=np.int64(0))
+    keep[cyc[scaled == 0]] = False
+    return scaled[keep[cyc]]
+
+
+def _thin_refs(kinds: np.ndarray, args: np.ndarray, keep: np.ndarray,
+               bars: np.ndarray, node: int, spec: SampleSpec,
+               lines_per_page: int) -> None:
+    """Drop from *keep* one node's references outside the spatial
+    sample or the visit/reference stride (*bars*: its barrier
+    positions)."""
+    ref_idx = np.flatnonzero(kinds <= EV_WRITE)
+    if not len(ref_idx):
         return
-    scaled = np.floor(np.cumsum(cycles, dtype=np.float64) * fraction)
-    args[mask] = np.diff(scaled.astype(np.int64), prepend=np.int64(0))
-
-
-def _sample_node(kinds: np.ndarray, args: np.ndarray, node: int,
-                 spec: SampleSpec, lines_per_page: int) -> Trace:
-    """Sample one node's event slice into a fresh (coalesced) Trace."""
-    kinds = np.asarray(kinds)
-    n = len(kinds)
-    keep = np.ones(n, dtype=bool)
-    is_ref = kinds <= EV_WRITE
-    is_bar = kinds == EV_BARRIER
-    # args is int64 already; copy so cycle rescaling never touches the
-    # (possibly memmapped, read-only) source arrays.
-    out_args = np.array(args, dtype=np.int64)
-
-    ref_idx = np.nonzero(is_ref)[0]
-    pages = out_args[ref_idx] // lines_per_page if len(ref_idx) else \
-        np.zeros(0, dtype=np.int64)
-
-    if spec.pages < 1.0 and len(ref_idx):
+    pages = args[ref_idx] // lines_per_page
+    if spec.pages < 1.0:
         keep[ref_idx[~_page_keep_mask(pages, spec)]] = False
-
-    if spec.rate > 1 and spec.unit == "sweep":
-        sweep_keep = _sweep_keep_mask(is_bar, spec)
-        if sweep_keep is not None:
-            keep &= sweep_keep
-            # Renumber surviving barriers 0..m-1 (identical across
-            # nodes, since epoch selection is global).
-            kept_bars = is_bar & keep
-            out_args[kept_bars] = np.arange(int(kept_bars.sum()))
-    elif spec.rate > 1 and len(ref_idx):
-        phase = _node_phase(node, spec.seed, spec.rate)
-        if spec.unit == "ref":
-            unit_id = np.arange(len(ref_idx), dtype=np.int64)
-        else:
-            # A visit ends when the page changes between consecutive
-            # references or a barrier is crossed.  Line repeats target
-            # the same page, so L1-hit pairs stay intact.
-            barrier_epoch = np.cumsum(is_bar)[ref_idx]
-            starts = np.ones(len(ref_idx), dtype=bool)
-            starts[1:] = ((pages[1:] != pages[:-1])
-                          | (barrier_epoch[1:] != barrier_epoch[:-1]))
-            unit_id = np.cumsum(starts) - 1
-        sampled_out = (unit_id + phase) % spec.rate != 0
-        # Prologue exemption: references before the first barrier pin
-        # the first-touch home assignment (only meaningful when the
-        # trace has interior barriers; a single trailing barrier — the
-        # ingestion default — marks no prologue).
-        if int(is_bar.sum()) > 1:
-            first_bar = int(np.nonzero(is_bar)[0][0])
-            sampled_out &= ref_idx > first_bar
-        keep[ref_idx[sampled_out]] = False
-
-    fraction = spec.keep_fraction()
-    if fraction < 1.0:
-        cyc = (kinds == EV_COMPUTE) | (kinds == EV_LOCAL)
-        _rescale_cycles(out_args, cyc, fraction)
-        keep &= ~(cyc & (out_args == 0))
-
-    out_kinds, out_args = coalesce_events(
-        np.ascontiguousarray(kinds[keep]),
-        np.ascontiguousarray(out_args[keep]))
-    return Trace(out_kinds, out_args)
-
-
-def sample_soa(kinds: np.ndarray, args: np.ndarray, offsets: np.ndarray,
-               lengths: np.ndarray, spec: SampleSpec,
-               lines_per_page: int) -> list[Trace]:
-    """Sample concatenated SoA arrays node by node.
-
-    *kinds*/*args* may be read-only memmaps of a trace-cache file; only
-    per-node slices plus the (reduced) output ever hit the heap.
-    """
-    return [
-        _sample_node(kinds[off:off + ln], args[off:off + ln], node, spec,
-                     lines_per_page)
-        for node, (off, ln) in enumerate(zip(offsets, lengths))
-    ]
+    if spec.rate == 1 or spec.unit == "sweep":
+        return
+    phase = _node_phase(node, spec.seed, spec.rate)
+    if spec.unit == "ref":
+        unit_id = np.arange(len(ref_idx), dtype=np.int64)
+    else:
+        # A visit ends when the page changes between consecutive
+        # references or a barrier is crossed.  Line repeats target the
+        # same page, so L1-hit pairs stay intact.
+        starts = np.ones(len(ref_idx), dtype=bool)
+        starts[1:] = pages[1:] != pages[:-1]
+        after_bar = np.searchsorted(ref_idx, bars)
+        starts[after_bar[after_bar < len(ref_idx)]] = True
+        unit_id = np.cumsum(starts) - 1
+    sampled_out = (unit_id + phase) % spec.rate != 0
+    # Prologue exemption: references before the first barrier pin the
+    # first-touch home assignment (only meaningful when the trace has
+    # interior barriers; a single trailing barrier — the ingestion
+    # default — marks no prologue).
+    if len(bars) > 1:
+        sampled_out &= ref_idx > bars[0]
+    keep[ref_idx[sampled_out]] = False
 
 
 def scaled_home_pages(home_pages_per_node: int, spec: SampleSpec) -> int:
@@ -360,11 +327,15 @@ def sample_workload(traces: WorkloadTraces, sample,
                     lines_per_page: int | None = None) -> WorkloadTraces:
     """The sampled form of *traces* (or *traces* itself for a null spec).
 
-    Streams over the flat event arrays node by node, so the list form
-    is never materialized; when the workload came from the trace cache
-    those arrays are memory-mapped and the heap only ever holds the
-    reduced output.  The result's page pool is rescaled and its params
-    record the sample entry, with the measured scale factor.
+    Works over the workload's flat event arrays: it builds one keep
+    mask (epochs from the barrier positions; spatial selection, visit
+    or reference striding and zero-cycle drops node by node), copies
+    the kept events once into flat output arrays, renumbers barriers
+    and rescales cycles there, and coalesces each node's run.  Only the
+    kept events and the COMPUTE/LOCAL cycles a rescale needs are read
+    from the arguments, so a memory-mapped source (the trace cache's)
+    is never copied whole.  The result's page pool is rescaled and its
+    params record the sample entry, with the measured scale factor.
     """
     spec = SampleSpec.from_any(sample)
     if spec is None:
@@ -372,19 +343,53 @@ def sample_workload(traces: WorkloadTraces, sample,
     if lines_per_page is None:
         from ..mem.address import AddressMap
         lines_per_page = AddressMap().lines_per_page
-    kinds, args, offsets, lengths, _lo, _hi = traces.soa()
-    sampled = sample_soa(kinds, args, offsets, lengths, spec, lines_per_page)
+    kinds, args = traces.kinds, traces.args
+    offsets, lengths = traces.offsets, traces.lengths
     full_refs = int(np.count_nonzero(kinds <= EV_WRITE))
-    kept_refs = sum(t.shared_refs() for t in sampled)
+    # Every node reaches the same number of barriers: one row each.
+    bars = np.flatnonzero(kinds == EV_BARRIER).reshape(traces.n_nodes, -1)
+    keep = (_sweep_keep_mask(bars, offsets, lengths, spec)
+            if spec.rate > 1 and spec.unit == "sweep" else None)
+    renumber = keep is not None
+    if not renumber:
+        keep = np.ones(len(kinds), dtype=bool)
+
+    thin = spec.pages < 1.0 or (spec.rate > 1 and spec.unit != "sweep")
+    fraction = spec.keep_fraction()
+    cycles = []
+    nodes = list(zip(offsets.tolist(), lengths.tolist()))
+    if thin or fraction < 1.0:
+        for node, (off, n) in enumerate(nodes):
+            view = slice(off, off + n)
+            if thin:
+                _thin_refs(kinds[view], args[view], keep[view],
+                           bars[node] - off, node, spec, lines_per_page)
+            if fraction < 1.0:
+                cycles.append(_rescale_cycles(kinds[view], args[view],
+                                              keep[view], fraction))
+
+    out_kinds = kinds[keep]
+    out_args = args[keep]
+    out_lengths = [int(np.count_nonzero(keep[off:off + n]))
+                   for off, n in nodes]
+    del keep
+    if renumber:
+        # Kept barriers are numbered densely, identically on every node.
+        is_bar = out_kinds == EV_BARRIER
+        kept = int(np.count_nonzero(is_bar)) // traces.n_nodes
+        out_args[is_bar] = np.tile(np.arange(kept), traces.n_nodes)
+    if cycles:
+        out_args[(out_kinds == EV_COMPUTE)
+                 | (out_kinds == EV_LOCAL)] = np.concatenate(cycles)
+    out_kinds, out_args, out_lengths = coalesce_nodes(out_kinds, out_args,
+                                                      out_lengths)
+    kept_refs = int(np.count_nonzero(out_kinds <= EV_WRITE))
     params = dict(traces.params)
     params["sample"] = _sample_entry(spec, full_refs, kept_refs)
-    return WorkloadTraces(
-        name=traces.name,
-        traces=sampled,
-        home_pages_per_node=scaled_home_pages(traces.home_pages_per_node,
-                                              spec),
-        total_shared_pages=traces.total_shared_pages,
-        params=params)
+    return WorkloadTraces.from_arrays(
+        traces.name, out_kinds, out_args, out_lengths,
+        scaled_home_pages(traces.home_pages_per_node, spec),
+        traces.total_shared_pages, params)
 
 
 def sample_scale_factor(traces: WorkloadTraces) -> float:

@@ -65,3 +65,26 @@ class TestReport:
         assert set(row) == {"app", "arch", "ideal_pressure",
                             "crossover_pressure"}
         assert 0 < row["ideal_pressure"] < 1
+
+    def test_searches_start_from_one_resolve(self, monkeypatch):
+        """Every search's baseline and endpoints resolve in one call, so
+        one pool serves them; bisection steps follow one cell at a time,
+        and the rows equal separate searches'."""
+        import repro.harness.crossover as crossover
+
+        calls = []
+        real = crossover.resolve_cells
+
+        def spy(specs, check=False):
+            calls.append(len(specs))
+            return real(specs, check=check)
+
+        monkeypatch.setattr(crossover, "resolve_cells", spy)
+        apps, archs = ("em3d", "fft"), ("SCOMA", "ASCOMA")
+        rows = crossover_report(apps=apps, archs=archs, scale=0.1)
+        assert calls[0] == 3 * len(apps) * len(archs)
+        assert all(n == 1 for n in calls[1:])
+        for row in rows:
+            alone = find_crossover(row["app"], row["arch"], scale=0.1)
+            assert row["crossover_pressure"] == (
+                None if alone is None else round(alone, 2))

@@ -1,17 +1,21 @@
 """Tests for the six application trace generators."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.mem.address import AddressMap
 from repro.sim.trace import EV_BARRIER, EV_READ, EV_WRITE
-from repro.workloads import (WORKLOADS, barnes, em3d, fft, generate_workload,
-                             lu, ocean, radix, synthetic)
+from repro.workloads import (WORKLOADS, SampleSpec, barnes, em3d, fft,
+                             generate_workload, ingest_file, lu, ocean, radix,
+                             sample_workload, synthetic)
 from repro.workloads.base import WorkloadSpec, emit_visits
 from repro.sim.trace import TraceBuilder
 
 LPP = AddressMap().lines_per_page
 SCALE = 0.25  # small traces: these tests exercise structure, not volume
+FIXTURE = Path(__file__).parent / "fixtures" / "external_small.csv"
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
@@ -102,6 +106,75 @@ def test_generated_bytes_are_pinned(app, scale):
             == GENERATED_HASHES[(app, scale)])
 
 
+#: ``content_hash()`` of the same workloads sampled at rate 4 (sweep
+#: unit, seed 0): the sampled hashes the benchmark's ``traces``
+#: workload pins, second in each of its entries.
+SAMPLED_HASHES = {
+    ("barnes", 0.1): "e57d20c35b3ed795", ("barnes", 0.5): "57740aaee8e497f2",
+    ("barnes", 1.0): "ee347cd1a3705a7f", ("em3d", 0.1): "c427383f13f50323",
+    ("em3d", 0.5): "a654793af0f15857", ("em3d", 1.0): "8a948ab4b29c167c",
+    ("fft", 0.1): "d81f886aa49ed458", ("fft", 0.5): "00e7ab9600d39d92",
+    ("fft", 1.0): "9229aa5393a19f26", ("lu", 0.1): "655156f259c9a612",
+    ("lu", 0.5): "740fc1ffe18131ff", ("lu", 1.0): "0394fb7bfe9dd852",
+    ("ocean", 0.1): "380834d1a50411d5", ("ocean", 0.5): "b453c8906e4414cc",
+    ("ocean", 1.0): "a5dc71952c8f43b4", ("radix", 0.1): "b23949c3f58992fc",
+    ("radix", 0.5): "5942d22f4a9f6006", ("radix", 1.0): "f348e6879814c899",
+}
+
+
+@pytest.mark.parametrize("app,scale", sorted(SAMPLED_HASHES))
+def test_sampled_bytes_are_pinned(app, scale):
+    wl = generate_workload(app, scale=scale)
+    assert (sample_workload(wl, SampleSpec(rate=4)).content_hash()
+            == SAMPLED_HASHES[(app, scale)])
+
+
+#: em3d at scale 0.25 under one setting per sampler branch: spatial
+#: selection alone (cycles rescaled by 1/2), visit and reference
+#: striding (rescaled by 1/4), epochs with spatial selection, and a rate
+#: above the sweep count (one interior epoch kept).
+BRANCH_HASHES = {
+    SampleSpec(pages=0.5): "de2fc64480d7fab1",
+    SampleSpec(rate=4, unit="visit"): "119b4d75eb8f566c",
+    SampleSpec(rate=4, unit="ref"): "7b4388e53b274a47",
+    SampleSpec(rate=4, pages=0.5): "58e7a5072c5e3756",
+    SampleSpec(rate=100): "46783d3a829f9930",
+}
+
+
+@pytest.fixture(scope="module")
+def em3d_quarter():
+    return generate_workload("em3d", scale=0.25)
+
+
+@pytest.mark.parametrize("spec", list(BRANCH_HASHES), ids=SampleSpec.label)
+def test_sampler_branches_are_pinned(em3d_quarter, spec):
+    assert (sample_workload(em3d_quarter, spec).content_hash()
+            == BRANCH_HASHES[spec])
+
+
+#: The ingest fixture (``external_small.csv``, two cycles per time
+#: unit) sampled: with one trailing barrier an epoch stride keeps
+#: everything, and with three the visit stride exempts the prologue.
+INGEST_HASHES = {
+    (1, SampleSpec(rate=4)): "ecf64a072723308f",
+    (1, SampleSpec(rate=2, unit="visit")): "c3a12f41db2d06df",
+    (3, SampleSpec(rate=4)): "e6be5a849d45d48d",
+    (3, SampleSpec(rate=2, unit="visit")): "fbf36f3551dad3a0",
+    (3, SampleSpec(rate=3, unit="ref")): "f4a9ce8d789729a2",
+    (3, SampleSpec(pages=0.5)): "5499816d457439f9",
+}
+
+
+@pytest.mark.parametrize("barriers,spec", list(INGEST_HASHES),
+                         ids=lambda v: v.label() if isinstance(v, SampleSpec)
+                         else f"b{v}")
+def test_sampled_ingest_is_pinned(barriers, spec):
+    wl = ingest_file(FIXTURE, barriers=barriers, cycles_per_time=2)
+    assert (sample_workload(wl, spec).content_hash()
+            == INGEST_HASHES[(barriers, spec)])
+
+
 class TestIdealPressures:
     """Table 5's ordering: radix lowest, fft/ocean highest."""
 
@@ -189,6 +262,12 @@ class TestEmitVisits:
         b = TraceBuilder()
         assert emit_visits(b, np.random.default_rng(0),
                            np.array([], dtype=int), **self.args()) == 0
+
+    def test_page_geometry_must_be_a_power_of_two(self):
+        args = dict(self.args(), lines_per_page=24)
+        with pytest.raises(ValueError, match="power of two"):
+            emit_visits(TraceBuilder(), np.random.default_rng(0),
+                        np.array([1]), **args)
 
     def test_lines_stay_in_their_page(self):
         b = TraceBuilder()
