@@ -31,9 +31,9 @@ import time
 import pytest
 
 import repro
-from repro.harness.experiment import get_workload, scaled_policy
+from repro.harness.experiment import get_workload
 from repro.perf.suite import MATRIX_APPS, MATRIX_CELLS, MATRIX_PRESSURE
-from repro.sim.config import SystemConfig
+from repro.runtime import RunSpec
 from repro.sim.engine import Engine
 
 #: Scale of every replay and generation measured here: large enough
@@ -87,9 +87,11 @@ def best_of_alternating(rounds: int, first, second) -> tuple[float, float]:
     return best[0], best[1]
 
 
-def _engine(wl, arch: str, pressure: float, **engine_kwargs) -> Engine:
-    cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure)
-    return Engine(wl, scaled_policy(arch), config=cfg, **engine_kwargs)
+def _engine(wls: dict, app: str, arch: str, pressure: float) -> Engine:
+    """The cell's engine as ``RunSpec.engine`` builds it, over the
+    slice's workload."""
+    return RunSpec.make(app, arch, pressure, MICRO_SCALE).engine(
+        traces=wls[app])
 
 
 def _slice_workloads() -> dict:
@@ -123,24 +125,22 @@ def test_obs_overhead_within_budget(tmp_path):
     (most likely an unfiltered observer, which disqualifies the run
     from the kernel)."""
     from repro.obs import BackoffTelemetry, ObsSink, SpanRecorder
-    from repro.runtime import RunSpec
 
     wls = _slice_workloads()
     specs = {cell: RunSpec.make(*cell, scale=MICRO_SCALE)
              for cell in MATRIX_CELLS}
 
     def plain() -> None:
-        for app, arch, pr in MATRIX_CELLS:
-            _engine(wls[app], arch, pr).run()
+        for cell in MATRIX_CELLS:
+            _engine(wls, *cell).run()
 
     def observed() -> None:
         obs = SpanRecorder(ObsSink(tmp_path))
         for cell in MATRIX_CELLS:
-            app, arch, pr = cell
             spec = specs[cell]
             telemetry = BackoffTelemetry()
             with obs.span("cell", spec=spec):
-                engine = _engine(wls[app], arch, pr)
+                engine = _engine(wls, *cell)
                 telemetry.attach(engine)
                 with obs.span("simulate", spec=spec):
                     engine.run()
@@ -164,7 +164,7 @@ def test_serve_warm_beats_cold_cli(tmp_path):
     in a fresh process.  Interpreter start-up, imports and the store
     read count on the cold side; neither side simulates.  A failure
     means the server pays per-job costs it exists to amortise."""
-    from repro.runtime import RunSpec, RunStore, execute
+    from repro.runtime import RunStore, execute
     from repro.serve import JobServer, ServeClient, ServerThread
 
     rounds = 20
@@ -220,8 +220,10 @@ def test_vector_path_beats_scalar_by_3x():
     wls = _slice_workloads()
 
     def replay(vector: bool) -> None:
-        for app, arch, pr in MATRIX_CELLS:
-            _engine(wls[app], arch, pr, vector_path=vector).run()
+        for cell in MATRIX_CELLS:
+            engine = _engine(wls, *cell)
+            engine.vector_path = vector
+            engine.run()
 
     scalar_s = best_of(3, lambda: replay(False))
     vector_s = best_of(3, lambda: replay(True))

@@ -55,10 +55,6 @@ def _to_workload(lists: list[list[tuple[int, int]]],
                           params=dict(template.params))
 
 
-def _event_count(lists: list[list[tuple[int, int]]]) -> int:
-    return sum(len(events) for events in lists)
-
-
 class TraceShrinker:
     """Minimise a bundle's workload while preserving its violation."""
 

@@ -31,7 +31,7 @@ from ..kernel.vm import DEFAULT_PAGES
 
 __all__ = ["Directory", "FetchOutcome"]
 
-#: Counter row slots (the kernel's ``M_DIR_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 (DIR_REFETCHES, DIR_HINTS, DIR_FORWARDS, DIR_INVALIDATIONS, DIR_EXCLUSIVE,
  N_DIR) = range(6)
 

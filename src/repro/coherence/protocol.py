@@ -28,7 +28,7 @@ from .directory import Directory, FetchOutcome
 
 __all__ = ["CoherenceProtocol", "RemoteResult"]
 
-#: Counter row slots (the kernel's ``M_PROTO_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 PROTO_REMOTE, PROTO_THREE_HOP, PROTO_STALLS, N_PROTO = range(4)
 
 

@@ -34,8 +34,7 @@ __all__ = ["ArchitecturePolicy", "N_POL", "POL_EVICTIONS", "POL_LOSERS",
 
 #: Slots of a node's policy row: the break-even detector's evictions,
 #: losers and winners since its last evaluation (see
-#: repro.core.thrashing).  Keep in sync with the ``POL_*`` enum of the
-#: kernel source in repro.sim.soatrace.
+#: repro.core.thrashing).  The replay kernel reads these names.
 POL_EVICTIONS, POL_LOSERS, POL_WINNERS = range(3)
 N_POL = 3
 

@@ -512,11 +512,9 @@ def _cmd_ingest(args) -> str:
                          cycles_per_time=args.cycles_per_time,
                          block_bytes=args.block_bytes, seed=args.seed)
     app_id = register_external(traces, store=store)
-    events = sum(len(t) for t in traces.traces)
-    refs = sum(t.shared_refs() for t in traces.traces)
     return (f"ingested {args.path} ({args.format}):"
-            f" {traces.n_nodes} nodes, {events:,} events,"
-            f" {refs:,} shared refs,"
+            f" {traces.n_nodes} nodes, {len(traces.kinds):,} events,"
+            f" {traces.total_refs():,} shared refs,"
             f" {traces.total_shared_pages} pages\n"
             f"registered as: {app_id}\n"
             f"run it with:   repro run '{app_id}' ASCOMA")

@@ -24,7 +24,7 @@ from ..kernel.freelist import counter_row, row_slot
 
 __all__ = ["SplitTransactionBus"]
 
-#: Counter row slots (the kernel's ``K_BUS_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 BUS_TRANSACTIONS, BUS_CONTENDED, BUS_QUEUE, N_BUS = range(4)
 
 

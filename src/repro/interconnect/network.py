@@ -30,7 +30,7 @@ from .topology import SwitchTopology, Topology
 
 __all__ = ["Network"]
 
-#: Counter row slots (the kernel's ``M_NET_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 NET_MESSAGES, NET_CONTENDED, NET_QUEUE, N_NET = range(4)
 
 

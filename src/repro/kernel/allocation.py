@@ -35,8 +35,7 @@ __all__ = ["AL_COUNT", "AL_HITS", "AL_RR", "AL_SPILLS", "HomeAllocator",
 
 #: Slots of the allocator row: the round-robin cursor, the first-touch
 #: hits and round-robin spills, then one home-page count per node from
-#: ``AL_COUNT`` on.  Keep in sync with the ``AL_*`` enum of the kernel
-#: source in repro.sim.soatrace.
+#: ``AL_COUNT`` on.  The replay kernel reads these names.
 AL_RR, AL_HITS, AL_SPILLS, AL_COUNT = range(4)
 
 
@@ -182,7 +181,8 @@ _ALLOCATORS = {
     "random": RandomAllocator,
 }
 
-#: The replay kernel's code for each allocator class's ``home_of``.
+#: The replay kernel's code for each allocator class's ``home_of``,
+#: which it reads by the class's name.
 PLACEMENT_CODES = {HomeAllocator: 0, RoundRobinAllocator: 1,
                    RandomAllocator: 2}
 

@@ -23,8 +23,8 @@ __all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
            "row_slot"]
 
 #: Slots of a node's page-cache row: the pool's counters, then the
-#: S-COMA clock's ring cursor (head index and length).  Keep in sync
-#: with the ``PC_*`` enum of the kernel source in repro.sim.soatrace.
+#: S-COMA clock's ring cursor (head index and length).  The replay
+#: kernel reads these names.
 (PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
  PC_LEN) = range(7)
 N_PC = 7

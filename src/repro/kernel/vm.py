@@ -32,7 +32,7 @@ from .freelist import N_PC, PC_HEAD, PC_LEN, counter_row, row_slot
 
 __all__ = ["ClockRing", "DEFAULT_PAGES", "PageMode", "PageTable"]
 
-#: Counter row slots (the kernel's ``K_PT_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 PT_TO_SCOMA, PT_TO_CCNUMA, N_PT = range(3)
 
 #: Pages a page-indexed model covers when it is built on its own (a
@@ -41,6 +41,9 @@ DEFAULT_PAGES = 256
 
 
 class PageMode(enum.IntEnum):
+    """A page's mapping on a node; the replay kernel reads the
+    member names."""
+
     UNMAPPED = 0
     HOME = 1
     SCOMA = 2

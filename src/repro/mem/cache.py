@@ -29,7 +29,7 @@ from .address import AddressMap
 
 __all__ = ["DirectMappedCache", "CacheStats"]
 
-#: Counter row slots (the kernel's ``K_L1_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 L1_HITS, L1_MISSES, L1_WRITEBACKS, L1_INVALIDATIONS, N_L1 = range(5)
 
 

@@ -23,7 +23,7 @@ from ..kernel.freelist import counter_row, row_slot
 
 __all__ = ["BankedMemory"]
 
-#: Counter row slots (the kernel's ``K_MEM_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 MEM_ACCESSES, MEM_CONTENDED, MEM_QUEUE, N_MEM = range(4)
 
 

@@ -26,7 +26,7 @@ from ..kernel.freelist import counter_row, row_slot
 
 __all__ = ["RemoteAccessCache"]
 
-#: Counter row slots (the kernel's ``K_RAC_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 RAC_MISSES, RAC_FILLS, N_RAC = range(3)
 
 

@@ -28,7 +28,7 @@ from ..kernel.vm import DEFAULT_PAGES
 
 __all__ = ["TLB"]
 
-#: Counter row slots (the kernel's ``K_TLB_*``).
+#: Counter row slots; the replay kernel reads them by these names.
 TLB_HITS, TLB_MISSES, TLB_SHOOTDOWNS, N_TLB = range(4)
 
 

@@ -68,8 +68,7 @@ def workload_events(app: str, scale: float, sample=None) -> int:
     """
     from .tracecache import fetch_traces
 
-    traces = fetch_traces(app, scale, sample=sample)
-    return sum(len(t) for t in traces.traces)
+    return len(fetch_traces(app, scale, sample=sample).kinds)
 
 
 def spec_cost(spec: RunSpec, events: int) -> float:

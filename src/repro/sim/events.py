@@ -55,7 +55,8 @@ __all__ = [
     "EV_INVALIDATE", "EV_DEMOTE", "EV_DAEMON", "EV_BARRIER", "EV_MIGRATE",
     "EV_END", "ALL_KINDS",
     "ROW_KINDS", "R_INVALIDATE", "R_DEMOTE", "R_RELOCATE", "R_FAULT",
-    "R_MAP_SCOMA", "R_EVICT", "R_FLUSH", "event_row", "row_event",
+    "R_MAP_SCOMA", "R_EVICT", "R_FLUSH", "ROW_WIDTH", "event_row",
+    "row_event",
 ]
 
 # -- event kinds ---------------------------------------------------------
@@ -77,12 +78,14 @@ ALL_KINDS = (EV_FAULT, EV_MAP_SCOMA, EV_EVICT, EV_RELOCATE, EV_FLUSH,
              EV_END)
 
 # -- the kernel's event rows ---------------------------------------------
-#: The kind of each ring code (``R_*`` in the kernel's C source): the
-#: first two carry a chunk, the rest a page.
+#: The kind of each ring code: the first two carry a chunk, the rest a
+#: page.  The replay kernel reads the ``R_*`` codes and ``ROW_WIDTH``
+#: (the ints per row) by these names.
 ROW_KINDS = (EV_INVALIDATE, EV_DEMOTE, EV_RELOCATE, EV_FAULT, EV_MAP_SCOMA,
              EV_EVICT, EV_FLUSH)
 (R_INVALIDATE, R_DEMOTE, R_RELOCATE, R_FAULT, R_MAP_SCOMA, R_EVICT,
  R_FLUSH) = range(len(ROW_KINDS))
+ROW_WIDTH = 6
 _ROW_CODE = {kind: code for code, kind in enumerate(ROW_KINDS)}
 
 
@@ -203,7 +206,7 @@ class EventBus:
             observer(event)
 
     def publish_rows(self, rows, chunk_page_shift: int) -> None:
-        """Deliver the kernel's event rows (an ``(n, 6)`` integer array,
+        """Deliver the kernel's event rows (an ``(n, ROW_WIDTH)`` array,
         in publish order): each row taker gets one list of the rows of
         its codes, and every other subscriber of a row's kind an event
         built once per row (see :func:`row_event`)."""

@@ -32,7 +32,8 @@ from .node import CTR_BUS, N_CTR, Node, NodeBlocks
 __all__ = ["Machine"]
 
 #: Where the network's, directory's and protocol's counters start in the
-#: machine's counter row, and its length (the kernel's ``M_*`` enum).
+#: machine's counter row, and its length; the replay kernel reads
+#: these names (``mach[M_DIR + DIR_HINTS]``).
 M_NET, M_DIR, M_PROTO, N_MACHINE = accumulate((0, N_NET, N_DIR, N_PROTO))
 
 

@@ -49,7 +49,8 @@ from .stats import N_STATS, NodeStats
 __all__ = ["Node", "NodeBlocks"]
 
 #: Where each model's counters start in a node's counter row, and the
-#: row's length (the kernel's ``K_*`` enum).
+#: row's length; the replay kernel reads these names
+#: (``ctr[node * N_CTR + CTR_RAC + RAC_FILLS]``).
 CTR_L1, CTR_RAC, CTR_TLB, CTR_PT, CTR_MEM, CTR_BUS, N_CTR = accumulate(
     (0, N_L1, N_RAC, N_TLB, N_PT, N_MEM, N_BUS))
 

@@ -60,6 +60,18 @@ Implementation notes
   a free and a dry pool, the threshold and the daemon's next run --
   are refreshed after every exit that can change them; the C code
   never branches on the architecture.
+* The C text declares no value that Python owns.  It opens with one
+  enum block that :func:`_declarations` writes from the modules owning
+  each layout: the counter rows' slots and offsets (the kernel's
+  ``mem_access`` counts ``row[MEM_ACCESSES]++`` on the node's row from
+  ``CTR_MEM`` on, as ``BankedMemory.access`` counts
+  ``row[MEM_ACCESSES] += 1``), the ``NodeStats``, page-cache,
+  policy and allocator slots, the event ring's codes, the trace's
+  event kinds, the page modes and the placement codes.  The kernel's
+  own control block -- ``params`` and ``ctl`` slots, exit codes, hint
+  and eviction-hook codes -- is the name tables of this module
+  (``_CONTROL``), which :func:`run_vector` uses by the same names.  So
+  a layout changes in one place, and the kernel's ``.so`` with it.
 * Which loop replays a run is a runtime matter: it must never enter
   ``RunSpec.spec_hash`` (see ``repro.runtime.spec``).
 """
@@ -82,42 +94,91 @@ from ..core.policy import ArchitecturePolicy, RelocationDecision
 from ..core.vcnuma import VCNUMAPolicy
 from ..kernel.allocation import PLACEMENT_CODES
 from ..kernel.vm import PageMode
-from .events import ROW_KINDS
+from .events import ROW_KINDS, ROW_WIDTH
 from .trace import EV_WRITE
 
 __all__ = ["run_vector", "vector_available"]
 
-# ---------------------------------------------------------------------------
-# Kernel exit codes (keep in sync with the C source).
-_DONE = 0        # every node finished; the buffers hold the result
-_RESIDUAL = 1    # the event at ctl needs scalar Engine._shared_ref
-_DAEMON = 2      # pageout daemon due on ctl[BEST] at ctl[NOW]
-_BARRIER = 3     # every unfinished node is waiting; release in Python
-_DEADLOCK = 4    # unfinished nodes exist but none is runnable
-_RINGFULL = 5    # event ring lacks headroom; flush and re-enter
-_HINT = 6        # relocation hint of page ctl[HINT_PAGE] needs Python
 
-# ctl[] slots (keep in sync with the C source).
-_IN_SLICE, _BEST, _LIMIT, _NOW, _RINGN, _HINT_PAGE, _HINT_CLOCK = range(7)
+class _Names:
+    """A table of the kernel's own names, numbered in order from 0: the
+    C text declares ``<prefix><NAME>`` for each, and Python reads the
+    same number as ``table.NAME``."""
 
-# params[] slots (keep in sync with the C enum).
-(_P_N, _P_QUANTUM, _P_NO_LIMIT, _P_LINE_SHIFT, _P_CHUNK_SHIFT, _P_CPP_MASK,
- _P_SET_MASK, _P_RAC_MASK, _P_RAC_VICTIM, _P_HIT_CYCLES, _P_RAC_CYCLES,
- _P_DSM2, _P_GRANT_EX, _P_STALL_INV, _P_SKIP_NODE, _P_BANK_MASK,
- _P_MEM_SERVICE, _P_MEM_OCC, _P_MEM_MAXQ, _P_BUS_OCC, _P_BUS_FIXED,
- _P_BUS_MAXQ, _P_NET_OCC, _P_NET_MAXQ, _P_LPC, _P_N_PAGES, _P_N_SETS,
- _P_N_BANKS, _P_RAC_ENTRIES, _P_PC_SHIFT, _P_N_CHUNKS, _P_CS_WORDS,
- _P_SV_WORDS, _P_WATCH, _P_RING_CAP, _P_PAGE_FAULT, _P_PAGE_REMAP,
- _P_FLUSH_LINE, _P_RELOC_INT, _P_MANDATORY, _P_EVICT_CC, _P_EVICT_HOOK,
- _P_BREAK_EVEN, _P_MIN_EVAL, _P_CLK_CAP, _P_PLACEMENT, _P_QUOTA,
- _P_SEED) = range(48)
-_N_PARAMS = 48
+    def __init__(self, prefix: str, names: str) -> None:
+        self.prefix = prefix
+        self.codes = {name: code for code, name in enumerate(names.split())}
+        vars(self).update(self.codes)
 
-#: The kernel's code for each RelocationDecision (H_* in the C source);
-#: any other decision (MIGRATE) is taken in Python.
-_HINT_CODES = {RelocationDecision.SKIP: 0, RelocationDecision.RELOCATE: 1,
-               RelocationDecision.RELOCATE_IF_FREE: 2}
-_H_PYTHON = 3
+
+# The kernel's own control block, named once for both sides.
+#: ``params[]`` slots, set once per run; :func:`run_vector` fills them
+#: by name.
+_PARAMS = _Names("P_", """
+    N QUANTUM NO_LIMIT LINE_SHIFT CHUNK_SHIFT CPP_MASK SET_MASK RAC_MASK
+    RAC_VICTIM HIT_CYCLES RAC_CYCLES DSM2 GRANT_EX STALL_INV SKIP_NODE
+    BANK_MASK MEM_SERVICE MEM_OCC MEM_MAXQ BUS_OCC BUS_FIXED BUS_MAXQ
+    NET_OCC NET_MAXQ LPC N_PAGES N_SETS N_BANKS RAC_ENTRIES PC_SHIFT
+    N_CHUNKS CS_WORDS SV_WORDS WATCH RING_CAP PAGE_FAULT PAGE_REMAP
+    FLUSH_LINE RELOC_INT MANDATORY EVICT_CC EVICT_HOOK BREAK_EVEN MIN_EVAL
+    CLK_CAP PLACEMENT QUOTA SEED""")
+#: ``ctl[]`` slots: where a kernel exit left off, and what it needs.
+_CTL = _Names("C_", "IN_SLICE BEST LIMIT NOW RING HINT HINT_CLOCK")
+#: ``soa_run``'s exit codes.
+_EXIT = _Names("RC_", "DONE RESIDUAL DAEMON BARRIER DEADLOCK RING HINT")
+#: The relocation decisions the kernel takes (``RelocationDecision``
+#: names); any other (``MIGRATE``) is taken in Python.
+_HINT = _Names("H_", "SKIP RELOCATE RELOCATE_IF_FREE")
+#: The eviction hooks the kernel runs: the base no-op and
+#: ``BreakEvenDetector.record_eviction``.
+_HOOK = _Names("HOOK_", "NONE BREAK_EVEN")
+_CONTROL = (_PARAMS, _CTL, _EXIT, _HINT, _HOOK)
+#: The hint, eviction-hook or placement code of a choice only Python
+#: makes.
+_IN_PYTHON = -1
+
+_HINT_CODES = {getattr(RelocationDecision, name): code
+               for name, code in _HINT.codes.items()}
+_HOOK_CODES = {ArchitecturePolicy.on_page_evicted: _HOOK.NONE,
+               VCNUMAPolicy.on_page_evicted: _HOOK.BREAK_EVEN}
+
+
+def _declarations() -> str:
+    """The enum block that opens the kernel's C text: every name it
+    reads, with the value its owning module gives it."""
+    from ..coherence import directory, protocol
+    from ..core import policy
+    from ..interconnect import bus, network
+    from ..kernel import allocation, freelist, vm
+    from ..mem import cache, dram, rac, tlb
+    from . import events, machine, node, stats, trace
+
+    # Each owner lends the kernel its module-level ints of these prefixes.
+    owners = ((stats, ("S_", "N_STATS")), (node, ("CTR_", "N_CTR")),
+              (cache, ("L1_",)), (rac, ("RAC_",)), (tlb, ("TLB_",)),
+              (vm, ("PT_",)), (dram, ("MEM_",)), (bus, ("BUS_",)),
+              (machine, ("M_",)), (network, ("NET_",)),
+              (directory, ("DIR_",)), (protocol, ("PROTO_",)),
+              (freelist, ("PC_", "N_PC")), (policy, ("POL_", "N_POL")),
+              (allocation, ("AL_",)), (events, ("R_", "ROW_WIDTH")),
+              (trace, ("EV_",)))
+    groups = [(owner.__name__,
+               [(name, value) for name, value in vars(owner).items()
+                if name.startswith(prefixes) and type(value) is int])
+              for owner, prefixes in owners]
+    groups.append(("PageMode", [(mode.name, mode) for mode in PageMode]))
+    groups.append(("PLACEMENT_CODES", [(cls.__name__, code) for cls, code
+                                       in PLACEMENT_CODES.items()]))
+    groups += [(f"{__name__}: {table.prefix}*",
+                [(table.prefix + name, code)
+                 for name, code in table.codes.items()])
+               for table in _CONTROL]
+    groups.append((__name__, [("IN_PYTHON", _IN_PYTHON)]))
+    return "enum {\n" + "".join(
+        f"    /* {where} */\n"
+        + "".join(f"    {name} = {int(value)},\n" for name, value in members)
+        for where, members in groups) + "};\n"
+
 
 #: The C array type of each buffer dtype the ``SoaState`` fields point
 #: at (``dtype.name`` is computed in Python, per call).
@@ -181,59 +242,7 @@ int64_t soa_run(SoaState *s);
 # mutation order) must match repro.sim.engine / repro.coherence /
 # repro.interconnect / repro.mem exactly -- the two-way parity matrix
 # is the enforcement.
-_C_SOURCE = "#include <stdint.h>\n" + _STRUCT + r"""
-#define EV_WRITE 1
-#define EV_COMPUTE 2
-#define EV_LOCAL 3
-
-enum { P_N, P_QUANTUM, P_NO_LIMIT, P_LINE_SHIFT, P_CHUNK_SHIFT, P_CPP_MASK,
-       P_SET_MASK, P_RAC_MASK, P_RAC_VICTIM, P_HIT_CYCLES, P_RAC_CYCLES,
-       P_DSM2, P_GRANT_EX, P_STALL_INV, P_SKIP_NODE, P_BANK_MASK,
-       P_MEM_SERVICE, P_MEM_OCC, P_MEM_MAXQ, P_BUS_OCC, P_BUS_FIXED,
-       P_BUS_MAXQ, P_NET_OCC, P_NET_MAXQ, P_LPC, P_N_PAGES, P_N_SETS,
-       P_N_BANKS, P_RAC_ENTRIES, P_PC_SHIFT, P_N_CHUNKS, P_CS_WORDS,
-       P_SV_WORDS, P_WATCH, P_RING_CAP, P_PAGE_FAULT, P_PAGE_REMAP,
-       P_FLUSH_LINE, P_RELOC_INT, P_MANDATORY, P_EVICT_CC, P_EVICT_HOOK,
-       P_BREAK_EVEN, P_MIN_EVAL, P_CLK_CAP, P_PLACEMENT, P_QUOTA, P_SEED };
-
-/* A node's NodeStats row (repro.sim.stats.FIELDS). */
-enum { S_USH, S_K_BASE, S_K_OVERHD, S_UINSTR, S_ULC, S_SYNC, S_HOME,
-       S_SCOMA, S_RAC, S_COLD, S_CONF, S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT,
-       S_COLD_LAT, S_CONF_LAT, S_FAULTS, S_RELOCATIONS, S_SKIPPED,
-       S_EVICTIONS, S_FORCED, S_DAEMON_RUNS, S_DAEMON_THRASH, S_UPGRADES,
-       S_INDUCED, S_ESSENTIAL, S_FLUSHED, S_L1_HITS, S_L1_MISSES,
-       S_MIGRATIONS, S_SKIPPED_MIGRATIONS, N_STATS };
-
-/* A node's model counter row (repro.sim.node.CTR_*): the L1's, the
- * RAC's, the TLB's, the page table's, the memory's and the bus's. */
-enum { K_L1_HITS, K_L1_MISSES, K_L1_WB, K_L1_INVAL, K_RAC_MISSES,
-       K_RAC_FILLS, K_TLB_HITS, K_TLB_MISSES, K_TLB_SHOOTDOWNS,
-       K_PT_TO_SCOMA, K_PT_TO_CCNUMA, K_MEM_ACC, K_MEM_CONT, K_MEM_Q,
-       K_BUS_TX, K_BUS_CONT, K_BUS_Q, N_CTR };
-
-/* The machine's counter row (repro.sim.machine.M_*): the network's,
- * the directory's and the protocol's. */
-enum { M_NET_MSGS, M_NET_CONT, M_NET_Q, M_DIR_REFETCH, M_DIR_HINTS,
-       M_DIR_FWD, M_DIR_INV, M_DIR_EXCL, M_PROTO_REMOTE, M_PROTO_THREE_HOP,
-       M_PROTO_STALLS };
-
-enum { PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
-       PC_LEN, N_PC };
-
-enum { POL_EVICTIONS, POL_LOSERS, POL_WINNERS, N_POL };
-
-enum { AL_RR, AL_HITS, AL_SPILLS, AL_COUNT };
-
-enum { C_IN_SLICE, C_BEST, C_LIMIT, C_NOW, C_RING, C_HINT, C_HINT_CLOCK };
-
-enum { RC_DONE, RC_RESIDUAL, RC_DAEMON, RC_BARRIER, RC_DEADLOCK, RC_RING,
-       RC_HINT };
-
-enum { H_SKIP, H_RELOCATE, H_IF_FREE, H_PYTHON };
-
-enum { R_INVALIDATE, R_DEMOTE, R_RELOCATE, R_FAULT, R_MAP_SCOMA, R_EVICT,
-       R_FLUSH };
-
+_C_SOURCE = "#include <stdint.h>\n" + _STRUCT + _declarations() + r"""
 /* Bounded event ring: every transition the kernel performs that the
  * reference loop publishes is recorded here when an EventBus subscriber
  * watches its kind (bit R_* of P_WATCH), and published by run_vector
@@ -243,7 +252,7 @@ enum { R_INVALIDATE, R_DEMOTE, R_RELOCATE, R_FAULT, R_MAP_SCOMA, R_EVICT,
 static void ring_push(SoaState *s, int64_t kind, int64_t node, int64_t where,
                       int64_t clk, int64_t a, int64_t b) {
     if (!(s->P[P_WATCH] >> kind & 1)) return;
-    int64_t *e = &s->ring[s->ctl[C_RING] * 6];
+    int64_t *e = &s->ring[s->ctl[C_RING] * ROW_WIDTH];
     e[0] = kind; e[1] = node; e[2] = where; e[3] = clk; e[4] = a; e[5] = b;
     s->ctl[C_RING]++;
 }
@@ -257,8 +266,9 @@ static int64_t one_way(SoaState *s, int64_t src, int64_t dst, int64_t now) {
     int64_t queue = busy > arrival ? busy - arrival : 0;
     if (queue > s->P[P_NET_MAXQ]) queue = s->P[P_NET_MAXQ];
     s->net_port[dst] = arrival + queue + s->P[P_NET_OCC];
-    s->mach[M_NET_MSGS]++;
-    if (queue) { s->mach[M_NET_CONT]++; s->mach[M_NET_Q] += queue; }
+    int64_t *row = &s->mach[M_NET];
+    row[NET_MESSAGES]++;
+    if (queue) { row[NET_CONTENDED]++; row[NET_QUEUE] += queue; }
     return base + queue;
 }
 
@@ -275,9 +285,9 @@ static int64_t mem_access(SoaState *s, int64_t node, int64_t chunk,
     int64_t queue = *busy > now ? *busy - now : 0;
     if (queue > s->P[P_MEM_MAXQ]) queue = s->P[P_MEM_MAXQ];
     *busy = now + queue + s->P[P_MEM_OCC];
-    int64_t *ctr = &s->ctr[node * N_CTR];
-    ctr[K_MEM_ACC]++;
-    if (queue) { ctr[K_MEM_CONT]++; ctr[K_MEM_Q] += queue; }
+    int64_t *row = &s->ctr[node * N_CTR + CTR_MEM];
+    row[MEM_ACCESSES]++;
+    if (queue) { row[MEM_CONTENDED]++; row[MEM_QUEUE] += queue; }
     return s->P[P_MEM_SERVICE] + queue;
 }
 
@@ -287,9 +297,9 @@ static int64_t bus_transact(SoaState *s, int64_t node, int64_t now) {
     int64_t queue = busy > now ? busy - now : 0;
     if (queue > s->P[P_BUS_MAXQ]) queue = s->P[P_BUS_MAXQ];
     s->bus_busy[node] = now + queue + s->P[P_BUS_OCC];
-    int64_t *ctr = &s->ctr[node * N_CTR];
-    ctr[K_BUS_TX]++;
-    if (queue) { ctr[K_BUS_CONT]++; ctr[K_BUS_Q] += queue; }
+    int64_t *row = &s->ctr[node * N_CTR + CTR_BUS];
+    row[BUS_TRANSACTIONS]++;
+    if (queue) { row[BUS_CONTENDED]++; row[BUS_QUEUE] += queue; }
     return s->P[P_BUS_FIXED] + queue;
 }
 
@@ -301,7 +311,7 @@ static void rac_drop(SoaState *s, int64_t node, int64_t key) {
 
 static void rac_fill(SoaState *s, int64_t node, int64_t key) {
     s->rac[node * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] = key;
-    s->ctr[node * N_CTR + K_RAC_FILLS]++;
+    s->ctr[node * N_CTR + CTR_RAC + RAC_FILLS]++;
 }
 
 /* Machine._invalidate_chunk + Node.invalidate_chunk. */
@@ -318,7 +328,7 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
         if (tags[slot] == line) {
             tags[slot] = -1;
             dirty[slot] = 0;
-            ctr[K_L1_INVAL]++;
+            ctr[CTR_L1 + L1_INVALIDATIONS]++;
         }
     }
     if (s->P[P_RAC_VICTIM]) {
@@ -329,7 +339,7 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
     }
     s->owned[node * s->P[P_N_CHUNKS] + chunk] = 0;
     int64_t pidx = node * s->P[P_N_PAGES] + (chunk >> s->P[P_PC_SHIFT]);
-    if (s->modes[pidx] == 2) {   /* PageMode.SCOMA */
+    if (s->modes[pidx] == SCOMA) {
         int64_t cip = chunk & s->P[P_CPP_MASK];
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + (cip >> 6)]
             &= ~((uint64_t)1 << (cip & 63));
@@ -354,7 +364,7 @@ static int64_t invalidate_all(SoaState *s, int64_t chunk,
             if (rt > worst) worst = rt;
         }
     }
-    s->mach[M_PROTO_STALLS]++;
+    s->mach[M_PROTO + PROTO_STALLS]++;
     return s->P[P_STALL_INV] ? worst : 0;
 }
 
@@ -377,7 +387,7 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
     int64_t owner = s->owner[chunk];
     if (owner != -1 && owner != node) {
         o.forwarded = 1;
-        s->mach[M_DIR_FWD]++;
+        s->mach[M_DIR + DIR_FORWARDS]++;
         s->owner[chunk] = -1;
     }
     if (is_write) {
@@ -393,7 +403,7 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
         s->owner[chunk] = node;
         if (inv) {
             o.has_inv = 1;
-            s->mach[M_DIR_INV] += inv;
+            s->mach[M_DIR + DIR_INVALIDATIONS] += inv;
         }
     } else {
         uint64_t any = 0;
@@ -407,19 +417,19 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
         }
     }
     if (o.refetch && count_refetch) {
-        s->mach[M_DIR_REFETCH]++;
+        s->mach[M_DIR + DIR_REFETCHES]++;
         if (threshold > 0) {
             int64_t *count = &s->refetch[page * s->P[P_N] + node];
             if (*count + 1 >= threshold) {
                 o.hint = 1;
-                s->mach[M_DIR_HINTS]++;
+                s->mach[M_DIR + DIR_HINTS]++;
                 *count = 0;
             } else {
                 (*count)++;
             }
         }
     }
-    if (o.exclusive) s->mach[M_DIR_EXCL]++;
+    if (o.exclusive) s->mach[M_DIR + DIR_EXCLUSIVE]++;
     o.prev_owner = (owner != node) ? owner : -1;
     return o;
 }
@@ -431,7 +441,7 @@ static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
     int64_t lat = one_way(s, node, home, now);
     lat += mem_access(s, home, chunk, now + lat);
     if (o->forwarded) {
-        s->mach[M_PROTO_THREE_HOP]++;
+        s->mach[M_PROTO + PROTO_THREE_HOP]++;
         lat += one_way(s, home, node, now + lat);
         if (!is_write && o->prev_owner >= 0) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
@@ -441,7 +451,7 @@ static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
     lat += one_way(s, home, node, now + lat);
     if (o->has_inv)
         lat += invalidate_all(s, chunk, home, now + lat);
-    s->mach[M_PROTO_REMOTE]++;
+    s->mach[M_PROTO + PROTO_REMOTE]++;
     return lat;
 }
 
@@ -451,7 +461,7 @@ static int64_t local_after_dir(SoaState *s, DirOut *o, int64_t node,
                                int64_t now) {
     int64_t lat = mem_access(s, node, chunk, now);
     if (o->forwarded) {
-        s->mach[M_PROTO_THREE_HOP]++;
+        s->mach[M_PROTO + PROTO_THREE_HOP]++;
         int64_t owner = o->prev_owner >= 0 ? o->prev_owner
                                            : (node + 1) % s->P[P_N];
         lat += round_trip(s, node, owner, now + lat);
@@ -486,7 +496,8 @@ static int64_t l1_fill(SoaState *s, int64_t node, int64_t line,
         if (make_dirty) dirty[slot] = 1;
         return -1;
     }
-    if (victim != -1 && dirty[slot]) s->ctr[node * N_CTR + K_L1_WB]++;
+    if (victim != -1 && dirty[slot])
+        s->ctr[node * N_CTR + CTR_L1 + L1_WRITEBACKS]++;
     tags[slot] = line;
     dirty[slot] = (uint8_t)make_dirty;
     return victim;
@@ -499,8 +510,8 @@ static void l1_fill_tail(SoaState *s, int64_t node, int64_t line,
         int64_t victim = l1_fill(s, node, line, is_write);
         if (victim != -1
             && s->modes[node * s->P[P_N_PAGES]
-                        + (victim >> s->P[P_LINE_SHIFT])] == 3)
-            rac_fill(s, node, victim);   /* PageMode.CCNUMA */
+                        + (victim >> s->P[P_LINE_SHIFT])] == CCNUMA)
+            rac_fill(s, node, victim);
     } else {
         l1_fill(s, node, line, is_write);
     }
@@ -512,21 +523,21 @@ static void classify(SoaState *s, int64_t node, int64_t chunk,
     int64_t *st = &s->st[node * N_STATS];
     uint8_t *ever = &s->ever[node * s->P[P_N_CHUNKS] + chunk];
     if (refetch) {
-        st[S_CONF]++;
-        st[S_CONF_LAT] += lat;
+        st[S_CONF_CAPC]++;
+        st[S_CONF_CAPC_LAT] += lat;
         *ever = 1;
     } else {
         st[S_COLD]++;
         st[S_COLD_LAT] += lat;
-        if (*ever) st[S_INDUCED]++;
-        else { st[S_ESSENTIAL]++; *ever = 1; }
+        if (*ever) st[S_INDUCED_COLD]++;
+        else { st[S_ESSENTIAL_COLD]++; *ever = 1; }
     }
 }
 
 /* ---- Page management: faults, evictions and relocations ---- */
 
-/* HomeAllocator.home_of in the variant P_PLACEMENT names (0 first
- * touch up to the quota with a round-robin spill, 1 round robin, 2 a
+/* HomeAllocator.home_of in the variant P_PLACEMENT names (first
+ * touch up to the quota with a round-robin spill, round robin, or a
  * splitmix64 hash of the page; see kernel/allocation.py).  Returns the
  * page's home; for an unassigned page that is the node its first touch
  * by nid picks, and `assign` makes the choice (the home, the node's
@@ -538,7 +549,7 @@ static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
     int64_t n = s->P[P_N], quota = s->P[P_QUOTA];
     int64_t *al = s->alloc, *count = al + AL_COUNT;
     int64_t rr = al[AL_RR], counter = -1;
-    if (s->P[P_PLACEMENT] == 0) {
+    if (s->P[P_PLACEMENT] == HomeAllocator) {
         if (quota == 0 || count[nid] < quota) {
             home = nid;
             counter = AL_HITS;
@@ -554,11 +565,11 @@ static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
                     if (count[i] < count[home]) home = i;
             }
         }
-    } else if (s->P[P_PLACEMENT] == 1) {
+    } else if (s->P[P_PLACEMENT] == RoundRobinAllocator) {
         home = rr;
         rr = (rr + 1) % n;
         counter = AL_SPILLS;
-    } else {
+    } else {                                        /* RandomAllocator */
         uint64_t x = (uint64_t)page * 0x9E3779B97F4A7C15ULL
                      + (uint64_t)s->P[P_SEED];
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -652,21 +663,20 @@ static int64_t flush_page(SoaState *s, int64_t nid, int64_t page,
             if (s->owner[chunk] == nid) s->owner[chunk] = -1;
         }
     }
-    s->st[nid * N_STATS + S_FLUSHED] += flushed;
+    s->st[nid * N_STATS + S_LINES_FLUSHED] += flushed;
     ring_push(s, R_FLUSH, nid, page, clk, flushed, 0);
     return flushed;
 }
 
 /* May the kernel force-evict one of nid's S-COMA pages?  It needs a
- * page to evict and an eviction hook it models (P_EVICT_HOOK: 0 the
- * base no-op, 1 BreakEvenDetector.record_eviction, -1 a hook only
- * Python runs), and the detector must not fall due for an evaluation:
+ * page to evict and an eviction hook it models (P_EVICT_HOOK: not
+ * IN_PYTHON), and the detector must not fall due for an evaluation:
  * record_eviction runs one once its evictions reach two per cached
  * page, and never fewer than P_MIN_EVAL.  Pure. */
 static int evict_ok(SoaState *s, int64_t nid) {
     int64_t cached = s->pc[nid * N_PC + PC_LEN];
-    if (cached == 0 || s->P[P_EVICT_HOOK] < 0) return 0;
-    if (s->P[P_EVICT_HOOK] == 0) return 1;
+    if (cached == 0 || s->P[P_EVICT_HOOK] == IN_PYTHON) return 0;
+    if (s->P[P_EVICT_HOOK] == HOOK_NONE) return 1;
     int64_t cadence = 2 * cached;
     if (cadence < s->P[P_MIN_EVAL]) cadence = s->P[P_MIN_EVAL];
     return s->pol[nid * N_POL + POL_EVICTIONS] + 1 < cadence;
@@ -688,17 +698,17 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
     pc[PC_HEAD] = (pc[PC_HEAD] + 1) % s->P[P_CLK_CAP];
     pc[PC_LEN]--;
     if (s->P[P_EVICT_CC]) {
-        s->modes[pidx] = 3;                         /* CCNUMA */
-        ctr[K_PT_TO_CCNUMA]++;
+        s->modes[pidx] = CCNUMA;
+        ctr[CTR_PT + PT_TO_CCNUMA]++;
     } else {
-        s->modes[pidx] = 0;                         /* UNMAPPED */
+        s->modes[pidx] = UNMAPPED;
     }
     s->ref_bits[pidx] = 0;                          /* TLB.shootdown */
-    ctr[K_TLB_SHOOTDOWNS]++;
+    ctr[CTR_TLB + TLB_SHOOTDOWNS]++;
     pc[PC_FREE]++;                                  /* pool.release */
     pc[PC_RELEASES]++;
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
-    if (s->P[P_EVICT_HOOK] == 1) {                  /* record_eviction */
+    if (s->P[P_EVICT_HOOK] == HOOK_BREAK_EVEN) {    /* record_eviction */
         int64_t *pol = &s->pol[nid * N_POL];
         pol[POL_EVICTIONS]++;
         pol[s->pc_hits[pidx] < s->P[P_BREAK_EVEN] ? POL_LOSERS
@@ -707,7 +717,7 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
     s->pc_hits[pidx] = -1;                          /* pagecache_hits.pop */
     int64_t *st = &s->st[nid * N_STATS];
     st[S_EVICTIONS]++;
-    st[S_FORCED]++;
+    st[S_FORCED_EVICTIONS]++;
     ring_push(s, R_EVICT, nid, page, clk, flushed, 1);
     return s->P[P_PAGE_REMAP] + s->P[P_FLUSH_LINE] * flushed;
 }
@@ -716,8 +726,9 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
  * zeroed page-cache hit count. */
 static void map_scoma(SoaState *s, int64_t nid, int64_t page, int64_t clk) {
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    if (s->modes[pidx] == 3) s->ctr[nid * N_CTR + K_PT_TO_SCOMA]++;
-    s->modes[pidx] = 2;
+    if (s->modes[pidx] == CCNUMA)
+        s->ctr[nid * N_CTR + CTR_PT + PT_TO_SCOMA]++;
+    s->modes[pidx] = SCOMA;
     for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
     clock_append(s, nid, page);
@@ -731,7 +742,7 @@ static int64_t relocate_to_scoma(SoaState *s, int64_t nid, int64_t page,
                                  int64_t clk) {
     int64_t flushed = flush_page(s, nid, page, clk);
     s->ref_bits[nid * s->P[P_N_PAGES] + page] = 0;  /* TLB.shootdown */
-    s->ctr[nid * N_CTR + K_TLB_SHOOTDOWNS]++;
+    s->ctr[nid * N_CTR + CTR_TLB + TLB_SHOOTDOWNS]++;
     map_scoma(s, nid, page, clk);
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
     s->st[nid * N_STATS + S_RELOCATIONS]++;
@@ -754,7 +765,7 @@ static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
     int64_t *st = &s->st[nid * N_STATS];
     int64_t free = pc[PC_FREE];
     int64_t decision = s->hint_mode[nid * 2 + (free > 0 ? 0 : 1)];
-    if (decision == H_PYTHON) return -1;
+    if (decision == IN_PYTHON) return -1;
     if (decision != H_SKIP) {
         if (free < pc[PC_FREE_MIN] && now >= s->next_run[nid])
             return -1;                              /* daemon due */
@@ -763,9 +774,9 @@ static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
             return -1;
         if (free == 0) pc[PC_FAILED]++;             /* acquire_frame */
     }
-    if (decision == H_SKIP || (free == 0 && (decision == H_IF_FREE
+    if (decision == H_SKIP || (free == 0 && (decision == H_RELOCATE_IF_FREE
                                              || pc[PC_LEN] == 0))) {
-        st[S_SKIPPED]++;
+        st[S_SKIPPED_RELOCATIONS]++;
         return 0;
     }
     int64_t overhead = free == 0                    /* forced eviction */
@@ -780,18 +791,18 @@ static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
 /* The mode a page fault of (nid, page) at `now` asks for -- HOME, or
  * the policy's initial_mode for the pool's state -- or -1 when the
  * fault must be serviced by Engine._page_fault in Python: a home the
- * kernel cannot place (P_PLACEMENT < 0), a pageout daemon that
+ * kernel cannot place (P_PLACEMENT is IN_PYTHON), a pageout daemon that
  * acquire_frame would run, or a mandatory page cache's forced eviction
  * evict_ok() refuses.  Pure: reads state only. */
 static int64_t fault_mode(SoaState *s, int64_t nid, int64_t page,
                           int64_t now) {
-    if (s->home[page] < 0 && s->P[P_PLACEMENT] < 0) return -1;
+    if (s->home[page] < 0 && s->P[P_PLACEMENT] == IN_PYTHON) return -1;
     int64_t home = home_of(s, page, nid, 0);
-    if (home == nid) return 1;                      /* HOME */
+    if (home == nid) return HOME;
     const int64_t *pc = &s->pc[nid * N_PC];
     int64_t free = pc[PC_FREE];
     int64_t mode = s->fault_mode[nid * 2 + (free > 0 ? 0 : 1)];
-    if (mode == 2) {                                /* SCOMA */
+    if (mode == SCOMA) {
         if (free < pc[PC_FREE_MIN]
             && now + s->P[P_PAGE_FAULT] >= s->next_run[nid])
             return -1;                              /* daemon due */
@@ -810,9 +821,9 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
     int64_t *st = &s->st[nid * N_STATS];
     int64_t kernel = s->P[P_PAGE_FAULT];
     st[S_K_BASE] += kernel;
-    st[S_FAULTS]++;
+    st[S_PAGE_FAULTS]++;
     int64_t home = home_of(s, page, nid, 1);
-    if (mode == 2) {
+    if (mode == SCOMA) {
         int64_t *pc = &s->pc[nid * N_PC];
         if (pc[PC_FREE] == 0) {
             pc[PC_FAILED]++;                        /* acquire_frame */
@@ -823,16 +834,16 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
                 st[S_K_OVERHD] += overhead;
                 kernel += overhead;
             } else {
-                mode = 3;                           /* hybrid: CC-NUMA */
+                mode = CCNUMA;                      /* hybrid */
             }
         }
-        if (mode == 2) {
+        if (mode == SCOMA) {
             pc[PC_FREE]--;
             pc[PC_ALLOCS]++;
             map_scoma(s, nid, page, clk);
         }
     }
-    if (mode != 2) s->modes[nid * s->P[P_N_PAGES] + page] = mode;
+    if (mode != SCOMA) s->modes[nid * s->P[P_N_PAGES] + page] = mode;
     ring_push(s, R_FAULT, nid, page, clk, mode, home);
     return kernel;
 }
@@ -860,7 +871,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                                       s->home[page], now);
                 *ownedp = 1;
                 st[S_UPGRADES]++;
-                st[S_USH] += lat;
+                st[S_U_SH_MEM] += lat;
                 dirty[slot] = 1;
                 return s->P[P_HIT_CYCLES] + lat;
             }
@@ -871,28 +882,29 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     /* L1 miss: a fault's pure pre-check before any mutation. */
     int64_t page = line >> s->P[P_LINE_SHIFT];
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t fault = 0;
-    if (s->modes[pidx] == 0) {
+    int64_t fault = UNMAPPED;
+    if (s->modes[pidx] == UNMAPPED) {
         fault = fault_mode(s, nid, page, now);
         if (fault < 0) return -1;
     }
     int64_t start = now;
     st[S_L1_MISSES]++;
     s->ref_bits[pidx] = 1;
-    int64_t kernel = fault ? page_fault(s, nid, page, fault, start) : 0;
+    int64_t kernel = fault != UNMAPPED
+        ? page_fault(s, nid, page, fault, start) : 0;
     int64_t mode = s->modes[pidx];
     now += kernel;
     int64_t lat = bus_transact(s, nid, now);
     uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
     int64_t home = s->home[page];
     int64_t hint = 0;
-    if (mode == 1) {                                /* HOME */
+    if (mode == HOME) {
         DirOut o = fetch_raw(s, nid, chunk, page, is_write, 0, 0);
         lat += local_after_dir(s, &o, nid, chunk, is_write, now + lat);
         st[S_HOME]++;
         st[S_HOME_LAT] += lat;
         if (is_write || o.exclusive) *ownedp = 1;
-    } else if (mode == 2) {                         /* SCOMA */
+    } else if (mode == SCOMA) {
         int64_t cip = chunk & s->P[P_CPP_MASK];
         uint64_t *sv = &s->scoma_valid[pidx * s->P[P_SV_WORDS]];
         if ((sv[cip >> 6] >> (cip & 63)) & 1) {
@@ -927,7 +939,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                 st[S_UPGRADES]++;
             }
         } else {
-            s->ctr[nid * N_CTR + K_RAC_MISSES]++;
+            s->ctr[nid * N_CTR + CTR_RAC + RAC_MISSES]++;
             DirOut o = fetch_raw(s, nid, chunk, page, is_write,
                                  s->thr[nid], 1);
             int64_t fl = remote_after_dir(s, &o, nid, chunk, home,
@@ -942,7 +954,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     /* The L1 fill precedes a relocation: the access completed first,
      * and the remap's page flush must purge this line too. */
     l1_fill_tail(s, nid, line, is_write);
-    st[S_USH] += lat;
+    st[S_U_SH_MEM] += lat;
     if (hint) {
         int64_t overhead = relocation_hint(s, nid, page, now + lat, start);
         if (overhead < 0) {
@@ -1052,11 +1064,11 @@ int64_t soa_run(SoaState *s) {
                     now += r;
                     p++;
                 } else if (ev == EV_COMPUTE) {
-                    s->st[best * N_STATS + S_UINSTR] += arg;
+                    s->st[best * N_STATS + S_U_INSTR] += arg;
                     now += arg;
                     p++;
                 } else if (ev == EV_LOCAL) {
-                    s->st[best * N_STATS + S_ULC] += arg;
+                    s->st[best * N_STATS + S_U_LC_MEM] += arg;
                     now += arg;
                     p++;
                 } else {                             /* EV_BARRIER */
@@ -1313,28 +1325,16 @@ def run_vector(engine) -> list[int] | None:
     finished = memoryview(np.array([length == 0 for length in tr_len],
                                    np.uint8))
     waiting = memoryview(np.zeros(n, np.uint8))
-    ctl = memoryview(np.zeros(8, np.int64))
-    ctl[_HINT_PAGE] = -1
+    ctl = memoryview(np.zeros(len(_CTL.codes), np.int64))
+    ctl[_CTL.HINT] = -1
 
     # --- event ring + invalidation scratch ---------------------------
     # The ring records the kernel's transitions of each watched kind:
-    # bit `code` of P_WATCH stands for events.ROW_KINDS[code], the R_*
-    # enum of the C source.
+    # bit `code` of P_WATCH stands for events.ROW_KINDS[code].
     events = machine.events
     ring_cap = max(1024, 2 * n + 20)
-    ring = np.zeros((ring_cap, 6), dtype=np.int64)
+    ring = np.zeros((ring_cap, ROW_WIDTH), dtype=np.int64)
     inv_scratch = np.zeros(directory.words, dtype=np.uint64)
-
-    # --- policy variants, picked once per run ------------------------
-    policy = engine.policy
-    hook = getattr(policy.on_page_evicted, "__func__", None)
-    if hook is ArchitecturePolicy.on_page_evicted:
-        evict_hook = 0      # the base no-op
-    elif hook is VCNUMAPolicy.on_page_evicted:
-        evict_hook = 1      # BreakEvenDetector.record_eviction
-    else:
-        evict_hook = -1     # a hook only Python runs
-    detector = getattr(nodes[0].policy_state, "detector", None)
 
     # --- per-node policy inputs, refreshed at Python exits -----------
     fault_mode = memoryview(np.zeros(2 * n, np.int64))
@@ -1342,60 +1342,46 @@ def run_vector(engine) -> list[int] | None:
     next_run = memoryview(np.zeros(n, np.int64))
     thr = memoryview(np.zeros(n, np.int64))
 
-    params = np.zeros(_N_PARAMS, dtype=np.int64)
-    params[_P_N] = n
-    params[_P_QUANTUM] = engine.quantum
-    params[_P_NO_LIMIT] = sys.maxsize
-    params[_P_LINE_SHIFT] = engine._line_shift
-    params[_P_CHUNK_SHIFT] = engine._chunk_shift
-    params[_P_CPP_MASK] = engine._cpp_mask
-    params[_P_SET_MASK] = nodes[0].l1.set_mask
-    params[_P_RAC_MASK] = nodes[0].rac.entry_mask
-    params[_P_RAC_VICTIM] = 1 if engine._rac_victim else 0
-    params[_P_HIT_CYCLES] = engine._hit_cycles
-    params[_P_RAC_CYCLES] = engine._rac_cycles
-    params[_P_DSM2] = engine._dsm2
-    params[_P_GRANT_EX] = 1 if directory.grant_exclusive else 0
-    params[_P_STALL_INV] = 1 if machine.protocol.stall_on_invalidate else 0
-    params[_P_SKIP_NODE] = config.debug_skip_invalidate_node
-    params[_P_BANK_MASK] = mem0.bank_mask
-    params[_P_MEM_SERVICE] = mem0.service_cycles
-    params[_P_MEM_OCC] = mem0.occupancy_cycles
-    params[_P_MEM_MAXQ] = mem0.max_queue
-    params[_P_BUS_OCC] = bus0.occupancy
-    params[_P_BUS_FIXED] = bus0.fixed_cost
-    params[_P_BUS_MAXQ] = bus0.max_queue
-    params[_P_NET_OCC] = network.port_occupancy
-    params[_P_NET_MAXQ] = network.max_queue
-    params[_P_LPC] = 1 << engine._chunk_shift
-    params[_P_N_PAGES] = n_pages
-    params[_P_N_SETS] = blocks.l1_tags.shape[1]
-    params[_P_N_BANKS] = blocks.mem_busy.shape[1]
-    params[_P_RAC_ENTRIES] = blocks.rac.shape[1]
-    params[_P_PC_SHIFT] = engine._line_shift - engine._chunk_shift
-    params[_P_N_CHUNKS] = n_pages * cpp
-    params[_P_CS_WORDS] = directory.words
-    params[_P_SV_WORDS] = nodes[0].page_table.sv_words
-    params[_P_WATCH] = sum(1 << code for code, kind in enumerate(ROW_KINDS)
-                           if events.watching(kind))
-    params[_P_RING_CAP] = ring_cap
+    # --- params, by name; the policy variants are picked once per run
+    policy = engine.policy
+    detector = getattr(nodes[0].policy_state, "detector", None)
     costs = nodes[0].costs
-    params[_P_PAGE_FAULT] = costs.page_fault
-    params[_P_PAGE_REMAP] = costs.page_remap
-    params[_P_FLUSH_LINE] = costs.flush_per_line
-    params[_P_RELOC_INT] = costs.relocation_interrupt
-    params[_P_MANDATORY] = engine._mandatory_scoma
-    params[_P_EVICT_CC] = policy.evict_to_ccnuma
-    params[_P_EVICT_HOOK] = evict_hook
-    if evict_hook == 1:
-        params[_P_BREAK_EVEN] = detector.break_even
-        params[_P_MIN_EVAL] = detector.min_evictions_per_eval
-    params[_P_CLK_CAP] = blocks.clk.shape[1]
-    params[_P_PLACEMENT] = PLACEMENT_CODES.get(type(allocator), -1)
-    params[_P_QUOTA] = allocator.quota
-    params[_P_SEED] = getattr(allocator, "seed", 0)
+    pc_shift = engine._line_shift - engine._chunk_shift
+    values = dict(
+        N=n, QUANTUM=engine.quantum, NO_LIMIT=sys.maxsize,
+        LINE_SHIFT=engine._line_shift, CHUNK_SHIFT=engine._chunk_shift,
+        CPP_MASK=engine._cpp_mask, SET_MASK=nodes[0].l1.set_mask,
+        RAC_MASK=nodes[0].rac.entry_mask, RAC_VICTIM=engine._rac_victim,
+        HIT_CYCLES=engine._hit_cycles, RAC_CYCLES=engine._rac_cycles,
+        DSM2=engine._dsm2, GRANT_EX=directory.grant_exclusive,
+        STALL_INV=machine.protocol.stall_on_invalidate,
+        SKIP_NODE=config.debug_skip_invalidate_node,
+        BANK_MASK=mem0.bank_mask, MEM_SERVICE=mem0.service_cycles,
+        MEM_OCC=mem0.occupancy_cycles, MEM_MAXQ=mem0.max_queue,
+        BUS_OCC=bus0.occupancy, BUS_FIXED=bus0.fixed_cost,
+        BUS_MAXQ=bus0.max_queue, NET_OCC=network.port_occupancy,
+        NET_MAXQ=network.max_queue, LPC=1 << engine._chunk_shift,
+        N_PAGES=n_pages, N_SETS=blocks.l1_tags.shape[1],
+        N_BANKS=blocks.mem_busy.shape[1], RAC_ENTRIES=blocks.rac.shape[1],
+        PC_SHIFT=pc_shift, N_CHUNKS=n_pages * cpp,
+        CS_WORDS=directory.words, SV_WORDS=nodes[0].page_table.sv_words,
+        WATCH=sum(1 << code for code, kind in enumerate(ROW_KINDS)
+                  if events.watching(kind)),
+        RING_CAP=ring_cap, PAGE_FAULT=costs.page_fault,
+        PAGE_REMAP=costs.page_remap, FLUSH_LINE=costs.flush_per_line,
+        RELOC_INT=costs.relocation_interrupt,
+        MANDATORY=engine._mandatory_scoma, EVICT_CC=policy.evict_to_ccnuma,
+        EVICT_HOOK=_HOOK_CODES.get(
+            getattr(policy.on_page_evicted, "__func__", None), _IN_PYTHON),
+        BREAK_EVEN=getattr(detector, "break_even", 0),
+        MIN_EVAL=getattr(detector, "min_evictions_per_eval", 0),
+        CLK_CAP=blocks.clk.shape[1],
+        PLACEMENT=PLACEMENT_CODES.get(type(allocator), _IN_PYTHON),
+        QUOTA=allocator.quota, SEED=getattr(allocator, "seed", 0))
+    params = np.array([values[name] for name in _PARAMS.codes], np.int64)
 
-    # --- wire the C struct: each field points at its buffer ---------
+    # --- wire the C struct: each field points at its buffer (a field
+    # with none is a KeyError, never a NULL pointer) ------------------
     buffers = dict(
         P=params, kinds=kinds_all, args=args_all, tr_off=tr_off,
         tr_len=tr_len, pos=pos, clock=clock, arrival=arrival,
@@ -1411,8 +1397,10 @@ def run_vector(engine) -> list[int] | None:
         pol=blocks.policy, fault_mode=fault_mode, hint_mode=hint_mode,
         next_run=next_run, thr=thr, st=blocks.stats, ctr=blocks.counters,
         mach=machine.counters, inv_scratch=inv_scratch, ring=ring)
-    keepalive = {field: ffi.from_buffer(_C_ARRAY[np.asarray(buf).dtype], buf)
-                 for field, buf in buffers.items()}
+    keepalive = {
+        field: ffi.from_buffer(_C_ARRAY[np.asarray(buffers[field]).dtype],
+                               buffers[field])
+        for field, _ in ffi.typeof("SoaState").fields}
     state = ffi.new("SoaState *", keepalive)
 
     def _mode_code(node, free_frames):
@@ -1426,7 +1414,7 @@ def run_vector(engine) -> list[int] | None:
         """policy.on_relocation_hint as the kernel's H_* code."""
         return _HINT_CODES.get(
             policy.on_relocation_hint(node.policy_state, free_frames),
-            _H_PYTHON)
+            _IN_PYTHON)
 
     def _policy_in(i):
         """Node i's policy-derived kernel inputs, for a free and a dry
@@ -1441,18 +1429,16 @@ def run_vector(engine) -> list[int] | None:
         hint_mode[2 * i] = _hint_code(node, 1)
         hint_mode[2 * i + 1] = _hint_code(node, 0)
 
-    pc_shift = engine._line_shift - engine._chunk_shift
-
     def _flush_ring():
         """Publish the ring's rows (see ``EventBus.publish_rows``).
 
         Runs before any other Python-side work at every kernel exit, so
         the publish order matches the reference loop exactly.
         """
-        count = ctl[_RINGN]
+        count = ctl[_CTL.RING]
         if count:
             events.publish_rows(ring[:count], pc_shift)
-            ctl[_RINGN] = 0
+            ctl[_CTL.RING] = 0
 
     # --- drive the kernel --------------------------------------------
     # Only residual, hint and daemon exits change policy inputs, so
@@ -1462,35 +1448,35 @@ def run_vector(engine) -> list[int] | None:
     while True:
         rc = lib.soa_run(state)
         _flush_ring()
-        if rc == _RESIDUAL:
-            best = ctl[_BEST]
-            now = ctl[_NOW]
+        if rc == _EXIT.RESIDUAL:
+            best = ctl[_CTL.BEST]
+            now = ctl[_CTL.NOW]
             at = tr_off[best] + pos[best]
-            ctl[_NOW] = now + engine._shared_ref(
+            ctl[_CTL.NOW] = now + engine._shared_ref(
                 nodes[best], args_all[at], kinds_all[at] == EV_WRITE, now)
             pos[best] += 1
             _policy_in(best)
-        elif rc == _HINT:
+        elif rc == _EXIT.HINT:
             # The access completed in the kernel; the hint's work runs
             # at the access's end, with the clock its miss stamped.
-            best = ctl[_BEST]
-            now = ctl[_NOW]
+            best = ctl[_CTL.BEST]
+            now = ctl[_CTL.NOW]
             if events.kind_observers:
-                events.clock = ctl[_HINT_CLOCK]
-            ctl[_NOW] = now + engine._handle_relocation_hint(
-                nodes[best], ctl[_HINT_PAGE], now)
-            ctl[_HINT_PAGE] = -1
+                events.clock = ctl[_CTL.HINT_CLOCK]
+            ctl[_CTL.NOW] = now + engine._handle_relocation_hint(
+                nodes[best], ctl[_CTL.HINT], now)
+            ctl[_CTL.HINT] = -1
             _policy_in(best)
-        elif rc == _RINGFULL:
+        elif rc == _EXIT.RING:
             pass  # flushed above; re-enter with a drained ring
-        elif rc == _DAEMON:
-            best = ctl[_BEST]
-            nodes[best].run_daemon_if_due(ctl[_NOW])
+        elif rc == _EXIT.DAEMON:
+            best = ctl[_CTL.BEST]
+            nodes[best].run_daemon_if_due(ctl[_CTL.NOW])
             _policy_in(best)
-        elif rc == _BARRIER:
+        elif rc == _EXIT.BARRIER:
             engine._release_barrier(nodes, clock, arrival, waiting, pos,
                                     tr_len, finished, barrier_id)
-        elif rc == _DEADLOCK:
+        elif rc == _EXIT.DEADLOCK:
             raise RuntimeError("deadlock: all unfinished nodes are waiting"
                                " at a barrier that never released")
         else:

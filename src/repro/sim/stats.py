@@ -26,8 +26,7 @@ __all__ = ["FIELDS", "MISS_CLASSES", "N_STATS", "NodeStats", "RunResult",
 TIME_BUCKETS = ("U_SH_MEM", "K_BASE", "K_OVERHD", "U_INSTR", "U_LC_MEM", "SYNC")
 MISS_CLASSES = ("HOME", "SCOMA", "RAC", "COLD", "CONF_CAPC")
 
-#: The per-node counters in row (and ``as_dict()``) order: the kernel's
-#: ``S_*`` enum.
+#: The per-node counters in row (and ``as_dict()``) order.
 FIELDS = (
     # time buckets (cycles)
     "U_SH_MEM", "K_BASE", "K_OVERHD", "U_INSTR", "U_LC_MEM", "SYNC",
@@ -42,7 +41,8 @@ FIELDS = (
     "l1_misses", "migrations", "skipped_migrations",
 )
 N_STATS = len(FIELDS)
-#: The row slot of each field, for the hot paths that index the row.
+#: The row slot of each field, for the hot paths that index the row;
+#: the replay kernel reads these names.
 (S_U_SH_MEM, S_K_BASE, S_K_OVERHD, S_U_INSTR, S_U_LC_MEM, S_SYNC, S_HOME,
  S_SCOMA, S_RAC, S_COLD, S_CONF_CAPC, S_HOME_LAT, S_SCOMA_LAT, S_RAC_LAT,
  S_COLD_LAT, S_CONF_CAPC_LAT, S_PAGE_FAULTS, S_RELOCATIONS,

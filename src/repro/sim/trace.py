@@ -37,6 +37,7 @@ __all__ = ["EV_READ", "EV_WRITE", "EV_COMPUTE", "EV_LOCAL", "EV_BARRIER",
            "TraceBuilder", "WorkloadTraces", "coalesce_events",
            "coalesce_nodes"]
 
+#: Event kinds; the replay kernel reads these names.
 EV_READ = 0
 EV_WRITE = 1
 EV_COMPUTE = 2
@@ -125,18 +126,6 @@ class Trace:
             raise ValueError("kinds/args length mismatch")
         self.kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
         self.args = np.ascontiguousarray(args, dtype=np.int64)
-
-    def coalesced(self) -> "Trace":
-        """This trace with adjacent COMPUTE/LOCAL runs merged.
-
-        Returns ``self`` when there is nothing to merge (the common
-        case for the built-in generators, which interleave compute
-        markers between reference bursts).
-        """
-        kinds, args = coalesce_events(self.kinds, self.args)
-        if kinds is self.kinds:
-            return self
-        return Trace(kinds, args)
 
     def __len__(self) -> int:
         return len(self.kinds)

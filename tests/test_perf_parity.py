@@ -392,7 +392,7 @@ class TestObsTimelineParity:
 
     def test_saturated_event_ring_parity(self, monkeypatch):
         """More watched invalidations and demotions than the ring holds
-        between exits: the kernel must leave through ``_RINGFULL``, and
+        between exits: the kernel must leave through ``RC_RING``, and
         ``_flush_ring`` must publish the same ``(kind, node, page,
         clock, detail)`` stream as the reference loop."""
         from repro.core import make_policy
@@ -424,7 +424,7 @@ class TestObsTimelineParity:
 
         r_vec, s_vec = replay(True)
         r_ref, s_ref = replay(False)
-        assert exits.count(soatrace._RINGFULL) >= 1
+        assert exits.count(soatrace._EXIT.RING) >= 1
         assert {kind for kind, *_ in s_ref} == {EV_INVALIDATE, EV_DEMOTE}
         assert s_vec == s_ref
         assert r_vec == r_ref
@@ -1263,7 +1263,7 @@ class TestCheckerSubscription:
 
         class WatchProbe:
             def soa_run(self, state):
-                masks.append(state.P[soatrace._P_WATCH])
+                masks.append(state.P[soatrace._PARAMS.WATCH])
                 return lib.soa_run(state)
 
         monkeypatch.setattr(soatrace, "_load_kernel",
