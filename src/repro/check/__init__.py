@@ -8,7 +8,6 @@ deterministically, and minimise the failing trace with
 :class:`TraceShrinker`.  See ``docs/invariants.md``.
 """
 
-from .audit import audit_machine, collect_audit_violations
 from .bundle import ReproBundle, config_from_dict, config_to_dict
 from .checker import GRANULARITIES, InvariantChecker
 from .invariants import (STRUCTURAL_CHECKS, Violation, check_cache_reachability,
@@ -23,13 +22,11 @@ __all__ = [
     "STRUCTURAL_CHECKS",
     "TraceShrinker",
     "Violation",
-    "audit_machine",
     "check_cache_reachability",
     "check_directory_swmr",
     "check_frame_accounting",
     "check_page_table",
     "check_rac_exclusivity",
-    "collect_audit_violations",
     "config_from_dict",
     "config_to_dict",
     "shrink_bundle",

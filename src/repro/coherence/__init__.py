@@ -7,12 +7,10 @@ invalidated sharer and a ``demote`` event per owner demoted by a
 forwarded read.
 """
 
-from .directory import Directory, FetchOutcome
-from .protocol import CoherenceProtocol, RemoteResult
+from .directory import Directory
+from .protocol import CoherenceProtocol
 
 __all__ = [
     "CoherenceProtocol",
     "Directory",
-    "FetchOutcome",
-    "RemoteResult",
 ]

@@ -29,48 +29,11 @@ import numpy as np
 from ..kernel.freelist import counter_row, row_slot
 from ..kernel.vm import DEFAULT_PAGES
 
-__all__ = ["Directory", "FetchOutcome"]
+__all__ = ["Directory"]
 
 #: Counter row slots; the replay kernel reads them by these names.
 (DIR_REFETCHES, DIR_HINTS, DIR_FORWARDS, DIR_INVALIDATIONS, DIR_EXCLUSIVE,
  N_DIR) = range(6)
-
-
-class FetchOutcome:
-    """Result of one directory transaction, consumed by the engine.
-
-    Attributes
-    ----------
-    refetch:
-        The requester was already in the chunk's copyset (conflict or
-        capacity miss).  Drives both miss classification (CONF/CAPC vs
-        COLD) and refetch counting.
-    forwarded:
-        A dirty remote owner had to service the request (3-hop
-        transaction, extra network latency).
-    invalidations:
-        Nodes whose cached copies were invalidated (write requests).
-        The engine flushes the chunk from those nodes' caches.
-    relocation_hint:
-        The requester's refetch counter for this page crossed its
-        threshold; the DSM engine should raise a relocation interrupt.
-    """
-
-    __slots__ = ("refetch", "forwarded", "invalidations", "relocation_hint",
-                 "prev_owner", "exclusive")
-
-    def __init__(self, refetch: bool, forwarded: bool,
-                 invalidations: tuple[int, ...], relocation_hint: bool,
-                 prev_owner: int = -1, exclusive: bool = False) -> None:
-        self.refetch = refetch
-        self.forwarded = forwarded
-        self.invalidations = invalidations
-        self.relocation_hint = relocation_hint
-        #: Node that held the chunk dirty before this request (-1 none).
-        self.prev_owner = prev_owner
-        #: MESI only: a read was granted Exclusive (no other sharers),
-        #: so the requester may write later without an upgrade.
-        self.exclusive = exclusive
 
 
 class Directory:
@@ -109,8 +72,8 @@ class Directory:
      exclusive_grants) = map(row_slot, range(N_DIR))
 
     # ------------------------------------------------------------------
-    def fetch(self, node: int, chunk: int, page: int, is_write: bool,
-              threshold: int, count_refetch: bool = True) -> FetchOutcome:
+    def fetch_raw(self, node: int, chunk: int, page: int, is_write: bool,
+                  threshold: int, count_refetch: bool = True) -> tuple:
         """Process a GET/GETX for *chunk* of *page* from *node*.
 
         *threshold* is the requester's current relocation threshold; 0
@@ -119,21 +82,28 @@ class Directory:
         *count_refetch* lets S-COMA-mode accesses skip hot-page
         accounting (an S-COMA page is already local; its refetches are
         coherence-driven and must not re-trigger relocation).
-        """
-        return FetchOutcome(*self.fetch_raw(node, chunk, page, is_write,
-                                            threshold, count_refetch))
 
-    def fetch_raw(self, node: int, chunk: int, page: int, is_write: bool,
-                  threshold: int, count_refetch: bool = True) -> tuple:
-        """:meth:`fetch` without the :class:`FetchOutcome` wrapper.
+        Returns the outcome as a plain tuple, ``(refetch, forwarded,
+        invalidations, relocation_hint, prev_owner, exclusive)``:
 
-        Returns the outcome as a plain tuple in ``FetchOutcome.__init__``
-        argument order: ``(refetch, forwarded, invalidations,
-        relocation_hint, prev_owner, exclusive)``.  The replay engine
-        processes tens of thousands of fetches per run, and skipping the
-        per-call object construction is a measurable share of the hot
-        path (docs/performance.md); both entry points share this body,
-        so their behaviour cannot diverge.
+        * *refetch*: the requester was already in the chunk's copyset
+          (conflict or capacity miss).  Drives both miss classification
+          (CONF/CAPC vs COLD) and refetch counting.
+        * *forwarded*: a dirty remote owner had to service the request
+          (3-hop transaction, extra network latency).
+        * *invalidations*: nodes whose cached copies were invalidated
+          (write requests); the protocol destroys those copies.
+        * *relocation_hint*: the requester's refetch counter for this
+          page crossed its threshold; the DSM engine should raise a
+          relocation interrupt.
+        * *prev_owner*: the node that held the chunk dirty before this
+          request; -1 when it was clean or dirty at the requester.
+        * *exclusive*: MESI only, a read was granted Exclusive (no other
+          sharers), so the requester may write later without an
+          upgrade.
+
+        The replay engine processes tens of thousands of fetches per
+        run, so no result object is built (docs/performance.md).
         """
         copyset = self.copyset
         owner_map = self.owner

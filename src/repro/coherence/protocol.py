@@ -24,22 +24,12 @@ from typing import Callable
 from ..interconnect.network import Network
 from ..kernel.freelist import counter_row, row_slot
 from ..mem.dram import BankedMemory
-from .directory import Directory, FetchOutcome
+from .directory import Directory
 
-__all__ = ["CoherenceProtocol", "RemoteResult"]
+__all__ = ["CoherenceProtocol"]
 
 #: Counter row slots; the replay kernel reads them by these names.
 PROTO_REMOTE, PROTO_THREE_HOP, PROTO_STALLS, N_PROTO = range(4)
-
-
-class RemoteResult:
-    """Latency + directory outcome of one remote transaction."""
-
-    __slots__ = ("latency", "outcome")
-
-    def __init__(self, latency: int, outcome: FetchOutcome) -> None:
-        self.latency = latency
-        self.outcome = outcome
 
 
 class CoherenceProtocol:
@@ -70,35 +60,25 @@ class CoherenceProtocol:
                                                           range(N_PROTO))
 
     # ------------------------------------------------------------------
-    def remote_fetch(self, node: int, chunk: int, page: int, home: int,
-                     is_write: bool, threshold: int, now: int,
-                     count_refetch: bool = True) -> RemoteResult:
-        """Fetch *chunk* from its remote *home* on behalf of *node*."""
-        lat, out = self.remote_fetch_raw(node, chunk, page, home, is_write,
-                                         threshold, now, count_refetch)
-        return RemoteResult(lat, FetchOutcome(*out))
-
     def remote_fetch_raw(self, node: int, chunk: int, page: int, home: int,
                          is_write: bool, threshold: int, now: int,
                          count_refetch: bool = True) -> tuple:
-        """:meth:`remote_fetch` without the result-object wrappers.
+        """Fetch *chunk* from its remote *home* on behalf of *node*.
 
-        Returns ``(latency, outcome_tuple)`` with the outcome in
-        :meth:`Directory.fetch_raw` order.  The engine's per-miss path
-        uses this to skip two object constructions per transaction.
+        Returns ``(latency, outcome)`` with the outcome tuple of
+        :meth:`Directory.fetch_raw`.
         """
         out = self.directory.fetch_raw(node, chunk, page, is_write,
                                        threshold, count_refetch)
         net = self.network
         lat = net.one_way(node, home, now)                  # request
         lat += self.memories[home].access(chunk, now + lat)  # home DRAM/dir
-        if out[1]:  # forwarded
+        if out[1]:  # forwarded: dirty at prev_owner, not the requester
             # Home -> owner -> requester instead of home -> requester.
             self.row[PROTO_THREE_HOP] += 1
             lat += net.one_way(home, node, now + lat)  # forward leg (approx: same cost class)
-            prev_owner = out[4]
-            if not is_write and prev_owner >= 0:
-                self.demote_chunk(prev_owner, chunk, now + lat)
+            if not is_write:
+                self.demote_chunk(out[4], chunk, now + lat)
         lat += net.one_way(home, node, now + lat)           # data response
         invalidations = out[2]
         if invalidations:
@@ -119,30 +99,24 @@ class CoherenceProtocol:
         self.row[PROTO_STALLS] += 1
         return worst if self.stall_on_invalidate else 0
 
-    def local_fetch(self, node: int, chunk: int, page: int, is_write: bool,
-                    now: int) -> RemoteResult:
+    def local_fetch_raw(self, node: int, chunk: int, page: int,
+                        is_write: bool, now: int) -> tuple:
         """Access a chunk whose home is the requesting node itself.
 
         Still goes through the directory (a remote node may hold the
         chunk dirty, or sharers may need invalidating on a write), but
-        the data normally comes from local DRAM.
+        the data normally comes from local DRAM.  Returns ``(latency,
+        outcome)`` as :meth:`remote_fetch_raw` does.
         """
-        lat, out = self.local_fetch_raw(node, chunk, page, is_write, now)
-        return RemoteResult(lat, FetchOutcome(*out))
-
-    def local_fetch_raw(self, node: int, chunk: int, page: int,
-                        is_write: bool, now: int) -> tuple:
-        """:meth:`local_fetch` returning ``(latency, outcome_tuple)``."""
         out = self.directory.fetch_raw(node, chunk, page, is_write,
                                        threshold=0, count_refetch=False)
         lat = self.memories[node].access(chunk, now)
-        if out[1]:  # forwarded
+        if out[1]:  # forwarded: dirty at prev_owner, not the requester
             # Dirty at a remote node: full round trip to retrieve it.
             self.row[PROTO_THREE_HOP] += 1
             prev_owner = out[4]
-            owner = prev_owner if prev_owner >= 0 else self._any_remote(node)
-            lat += self.network.round_trip(node, owner, now + lat)
-            if not is_write and prev_owner >= 0:
+            lat += self.network.round_trip(node, prev_owner, now + lat)
+            if not is_write:
                 self.demote_chunk(prev_owner, chunk, now + lat)
         invalidations = out[2]
         if invalidations:
@@ -166,7 +140,3 @@ class CoherenceProtocol:
         if invalidations:
             lat += self._invalidate_all(invalidations, chunk, home, now + lat)
         return lat
-
-    def _any_remote(self, node: int) -> int:
-        """Representative remote node id for latency purposes."""
-        return (node + 1) % self.directory.n_nodes

@@ -21,11 +21,17 @@ POLICIES = {
 }
 
 
+def canonical_arch(name: str) -> str:
+    """The one spelling of an architecture name (``"as-coma"`` ->
+    ``"ASCOMA"``): the :data:`POLICIES` key, the run spec's hash input
+    and its display form."""
+    return name.upper().replace("-", "").replace("_", "")
+
+
 def make_policy(name: str, **kwargs) -> ArchitecturePolicy:
     """Instantiate a policy by (case-insensitive) name."""
-    key = name.upper().replace("-", "").replace("_", "")
     try:
-        return POLICIES[key](**kwargs)
+        return POLICIES[canonical_arch(name)](**kwargs)
     except KeyError:
         raise ValueError(
             f"unknown architecture {name!r}; choose from {sorted(POLICIES)}"
@@ -52,5 +58,6 @@ __all__ = [
     "TABLE1_ROWS",
     "TABLE2_ROWS",
     "VCNUMAPolicy",
+    "canonical_arch",
     "make_policy",
 ]

@@ -18,13 +18,10 @@ discusses the substitution.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from ..core import make_policy
-from ..runtime import RunFailure, RunSpec, execute
+from ..core import canonical_arch, make_policy
+from ..runtime import RunFailure, RunSpec, execute, fetch_traces
 from ..sim.stats import RunResult
 from ..sim.trace import WorkloadTraces
-from ..workloads import generate_workload
 
 __all__ = [
     "ARCHITECTURES", "APP_PRESSURES", "SCALED_POLICY_KWARGS", "DEFAULT_SCALE",
@@ -64,16 +61,16 @@ SCALED_POLICY_KWARGS = {
 
 def scaled_policy(arch: str, **overrides):
     """Policy instance with the experiment-scaled parameters."""
-    key = arch.upper().replace("-", "").replace("_", "")
-    kwargs = dict(SCALED_POLICY_KWARGS.get(key, {}))
+    kwargs = dict(SCALED_POLICY_KWARGS.get(canonical_arch(arch), {}))
     kwargs.update(overrides)
     return make_policy(arch, **kwargs)  # unknown names rejected here
 
 
-@lru_cache(maxsize=16)
 def get_workload(app: str, scale: float = DEFAULT_SCALE) -> WorkloadTraces:
-    """Generate (and cache) one of the paper's workloads."""
-    return generate_workload(app, scale=scale)
+    """One of the paper's workloads, through the trace cache: the
+    per-process memo, the ambient trace store, then generation (see
+    :func:`~repro.runtime.tracecache.fetch_traces`)."""
+    return fetch_traces(app, scale)
 
 
 def sweep_specs(app: str, archs=ARCHITECTURES, pressures=None,

@@ -1,14 +1,12 @@
-"""Interconnect substrates: topology, network latency/contention, coherent bus."""
+"""Interconnect substrates: switch topology, network latency/contention,
+coherent bus."""
 
 from .bus import SplitTransactionBus
 from .network import Network
-from .topology import MeshTopology, RingTopology, SwitchTopology, Topology
+from .topology import SwitchTopology
 
 __all__ = [
-    "MeshTopology",
     "Network",
-    "RingTopology",
     "SplitTransactionBus",
     "SwitchTopology",
-    "Topology",
 ]

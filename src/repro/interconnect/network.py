@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernel.freelist import counter_row, row_slot
-from .topology import SwitchTopology, Topology
+from .topology import SwitchTopology
 
 __all__ = ["Network"]
 
@@ -40,9 +40,9 @@ class Network:
     __slots__ = ("topology", "propagation", "fall_through", "port_occupancy",
                  "max_queue", "port_busy_until", "row", "_n", "_base")
 
-    def __init__(self, topology: Topology | None = None, n_nodes: int = 8,
-                 propagation: int = 2, fall_through: int = 4,
-                 port_occupancy: int = 8,
+    def __init__(self, topology: SwitchTopology | None = None,
+                 n_nodes: int = 8, propagation: int = 2,
+                 fall_through: int = 4, port_occupancy: int = 8,
                  max_queue_occupancies: int = 8, counters=None) -> None:
         self.topology = topology or SwitchTopology(n_nodes)
         if propagation < 0 or fall_through < 0 or port_occupancy < 0:

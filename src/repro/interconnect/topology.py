@@ -1,37 +1,20 @@
-"""Interconnect topologies: hop counts between nodes.
+"""Interconnect topology: hop counts between nodes.
 
 The paper's machine uses a 4x4-switch network whose latency is a
 propagation delay per switch plus a fall-through delay, with only input
 port contention modelled (Table 3).  For the 8-node (and 4-node lu)
 configurations studied, every pair of distinct nodes is a small constant
-number of switch traversals apart; we provide the paper's flat switch as
-the default plus mesh and ring alternatives for sensitivity studies.
+number of switch traversals apart.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["Topology", "SwitchTopology", "RingTopology", "MeshTopology"]
+__all__ = ["SwitchTopology"]
 
 
-class Topology:
-    """Hop-count interface."""
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes <= 0:
-            raise ValueError("need at least one node")
-        self.n_nodes = n_nodes
-
-    def hops(self, src: int, dst: int) -> int:
-        raise NotImplementedError
-
-    def _check(self, src: int, dst: int) -> None:
-        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
-            raise ValueError(f"node out of range: {src} -> {dst} (n={self.n_nodes})")
-
-
-class SwitchTopology(Topology):
+class SwitchTopology:
     """Multistage network of `radix`-way switches (the paper's 4x4 switch).
 
     Nodes sharing a first-level switch are one switch apart; otherwise
@@ -40,42 +23,19 @@ class SwitchTopology(Topology):
     """
 
     def __init__(self, n_nodes: int, radix: int = 4) -> None:
-        super().__init__(n_nodes)
+        if n_nodes <= 0:
+            raise ValueError("need at least one node")
         if radix < 2:
             raise ValueError("switch radix must be >= 2")
+        self.n_nodes = n_nodes
         self.radix = radix
         self.stages = max(1, math.ceil(math.log(max(n_nodes, 2), radix)))
 
     def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
+        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+            raise ValueError(f"node out of range: {src} -> {dst} (n={self.n_nodes})")
         if src == dst:
             return 0
         if src // self.radix == dst // self.radix:
             return 1
         return self.stages
-
-
-class RingTopology(Topology):
-    """Bidirectional ring (shortest way round)."""
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        d = abs(src - dst)
-        return min(d, self.n_nodes - d)
-
-
-class MeshTopology(Topology):
-    """2-D mesh with near-square shape, Manhattan routing."""
-
-    def __init__(self, n_nodes: int) -> None:
-        super().__init__(n_nodes)
-        self.width = max(1, int(math.isqrt(n_nodes)))
-        while n_nodes % self.width:
-            self.width -= 1
-        self.height = n_nodes // self.width
-
-    def hops(self, src: int, dst: int) -> int:
-        self._check(src, dst)
-        sx, sy = src % self.width, src // self.width
-        dx, dy = dst % self.width, dst // self.width
-        return abs(sx - dx) + abs(sy - dy)

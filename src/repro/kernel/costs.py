@@ -32,8 +32,6 @@ class KernelCosts:
 
     #: First-touch page fault service (page table + pmap setup).  K-BASE.
     page_fault: int = 500
-    #: TLB miss refill on a page with an existing mapping.  K-BASE.
-    tlb_refill: int = 40
     #: Relocation interrupt delivery + handler entry/exit.  K-OVERHD.
     relocation_interrupt: int = 1000
     #: Remapping one page (page-table rewrite, pmap update, DSM engine

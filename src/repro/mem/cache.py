@@ -17,7 +17,9 @@ kernel reads and writes in place; the cache indexes them through
 ``memoryview``s, whose single-element reads return plain ints at about
 the cost of a list index.  Its counters are an ``int64`` row too
 (``L1_*`` slots, see :class:`CacheStats`), the node's slice of the
-machine-wide counter block.
+machine-wide counter block.  Hits and misses are not among them: the
+replay loops count those per node (``NodeStats.l1_hits`` and
+``l1_misses``).
 """
 
 from __future__ import annotations
@@ -30,19 +32,19 @@ from .address import AddressMap
 __all__ = ["DirectMappedCache", "CacheStats"]
 
 #: Counter row slots; the replay kernel reads them by these names.
-L1_HITS, L1_MISSES, L1_WRITEBACKS, L1_INVALIDATIONS, N_L1 = range(5)
+L1_WRITEBACKS, L1_INVALIDATIONS, N_L1 = range(3)
 
 
 class CacheStats:
-    """Hit/miss/writeback counters for one cache instance, the slots of
-    an ``int64`` row."""
+    """Writeback/invalidation counters for one cache instance, the
+    slots of an ``int64`` row."""
 
     __slots__ = ("row",)
 
     def __init__(self, row=None) -> None:
         self.row = counter_row(N_L1, row)
 
-    hits, misses, writebacks, invalidations = map(row_slot, range(N_L1))
+    writebacks, invalidations = map(row_slot, range(N_L1))
 
 
 class DirectMappedCache:
@@ -77,11 +79,7 @@ class DirectMappedCache:
     # -- hot path ---------------------------------------------------------
     def lookup(self, line: int) -> bool:
         """Probe the cache for *line*.  Returns True on hit."""
-        if self.tags[line & self.set_mask] == line:
-            self.stats.row[L1_HITS] += 1
-            return True
-        self.stats.row[L1_MISSES] += 1
-        return False
+        return self.tags[line & self.set_mask] == line
 
     def fill(self, line: int, dirty: bool = False) -> int:
         """Install *line*, evicting any conflicting resident line.

@@ -6,9 +6,9 @@ working set are what the entire hybrid-architecture story runs on.
 Associativity directly attacks those conflict misses, so an obvious
 question the paper leaves open is how much of the hybrid benefit
 survives a more associative processor cache.  This class powers that
-sensitivity study (`benchmarks/test_sensitivity_associativity.py`):
-raise ``l1_ways`` in :class:`~repro.sim.config.SystemConfig` and rerun
-any experiment.
+sensitivity study (``test_l1_associativity_sensitivity`` in
+``benchmarks/test_sensitivity.py``): raise ``l1_ways`` in
+:class:`~repro.sim.config.SystemConfig` and rerun any experiment.
 
 Same interface as :class:`~repro.mem.cache.DirectMappedCache`; LRU is
 tracked with per-set ordering lists (sets are tiny, <= 8 ways).
@@ -50,12 +50,10 @@ class SetAssociativeCache:
     def lookup(self, line: int) -> bool:
         s = self.sets[line & self.set_mask]
         if line in s:
-            self.stats.hits += 1
             if s[-1] != line:
                 s.remove(line)
                 s.append(line)
             return True
-        self.stats.misses += 1
         return False
 
     def fill(self, line: int, dirty: bool = False) -> int:

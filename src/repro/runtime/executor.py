@@ -18,8 +18,10 @@ cells through :func:`execute`, and the job server shares its write-back
 * **Fault isolation** — a failing cell yields a
   :class:`~repro.runtime.spec.RunFailure` naming its spec instead of
   killing the whole process pool.  A worker that dies
-  (``BrokenProcessPool``) turns each cell not yet yielded into a
-  ``RunFailure`` naming it, with one ``RuntimeWarning`` per call.
+  (``BrokenProcessPool``) loses the cells not yet yielded; they re-run
+  once in a fresh pool, and each one that pool does not return either
+  becomes a ``RunFailure`` naming the cause.  One ``RuntimeWarning``
+  per call reports it.
 * **Optional retry** — transient failures can be retried per cell.
 * **Progress** — an optional callback sees one event per cell
   (``"hit" | "run" | "fail" | "store-fail"``); :func:`log_progress`
@@ -302,28 +304,44 @@ def execute(specs, *, store=None, refresh: bool | None = None,
         ordered = lpt_order(todo, events_of)
         trace_store = get_default_trace_store()
         trace_root = str(trace_store.root) if trace_store else None
-        chunk = submit_chunksize(len(ordered), workers)
-        payloads = [(spec, retries, check, obs is not None)
-                    for spec in ordered]
-        try:
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_pool_init,
-                                     initargs=(trace_root,)) as pool, \
-                    _span(obs, "dispatch", cells=len(todo), workers=workers,
-                          pool="warm"):
-                outcomes = pool.map(_pool_worker, payloads, chunksize=chunk)
-                for spec, (outcome, records) in zip(ordered, outcomes):
-                    settle(spec, outcome, records)
-        except BrokenProcessPool as exc:
-            # A worker died (OOM kill, os._exit, a signal): every cell
-            # already yielded is settled; the rest fail, naming the cause.
-            error = f"{type(exc).__name__}: {exc}"
-            trace = traceback.format_exc()
+
+        def pool_pass(cells: list, pool_kind: str):
+            """Settle *cells* from one pool as they come back; on a dead
+            worker, ``(error, traceback)`` naming it, else ``None``."""
+            n = min(workers, len(cells))
+            payloads = [(spec, retries, check, obs is not None)
+                        for spec in cells]
+            try:
+                with ProcessPoolExecutor(max_workers=n,
+                                         initializer=_pool_init,
+                                         initargs=(trace_root,)) as pool, \
+                        _span(obs, "dispatch", cells=len(cells), workers=n,
+                              pool=pool_kind):
+                    outcomes = pool.map(
+                        _pool_worker, payloads,
+                        chunksize=submit_chunksize(len(cells), n))
+                    for spec, (outcome, records) in zip(cells, outcomes):
+                        settle(spec, outcome, records)
+            except BrokenProcessPool as exc:
+                return f"{type(exc).__name__}: {exc}", traceback.format_exc()
+            return None
+
+        died = pool_pass(ordered, "warm")
+        if died is not None:
+            # A worker died (OOM kill, os._exit, a signal).  pool.map
+            # yields in dispatch order, so every cell behind the dead
+            # one is lost, finished or not: re-run the cells that did
+            # not come back, once, in a fresh pool.  Whatever that pool
+            # does not return fails, naming the cause.
             lost = [spec for spec in ordered if spec not in results]
-            for spec in lost:
-                settle(spec, RunFailure(spec, error, trace))
-            _warn(f"a pool worker died; {len(lost)} of {len(todo)} cell(s)"
-                  f" came back as failures ({error}); re-run to resume them")
+            died_again = pool_pass(lost, "retry")
+            failed = [spec for spec in lost if spec not in results]
+            for spec in failed:
+                settle(spec, RunFailure(spec, *died_again))
+            _warn(f"a pool worker died ({died[0]}); {len(lost)} unreturned"
+                  f" cell(s) re-ran in a fresh pool, and {len(failed)} of"
+                  f" {len(todo)} came back as failures"
+                  + ("; re-run to resume them" if failed else ""))
     elif todo:
         with _span(obs, "dispatch", cells=len(todo), workers=1,
                    pool="inline"):

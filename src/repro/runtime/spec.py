@@ -34,6 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from ..core import canonical_arch
 from ..sim.stats import RunResult
 
 __all__ = ["SPEC_VERSION", "RunSpec", "RunFailure", "canonical_arch"]
@@ -42,11 +43,6 @@ __all__ = ["SPEC_VERSION", "RunSpec", "RunFailure", "canonical_arch"]
 #: semantics (or to RunSpec's canonical form) that invalidates stored
 #: results; old artifacts then simply stop matching and are re-run.
 SPEC_VERSION = 1
-
-
-def canonical_arch(arch: str) -> str:
-    """Canonical architecture spelling used for hashing and display."""
-    return arch.upper().replace("-", "").replace("_", "")
 
 
 def _freeze(overrides) -> tuple:

@@ -343,11 +343,9 @@ def _build(app: str, scale: float, store, sample) -> WorkloadTraces:
             + (f" at {store.root}" if store is not None else
                " (and no trace store is installed)")
             + "; register it first with `repro ingest`")
-    # get_workload's lru_cache is the generation-side memo, shared
-    # with direct harness callers (tables, figures).
-    from ..harness.experiment import get_workload
+    from ..workloads import generate_workload
 
-    return get_workload(app, scale)
+    return generate_workload(app, scale=scale)
 
 
 #: Store roots whose failed write has already warned in this process.

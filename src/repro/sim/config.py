@@ -82,7 +82,6 @@ class SystemConfig:
 
     # -- VM ---------------------------------------------------------------
     page_bytes: int = 4096
-    tlb_entries: int = 128
     #: Home-page placement: the paper's balanced "first-touch", or
     #: the locality-blind "round-robin" / "random" baselines.
     home_placement: str = "first-touch"
@@ -195,8 +194,18 @@ def config_to_dict(config: SystemConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SystemConfig:
+    """The :class:`SystemConfig` of a :func:`config_to_dict` dict.
+
+    Two retired keys, which saved configs (replay bundles) may still
+    carry, are dropped: ``tlb_entries`` and ``kernel.tlb_refill`` sized
+    and charged a TLB cache no replay reached.  Any other unknown key
+    raises ``TypeError``.
+    """
     fields = dict(data)
+    fields.pop("tlb_entries", None)
     kernel = fields.pop("kernel", None)
     if kernel is not None:
+        kernel = dict(kernel)
+        kernel.pop("tlb_refill", None)
         fields["kernel"] = KernelCosts(**kernel)
     return SystemConfig(**fields)

@@ -141,7 +141,7 @@ class Node:
         #: Victim-mode RACs hold 32-byte L1 victim *lines*; fetch-mode
         #: RACs hold whole 128-byte chunks (see SystemConfig).
         self.rac_victim = config.rac_fill_policy == "victim"
-        self.tlb = TLB(config.tlb_entries, ref_bits=blocks.ref_bits[row],
+        self.tlb = TLB(ref_bits=blocks.ref_bits[row],
                        counters=counters[CTR_TLB:CTR_PT])
         self.memory = BankedMemory(config.dram_banks, config.local_memory_cycles,
                                    config.dram_occupancy_cycles,

@@ -440,10 +440,10 @@ static int64_t remote_after_dir(SoaState *s, DirOut *o, int64_t node,
                                 int64_t is_write, int64_t now) {
     int64_t lat = one_way(s, node, home, now);
     lat += mem_access(s, home, chunk, now + lat);
-    if (o->forwarded) {
+    if (o->forwarded) {  /* dirty at prev_owner, not the requester */
         s->mach[M_PROTO + PROTO_THREE_HOP]++;
         lat += one_way(s, home, node, now + lat);
-        if (!is_write && o->prev_owner >= 0) {
+        if (!is_write) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
             ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0, 0);
         }
@@ -460,12 +460,10 @@ static int64_t local_after_dir(SoaState *s, DirOut *o, int64_t node,
                                int64_t chunk, int64_t is_write,
                                int64_t now) {
     int64_t lat = mem_access(s, node, chunk, now);
-    if (o->forwarded) {
+    if (o->forwarded) {  /* dirty at prev_owner, not the requester */
         s->mach[M_PROTO + PROTO_THREE_HOP]++;
-        int64_t owner = o->prev_owner >= 0 ? o->prev_owner
-                                           : (node + 1) % s->P[P_N];
-        lat += round_trip(s, node, owner, now + lat);
-        if (!is_write && o->prev_owner >= 0) {
+        lat += round_trip(s, node, o->prev_owner, now + lat);
+        if (!is_write) {
             s->owned[o->prev_owner * s->P[P_N_CHUNKS] + chunk] = 0;
             ring_push(s, R_DEMOTE, o->prev_owner, chunk, now + lat, 0, 0);
         }

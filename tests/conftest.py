@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import pytest
 
 from repro.core import make_policy
@@ -9,6 +11,12 @@ from repro.mem.address import AddressMap
 from repro.sim.config import SystemConfig
 from repro.sim.trace import TraceBuilder, WorkloadTraces
 from repro.workloads.base import SyntheticGenerator, WorkloadSpec
+
+
+#: The outcome tuple of ``Directory.fetch_raw`` (and the second item of
+#: ``CoherenceProtocol.remote_fetch_raw``/``local_fetch_raw``), by name.
+DirOut = namedtuple("DirOut", "refetch forwarded invalidations"
+                              " relocation_hint prev_owner exclusive")
 
 
 @pytest.fixture(autouse=True)

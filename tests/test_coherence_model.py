@@ -11,12 +11,14 @@ layers of checking:
 2. **Machine-level audit**: run full workloads, then verify that every
    cached item -- L1 line, RAC chunk, S-COMA valid bit, owned chunk --
    implies copyset membership at the directory, so the protocol's
-   invalidations can always reach every copy.
+   invalidations can always reach every copy (the checker's
+   reachability sweep, ``check_cache_reachability``).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check import check_cache_reachability
 from repro.coherence.directory import Directory
 from repro.coherence.protocol import CoherenceProtocol
 from repro.harness.experiment import scaled_policy
@@ -87,8 +89,8 @@ class TestDirectoryGoldenModel:
                     golden.on_invalidate(node, c)
                 continue
             is_write = op == "write"
-            protocol.remote_fetch(node, chunk, 0, (node + 1) % N_NODES,
-                                  is_write, 0, 0)
+            protocol.remote_fetch_raw(node, chunk, 0, (node + 1) % N_NODES,
+                                      is_write, 0, 0)
             if is_write:
                 golden.on_write(node, chunk)
             else:
@@ -108,16 +110,12 @@ class TestDirectoryGoldenModel:
             if op == "drop":
                 directory.drop_node_from_page(node, 0)
                 continue
-            protocol.remote_fetch(node, chunk, 0, (node + 1) % N_NODES,
-                                  op == "write", 0, 0)
+            protocol.remote_fetch_raw(node, chunk, 0, (node + 1) % N_NODES,
+                                      op == "write", 0, 0)
             for c, owner in enumerate(directory.owner):
                 if owner != -1:
                     assert directory.is_cached_by(c, owner)
 
-
-# The machine-level audit now lives in the checker subsystem; sibling
-# test modules keep importing it from here.
-from repro.check.audit import audit_machine  # noqa: E402
 
 
 @pytest.mark.parametrize("arch", ["CCNUMA", "SCOMA", "RNUMA", "VCNUMA",
@@ -137,7 +135,7 @@ class TestMachineAudit:
                   "CCNUMAMIG": dict(threshold=8)}.get(arch, {})
         engine = Engine(wl, make_policy(arch, **kwargs), cfg)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []
 
 
 class TestAuditOnPaperWorkloads:
@@ -147,7 +145,7 @@ class TestAuditOnPaperWorkloads:
         cfg = SystemConfig(n_nodes=wl.n_nodes, memory_pressure=0.7)
         engine = Engine(wl, scaled_policy("ASCOMA"), cfg)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []
 
     def test_audit_migration_workload(self):
         wl = migratory.generate(scale=0.25, sweeps=6)
@@ -155,4 +153,4 @@ class TestAuditOnPaperWorkloads:
         from repro.core import make_policy
         engine = Engine(wl, make_policy("ccnuma-mig", threshold=8), cfg)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import check_cache_reachability
 from repro.coherence.directory import Directory
 from repro.coherence.protocol import CoherenceProtocol
 from repro.harness.experiment import get_workload, scaled_policy
@@ -10,7 +11,6 @@ from repro.interconnect.topology import SwitchTopology
 from repro.mem.dram import BankedMemory
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, simulate
-from tests.test_coherence_model import audit_machine
 
 
 def make_protocol(stall=True):
@@ -28,24 +28,24 @@ def make_protocol(stall=True):
 class TestProtocolLevel:
     def test_sc_write_stalls_for_acks(self):
         protocol, _ = make_protocol(stall=True)
-        protocol.remote_fetch(1, 0, 0, 0, False, 0, 0)
-        base = protocol.remote_fetch(2, 1, 0, 0, True, 0, 0).latency
-        stalled = protocol.remote_fetch(2, 0, 0, 0, True, 0, 100).latency
+        protocol.remote_fetch_raw(1, 0, 0, 0, False, 0, 0)
+        base, _ = protocol.remote_fetch_raw(2, 1, 0, 0, True, 0, 0)
+        stalled, _ = protocol.remote_fetch_raw(2, 0, 0, 0, True, 0, 100)
         assert stalled > base  # ack round trip added
 
     def test_rc_write_does_not_stall(self):
         protocol, _ = make_protocol(stall=False)
-        protocol.remote_fetch(1, 0, 0, 0, False, 0, 0)
-        base = protocol.remote_fetch(2, 1, 0, 0, True, 0, 0).latency
-        overlapped = protocol.remote_fetch(2, 0, 0, 0, True, 0, 100).latency
+        protocol.remote_fetch_raw(1, 0, 0, 0, False, 0, 0)
+        base, _ = protocol.remote_fetch_raw(2, 1, 0, 0, True, 0, 0)
+        overlapped, _ = protocol.remote_fetch_raw(2, 0, 0, 0, True, 0, 100)
         assert overlapped == base
 
     def test_rc_still_invalidates(self):
         """RC changes *when* the writer proceeds, never *whether* copies
         are destroyed -- coherence is unconditional."""
         protocol, invalidated = make_protocol(stall=False)
-        protocol.remote_fetch(1, 0, 0, 0, False, 0, 0)
-        protocol.remote_fetch(2, 0, 0, 0, True, 0, 100)
+        protocol.remote_fetch_raw(1, 0, 0, 0, False, 0, 0)
+        protocol.remote_fetch_raw(2, 0, 0, 0, True, 0, 100)
         assert (1, 0) in invalidated
 
 
@@ -90,4 +90,4 @@ class TestEndToEnd:
         engine = Engine(wl, make_policy("ascoma", threshold=8, increment=4),
                         cfg)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []

@@ -8,12 +8,14 @@ silent behaviour change (a captured failure shifted or vanished), and
 both deserve a deliberate corpus regeneration, not a green build.
 """
 
+import json
 import os
 
 import pytest
 
 import repro.sim.soatrace as soatrace
-from repro.check import ReproBundle
+from repro.check import ReproBundle, config_from_dict, config_to_dict
+from repro.sim.config import SystemConfig
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 # Only directories that actually hold a bundle: tooling byproducts like
@@ -61,3 +63,31 @@ def test_seeded_entry_is_minimal_and_contextualised():
     first = bundle.violations[0]
     assert first.invariant == "cache-reachability"
     assert first.node >= 0 and first.page >= 0 and first.clock >= 0
+
+
+#: Config keys the committed bundles carry for fields since retired.
+RETIRED = {"tlb_entries": 128}
+RETIRED_KERNEL = {"tlb_refill": 40}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_bundles_load_with_retired_keys_ignored(entry):
+    """The corpus files stay as committed: their configs still carry
+    the retired keys, which load as if absent, and every other key
+    round-trips."""
+    path = os.path.join(CORPUS, entry)
+    with open(os.path.join(path, "bundle.json")) as f:
+        saved = json.load(f)["config"]
+    kernel = dict(saved.pop("kernel"))
+    assert {key: saved.pop(key) for key in RETIRED} == RETIRED
+    assert {key: kernel.pop(key) for key in RETIRED_KERNEL} == RETIRED_KERNEL
+    assert (config_to_dict(ReproBundle.load(path).config)
+            == {**saved, "kernel": kernel})
+
+
+def test_unknown_config_key_still_raises():
+    data = config_to_dict(SystemConfig())
+    with pytest.raises(TypeError):
+        config_from_dict({**data, "l2_entries": 128})
+    with pytest.raises(TypeError):
+        config_from_dict({**data, "kernel": {**data["kernel"], "l2_refill": 40}})

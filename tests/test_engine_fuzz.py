@@ -24,12 +24,11 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check import InvariantChecker
+from repro.check import InvariantChecker, check_cache_reachability
 from repro.core import make_policy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceBuilder, WorkloadTraces
-from tests.test_coherence_model import audit_machine
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
@@ -136,7 +135,7 @@ class TestEngineFuzz:
         if arch == "CCNUMAMIG":
             assert agg.relocations == 0  # migrates, never remaps
 
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []
 
     @given(workload_events)
     @settings(max_examples=max(5, MAX_EXAMPLES // 2), deadline=None)
@@ -191,4 +190,4 @@ class TestEngineFuzz:
         engine = Engine(wl, make_policy(arch, **ARCH_KWARGS[arch]), cfg,
                         vector_path=True)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []

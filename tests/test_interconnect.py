@@ -1,11 +1,10 @@
-"""Unit tests for topologies, the network model and the bus."""
+"""Unit tests for the switch topology, the network model and the bus."""
 
 import pytest
 
 from repro.interconnect.bus import SplitTransactionBus
 from repro.interconnect.network import Network
-from repro.interconnect.topology import (MeshTopology, RingTopology,
-                                         SwitchTopology)
+from repro.interconnect.topology import SwitchTopology
 
 
 class TestSwitchTopology:
@@ -33,25 +32,6 @@ class TestSwitchTopology:
     def test_bad_radix_rejected(self):
         with pytest.raises(ValueError):
             SwitchTopology(8, radix=1)
-
-
-class TestRingAndMesh:
-    def test_ring_shortest_path(self):
-        topo = RingTopology(8)
-        assert topo.hops(0, 1) == 1
-        assert topo.hops(0, 7) == 1  # wraps
-        assert topo.hops(0, 4) == 4
-
-    def test_mesh_manhattan(self):
-        topo = MeshTopology(8)  # 2x4 or 4x2
-        assert topo.hops(0, 0) == 0
-        assert topo.hops(0, topo.width - 1) == topo.width - 1
-
-    def test_mesh_symmetry(self):
-        topo = MeshTopology(16)
-        for a in range(16):
-            for b in range(16):
-                assert topo.hops(a, b) == topo.hops(b, a)
 
 
 class TestNetwork:

@@ -1,11 +1,34 @@
 """Unit tests for kernel substrates: costs, allocation, free pool, VM."""
 
+from dataclasses import fields, replace
+
 import pytest
 
+from repro.harness.experiment import scaled_policy
 from repro.kernel.allocation import HomeAllocator
 from repro.kernel.costs import KernelCosts
 from repro.kernel.freelist import FreePagePool
 from repro.kernel.vm import PageMode, PageTable
+from repro.sim.config import SystemConfig
+from repro.sim.engine import simulate
+from repro.workloads import generate_workload, migratory
+
+
+def cost_cells(costs: KernelCosts) -> list[dict]:
+    """Two small cells between them charging every kernel cost: fft on
+    AS-COMA at 90% runs the pageout daemon, and the migratory app on
+    migrating CC-NUMA relocates and migrates pages."""
+    cells = (("ASCOMA", 0.9, generate_workload("fft", 0.05)),
+             ("CCNUMAMIG", 0.5, migratory.generate(scale=0.05)))
+    return [simulate(wl, scaled_policy(arch),
+                     SystemConfig(n_nodes=wl.n_nodes, memory_pressure=pressure,
+                                  kernel=costs)).to_dict()
+            for arch, pressure, wl in cells]
+
+
+@pytest.fixture(scope="module")
+def default_cost_cells():
+    return cost_cells(KernelCosts())
 
 
 class TestKernelCosts:
@@ -37,6 +60,13 @@ class TestKernelCosts:
         costs = KernelCosts()
         assert costs.eviction_cost(5) == (costs.page_remap
                                           + 5 * costs.flush_per_line)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(KernelCosts)])
+    def test_every_cost_moves_a_result(self, name, default_cost_cells):
+        """A cost no run charges is a knob that changes nothing."""
+        costs = KernelCosts()
+        doubled = replace(costs, **{name: 2 * getattr(costs, name)})
+        assert cost_cells(doubled) != default_cost_cells
 
 
 class TestHomeAllocator:

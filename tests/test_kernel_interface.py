@@ -28,6 +28,11 @@ from repro.sim import events, machine, node, soatrace, stats, trace
 OWNERS = (stats, node, machine, cache, rac, tlb, vm, dram, bus, network,
           directory, protocol, freelist, policy, allocation, events, trace)
 
+#: The model counter rows handed to the kernel: owner and slot prefix.
+COUNTERS = ((cache, "L1_"), (rac, "RAC_"), (tlb, "TLB_"), (vm, "PT_"),
+            (dram, "MEM_"), (bus, "BUS_"), (network, "NET_"),
+            (directory, "DIR_"), (protocol, "PROTO_"))
+
 #: The kernel's C text without its comments.
 C_TEXT = re.sub(r"/\*.*?\*/", "", soatrace._C_SOURCE, flags=re.S)
 
@@ -95,3 +100,15 @@ def test_python_only_code_is_no_kernel_code():
     for codes in (soatrace._HINT.codes.values(),
                   soatrace._HOOK.codes.values(), PLACEMENT_CODES.values()):
         assert soatrace._IN_PYTHON not in codes
+
+
+def test_every_counter_slot_is_written_by_the_kernel():
+    """A counter slot the kernel is handed is one it writes (``++``,
+    ``+=`` or ``=``): a slot no replay writes reads 0 on every run and
+    counts nothing."""
+    unwritten = [name for owner, prefix in COUNTERS
+                 for name, value in vars(owner).items()
+                 if name.startswith(prefix) and type(value) is int
+                 and not re.search(rf"\b{name}\s*\]\s*(?:\+\+|\+=|=(?!=))",
+                                   C_TEXT)]
+    assert unwritten == []

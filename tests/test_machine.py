@@ -44,15 +44,15 @@ class TestCrossNodeWiring:
         chunk = 0
         line = 0
         m.nodes[1].l1.fill(line)
-        m.protocol.remote_fetch(1, chunk, 0, 0, False, 0, 0)   # node 1 shares
-        m.protocol.remote_fetch(2, chunk, 0, 0, True, 0, 0)    # node 2 writes
+        m.protocol.remote_fetch_raw(1, chunk, 0, 0, False, 0, 0)  # node 1 shares
+        m.protocol.remote_fetch_raw(2, chunk, 0, 0, True, 0, 0)   # node 2 writes
         assert not m.nodes[1].l1.contains(line)
 
     def test_demotion_reaches_owner(self):
         m = make_machine()
-        m.protocol.remote_fetch(1, 0, 0, 0, True, 0, 0)
+        m.protocol.remote_fetch_raw(1, 0, 0, 0, True, 0, 0)
         m.nodes[1].owned[0] = 1
-        m.protocol.remote_fetch(2, 0, 0, 0, False, 0, 100)
+        m.protocol.remote_fetch_raw(2, 0, 0, 0, False, 0, 100)
         assert not m.nodes[1].owned[0]
 
     def test_utilisation_report_shape(self):

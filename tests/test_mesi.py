@@ -2,48 +2,49 @@
 
 import pytest
 
+from repro.check import check_cache_reachability
 from repro.coherence.directory import Directory
 from repro.harness.experiment import get_workload, scaled_policy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, simulate
-from tests.test_coherence_model import audit_machine
+from tests.conftest import DirOut
 
 
 class TestDirectoryExclusive:
     def test_sole_reader_granted_exclusive(self):
         d = Directory(4, 32, grant_exclusive=True)
-        out = d.fetch(1, 0, 0, False, 0)
+        out = DirOut(*d.fetch_raw(1, 0, 0, False, 0))
         assert out.exclusive
         assert d.owner[0] == 1
         assert d.exclusive_grants == 1
 
     def test_second_reader_not_exclusive(self):
         d = Directory(4, 32, grant_exclusive=True)
-        d.fetch(1, 0, 0, False, 0)
-        out = d.fetch(2, 0, 0, False, 0)
+        d.fetch_raw(1, 0, 0, False, 0)
+        out = DirOut(*d.fetch_raw(2, 0, 0, False, 0))
         assert not out.exclusive
         assert out.forwarded  # E owner supplies the data
         assert d.owner[0] == -1  # demoted to shared
 
     def test_msi_never_grants_exclusive(self):
         d = Directory(4, 32, grant_exclusive=False)
-        out = d.fetch(1, 0, 0, False, 0)
+        out = DirOut(*d.fetch_raw(1, 0, 0, False, 0))
         assert not out.exclusive
         assert d.owner[0] == -1
 
     def test_exclusive_then_remote_write_invalidates(self):
         d = Directory(4, 32, grant_exclusive=True)
-        d.fetch(1, 0, 0, False, 0)
-        out = d.fetch(2, 0, 0, True, 0)
+        d.fetch_raw(1, 0, 0, False, 0)
+        out = DirOut(*d.fetch_raw(2, 0, 0, True, 0))
         assert out.invalidations == (1,)
         assert d.owner[0] == 2
 
     def test_swmr_preserved_under_mesi(self):
         d = Directory(4, 32, grant_exclusive=True)
-        d.fetch(1, 0, 0, False, 0)     # E at 1
-        d.fetch(2, 0, 0, False, 0)     # S at 1,2
+        d.fetch_raw(1, 0, 0, False, 0)     # E at 1
+        d.fetch_raw(2, 0, 0, False, 0)     # S at 1,2
         assert sorted(d.sharers(0)) == [1, 2]
-        d.fetch(3, 0, 0, True, 0)      # M at 3
+        d.fetch_raw(3, 0, 0, True, 0)      # M at 3
         assert d.sharers(0) == [3]
 
 
@@ -90,4 +91,4 @@ class TestEndToEnd:
         kwargs = {"ASCOMA": dict(threshold=8, increment=4)}.get(arch, {})
         engine = Engine(wl, make_policy(arch, **kwargs), cfg)
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []

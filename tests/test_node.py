@@ -53,7 +53,7 @@ class TestFlushPage:
         node, directory, amap = make_node()
         page = 2
         chunk = page * amap.chunks_per_page
-        directory.fetch(0, chunk, page, False, 0)
+        directory.fetch_raw(0, chunk, page, False, 0)
         node.l1.fill(amap.line_id(page, 0))
         flushed = node.flush_page(page)
         assert flushed == 1

@@ -482,41 +482,63 @@ class TestPoolSizing:
 
 
 class TestDeadWorker:
-    """A pool worker that dies loses no cell that came back before it."""
+    """A pool worker that dies loses no cell: the cells it took down
+    re-run once in a fresh pool."""
 
     SPECS = [RunSpec("fft", arch, pressure, SCALE)
              for arch, pressure in (("SCOMA", 0.5), ("RNUMA", 0.9),
                                     ("VCNUMA", 0.9), ("ASCOMA", 0.5),
                                     ("ASCOMA", 0.9), ("CCNUMA", 0.5))]
 
-    def test_dead_worker_keeps_settled_cells(self, tmp_path, monkeypatch):
-        """The last-dispatched cell kills its worker (2 workers; forked
-        workers inherit the wrapped ``run_spec``).  Every cell that came
-        back is stored, byte-identical to a serial run; the rest fail
-        naming ``BrokenProcessPool``; one warning; a re-run serves the
-        stored cells from the store."""
-        from repro.runtime import executor as executor_mod
+    def dispatch_order(self) -> list:
         from repro.runtime.costs import workload_events
 
         events = workload_events("fft", SCALE)
-        victim = lpt_order(self.SPECS, {("fft", SCALE, ()): events})[-1]
+        return lpt_order(self.SPECS, {("fft", SCALE, ()): events})
+
+    def kill_worker(self, monkeypatch, victim, attempts, first_only):
+        """Make *victim* kill the pool worker running it (forked workers
+        inherit the wrapped ``run_spec``), on every attempt or on the
+        first one only; each attempt appends a line to *attempts*."""
+        from repro.runtime import executor as executor_mod
+
         parent = os.getpid()
         real = executor_mod.run_spec
 
         def deadly(spec, *args, **kwargs):
             if spec == victim and os.getpid() != parent:
-                os._exit(3)
+                with open(attempts, "a") as f:
+                    f.write("attempt\n")
+                with open(attempts) as f:
+                    if not first_only or len(f.readlines()) == 1:
+                        os._exit(3)
             return real(spec, *args, **kwargs)
 
         monkeypatch.setattr(executor_mod, "run_spec", deadly)
-        store = RunStore(tmp_path / "store")
-        out, caught = _runtime_warnings(
-            lambda: execute(self.SPECS, store=store, max_workers=2))
-        assert set(out) == set(self.SPECS)
+
+    def assert_one_warning(self, caught) -> str:
         assert len(caught) == 1, [str(w.message) for w in caught]
         assert "BrokenProcessPool" in str(caught[0].message)
         assert os.path.realpath(caught[0].filename) == os.path.realpath(
             __file__)
+        return str(caught[0].message)
+
+    def test_dead_worker_keeps_settled_cells(self, tmp_path, monkeypatch):
+        """The last-dispatched cell kills its worker on every attempt (2
+        workers): it runs twice, once in the first pool and once in the
+        fresh one, then fails naming ``BrokenProcessPool``.  Every cell
+        that came back is stored, byte-identical to a serial run; every
+        other one fails naming ``BrokenProcessPool``; one warning; a
+        re-run serves the stored cells from the store."""
+        victim = self.dispatch_order()[-1]
+        attempts = tmp_path / "attempts"
+        self.kill_worker(monkeypatch, victim, attempts, first_only=False)
+        store = RunStore(tmp_path / "store")
+        out, caught = _runtime_warnings(
+            lambda: execute(self.SPECS, store=store, max_workers=2))
+        assert set(out) == set(self.SPECS)
+        assert "fresh pool" in self.assert_one_warning(caught)
+        assert len(attempts.read_text().splitlines()) == 2
         assert isinstance(out[victim], RunFailure)
         assert "BrokenProcessPool" in out[victim].error
         done = {spec for spec, r in out.items() if isinstance(r, RunResult)}
@@ -535,6 +557,28 @@ class TestDeadWorker:
                 progress=lambda e, s, d="": seen.append((e, s)))
         assert {s for e, s in seen if e == "hit"} == done
         assert {s for e, s in seen if e == "run"} == set(self.SPECS) - done
+
+    def test_cells_lost_to_a_dead_worker_rerun(self, tmp_path, monkeypatch):
+        """The first-dispatched cell kills its worker on its first
+        attempt only, taking down every cell queued behind it, finished
+        or not.  They re-run in a fresh pool: every cell comes back and
+        is stored, byte-identical to an inline run, with one warning."""
+        victim = self.dispatch_order()[0]
+        self.kill_worker(monkeypatch, victim, tmp_path / "attempts",
+                         first_only=True)
+        store = RunStore(tmp_path / "store")
+        out, caught = _runtime_warnings(
+            lambda: execute(self.SPECS, store=store, max_workers=2))
+        self.assert_one_warning(caught)
+        assert set(out) == set(self.SPECS)
+        assert all(isinstance(r, RunResult) for r in out.values()), [
+            r.label() for r in out.values() if isinstance(r, RunFailure)]
+
+        inline = RunStore(tmp_path / "inline")
+        execute(self.SPECS, store=inline, max_workers=1)
+        for spec in self.SPECS:
+            assert (store.path_for(spec).read_bytes()
+                    == inline.path_for(spec).read_bytes()), spec
 
 
 class TestDedupe:

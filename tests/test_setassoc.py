@@ -132,14 +132,18 @@ class TestAgainstDirectMapped:
         that fits the cache (the textbook LRU caveat applies only when
         the set is larger than the cache)."""
         refs = [0, 256] * 50  # conflict in 256-set direct, coexist in 2-way
-        direct = DirectMappedCache(8192, 32)
-        assoc = SetAssociativeCache(8192, 32, ways=2)
-        for line in refs:
-            if not direct.lookup(line):
-                direct.fill(line)
-            if not assoc.lookup(line):
-                assoc.fill(line)
-        assert assoc.stats.hits > direct.stats.hits
+
+        def hits(cache) -> int:
+            count = 0
+            for line in refs:
+                if cache.lookup(line):
+                    count += 1
+                else:
+                    cache.fill(line)
+            return count
+
+        assert (hits(SetAssociativeCache(8192, 32, ways=2))
+                > hits(DirectMappedCache(8192, 32)))
 
 
 class TestEngineIntegration:

@@ -1,68 +1,56 @@
-"""Unit tests for the TLB / reference-bit model."""
+"""Unit tests for the TLB reference-bit model."""
 
-import pytest
-
+from repro.core import make_policy
 from repro.mem.tlb import TLB
+from repro.sim.config import SystemConfig
+from repro.sim.engine import Engine
+from tests.conftest import make_micro_workload
+
+
+def run_micro(vector_path: bool) -> Engine:
+    """The micro workload on CC-NUMA (no page cache, so no pageout
+    daemon clears a bit): node 1 reads lines 0-7 of page 0, never
+    page 1."""
+    engine = Engine(make_micro_workload(), make_policy("CCNUMA"),
+                    SystemConfig(n_nodes=2), vector_path=vector_path)
+    engine.run()
+    return engine
 
 
 class TestTLB:
-    def test_miss_then_hit(self):
-        tlb = TLB(4)
-        assert not tlb.access(1)
-        assert tlb.access(1)
-        assert tlb.hits == 1 and tlb.misses == 1
-
-    def test_fifo_eviction(self):
-        tlb = TLB(2)
-        tlb.access(1)
-        tlb.access(2)
-        tlb.access(3)  # evicts 1
-        assert not tlb.resident(1)
-        assert tlb.resident(2) and tlb.resident(3)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            TLB(0)
-
     def test_shootdown(self):
-        tlb = TLB(4)
-        tlb.access(5)
+        tlb = TLB()
+        tlb.ref_bits[5] = 1
         tlb.shootdown(5)
-        assert not tlb.resident(5)
         assert tlb.shootdowns == 1
 
     def test_shootdown_clears_reference_bit(self):
-        tlb = TLB(4)
-        tlb.access(5)
+        tlb = TLB()
+        tlb.ref_bits[5] = 1
         tlb.shootdown(5)
         assert not tlb.reference_bit(5)
 
 
 class TestReferenceBits:
     def test_access_sets_bit(self):
-        tlb = TLB(4)
-        tlb.access(7)
-        assert tlb.reference_bit(7)
+        """An L1 miss sets its page's bit, on both replay loops."""
+        for vector_path in (True, False):
+            tlb = run_micro(vector_path).machine.nodes[1].tlb
+            assert tlb.reference_bit(0)
+            assert not tlb.reference_bit(1)
 
     def test_clear_bit(self):
-        tlb = TLB(4)
-        tlb.access(7)
+        tlb = TLB()
+        tlb.ref_bits[7] = 1
         tlb.clear_reference_bit(7)
         assert not tlb.reference_bit(7)
 
-    def test_bit_survives_tlb_eviction(self):
-        """The paper's second chance consults pmap bits, not TLB residency."""
-        tlb = TLB(1)
-        tlb.access(1)
-        tlb.access(2)  # evicts 1 from the TLB
-        assert tlb.reference_bit(1)
-
     def test_re_access_after_clear_resets_bit(self):
-        tlb = TLB(4)
-        tlb.access(3)
-        tlb.clear_reference_bit(3)
-        tlb.access(3)
-        assert tlb.reference_bit(3)
+        engine = run_micro(vector_path=False)
+        node = engine.machine.nodes[1]
+        node.tlb.clear_reference_bit(0)
+        engine._shared_ref(node, 8, False, 0)  # line 8 of page 0: L1 miss
+        assert node.tlb.reference_bit(0)
 
     def test_unknown_page_bit_is_false(self):
-        assert not TLB(4).reference_bit(99)
+        assert not TLB().reference_bit(99)

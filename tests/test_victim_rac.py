@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.check import check_cache_reachability
 from repro.core import CCNUMAPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine, simulate
 from repro.sim.trace import TraceBuilder, WorkloadTraces
-from tests.test_coherence_model import audit_machine
 
 LPP = 128
 
@@ -105,7 +105,7 @@ class TestCoherence:
         wl = conflict_workload(rounds=4)
         engine = Engine(wl, CCNUMAPolicy(), cfg())
         engine.run()
-        audit_machine(engine)
+        assert check_cache_reachability(engine.machine) == []
 
     def test_flush_page_clears_victim_lines(self):
         from repro.coherence.directory import Directory
