@@ -32,8 +32,7 @@ from ..kernel.vm import DEFAULT_PAGES
 __all__ = ["Directory"]
 
 #: Counter row slots; the replay kernel reads them by these names.
-(DIR_REFETCHES, DIR_HINTS, DIR_FORWARDS, DIR_INVALIDATIONS, DIR_EXCLUSIVE,
- N_DIR) = range(6)
+DIR_REFETCHES, DIR_HINTS, DIR_FORWARDS, DIR_INVALIDATIONS, N_DIR = range(5)
 
 
 class Directory:
@@ -68,8 +67,8 @@ class Directory:
         #: Aggregate counters (Table 6 and general stats).
         self.row = counter_row(N_DIR, counters)
 
-    (total_refetches, relocation_hints, forwards, invalidations_sent,
-     exclusive_grants) = map(row_slot, range(N_DIR))
+    (total_refetches, relocation_hints, forwards,
+     invalidations_sent) = map(row_slot, range(N_DIR))
 
     # ------------------------------------------------------------------
     def fetch_raw(self, node: int, chunk: int, page: int, is_write: bool,
@@ -163,8 +162,6 @@ class Directory:
                     self.refetch_count[key] = 0
                 else:
                     self.refetch_count[key] = count
-        if exclusive:
-            self.row[DIR_EXCLUSIVE] += 1
         return (refetch, forwarded, invalidations, relocation_hint,
                 owner if owner != node else -1, exclusive)
 

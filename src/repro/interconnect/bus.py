@@ -9,11 +9,10 @@ combined occupancy per transaction and model queueing with a
 busy-until timestamp like the other resources.
 
 Bus time is already folded into the Table 4 minimum latencies (L1 miss
-service cannot be faster than the bus transaction), so the default
-per-transaction *additional* cost is zero and only contention shows up.
-The busy-until stamp is a node's slot of the machine-wide bus block,
-and the counters its ``BUS_*`` slots of the counter block; the replay
-kernel reads and writes both in place.
+service cannot be faster than the bus transaction), so a transaction
+adds only its queueing delay.  The busy-until stamp is a node's slot of
+the machine-wide bus block, and the counters its ``BUS_*`` slots of the
+counter block; the replay kernel reads and writes both in place.
 """
 
 from __future__ import annotations
@@ -31,15 +30,13 @@ BUS_TRANSACTIONS, BUS_CONTENDED, BUS_QUEUE, N_BUS = range(4)
 class SplitTransactionBus:
     """Per-node coherent bus with busy-until contention accounting."""
 
-    __slots__ = ("occupancy", "fixed_cost", "max_queue", "busy_until", "row")
+    __slots__ = ("occupancy", "max_queue", "busy_until", "row")
 
-    def __init__(self, occupancy: int = 4, fixed_cost: int = 0,
-                 max_queue_occupancies: int = 8, busy_until=None,
-                 counters=None) -> None:
-        if occupancy < 0 or fixed_cost < 0:
-            raise ValueError("bus parameters must be non-negative")
+    def __init__(self, occupancy: int = 4, max_queue_occupancies: int = 8,
+                 busy_until=None, counters=None) -> None:
+        if occupancy < 0:
+            raise ValueError("bus occupancy must be non-negative")
         self.occupancy = occupancy
-        self.fixed_cost = fixed_cost
         #: Queue-estimate bound (see BankedMemory: clock-skew guard).
         self.max_queue = max_queue_occupancies * occupancy
         #: One-slot view: the bus is free from ``busy_until[0]`` on.
@@ -50,7 +47,7 @@ class SplitTransactionBus:
     transactions, contended, total_queue_cycles = map(row_slot, range(N_BUS))
 
     def transact(self, now: int) -> int:
-        """Run one bus transaction at *now*; returns added latency."""
+        """Run one bus transaction at *now*; returns its queueing delay."""
         busy = self.busy_until[0]
         queue = busy - now if busy > now else 0
         if queue > self.max_queue:
@@ -61,7 +58,7 @@ class SplitTransactionBus:
         if queue:
             row[BUS_CONTENDED] += 1
             row[BUS_QUEUE] += queue
-        return self.fixed_cost + queue
+        return queue
 
     def utilisation_stats(self) -> dict:
         return {

@@ -17,9 +17,9 @@ first-touch buys.
 An allocator assigns a *home node* to each shared page the first time
 any node in the machine touches it, and stays sticky afterwards.  The
 assignments are a dense ``int64`` buffer (``-1`` = unassigned), and the
-allocator's counters one ``int64`` row (``AL_*`` slots below); the
-replay kernel reads and writes both in place, running the same choice
-for the variant :data:`PLACEMENT_CODES` names.
+round-robin cursor and per-node home counts one ``int64`` row (``AL_*``
+slots below); the replay kernel reads and writes both in place, running
+the same choice for the variant :data:`PLACEMENT_CODES` names.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ import numpy as np
 from .freelist import row_slot
 from .vm import DEFAULT_PAGES
 
-__all__ = ["AL_COUNT", "AL_HITS", "AL_RR", "AL_SPILLS", "HomeAllocator",
-           "PLACEMENT_CODES", "RandomAllocator", "RoundRobinAllocator",
-           "make_allocator"]
+__all__ = ["AL_COUNT", "AL_RR", "HomeAllocator", "PLACEMENT_CODES",
+           "RandomAllocator", "RoundRobinAllocator", "make_allocator"]
 
-#: Slots of the allocator row: the round-robin cursor, the first-touch
-#: hits and round-robin spills, then one home-page count per node from
-#: ``AL_COUNT`` on.  The replay kernel reads these names.
-AL_RR, AL_HITS, AL_SPILLS, AL_COUNT = range(4)
+#: Slots of the allocator row: the round-robin cursor, then one
+#: home-page count per node from ``AL_COUNT`` on.  The replay kernel
+#: reads these names.
+AL_RR, AL_COUNT = range(2)
 
 
 class HomeAllocator:
@@ -58,14 +57,12 @@ class HomeAllocator:
         #: page -> home node; -1 means not yet assigned.
         self.home = memoryview(np.full(max(n_pages, total_shared_pages), -1,
                                        np.int64))
-        #: The counter row (see the ``AL_*`` slots).
+        #: The cursor and count row (see the ``AL_*`` slots).
         self.row = memoryview(np.zeros(AL_COUNT + n_nodes, np.int64))
         #: node -> home pages assigned to it.
         self.count = self.row[AL_COUNT:]
 
     _rr_next = row_slot(AL_RR)
-    first_touch_hits = row_slot(AL_HITS)
-    round_robin_spills = row_slot(AL_SPILLS)
 
     def home_of(self, page: int, toucher: int) -> int:
         """Return *page*'s home node, assigning it on the first touch."""
@@ -76,10 +73,8 @@ class HomeAllocator:
             raise ValueError(f"toucher {toucher} out of range")
         if self.quota == 0 or self.count[toucher] < self.quota:
             node = toucher
-            self.first_touch_hits += 1
         else:
             node = self._next_under_quota()
-            self.round_robin_spills += 1
         self.home[page] = node
         self.count[node] += 1
         return node
@@ -140,7 +135,6 @@ class RoundRobinAllocator(HomeAllocator):
         self._rr_next = (self._rr_next + 1) % self.n_nodes
         self.home[page] = node
         self.count[node] += 1
-        self.round_robin_spills += 1
         return node
 
 

@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FAILED", "PC_FREE",
-           "PC_FREE_MIN", "PC_HEAD", "PC_LEN", "PC_RELEASES", "counter_row",
-           "row_slot"]
+__all__ = ["FreePagePool", "N_PC", "PC_ALLOCS", "PC_FREE", "PC_FREE_MIN",
+           "PC_HEAD", "PC_LEN", "PC_RELEASES", "counter_row", "row_slot"]
 
 #: Slots of a node's page-cache row: the pool's counters, then the
 #: S-COMA clock's ring cursor (head index and length).  The replay
 #: kernel reads these names.
-(PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FAILED, PC_FREE_MIN, PC_HEAD,
- PC_LEN) = range(7)
-N_PC = 7
+PC_FREE, PC_ALLOCS, PC_RELEASES, PC_FREE_MIN, PC_HEAD, PC_LEN = range(6)
+N_PC = 6
 
 
 def row_slot(index: int) -> property:
@@ -70,7 +68,6 @@ class FreePagePool:
     free = row_slot(PC_FREE)
     allocations = row_slot(PC_ALLOCS)
     releases = row_slot(PC_RELEASES)
-    failed_allocations = row_slot(PC_FAILED)
     free_min = row_slot(PC_FREE_MIN)
 
     def try_allocate(self) -> bool:
@@ -79,7 +76,6 @@ class FreePagePool:
             self.free -= 1
             self.allocations += 1
             return True
-        self.failed_allocations += 1
         return False
 
     def release(self) -> None:

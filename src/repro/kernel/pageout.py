@@ -3,9 +3,10 @@
 Paper, Section 3: whenever the free page pool falls below ``free_min``,
 the pageout daemon tries to evict enough *cold* S-COMA pages to refill
 the pool to ``free_target``.  Cold pages are found with a second-chance
-(clock) algorithm over the TLB reference bits: a page whose bit is set
-gets the bit cleared and survives this scan; a page whose bit is still
-clear on the next visit is cold and is evicted.
+(clock) algorithm over the TLB reference bits (the node's
+``ref_bits`` row, one byte per page, which every L1 miss sets): a page
+whose bit is set gets the bit cleared and survives this scan; a page
+whose bit is still clear on the next visit is cold and is evicted.
 
 Whenever the daemon cannot reclaim its target, the memory is saturated
 with hot pages -- the machine is *thrashing*.  The daemon reports the
@@ -17,7 +18,9 @@ to keep evicting).
 The daemon does not evict pages itself: each run asks the owning node
 through the ``evict(page)`` callback it is handed, so that cache
 flushes, directory updates and cycle accounting happen in one place
-(:mod:`repro.sim.node`).  The daemon keeps no reference to the node.
+(:mod:`repro.sim.node`), which also counts the runs and the thrashing
+ones (``NodeStats.daemon_runs``/``daemon_thrash``).  The daemon keeps
+no reference to the node.
 """
 
 from __future__ import annotations
@@ -54,23 +57,17 @@ class PageoutDaemon:
     """One node's pageout daemon."""
 
     def __init__(self, page_table: PageTable, pool: FreePagePool,
-                 costs: KernelCosts,
-                 reference_bit: Callable[[int], bool],
-                 clear_reference_bit: Callable[[int], None],
+                 costs: KernelCosts, ref_bits,
                  base_interval: int = 50_000) -> None:
         self.page_table = page_table
         self.pool = pool
         self.costs = costs
-        self.reference_bit = reference_bit
-        self.clear_reference_bit = clear_reference_bit
+        #: page -> TLB reference bit (a writable buffer the scan clears).
+        self.ref_bits = ref_bits
         #: Minimum cycles between invocations; AS-COMA's backoff grows it.
         self.base_interval = base_interval
         self.interval = base_interval
         self.next_run_at = 0
-        self.runs = 0
-        self.total_reclaimed = 0
-        self.total_cost = 0
-        self.thrash_events = 0
 
     # ------------------------------------------------------------------
     def due(self, now: int) -> bool:
@@ -92,30 +89,25 @@ class PageoutDaemon:
         """
         target = self.pool.deficit_to_target()
         clock = self.page_table.scoma_clock
+        ref_bits = self.ref_bits
         reclaimed = 0
         scanned = 0
         max_scans = len(clock)
         while reclaimed < target and clock and scanned < max_scans:
             page = clock[0]
             scanned += 1
-            if self.reference_bit(page):
+            if ref_bits[page]:
                 # First chance: clear the bit, rotate to the back.
-                self.clear_reference_bit(page)
+                ref_bits[page] = 0
                 clock.rotate(-1)
             else:
                 # Cold page: evict (callback pops it from the clock and
                 # releases its frame back to the pool).
                 evict(page)
                 reclaimed += 1
-        cost = self.costs.daemon_run_cost(scanned)
-        self.runs += 1
-        self.total_reclaimed += reclaimed
-        self.total_cost += cost
         self.next_run_at = now + self.interval
-        result = DaemonRunResult(reclaimed, scanned, target, cost)
-        if result.thrashing:
-            self.thrash_events += 1
-        return result
+        return DaemonRunResult(reclaimed, scanned, target,
+                               self.costs.daemon_run_cost(scanned))
 
     # -- policy knobs ---------------------------------------------------
     def stretch_interval(self, factor: float = 2.0, cap: int | None = None) -> None:

@@ -17,9 +17,8 @@ State is dense and page-indexed: a mode per page, and per page
 ``sv_words`` 64-bit words of chunk-valid bits (chunk ``c`` of a page is
 bit ``c & 63`` of word ``c >> 6``).  A machine hands every node a row of
 its machine-wide blocks, which the replay kernel reads and writes in
-place; a table built on its own allocates the rows itself.  The remap
-counters are an ``int64`` row too (``PT_*`` slots).  Page faults are
-counted once, as the node's ``page_faults``.
+place; a table built on its own allocates the rows itself.  Page
+faults are counted once, as the node's ``page_faults``.
 """
 
 from __future__ import annotations
@@ -28,12 +27,9 @@ import enum
 
 import numpy as np
 
-from .freelist import N_PC, PC_HEAD, PC_LEN, counter_row, row_slot
+from .freelist import N_PC, PC_HEAD, PC_LEN
 
 __all__ = ["ClockRing", "DEFAULT_PAGES", "PageMode", "PageTable"]
-
-#: Counter row slots; the replay kernel reads them by these names.
-PT_TO_SCOMA, PT_TO_CCNUMA, N_PT = range(3)
 
 #: Pages a page-indexed model covers when it is built on its own (a
 #: machine passes its workload's page count instead).
@@ -132,13 +128,12 @@ class PageTable:
     The optional rows are this node's slices of the machine-wide blocks:
     *modes* (``int64`` per page), *scoma_valid* (``uint64``, pages x
     ``sv_words``), *pc* (the page-cache row it shares with the free
-    pool), *clk* (the clock's ring buffer) and *counters* (the ``PT_*``
-    row).  Without them the table allocates rows of its own for
-    ``DEFAULT_PAGES`` pages.
+    pool) and *clk* (the clock's ring buffer).  Without them the table
+    allocates rows of its own for ``DEFAULT_PAGES`` pages.
     """
 
     def __init__(self, chunks_per_page: int, modes=None, scoma_valid=None,
-                 pc=None, clk=None, counters=None) -> None:
+                 pc=None, clk=None) -> None:
         if chunks_per_page <= 0:
             raise ValueError("chunks_per_page must be positive")
         self.chunks_per_page = chunks_per_page
@@ -155,9 +150,6 @@ class PageTable:
         self.scoma_valid = memoryview(scoma_valid.reshape(-1))
         #: Second-chance clock over S-COMA pages (FIFO with re-queue).
         self.scoma_clock = ClockRing(clk, pc)
-        self.row = counter_row(N_PT, counters)
-
-    remaps_to_scoma, remaps_to_ccnuma = map(row_slot, range(N_PT))
 
     # -- queries -----------------------------------------------------------
     def mode_of(self, page: int) -> int:
@@ -200,8 +192,6 @@ class PageTable:
             raise RuntimeError(f"page {page} already in S-COMA mode")
         if current == PageMode.HOME:
             raise RuntimeError(f"page {page} is home-mapped; cannot S-COMA map")
-        if current == PageMode.CCNUMA:
-            self.remaps_to_scoma += 1
         self.mode[page] = PageMode.SCOMA
         self._clear_valid(page)
         self.scoma_clock.append(page)
@@ -217,11 +207,7 @@ class PageTable:
             raise RuntimeError(f"page {page} is not in S-COMA mode")
         self._clear_valid(page)
         self.scoma_clock.remove(page)
-        if to_ccnuma:
-            self.mode[page] = PageMode.CCNUMA
-            self.remaps_to_ccnuma += 1
-        else:
-            self.mode[page] = PageMode.UNMAPPED
+        self.mode[page] = PageMode.CCNUMA if to_ccnuma else PageMode.UNMAPPED
 
     def convert_ccnuma_to_home(self, page: int) -> None:
         """Page migration landed here: the node becomes the home."""

@@ -1,18 +1,15 @@
-"""Memory-hierarchy substrates: address map, L1 cache, RAC, DRAM banks, TLB."""
+"""Memory-hierarchy substrates: address map, L1 cache, RAC, DRAM banks."""
 
 from .address import AddressMap
-from .cache import CacheStats, DirectMappedCache
+from .cache import DirectMappedCache
 from .dram import BankedMemory
 from .rac import RemoteAccessCache
 from .setassoc import SetAssociativeCache
-from .tlb import TLB
 
 __all__ = [
     "AddressMap",
     "BankedMemory",
-    "CacheStats",
     "DirectMappedCache",
     "RemoteAccessCache",
     "SetAssociativeCache",
-    "TLB",
 ]

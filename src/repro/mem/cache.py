@@ -1,65 +1,45 @@
 """Direct-mapped L1 processor cache model.
 
 Matches Table 3 of the paper: 8 KiB direct-mapped, 32-byte lines,
-virtually indexed / physically tagged, write-back, 1-cycle hit.
+virtually indexed / physically tagged, 1-cycle hit.
 
 Because the simulator is trace-driven there is no data payload; the
-cache tracks only presence and dirtiness of *global line ids*.  The
-page-flush operation exists because every CC-NUMA<->S-COMA remap and
-every S-COMA page eviction must flush the page's lines from the
-processor cache (Section 2.3) -- this is what induces the cold misses
-the paper's Ncold term accounts for.
+cache tracks only which *global line ids* are present.  The paper's
+cache is write-back, but no write-back is charged, so dirtiness is not
+tracked.  The page-flush operation exists because every
+CC-NUMA<->S-COMA remap and every S-COMA page eviction must flush the
+page's lines from the processor cache (Section 2.3) -- this is what
+induces the cold misses the paper's Ncold term accounts for.
 
-The tag and dirty stores are indexed by set: an ``int64`` tag per set
-(``-1`` when empty) and a dirty byte per set.  A machine hands each
-node's cache its rows of the machine-wide blocks, which the replay
-kernel reads and writes in place; the cache indexes them through
-``memoryview``s, whose single-element reads return plain ints at about
-the cost of a list index.  Its counters are an ``int64`` row too
-(``L1_*`` slots, see :class:`CacheStats`), the node's slice of the
-machine-wide counter block.  Hits and misses are not among them: the
-replay loops count those per node (``NodeStats.l1_hits`` and
-``l1_misses``).
+The tag store is an ``int64`` tag per set (``-1`` when empty).  A
+machine hands each node's cache its row of the machine-wide block,
+which the replay kernel reads and writes in place; the cache indexes it
+through a ``memoryview``, whose single-element reads return plain ints
+at about the cost of a list index.  Hits and misses are counted by the
+replay loops, per node (``NodeStats.l1_hits`` and ``l1_misses``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernel.freelist import counter_row, row_slot
 from .address import AddressMap
 
-__all__ = ["DirectMappedCache", "CacheStats"]
-
-#: Counter row slots; the replay kernel reads them by these names.
-L1_WRITEBACKS, L1_INVALIDATIONS, N_L1 = range(3)
-
-
-class CacheStats:
-    """Writeback/invalidation counters for one cache instance, the
-    slots of an ``int64`` row."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row=None) -> None:
-        self.row = counter_row(N_L1, row)
-
-    writebacks, invalidations = map(row_slot, range(N_L1))
+__all__ = ["DirectMappedCache"]
 
 
 class DirectMappedCache:
-    """A direct-mapped, write-back cache of global line ids.
+    """A direct-mapped cache of global line ids.
 
     ``lookup``/``fill`` are the only operations on the reference hot
     path; everything else (flush, invalidate) runs on page-management
     events which are orders of magnitude rarer.
     """
 
-    __slots__ = ("n_sets", "set_mask", "tags", "dirty", "stats", "amap")
+    __slots__ = ("n_sets", "set_mask", "tags", "amap")
 
     def __init__(self, size_bytes: int, line_bytes: int,
-                 amap: AddressMap | None = None, tags=None,
-                 dirty=None, counters=None) -> None:
+                 amap: AddressMap | None = None, tags=None) -> None:
         if size_bytes % line_bytes:
             raise ValueError("cache size must be a multiple of the line size")
         n_sets = size_bytes // line_bytes
@@ -67,13 +47,9 @@ class DirectMappedCache:
             raise ValueError("number of sets must be a power of two")
         self.n_sets = n_sets
         self.set_mask = n_sets - 1
-        if tags is None:
-            tags = np.full(n_sets, -1, np.int64)
-            dirty = np.zeros(n_sets, np.uint8)
         # tags[set] holds the resident global line id, or -1 when empty.
-        self.tags = memoryview(tags)
-        self.dirty = memoryview(dirty)
-        self.stats = CacheStats(counters)
+        self.tags = memoryview(np.full(n_sets, -1, np.int64)
+                               if tags is None else tags)
         self.amap = amap or AddressMap()
 
     # -- hot path ---------------------------------------------------------
@@ -81,7 +57,7 @@ class DirectMappedCache:
         """Probe the cache for *line*.  Returns True on hit."""
         return self.tags[line & self.set_mask] == line
 
-    def fill(self, line: int, dirty: bool = False) -> int:
+    def fill(self, line: int) -> int:
         """Install *line*, evicting any conflicting resident line.
 
         Returns the evicted line id (for victim bookkeeping) or -1 if the
@@ -90,23 +66,9 @@ class DirectMappedCache:
         s = line & self.set_mask
         victim = self.tags[s]
         if victim == line:
-            if dirty:
-                self.dirty[s] = True
             return -1
-        if victim != -1 and self.dirty[s]:
-            self.stats.row[L1_WRITEBACKS] += 1
         self.tags[s] = line
-        self.dirty[s] = dirty
         return victim
-
-    def mark_dirty(self, line: int) -> None:
-        s = line & self.set_mask
-        if self.tags[s] == line:
-            self.dirty[s] = True
-
-    def contains(self, line: int) -> bool:
-        """Presence probe that does not perturb statistics."""
-        return self.tags[line & self.set_mask] == line
 
     # -- page management paths ---------------------------------------------
     def invalidate_line(self, line: int) -> bool:
@@ -114,8 +76,6 @@ class DirectMappedCache:
         s = line & self.set_mask
         if self.tags[s] == line:
             self.tags[s] = -1
-            self.dirty[s] = False
-            self.stats.row[L1_INVALIDATIONS] += 1
             return True
         return False
 
@@ -137,7 +97,6 @@ class DirectMappedCache:
         flushed = int(np.count_nonzero(hit))
         if flushed:
             tags[hit] = -1
-            np.asarray(self.dirty)[span][hit] = 0
         return flushed
 
     def resident_lines_of_page(self, page: int) -> list[int]:
@@ -150,4 +109,3 @@ class DirectMappedCache:
 
     def clear(self) -> None:
         np.asarray(self.tags)[:] = -1
-        np.asarray(self.dirty)[:] = 0

@@ -12,55 +12,39 @@ pressure-insensitive -- so we model it faithfully.
 
 A configurable number of chunk entries is supported (direct-mapped by
 chunk id); the paper's machine corresponds to ``n_entries=1``.  Entries
-are ``int64`` slots (``-1`` when empty), and so are its counters
-(``RAC_*`` slots); a machine hands each node's RAC its rows of the
-machine-wide blocks, which the replay kernel reads and writes in place.
-A hit is counted once, as the node's ``RAC`` miss class.
+are ``int64`` slots (``-1`` when empty); a machine hands each node's
+RAC its row of the machine-wide block, which the replay kernel reads
+and writes in place.  A hit is counted once, as the node's ``RAC`` miss
+class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernel.freelist import counter_row, row_slot
-
 __all__ = ["RemoteAccessCache"]
-
-#: Counter row slots; the replay kernel reads them by these names.
-RAC_MISSES, RAC_FILLS, N_RAC = range(3)
 
 
 class RemoteAccessCache:
     """Small direct-mapped cache of remote 128-byte chunks."""
 
-    __slots__ = ("n_entries", "entry_mask", "chunks", "row")
+    __slots__ = ("n_entries", "entry_mask", "chunks")
 
-    def __init__(self, n_entries: int = 1, entries=None,
-                 counters=None) -> None:
+    def __init__(self, n_entries: int = 1, entries=None) -> None:
         if n_entries <= 0 or n_entries & (n_entries - 1):
             raise ValueError("RAC entry count must be a positive power of two")
         self.n_entries = n_entries
         self.entry_mask = n_entries - 1
         self.chunks = memoryview(np.full(n_entries, -1, np.int64)
                                  if entries is None else entries)
-        self.row = counter_row(N_RAC, counters)
-
-    misses, fills = map(row_slot, range(N_RAC))
 
     def lookup(self, chunk: int) -> bool:
         """Probe the RAC for *chunk*.  Returns True on hit."""
-        if self.chunks[chunk & self.entry_mask] == chunk:
-            return True
-        self.row[RAC_MISSES] += 1
-        return False
-
-    def contains(self, chunk: int) -> bool:
         return self.chunks[chunk & self.entry_mask] == chunk
 
     def fill(self, chunk: int) -> None:
         """Deposit a freshly fetched remote chunk."""
         self.chunks[chunk & self.entry_mask] = chunk
-        self.row[RAC_FILLS] += 1
 
     def resident_entries(self) -> list[int]:
         """All resident entry ids (chunks, or lines in victim mode)."""

@@ -10,26 +10,26 @@ sensitivity study (``test_l1_associativity_sensitivity`` in
 ``benchmarks/test_sensitivity.py``): raise ``l1_ways`` in
 :class:`~repro.sim.config.SystemConfig` and rerun any experiment.
 
-Same interface as :class:`~repro.mem.cache.DirectMappedCache`; LRU is
-tracked with per-set ordering lists (sets are tiny, <= 8 ways).
+Same interface as :class:`~repro.mem.cache.DirectMappedCache`; here
+``lookup`` also refreshes the LRU order on a hit, and ``contains``
+probes without touching it.  LRU is tracked with per-set ordering lists
+(sets are tiny, <= 8 ways).
 """
 
 from __future__ import annotations
 
 from .address import AddressMap
-from .cache import CacheStats
 
 __all__ = ["SetAssociativeCache"]
 
 
 class SetAssociativeCache:
-    """N-way set-associative, write-back, LRU cache of global line ids."""
+    """N-way set-associative, LRU cache of global line ids."""
 
-    __slots__ = ("ways", "n_sets", "set_mask", "sets", "dirty", "stats",
-                 "amap")
+    __slots__ = ("ways", "n_sets", "set_mask", "sets", "amap")
 
     def __init__(self, size_bytes: int, line_bytes: int, ways: int,
-                 amap: AddressMap | None = None, counters=None) -> None:
+                 amap: AddressMap | None = None) -> None:
         if ways <= 0:
             raise ValueError("need at least one way")
         if size_bytes % (line_bytes * ways):
@@ -42,8 +42,6 @@ class SetAssociativeCache:
         self.set_mask = n_sets - 1
         # sets[s] is the set's resident lines in LRU order (front = LRU).
         self.sets: list[list[int]] = [[] for _ in range(n_sets)]
-        self.dirty: list[set[int]] = [set() for _ in range(n_sets)]
-        self.stats = CacheStats(counters)
         self.amap = amap or AddressMap()
 
     # -- hot path ---------------------------------------------------------
@@ -56,45 +54,27 @@ class SetAssociativeCache:
             return True
         return False
 
-    def fill(self, line: int, dirty: bool = False) -> int:
+    def fill(self, line: int) -> int:
         """Install *line*; returns the evicted line id or -1."""
-        idx = line & self.set_mask
-        s = self.sets[idx]
-        d = self.dirty[idx]
+        s = self.sets[line & self.set_mask]
         if line in s:
             if s[-1] != line:
                 s.remove(line)
                 s.append(line)
-            if dirty:
-                d.add(line)
             return -1
-        victim = -1
-        if len(s) >= self.ways:
-            victim = s.pop(0)
-            if victim in d:
-                d.discard(victim)
-                self.stats.writebacks += 1
+        victim = s.pop(0) if len(s) >= self.ways else -1
         s.append(line)
-        if dirty:
-            d.add(line)
         return victim
 
-    def mark_dirty(self, line: int) -> None:
-        idx = line & self.set_mask
-        if line in self.sets[idx]:
-            self.dirty[idx].add(line)
-
     def contains(self, line: int) -> bool:
+        """Presence probe that leaves the LRU order alone."""
         return line in self.sets[line & self.set_mask]
 
     # -- page management ---------------------------------------------------
     def invalidate_line(self, line: int) -> bool:
-        idx = line & self.set_mask
-        s = self.sets[idx]
+        s = self.sets[line & self.set_mask]
         if line in s:
             s.remove(line)
-            self.dirty[idx].discard(line)
-            self.stats.invalidations += 1
             return True
         return False
 
@@ -114,7 +94,6 @@ class SetAssociativeCache:
             victims = [t for t in s if (t >> shift) == page]
             for t in victims:
                 s.remove(t)
-                self.dirty[idx].discard(t)
                 flushed += 1
         return flushed
 
@@ -128,4 +107,3 @@ class SetAssociativeCache:
 
     def clear(self) -> None:
         self.sets = [[] for _ in range(self.n_sets)]
-        self.dirty = [set() for _ in range(self.n_sets)]

@@ -105,7 +105,8 @@ class SystemConfig:
     #: Deliberate protocol-bug injection for the invariant checker
     #: (:mod:`repro.check`): invalidations destined for this node are
     #: silently dropped, leaving stale copies the directory cannot
-    #: reach.  -1 (the default) disables the bug.
+    #: reach.  -1 (the default) disables the bug; any other value must
+    #: name a node of the machine.
     debug_skip_invalidate_node: int = -1
 
     def __post_init__(self) -> None:
@@ -123,6 +124,10 @@ class SystemConfig:
             raise ValueError('rac_fill_policy must be "fetch" or "victim"')
         if self.consistency not in ("sc", "rc"):
             raise ValueError('consistency must be "sc" or "rc"')
+        if not -1 <= self.debug_skip_invalidate_node < self.n_nodes:
+            raise ValueError(
+                f"debug_skip_invalidate_node must be -1 or a node id below"
+                f" {self.n_nodes}, got {self.debug_skip_invalidate_node}")
         if self.rac_hit_cycles >= self.remote_min_cycles():
             raise ValueError("RAC hit must be cheaper than a remote fetch")
 

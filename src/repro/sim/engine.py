@@ -344,9 +344,7 @@ class Engine:
                     owned[chunk] = 1
                     st[S_UPGRADES] += 1
                     st[S_U_SH_MEM] += lat
-                    l1.mark_dirty(line)
                     return self._hit_cycles + lat
-                l1.mark_dirty(line)
             return self._hit_cycles
 
         # -- L1 miss ------------------------------------------------------
@@ -356,7 +354,7 @@ class Engine:
             events.clock = now
         page = line >> self._line_shift
         chunk = line >> self._chunk_shift
-        node.tlb.ref_bits[page] = 1
+        node.ref_bits[page] = 1
         nid = node.id
 
         kernel = 0
@@ -427,23 +425,23 @@ class Engine:
                     # access completed first, and the remap's page flush
                     # must also purge this line, or a stale copy would
                     # linger in the cache without copyset membership.
-                    self._l1_fill(node, line, is_write)
+                    self._l1_fill(node, line)
                     kernel += self._handle_relocation_hint(node, page,
                                                            now + lat)
                     st[S_U_SH_MEM] += lat
                     return kernel + lat
 
         if self._rac_victim:
-            self._l1_fill(node, line, is_write)
+            self._l1_fill(node, line)
         else:
-            l1.fill(line, is_write)
+            l1.fill(line)
         st[S_U_SH_MEM] += lat
         return kernel + lat
 
-    def _l1_fill(self, node, line: int, is_write: bool) -> None:
+    def _l1_fill(self, node, line: int) -> None:
         """Install a line in the L1; in victim-RAC mode, evicted remote
         lines drop into the RAC (VC-NUMA's actual hardware)."""
-        victim = node.l1.fill(line, dirty=is_write)
+        victim = node.l1.fill(line)
         if self._rac_victim and victim != -1:
             vpage = victim >> self._line_shift
             if node.page_table.mode[vpage] == _CCNUMA:

@@ -1,12 +1,13 @@
 """Per-node model: caches + VM state + page-management operations.
 
-A :class:`Node` owns one processor's L1, RAC, TLB/reference bits, page
+A :class:`Node` owns one processor's L1, RAC, TLB reference bits, page
 table, free pool, pageout daemon and policy state, plus references to
 the machine-wide directory and cost model.  All page-management
 operations (S-COMA mapping, eviction, relocation) live here so that
 their three side-effect families always happen together:
 
-1. cache state: flush L1 lines / RAC chunks / S-COMA valid bits;
+1. cache state: flush L1 lines / RAC chunks / S-COMA valid bits, and
+   shoot down the page's TLB reference bit;
 2. directory state: drop the node from the page's copysets (making
    future accesses *induced cold misses*) and reset refetch evidence;
 3. accounting: cycle charges to K-BASE/K-OVERHD and event counters.
@@ -34,13 +35,12 @@ from ..interconnect.bus import N_BUS
 from ..kernel.costs import KernelCosts
 from ..kernel.freelist import N_PC, FreePagePool
 from ..kernel.pageout import PageoutDaemon
-from ..kernel.vm import N_PT, PageMode, PageTable
+from ..kernel.vm import PageMode, PageTable
 from ..mem.address import AddressMap
-from ..mem.cache import N_L1, DirectMappedCache
+from ..mem.cache import DirectMappedCache
 from ..mem.setassoc import SetAssociativeCache
 from ..mem.dram import N_MEM, BankedMemory
-from ..mem.rac import N_RAC, RemoteAccessCache
-from ..mem.tlb import N_TLB, TLB
+from ..mem.rac import RemoteAccessCache
 from .config import SystemConfig
 from .events import (EV_DAEMON, EV_DEMOTE, EV_EVICT, EV_FLUSH,
                      EV_INVALIDATE, EV_MAP_SCOMA, EV_RELOCATE, EventBus)
@@ -48,29 +48,29 @@ from .stats import N_STATS, NodeStats
 
 __all__ = ["Node", "NodeBlocks"]
 
-#: Where each model's counters start in a node's counter row, and the
-#: row's length; the replay kernel reads these names
-#: (``ctr[node * N_CTR + CTR_RAC + RAC_FILLS]``).
-CTR_L1, CTR_RAC, CTR_TLB, CTR_PT, CTR_MEM, CTR_BUS, N_CTR = accumulate(
-    (0, N_L1, N_RAC, N_TLB, N_PT, N_MEM, N_BUS))
+#: Where the memory's and the bus's counters start in a node's counter
+#: row, and the row's length; the replay kernel reads these names
+#: (``ctr[node * N_CTR + CTR_MEM + MEM_ACCESSES]``).
+CTR_MEM, CTR_BUS, N_CTR = accumulate((0, N_MEM, N_BUS))
 
 
 class NodeBlocks:
     """Per-node machine state, one row per node, in the layout and dtypes
     of the replay kernel's ``SoaState`` (see :mod:`repro.sim.soatrace`).
 
-    ``l1_tags``/``l1_dirty`` and ``rac`` are the caches (``-1`` = empty
-    slot); ``owned``/``ever`` are per-chunk membership bytes; ``modes``,
+    ``l1_tags`` and ``rac`` are the caches (``-1`` = empty slot);
+    ``owned``/``ever`` are per-chunk membership bytes; ``modes``,
     ``scoma_valid`` (``sv_words`` words per page), ``pc_hits`` (``-1`` =
-    absent) and ``ref_bits`` are per page; ``mem_busy``/``bus_busy`` are
-    the bank and bus busy-until stamps; ``pc`` is the page-cache row
-    (free-pool counters plus the clock cursor), ``clk`` the clock's
-    ring buffer and ``policy`` the policy row (break-even tallies, see
-    :mod:`repro.core.policy`).  ``stats`` holds the :class:`NodeStats`
-    rows and ``counters`` the models' counter rows (``CTR_*``).
+    absent) and ``ref_bits`` (the TLB reference bits) are per page;
+    ``mem_busy``/``bus_busy`` are the bank and bus busy-until stamps;
+    ``pc`` is the page-cache row (free-pool counters plus the clock
+    cursor), ``clk`` the clock's ring buffer and ``policy`` the policy
+    row (break-even tallies, see :mod:`repro.core.policy`).  ``stats``
+    holds the :class:`NodeStats` rows and ``counters`` the memory's and
+    bus's counter rows (``CTR_*``).
     """
 
-    __slots__ = ("l1_tags", "l1_dirty", "rac", "owned", "ever", "modes",
+    __slots__ = ("l1_tags", "rac", "owned", "ever", "modes",
                  "scoma_valid", "pc_hits", "ref_bits", "mem_busy",
                  "bus_busy", "pc", "clk", "policy", "stats", "counters")
 
@@ -81,7 +81,6 @@ class NodeBlocks:
         n_sets = config.l1_size_bytes // config.line_bytes
         sv_words = (amap.chunks_per_page + 63) >> 6
         self.l1_tags = np.full((n_nodes, n_sets), -1, np.int64)
-        self.l1_dirty = np.zeros((n_nodes, n_sets), np.uint8)
         self.rac = np.full((n_nodes, config.rac_entries), -1, np.int64)
         self.owned = np.zeros((n_nodes, n_chunks), np.uint8)
         self.ever = np.zeros((n_nodes, n_chunks), np.uint8)
@@ -114,7 +113,6 @@ class Node:
             blocks, row = NodeBlocks(1, config, amap, directory.n_pages), 0
         else:
             row = node_id
-        counters = blocks.counters[row]
         self.id = node_id
         #: Machine-shared rare-event bus (see repro.sim.events).
         self.events = events if events is not None else EventBus()
@@ -127,33 +125,30 @@ class Node:
         if config.l1_ways == 1:
             self.l1 = DirectMappedCache(config.l1_size_bytes,
                                         config.line_bytes, amap,
-                                        tags=blocks.l1_tags[row],
-                                        dirty=blocks.l1_dirty[row],
-                                        counters=counters[CTR_L1:CTR_RAC])
+                                        tags=blocks.l1_tags[row])
         else:
             self.l1 = SetAssociativeCache(config.l1_size_bytes,
                                           config.line_bytes,
-                                          config.l1_ways, amap,
-                                          counters=counters[CTR_L1:CTR_RAC])
+                                          config.l1_ways, amap)
         self.rac = RemoteAccessCache(config.rac_entries,
-                                     entries=blocks.rac[row],
-                                     counters=counters[CTR_RAC:CTR_TLB])
+                                     entries=blocks.rac[row])
         #: Victim-mode RACs hold 32-byte L1 victim *lines*; fetch-mode
         #: RACs hold whole 128-byte chunks (see SystemConfig).
         self.rac_victim = config.rac_fill_policy == "victim"
-        self.tlb = TLB(ref_bits=blocks.ref_bits[row],
-                       counters=counters[CTR_TLB:CTR_PT])
+        #: page -> TLB reference bit: every L1 miss sets it, the
+        #: second-chance scans and a shootdown (remap or eviction)
+        #: clear it.  Translations are not modelled.
+        self.ref_bits = memoryview(blocks.ref_bits[row])
         self.memory = BankedMemory(config.dram_banks, config.local_memory_cycles,
                                    config.dram_occupancy_cycles,
                                    max_queue_occupancies=(
                                        8 if config.model_contention else 0),
                                    busy_until=blocks.mem_busy[row],
-                                   counters=counters[CTR_MEM:CTR_BUS])
+                                   counters=blocks.counters[row][CTR_MEM:CTR_BUS])
         self.page_table = PageTable(amap.chunks_per_page,
                                     modes=blocks.modes[row],
                                     scoma_valid=blocks.scoma_valid[row],
-                                    pc=blocks.pc[row], clk=blocks.clk[row],
-                                    counters=counters[CTR_PT:CTR_MEM])
+                                    pc=blocks.pc[row], clk=blocks.clk[row])
         self.pool = FreePagePool(cache_frames, total_frames,
                                  config.free_min_frac, config.free_target_frac,
                                  pc=blocks.pc[row])
@@ -171,9 +166,7 @@ class Node:
         self.pagecache_hits = memoryview(blocks.pc_hits[row])
 
         self.daemon = PageoutDaemon(
-            self.page_table, self.pool, self.costs,
-            reference_bit=self.tlb.reference_bit,
-            clear_reference_bit=self.tlb.clear_reference_bit,
+            self.page_table, self.pool, self.costs, self.ref_bits,
             base_interval=config.daemon_base_interval,
         )
 
@@ -251,7 +244,7 @@ class Node:
         flushed = self.flush_page(page)
         cached_pages = self.page_table.scoma_page_count()
         self.page_table.unmap_scoma(page, to_ccnuma=self.policy.evict_to_ccnuma)
-        self.tlb.shootdown(page)
+        self.ref_bits[page] = 0  # TLB shootdown
         self.pool.release()
         self.directory.reset_refetch(page, self.id)
         hits = self.pagecache_hits[page]
@@ -273,7 +266,7 @@ class Node:
         of the page's cached lines + remap.
         """
         flushed = self.flush_page(page)
-        self.tlb.shootdown(page)
+        self.ref_bits[page] = 0  # TLB shootdown
         self.map_scoma(page)
         self.directory.reset_refetch(page, self.id)
         self.stats.relocations += 1
@@ -292,10 +285,11 @@ class Node:
         clock = self.page_table.scoma_clock
         if not clock:
             raise RuntimeError(f"node {self.id}: no S-COMA page to evict")
+        ref_bits = self.ref_bits
         for _ in range(len(clock)):
             page = clock[0]
-            if self.tlb.reference_bit(page):
-                self.tlb.clear_reference_bit(page)
+            if ref_bits[page]:
+                ref_bits[page] = 0
                 clock.rotate(-1)
             else:
                 return page

@@ -117,8 +117,8 @@ class _Names:
 _PARAMS = _Names("P_", """
     N QUANTUM NO_LIMIT LINE_SHIFT CHUNK_SHIFT CPP_MASK SET_MASK RAC_MASK
     RAC_VICTIM HIT_CYCLES RAC_CYCLES DSM2 GRANT_EX STALL_INV SKIP_NODE
-    BANK_MASK MEM_SERVICE MEM_OCC MEM_MAXQ BUS_OCC BUS_FIXED BUS_MAXQ
-    NET_OCC NET_MAXQ LPC N_PAGES N_SETS N_BANKS RAC_ENTRIES PC_SHIFT
+    BANK_MASK MEM_SERVICE MEM_OCC MEM_MAXQ BUS_OCC BUS_MAXQ NET_OCC
+    NET_MAXQ LPC N_PAGES N_SETS N_BANKS RAC_ENTRIES PC_SHIFT
     N_CHUNKS CS_WORDS SV_WORDS WATCH RING_CAP PAGE_FAULT PAGE_REMAP
     FLUSH_LINE RELOC_INT MANDATORY EVICT_CC EVICT_HOOK BREAK_EVEN MIN_EVAL
     CLK_CAP PLACEMENT QUOTA SEED""")
@@ -149,14 +149,13 @@ def _declarations() -> str:
     from ..coherence import directory, protocol
     from ..core import policy
     from ..interconnect import bus, network
-    from ..kernel import allocation, freelist, vm
-    from ..mem import cache, dram, rac, tlb
+    from ..kernel import allocation, freelist
+    from ..mem import dram
     from . import events, machine, node, stats, trace
 
     # Each owner lends the kernel its module-level ints of these prefixes.
     owners = ((stats, ("S_", "N_STATS")), (node, ("CTR_", "N_CTR")),
-              (cache, ("L1_",)), (rac, ("RAC_",)), (tlb, ("TLB_",)),
-              (vm, ("PT_",)), (dram, ("MEM_",)), (bus, ("BUS_",)),
+              (dram, ("MEM_",)), (bus, ("BUS_",)),
               (machine, ("M_",)), (network, ("NET_",)),
               (directory, ("DIR_",)), (protocol, ("PROTO_",)),
               (freelist, ("PC_", "N_PC")), (policy, ("POL_", "N_POL")),
@@ -200,7 +199,6 @@ typedef struct {
     uint8_t *waiting;
     int64_t *ctl;
     int64_t *l1_tags;
-    uint8_t *l1_dirty;
     int64_t *rac;
     uint8_t *owned;
     uint8_t *ever;
@@ -300,7 +298,7 @@ static int64_t bus_transact(SoaState *s, int64_t node, int64_t now) {
     int64_t *row = &s->ctr[node * N_CTR + CTR_BUS];
     row[BUS_TRANSACTIONS]++;
     if (queue) { row[BUS_CONTENDED]++; row[BUS_QUEUE] += queue; }
-    return s->P[P_BUS_FIXED] + queue;
+    return queue;
 }
 
 static void rac_drop(SoaState *s, int64_t node, int64_t key) {
@@ -311,7 +309,6 @@ static void rac_drop(SoaState *s, int64_t node, int64_t key) {
 
 static void rac_fill(SoaState *s, int64_t node, int64_t key) {
     s->rac[node * s->P[P_RAC_ENTRIES] + (key & s->P[P_RAC_MASK])] = key;
-    s->ctr[node * N_CTR + CTR_RAC + RAC_FILLS]++;
 }
 
 /* Machine._invalidate_chunk + Node.invalidate_chunk. */
@@ -321,15 +318,9 @@ static void invalidate_chunk_at(SoaState *s, int64_t node, int64_t chunk,
     int64_t lpc = s->P[P_LPC];
     int64_t first = chunk * lpc;
     int64_t *tags = &s->l1_tags[node * s->P[P_N_SETS]];
-    uint8_t *dirty = &s->l1_dirty[node * s->P[P_N_SETS]];
-    int64_t *ctr = &s->ctr[node * N_CTR];
     for (int64_t line = first; line < first + lpc; line++) {
         int64_t slot = line & s->P[P_SET_MASK];
-        if (tags[slot] == line) {
-            tags[slot] = -1;
-            dirty[slot] = 0;
-            ctr[CTR_L1 + L1_INVALIDATIONS]++;
-        }
+        if (tags[slot] == line) tags[slot] = -1;
     }
     if (s->P[P_RAC_VICTIM]) {
         for (int64_t line = first; line < first + lpc; line++)
@@ -429,7 +420,6 @@ static DirOut fetch_raw(SoaState *s, int64_t node, int64_t chunk,
             }
         }
     }
-    if (o.exclusive) s->mach[M_DIR + DIR_EXCLUSIVE]++;
     o.prev_owner = (owner != node) ? owner : -1;
     return o;
 }
@@ -484,35 +474,22 @@ static int64_t upgrade(SoaState *s, int64_t node, int64_t chunk,
 }
 
 /* DirectMappedCache.fill */
-static int64_t l1_fill(SoaState *s, int64_t node, int64_t line,
-                       int64_t make_dirty) {
-    int64_t slot = line & s->P[P_SET_MASK];
-    int64_t *tags = &s->l1_tags[node * s->P[P_N_SETS]];
-    uint8_t *dirty = &s->l1_dirty[node * s->P[P_N_SETS]];
-    int64_t victim = tags[slot];
-    if (victim == line) {
-        if (make_dirty) dirty[slot] = 1;
-        return -1;
-    }
-    if (victim != -1 && dirty[slot])
-        s->ctr[node * N_CTR + CTR_L1 + L1_WRITEBACKS]++;
-    tags[slot] = line;
-    dirty[slot] = (uint8_t)make_dirty;
+static int64_t l1_fill(SoaState *s, int64_t node, int64_t line) {
+    int64_t *tag = &s->l1_tags[node * s->P[P_N_SETS]
+                               + (line & s->P[P_SET_MASK])];
+    int64_t victim = *tag;
+    if (victim == line) return -1;
+    *tag = line;
     return victim;
 }
 
 /* Engine._l1_fill / plain l1.fill, chosen per rac_fill_policy. */
-static void l1_fill_tail(SoaState *s, int64_t node, int64_t line,
-                         int64_t is_write) {
-    if (s->P[P_RAC_VICTIM]) {
-        int64_t victim = l1_fill(s, node, line, is_write);
-        if (victim != -1
-            && s->modes[node * s->P[P_N_PAGES]
-                        + (victim >> s->P[P_LINE_SHIFT])] == CCNUMA)
-            rac_fill(s, node, victim);
-    } else {
-        l1_fill(s, node, line, is_write);
-    }
+static void l1_fill_tail(SoaState *s, int64_t node, int64_t line) {
+    int64_t victim = l1_fill(s, node, line);
+    if (s->P[P_RAC_VICTIM] && victim != -1
+        && s->modes[node * s->P[P_N_PAGES]
+                    + (victim >> s->P[P_LINE_SHIFT])] == CCNUMA)
+        rac_fill(s, node, victim);
 }
 
 /* Engine._classify_remote */
@@ -539,20 +516,18 @@ static void classify(SoaState *s, int64_t node, int64_t chunk,
  * splitmix64 hash of the page; see kernel/allocation.py).  Returns the
  * page's home; for an unassigned page that is the node its first touch
  * by nid picks, and `assign` makes the choice (the home, the node's
- * count, the cursor and the hit or spill counter of the allocator
- * row).  Pure when `assign` is 0. */
+ * count and the cursor of the allocator row).  Pure when `assign` is
+ * 0. */
 static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
     int64_t home = s->home[page];
     if (home >= 0) return home;
     int64_t n = s->P[P_N], quota = s->P[P_QUOTA];
     int64_t *al = s->alloc, *count = al + AL_COUNT;
-    int64_t rr = al[AL_RR], counter = -1;
+    int64_t rr = al[AL_RR];
     if (s->P[P_PLACEMENT] == HomeAllocator) {
         if (quota == 0 || count[nid] < quota) {
             home = nid;
-            counter = AL_HITS;
         } else {
-            counter = AL_SPILLS;
             for (int64_t k = 0; k < n && home < 0; k++) {
                 if (count[rr] < quota) home = rr;   /* _next_under_quota */
                 rr = (rr + 1) % n;
@@ -566,7 +541,6 @@ static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
     } else if (s->P[P_PLACEMENT] == RoundRobinAllocator) {
         home = rr;
         rr = (rr + 1) % n;
-        counter = AL_SPILLS;
     } else {                                        /* RandomAllocator */
         uint64_t x = (uint64_t)page * 0x9E3779B97F4A7C15ULL
                      + (uint64_t)s->P[P_SEED];
@@ -579,7 +553,6 @@ static int64_t home_of(SoaState *s, int64_t page, int64_t nid, int assign) {
         s->home[page] = home;
         count[home]++;
         al[AL_RR] = rr;
-        if (counter >= 0) al[counter]++;
     }
     return home;
 }
@@ -631,14 +604,12 @@ static int64_t flush_page(SoaState *s, int64_t nid, int64_t page,
     int64_t first = page * lpp;
     int64_t span = lpp < s->P[P_N_SETS] ? lpp : s->P[P_N_SETS];
     int64_t *tags = &s->l1_tags[nid * s->P[P_N_SETS]];
-    uint8_t *dirty = &s->l1_dirty[nid * s->P[P_N_SETS]];
     int64_t flushed = 0;
     for (int64_t off = 0; off < span; off++) {
         int64_t slot = (first + off) & s->P[P_SET_MASK];
         int64_t tag = tags[slot];
         if (tag != -1 && (tag >> s->P[P_LINE_SHIFT]) == page) {
             tags[slot] = -1;
-            dirty[slot] = 0;
             flushed++;
         }
     }
@@ -688,21 +659,14 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
                                 int64_t clk) {
     int64_t flushed = flush_page(s, nid, page, clk);
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    int64_t *ctr = &s->ctr[nid * N_CTR];
     int64_t *pc = &s->pc[nid * N_PC];
     /* PageTable.unmap_scoma */
     for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
     pc[PC_HEAD] = (pc[PC_HEAD] + 1) % s->P[P_CLK_CAP];
     pc[PC_LEN]--;
-    if (s->P[P_EVICT_CC]) {
-        s->modes[pidx] = CCNUMA;
-        ctr[CTR_PT + PT_TO_CCNUMA]++;
-    } else {
-        s->modes[pidx] = UNMAPPED;
-    }
-    s->ref_bits[pidx] = 0;                          /* TLB.shootdown */
-    ctr[CTR_TLB + TLB_SHOOTDOWNS]++;
+    s->modes[pidx] = s->P[P_EVICT_CC] ? CCNUMA : UNMAPPED;
+    s->ref_bits[pidx] = 0;                          /* TLB shootdown */
     pc[PC_FREE]++;                                  /* pool.release */
     pc[PC_RELEASES]++;
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
@@ -724,8 +688,6 @@ static int64_t evict_scoma_page(SoaState *s, int64_t nid, int64_t page,
  * zeroed page-cache hit count. */
 static void map_scoma(SoaState *s, int64_t nid, int64_t page, int64_t clk) {
     int64_t pidx = nid * s->P[P_N_PAGES] + page;
-    if (s->modes[pidx] == CCNUMA)
-        s->ctr[nid * N_CTR + CTR_PT + PT_TO_SCOMA]++;
     s->modes[pidx] = SCOMA;
     for (int64_t w = 0; w < s->P[P_SV_WORDS]; w++)
         s->scoma_valid[pidx * s->P[P_SV_WORDS] + w] = 0;
@@ -739,8 +701,7 @@ static void map_scoma(SoaState *s, int64_t nid, int64_t page, int64_t clk) {
 static int64_t relocate_to_scoma(SoaState *s, int64_t nid, int64_t page,
                                  int64_t clk) {
     int64_t flushed = flush_page(s, nid, page, clk);
-    s->ref_bits[nid * s->P[P_N_PAGES] + page] = 0;  /* TLB.shootdown */
-    s->ctr[nid * N_CTR + CTR_TLB + TLB_SHOOTDOWNS]++;
+    s->ref_bits[nid * s->P[P_N_PAGES] + page] = 0;  /* TLB shootdown */
     map_scoma(s, nid, page, clk);
     s->refetch[page * s->P[P_N] + nid] = 0;         /* reset_refetch */
     s->st[nid * N_STATS + S_RELOCATIONS]++;
@@ -770,7 +731,6 @@ static int64_t relocation_hint(SoaState *s, int64_t nid, int64_t page,
         if (free == 0 && decision == H_RELOCATE && pc[PC_LEN]
             && !evict_ok(s, nid))
             return -1;
-        if (free == 0) pc[PC_FAILED]++;             /* acquire_frame */
     }
     if (decision == H_SKIP || (free == 0 && (decision == H_RELOCATE_IF_FREE
                                              || pc[PC_LEN] == 0))) {
@@ -823,8 +783,7 @@ static int64_t page_fault(SoaState *s, int64_t nid, int64_t page,
     int64_t home = home_of(s, page, nid, 1);
     if (mode == SCOMA) {
         int64_t *pc = &s->pc[nid * N_PC];
-        if (pc[PC_FREE] == 0) {
-            pc[PC_FAILED]++;                        /* acquire_frame */
+        if (pc[PC_FREE] == 0) {                     /* acquire_frame */
             if (s->P[P_MANDATORY]) {
                 /* Mandatory page cache: force-evict a victim now. */
                 int64_t overhead = evict_scoma_page(
@@ -860,20 +819,14 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     int64_t chunk = line >> s->P[P_CHUNK_SHIFT];
     if (tags[slot] == line) {                       /* L1 hit */
         st[S_L1_HITS]++;
-        uint8_t *dirty = &s->l1_dirty[nid * s->P[P_N_SETS]];
-        if (is_write) {
-            uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
-            if (!*ownedp) {
-                int64_t page = line >> s->P[P_LINE_SHIFT];
-                int64_t lat = upgrade(s, nid, chunk, page,
-                                      s->home[page], now);
-                *ownedp = 1;
-                st[S_UPGRADES]++;
-                st[S_U_SH_MEM] += lat;
-                dirty[slot] = 1;
-                return s->P[P_HIT_CYCLES] + lat;
-            }
-            dirty[slot] = 1;
+        uint8_t *ownedp = &s->owned[nid * s->P[P_N_CHUNKS] + chunk];
+        if (is_write && !*ownedp) {
+            int64_t page = line >> s->P[P_LINE_SHIFT];
+            int64_t lat = upgrade(s, nid, chunk, page, s->home[page], now);
+            *ownedp = 1;
+            st[S_UPGRADES]++;
+            st[S_U_SH_MEM] += lat;
+            return s->P[P_HIT_CYCLES] + lat;
         }
         return s->P[P_HIT_CYCLES];
     }
@@ -937,7 +890,6 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
                 st[S_UPGRADES]++;
             }
         } else {
-            s->ctr[nid * N_CTR + CTR_RAC + RAC_MISSES]++;
             DirOut o = fetch_raw(s, nid, chunk, page, is_write,
                                  s->thr[nid], 1);
             int64_t fl = remote_after_dir(s, &o, nid, chunk, home,
@@ -951,7 +903,7 @@ static int64_t shared_ref(SoaState *s, int64_t nid, int64_t line,
     }
     /* The L1 fill precedes a relocation: the access completed first,
      * and the remap's page flush must purge this line too. */
-    l1_fill_tail(s, nid, line, is_write);
+    l1_fill_tail(s, nid, line);
     st[S_U_SH_MEM] += lat;
     if (hint) {
         int64_t overhead = relocation_hint(s, nid, page, now + lat, start);
@@ -1356,8 +1308,8 @@ def run_vector(engine) -> list[int] | None:
         SKIP_NODE=config.debug_skip_invalidate_node,
         BANK_MASK=mem0.bank_mask, MEM_SERVICE=mem0.service_cycles,
         MEM_OCC=mem0.occupancy_cycles, MEM_MAXQ=mem0.max_queue,
-        BUS_OCC=bus0.occupancy, BUS_FIXED=bus0.fixed_cost,
-        BUS_MAXQ=bus0.max_queue, NET_OCC=network.port_occupancy,
+        BUS_OCC=bus0.occupancy, BUS_MAXQ=bus0.max_queue,
+        NET_OCC=network.port_occupancy,
         NET_MAXQ=network.max_queue, LPC=1 << engine._chunk_shift,
         N_PAGES=n_pages, N_SETS=blocks.l1_tags.shape[1],
         N_BANKS=blocks.mem_busy.shape[1], RAC_ENTRIES=blocks.rac.shape[1],
@@ -1384,7 +1336,7 @@ def run_vector(engine) -> list[int] | None:
         P=params, kinds=kinds_all, args=args_all, tr_off=tr_off,
         tr_len=tr_len, pos=pos, clock=clock, arrival=arrival,
         barrier_id=barrier_id, finished=finished, waiting=waiting, ctl=ctl,
-        l1_tags=blocks.l1_tags, l1_dirty=blocks.l1_dirty, rac=blocks.rac,
+        l1_tags=blocks.l1_tags, rac=blocks.rac,
         owned=blocks.owned, ever=blocks.ever, copyset=directory.copyset,
         owner=directory.owner, refetch=directory.refetch_count,
         modes=blocks.modes, scoma_valid=blocks.scoma_valid,

@@ -18,6 +18,19 @@ from repro.workloads.base import SyntheticGenerator, WorkloadSpec
 DirOut = namedtuple("DirOut", "refetch forwarded invalidations"
                               " relocation_hint prev_owner exclusive")
 
+#: Machine variants the replay kernel takes as params (P_RAC_VICTIM,
+#: P_RAC_MASK, P_GRANT_EX, P_STALL_INV, zero occupancies), by name: one
+#: departure from the paper's machine each, plus a victim RAC of four
+#: entries.
+MACHINE_VARIANTS = {
+    "victim_rac": {"rac_fill_policy": "victim"},
+    "mesi": {"protocol": "mesi"},
+    "rc": {"consistency": "rc"},
+    "rac_4": {"rac_entries": 4},
+    "no_contention": {"model_contention": False},
+    "victim_rac_4": {"rac_fill_policy": "victim", "rac_entries": 4},
+}
+
 
 @pytest.fixture(autouse=True)
 def isolated_store_dir(tmp_path, monkeypatch):

@@ -30,8 +30,8 @@ class TestBasics:
         cache.fill(1)
         victim = cache.fill(1 + 256)  # same set
         assert victim == 1
-        assert not cache.contains(1)
-        assert cache.contains(257)
+        assert not cache.lookup(1)
+        assert cache.lookup(257)
 
     def test_fill_same_line_is_noop(self, cache):
         cache.fill(5)
@@ -40,49 +40,12 @@ class TestBasics:
     def test_fill_empty_set_returns_minus_one(self, cache):
         assert cache.fill(9) == -1
 
-    def test_contains_does_not_touch_stats(self, cache):
-        cache.fill(3)
-        before = cache.stats.row.tolist()
-        cache.contains(3)
-        cache.contains(999)
-        assert cache.stats.row.tolist() == before
-
-
-class TestDirtyAndWritebacks:
-    def test_dirty_eviction_counts_writeback(self, cache):
-        cache.fill(1, dirty=True)
-        cache.fill(257)
-        assert cache.stats.writebacks == 1
-
-    def test_clean_eviction_no_writeback(self, cache):
-        cache.fill(1, dirty=False)
-        cache.fill(257)
-        assert cache.stats.writebacks == 0
-
-    def test_mark_dirty(self, cache):
-        cache.fill(1)
-        cache.mark_dirty(1)
-        cache.fill(257)
-        assert cache.stats.writebacks == 1
-
-    def test_mark_dirty_misses_silently(self, cache):
-        cache.mark_dirty(1)  # not resident: no crash, no effect
-        cache.fill(257)
-        assert cache.stats.writebacks == 0
-
-    def test_refill_with_dirty_updates_state(self, cache):
-        cache.fill(5, dirty=False)
-        cache.fill(5, dirty=True)
-        cache.fill(5 + 256)
-        assert cache.stats.writebacks == 1
-
 
 class TestInvalidation:
     def test_invalidate_resident_line(self, cache):
         cache.fill(7)
         assert cache.invalidate_line(7)
-        assert not cache.contains(7)
-        assert cache.stats.invalidations == 1
+        assert not cache.lookup(7)
 
     def test_invalidate_absent_line(self, cache):
         assert not cache.invalidate_line(7)
@@ -90,7 +53,7 @@ class TestInvalidation:
     def test_invalidate_wrong_tag_same_set(self, cache):
         cache.fill(7)
         assert not cache.invalidate_line(7 + 256)
-        assert cache.contains(7)
+        assert cache.lookup(7)
 
 
 class TestFlushPage:
@@ -103,7 +66,7 @@ class TestFlushPage:
         flushed = cache.flush_page(page)
         assert flushed == len(lines)
         for line in lines:
-            assert not cache.contains(line)
+            assert not cache.lookup(line)
 
     def test_flush_leaves_other_pages(self, cache):
         amap = AddressMap()
@@ -115,8 +78,8 @@ class TestFlushPage:
         cache.fill(mine)
         cache.fill(other)
         cache.flush_page(1)
-        assert not cache.contains(mine)
-        assert cache.contains(other)
+        assert not cache.lookup(mine)
+        assert cache.lookup(other)
 
     def test_flush_empty_page_returns_zero(self, cache):
         assert cache.flush_page(9) == 0
@@ -148,4 +111,4 @@ class TestFlushPage:
     def test_clear(self, cache):
         cache.fill(1)
         cache.clear()
-        assert not cache.contains(1)
+        assert not cache.lookup(1)

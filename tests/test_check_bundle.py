@@ -102,6 +102,15 @@ class TestCheckCli:
         _, checker = loaded.replay()
         assert checker.violations
 
+    def test_injection_outside_the_machine_is_an_error(self, capsys):
+        """fft runs on 8 nodes: node 8 does not exist, so nothing would
+        be injected and a clean report would pass for a self-test."""
+        assert main(self.ARGS + ["--inject-skip-invalidate", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "debug_skip_invalidate_node" in captured.err
+        assert "no invariant violations" not in captured.out
+
     def test_run_check_flag_reports(self, capsys):
         assert main(["--scale", "0.2", "run", "fft", "ascoma", "--check"]) == 0
         assert "invariants     : 0 violation(s)" in capsys.readouterr().out

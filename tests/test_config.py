@@ -72,6 +72,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemConfig(rac_hit_cycles=500)
 
+    def test_skipped_invalidation_node_is_on_the_machine(self):
+        """A node id the machine lacks would drop no invalidation, so
+        the checker's self-test would inject nothing."""
+        for node in (-1, 0, 7):
+            assert SystemConfig(debug_skip_invalidate_node=node)
+        for node in (-2, 8, 99):
+            with pytest.raises(ValueError, match="debug_skip_invalidate"):
+                SystemConfig(debug_skip_invalidate_node=node)
+        with pytest.raises(ValueError):
+            SystemConfig(debug_skip_invalidate_node=5).with_nodes(4)
+
 
 class TestCopies:
     def test_at_pressure(self):

@@ -29,6 +29,7 @@ from repro.core import make_policy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceBuilder, WorkloadTraces
+from tests.conftest import MACHINE_VARIANTS
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 
@@ -148,10 +149,11 @@ class TestEngineFuzz:
 
     @given(workload_events, st.sampled_from([0.3, 0.9]),
            st.sampled_from([60, 500, 2000]),
-           st.sampled_from(["first-touch", "round-robin", "random"]))
+           st.sampled_from(["first-touch", "round-robin", "random"]),
+           st.sampled_from([{}, *MACHINE_VARIANTS.values()]))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_path_invariance(self, arch, per_node, pressure, quantum,
-                             placement):
+                             placement, variant):
         """Path invariance: identical cycles/stats/events on both
         replay loops for random workloads.
 
@@ -162,14 +164,16 @@ class TestEngineFuzz:
         random read/write bursts hit the trace coalescing cases, which
         the SoA decode must reproduce event for event.  The home
         placements vary which nodes' in-kernel faults map a page HOME
-        and which map it remote; only a page's machine-wide first
-        touch leaves the kernel.
+        and which map it remote; only a fault at which the pageout
+        daemon, or a break-even evaluation, falls due leaves the
+        kernel.  The machine variants move the kernel's RAC, protocol,
+        consistency and contention params off the paper's values.
         """
         wl = build_workload(per_node)
 
         def run(**kwargs):
             cfg = SystemConfig(n_nodes=N_NODES, memory_pressure=pressure,
-                               home_placement=placement)
+                               home_placement=placement, **variant)
             policy = make_policy(arch, **ARCH_KWARGS[arch])
             return Engine(wl, policy, cfg, quantum=quantum,
                           **kwargs).run().to_dict()

@@ -79,10 +79,6 @@ class TestNetwork:
 
 
 class TestBus:
-    def test_uncontended_cost_is_fixed(self):
-        bus = SplitTransactionBus(occupancy=4, fixed_cost=2)
-        assert bus.transact(0) == 2
-
     def test_back_to_back_queues(self):
         bus = SplitTransactionBus(occupancy=4)
         assert bus.transact(0) == 0

@@ -85,8 +85,8 @@ class TestHomeAllocator:
         for page in range(2):
             alloc.home_of(page, 0)
         third = alloc.home_of(2, 0)  # node 0 over quota: spills
-        assert third != 0
-        assert alloc.round_robin_spills == 1
+        assert third == 1  # the round-robin cursor's first node under quota
+        assert alloc.home_of(3, 0) == 2
 
     def test_balanced_when_one_node_touches_everything(self):
         alloc = HomeAllocator(4, 16)  # quota 4
@@ -119,7 +119,7 @@ class TestFreePagePool:
         assert pool.try_allocate()
         assert pool.try_allocate()
         assert not pool.try_allocate()
-        assert pool.failed_allocations == 1
+        assert pool.free == 0 and pool.allocations == 2
 
     def test_release_returns_frame(self):
         pool = FreePagePool(1, 100)
@@ -203,15 +203,14 @@ class TestPageTable:
         pt = PageTable(32)
         pt.map_ccnuma(1)
         pt.map_scoma(1)
-        assert pt.remaps_to_scoma == 1
         assert pt.mode_of(1) == PageMode.SCOMA
+        assert list(pt.scoma_clock) == [1]
 
     def test_unmap_scoma_to_ccnuma(self):
         pt = PageTable(32)
         pt.map_scoma(1)
         pt.unmap_scoma(1, to_ccnuma=True)
         assert pt.mode_of(1) == PageMode.CCNUMA
-        assert pt.remaps_to_ccnuma == 1
         assert pt.valid_mask(1) == 0
 
     def test_unmap_scoma_to_unmapped(self):

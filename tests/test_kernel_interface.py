@@ -7,8 +7,9 @@ codes, the trace's event kinds, the page modes, the placement codes)
 and from its own control-block tables.  These tests read every enum
 member back out of the C text and compare it with its Python owner, so
 a hand-numbered member, a ``#define`` or a page mode, placement or
-eviction-hook code written as a bare number fails here.  They need no
-compiler.
+eviction-hook code written as a bare number fails here.  Two more hold
+the counter rows to what some output reads: each slot is written by
+the kernel and read by a report a run stores.  They need no compiler.
 """
 
 from __future__ import annotations
@@ -18,19 +19,19 @@ import re
 from repro.coherence import directory, protocol
 from repro.core import policy
 from repro.interconnect import bus, network
-from repro.kernel import allocation, freelist, vm
+from repro.kernel import allocation, freelist
 from repro.kernel.allocation import PLACEMENT_CODES
 from repro.kernel.vm import PageMode
-from repro.mem import cache, dram, rac, tlb
+from repro.mem import dram
+from repro.runtime import RunSpec
 from repro.sim import events, machine, node, soatrace, stats, trace
 
 #: The modules whose row layouts and codes the kernel reads.
-OWNERS = (stats, node, machine, cache, rac, tlb, vm, dram, bus, network,
-          directory, protocol, freelist, policy, allocation, events, trace)
+OWNERS = (stats, node, machine, dram, bus, network, directory, protocol,
+          freelist, policy, allocation, events, trace)
 
 #: The model counter rows handed to the kernel: owner and slot prefix.
-COUNTERS = ((cache, "L1_"), (rac, "RAC_"), (tlb, "TLB_"), (vm, "PT_"),
-            (dram, "MEM_"), (bus, "BUS_"), (network, "NET_"),
+COUNTERS = ((dram, "MEM_"), (bus, "BUS_"), (network, "NET_"),
             (directory, "DIR_"), (protocol, "PROTO_"))
 
 #: The kernel's C text without its comments.
@@ -112,3 +113,31 @@ def test_every_counter_slot_is_written_by_the_kernel():
                  and not re.search(rf"\b{name}\s*\]\s*(?:\+\+|\+=|=(?!=))",
                                    C_TEXT)]
     assert unwritten == []
+
+
+def test_every_counter_slot_reaches_a_stored_report():
+    """A counter slot is one a stored result reads: adding 1 to any slot
+    of the machine's counter row or of a node's changes
+    ``utilisation_report()`` or the protocol counts ``Engine.run``
+    stores under ``extra["protocol"]``.  A slot nothing reads is state
+    every run pays to write and no output can show."""
+    engine = RunSpec.make("em3d", "ASCOMA", 0.9, 0.1).engine()
+    extra = engine.run().extra
+    mach = engine.machine
+
+    def reported():
+        proto = mach.protocol
+        return (mach.utilisation_report(),
+                {"remote_fetches": proto.remote_fetches,
+                 "three_hop": proto.three_hop_fetches,
+                 "write_stalls": proto.write_stalls})
+
+    assert reported() == (extra["utilisation"], extra["protocol"])
+    unread = []
+    for r, row in enumerate([mach.counters, *mach.blocks.counters]):
+        for slot in range(len(row)):
+            row[slot] += 1
+            if reported() == (extra["utilisation"], extra["protocol"]):
+                unread.append((r, slot))
+            row[slot] -= 1
+    assert unread == []

@@ -46,7 +46,7 @@ class TestCrossNodeWiring:
         m.nodes[1].l1.fill(line)
         m.protocol.remote_fetch_raw(1, chunk, 0, 0, False, 0, 0)  # node 1 shares
         m.protocol.remote_fetch_raw(2, chunk, 0, 0, True, 0, 0)   # node 2 writes
-        assert not m.nodes[1].l1.contains(line)
+        assert not m.nodes[1].l1.lookup(line)
 
     def test_demotion_reaches_owner(self):
         m = make_machine()

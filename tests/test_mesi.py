@@ -16,7 +16,6 @@ class TestDirectoryExclusive:
         out = DirOut(*d.fetch_raw(1, 0, 0, False, 0))
         assert out.exclusive
         assert d.owner[0] == 1
-        assert d.exclusive_grants == 1
 
     def test_second_reader_not_exclusive(self):
         d = Directory(4, 32, grant_exclusive=True)

@@ -33,8 +33,8 @@ class TestInvalidation:
         node.owned[chunk] = 1
 
         node.invalidate_chunk(chunk)
-        assert all(not node.l1.contains(line) for line in amap.lines_of_chunk(chunk))
-        assert not node.rac.contains(chunk)
+        assert all(not node.l1.lookup(line) for line in amap.lines_of_chunk(chunk))
+        assert not node.rac.lookup(chunk)
         assert not node.owned[chunk]
         assert not node.page_table.chunk_valid(page, 0)
 
@@ -45,7 +45,7 @@ class TestInvalidation:
         node.l1.fill(amap.lines_of_chunk(chunk)[0])
         node.demote_chunk(chunk)
         assert not node.owned[chunk]
-        assert node.l1.contains(amap.lines_of_chunk(chunk)[0])
+        assert node.l1.lookup(amap.lines_of_chunk(chunk)[0])
 
 
 class TestFlushPage:
@@ -129,7 +129,7 @@ class TestRelocation:
         node.l1.fill(line)
         node.pool.try_allocate()
         node.relocate_to_scoma(page)
-        assert not node.l1.contains(line)
+        assert not node.l1.lookup(line)
 
 
 class TestVictimSelection:
@@ -138,9 +138,9 @@ class TestVictimSelection:
         for page in (1, 2, 3):
             node.pool.try_allocate()
             node.map_scoma(page)
-        node.tlb.ref_bits[1] = True
-        node.tlb.ref_bits[2] = False
-        node.tlb.ref_bits[3] = True
+        node.ref_bits[1] = True
+        node.ref_bits[2] = False
+        node.ref_bits[3] = True
         assert node.choose_victim() == 2
 
     def test_all_referenced_falls_back_to_front(self):
@@ -148,11 +148,11 @@ class TestVictimSelection:
         for page in (1, 2, 3):
             node.pool.try_allocate()
             node.map_scoma(page)
-            node.tlb.ref_bits[page] = True
+            node.ref_bits[page] = True
         victim = node.choose_victim()
         assert victim in (1, 2, 3)
         # All reference bits were cleared by the rotation.
-        assert all(not node.tlb.reference_bit(p) for p in (1, 2, 3))
+        assert all(not node.ref_bits[p] for p in (1, 2, 3))
 
     def test_empty_cache_raises(self):
         node, _, _ = make_node()
@@ -167,7 +167,7 @@ class TestDaemonIntegration:
         for page in (1, 2, 3):
             assert node.pool.try_allocate()
             node.map_scoma(page)
-            node.tlb.ref_bits[page] = False
+            node.ref_bits[page] = False
         assert node.pool.free == 0
         got = node.acquire_frame(now=10**6)
         assert got
@@ -180,7 +180,7 @@ class TestDaemonIntegration:
         for page in (1, 2, 3):
             node.pool.try_allocate()
             node.map_scoma(page)
-            node.tlb.ref_bits[page] = True  # everything hot
+            node.ref_bits[page] = True  # everything hot
         node.run_daemon_if_due(now=10**6)
         assert node.stats.daemon_thrash == 1
         assert node.policy_state.backoff.threshold > 8

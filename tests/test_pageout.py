@@ -4,7 +4,7 @@
 from repro.kernel.costs import KernelCosts
 from repro.kernel.freelist import FreePagePool
 from repro.kernel.pageout import PageoutDaemon
-from repro.kernel.vm import PageTable
+from repro.kernel.vm import DEFAULT_PAGES, PageTable
 
 
 class Harness:
@@ -14,13 +14,11 @@ class Harness:
         self.page_table = PageTable(32)
         self.pool = FreePagePool(cache_frames, total_frames,
                                  free_min_frac=0.02, free_target_frac=0.04)
-        self.ref_bits: dict[int, bool] = {}
+        self.ref_bits = bytearray(DEFAULT_PAGES)
         self.evicted: list[int] = []
-        self.daemon = PageoutDaemon(
-            self.page_table, self.pool, KernelCosts(),
-            reference_bit=lambda p: self.ref_bits.get(p, False),
-            clear_reference_bit=lambda p: self.ref_bits.__setitem__(p, False),
-            base_interval=1000)
+        self.daemon = PageoutDaemon(self.page_table, self.pool,
+                                    KernelCosts(), self.ref_bits,
+                                    base_interval=1000)
 
     def map_page(self, page, referenced=True):
         assert self.pool.try_allocate()
@@ -143,11 +141,3 @@ class TestScheduling:
             h.map_page(p, referenced=True)
         result = h.run(now=0)
         assert result.cost == KernelCosts().daemon_run_cost(result.scanned)
-
-    def test_counters(self):
-        h = Harness()
-        for p in range(4):
-            h.map_page(p, referenced=True)
-        h.run(now=0)
-        assert h.daemon.runs == 1
-        assert h.daemon.thrash_events == 1

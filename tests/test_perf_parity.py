@@ -28,6 +28,7 @@ from repro.harness.experiment import ARCHITECTURES, get_workload, scaled_policy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.soatrace import vector_available
+from tests.conftest import MACHINE_VARIANTS
 
 SCALE = 0.1
 #: fft is RAC/home-friendly, radix is eviction- and relocation-heavy;
@@ -77,6 +78,13 @@ def placed_engine(placement, arch, **engine_kwargs):
                        **engine_kwargs)
 
 
+def variant_engine(variant, arch, **engine_kwargs):
+    """radix at 0.9 pressure on one of ``MACHINE_VARIANTS``."""
+    return make_engine("radix", arch, 0.9,
+                       config_kwargs=MACHINE_VARIANTS[variant],
+                       **engine_kwargs)
+
+
 #: The shapes the parity suites replay both ways, by name.
 SHAPES = {
     "matrix": make_engine,
@@ -85,6 +93,7 @@ SHAPES = {
     "wide_pages": functools.partial(make_engine, "radix", pressure=0.9,
                                     config_kwargs={"page_bytes": 16384}),
     "placement": placed_engine,
+    "variant": variant_engine,
 }
 
 
@@ -250,9 +259,7 @@ def hidden_counters(engine) -> dict:
             "detector": detector and (
                 detector.threshold, detector.evaluations, detector.backoffs,
                 detector.recoveries),
-            "daemon": (daemon.runs, daemon.total_reclaimed,
-                       daemon.total_cost, daemon.interval,
-                       daemon.next_run_at),
+            "daemon": (daemon.interval, daemon.next_run_at),
         }
     return out
 
@@ -294,6 +301,19 @@ class TestFullStateParity:
     def test_wide_pages_full_state(self, arch):
         assert_same_machine("wide_pages", (arch,))
 
+    @pytest.mark.parametrize("arch", ("ASCOMA", "VCNUMA"))
+    @pytest.mark.parametrize("variant", sorted(MACHINE_VARIANTS))
+    def test_machine_variant_full_state(self, variant, arch):
+        """Each machine variant is inside the kernel's model, so it
+        replays there wherever a kernel loads, with the reference
+        loop's result and state."""
+        from repro.sim.soatrace import _eligible
+        engine, vector = replayed("variant", (variant, arch), True)
+        _, reference = replayed("variant", (variant, arch), False)
+        assert _eligible(engine)
+        assert vector == reference
+        assert_same_machine("variant", (variant, arch))
+
 
 def kernel_visible_state(engine) -> list:
     """Every model attribute that holds kernel-visible state."""
@@ -310,11 +330,10 @@ def kernel_visible_state(engine) -> list:
         pt, state = node.page_table, node.policy_state
         held += [pt.mode, pt.scoma_valid, pt.scoma_clock, node.pool,
                  node.daemon.pool, node.owned, node.ever_fetched,
-                 node.pagecache_hits, node.tlb.ref_bits, node.l1.tags,
-                 node.l1.dirty, node.rac.chunks, node.memory.busy_until,
+                 node.pagecache_hits, node.ref_bits, node.daemon.ref_bits,
+                 node.l1.tags, node.rac.chunks, node.memory.busy_until,
                  state, state.row, node.stats, node.stats.row,
-                 node.l1.stats, node.l1.stats.row, node.rac.row,
-                 node.tlb.row, pt.row, node.memory.row]
+                 node.memory.row]
         detector = getattr(state, "detector", None)
         if detector is not None:
             held += [detector, detector.row]
@@ -798,20 +817,22 @@ class TestKernelPageFaults:
     def test_ascoma_dry_pool_faults(self, pressure):
         """A dry pool makes AS-COMA map faulting pages CC-NUMA (at 1.0
         the pool is empty from the start, at 0.9 it drains mid-run).
-        CC-NUMA pages at the end = dry-pool faults + evictions to
-        CC-NUMA - relocations, so the count below is the number of
-        faults the dry pool turned into CC-NUMA mappings."""
+        A subscriber to fault events alone counts those faults: the
+        same number, above zero, on both loops."""
         from repro.kernel.vm import PageMode
+        from repro.sim.events import EV_FAULT
 
-        engine = self._engine("radix", "ASCOMA", pressure)
-        vector = engine.run().to_dict()
-        dry_faults = sum(
-            sum(m == PageMode.CCNUMA for m in nd.page_table.mode)
-            - nd.page_table.remaps_to_ccnuma + nd.page_table.remaps_to_scoma
-            for nd in engine.machine.nodes)
+        def replay(vector_path):
+            engine = self._engine("radix", "ASCOMA", pressure)
+            engine.vector_path = vector_path
+            modes = []
+            engine.machine.events.subscribe(
+                lambda ev: modes.append(ev.detail["mode"]), (EV_FAULT,))
+            return engine.run().to_dict(), modes.count(PageMode.CCNUMA)
+
+        vector, dry_faults = replay(True)
         assert dry_faults > 0
-        assert vector == run_cell("radix", "ASCOMA", pressure,
-                                  vector_path=False)
+        assert replay(False) == (vector, dry_faults)
 
     def test_daemon_due_at_fault(self, monkeypatch):
         """A fault at ``now`` whose frame request (at ``now +

@@ -8,7 +8,7 @@ from repro.core.policy import RelocationDecision
 from repro.kernel.costs import KernelCosts
 from repro.kernel.freelist import FreePagePool
 from repro.kernel.pageout import DaemonRunResult, PageoutDaemon
-from repro.kernel.vm import PageMode, PageTable
+from repro.kernel.vm import DEFAULT_PAGES, PageMode, PageTable
 
 
 def daemon_result(reclaimed, target):
@@ -19,9 +19,7 @@ def daemon_result(reclaimed, target):
 def make_daemon():
     pt = PageTable(32)
     pool = FreePagePool(4, 100)
-    return PageoutDaemon(pt, pool, KernelCosts(),
-                         reference_bit=lambda p: False,
-                         clear_reference_bit=lambda p: None,
+    return PageoutDaemon(pt, pool, KernelCosts(), bytearray(DEFAULT_PAGES),
                          base_interval=1000)
 
 

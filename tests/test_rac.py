@@ -11,23 +11,22 @@ class TestSingleEntry:
     def test_holds_last_chunk_only(self):
         rac = RemoteAccessCache(1)
         rac.fill(10)
-        assert rac.contains(10)
+        assert rac.lookup(10)
         rac.fill(11)
-        assert not rac.contains(10)
-        assert rac.contains(11)
+        assert not rac.lookup(10)
+        assert rac.lookup(11)
 
     def test_miss_then_hit(self):
         rac = RemoteAccessCache(1)
         assert not rac.lookup(4)
         rac.fill(4)
         assert rac.lookup(4)
-        assert rac.misses == 1 and rac.fills == 1
 
     def test_invalidate(self):
         rac = RemoteAccessCache(1)
         rac.fill(4)
         assert rac.invalidate_chunk(4)
-        assert not rac.contains(4)
+        assert not rac.lookup(4)
 
     def test_invalidate_absent(self):
         rac = RemoteAccessCache(1)
@@ -37,7 +36,7 @@ class TestSingleEntry:
         rac = RemoteAccessCache(1)
         rac.fill(4)
         assert not rac.invalidate_chunk(5)
-        assert rac.contains(4)
+        assert rac.lookup(4)
 
 
 class TestMultiEntry:
@@ -46,9 +45,9 @@ class TestMultiEntry:
         rac.fill(0)
         rac.fill(1)
         rac.fill(4)  # conflicts with 0
-        assert not rac.contains(0)
-        assert rac.contains(1)
-        assert rac.contains(4)
+        assert not rac.lookup(0)
+        assert rac.lookup(1)
+        assert rac.lookup(4)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -63,8 +62,8 @@ class TestMultiEntry:
         rac.fill(33)           # page 1
         flushed = rac.flush_page(0, chunks_per_page)
         assert flushed == 1
-        assert not rac.contains(5)
-        assert rac.contains(33)
+        assert not rac.lookup(5)
+        assert rac.lookup(33)
 
     def test_flush_page_multiple_resident(self):
         rac = RemoteAccessCache(64)
@@ -78,10 +77,4 @@ class TestMultiEntry:
         rac.fill(0)
         rac.fill(1)
         rac.clear()
-        assert not rac.contains(0) and not rac.contains(1)
-
-    def test_fill_counts(self):
-        rac = RemoteAccessCache(1)
-        rac.fill(1)
-        rac.fill(2)
-        assert rac.fills == 2
+        assert not rac.lookup(0) and not rac.lookup(1)

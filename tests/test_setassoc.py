@@ -58,28 +58,6 @@ class TestBasics:
         assert cache.fill(5) == -1
 
 
-class TestDirty:
-    def test_dirty_eviction_writes_back(self, cache):
-        cache.fill(5, dirty=True)
-        cache.fill(5 + 128)
-        cache.fill(5 + 256)
-        assert cache.stats.writebacks == 1
-
-    def test_mark_dirty_then_evict(self, cache):
-        cache.fill(5)
-        cache.mark_dirty(5)
-        cache.fill(5 + 128)
-        cache.fill(5 + 256)
-        assert cache.stats.writebacks == 1
-
-    def test_invalidate_clears_dirty(self, cache):
-        cache.fill(5, dirty=True)
-        assert cache.invalidate_line(5)
-        cache.fill(5 + 128)
-        cache.fill(5 + 256)
-        assert cache.stats.writebacks == 0
-
-
 class TestFlushPage:
     def test_flush_page(self, cache):
         amap = AddressMap()

@@ -1,9 +1,10 @@
-"""Unit tests for the TLB reference-bit model."""
+"""Unit tests for the TLB reference bits (``Node.ref_bits``)."""
 
+from repro.coherence.directory import Directory
 from repro.core import make_policy
-from repro.mem.tlb import TLB
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
+from repro.sim.node import Node
 from tests.conftest import make_micro_workload
 
 
@@ -18,39 +19,35 @@ def run_micro(vector_path: bool) -> Engine:
 
 
 class TestTLB:
-    def test_shootdown(self):
-        tlb = TLB()
-        tlb.ref_bits[5] = 1
-        tlb.shootdown(5)
-        assert tlb.shootdowns == 1
-
     def test_shootdown_clears_reference_bit(self):
-        tlb = TLB()
-        tlb.ref_bits[5] = 1
-        tlb.shootdown(5)
-        assert not tlb.reference_bit(5)
+        """Both remaps shoot the page's translation down: an S-COMA
+        eviction and a relocation into the page cache clear its bit."""
+        cfg = SystemConfig(n_nodes=4, model_contention=False)
+        amap = cfg.address_map()
+        node = Node(0, cfg, amap, Directory(4, amap.chunks_per_page),
+                    make_policy("ASCOMA"), 4, 14)
+        assert node.pool.try_allocate()
+        node.map_scoma(5)
+        node.ref_bits[5] = 1
+        node.evict_scoma_page(5, forced=False)
+        assert not node.ref_bits[5]
+        assert node.pool.try_allocate()
+        node.ref_bits[5] = 1
+        node.relocate_to_scoma(5)
+        assert not node.ref_bits[5]
 
 
 class TestReferenceBits:
     def test_access_sets_bit(self):
         """An L1 miss sets its page's bit, on both replay loops."""
         for vector_path in (True, False):
-            tlb = run_micro(vector_path).machine.nodes[1].tlb
-            assert tlb.reference_bit(0)
-            assert not tlb.reference_bit(1)
-
-    def test_clear_bit(self):
-        tlb = TLB()
-        tlb.ref_bits[7] = 1
-        tlb.clear_reference_bit(7)
-        assert not tlb.reference_bit(7)
+            ref_bits = run_micro(vector_path).machine.nodes[1].ref_bits
+            assert ref_bits[0]
+            assert not ref_bits[1]
 
     def test_re_access_after_clear_resets_bit(self):
         engine = run_micro(vector_path=False)
         node = engine.machine.nodes[1]
-        node.tlb.clear_reference_bit(0)
+        node.ref_bits[0] = 0
         engine._shared_ref(node, 8, False, 0)  # line 8 of page 0: L1 miss
-        assert node.tlb.reference_bit(0)
-
-    def test_unknown_page_bit_is_false(self):
-        assert not TLB().reference_bit(99)
+        assert node.ref_bits[0]

@@ -117,4 +117,4 @@ class TestCoherence:
         node.page_table.map_ccnuma(5)
         node.rac.fill(amap.line_id(5, 3))  # victim line of page 5
         node.flush_page(5)
-        assert not node.rac.contains(amap.line_id(5, 3))
+        assert not node.rac.lookup(amap.line_id(5, 3))
